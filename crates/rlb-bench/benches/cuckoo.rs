@@ -1,10 +1,13 @@
 //! Cuckoo allocator costs: exact (peeling) vs random-walk, and the
 //! Lemma 4.2 tripartite routing-table build that delayed cuckoo routing
-//! performs once per simulated step.
+//! performs once per simulated step — cold (`RoutingTable::build`, a
+//! fresh workspace per call) beside reused (one `TableBuilder` across
+//! iterations, as the policy runs it), so the allocation and zeroing
+//! share of a build is a measured difference.
 
 use rlb_bench::wallclock::Harness;
 use rlb_cuckoo::{
-    Choices, OfflineAssignment, RandomWalkAllocator, RoutingTable, TripartiteAssigner,
+    Choices, OfflineAssignment, RandomWalkAllocator, RoutingTable, TableBuilder, TripartiteAssigner,
 };
 use rlb_hash::{Pcg64, Rng};
 
@@ -16,7 +19,7 @@ fn random_items(m: usize, k: usize, seed: u64) -> Vec<Choices> {
 }
 
 fn bench_allocators(h: &mut Harness) {
-    for m in [1024usize, 8192] {
+    for m in [1024usize, 8192, 16_384] {
         let third = random_items(m, m / 3, 11);
         let elements = Some((m / 3) as u64);
         {
@@ -40,11 +43,22 @@ fn bench_allocators(h: &mut Harness) {
             );
         }
         let full = random_items(m, m, 13);
+        {
+            let full = full.clone();
+            h.bench(
+                "cuckoo_allocators",
+                &format!("tripartite_full_step/{m}"),
+                Some(m as u64),
+                move || RoutingTable::build(m, &full, TripartiteAssigner::default()),
+            );
+        }
+        let mut builder = TableBuilder::new();
+        let mut server_of = Vec::new();
         h.bench(
             "cuckoo_allocators",
-            &format!("tripartite_full_step/{m}"),
+            &format!("tripartite_full_step_reused/{m}"),
             Some(m as u64),
-            move || RoutingTable::build(m, &full, TripartiteAssigner::default()),
+            move || builder.build_table(m, &full, TripartiteAssigner::default(), &mut server_of),
         );
     }
 }

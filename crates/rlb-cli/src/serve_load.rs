@@ -277,7 +277,10 @@ fn with_core<R>(opts: &ServeLoadOptions, f: impl FnOnce(CoreAny) -> R) -> Result
                 return Err("delayed-cuckoo requires --replication 2".into());
             }
             let policy = DelayedCuckoo::new(engine);
-            f(CoreAny::DelayedCuckoo(ServerCore::new(cfg.clone(), policy)))
+            f(CoreAny::DelayedCuckoo(Box::new(ServerCore::new(
+                cfg.clone(),
+                policy,
+            ))))
         }
         "one-choice" => f(CoreAny::OneChoice(ServerCore::new(
             cfg.clone(),
@@ -303,7 +306,9 @@ fn with_core<R>(opts: &ServeLoadOptions, f: impl FnOnce(CoreAny) -> R) -> Result
 /// policy; this enum lets one closure accept any of them).
 enum CoreAny {
     Greedy(ServerCore<Greedy>),
-    DelayedCuckoo(ServerCore<DelayedCuckoo>),
+    // Boxed: the policy carries its table builder inline, which makes
+    // this variant much larger than the rest.
+    DelayedCuckoo(Box<ServerCore<DelayedCuckoo>>),
     OneChoice(ServerCore<OneChoice>),
     UniformRandom(ServerCore<UniformRandom>),
     RoundRobin(ServerCore<RoundRobin>),
@@ -319,7 +324,7 @@ fn run_sim_clock(opts: &ServeLoadOptions, pool: &Pool) -> Result<String, String>
     };
     let out = with_core(opts, |core| match core {
         CoreAny::Greedy(c) => run_sim(c, clients, &spec, pool),
-        CoreAny::DelayedCuckoo(c) => run_sim(c, clients, &spec, pool),
+        CoreAny::DelayedCuckoo(c) => run_sim(*c, clients, &spec, pool),
         CoreAny::OneChoice(c) => run_sim(c, clients, &spec, pool),
         CoreAny::UniformRandom(c) => run_sim(c, clients, &spec, pool),
         CoreAny::RoundRobin(c) => run_sim(c, clients, &spec, pool),
@@ -354,7 +359,7 @@ pub fn run_serve(args: &[String]) -> Result<String, String> {
     };
     let outcome = with_core(&opts, |core| match core {
         CoreAny::Greedy(c) => serve_blocking(listener, c, &serve_opts, &pool),
-        CoreAny::DelayedCuckoo(c) => serve_blocking(listener, c, &serve_opts, &pool),
+        CoreAny::DelayedCuckoo(c) => serve_blocking(listener, *c, &serve_opts, &pool),
         CoreAny::OneChoice(c) => serve_blocking(listener, c, &serve_opts, &pool),
         CoreAny::UniformRandom(c) => serve_blocking(listener, c, &serve_opts, &pool),
         CoreAny::RoundRobin(c) => serve_blocking(listener, c, &serve_opts, &pool),

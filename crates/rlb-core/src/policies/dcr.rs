@@ -23,12 +23,19 @@
 //! `O(log log m)` requests per phase (Lemma 4.5). If `T_t` failed (the
 //! Lemma 4.2 stash-overflow event, probability `O(1/m^c)`), the repeat is
 //! rejected.
+//!
+//! The tables of a phase are not kept one by one. A repeat always
+//! consults the table of the chunk's *latest* access, and chunks are
+//! distinct within a step, so one word per chunk holds everything a
+//! repeat can ask for: `plan[x] = T_{last_access[x]}(x)`, overwritten
+//! after each step for exactly that step's chunks. Per step of the phase
+//! only the table's failure flag is remembered.
 
 use crate::config::SimConfig;
 use crate::policy::{Decision, Policy, RejectReason, RouteCtx, StepOps};
 use crate::queue::ClassSpec;
 use crate::view::ClusterView;
-use rlb_cuckoo::{Choices, RoutingTable, TripartiteAssigner};
+use rlb_cuckoo::{Choices, TableBuilder, TripartiteAssigner};
 
 /// Queue class indices.
 const Q: u8 = 0;
@@ -60,28 +67,17 @@ impl DcrParams {
     }
 }
 
-/// Per-step routing table: chunk → assigned server, plus failure flag.
-#[derive(Debug, Clone, Default)]
-struct StepTable {
-    /// `(chunk, server)` pairs sorted by chunk.
-    pairs: Vec<(u32, u32)>,
+/// What is kept of `T_t` beside its `plan` entries.
+#[derive(Debug, Clone, Copy)]
+struct StepSlot {
     failed: bool,
-    /// Step this table was built for (guards stale slots).
+    /// Step the table was built for (guards stale slots in debug builds).
     step: u64,
-}
-
-impl StepTable {
-    fn lookup(&self, chunk: u32) -> Option<u32> {
-        self.pairs
-            .binary_search_by_key(&chunk, |&(c, _)| c)
-            .ok()
-            .map(|i| self.pairs[i].1)
-    }
 }
 
 /// Counters exposed for experiments and debugging.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-// return type of `Dcr::diagnostics`. lint:allow(dead-pub)
+// return type of `DelayedCuckoo::diagnostics`. lint:allow(dead-pub)
 pub struct DcrDiagnostics {
     /// Repeat requests rejected because their table had failed.
     pub table_failure_rejects: u64,
@@ -105,11 +101,19 @@ pub struct DelayedCuckoo {
     params: DcrParams,
     /// Last step each chunk was requested (`NEVER` if none).
     last_access: Vec<u64>,
-    /// Tables for steps of the current phase, indexed by `step % L`.
-    tables: Vec<StepTable>,
-    /// Requests seen this step: `(chunk, h1, h2)`.
-    step_records: Vec<(u32, Choices)>,
-    current_phase: u64,
+    /// `plan[chunk] = T_{last_access[chunk]}(chunk)`. Entries of earlier
+    /// phases are never cleared: `route` reads an entry only behind the
+    /// `last_access` phase guard, and then it was written this phase.
+    plan: Vec<u32>,
+    /// Per step of the current phase, indexed by `step - phase_start`.
+    slots: Vec<StepSlot>,
+    /// The candidate servers of this step's requests, in arrival order.
+    step_choices: Vec<Choices>,
+    /// The table solver and its output buffer, reused every step.
+    builder: TableBuilder,
+    server_of: Vec<u32>,
+    /// First step of the current phase.
+    phase_start: u64,
     diagnostics: DcrDiagnostics,
     num_servers: usize,
     started: bool,
@@ -135,9 +139,18 @@ impl DelayedCuckoo {
         Self {
             params,
             last_access: vec![NEVER; config.num_chunks],
-            tables: vec![StepTable::default(); params.phase_length as usize],
-            step_records: Vec::with_capacity(config.num_servers),
-            current_phase: 0,
+            plan: vec![0; config.num_chunks],
+            slots: vec![
+                StepSlot {
+                    failed: false,
+                    step: NEVER,
+                };
+                params.phase_length as usize
+            ],
+            step_choices: Vec::with_capacity(config.num_servers),
+            builder: TableBuilder::new(),
+            server_of: Vec::new(),
+            phase_start: 0,
             diagnostics: DcrDiagnostics::default(),
             num_servers: config.num_servers,
             started: false,
@@ -152,11 +165,6 @@ impl DelayedCuckoo {
     /// The parameters in effect.
     pub fn params(&self) -> DcrParams {
         self.params
-    }
-
-    #[inline]
-    fn phase_of(&self, step: u64) -> u64 {
-        step / self.params.phase_length
     }
 
     /// Two-choice greedy on the Q queues (first access in a phase, or
@@ -200,8 +208,8 @@ impl Policy for DelayedCuckoo {
     }
 
     fn on_step_begin(&mut self, step: u64, ops: &mut dyn StepOps) {
-        let phase = self.phase_of(step);
-        if phase != self.current_phase || !self.started {
+        let phase_start = step - step % self.params.phase_length;
+        if phase_start != self.phase_start || !self.started {
             if self.started {
                 // Phase boundary: carry residuals to the primed queues.
                 // The drain budget guarantees Q'/P' emptied during the
@@ -209,90 +217,73 @@ impl Policy for DelayedCuckoo {
                 ops.migrate_class(Q as usize, Q_PREV);
                 ops.migrate_class(P as usize, P_PREV);
             }
-            self.current_phase = phase;
+            self.phase_start = phase_start;
             self.diagnostics.phases += 1;
             self.started = true;
-            // Stale tables from the previous phase must not be consulted;
-            // the `step` guard in StepTable handles it, but clearing
-            // keeps memory tidy.
-            for t in &mut self.tables {
-                t.pairs.clear();
-                t.failed = false;
-                t.step = u64::MAX;
-            }
         }
     }
 
     fn route(&mut self, ctx: RouteCtx<'_>, view: &ClusterView<'_>) -> Decision {
         debug_assert_eq!(ctx.replicas.len(), 2, "DCR requires d = 2");
         let (h1, h2) = (ctx.replicas[0], ctx.replicas[1]);
-        let chunk = ctx.chunk;
-        self.step_records.push((chunk, Choices::new(h1, h2)));
+        let chunk = ctx.chunk as usize;
+        self.step_choices.push(Choices::new(h1, h2));
 
-        let prev = self.last_access[chunk as usize];
-        self.last_access[chunk as usize] = ctx.step;
+        let prev = self.last_access[chunk];
+        self.last_access[chunk] = ctx.step;
 
-        let is_repeat = prev != NEVER && self.phase_of(prev) == self.current_phase;
-        if is_repeat {
-            // Route by the table built after the previous access.
-            let slot = (prev % self.params.phase_length) as usize;
-            let table = &self.tables[slot];
-            debug_assert_eq!(table.step, prev, "table slot mismatch for repeat access");
-            if table.failed {
-                self.diagnostics.table_failure_rejects += 1;
-                return Decision::Reject(RejectReason::TableFailed);
-            }
-            match table.lookup(chunk) {
-                Some(server) => {
-                    if !view.is_up(server) {
-                        // The preplanned server is down; fall back to
-                        // the live Q path (the repeat loses its table
-                        // guarantee but the request survives).
-                        return self.route_first_access(h1, h2, view);
-                    }
-                    self.diagnostics.p_routed += 1;
-                    Decision::Route { server, class: P }
-                }
-                None => {
-                    // The chunk was requested at `prev`, so it must be in
-                    // T_prev; absence indicates a bookkeeping bug.
-                    debug_assert!(false, "repeat chunk {chunk} missing from table");
-                    self.diagnostics.table_failure_rejects += 1;
-                    Decision::Reject(RejectReason::TableFailed)
-                }
-            }
-        } else {
-            self.route_first_access(h1, h2, view)
+        // A repeat is a chunk whose last access lies in the current
+        // phase; `NEVER` and earlier phases wrap far past the phase
+        // length.
+        let offset = prev.wrapping_sub(self.phase_start);
+        if offset >= self.params.phase_length {
+            return self.route_first_access(h1, h2, view);
         }
+        // Route by the table built after the previous access.
+        let slot = self.slots[offset as usize];
+        debug_assert_eq!(slot.step, prev, "table slot mismatch for repeat access");
+        if slot.failed {
+            self.diagnostics.table_failure_rejects += 1;
+            return Decision::Reject(RejectReason::TableFailed);
+        }
+        let server = self.plan[chunk];
+        if !view.is_up(server) {
+            // The preplanned server is down; fall back to the live Q
+            // path (the repeat loses its table guarantee but the request
+            // survives).
+            return self.route_first_access(h1, h2, view);
+        }
+        self.diagnostics.p_routed += 1;
+        Decision::Route { server, class: P }
     }
 
-    fn on_step_end(&mut self, step: u64, _chunks: &[u32], _view: &ClusterView<'_>) {
+    fn on_step_end(&mut self, step: u64, chunks: &[u32], _view: &ClusterView<'_>) {
         // Build T_step over the chunks requested this step.
-        let slot = (step % self.params.phase_length) as usize;
-        let items: Vec<Choices> = self.step_records.iter().map(|&(_, c)| c).collect();
-        let table = RoutingTable::build(
+        assert_eq!(
+            chunks.len(),
+            self.step_choices.len(),
+            "on_step_end must receive the chunks routed this step"
+        );
+        let status = self.builder.build_table(
             self.num_servers,
-            &items,
+            &self.step_choices,
             TripartiteAssigner {
                 max_stash_per_group: self.params.max_stash_per_group,
             },
+            &mut self.server_of,
         );
         self.diagnostics.tables_built += 1;
-        if table.failed() {
+        if status.failed {
             self.diagnostics.tables_failed += 1;
         }
-        let entry = &mut self.tables[slot];
-        entry.pairs.clear();
-        entry.pairs.extend(
-            self.step_records
-                .iter()
-                .enumerate()
-                .map(|(i, &(chunk, _))| (chunk, table.server_of(i))),
-        );
-        entry.pairs.sort_unstable_by_key(|&(c, _)| c);
-        entry.failed = table.failed();
-        entry.step = step;
-        self.step_records.clear();
+        for (&chunk, &server) in chunks.iter().zip(&self.server_of) {
+            self.plan[chunk as usize] = server;
+        }
+        self.slots[(step - self.phase_start) as usize] = StepSlot {
+            failed: status.failed,
+            step,
+        };
+        self.step_choices.clear();
     }
 }
 
@@ -386,6 +377,39 @@ mod tests {
             report.max_backlog <= 4 * 16,
             "max backlog {}",
             report.max_backlog
+        );
+    }
+
+    #[test]
+    fn step_end_stops_allocating_after_the_first_step() {
+        // A fixed request-set size: everything `on_step_end` touches is
+        // sized during step 0 and only reused afterwards.
+        let cfg = dcr_config(256);
+        let policy = DelayedCuckoo::new(&cfg);
+        let phase_length = policy.params().phase_length;
+        let mut sim = Simulation::new(cfg, policy);
+        let footprint = |p: &DelayedCuckoo| {
+            (
+                p.builder.capacity_bytes(),
+                p.server_of.capacity(),
+                p.step_choices.capacity(),
+                p.plan.capacity(),
+                p.slots.capacity(),
+            )
+        };
+        // Arrival order rotates, so the tables (and their cycles) differ
+        // from step to step.
+        let mut workload = |step: u64, out: &mut Vec<u32>| {
+            out.extend((0..256u32).map(|c| (c + step as u32) % 256))
+        };
+        sim.run(&mut workload, 1);
+        let after_first = footprint(sim.policy());
+        assert!(after_first.0 > 0);
+        sim.run(&mut workload, 3 * phase_length);
+        assert_eq!(footprint(sim.policy()), after_first);
+        assert_eq!(
+            sim.policy().diagnostics().tables_built,
+            1 + 3 * phase_length
         );
     }
 

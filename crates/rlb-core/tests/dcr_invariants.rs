@@ -2,8 +2,11 @@
 //! swept over deterministic PCG-generated cases.
 
 use rlb_core::policies::{DcrParams, DelayedCuckoo};
-use rlb_core::{Decision, DrainMode, Observer, SimConfig, Simulation};
-use rlb_hash::{sample, Pcg64, Rng};
+use rlb_core::{
+    Decision, DrainMode, Observer, OutageSchedule, RejectReason, SimConfig, Simulation,
+};
+use rlb_cuckoo::{Choices, RoutingTable, TripartiteAssigner};
+use rlb_hash::{sample, Pcg64, ReplicaPlacement, Rng};
 
 /// Records arrivals to class P per (server, step).
 struct PArrivals {
@@ -140,4 +143,293 @@ fn dcr_is_deterministic() {
         };
         assert_eq!(run(), run(), "case {case}");
     }
+}
+
+// --- The chunk-indexed plan ---------------------------------------
+//
+// `DelayedCuckoo` keeps one `plan[chunk]` word instead of one table per
+// step of the phase. The tests below pin the cases where a plan entry
+// is older than the newest table: it must be read exactly when the
+// paper's `T_{last access}` says so, and never across a phase boundary.
+
+const Q_CLASS: u8 = 0;
+const P_CLASS: u8 = 1;
+
+/// Records every routing decision as `(step, chunk, decision)`.
+#[derive(Default)]
+struct Decisions(Vec<(u64, u32, Decision)>);
+
+impl Observer for Decisions {
+    fn on_route(&mut self, step: u64, chunk: u32, decision: Decision) {
+        self.0.push((step, chunk, decision));
+    }
+}
+
+impl Decisions {
+    fn of(&self, step: u64, chunk: u32) -> Decision {
+        let mut hits = self.0.iter().filter(|d| d.0 == step && d.1 == chunk);
+        let hit = hits.next().expect("chunk was not requested at that step");
+        assert!(hits.next().is_none(), "chunk requested twice in a step");
+        hit.2
+    }
+}
+
+fn plan_config(m: usize, num_chunks: usize) -> SimConfig {
+    SimConfig {
+        num_servers: m,
+        num_chunks,
+        replication: 2,
+        process_rate: 16,
+        queue_capacity: 64,
+        flush_interval: None,
+        drain_mode: DrainMode::EndOfStep,
+        seed: 0x706c616e,
+        safety_check_every: None,
+    }
+}
+
+fn plan_policy(config: &SimConfig, phase_length: u64) -> DelayedCuckoo {
+    DelayedCuckoo::with_params(
+        config,
+        DcrParams {
+            phase_length,
+            max_stash_per_group: 4,
+        },
+    )
+}
+
+/// The reference `T_t`: Lemma 4.2 over one step's request list, in
+/// arrival order, built by the cold path.
+fn reference_table(placement: &ReplicaPlacement, m: usize, chunks: &[u32]) -> RoutingTable {
+    let items: Vec<Choices> = chunks
+        .iter()
+        .map(|&c| {
+            let r = placement.replicas(c);
+            Choices::new(r[0], r[1])
+        })
+        .collect();
+    RoutingTable::build(m, &items, TripartiteAssigner::default())
+}
+
+/// (a) A chunk last requested in phase `p` is a first access in phase
+/// `p + 1`, although `plan` still holds its server from phase `p`.
+#[test]
+fn plan_entry_from_an_earlier_phase_is_not_consulted() {
+    let m = 64;
+    let config = plan_config(m, 4 * m);
+    let policy = plan_policy(&config, 4);
+    let mut sim = Simulation::new(config, policy);
+    // Chunks 0..32 at steps 2, 3 (phase 0) and 4, 5 (phase 1).
+    let mut workload = |step: u64, out: &mut Vec<u32>| {
+        if (2..6).contains(&step) {
+            out.extend(0..32u32);
+        }
+    };
+    let mut obs = Decisions::default();
+    sim.run_observed(&mut workload, 6, &mut obs);
+    for chunk in 0..32u32 {
+        let class_at = |step| match obs.of(step, chunk) {
+            Decision::Route { class, .. } => class,
+            other => panic!("chunk {chunk} step {step}: {other:?}"),
+        };
+        assert_eq!(class_at(2), Q_CLASS, "first access");
+        assert_eq!(class_at(3), P_CLASS, "repeat inside phase 0");
+        assert_eq!(class_at(4), Q_CLASS, "phase 1 starts over");
+        assert_eq!(class_at(5), P_CLASS, "repeat inside phase 1");
+    }
+    let d = sim.policy().diagnostics();
+    assert_eq!((d.q_routed, d.p_routed), (64, 64), "{d:?}");
+}
+
+/// (b) A repeat consults the table of the chunk's *latest* access: a
+/// chunk requested at steps `t` and `t + 2` but not `t + 1` is routed by
+/// `T_t`, while its neighbours requested at `t + 1` are routed by
+/// `T_{t+1}` — both checked against cold reference builds.
+#[test]
+fn repeat_is_routed_by_the_table_of_its_latest_access() {
+    let m = 256;
+    let k = 192u32;
+    let config = plan_config(m, 4 * m);
+    let placement = ReplicaPlacement::random(4 * m, m, 2, 99);
+    let policy = plan_policy(&config, 6);
+    let mut sim = Simulation::with_placement(config, policy, placement.clone());
+    // Step 0: 0..k. Step 1: k/2..3k/2, reversed so that positions (and
+    // with them the i mod 3 groups) differ from step 0. Step 2: 0..k.
+    let step_chunks = |step: u64| -> Vec<u32> {
+        match step {
+            0 | 2 => (0..k).collect(),
+            _ => (k / 2..k + k / 2).rev().collect(),
+        }
+    };
+    let mut workload = |step: u64, out: &mut Vec<u32>| out.extend(step_chunks(step));
+    let mut obs = Decisions::default();
+    sim.run_observed(&mut workload, 3, &mut obs);
+
+    let t0 = reference_table(&placement, m, &step_chunks(0));
+    let t1 = reference_table(&placement, m, &step_chunks(1));
+    assert!(!t0.failed() && !t1.failed());
+    let mut differing = 0;
+    for (i0, chunk) in step_chunks(0).into_iter().enumerate() {
+        let want = if chunk < k / 2 {
+            t0.server_of(i0)
+        } else {
+            let i1 = step_chunks(1).iter().position(|&c| c == chunk).unwrap();
+            differing += (t1.server_of(i1) != t0.server_of(i0)) as u32;
+            t1.server_of(i1)
+        };
+        assert_eq!(
+            obs.of(2, chunk),
+            Decision::Route {
+                server: want,
+                class: P_CLASS
+            },
+            "chunk {chunk}"
+        );
+    }
+    assert!(
+        differing > 0,
+        "T_0 and T_1 agree everywhere: test is vacuous"
+    );
+}
+
+/// 16 servers; chunks 0..30 all live on servers {0, 1} (any step that
+/// requests more than a handful of them overflows the stash), chunks
+/// 30..60 are spread along a path.
+fn concentrated_placement() -> ReplicaPlacement {
+    let rows: Vec<Vec<u32>> = (0..60u32)
+        .map(|c| {
+            if c < 30 {
+                vec![0, 1]
+            } else {
+                vec![2 + c % 13, 3 + c % 13]
+            }
+        })
+        .collect();
+    ReplicaPlacement::from_rows(&rows, 16)
+}
+
+/// (c) Repeats of a failed table are rejected and counted; repeats in
+/// the same step that consult a later, healthy table are routed.
+#[test]
+fn failed_table_rejects_only_the_repeats_that_consult_it() {
+    let config = plan_config(16, 60);
+    let policy = plan_policy(&config, 4);
+    let mut sim = Simulation::with_placement(config, policy, concentrated_placement());
+    let mut workload = |step: u64, out: &mut Vec<u32>| match step {
+        0 => out.extend(0..30u32),                // T_0 fails
+        1 => out.extend((0..5u32).chain(30..40)), // T_1 is healthy
+        2 => out.extend(0..10u32),
+        _ => {}
+    };
+    let mut obs = Decisions::default();
+    sim.run_observed(&mut workload, 3, &mut obs);
+    let failed = Decision::Reject(RejectReason::TableFailed);
+    for chunk in 0..5u32 {
+        assert_eq!(obs.of(1, chunk), failed, "consults failed T_0");
+        assert!(
+            matches!(obs.of(2, chunk), Decision::Route { class: P_CLASS, .. }),
+            "chunk {chunk} consults healthy T_1: {:?}",
+            obs.of(2, chunk)
+        );
+    }
+    for chunk in 5..10u32 {
+        assert_eq!(obs.of(2, chunk), failed, "still consults failed T_0");
+    }
+    let d = sim.policy().diagnostics();
+    assert_eq!(d.tables_built, 3);
+    assert_eq!(d.tables_failed, 1);
+    assert_eq!(d.table_failure_rejects, 10);
+    assert_eq!(d.p_routed, 5);
+    assert_eq!(d.q_routed, 40);
+}
+
+/// (d) A repeat whose planned server is down falls back to the Q path
+/// on its live replica.
+#[test]
+fn planned_server_down_falls_back_to_q() {
+    let m = 64;
+    let config = plan_config(m, 4 * m);
+    let placement = ReplicaPlacement::random(4 * m, m, 2, 5);
+    let chunks: Vec<u32> = (0..48).collect();
+    let t0 = reference_table(&placement, m, &chunks);
+    let victim = 17u32;
+    let planned = t0.server_of(victim as usize);
+    let live = {
+        let r = placement.replicas(victim);
+        if r[0] == planned {
+            r[1]
+        } else {
+            r[0]
+        }
+    };
+    let mut outage = OutageSchedule::none();
+    outage.push(planned, 1, 2);
+    let policy = plan_policy(&config, 4);
+    let mut sim = Simulation::with_placement(config, policy, placement).with_outages(outage);
+    let mut workload = |_step: u64, out: &mut Vec<u32>| out.extend(chunks.iter().copied());
+    let mut obs = Decisions::default();
+    sim.run_observed(&mut workload, 3, &mut obs);
+    assert_eq!(
+        obs.of(1, victim),
+        Decision::Route {
+            server: live,
+            class: Q_CLASS
+        }
+    );
+    // Back up at step 2: T_1 covers the same list in the same order.
+    assert_eq!(
+        obs.of(2, victim),
+        Decision::Route {
+            server: planned,
+            class: P_CLASS
+        }
+    );
+}
+
+/// Diagnostics of a fixed mixed scenario (sticky core, fresh filler,
+/// phase rolls, a failing concentrated burst), pinned to the values the
+/// per-step sorted-table implementation produced (commit `a214c3f`).
+#[test]
+fn diagnostics_match_the_per_step_table_implementation() {
+    let m = 96;
+    let config = plan_config(m, 4 * m);
+    let random = ReplicaPlacement::random(4 * m, m, 2, 21);
+    let mut rows: Vec<Vec<u32>> = (0..4 * m as u32)
+        .map(|c| random.replicas(c).to_vec())
+        .collect();
+    for row in rows.iter_mut().take(24) {
+        *row = vec![3, 4];
+    }
+    let placement = ReplicaPlacement::from_rows(&rows, m);
+    let policy = plan_policy(&config, 5);
+    let mut sim = Simulation::with_placement(config, policy, placement);
+    let mut rng = Pcg64::new(77, 1);
+    let mut workload = move |step: u64, out: &mut Vec<u32>| {
+        // The concentrated chunks 0..24 every third step, a sticky core
+        // every step, and fresh filler.
+        if step.is_multiple_of(3) {
+            out.extend(0..24u32);
+        }
+        out.extend(24..64u32);
+        for c in sample::sample_k_distinct(&mut rng, (4 * m - 64) as u64, 20) {
+            out.push(64 + c as u32);
+        }
+    };
+    sim.run(&mut workload, 43);
+    let d = sim.policy().diagnostics();
+    let report = sim.finish();
+    report.check_conservation().unwrap();
+    assert_eq!(
+        (
+            d.p_routed,
+            d.q_routed,
+            d.tables_built,
+            d.tables_failed,
+            d.table_failure_rejects,
+            d.q_rejects,
+            d.phases,
+        ),
+        (993, 1334, 43, 15, 613, 0, 9),
+        "{d:?}"
+    );
 }

@@ -16,8 +16,9 @@
 //!   `v` vertices can host `min(e, v)` items, so the optimal stash size is
 //!   `Σ max(0, e − v)` over components.
 //! * [`offline`] — an exact offline allocator (peel + unicyclic
-//!   orientation) achieving the optimal stash, and a classical
-//!   random-walk allocator for comparison.
+//!   orientation) achieving the optimal stash, written once as the
+//!   reusable [`TableBuilder`] workspace, and a classical random-walk
+//!   allocator for comparison.
 //! * [`tripartite`] — Lemma 4.2: the three-way split that turns the
 //!   one-item-per-position guarantee into an `O(1)`-requests-per-server
 //!   routing table.
@@ -38,9 +39,9 @@ pub(crate) mod tripartite;
 
 pub use bfs::BfsCuckoo;
 pub use graph::CuckooGraph;
-pub use offline::{OfflineAssignment, RandomWalkAllocator};
+pub use offline::{OfflineAssignment, RandomWalkAllocator, TableBuilder};
 pub use online::OnlineCuckoo;
-pub use tripartite::{RoutingTable, TripartiteAssigner};
+pub use tripartite::{RoutingTable, TableStatus, TripartiteAssigner};
 
 /// An item to be placed: two candidate positions (the item's hashes).
 ///

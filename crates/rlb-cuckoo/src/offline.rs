@@ -7,7 +7,9 @@
 //! cuckoo routing policy to build each step's routing table `T_t`
 //! (Lemma 4.2): the paper only needs *existence* of a good assignment
 //! (Theorem 4.1) and permits the algorithm to compute it offline, after
-//! the step's request set is known.
+//! the step's request set is known. The solver itself is
+//! [`TableBuilder`], a workspace reused across calls; `assign_exact` is
+//! a one-call wrapper around it.
 //!
 //! [`RandomWalkAllocator`] is the classical random-walk insertion
 //! heuristic with a kick budget; it is kept as an alternative allocator
@@ -50,18 +52,21 @@ impl OfflineAssignment {
     /// Panics if any choice is out of range.
     pub fn assign_exact(num_positions: usize, items: &[Choices]) -> Self {
         assert!(num_positions > 0, "need at least one position");
-        for c in items {
-            assert!(
-                (c.h1 as usize) < num_positions && (c.h2 as usize) < num_positions,
-                "choice out of range"
-            );
-        }
-        Solver::new(num_positions, items).run()
+        let mut slots = vec![0u32; items.len()];
+        TableBuilder::new().solve(num_positions, items, 1, &mut slots);
+        let stash = (0..items.len() as u32)
+            .filter(|&i| slots[i as usize] == STASHED)
+            .collect();
+        let slot_of = slots
+            .into_iter()
+            .map(|p| (p != STASHED).then_some(p))
+            .collect();
+        Self { slot_of, stash }
     }
 
     /// Position assigned to `item`, or `None` if stashed.
     #[inline]
-    pub(crate) fn position_of(&self, item: usize) -> Option<u32> {
+    pub fn position_of(&self, item: usize) -> Option<u32> {
         self.slot_of[item]
     }
 
@@ -87,158 +92,286 @@ impl OfflineAssignment {
     }
 }
 
-/// Peeling + unicyclic-orientation solver.
-struct Solver<'a> {
-    items: &'a [Choices],
-    n: usize,
-    /// CSR adjacency: edge ids incident to each vertex (self-loops once).
-    adj_off: Vec<u32>,
-    adj: Vec<u32>,
-    /// Cursor into each vertex's adjacency list, skipping dead edges.
-    cursor: Vec<u32>,
+/// Slot value of a stashed item in a [`TableBuilder::solve`] output.
+pub(crate) const STASHED: u32 = u32::MAX;
+
+/// Vertex flags.
+const OCCUPIED: u8 = 1;
+const MARKED: u8 = 2;
+/// Edge flags.
+const ALIVE: u8 = 1;
+const SEEN: u8 = 2;
+
+/// One position of the cuckoo graph during a solve.
+#[derive(Debug, Clone, Copy, Default)]
+struct Vertex {
     /// Remaining degree (self-loops count 2).
-    deg: Vec<u32>,
-    alive: Vec<bool>,
-    occupied: Vec<bool>,
-    slot_of: Vec<Option<u32>>,
-    stash: Vec<u32>,
-    queue: Vec<u32>,
+    deg: u32,
+    /// XOR of the ids of the alive incident edges (a self-loop cancels
+    /// itself): at degree 1 this *is* the one remaining edge, so peeling
+    /// needs no adjacency lists.
+    edges: u32,
 }
 
-impl<'a> Solver<'a> {
-    fn new(n: usize, items: &'a [Choices]) -> Self {
-        let mut deg = vec![0u32; n];
-        let mut list_len = vec![0u32; n];
-        for c in items {
-            deg[c.h1 as usize] += 1;
-            deg[c.h2 as usize] += 1;
-            list_len[c.h1 as usize] += 1;
-            if c.h1 != c.h2 {
-                list_len[c.h2 as usize] += 1;
-            }
-        }
-        let mut adj_off = vec![0u32; n + 1];
-        for v in 0..n {
-            adj_off[v + 1] = adj_off[v] + list_len[v];
-        }
-        let mut fill = adj_off.clone();
-        let mut adj = vec![0u32; adj_off[n] as usize];
-        for (e, c) in items.iter().enumerate() {
-            adj[fill[c.h1 as usize] as usize] = e as u32;
-            fill[c.h1 as usize] += 1;
-            if c.h1 != c.h2 {
-                adj[fill[c.h2 as usize] as usize] = e as u32;
-                fill[c.h2 as usize] += 1;
-            }
-        }
-        let cursor = adj_off[..n].to_vec();
-        Self {
-            items,
-            n,
-            adj_off,
-            adj,
-            cursor,
-            deg,
-            alive: vec![true; items.len()],
-            occupied: vec![false; n],
-            slot_of: vec![None; items.len()],
-            stash: Vec::new(),
-            queue: Vec::new(),
-        }
+/// The peeling + unicyclic-orientation solver, as a reusable workspace.
+///
+/// Every exact assignment in this crate runs here:
+/// [`OfflineAssignment::assign_exact`] and [`crate::RoutingTable::build`]
+/// create a builder for one call; delayed cuckoo routing keeps one for a
+/// whole run and calls [`TableBuilder::build_table`] after every step.
+/// All buffers are sized by `(positions, items)` alone and are cleared
+/// and resized in place, so a run at a fixed request-set size allocates
+/// during its first call only.
+#[derive(Debug, Clone, Default)]
+pub struct TableBuilder {
+    verts: Vec<Vertex>,
+    /// `OCCUPIED | MARKED` per vertex.
+    vflag: Vec<u8>,
+    /// `ALIVE | SEEN` per edge.
+    eflag: Vec<u8>,
+    /// Peel stack of unoccupied degree-1 vertices. A vertex's degree
+    /// reaches 1 at most once, so it never outgrows `n` entries.
+    queue: Vec<u32>,
+    /// Used only when edges survive the first peel (the graph has a
+    /// cycle): CSR adjacency of the survivors — the edge ids at `v` are
+    /// `adj[off[v]..off[v + 1]]`, ascending, a self-loop listed twice —
+    /// the DFS stack and the current component's non-tree edges.
+    off: Vec<u32>,
+    adj: Vec<u32>,
+    stack: Vec<u32>,
+    nontree: Vec<u32>,
+}
+
+impl TableBuilder {
+    /// Creates an empty workspace; buffers grow on first use.
+    pub fn new() -> Self {
+        Self::default()
     }
 
-    /// Finds an alive edge incident to `v` (amortized O(1) via cursor).
-    fn find_alive_edge(&mut self, v: u32) -> Option<u32> {
-        let end = self.adj_off[v as usize + 1];
-        let mut cur = self.cursor[v as usize];
-        while cur < end {
-            let e = self.adj[cur as usize];
-            if self.alive[e as usize] {
-                self.cursor[v as usize] = cur;
-                return Some(e);
+    /// Bytes of heap the workspace holds. Constant from the second call
+    /// on while `(positions, items)` stay the same.
+    pub fn capacity_bytes(&self) -> usize {
+        let words = self.queue.capacity()
+            + self.off.capacity()
+            + self.adj.capacity()
+            + self.stack.capacity()
+            + self.nontree.capacity();
+        std::mem::size_of::<Vertex>() * self.verts.capacity()
+            + std::mem::size_of::<u32>() * words
+            + self.vflag.capacity()
+            + self.eflag.capacity()
+    }
+
+    /// Minimal-stash assignment of the items `items[0]`, `items[stride]`,
+    /// `items[2 * stride]`, … into `n` positions. Item `j`'s position (or
+    /// [`STASHED`]) is written to `out[j * stride]`; the return value is
+    /// the number of stashed items.
+    ///
+    /// # Panics
+    /// Panics if any choice is out of range.
+    pub(crate) fn solve(
+        &mut self,
+        n: usize,
+        items: &[Choices],
+        stride: usize,
+        out: &mut [u32],
+    ) -> usize {
+        let k = items.len().div_ceil(stride);
+        assert!(k <= (u32::MAX / 2) as usize, "too many items");
+
+        self.verts.clear();
+        self.verts.resize(n, Vertex::default());
+        let verts = &mut self.verts[..];
+        for (e, c) in items.iter().step_by(stride).enumerate() {
+            assert!(
+                (c.h1 as usize) < n && (c.h2 as usize) < n,
+                "choice out of range"
+            );
+            for v in [c.h1, c.h2] {
+                verts[v as usize].deg += 1;
+                verts[v as usize].edges ^= e as u32;
             }
-            cur += 1;
         }
-        self.cursor[v as usize] = cur;
-        None
+        // The initial peel stack, in ascending vertex order (branchless:
+        // the slot is always written, the length moves only at degree 1).
+        self.queue.clear();
+        self.queue.resize(n, 0);
+        let mut queue_len = 0usize;
+        for (v, vert) in verts.iter().enumerate() {
+            self.queue[queue_len] = v as u32;
+            queue_len += (vert.deg == 1) as usize;
+        }
+        self.queue.truncate(queue_len);
+
+        self.vflag.clear();
+        self.vflag.resize(n, 0);
+        self.eflag.clear();
+        self.eflag.resize(k, ALIVE);
+        // Reserved up front so that the first cycle of a long run does
+        // not allocate.
+        self.off.clear();
+        self.off.reserve(n + 1);
+        self.adj.clear();
+        self.adj.reserve(2 * k);
+        self.stack.clear();
+        self.stack.reserve(n);
+        self.nontree.clear();
+        self.nontree.reserve(k);
+
+        let mut run = Run {
+            items,
+            stride,
+            out,
+            verts,
+            vflag: &mut self.vflag,
+            eflag: &mut self.eflag,
+            queue: &mut self.queue,
+            alive: k,
+            stashed: 0,
+        };
+        run.peel();
+        if run.alive > 0 {
+            run.orient_cycles(
+                &mut self.off,
+                &mut self.adj,
+                &mut self.stack,
+                &mut self.nontree,
+            );
+        }
+        run.stashed
+    }
+}
+
+/// One solve over a prepared [`TableBuilder`].
+struct Run<'a> {
+    items: &'a [Choices],
+    stride: usize,
+    out: &'a mut [u32],
+    verts: &'a mut [Vertex],
+    vflag: &'a mut [u8],
+    eflag: &'a mut [u8],
+    queue: &'a mut Vec<u32>,
+    /// Edges neither placed nor stashed yet.
+    alive: usize,
+    stashed: usize,
+}
+
+impl Run<'_> {
+    #[inline]
+    fn choices(&self, e: u32) -> Choices {
+        self.items[e as usize * self.stride]
+    }
+
+    #[inline]
+    fn is_alive(&self, e: u32) -> bool {
+        self.eflag[e as usize] & ALIVE != 0
+    }
+
+    #[inline]
+    fn is_occupied(&self, v: u32) -> bool {
+        self.vflag[v as usize] & OCCUPIED != 0
     }
 
     /// Assigns alive edge `e` to position `v` and removes it.
+    #[inline]
     fn place(&mut self, e: u32, v: u32) {
-        debug_assert!(self.alive[e as usize]);
-        debug_assert!(!self.occupied[v as usize]);
-        self.slot_of[e as usize] = Some(v);
-        self.occupied[v as usize] = true;
+        debug_assert!(self.is_alive(e));
+        debug_assert!(!self.is_occupied(v));
+        self.out[e as usize * self.stride] = v;
+        self.vflag[v as usize] |= OCCUPIED;
         self.kill(e);
     }
 
-    /// Removes edge `e`, updating degrees and the peel queue.
+    /// Stashes alive edge `e` and removes it.
+    fn stash(&mut self, e: u32) {
+        self.out[e as usize * self.stride] = STASHED;
+        self.stashed += 1;
+        self.kill(e);
+    }
+
+    /// Removes edge `e`, updating degrees and the peel stack.
+    #[inline]
     fn kill(&mut self, e: u32) {
-        debug_assert!(self.alive[e as usize]);
-        self.alive[e as usize] = false;
-        let c = self.items[e as usize];
+        debug_assert!(self.is_alive(e));
+        self.eflag[e as usize] &= !ALIVE;
+        self.alive -= 1;
+        let c = self.choices(e);
         for endpoint in [c.h1, c.h2] {
-            self.deg[endpoint as usize] -= 1;
-            if self.deg[endpoint as usize] == 1 && !self.occupied[endpoint as usize] {
+            let vert = &mut self.verts[endpoint as usize];
+            vert.deg -= 1;
+            vert.edges ^= e;
+            if vert.deg == 1 && !self.is_occupied(endpoint) {
                 self.queue.push(endpoint);
             }
         }
     }
 
-    /// Drains the peel queue: every unoccupied degree-1 vertex takes its
+    /// Drains the peel stack: every unoccupied degree-1 vertex takes its
     /// unique remaining edge.
     fn peel(&mut self) {
         while let Some(v) = self.queue.pop() {
-            if self.deg[v as usize] != 1 || self.occupied[v as usize] {
-                continue;
-            }
-            if let Some(e) = self.find_alive_edge(v) {
-                self.place(e, v);
+            let vert = self.verts[v as usize];
+            if vert.deg == 1 && !self.is_occupied(v) {
+                self.place(vert.edges, v);
             }
         }
     }
 
-    fn run(mut self) -> OfflineAssignment {
-        // Initial peel of all degree-1 vertices.
-        for v in 0..self.n as u32 {
-            if self.deg[v as usize] == 1 {
-                self.queue.push(v);
+    /// Handles what the first peel left: components of minimum degree 2.
+    /// Each keeps one cycle (one non-tree edge of a DFS) and stashes its
+    /// other non-tree edges; the cycle is then oriented by placing one of
+    /// its edges and peeling around.
+    fn orient_cycles(
+        &mut self,
+        off: &mut Vec<u32>,
+        adj: &mut Vec<u32>,
+        stack: &mut Vec<u32>,
+        nontree: &mut Vec<u32>,
+    ) {
+        let (n, k) = (self.verts.len(), self.eflag.len());
+        // Adjacency of the surviving edges. Filling backwards turns every
+        // list end into its list start and leaves each list ascending.
+        let mut end = 0u32;
+        off.extend(self.verts.iter().map(|vert| {
+            end += vert.deg;
+            end
+        }));
+        off.push(end);
+        adj.resize(end as usize, 0);
+        for e in (0..k as u32).rev().filter(|&e| self.is_alive(e)) {
+            let c = self.choices(e);
+            for v in [c.h2, c.h1] {
+                off[v as usize] -= 1;
+                adj[off[v as usize] as usize] = e;
             }
         }
-        self.peel();
 
-        // Remaining alive edges live in components of min degree >= 2.
-        let mut comp_mark = vec![false; self.n];
-        let mut edge_seen = vec![false; self.items.len()];
-        let mut stack: Vec<u32> = Vec::new();
-        let mut comp_nontree: Vec<u32> = Vec::new();
-        for root in 0..self.n as u32 {
-            if self.deg[root as usize] < 2 || comp_mark[root as usize] {
+        for root in 0..n as u32 {
+            if self.alive == 0 {
+                return;
+            }
+            if self.verts[root as usize].deg < 2 || self.vflag[root as usize] & MARKED != 0 {
                 continue;
             }
             // Discover the component: vertices + alive edges, classifying
             // tree vs non-tree edges via DFS.
-            comp_nontree.clear();
+            nontree.clear();
             stack.clear();
             stack.push(root);
-            comp_mark[root as usize] = true;
+            self.vflag[root as usize] |= MARKED;
             while let Some(v) = stack.pop() {
-                let (start, end) = (
-                    self.adj_off[v as usize] as usize,
-                    self.adj_off[v as usize + 1] as usize,
-                );
-                for i in start..end {
-                    let e = self.adj[i];
-                    if !self.alive[e as usize] || edge_seen[e as usize] {
-                        continue;
+                let (start, end) = (off[v as usize], off[v as usize + 1]);
+                for &e in &adj[start as usize..end as usize] {
+                    if self.eflag[e as usize] != ALIVE {
+                        continue; // dead, or already classified
                     }
-                    edge_seen[e as usize] = true;
-                    let c = self.items[e as usize];
+                    self.eflag[e as usize] |= SEEN;
+                    let c = self.choices(e);
                     let other = if c.h1 == v { c.h2 } else { c.h1 };
-                    if comp_mark[other as usize] {
-                        comp_nontree.push(e);
+                    if self.vflag[other as usize] & MARKED != 0 {
+                        nontree.push(e);
                     } else {
-                        comp_mark[other as usize] = true;
+                        self.vflag[other as usize] |= MARKED;
                         stack.push(other);
                     }
                 }
@@ -246,23 +379,18 @@ impl<'a> Solver<'a> {
             // Keep one non-tree edge (closing the unicyclic subgraph);
             // stash the rest. A component reached here always has at
             // least one non-tree edge (min degree >= 2 implies e >= v).
-            for &e in comp_nontree.iter().skip(1) {
-                self.stash.push(e);
-                self.kill(e);
+            for &e in nontree.iter().skip(1) {
+                self.stash(e);
             }
             // Prune tree branches hanging off the cycle.
             self.peel();
             // Break the unique remaining cycle: assign any alive edge to
             // one unoccupied endpoint and let peeling propagate around.
-            if let Some(&e0) = comp_nontree.first() {
-                if self.alive[e0 as usize] {
-                    let c = self.items[e0 as usize];
-                    let target = if !self.occupied[c.h2 as usize] {
-                        c.h2
-                    } else {
-                        c.h1
-                    };
-                    if !self.occupied[target as usize] {
+            if let Some(&e0) = nontree.first() {
+                if self.is_alive(e0) {
+                    let c = self.choices(e0);
+                    let target = if !self.is_occupied(c.h2) { c.h2 } else { c.h1 };
+                    if !self.is_occupied(target) {
                         self.place(e0, target);
                         self.peel();
                     }
@@ -274,25 +402,18 @@ impl<'a> Solver<'a> {
         // endpoint if possible, else the stash. With the processing above
         // this loop places or stashes nothing extra beyond the optimum
         // (asserted by property tests).
-        for e in 0..self.items.len() as u32 {
-            if !self.alive[e as usize] {
+        for e in 0..k as u32 {
+            if !self.is_alive(e) {
                 continue;
             }
-            let c = self.items[e as usize];
-            if !self.occupied[c.h1 as usize] {
+            let c = self.choices(e);
+            if !self.is_occupied(c.h1) {
                 self.place(e, c.h1);
-            } else if !self.occupied[c.h2 as usize] {
+            } else if !self.is_occupied(c.h2) {
                 self.place(e, c.h2);
             } else {
-                self.stash.push(e);
-                self.kill(e);
+                self.stash(e);
             }
-        }
-
-        self.stash.sort_unstable();
-        OfflineAssignment {
-            slot_of: self.slot_of,
-            stash: self.stash,
         }
     }
 }

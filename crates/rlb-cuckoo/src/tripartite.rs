@@ -11,7 +11,7 @@
 //! any group needing a stash larger than the configured bound; delayed
 //! cuckoo routing rejects repeat requests whose table failed.
 
-use crate::offline::OfflineAssignment;
+use crate::offline::{TableBuilder, STASHED};
 use crate::Choices;
 
 /// Configuration for the tripartite assigner.
@@ -69,48 +69,17 @@ impl RoutingTable {
     /// # Panics
     /// Panics if `num_servers == 0` or any choice is out of range.
     pub fn build(num_servers: usize, items: &[Choices], cfg: TripartiteAssigner) -> Self {
-        assert!(num_servers > 0, "need at least one server");
-        let mut server_of = vec![0u32; items.len()];
+        let mut server_of = Vec::new();
+        let status = TableBuilder::new().build_table(num_servers, items, cfg, &mut server_of);
         let mut load = vec![0u32; num_servers];
-        let mut failed = false;
-        let mut total_stash = 0usize;
-
-        // Three groups by round-robin index: sizes differ by at most 1.
-        // (Round-robin rather than contiguous split keeps the groups
-        // balanced regardless of any structure in the input order.)
-        let mut group_items: Vec<Choices> = Vec::with_capacity(items.len() / 3 + 1);
-        let mut group_ids: Vec<u32> = Vec::with_capacity(items.len() / 3 + 1);
-        for g in 0..3 {
-            group_items.clear();
-            group_ids.clear();
-            for (i, &c) in items.iter().enumerate() {
-                if i % 3 == g {
-                    group_items.push(c);
-                    group_ids.push(i as u32);
-                }
-            }
-            let assignment = OfflineAssignment::assign_exact(num_servers, &group_items);
-            if assignment.stash().len() > cfg.max_stash_per_group {
-                failed = true;
-            }
-            total_stash += assignment.stash().len();
-            for (j, &orig) in group_ids.iter().enumerate() {
-                let server = match assignment.position_of(j) {
-                    Some(p) => p,
-                    // Stashed items go to their first hash (arbitrary
-                    // placement per the paper's remark after Thm 4.1).
-                    None => group_items[j].h1,
-                };
-                server_of[orig as usize] = server;
-                load[server as usize] += 1;
-            }
+        for &server in &server_of {
+            load[server as usize] += 1;
         }
-        let max_per_server = load.iter().copied().max().unwrap_or(0);
         Self {
             server_of,
-            failed,
-            max_per_server,
-            total_stash,
+            failed: status.failed,
+            max_per_server: load.into_iter().max().unwrap_or(0),
+            total_stash: status.total_stash,
         }
     }
 
@@ -147,6 +116,62 @@ impl RoutingTable {
     /// Whether the table covers no requests.
     pub fn is_empty(&self) -> bool {
         self.server_of.is_empty()
+    }
+}
+
+/// What [`TableBuilder::build_table`] reports beside the table itself.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+// return type of `TableBuilder::build_table`. lint:allow(dead-pub)
+pub struct TableStatus {
+    /// Whether the Lemma 4.2 failure event occurred (some group's stash
+    /// exceeded the bound). The table is still fully populated.
+    pub failed: bool,
+    /// Total stashed items across the three groups.
+    pub total_stash: usize,
+}
+
+impl TableBuilder {
+    /// Builds the Lemma 4.2 table of a request set into `server_of`
+    /// (cleared and resized to `items.len()`): `server_of[i]` is the
+    /// server of request `i`, exactly as [`RoutingTable::build`] assigns
+    /// it. Reuses the builder's and `server_of`'s storage.
+    ///
+    /// # Panics
+    /// Panics if `num_servers == 0` or any choice is out of range.
+    pub fn build_table(
+        &mut self,
+        num_servers: usize,
+        items: &[Choices],
+        cfg: TripartiteAssigner,
+        server_of: &mut Vec<u32>,
+    ) -> TableStatus {
+        assert!(num_servers > 0, "need at least one server");
+        server_of.clear();
+        server_of.resize(items.len(), 0);
+        let mut status = TableStatus {
+            failed: false,
+            total_stash: 0,
+        };
+        // Three groups by round-robin index: sizes differ by at most 1.
+        // (Round-robin rather than contiguous split keeps the groups
+        // balanced regardless of any structure in the input order.)
+        // Group `g` is the strided view `items[g], items[g + 3], …`.
+        for g in 0..3.min(items.len()) {
+            let (group, out) = (&items[g..], &mut server_of[g..]);
+            let stashed = self.solve(num_servers, group, 3, out);
+            if stashed > 0 {
+                // Stashed items go to their first hash (arbitrary
+                // placement per the paper's remark after Thm 4.1).
+                for (slot, c) in out.iter_mut().zip(group).step_by(3) {
+                    if *slot == STASHED {
+                        *slot = c.h1;
+                    }
+                }
+            }
+            status.failed |= stashed > cfg.max_stash_per_group;
+            status.total_stash += stashed;
+        }
+        status
     }
 }
 

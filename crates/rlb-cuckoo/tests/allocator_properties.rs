@@ -3,7 +3,8 @@
 
 use rlb_cuckoo::offline::validate_assignment;
 use rlb_cuckoo::{
-    Choices, CuckooGraph, OfflineAssignment, RandomWalkAllocator, RoutingTable, TripartiteAssigner,
+    Choices, CuckooGraph, OfflineAssignment, RandomWalkAllocator, RoutingTable, TableBuilder,
+    TripartiteAssigner,
 };
 use rlb_hash::{Pcg64, Rng};
 
@@ -154,4 +155,50 @@ fn above_threshold_stash_is_linear() {
         "stash {} unexpectedly small at load 0.8",
         a.stash().len()
     );
+}
+
+/// One builder driven through request sets that grow and shrink in both
+/// `n` and `k` — with an empty set, an all-stashed set and the set right
+/// after it — gives what a fresh builder gives: nothing survives a call.
+#[test]
+fn reused_builder_leaks_no_state_between_calls() {
+    let mut rng = case_rng(7, 0);
+    let mut random = |n: usize, k: usize| -> (usize, Vec<Choices>) {
+        let items = (0..k)
+            .map(|_| Choices::new(rng.gen_index(n) as u32, rng.gen_index(n) as u32))
+            .collect();
+        (n, items)
+    };
+    let concentrated = (16, vec![Choices::new(0, 1); 30]);
+    let sequence = [
+        random(64, 64),
+        random(2_000, 2_000),
+        random(7, 21),
+        (8, Vec::new()),
+        random(300, 100),
+        concentrated.clone(),
+        random(16, 16),
+        random(16, 5),
+        concentrated,
+        random(1_000, 3_000),
+        random(5, 1),
+        random(1_000, 400),
+    ];
+    let cfg = TripartiteAssigner::default();
+    let mut reused = TableBuilder::new();
+    let mut reused_out = Vec::new();
+    for (i, (n, items)) in sequence.iter().enumerate() {
+        let status = reused.build_table(*n, items, cfg, &mut reused_out);
+        let mut fresh_out = vec![7; 3]; // stale contents must not matter either
+        let fresh = TableBuilder::new().build_table(*n, items, cfg, &mut fresh_out);
+        assert_eq!(status, fresh, "call {i}");
+        assert_eq!(reused_out, fresh_out, "call {i}");
+        let cold = RoutingTable::build(*n, items, cfg);
+        assert_eq!(status.failed, cold.failed(), "call {i}");
+        assert_eq!(status.total_stash, cold.total_stash(), "call {i}");
+        assert!((0..items.len()).all(|j| cold.server_of(j) == reused_out[j]));
+        if items.len() == 30 {
+            assert!(status.failed, "call {i}: 30 requests on two servers");
+        }
+    }
 }
