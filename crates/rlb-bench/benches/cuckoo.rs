@@ -63,39 +63,7 @@ fn bench_allocators(h: &mut Harness) {
     }
 }
 
-fn bench_online_table(h: &mut Harness) {
-    use rlb_cuckoo::{BfsCuckoo, OnlineCuckoo};
-    let cap = 4096usize;
-    let elements = Some((cap / 3) as u64);
-    h.bench("cuckoo_online", "insert_third_load", elements, || {
-        let mut t: OnlineCuckoo<u64> = OnlineCuckoo::new(cap, 8, 7);
-        for k in 0..(cap as u64 / 3) {
-            t.insert(k.wrapping_mul(0x9e37_79b9) + 1, k).unwrap();
-        }
-        t.len()
-    });
-    h.bench("cuckoo_online", "bfs_insert_third_load", elements, || {
-        let mut t: BfsCuckoo<u64> = BfsCuckoo::new(cap, 8, 7);
-        for k in 0..(cap as u64 / 3) {
-            t.insert(k.wrapping_mul(0x9e37_79b9) + 1, k).unwrap();
-        }
-        t.len()
-    });
-    {
-        let mut t: OnlineCuckoo<u64> = OnlineCuckoo::new(cap, 8, 7);
-        for k in 0..(cap as u64 / 3) {
-            t.insert(k.wrapping_mul(0x9e37_79b9) + 1, k).unwrap();
-        }
-        let mut i = 0u64;
-        h.bench("cuckoo_online", "lookup_hit", Some(1), move || {
-            i = (i + 1) % (cap as u64 / 3);
-            t.get(i.wrapping_mul(0x9e37_79b9) + 1)
-        });
-    }
-}
-
 fn main() {
     let mut h = Harness::new();
     bench_allocators(&mut h);
-    bench_online_table(&mut h);
 }

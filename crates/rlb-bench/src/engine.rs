@@ -189,7 +189,6 @@ pub const GATE_MIN_RATIO: f64 = 0.95;
 
 /// One scenario compared against its recorded baseline.
 #[derive(Debug, Clone)]
-// row type of `compare_to_baseline`'s return. lint:allow(dead-pub)
 pub struct GateRow {
     /// Scenario name (`"<kind>/m<m>"`).
     pub name: String,

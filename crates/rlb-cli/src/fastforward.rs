@@ -30,6 +30,7 @@
 //!   --json               emit the prediction as JSON
 //! ```
 
+use crate::flags::{parse_num, unknown, Flags};
 use rlb_meanfield::{
     solve_fixpoint, solve_transient, MfConfig, MfPolicy, Phase, Prediction, SolveOptions,
 };
@@ -50,12 +51,6 @@ pub struct FastForwardOptions {
     pub json: bool,
 }
 
-/// Parses a float-valued flag, echoing the offending input on failure.
-fn parse_float(flag: &str, raw: &str) -> Result<f64, String> {
-    raw.parse::<f64>()
-        .map_err(|_| format!("{flag}: not a number: {raw:?}"))
-}
-
 /// Parses `--phases L1:T1,L2:T2,...`.
 fn parse_phases(raw: &str) -> Result<Vec<Phase>, String> {
     let mut phases = Vec::new();
@@ -63,7 +58,7 @@ fn parse_phases(raw: &str) -> Result<Vec<Phase>, String> {
         let (lam, steps) = part
             .split_once(':')
             .ok_or_else(|| format!("--phases: expected LAMBDA:STEPS, got {part:?}"))?;
-        let lambda = parse_float("--phases", lam)?;
+        let lambda: f64 = parse_num("--phases", lam)?;
         if !lambda.is_finite() || lambda < 0.0 {
             return Err(format!(
                 "--phases: lambda must be finite and >= 0, got {lam:?}"
@@ -106,44 +101,14 @@ pub fn parse_fastforward_args(args: &[String]) -> Result<FastForwardOptions, Str
     let mut euler_dt = 0.05;
     let mut json = false;
 
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |name: &str| -> Result<String, String> {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{name} requires a value"))
-        };
-        match arg.as_str() {
-            "--m" => {
-                let raw = value("--m")?;
-                m = raw
-                    .parse()
-                    .map_err(|_| format!("--m: not a number: {raw:?}"))?;
-                if m == 0 {
-                    return Err(format!("--m: must be positive, got {raw:?}"));
-                }
-            }
-            "--rate" => {
-                let raw = value("--rate")?;
-                rate = raw
-                    .parse()
-                    .map_err(|_| format!("--rate: not a number: {raw:?}"))?;
-                if rate == 0 {
-                    return Err(format!("--rate: must be positive, got {raw:?}"));
-                }
-            }
-            "--queue" => {
-                let raw = value("--queue")?;
-                let q: u32 = raw
-                    .parse()
-                    .map_err(|_| format!("--queue: not a number: {raw:?}"))?;
-                if q == 0 {
-                    return Err(format!("--queue: must be positive, got {raw:?}"));
-                }
-                queue = Some(q);
-            }
+    let mut flags = Flags::new(args);
+    while let Some(arg) = flags.next_flag() {
+        match arg {
+            "--m" => m = flags.positive(arg)?,
+            "--rate" => rate = flags.positive(arg)?,
+            "--queue" => queue = Some(flags.positive(arg)?),
             "--uncapped" => {
-                let raw = value("--uncapped")?;
+                let raw = flags.value(arg)?;
                 let k: u32 = raw
                     .parse()
                     .map_err(|_| format!("--uncapped: not a depth: {raw:?}"))?;
@@ -152,72 +117,25 @@ pub fn parse_fastforward_args(args: &[String]) -> Result<FastForwardOptions, Str
                 }
                 uncapped = Some(k);
             }
-            "--lambda" => {
-                let raw = value("--lambda")?;
-                let x = parse_float("--lambda", &raw)?;
-                if !x.is_finite() || x < 0.0 {
-                    return Err(format!("--lambda: must be finite and >= 0, got {raw:?}"));
-                }
-                lambda = Some(x);
-            }
-            "--per-step" => {
-                let raw = value("--per-step")?;
-                per_step = Some(
-                    raw.parse()
-                        .map_err(|_| format!("--per-step: not a number: {raw:?}"))?,
-                );
-            }
-            "--replication" => {
-                let raw = value("--replication")?;
-                replication = raw
-                    .parse()
-                    .map_err(|_| format!("--replication: not a number: {raw:?}"))?;
-                if replication == 0 {
-                    return Err(format!("--replication: must be positive, got {raw:?}"));
-                }
-            }
-            "--policy" => policy = MfPolicy::parse(&value("--policy")?)?,
+            "--lambda" => lambda = Some(flags.float(arg, "finite and >= 0", |x| x >= 0.0)?),
+            "--per-step" => per_step = Some(flags.num(arg)?),
+            "--replication" => replication = flags.positive(arg)?,
+            "--policy" => policy = MfPolicy::parse(flags.value(arg)?)?,
             "--mode" => {
-                mode = value("--mode")?;
+                mode = flags.value(arg)?.to_string();
                 if mode != "fixpoint" && mode != "ode" {
                     return Err(format!("--mode: expected fixpoint or ode, got {mode:?}"));
                 }
             }
-            "--phases" => phases = Some(parse_phases(&value("--phases")?)?),
+            "--phases" => phases = Some(parse_phases(flags.value(arg)?)?),
             "--damping" => {
-                let raw = value("--damping")?;
-                let a = parse_float("--damping", &raw)?;
-                if !a.is_finite() || a <= 0.0 || a > 1.0 {
-                    return Err(format!("--damping: must be in (0, 1], got {raw:?}"));
-                }
-                solve.damping = a;
+                solve.damping = flags.float(arg, "in (0, 1]", |a| a > 0.0 && a <= 1.0)?
             }
-            "--tolerance" => {
-                let raw = value("--tolerance")?;
-                let t = parse_float("--tolerance", &raw)?;
-                if !t.is_finite() || t <= 0.0 {
-                    return Err(format!("--tolerance: must be positive, got {raw:?}"));
-                }
-                solve.tolerance = t;
-            }
-            "--max-iters" => {
-                let raw = value("--max-iters")?;
-                solve.max_iters = raw
-                    .parse()
-                    .map_err(|_| format!("--max-iters: not a number: {raw:?}"))?;
-                if solve.max_iters == 0 {
-                    return Err(format!("--max-iters: must be positive, got {raw:?}"));
-                }
-            }
-            "--euler-dt" => {
-                let raw = value("--euler-dt")?;
-                euler_dt = parse_float("--euler-dt", &raw)?;
-                if !euler_dt.is_finite() || euler_dt <= 0.0 {
-                    return Err(format!("--euler-dt: must be positive, got {raw:?}"));
-                }
-            }
+            "--tolerance" => solve.tolerance = flags.float(arg, "positive", |t| t > 0.0)?,
+            "--max-iters" => solve.max_iters = flags.positive(arg)?,
+            "--euler-dt" => euler_dt = flags.float(arg, "positive", |dt| dt > 0.0)?,
             "--json" => json = true,
-            other => return Err(format!("unknown fastforward option {other:?}")),
+            other => return Err(unknown("fastforward ", other)),
         }
     }
 

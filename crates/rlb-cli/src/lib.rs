@@ -67,6 +67,7 @@
 #![warn(missing_docs)]
 
 pub(crate) mod fastforward;
+mod flags;
 pub(crate) mod serve_load;
 
 pub use fastforward::{
@@ -74,11 +75,14 @@ pub use fastforward::{
 };
 pub use serve_load::{parse_serve_load_args, run_load, run_serve, ServeLoadOptions};
 
-use rlb_core::policies::{
-    DelayedCuckoo, Greedy, OneChoice, RoundRobin, TimeStepIsolated, UniformRandom,
-};
+use flags::{unknown, Flags};
+use rlb_core::policies::{with_policy, PolicyVisitor};
 use rlb_core::{DrainMode, NoopSink, Policy, RunReport, SimConfig, Simulation, TraceSink};
 use rlb_workloads::{Trace, WorkloadSpec};
+
+/// Xor-ed into the seed of policies that draw random numbers, for every
+/// run and daemon this crate starts (see `with_policy`).
+pub(crate) const RNG_SALT: u64 = 0xa7;
 
 /// A fully parsed invocation.
 #[derive(Debug, Clone, PartialEq)]
@@ -125,91 +129,44 @@ impl Default for CliOptions {
     }
 }
 
-/// Parses one numeric flag value, echoing the offending input on
-/// failure (a bare "not a number" with the value swallowed made typos
-/// like `--servers 1O24` needlessly hard to spot).
-fn parse_num<T: std::str::FromStr>(flag: &str, raw: &str) -> Result<T, String> {
-    raw.parse()
-        .map_err(|_| format!("{flag}: not a number: {raw:?}"))
-}
-
-/// Like [`parse_num`], additionally rejecting zero. `--servers 0`,
-/// `--chunks 0`, and `--queue 0` used to slip through parsing and blow
-/// up later — as a constructor panic (an empty cluster has no
-/// placement) or, worse, as a silently useless run — instead of the
-/// usage error (exit 2) every other malformed flag produces.
-fn parse_positive<T: std::str::FromStr + PartialEq + From<u8>>(
-    flag: &str,
-    raw: &str,
-) -> Result<T, String> {
-    let v: T = parse_num(flag, raw)?;
-    if v == T::from(0u8) {
-        return Err(format!("{flag}: must be positive, got {raw:?}"));
-    }
-    Ok(v)
-}
-
 /// Parses command-line arguments (without the program name).
 ///
 /// # Errors
 /// Returns a usage-style message on malformed input.
 pub fn parse_args(args: &[String]) -> Result<CliOptions, String> {
     let mut opts = CliOptions::default();
-    let mut servers_set = false;
     let mut chunks_set = false;
-    let mut workload_arg: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |name: &str| -> Result<String, String> {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{name} requires a value"))
-        };
-        match arg.as_str() {
-            "--policy" => opts.policy = value("--policy")?,
+    let mut workload_arg: Option<&str> = None;
+    let mut flags = Flags::new(args);
+    while let Some(arg) = flags.next_flag() {
+        if flags.engine_flag(arg, &mut opts.config, &mut opts.policy, &mut chunks_set)? {
+            continue;
+        }
+        match arg {
             "--config" => {
-                let path = value("--config")?;
-                let json = std::fs::read_to_string(&path)
+                let path = flags.value(arg)?;
+                let json = std::fs::read_to_string(path)
                     .map_err(|e| format!("cannot read config {path:?}: {e}"))?;
                 opts.config =
                     rlb_json::from_str(&json).map_err(|e| format!("bad config {path:?}: {e}"))?;
-                servers_set = true;
                 chunks_set = true;
             }
-            "--servers" => {
-                opts.config.num_servers = parse_positive("--servers", &value("--servers")?)?;
-                servers_set = true;
-            }
-            "--chunks" => {
-                opts.config.num_chunks = parse_positive("--chunks", &value("--chunks")?)?;
-                chunks_set = true;
-            }
-            "--replication" => {
-                opts.config.replication = parse_positive("--replication", &value("--replication")?)?
-            }
-            "--rate" => opts.config.process_rate = parse_positive("--rate", &value("--rate")?)?,
-            "--queue" => {
-                opts.config.queue_capacity = parse_positive("--queue", &value("--queue")?)?
-            }
-            "--steps" => opts.steps = parse_num("--steps", &value("--steps")?)?,
-            "--seed" => opts.config.seed = parse_num("--seed", &value("--seed")?)?,
-            "--flush" => {
-                opts.config.flush_interval = Some(parse_positive("--flush", &value("--flush")?)?)
-            }
-            "--workload" => workload_arg = Some(value("--workload")?),
-            "--record-trace" => opts.record_trace = Some(value("--record-trace")?),
-            "--replay-trace" => opts.replay_trace = Some(value("--replay-trace")?),
+            "--steps" => opts.steps = flags.num(arg)?,
+            "--flush" => opts.config.flush_interval = Some(flags.positive(arg)?),
+            "--workload" => workload_arg = Some(flags.value(arg)?),
+            "--record-trace" => opts.record_trace = Some(flags.value(arg)?.to_string()),
+            "--replay-trace" => opts.replay_trace = Some(flags.value(arg)?.to_string()),
             "--interleaved" => opts.config.drain_mode = DrainMode::Interleaved,
             "--json" => opts.json = true,
-            other => return Err(format!("unknown option {other:?}")),
+            other => return Err(unknown("", other)),
         }
     }
-    if servers_set && !chunks_set {
+    if !chunks_set {
         opts.config.num_chunks = 4 * opts.config.num_servers;
     }
     let default_universe = opts.config.num_chunks as u64;
     opts.workload = match workload_arg {
-        Some(s) => WorkloadSpec::parse_cli(&s, default_universe)?,
+        Some(s) => WorkloadSpec::parse_cli(s, default_universe)?,
         None => WorkloadSpec::Repeated {
             k: opts.config.num_servers as u32,
         },
@@ -223,22 +180,6 @@ pub fn parse_args(args: &[String]) -> Result<CliOptions, String> {
     }
     opts.config.validate()?;
     Ok(opts)
-}
-
-/// A trace replayer that owns its trace (the borrowing replayer in
-/// `rlb-workloads` cannot cross the `Box<dyn Workload>` boundary).
-struct OwnedReplayer {
-    trace: Trace,
-}
-
-impl rlb_core::Workload for OwnedReplayer {
-    fn next_step(&mut self, step: u64, out: &mut Vec<u32>) {
-        if self.trace.is_empty() {
-            return;
-        }
-        let idx = (step % self.trace.len() as u64) as usize;
-        out.extend_from_slice(self.trace.step(idx));
-    }
 }
 
 /// Runs the described simulation.
@@ -258,7 +199,7 @@ pub fn run(opts: &CliOptions) -> Result<RunReport, String> {
 /// Returns a message for an unknown policy name or a policy/config
 /// mismatch caught before the run.
 pub fn run_with_sink<S: TraceSink>(opts: &CliOptions, sink: S) -> Result<(RunReport, S), String> {
-    let config = opts.config.clone();
+    let config = &opts.config;
     let steps = opts.steps;
     // Resolve the request source: a recorded trace, or a generator
     // (optionally materialized to a trace so it can be archived).
@@ -277,7 +218,7 @@ pub fn run_with_sink<S: TraceSink>(opts: &CliOptions, sink: S) -> Result<(RunRep
         }
         (None, None) => None,
     };
-    let mut workload: Box<dyn rlb_core::Workload + Send> = match &trace {
+    let mut workload: Box<dyn rlb_core::Workload + '_> = match &trace {
         Some(t) => {
             // Validate the trace against the chunk universe up front.
             for i in 0..t.len() {
@@ -290,46 +231,32 @@ pub fn run_with_sink<S: TraceSink>(opts: &CliOptions, sink: S) -> Result<(RunRep
                     }
                 }
             }
-            Box::new(OwnedReplayer { trace: t.clone() })
+            Box::new(t.replayer())
         }
         None => opts.workload.build(config.seed ^ 0x5eed),
     };
-    fn drive<P: Policy, S: TraceSink>(
+    /// Runs the scenario under whichever policy the name stood for.
+    struct Drive<'a, S> {
         config: SimConfig,
-        policy: P,
         sink: S,
-        workload: &mut dyn rlb_core::Workload,
+        workload: &'a mut dyn rlb_core::Workload,
         steps: u64,
-    ) -> (RunReport, S) {
-        let mut sim = Simulation::new(config, policy).with_sink(sink);
-        sim.run(workload, steps);
-        sim.finish_traced()
     }
-    let out = match opts.policy.as_str() {
-        "greedy" => drive(config, Greedy::new(), sink, workload.as_mut(), steps),
-        "delayed-cuckoo" | "dcr" => {
-            if config.replication != 2 {
-                return Err("delayed-cuckoo requires --replication 2".into());
-            }
-            let policy = DelayedCuckoo::new(&config);
-            drive(config, policy, sink, workload.as_mut(), steps)
+    impl<S: TraceSink> PolicyVisitor for Drive<'_, S> {
+        type Out = (RunReport, S);
+        fn visit<P: Policy>(self, policy: P) -> (RunReport, S) {
+            let mut sim = Simulation::new(self.config, policy).with_sink(self.sink);
+            sim.run(self.workload, self.steps);
+            sim.finish_traced()
         }
-        "one-choice" => drive(config, OneChoice::new(), sink, workload.as_mut(), steps),
-        "uniform-random" => {
-            let policy = UniformRandom::new(config.seed ^ 0xa7);
-            drive(config, policy, sink, workload.as_mut(), steps)
-        }
-        "round-robin" => {
-            let policy = RoundRobin::new(config.num_chunks);
-            drive(config, policy, sink, workload.as_mut(), steps)
-        }
-        "step-isolated" => {
-            let policy = TimeStepIsolated::new(config.num_servers);
-            drive(config, policy, sink, workload.as_mut(), steps)
-        }
-        other => return Err(format!("unknown policy {other:?}")),
+    }
+    let drive = Drive {
+        config: config.clone(),
+        sink,
+        workload: workload.as_mut(),
+        steps,
     };
-    Ok(out)
+    with_policy(&opts.policy, config, RNG_SALT, drive)
 }
 
 /// Runs the `trace` subcommand: the scenario described by the usual run
@@ -346,12 +273,12 @@ pub fn run_with_sink<S: TraceSink>(opts: &CliOptions, sink: S) -> Result<(RunRep
 pub fn run_trace(args: &[String]) -> Result<String, String> {
     let mut out_path = "trace.jsonl".to_string();
     let mut run_args: Vec<String> = Vec::new();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
+    let mut flags = Flags::new(args);
+    while let Some(arg) = flags.next_flag() {
         if arg == "--out" {
-            out_path = it.next().ok_or("--out requires a path")?.clone();
+            out_path = flags.operand(arg, "a path")?.to_string();
         } else {
-            run_args.push(arg.clone());
+            run_args.push(arg.to_string());
         }
     }
     let opts = parse_args(&run_args)?;
@@ -458,30 +385,23 @@ pub fn run_lint(args: &[String]) -> Result<(String, bool), String> {
     let mut root = ".".to_string();
     let mut json: Option<Option<String>> = None;
     let mut rules: Vec<String> = Vec::new();
-    let mut it = args.iter().peekable();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--root" => root = it.next().ok_or("--root requires a path")?.clone(),
-            "--json" => {
-                // An optional operand: consume the next token unless it
-                // is itself a flag.
-                json = match it.peek() {
-                    Some(next) if !next.starts_with("--") => Some(it.next().cloned()),
-                    _ => Some(None),
-                };
-            }
+    let mut flags = Flags::new(args);
+    while let Some(arg) = flags.next_flag() {
+        match arg {
+            "--root" => root = flags.operand(arg, "a path")?.to_string(),
+            "--json" => json = Some(flags.optional_operand().map(str::to_string)),
             "--rule" => {
-                let name = it.next().ok_or("--rule requires a rule name")?.clone();
+                let name = flags.operand(arg, "a rule name")?;
                 let known = rlb_lint::rules::all_rule_names();
-                if !known.contains(&name.as_str()) {
+                if !known.contains(&name) {
                     return Err(format!(
                         "unknown rule {name:?}; known rules: {}",
                         known.join(", ")
                     ));
                 }
-                rules.push(name);
+                rules.push(name.to_string());
             }
-            other => return Err(format!("unknown lint option {other:?}")),
+            other => return Err(unknown("lint ", other)),
         }
     }
     let mut report = rlb_lint::lint_workspace(std::path::Path::new(&root))?;
@@ -510,29 +430,36 @@ pub fn run_lint(args: &[String]) -> Result<(String, bool), String> {
 ///
 /// Arguments (after the `bench` subcommand):
 /// `--out PATH` (default `BENCH_engine.json`) and
-/// `--sizes M1,M2,...` (default `1024,8192,65536`).
+/// `--sizes M1,M2,...` (default `1024,8192,65536`); `--suite` and
+/// `--meanfield` select the other two gates, whose flags this also
+/// reads.
 ///
 /// # Errors
 /// Returns a message on malformed arguments or an unwritable output
 /// path.
 pub fn run_bench(args: &[String]) -> Result<(String, bool), String> {
-    if args.iter().any(|a| a == "--suite") {
-        return run_suite_bench(args);
-    }
-    if args.iter().any(|a| a == "--meanfield") {
-        return run_meanfield_bench(args);
-    }
-    let mut out_path = "BENCH_engine.json".to_string();
+    let suite = args.iter().any(|a| a == "--suite");
+    let meanfield = !suite && args.iter().any(|a| a == "--meanfield");
+    let (scope, default_out) = if suite {
+        ("bench --suite ", "BENCH_experiments.json")
+    } else if meanfield {
+        ("bench --meanfield ", "BENCH_meanfield.json")
+    } else {
+        ("bench ", "BENCH_engine.json")
+    };
+    let mut out_path = default_out.to_string();
+    let mut quick = false;
     let mut sizes: Vec<usize> = rlb_bench::engine::GATE_SIZES.to_vec();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--out" => {
-                out_path = it.next().ok_or("--out requires a path")?.clone();
-            }
-            "--sizes" => {
-                let spec = it.next().ok_or("--sizes requires a list, e.g. 1024,8192")?;
-                sizes = spec
+    let mut flags = Flags::new(args);
+    while let Some(arg) = flags.next_flag() {
+        match arg {
+            "--suite" if suite => {}
+            "--meanfield" if meanfield => {}
+            "--quick" if suite => quick = true,
+            "--out" => out_path = flags.operand(arg, "a path")?.to_string(),
+            "--sizes" if !suite && !meanfield => {
+                sizes = flags
+                    .operand(arg, "a list, e.g. 1024,8192")?
                     .split(',')
                     .map(|s| {
                         s.trim()
@@ -544,8 +471,14 @@ pub fn run_bench(args: &[String]) -> Result<(String, bool), String> {
                     return Err("--sizes: empty list".into());
                 }
             }
-            other => return Err(format!("unknown bench option {other:?}")),
+            other => return Err(unknown(scope, other)),
         }
+    }
+    if suite {
+        return run_suite_bench(out_path, quick);
+    }
+    if meanfield {
+        return run_meanfield_bench(out_path);
     }
     let report = rlb_bench::engine::run_gate(&sizes);
     // Compare against the previous results before overwriting them: the
@@ -574,24 +507,32 @@ pub fn run_bench(args: &[String]) -> Result<(String, bool), String> {
             r.name, r.steps_per_sec, r.requests_per_sec
         );
     }
-    let mut passed = true;
-    if !gate_rows.is_empty() {
-        let worst = gate_rows
-            .iter()
-            .min_by(|a, b| a.ratio.total_cmp(&b.ratio))
-            .expect("non-empty");
-        passed = worst.passes();
-        let verdict = if passed { "PASS" } else { "FAIL" };
-        let _ = writeln!(
-            summary,
-            "traced-off gate: worst ratio {:.2}x ({}) vs threshold {:.2}x -> {verdict}",
-            worst.ratio,
-            worst.name,
-            rlb_bench::engine::GATE_MIN_RATIO
-        );
-    }
+    let passed = gate_verdict("traced-off", &gate_rows, &mut summary);
     let _ = writeln!(summary, "wrote {out_path}");
     Ok((summary, passed))
+}
+
+/// Appends the ratio gate's verdict line (the worst row against the
+/// 0.95x threshold) to `summary` and returns whether the gate passed —
+/// vacuously, and silently, when there was no baseline to compare with.
+fn gate_verdict(
+    label: &str,
+    gate_rows: &[rlb_bench::engine::GateRow],
+    summary: &mut String,
+) -> bool {
+    use std::fmt::Write as _;
+    let Some(worst) = gate_rows.iter().min_by(|a, b| a.ratio.total_cmp(&b.ratio)) else {
+        return true;
+    };
+    let verdict = if worst.passes() { "PASS" } else { "FAIL" };
+    let _ = writeln!(
+        summary,
+        "{label} gate: worst ratio {:.2}x ({}) vs threshold {:.2}x -> {verdict}",
+        worst.ratio,
+        worst.name,
+        rlb_bench::engine::GATE_MIN_RATIO
+    );
+    worst.passes()
 }
 
 /// Runs the mean-field speedup gate (`rlb-sim bench --meanfield`):
@@ -603,20 +544,8 @@ pub fn run_bench(args: &[String]) -> Result<(String, bool), String> {
 /// Arguments: `--out PATH` (default `BENCH_meanfield.json`).
 ///
 /// # Errors
-/// Returns a message on malformed arguments or an unwritable output
-/// path.
-fn run_meanfield_bench(args: &[String]) -> Result<(String, bool), String> {
-    let mut out_path = "BENCH_meanfield.json".to_string();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--meanfield" => {}
-            "--out" => {
-                out_path = it.next().ok_or("--out requires a path")?.clone();
-            }
-            other => return Err(format!("unknown bench --meanfield option {other:?}")),
-        }
-    }
+/// Returns a message on an unwritable output path.
+fn run_meanfield_bench(out_path: String) -> Result<(String, bool), String> {
     let report = rlb_bench::meanfield::run_gate();
     let json = rlb_json::to_string_pretty(&report);
     std::fs::write(&out_path, &json).map_err(|e| format!("cannot write {out_path:?}: {e}"))?;
@@ -665,22 +594,9 @@ fn run_meanfield_bench(args: &[String]) -> Result<(String, bool), String> {
 /// `--quick` (time the quick suite; for smoke runs, not for committing).
 ///
 /// # Errors
-/// Returns a message on malformed arguments, a missing `experiments`
-/// binary, a failing suite run, or an unwritable output path.
-fn run_suite_bench(args: &[String]) -> Result<(String, bool), String> {
-    let mut out_path = "BENCH_experiments.json".to_string();
-    let mut quick = false;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--suite" => {}
-            "--quick" => quick = true,
-            "--out" => {
-                out_path = it.next().ok_or("--out requires a path")?.clone();
-            }
-            other => return Err(format!("unknown bench --suite option {other:?}")),
-        }
-    }
+/// Returns a message on a missing `experiments` binary, a failing suite
+/// run, or an unwritable output path.
+fn run_suite_bench(out_path: String, quick: bool) -> Result<(String, bool), String> {
     let bin = rlb_bench::suite::locate_experiments_bin()?;
     let report = rlb_bench::suite::run_suite_gate(&bin, quick)?;
     let baseline = std::fs::read_to_string(&out_path)
@@ -713,22 +629,7 @@ fn run_suite_bench(args: &[String]) -> Result<(String, bool), String> {
         "parallel speedup: {:.2}x over serial (default jobs = {})",
         report.speedup, report.default_jobs
     );
-    let mut passed = true;
-    if !gate_rows.is_empty() {
-        let worst = gate_rows
-            .iter()
-            .min_by(|a, b| a.ratio.total_cmp(&b.ratio))
-            .expect("non-empty");
-        passed = worst.passes();
-        let verdict = if passed { "PASS" } else { "FAIL" };
-        let _ = writeln!(
-            summary,
-            "suite gate: worst ratio {:.2}x ({}) vs threshold {:.2}x -> {verdict}",
-            worst.ratio,
-            worst.name,
-            rlb_bench::engine::GATE_MIN_RATIO
-        );
-    }
+    let passed = gate_verdict("suite", &gate_rows, &mut summary);
     let _ = writeln!(summary, "wrote {out_path}");
     Ok((summary, passed))
 }
@@ -827,14 +728,7 @@ mod tests {
 
     #[test]
     fn end_to_end_run_all_policies() {
-        for policy in [
-            "greedy",
-            "delayed-cuckoo",
-            "one-choice",
-            "uniform-random",
-            "round-robin",
-            "step-isolated",
-        ] {
+        for policy in rlb_core::policies::POLICY_NAMES {
             let opts = parse_args(&args(&format!(
                 "--policy {policy} --servers 64 --steps 20 --workload repeated:64"
             )))

@@ -9,13 +9,12 @@
 //! output for a fixed seed regardless of `--jobs` (the property
 //! `rlb-load`'s golden test pins).
 
-use rlb_core::policies::{
-    DelayedCuckoo, Greedy, OneChoice, RoundRobin, TimeStepIsolated, UniformRandom,
-};
-use rlb_core::SimConfig;
+use crate::flags::{parse_positive, unknown, Flags};
+use rlb_core::policies::{with_policy, PolicyVisitor};
+use rlb_core::{Policy, SimConfig};
 use rlb_load::{run_live, run_sim, Client, ClientConfig, LiveSpec, Mode, Popularity, SimSpec};
 use rlb_pool::Pool;
-use rlb_serve::{serve_blocking, ServeConfig, ServeOptions, ServerCore};
+use rlb_serve::{serve_blocking, ServeConfig, ServeOptions, ServeOutcome, ServerCore};
 
 /// Parsed options shared by `serve` and `load` (the union: `--sim-clock`
 /// runs the co-simulation, which needs both the engine and the load
@@ -93,22 +92,6 @@ impl Default for ServeLoadOptions {
     }
 }
 
-fn parse_num<T: std::str::FromStr>(flag: &str, raw: &str) -> Result<T, String> {
-    raw.parse()
-        .map_err(|_| format!("{flag}: not a number: {raw:?}"))
-}
-
-fn parse_positive<T: std::str::FromStr + PartialEq + From<u8>>(
-    flag: &str,
-    raw: &str,
-) -> Result<T, String> {
-    let v: T = parse_num(flag, raw)?;
-    if v == T::from(0u8) {
-        return Err(format!("{flag}: must be positive, got {raw:?}"));
-    }
-    Ok(v)
-}
-
 /// Parses `open:RATE` / `closed:K`.
 fn parse_mode(spec: &str) -> Result<Mode, String> {
     let err = || format!("--mode: expected open:RATE or closed:K, got {spec:?}");
@@ -170,66 +153,39 @@ fn parse_popularity(spec: &str) -> Result<Popularity, String> {
 /// Returns a usage-style message on malformed input.
 pub fn parse_serve_load_args(args: &[String]) -> Result<ServeLoadOptions, String> {
     let mut opts = ServeLoadOptions::default();
-    let mut servers_set = false;
     let mut chunks_set = false;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |name: &str| -> Result<String, String> {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{name} requires a value"))
-        };
-        match arg.as_str() {
+    let mut flags = Flags::new(args);
+    while let Some(arg) = flags.next_flag() {
+        if flags.engine_flag(arg, &mut opts.engine, &mut opts.policy, &mut chunks_set)? {
+            continue;
+        }
+        match arg {
             "--sim-clock" => opts.sim_clock = true,
-            "--listen" => opts.listen = value("--listen")?,
-            "--connect" => opts.connect = value("--connect")?,
-            "--policy" => opts.policy = value("--policy")?,
-            "--servers" => {
-                opts.engine.num_servers = parse_positive("--servers", &value("--servers")?)?;
-                servers_set = true;
-            }
-            "--chunks" => {
-                opts.engine.num_chunks = parse_positive("--chunks", &value("--chunks")?)?;
-                chunks_set = true;
-            }
-            "--replication" => {
-                opts.engine.replication = parse_positive("--replication", &value("--replication")?)?
-            }
-            "--rate" => opts.engine.process_rate = parse_positive("--rate", &value("--rate")?)?,
-            "--queue" => {
-                opts.engine.queue_capacity = parse_positive("--queue", &value("--queue")?)?
-            }
-            "--seed" => opts.engine.seed = parse_num("--seed", &value("--seed")?)?,
-            "--gate" => opts.gate = Some(parse_positive("--gate", &value("--gate")?)?),
-            "--max-requests" => {
-                opts.max_requests =
-                    Some(parse_positive("--max-requests", &value("--max-requests")?)?)
-            }
-            "--jobs" => opts.jobs = parse_positive("--jobs", &value("--jobs")?)?,
-            "--clients" => opts.clients = parse_positive("--clients", &value("--clients")?)?,
-            "--requests" => opts.requests = parse_positive("--requests", &value("--requests")?)?,
-            "--mode" => opts.mode = parse_mode(&value("--mode")?)?,
-            "--popularity" => opts.popularity = parse_popularity(&value("--popularity")?)?,
+            "--listen" => opts.listen = flags.value(arg)?.to_string(),
+            "--connect" => opts.connect = flags.value(arg)?.to_string(),
+            "--gate" => opts.gate = Some(flags.positive(arg)?),
+            "--max-requests" => opts.max_requests = Some(flags.positive(arg)?),
+            "--jobs" => opts.jobs = flags.positive(arg)?,
+            "--clients" => opts.clients = flags.positive(arg)?,
+            "--requests" => opts.requests = flags.positive(arg)?,
+            "--mode" => opts.mode = parse_mode(flags.value(arg)?)?,
+            "--popularity" => opts.popularity = parse_popularity(flags.value(arg)?)?,
             "--put-ratio" => {
-                let r: f64 = parse_num("--put-ratio", &value("--put-ratio")?)?;
+                let r: f64 = flags.num(arg)?;
                 if !(0.0..=1.0).contains(&r) {
                     return Err(format!("--put-ratio: must be in [0,1], got {r}"));
                 }
                 opts.put_ratio = r;
             }
-            "--tenants" => opts.tenants = parse_positive("--tenants", &value("--tenants")?)?,
-            "--ticks" => opts.ticks = parse_positive("--ticks", &value("--ticks")?)?,
+            "--tenants" => opts.tenants = flags.positive(arg)?,
+            "--ticks" => opts.ticks = flags.positive(arg)?,
             "--transcript" => opts.transcript = true,
-            "--tick-micros" => {
-                opts.tick_micros = parse_positive("--tick-micros", &value("--tick-micros")?)?
-            }
-            "--max-seconds" => {
-                opts.max_seconds = parse_positive("--max-seconds", &value("--max-seconds")?)?
-            }
-            other => return Err(format!("unknown serve/load option {other:?}")),
+            "--tick-micros" => opts.tick_micros = flags.positive(arg)?,
+            "--max-seconds" => opts.max_seconds = flags.positive(arg)?,
+            other => return Err(unknown("serve/load ", other)),
         }
     }
-    if servers_set && !chunks_set {
+    if !chunks_set {
         opts.engine.num_chunks = 4 * opts.engine.num_servers;
     }
     opts.engine.validate()?;
@@ -264,73 +220,31 @@ impl ServeLoadOptions {
     }
 }
 
-/// Dispatches on the policy name, handing a constructed [`ServerCore`]
-/// to `f`. The same names (and the `dcr` d=2 restriction) as the
-/// top-level simulator.
-fn with_core<R>(opts: &ServeLoadOptions, f: impl FnOnce(CoreAny) -> R) -> Result<R, String> {
-    let cfg = opts.serve_config();
-    let engine = &cfg.engine;
-    Ok(match opts.policy.as_str() {
-        "greedy" => f(CoreAny::Greedy(ServerCore::new(cfg.clone(), Greedy::new()))),
-        "delayed-cuckoo" | "dcr" => {
-            if engine.replication != 2 {
-                return Err("delayed-cuckoo requires --replication 2".into());
-            }
-            let policy = DelayedCuckoo::new(engine);
-            f(CoreAny::DelayedCuckoo(Box::new(ServerCore::new(
-                cfg.clone(),
-                policy,
-            ))))
-        }
-        "one-choice" => f(CoreAny::OneChoice(ServerCore::new(
-            cfg.clone(),
-            OneChoice::new(),
-        ))),
-        "uniform-random" => {
-            let policy = UniformRandom::new(engine.seed ^ 0xa7);
-            f(CoreAny::UniformRandom(ServerCore::new(cfg.clone(), policy)))
-        }
-        "round-robin" => {
-            let policy = RoundRobin::new(engine.num_chunks);
-            f(CoreAny::RoundRobin(ServerCore::new(cfg.clone(), policy)))
-        }
-        "step-isolated" => {
-            let policy = TimeStepIsolated::new(engine.num_servers);
-            f(CoreAny::StepIsolated(ServerCore::new(cfg.clone(), policy)))
-        }
-        other => return Err(format!("unknown policy {other:?}")),
-    })
-}
-
-/// A policy-erased [`ServerCore`] (each driver is generic over the
-/// policy; this enum lets one closure accept any of them).
-enum CoreAny {
-    Greedy(ServerCore<Greedy>),
-    // Boxed: the policy carries its table builder inline, which makes
-    // this variant much larger than the rest.
-    DelayedCuckoo(Box<ServerCore<DelayedCuckoo>>),
-    OneChoice(ServerCore<OneChoice>),
-    UniformRandom(ServerCore<UniformRandom>),
-    RoundRobin(ServerCore<RoundRobin>),
-    StepIsolated(ServerCore<TimeStepIsolated>),
-}
-
 /// Runs the sim-clock co-simulation and renders its deterministic text.
 fn run_sim_clock(opts: &ServeLoadOptions, pool: &Pool) -> Result<String, String> {
-    let clients: Vec<Client> = opts.client_configs().into_iter().map(Client::new).collect();
-    let spec = SimSpec {
-        ticks: opts.ticks,
-        transcript: opts.transcript,
+    struct CoSim<'a> {
+        cfg: ServeConfig,
+        clients: Vec<Client>,
+        spec: SimSpec,
+        pool: &'a Pool,
+    }
+    impl PolicyVisitor for CoSim<'_> {
+        type Out = String;
+        fn visit<P: Policy>(self, policy: P) -> String {
+            let core = ServerCore::new(self.cfg, policy);
+            run_sim(core, self.clients, &self.spec, self.pool).text
+        }
+    }
+    let co_sim = CoSim {
+        cfg: opts.serve_config(),
+        clients: opts.client_configs().into_iter().map(Client::new).collect(),
+        spec: SimSpec {
+            ticks: opts.ticks,
+            transcript: opts.transcript,
+        },
+        pool,
     };
-    let out = with_core(opts, |core| match core {
-        CoreAny::Greedy(c) => run_sim(c, clients, &spec, pool),
-        CoreAny::DelayedCuckoo(c) => run_sim(*c, clients, &spec, pool),
-        CoreAny::OneChoice(c) => run_sim(c, clients, &spec, pool),
-        CoreAny::UniformRandom(c) => run_sim(c, clients, &spec, pool),
-        CoreAny::RoundRobin(c) => run_sim(c, clients, &spec, pool),
-        CoreAny::StepIsolated(c) => run_sim(c, clients, &spec, pool),
-    })?;
-    Ok(out.text)
+    with_policy(&opts.policy, &opts.engine, crate::RNG_SALT, co_sim)
 }
 
 /// Runs the `serve` subcommand. Live mode binds `--listen` and serves
@@ -357,15 +271,27 @@ pub fn run_serve(args: &[String]) -> Result<String, String> {
         max_requests: opts.max_requests,
         ..Default::default()
     };
-    let outcome = with_core(&opts, |core| match core {
-        CoreAny::Greedy(c) => serve_blocking(listener, c, &serve_opts, &pool),
-        CoreAny::DelayedCuckoo(c) => serve_blocking(listener, *c, &serve_opts, &pool),
-        CoreAny::OneChoice(c) => serve_blocking(listener, c, &serve_opts, &pool),
-        CoreAny::UniformRandom(c) => serve_blocking(listener, c, &serve_opts, &pool),
-        CoreAny::RoundRobin(c) => serve_blocking(listener, c, &serve_opts, &pool),
-        CoreAny::StepIsolated(c) => serve_blocking(listener, c, &serve_opts, &pool),
-    })?
-    .map_err(|e| format!("serve: {e}"))?;
+    struct Live<'a> {
+        cfg: ServeConfig,
+        listener: std::net::TcpListener,
+        opts: &'a ServeOptions,
+        pool: &'a Pool,
+    }
+    impl PolicyVisitor for Live<'_> {
+        type Out = std::io::Result<ServeOutcome>;
+        fn visit<P: Policy>(self, policy: P) -> Self::Out {
+            let core = ServerCore::new(self.cfg, policy);
+            serve_blocking(self.listener, core, self.opts, self.pool)
+        }
+    }
+    let live = Live {
+        cfg: opts.serve_config(),
+        listener,
+        opts: &serve_opts,
+        pool: &pool,
+    };
+    let outcome = with_policy(&opts.policy, &opts.engine, crate::RNG_SALT, live)?
+        .map_err(|e| format!("serve: {e}"))?;
     use std::fmt::Write as _;
     let mut out = String::new();
     let _ = writeln!(
@@ -382,13 +308,14 @@ pub fn run_serve(args: &[String]) -> Result<String, String> {
 /// microseconds); `--sim-clock` runs the co-simulation instead.
 ///
 /// # Errors
-/// Returns a message on malformed arguments or if any client failed to
-/// run cleanly (partial results are still reported first).
-pub fn run_load(args: &[String]) -> Result<String, String> {
-    let opts = parse_serve_load_args(args)?;
+/// Returns a message and the exit code that goes with it: 2 on
+/// malformed arguments; 1 on a policy/config mismatch or if any client
+/// failed to run cleanly (partial results are still reported first).
+pub fn run_load(args: &[String]) -> Result<String, (String, i32)> {
+    let opts = parse_serve_load_args(args).map_err(|e| (e, 2))?;
     let pool = Pool::new(opts.jobs.max(opts.clients));
     if opts.sim_clock {
-        return run_sim_clock(&opts, &pool);
+        return run_sim_clock(&opts, &pool).map_err(|e| (e, 1));
     }
     let spec = LiveSpec {
         addr: opts.connect.clone(),
@@ -408,7 +335,7 @@ pub fn run_load(args: &[String]) -> Result<String, String> {
     }
     if failed > 0 {
         print!("{out}");
-        return Err(format!("{failed} of {} clients failed", results.len()));
+        return Err((format!("{failed} of {} clients failed", results.len()), 1));
     }
     Ok(out)
 }
@@ -490,14 +417,7 @@ mod tests {
 
     #[test]
     fn sim_clock_serve_runs_all_policies_deterministically() {
-        for policy in [
-            "greedy",
-            "delayed-cuckoo",
-            "one-choice",
-            "uniform-random",
-            "round-robin",
-            "step-isolated",
-        ] {
+        for policy in rlb_core::policies::POLICY_NAMES {
             let a = run_serve(&args(&format!(
                 "--sim-clock --policy {policy} --servers 16 --clients 2 \
                  --requests 20 --ticks 16 --jobs 1"

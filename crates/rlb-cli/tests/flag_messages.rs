@@ -1,0 +1,97 @@
+//! The flag cursor's message shapes, read back through every parser
+//! that pulls from it: one wording per shape whichever subcommand the
+//! flag belongs to. Exact strings, because scripts match on them.
+
+fn args(s: &str) -> Vec<String> {
+    s.split_whitespace().map(str::to_string).collect()
+}
+
+type Parser = fn(&[String]) -> Option<String>;
+const RUN: Parser = |a| rlb_cli::parse_args(a).err();
+const FASTFORWARD: Parser = |a| rlb_cli::parse_fastforward_args(a).err();
+const SERVE: Parser = |a| rlb_cli::parse_serve_load_args(a).err();
+const TRACE: Parser = |a| rlb_cli::run_trace(a).err();
+const LINT: Parser = |a| rlb_cli::run_lint(a).err();
+const BENCH: Parser = |a| rlb_cli::run_bench(a).err();
+
+#[rustfmt::skip]
+const CASES: &[(Parser, &str, &str)] = &[
+    // Missing operand.
+    (RUN, "--servers", "--servers requires a value"),
+    (FASTFORWARD, "--lambda", "--lambda requires a value"),
+    (SERVE, "--listen", "--listen requires a value"),
+    (TRACE, "--out", "--out requires a path"),
+    (LINT, "--rule", "--rule requires a rule name"),
+    (BENCH, "--sizes", "--sizes requires a list, e.g. 1024,8192"),
+    (BENCH, "--meanfield --out", "--out requires a path"),
+    // Not a number.
+    (RUN, "--steps 10e3", "--steps: not a number: \"10e3\""),
+    (FASTFORWARD, "--damping nope", "--damping: not a number: \"nope\""),
+    (SERVE, "--put-ratio x", "--put-ratio: not a number: \"x\""),
+    // Zero where a positive count is needed.
+    (RUN, "--flush 0", "--flush: must be positive, got \"0\""),
+    (FASTFORWARD, "--m 0", "--m: must be positive, got \"0\""),
+    (SERVE, "--servers 0", "--servers: must be positive, got \"0\""),
+    // Float outside its range (non-finite values included).
+    (FASTFORWARD, "--damping 1.5", "--damping: must be in (0, 1], got \"1.5\""),
+    (FASTFORWARD, "--damping nan", "--damping: must be in (0, 1], got \"nan\""),
+    (FASTFORWARD, "--tolerance inf", "--tolerance: must be positive, got \"inf\""),
+    (FASTFORWARD, "--lambda -1", "--lambda: must be finite and >= 0, got \"-1\""),
+    // An argument no arm takes.
+    (RUN, "--bogus", "unknown option \"--bogus\""),
+    (TRACE, "--bogus", "unknown option \"--bogus\""),
+    (FASTFORWARD, "--bogus", "unknown fastforward option \"--bogus\""),
+    (SERVE, "--bogus", "unknown serve/load option \"--bogus\""),
+    (LINT, "--bogus", "unknown lint option \"--bogus\""),
+    (BENCH, "--bogus", "unknown bench option \"--bogus\""),
+    (BENCH, "--suite --sizes 8", "unknown bench --suite option \"--sizes\""),
+    (BENCH, "--meanfield --quick", "unknown bench --meanfield option \"--quick\""),
+];
+
+#[test]
+fn each_message_shape_has_one_wording() {
+    for (parser, line, want) in CASES {
+        assert_eq!(parser(&args(line)).as_deref(), Some(*want), "{line}");
+    }
+}
+
+#[test]
+fn engine_flags_mean_the_same_to_run_and_to_serve() {
+    let line = args("--policy dcr --servers 32 --rate 4 --queue 8 --seed 9");
+    let run = rlb_cli::parse_args(&line).unwrap();
+    let serve = rlb_cli::parse_serve_load_args(&line).unwrap();
+    assert_eq!((run.policy.as_str(), serve.policy.as_str()), ("dcr", "dcr"));
+    for config in [&run.config, &serve.engine] {
+        assert_eq!((config.num_servers, config.num_chunks), (32, 128));
+        assert_eq!((config.process_rate, config.queue_capacity), (4, 8));
+        assert_eq!(config.seed, 9);
+    }
+    // An explicit universe wins over 4 * servers, in either order.
+    for line in ["--chunks 64 --servers 32", "--servers 32 --chunks 64"] {
+        let (run, serve) = (rlb_cli::parse_args, rlb_cli::parse_serve_load_args);
+        assert_eq!(run(&args(line)).unwrap().config.num_chunks, 64);
+        assert_eq!(serve(&args(line)).unwrap().engine.num_chunks, 64);
+    }
+}
+
+#[test]
+fn lint_json_takes_a_path_only_when_one_follows() {
+    let dir = std::env::temp_dir().join("rlb_cli_lint_json_test");
+    std::fs::create_dir_all(dir.join("crates/empty/src")).unwrap();
+    std::fs::write(dir.join("crates/empty/src/lib.rs"), "fn f() {}\n").unwrap();
+    let (root, report) = (dir.to_str().unwrap(), dir.join("report.json"));
+    // `--json` then another flag, and `--json` last: JSON on stdout.
+    for line in [
+        format!("--json --root {root}"),
+        format!("--root {root} --json"),
+    ] {
+        let (out, clean) = rlb_cli::run_lint(&args(&line)).unwrap();
+        assert!(clean && out.starts_with('{'), "{line}: {out}");
+    }
+    // `--json PATH`: JSON in the file, the text summary on stdout.
+    let line = format!("--root {root} --json {}", report.display());
+    let (out, _) = rlb_cli::run_lint(&args(&line)).unwrap();
+    assert!(out.starts_with("rlb-lint: "), "{out}");
+    assert!(std::fs::read_to_string(&report).unwrap().starts_with('{'));
+    let _ = std::fs::remove_dir_all(&dir);
+}

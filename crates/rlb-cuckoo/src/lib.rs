@@ -22,25 +22,16 @@
 //! * [`tripartite`] — Lemma 4.2: the three-way split that turns the
 //!   one-item-per-position guarantee into an `O(1)`-requests-per-server
 //!   routing table.
-//! * [`online`] — a conventional online cuckoo hash table with a stash
-//!   (insert / lookup / remove), provided as a reusable substrate and used
-//!   by the experiments to cross-check the offline allocator.
-//! * [`bfs`] — the same contract with BFS (shortest eviction path)
-//!   insertion, the displacement-optimal online variant.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bfs;
 pub mod graph;
 pub mod offline;
-pub(crate) mod online;
 pub(crate) mod tripartite;
 
-pub use bfs::BfsCuckoo;
 pub use graph::CuckooGraph;
 pub use offline::{OfflineAssignment, RandomWalkAllocator, TableBuilder};
-pub use online::OnlineCuckoo;
 pub use tripartite::{RoutingTable, TableStatus, TripartiteAssigner};
 
 /// An item to be placed: two candidate positions (the item's hashes).

@@ -1,9 +1,7 @@
 //! Shared machinery for the experiment suite.
 
-use rlb_core::policies::{
-    DelayedCuckoo, Greedy, OneChoice, RoundRobin, TimeStepIsolated, UniformRandom,
-};
-use rlb_core::{Observer, RunReport, SimConfig, Simulation, Workload};
+use rlb_core::policies::{with_policy, PolicyVisitor};
+use rlb_core::{Observer, Policy, RunReport, SimConfig, Simulation, Workload};
 use rlb_kv::runner::{default_threads, run_trials};
 
 /// The policies the experiments compare. Dispatch is by enum so sweeps
@@ -62,42 +60,28 @@ impl PolicyKind {
         steps: u64,
         observer: &mut dyn Observer,
     ) -> RunReport {
-        match self {
-            PolicyKind::Greedy => {
-                let mut sim = Simulation::new(config, Greedy::new());
-                sim.run_observed(workload, steps, observer);
-                sim.finish()
-            }
-            PolicyKind::DelayedCuckoo => {
-                let policy = DelayedCuckoo::new(&config);
-                let mut sim = Simulation::new(config, policy);
-                sim.run_observed(workload, steps, observer);
-                sim.finish()
-            }
-            PolicyKind::OneChoice => {
-                let mut sim = Simulation::new(config, OneChoice::new());
-                sim.run_observed(workload, steps, observer);
-                sim.finish()
-            }
-            PolicyKind::UniformRandom => {
-                let policy = UniformRandom::new(config.seed ^ 0x9e);
-                let mut sim = Simulation::new(config, policy);
-                sim.run_observed(workload, steps, observer);
-                sim.finish()
-            }
-            PolicyKind::RoundRobin => {
-                let policy = RoundRobin::new(config.num_chunks);
-                let mut sim = Simulation::new(config, policy);
-                sim.run_observed(workload, steps, observer);
-                sim.finish()
-            }
-            PolicyKind::TimeStepIsolated => {
-                let policy = TimeStepIsolated::new(config.num_servers);
-                let mut sim = Simulation::new(config, policy);
-                sim.run_observed(workload, steps, observer);
+        struct Run<'a> {
+            config: SimConfig,
+            workload: &'a mut dyn Workload,
+            steps: u64,
+            observer: &'a mut dyn Observer,
+        }
+        impl PolicyVisitor for Run<'_> {
+            type Out = RunReport;
+            fn visit<P: Policy>(self, policy: P) -> RunReport {
+                let mut sim = Simulation::new(self.config, policy);
+                sim.run_observed(self.workload, self.steps, self.observer);
                 sim.finish()
             }
         }
+        let run = Run {
+            config: config.clone(),
+            workload,
+            steps,
+            observer,
+        };
+        // 0x9e is the stream `results/*.json` were produced with.
+        with_policy(self.name(), &config, 0x9e, run).expect("a PolicyKind names a valid policy")
     }
 }
 

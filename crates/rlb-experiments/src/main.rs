@@ -12,49 +12,46 @@
 
 use rlb_experiments::{registry, usage, ExperimentEntry};
 
+/// A malformed command line: say why on stderr and exit 2.
+fn usage_error(message: &str) -> ! {
+    eprintln!("{message}\n(run with --help for usage)");
+    std::process::exit(2);
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.iter().any(|a| a == "--help" || a == "-h") {
         print!("{}", usage());
         return;
     }
-    let quick = args.iter().any(|a| a == "--quick");
-    let json = args.iter().any(|a| a == "--json");
-    let value_of = |flag: &str| -> Option<String> {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1).cloned())
-    };
-    let out_dir = value_of("--out-dir");
-    if let Some(i) = args.iter().position(|a| a == "--jobs") {
-        let Some(raw) = args.get(i + 1) else {
-            eprintln!("--jobs expects a positive integer, but no value followed it");
-            std::process::exit(2);
-        };
-        let jobs = match raw.parse::<usize>() {
-            Ok(jobs) if jobs >= 1 => jobs,
-            _ => {
-                eprintln!("--jobs expects a positive integer, got {raw:?}");
-                std::process::exit(2);
+    let mut quick = false;
+    let mut json = false;
+    let mut out_dir: Option<String> = None;
+    let mut wanted: Vec<String> = Vec::new();
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        match arg.as_str() {
+            "--quick" => quick = true,
+            "--json" => json = true,
+            "--out-dir" => match it.next() {
+                Some(dir) => out_dir = Some(dir.clone()),
+                None => usage_error("--out-dir expects a directory, but no value followed it"),
+            },
+            "--jobs" => {
+                let Some(raw) = it.next() else {
+                    usage_error("--jobs expects a positive integer, but no value followed it");
+                };
+                match raw.parse::<usize>() {
+                    Ok(jobs) if jobs >= 1 => {
+                        rlb_pool::set_global_jobs(jobs);
+                    }
+                    _ => usage_error(&format!("--jobs expects a positive integer, got {raw:?}")),
+                }
             }
-        };
-        rlb_pool::set_global_jobs(jobs);
+            flag if flag.starts_with("--") => usage_error(&format!("unknown option {flag:?}")),
+            id => wanted.push(id.to_lowercase()),
+        }
     }
-    let mut skip_next = false;
-    let wanted: Vec<String> = args
-        .iter()
-        .filter(|a| {
-            if skip_next {
-                skip_next = false;
-                return false;
-            }
-            if *a == "--out-dir" || *a == "--jobs" {
-                skip_next = true;
-            }
-            !a.starts_with("--")
-        })
-        .map(|a| a.to_lowercase())
-        .collect();
     if let Some(dir) = &out_dir {
         std::fs::create_dir_all(dir).expect("cannot create --out-dir");
     }

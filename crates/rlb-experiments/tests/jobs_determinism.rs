@@ -74,6 +74,30 @@ fn bad_jobs_values_are_rejected() {
 }
 
 #[test]
+fn unknown_flags_and_missing_values_are_rejected() {
+    // Regression: any `--x` used to be dropped from the id list and
+    // otherwise unread, so `e11 --quik` ran the *full* sweep and exited
+    // 0, and a trailing `--out-dir` was silently ignored.
+    for (bad_args, flag) in [
+        (&["e11", "--quik"][..], "--quik"),
+        (&["e1", "--quick", "--out-dir"][..], "--out-dir"),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_experiments"))
+            .args(bad_args)
+            .env_remove("RLB_JOBS")
+            .output()
+            .expect("run experiments binary");
+        assert_eq!(out.status.code(), Some(2), "args {bad_args:?} must exit 2");
+        assert!(out.stdout.is_empty(), "args {bad_args:?} must run nothing");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(flag) && stderr.contains("--help"),
+            "args {bad_args:?} must name the flag and point at --help: {stderr}"
+        );
+    }
+}
+
+#[test]
 fn help_usage_is_registry_derived() {
     let out = Command::new(env!("CARGO_BIN_EXE_experiments"))
         .arg("--help")

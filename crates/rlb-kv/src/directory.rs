@@ -1,25 +1,25 @@
 //! Key → chunk directory.
 //!
 //! Keys are hashed into chunks (hash partitioning, as in Dynamo-style
-//! stores). A bounded override table — backed by our own
-//! [`rlb_cuckoo::OnlineCuckoo`] substrate — lets an operator pin specific
-//! keys to specific chunks (e.g. to colocate a tenant), exercising the
-//! online cuckoo table in a realistic role.
+//! stores). A bounded override table lets an operator pin specific keys
+//! to specific chunks (e.g. to colocate a tenant).
 
-use rlb_cuckoo::OnlineCuckoo;
 use rlb_hash::mix;
+use std::collections::BTreeMap;
 
 /// Maps keys to chunks.
 #[derive(Debug, Clone)]
 pub struct ChunkDirectory {
     num_chunks: usize,
     seed: u64,
-    overrides: OnlineCuckoo<u32>,
+    overrides: BTreeMap<u64, u32>,
+    override_capacity: usize,
 }
 
 impl ChunkDirectory {
     /// Creates a directory over `num_chunks` chunks with hashing salted
-    /// by `seed`, and space for up to ~`override_capacity` pinned keys.
+    /// by `seed`, and space for `override_capacity` (at least 4) pinned
+    /// keys.
     ///
     /// # Panics
     /// Panics if `num_chunks == 0`.
@@ -28,14 +28,17 @@ impl ChunkDirectory {
         Self {
             num_chunks,
             seed,
-            overrides: OnlineCuckoo::new(override_capacity.max(4) * 3, 8, seed ^ 0xd1c7),
+            overrides: BTreeMap::new(),
+            override_capacity: override_capacity.max(4),
         }
     }
 
     /// The chunk holding `key`.
     #[inline]
     pub fn chunk_of(&self, key: u64) -> u32 {
-        if let Some(c) = self.overrides.get(key) {
+        // No daemon, workload or CLI path pins a key, so the table is
+        // usually empty, where `get` is a single root-is-`None` check.
+        if let Some(&c) = self.overrides.get(&key) {
             return c;
         }
         mix::hash_to_range(self.seed, 0x0d17, key, self.num_chunks as u64) as u32
@@ -50,15 +53,16 @@ impl ChunkDirectory {
     /// Panics if `chunk` is out of range.
     pub fn pin(&mut self, key: u64, chunk: u32) -> Result<(), String> {
         assert!((chunk as usize) < self.num_chunks, "chunk out of range");
-        self.overrides
-            .insert(key, chunk)
-            .map(|_| ())
-            .map_err(|_| "override table full".to_string())
+        if self.overrides.len() >= self.override_capacity && !self.overrides.contains_key(&key) {
+            return Err("override table full".to_string());
+        }
+        self.overrides.insert(key, chunk);
+        Ok(())
     }
 
     /// Removes a pin, restoring hash placement for `key`.
     pub fn unpin(&mut self, key: u64) -> bool {
-        self.overrides.remove(key).is_some()
+        self.overrides.remove(&key).is_some()
     }
 
     /// Number of chunks.
@@ -111,6 +115,26 @@ mod tests {
         assert!(d.unpin(key));
         assert_eq!(d.chunk_of(key), natural);
         assert!(!d.unpin(key));
+    }
+
+    #[test]
+    fn pin_table_is_bounded_at_its_capacity() {
+        let capacity = 6;
+        let mut d = ChunkDirectory::new(10, 3, capacity);
+        let bystander = 999u64;
+        let natural = d.chunk_of(bystander);
+        for key in 0..capacity as u64 {
+            d.pin(key, 1).unwrap();
+        }
+        assert_eq!(d.pinned(), capacity);
+        assert_eq!(d.pin(100, 1), Err("override table full".to_string()));
+        d.pin(0, 2)
+            .expect("re-pinning a pinned key needs no new slot");
+        assert_eq!((d.chunk_of(0), d.pinned()), (2, capacity));
+        assert_eq!(d.chunk_of(bystander), natural, "pins are per key");
+        assert!(d.unpin(3));
+        d.pin(100, 1).expect("unpin freed a slot");
+        assert_eq!(d.pinned(), capacity);
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! servers; a load balancer routes each request. This crate provides the
 //! downstream-facing façade over [`rlb_core`]:
 //!
-//! * [`directory`] — the key → chunk mapping (hash-partitioned, with an
-//!   explicit-override table backed by our own cuckoo hash table).
+//! * [`directory`] — the key → chunk mapping (hash-partitioned, with a
+//!   bounded explicit-override table).
 //! * [`cluster`] — [`cluster::KvCluster`]: issue `get`s, advance time,
 //!   read the paper's metrics off the live system.
 //! * [`runner`] — a scoped-thread parallel runner executing many

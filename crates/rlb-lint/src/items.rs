@@ -7,7 +7,7 @@
 //! `if S::ENABLED { .. }` guard bodies, `fn on_event` bodies (sink
 //! impls), and the module-level `pub` surface (for the dead-pub pass).
 //!
-//! Like the lexer, this is an *approximation with documented
+//! Like the tokenizer, this is an *approximation with documented
 //! boundaries*, not a Rust parser: each `{` is classified by its
 //! header — the tokens since the previous `{`, `}`, or `;` — which is
 //! where attributes, `fn` signatures, and `impl` headers necessarily
@@ -691,7 +691,7 @@ mod tests {
                    pub(crate) fn internal() {}\n\
                    pub use rules::{lint_source, Finding as F, seen::*};\n\
                    fn body() { pub fn not_really_scanned() {} let x = 1; }\n\
-                   pub mod lexer;\n";
+                   pub mod token;\n";
         let items = parse_src(src);
         let got: Vec<(&str, &str)> = items
             .pub_items
@@ -705,7 +705,7 @@ mod tests {
                 ("const", "MAX"),
                 ("use", "lint_source"),
                 ("use", "F"),
-                ("mod", "lexer"),
+                ("mod", "token"),
             ],
             "{got:?}"
         );

@@ -47,7 +47,6 @@ pub mod callgraph;
 pub mod cfg;
 mod dataflow;
 pub mod items;
-pub mod lexer;
 mod locks;
 pub mod passes;
 pub mod roots;

@@ -1,23 +1,19 @@
-//! A spanned tokenizer over the same classification semantics as
-//! [`crate::lexer::scrub`].
+//! A spanned tokenizer: the one place the linter decides where code
+//! ends and comment or literal text begins.
 //!
-//! Where `scrub` answers "which bytes are comment or literal text", this
-//! module answers "what *tokens* make up the code": identifiers,
-//! multi-byte punctuation (`::`, `->`, `<<=`, …), numeric literals with
-//! an int/float split, string/char literals (plain, raw, byte — with
-//! the body range that `scrub` would blank), lifetimes vs char
-//! literals, and comments. Every token carries exact byte spans, so the
-//! rule passes and the call-graph layer ([`crate::items`],
-//! [`crate::callgraph`]) report findings at exact positions instead of
-//! substring offsets.
+//! It answers "what *tokens* make up the code": identifiers, multi-byte
+//! punctuation (`::`, `->`, `<<=`, …), numeric literals with an
+//! int/float split, string/char literals (plain, raw, byte), lifetimes
+//! vs char literals, and comments. Every token carries exact byte
+//! spans, so the rule passes and the call-graph layer
+//! ([`crate::items`], [`crate::callgraph`]) report findings at exact
+//! positions instead of substring offsets, and never match text inside
+//! a comment or a literal.
 //!
-//! The two classifiers are written independently but must agree
-//! byte-for-byte: [`scrub_via_tokens`] replays a token stream back into
-//! a [`Scrubbed`], and `tests/token_parity.rs` pins it against
-//! `lexer::scrub` on PCG-generated tricky corpora (raw strings, nested
-//! block comments, lifetimes, char literals, escape-continued strings).
-
-use crate::lexer::Scrubbed;
+//! `tests/tokenizer.rs` pins the classification on a generated corpus
+//! of tricky syntax (raw strings, nested block comments, lifetimes,
+//! char literals, escape-continued strings) whose generator knows what
+//! each fragment it emits is.
 
 /// What a token is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -42,11 +38,8 @@ pub enum TokenKind {
     Punct,
 }
 
-/// One token. `lo..hi` is the byte span in the original source;
-/// `blank_lo..blank_hi` is the sub-range [`crate::lexer::scrub`] would
-/// blank (empty for non-literal tokens).
+/// One token. `lo..hi` is the byte span in the original source.
 #[derive(Debug, Clone, Copy)]
-// element of `Tokens::toks`. lint:allow(dead-pub)
 pub struct Token {
     /// Classification.
     pub kind: TokenKind,
@@ -54,10 +47,6 @@ pub struct Token {
     pub lo: usize,
     /// Span end (byte offset, exclusive).
     pub hi: usize,
-    /// Start of the comment text / literal body that scrub blanks.
-    pub blank_lo: usize,
-    /// End of that range (exclusive).
-    pub blank_hi: usize,
 }
 
 impl Token {
@@ -119,9 +108,7 @@ const PUNCT2: &[&str] = &[
     "^=", "&=", "|=", "..",
 ];
 
-/// Tokenizes `source`. The classification of every byte (code vs
-/// comment vs literal body) is identical to [`crate::lexer::scrub`];
-/// the parity suite pins this.
+/// Tokenizes `source`.
 pub fn tokenize(source: &str) -> Tokens {
     let src = source.as_bytes();
     let mut line_starts = vec![0usize];
@@ -150,8 +137,6 @@ pub fn tokenize(source: &str) -> Tokens {
                 kind: TokenKind::LineComment,
                 lo: start,
                 hi: i,
-                blank_lo: start,
-                blank_hi: i,
             });
             continue;
         }
@@ -176,8 +161,6 @@ pub fn tokenize(source: &str) -> Tokens {
                 kind: TokenKind::BlockComment,
                 lo: start,
                 hi: end,
-                blank_lo: start,
-                blank_hi: end,
             });
             continue;
         }
@@ -202,8 +185,7 @@ pub fn tokenize(source: &str) -> Tokens {
                     j += 1;
                 }
                 if src.get(j) == Some(&b'"') {
-                    let body_start = j + 1;
-                    let mut k = body_start;
+                    let mut k = j + 1;
                     let end;
                     loop {
                         match src.get(k) {
@@ -223,8 +205,6 @@ pub fn tokenize(source: &str) -> Tokens {
                         kind: TokenKind::Str,
                         lo: i,
                         hi: past,
-                        blank_lo: body_start,
-                        blank_hi: end,
                     });
                     i = past;
                     continue;
@@ -237,23 +217,17 @@ pub fn tokenize(source: &str) -> Tokens {
                     kind: TokenKind::Char,
                     lo: i,
                     hi: end,
-                    blank_lo: i + 2,
-                    blank_hi: end.saturating_sub(1),
                 });
                 i = end;
                 continue;
             }
-            // b"…" plain byte string: scrub treats the `b` as code and
-            // the quote via the plain-string arm; one Str token here
-            // classifies the same bytes.
+            // b"…" plain byte string.
             if b == b'b' && src.get(i + 1) == Some(&b'"') {
-                let (end, past) = scan_plain_string(src, i + 1);
+                let past = scan_plain_string(src, i + 1);
                 toks.push(Token {
                     kind: TokenKind::Str,
                     lo: i,
                     hi: past,
-                    blank_lo: i + 2,
-                    blank_hi: end,
                 });
                 i = past;
                 continue;
@@ -261,13 +235,11 @@ pub fn tokenize(source: &str) -> Tokens {
         }
         // Plain string literal.
         if b == b'"' {
-            let (end, past) = scan_plain_string(src, i);
+            let past = scan_plain_string(src, i);
             toks.push(Token {
                 kind: TokenKind::Str,
                 lo: i,
                 hi: past,
-                blank_lo: i + 1,
-                blank_hi: end,
             });
             i = past;
             continue;
@@ -279,8 +251,6 @@ pub fn tokenize(source: &str) -> Tokens {
                     kind: TokenKind::Char,
                     lo: i,
                     hi: end,
-                    blank_lo: i + 1,
-                    blank_hi: end.saturating_sub(1),
                 });
                 i = end;
                 continue;
@@ -295,20 +265,15 @@ pub fn tokenize(source: &str) -> Tokens {
                     kind: TokenKind::Lifetime,
                     lo: i,
                     hi: k,
-                    blank_lo: i,
-                    blank_hi: i,
                 });
                 i = k;
                 continue;
             }
-            // A bare `'` (not valid Rust): single punct, like scrub
-            // leaving it as code.
+            // A bare `'` (not valid Rust): single punct.
             toks.push(Token {
                 kind: TokenKind::Punct,
                 lo: i,
                 hi: i + 1,
-                blank_lo: i,
-                blank_hi: i,
             });
             i += 1;
             continue;
@@ -324,8 +289,6 @@ pub fn tokenize(source: &str) -> Tokens {
                 },
                 lo: i,
                 hi: end,
-                blank_lo: i,
-                blank_hi: i,
             });
             i = end;
             continue;
@@ -340,8 +303,6 @@ pub fn tokenize(source: &str) -> Tokens {
                 kind: TokenKind::Ident,
                 lo: i,
                 hi: k,
-                blank_lo: i,
-                blank_hi: i,
             });
             i = k;
             continue;
@@ -359,17 +320,15 @@ pub fn tokenize(source: &str) -> Tokens {
             kind: TokenKind::Punct,
             lo: i,
             hi: (i + len).min(src.len()),
-            blank_lo: i,
-            blank_hi: i,
         });
         i += len;
     }
     Tokens { toks, line_starts }
 }
 
-/// Scans a plain (or byte) string whose opening quote is at `quote`;
-/// returns `(closing_quote_or_eof, index_past_token)`.
-fn scan_plain_string(src: &[u8], quote: usize) -> (usize, usize) {
+/// Index just past a plain (or byte) string whose opening quote is at
+/// `quote` (clamped at EOF when unterminated).
+fn scan_plain_string(src: &[u8], quote: usize) -> usize {
     let mut k = quote + 1;
     loop {
         match src.get(k) {
@@ -379,12 +338,11 @@ fn scan_plain_string(src: &[u8], quote: usize) -> (usize, usize) {
             Some(_) => k += 1,
         }
     }
-    let end = k.min(src.len());
-    (end, (end + 1).min(src.len()))
+    (k + 1).min(src.len())
 }
 
 /// Index just past a char literal whose opening `'` is at `quote`
-/// (mirrors `lexer::scan_char_literal`).
+/// (clamped at EOF / end of line).
 fn scan_char_end(src: &[u8], quote: usize) -> usize {
     let mut k = quote + 1;
     if src.get(k) == Some(&b'\\') {
@@ -397,7 +355,7 @@ fn scan_char_end(src: &[u8], quote: usize) -> usize {
 }
 
 /// `Some(end)` if the `'` at `start` begins a char literal rather than
-/// a lifetime (mirrors `lexer::try_char_literal`).
+/// a lifetime.
 fn try_char_end(src: &[u8], start: usize) -> Option<usize> {
     let next = *src.get(start + 1)?;
     if next == b'\\' {
@@ -493,30 +451,10 @@ fn utf8_len(first: u8) -> usize {
     }
 }
 
-/// Replays a token stream into a [`Scrubbed`]: blanks every token's
-/// `blank_lo..blank_hi` (newlines preserved) and rebuilds the per-line
-/// comment table from comment tokens. The parity suite asserts this
-/// equals [`crate::lexer::scrub`] byte-for-byte on arbitrary input.
-pub fn scrub_via_tokens(source: &str) -> Scrubbed {
-    let tokens = tokenize(source);
-    let mut out = source.as_bytes().to_vec();
-    for t in &tokens.toks {
-        for b in &mut out[t.blank_lo..t.blank_hi] {
-            if *b != b'\n' {
-                *b = b' ';
-            }
-        }
-    }
-    Scrubbed {
-        code: String::from_utf8(out).expect("blanking preserves UTF-8"),
-        comments: comments_by_line(source, &tokens),
-    }
-}
-
 /// Per-line comment text (0-indexed by line), rebuilt from the comment
 /// tokens: each line's segment of a multi-line block comment is
-/// attributed to its own line, exactly as `lexer::scrub` does. The
-/// suppression table ([`crate::rules`]) is built from this.
+/// attributed to its own line. The suppression table
+/// ([`crate::rules`]) is built from this.
 pub(crate) fn comments_by_line(source: &str, tokens: &Tokens) -> Vec<String> {
     let mut comments = vec![String::new(); tokens.line_count()];
     for t in &tokens.toks {
@@ -652,22 +590,5 @@ mod tests {
         assert_eq!(t.line_of(3), 2);
         assert_eq!(t.col_of(6), 4); // "ef"
         assert_eq!(t.line_count(), 3);
-    }
-
-    #[test]
-    fn scrub_via_tokens_matches_scrub_on_basics() {
-        for src in [
-            "let x = 1; // HashMap here\nlet y = \"Instant::now\";\n",
-            "a /* one /* two */ still */ b\nc /* x\ny */ d\n",
-            r###"let x = r#"Instant " inside"# + 1;"###,
-            r"let c = 'x'; let n = '\n'; fn f<'a>(s: &'a str) {} 'outer: loop {}",
-            "let var_b = 1; let s = \"x\"; attr_r#try;",
-            "let a = b\"SystemTime\"; let b = b'\\n'; let br2 = br#x;",
-        ] {
-            let a = crate::lexer::scrub(src);
-            let b = scrub_via_tokens(src);
-            assert_eq!(a.code, b.code, "code mismatch for {src:?}");
-            assert_eq!(a.comments, b.comments, "comment mismatch for {src:?}");
-        }
     }
 }

@@ -55,7 +55,6 @@ impl Default for ServeOptions {
 
 /// Final accounting from a serve run.
 #[derive(Debug, Clone, PartialEq, Eq)]
-// return type of `serve_blocking`. lint:allow(dead-pub)
 pub struct ServeOutcome {
     /// Responses emitted (replies + rejects).
     pub responses: u64,

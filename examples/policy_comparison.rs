@@ -9,10 +9,8 @@
 //! cargo run --release --example policy_comparison
 //! ```
 
-use reappearance_lb::core::policies::{
-    DelayedCuckoo, Greedy, OneChoice, RoundRobin, TimeStepIsolated, UniformRandom,
-};
-use reappearance_lb::core::{DrainMode, RunReport, SimConfig, Simulation, Workload};
+use reappearance_lb::core::policies::{with_policy, PolicyVisitor};
+use reappearance_lb::core::{DrainMode, Policy, RunReport, SimConfig, Simulation, Workload};
 use reappearance_lb::workloads::{FreshRandom, PartialRepeat, RepeatedSet};
 
 fn base_config(m: usize, seed: u64) -> SimConfig {
@@ -38,46 +36,30 @@ fn make_workload(kind: &str, m: usize, seed: u64) -> Box<dyn Workload> {
     }
 }
 
+struct Run {
+    config: SimConfig,
+    workload: Box<dyn Workload>,
+    steps: u64,
+}
+
+impl PolicyVisitor for Run {
+    type Out = RunReport;
+    fn visit<P: Policy>(mut self, policy: P) -> RunReport {
+        let mut sim = Simulation::new(self.config, policy);
+        sim.run(self.workload.as_mut(), self.steps);
+        sim.finish()
+    }
+}
+
 fn run_policy(name: &str, m: usize, steps: u64, workload_kind: &str) -> RunReport {
     let config = base_config(m, 31);
-    let mut workload = make_workload(workload_kind, m, 17);
-    match name {
-        "greedy" => {
-            let mut sim = Simulation::new(config, Greedy::new());
-            sim.run(workload.as_mut(), steps);
-            sim.finish()
-        }
-        "delayed-cuckoo" => {
-            let policy = DelayedCuckoo::new(&config);
-            let mut sim = Simulation::new(config, policy);
-            sim.run(workload.as_mut(), steps);
-            sim.finish()
-        }
-        "one-choice" => {
-            let mut sim = Simulation::new(config, OneChoice::new());
-            sim.run(workload.as_mut(), steps);
-            sim.finish()
-        }
-        "uniform-random" => {
-            let policy = UniformRandom::new(5);
-            let mut sim = Simulation::new(config, policy);
-            sim.run(workload.as_mut(), steps);
-            sim.finish()
-        }
-        "round-robin" => {
-            let policy = RoundRobin::new(config.num_chunks);
-            let mut sim = Simulation::new(config, policy);
-            sim.run(workload.as_mut(), steps);
-            sim.finish()
-        }
-        "step-isolated" => {
-            let policy = TimeStepIsolated::new(config.num_servers);
-            let mut sim = Simulation::new(config, policy);
-            sim.run(workload.as_mut(), steps);
-            sim.finish()
-        }
-        _ => unreachable!(),
-    }
+    let run = Run {
+        config: config.clone(),
+        workload: make_workload(workload_kind, m, 17),
+        steps,
+    };
+    // The salt makes uniform-random draw from stream 5 whatever the seed.
+    with_policy(name, &config, config.seed ^ 5, run).expect("a registered policy at d = 2")
 }
 
 fn main() {
