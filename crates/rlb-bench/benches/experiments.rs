@@ -13,12 +13,9 @@ fn main() {
     let mut h = Harness::new();
     // A representative spread: positive result, substrate, lower bound.
     for id in ["e5", "e6", "e10", "e11"] {
-        let (_, _, runner) = *registry()
-            .iter()
-            .find(|&&(rid, _, _)| rid == id)
-            .expect("registry id");
+        let experiment = *registry().iter().find(|e| e.id == id).expect("registry id");
         h.bench("experiments_quick", id, None, || {
-            let out = runner(true);
+            let out = experiment.run(true);
             assert!(out.all_passed());
             out.tables.len()
         });

@@ -292,36 +292,6 @@ impl AtomicUsize {
         self.point("fetch_add", order, Location::caller());
         self.inner.fetch_add(v, Ordering::SeqCst)
     }
-
-    /// Atomic subtract returning the previous value.
-    #[track_caller]
-    pub fn fetch_sub(&self, v: usize, order: Ordering) -> usize {
-        self.point("fetch_sub", order, Location::caller());
-        self.inner.fetch_sub(v, Ordering::SeqCst)
-    }
-
-    /// Atomic read-modify-write via closure — a CAS retry loop in
-    /// `std`, indivisible (one decision point) under the model.
-    #[track_caller]
-    pub fn fetch_update<F>(
-        &self,
-        set_order: Ordering,
-        fetch_order: Ordering,
-        f: F,
-    ) -> Result<usize, usize>
-    where
-        F: FnMut(usize) -> Option<usize>,
-    {
-        let loc = Location::caller();
-        let (rt, me) = rt::ctx();
-        let id = self.id.get(&rt, || rt.new_atomic());
-        rt.atomic_point(
-            me,
-            format!("a{id}.fetch_update ({set_order:?}/{fetch_order:?}) [{loc}]"),
-        );
-        self.inner
-            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, f)
-    }
 }
 
 // ------------------------------------------------------------ OnceLock

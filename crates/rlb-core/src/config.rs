@@ -98,6 +98,24 @@ impl SimConfig {
         }
     }
 
+    /// The model's four parameters spelled out — `m` servers, degree
+    /// `d`, rate `g`, capacity `q` — over `n = 4m` chunks with
+    /// end-of-step drain, no flush and no safety sampling: the point
+    /// the ablations and extensions start from.
+    pub fn explicit(num_servers: usize, d: usize, g: u32, q: u32) -> Self {
+        Self {
+            num_servers,
+            num_chunks: 4 * num_servers,
+            replication: d,
+            process_rate: g,
+            queue_capacity: q,
+            flush_interval: None,
+            drain_mode: DrainMode::EndOfStep,
+            seed: 0,
+            safety_check_every: None,
+        }
+    }
+
     /// Sets the seed (builder style).
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;

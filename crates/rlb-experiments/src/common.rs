@@ -1,8 +1,10 @@
 //! Shared machinery for the experiment suite.
 
 use rlb_core::policies::{with_policy, PolicyVisitor};
-use rlb_core::{Observer, Policy, RunReport, SimConfig, Simulation, Workload};
-use rlb_kv::runner::{default_threads, run_trials};
+use rlb_core::{
+    NullObserver, Observer, OutageSchedule, Policy, RunReport, SimConfig, Simulation, Workload,
+};
+use rlb_hash::ReplicaPlacement;
 
 /// The policies the experiments compare. Dispatch is by enum so sweeps
 /// can iterate over policies uniformly.
@@ -45,44 +47,88 @@ impl PolicyKind {
         PolicyKind::RoundRobin,
         PolicyKind::TimeStepIsolated,
     ];
+}
 
-    /// Runs `steps` steps of `workload` under this policy and returns
-    /// the report.
-    pub fn run(self, config: SimConfig, workload: &mut dyn Workload, steps: u64) -> RunReport {
-        self.run_observed(config, workload, steps, &mut rlb_core::NullObserver)
+/// One engine run as data: what to simulate, under which policy, on
+/// which requests. [`Scenario::run`] is the suite's only way into the
+/// engine for a registry policy, so every such run is built the same
+/// way and conservation-checked.
+pub(crate) struct Scenario<'a> {
+    config: SimConfig,
+    policy: PolicyKind,
+    workload: Box<dyn Workload + 'a>,
+    placement: Option<ReplicaPlacement>,
+    outages: OutageSchedule,
+    observer: Option<&'a mut dyn Observer>,
+}
+
+impl<'a> Scenario<'a> {
+    /// `workload` under `policy` on the cluster `config` describes, with
+    /// the seeded random placement, no outages and no observer.
+    pub fn new(config: SimConfig, policy: PolicyKind, workload: impl Workload + 'a) -> Self {
+        Self {
+            config,
+            policy,
+            workload: Box::new(workload),
+            placement: None,
+            outages: OutageSchedule::none(),
+            observer: None,
+        }
     }
 
-    /// As [`PolicyKind::run`] with an observer attached.
-    pub fn run_observed(
-        self,
-        config: SimConfig,
-        workload: &mut dyn Workload,
-        steps: u64,
-        observer: &mut dyn Observer,
-    ) -> RunReport {
-        struct Run<'a> {
-            config: SimConfig,
-            workload: &'a mut dyn Workload,
-            steps: u64,
-            observer: &'a mut dyn Observer,
-        }
+    /// Replaces the seeded random placement (E7's planted collision).
+    pub fn placement(mut self, placement: ReplicaPlacement) -> Self {
+        self.placement = Some(placement);
+        self
+    }
+
+    /// Takes servers down on a schedule (E15).
+    pub fn outages(mut self, outages: OutageSchedule) -> Self {
+        self.outages = outages;
+        self
+    }
+
+    /// Attaches an observer for measurements the report does not carry.
+    pub fn observer(mut self, observer: &'a mut dyn Observer) -> Self {
+        self.observer = Some(observer);
+        self
+    }
+
+    /// Runs `steps` steps and returns the conservation-checked report.
+    pub fn run(self, steps: u64) -> RunReport {
+        struct Run<'a>(Scenario<'a>, u64);
         impl PolicyVisitor for Run<'_> {
             type Out = RunReport;
             fn visit<P: Policy>(self, policy: P) -> RunReport {
-                let mut sim = Simulation::new(self.config, policy);
-                sim.run_observed(self.workload, self.steps, self.observer);
+                let Run(scenario, steps) = self;
+                let mut sim = match scenario.placement {
+                    Some(placement) => {
+                        Simulation::with_placement(scenario.config, policy, placement)
+                    }
+                    None => Simulation::new(scenario.config, policy),
+                }
+                .with_outages(scenario.outages);
+                let mut workload = scenario.workload;
+                let mut silent = NullObserver;
+                let observer = scenario.observer.unwrap_or(&mut silent);
+                sim.run_observed(workload.as_mut(), steps, observer);
                 sim.finish()
             }
         }
-        let run = Run {
-            config: config.clone(),
-            workload,
-            steps,
-            observer,
-        };
+        let (name, config) = (self.policy.name(), self.config.clone());
         // 0x9e is the stream `results/*.json` were produced with.
-        with_policy(self.name(), &config, 0x9e, run).expect("a PolicyKind names a valid policy")
+        let report = with_policy(name, &config, 0x9e, Run(self, steps))
+            .expect("a PolicyKind names a policy its config admits");
+        conserved(report)
     }
+}
+
+/// Passes a report on only if every arrived request is accounted for.
+pub(crate) fn conserved(report: RunReport) -> RunReport {
+    if let Err(broken) = report.check_conservation() {
+        panic!("conservation violated: {broken}");
+    }
+    report
 }
 
 /// Aggregate of several independent trials of the same configuration.
@@ -112,34 +158,34 @@ pub(crate) struct Aggregate {
     pub worst_safety_ratio: f64,
 }
 
-/// Runs `trials` seeded trials in parallel and aggregates.
+/// Runs the `rows x cols` grid of scenarios, `trials` seeded trials a
+/// cell, and returns one [`Aggregate`] per cell, row-major.
 ///
-/// `make` receives the trial index and must build `(config, workload)`
-/// deriving all randomness from it. Trials run as jobs on the global
-/// [`rlb_pool`] executor (nested inside a parallel sweep row is fine).
-pub fn aggregate_trials<F>(trials: usize, policy: PolicyKind, steps: u64, make: F) -> Aggregate
+/// `make(row, col, trial)` must derive all randomness from its
+/// arguments. Every trial of every cell is one job of a single batch on
+/// the global [`rlb_pool`] executor, and a cell pools its trials in
+/// index order, so the result equals the nested serial loops bit for
+/// bit.
+pub(crate) fn grid<R, C, F>(
+    rows: &[R],
+    cols: &[C],
+    trials: usize,
+    steps: u64,
+    make: F,
+) -> Vec<Aggregate>
 where
-    F: Fn(usize) -> (SimConfig, Box<dyn Workload + Send>) + Send + Sync + 'static,
+    R: Clone + Send + Sync + 'static,
+    C: Clone + Send + Sync + 'static,
+    F: Fn(&R, &C, usize) -> Scenario<'static> + Send + Sync + 'static,
 {
-    let reports = run_trials(trials, default_threads(), move |i| {
-        let (config, mut workload) = make(i);
-        policy.run(config, workload.as_mut(), steps)
+    assert!(trials > 0, "need at least one trial per cell");
+    let (rows, cols) = (rows.to_vec(), cols.to_vec());
+    let per_row = cols.len() * trials;
+    let reports = rlb_pool::global().map_indexed(rows.len() * per_row, move |job| {
+        let (row, col, trial) = (job / per_row, job % per_row / trials, job % trials);
+        make(&rows[row], &cols[col], trial).run(steps)
     });
-    summarize(&reports)
-}
-
-/// Maps `f` over independent sweep rows on the global [`rlb_pool`]
-/// executor, returning results in row order — the parallel replacement
-/// for the serial `for row in rows` loop around a table. Rows must derive all
-/// randomness from their parameters (house seeding style), so the
-/// output is bit-identical to the serial loop.
-pub(crate) fn par_rows<I, T, F>(rows: Vec<I>, f: F) -> Vec<T>
-where
-    I: Send + Sync + 'static,
-    T: Send + 'static,
-    F: Fn(&I) -> T + Send + Sync + 'static,
-{
-    rlb_pool::global().map(rows, f)
+    reports.chunks(trials).map(summarize).collect()
 }
 
 /// Pools a set of reports into an [`Aggregate`].
@@ -162,7 +208,6 @@ pub(crate) fn summarize(reports: &[RunReport]) -> Aggregate {
     let mut safety_samples = 0u64;
     let mut safety_violations = 0u64;
     for r in reports {
-        r.check_conservation().expect("conservation");
         agg.rejection_rate += r.rejection_rate / n;
         let routing_rej = r.rejected_total - r.rejected_flush;
         agg.routing_rejection_rate += if r.arrived > 0 {
@@ -259,19 +304,31 @@ mod tests {
     }
 
     #[test]
-    fn aggregate_trials_runs_in_parallel_and_is_deterministic() {
-        let run = || {
-            aggregate_trials(4, PolicyKind::Greedy, 30, |i| {
-                let config = SimConfig::baseline(64).with_seed(i as u64);
-                let workload = RepeatedSet::first_k(64, i as u64 + 100);
-                (config, Box::new(workload) as Box<dyn Workload + Send>)
-            })
+    fn grid_equals_the_nested_serial_loops_row_major() {
+        let make = |&m: &usize, &policy: &PolicyKind, i: usize| {
+            let config = SimConfig::baseline(m).with_seed(i as u64);
+            Scenario::new(config, policy, RepeatedSet::first_k(m32(m), i as u64 + 100))
         };
-        let a = run();
-        let b = run();
-        assert_eq!(a, b);
-        assert_eq!(a.trials, 4);
-        assert!(a.rejection_rate >= 0.0 && a.rejection_rate <= 1.0);
+        let (rows, cols) = ([32usize, 64], [PolicyKind::Greedy, PolicyKind::OneChoice]);
+        let mut serial = Vec::new();
+        for m in &rows {
+            for policy in &cols {
+                let reports: Vec<RunReport> = (0..2).map(|i| make(m, policy, i).run(30)).collect();
+                serial.push(summarize(&reports));
+            }
+        }
+        assert_eq!(grid(&rows, &cols, 2, 30, make), serial);
+        assert!(serial.iter().all(|cell| cell.trials == 2));
+        // Cells differ (d = 2 greedy vs first-replica-only), so an
+        // order mix-up could not pass the equality above.
+        assert_ne!(serial[0], serial[1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "conservation violated")]
+    fn a_report_that_loses_requests_is_refused() {
+        // Five requests in flight that never arrived.
+        conserved(rlb_core::RunStats::new().finish(1, 5));
     }
 
     #[test]

@@ -9,15 +9,15 @@
 //! the queue size), and expected average latency `O(1)` (independent of
 //! `m`).
 
-use crate::common::{self, PolicyKind};
-use crate::{Check, ExperimentOutput};
-use rlb_core::{DrainMode, SimConfig, Workload};
+use crate::common::{self, PolicyKind, Scenario};
+use crate::{Check, Findings};
+use rlb_core::{DrainMode, SimConfig};
 use rlb_metrics::table::{fmt_f, fmt_rate, fmt_u};
 use rlb_metrics::Table;
 use rlb_workloads::RepeatedSet;
 
 /// Runs the experiment.
-pub fn run(quick: bool) -> ExperimentOutput {
+pub fn run(quick: bool) -> Findings {
     let mut table = Table::new(
         "Greedy under the repeated-set adversary (q=log2(m)+1)",
         &[
@@ -37,26 +37,22 @@ pub fn run(quick: bool) -> ExperimentOutput {
     let steps = common::step_count(quick);
     // Two parameter points: the theorem's generous constants (d=4, g=8)
     // and a tight rate (d=2, g=2, load factor 1/2) that actually
-    // exercises the queues — the guarantees must hold at both. Rows are
-    // independent, so they run as pool jobs; results come back in row
-    // order, keeping the table identical to the serial loop.
+    // exercises the queues — the guarantees must hold at both.
     let params: Vec<(usize, usize, u32)> = common::m_sweep(quick)
         .into_iter()
         .flat_map(|m| [(m, 4usize, 8u32), (m, 2, 2)])
         .collect();
-    let computed = common::par_rows(params, move |&(m, d, g)| {
-        let agg = common::aggregate_trials(trials, PolicyKind::Greedy, steps, move |i| {
-            let mut config =
-                SimConfig::greedy_theorem(m, d, g, 2.0).with_seed(i as u64 * 7919 + g as u64);
-            config.flush_interval = None; // flush cost isolated in E14
-            config.drain_mode = DrainMode::Interleaved;
-            let workload = RepeatedSet::first_k(common::m32(m), 31 + i as u64);
-            (config, Box::new(workload) as Box<dyn Workload + Send>)
-        });
-        (m, d, g, agg)
+    let greedy = [PolicyKind::Greedy];
+    let cells = common::grid(&params, &greedy, trials, steps, |&(m, d, g), &policy, i| {
+        let mut config =
+            SimConfig::greedy_theorem(m, d, g, 2.0).with_seed(i as u64 * 7919 + g as u64);
+        config.flush_interval = None; // flush cost isolated in E14
+        config.drain_mode = DrainMode::Interleaved;
+        let workload = RepeatedSet::first_k(common::m32(m), 31 + i as u64);
+        Scenario::new(config, policy, workload)
     });
     let mut rows = Vec::new();
-    for (m, d, g, agg) in computed {
+    for ((m, d, g), agg) in params.into_iter().zip(cells) {
         let q = common::ceil_u32(common::log2(m)) + 1;
         table.row(vec![
             fmt_u(m as u64),
@@ -118,23 +114,5 @@ pub fn run(quick: bool) -> ExperimentOutput {
             .collect::<Vec<_>>()
             .join(", "),
     ));
-    ExperimentOutput {
-        id: "E1",
-        title: "Theorem 3.1: greedy guarantees",
-        tables: vec![table],
-        checks,
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn quick_run_passes_all_shape_checks() {
-        let out = run(true);
-        assert!(out.all_passed(), "failed checks:\n{}", out.render());
-        assert_eq!(out.tables.len(), 1);
-        assert!(!out.tables[0].is_empty());
-    }
+    (vec![table], checks)
 }

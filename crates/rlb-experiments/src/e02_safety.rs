@@ -10,15 +10,15 @@
 //! * the *minimal slack*: `max_j #(backlog>j)/(m/2^j)` — how close the
 //!   empirical tail sails to the `m/2^j` envelope.
 
-use crate::common::{self, PolicyKind};
-use crate::{Check, ExperimentOutput};
-use rlb_core::{DrainMode, SimConfig, Workload};
+use crate::common::{self, PolicyKind, Scenario};
+use crate::{Check, Findings};
+use rlb_core::{DrainMode, SimConfig};
 use rlb_metrics::table::{fmt_f, fmt_rate, fmt_u};
 use rlb_metrics::Table;
 use rlb_workloads::{PartialRepeat, RepeatedSet};
 
 /// Runs the experiment.
-pub fn run(quick: bool) -> ExperimentOutput {
+pub fn run(quick: bool) -> Findings {
     let trials = common::trial_count(quick);
     let steps = common::step_count(quick);
     let mut table = Table::new(
@@ -38,41 +38,51 @@ pub fn run(quick: bool) -> ExperimentOutput {
     let mut count = 0usize;
     // Two parameter points, as in E1: the theorem constants and a tight
     // rate whose backlog distribution has a real tail to check.
-    for m in common::m_sweep(quick) {
-        for (d, g) in [(4usize, 8u32), (2, 2)] {
-            for repeated in [true, false] {
-                let agg = common::aggregate_trials(trials, PolicyKind::Greedy, steps, move |i| {
-                    let mut config = SimConfig::greedy_theorem(m, d, g, 2.0)
-                        .with_seed(0xe2 + i as u64 * 101 + g as u64);
-                    config.flush_interval = None;
-                    config.drain_mode = DrainMode::Interleaved;
-                    config.safety_check_every = Some(1);
-                    let seed = 77 + i as u64;
-                    let workload: Box<dyn Workload + Send> = if repeated {
-                        Box::new(RepeatedSet::first_k(common::m32(m), seed))
-                    } else {
-                        Box::new(PartialRepeat::new(4 * m as u64, m, 0.5, seed))
-                    };
-                    (config, workload)
-                });
-                table.row(vec![
-                    if repeated {
-                        "repeated-set"
-                    } else {
-                        "half-repeat"
-                    }
-                    .to_string(),
-                    fmt_u(m as u64),
-                    fmt_u(d as u64),
-                    fmt_u(g as u64),
-                    fmt_rate(agg.safety_violation_rate),
-                    fmt_f(agg.worst_safety_ratio, 3),
-                    fmt_u(agg.max_backlog),
-                ]);
-                worst_overall = worst_overall.max(agg.worst_safety_ratio);
-                total_violation_rate += agg.safety_violation_rate;
-                count += 1;
+    let params: Vec<(usize, usize, u32)> = common::m_sweep(quick)
+        .into_iter()
+        .flat_map(|m| [(m, 4usize, 8u32), (m, 2, 2)])
+        .collect();
+    let workloads = [true, false]; // repeated set, then half-repeat
+    let cells = common::grid(
+        &params,
+        &workloads,
+        trials,
+        steps,
+        |&(m, d, g), &repeated, i| {
+            let mut config =
+                SimConfig::greedy_theorem(m, d, g, 2.0).with_seed(0xe2 + i as u64 * 101 + g as u64);
+            config.flush_interval = None;
+            config.drain_mode = DrainMode::Interleaved;
+            config.safety_check_every = Some(1);
+            let seed = 77 + i as u64;
+            if repeated {
+                let workload = RepeatedSet::first_k(common::m32(m), seed);
+                Scenario::new(config, PolicyKind::Greedy, workload)
+            } else {
+                let workload = PartialRepeat::new(4 * m as u64, m, 0.5, seed);
+                Scenario::new(config, PolicyKind::Greedy, workload)
             }
+        },
+    );
+    for (&(m, d, g), row) in params.iter().zip(cells.chunks(workloads.len())) {
+        for (&repeated, agg) in workloads.iter().zip(row) {
+            table.row(vec![
+                if repeated {
+                    "repeated-set"
+                } else {
+                    "half-repeat"
+                }
+                .to_string(),
+                fmt_u(m as u64),
+                fmt_u(d as u64),
+                fmt_u(g as u64),
+                fmt_rate(agg.safety_violation_rate),
+                fmt_f(agg.worst_safety_ratio, 3),
+                fmt_u(agg.max_backlog),
+            ]);
+            worst_overall = worst_overall.max(agg.worst_safety_ratio);
+            total_violation_rate += agg.safety_violation_rate;
+            count += 1;
         }
     }
     table.note("worst-ratio <= 1 means every sampled snapshot satisfied Definition 3.2 exactly");
@@ -90,21 +100,5 @@ pub fn run(quick: bool) -> ExperimentOutput {
             format!("worst slack ratio {worst_overall:.3}"),
         ),
     ];
-    ExperimentOutput {
-        id: "E2",
-        title: "Definition 3.2 / Lemma 3.4: safe distribution",
-        tables: vec![table],
-        checks,
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn quick_run_passes_all_shape_checks() {
-        let out = run(true);
-        assert!(out.all_passed(), "failed checks:\n{}", out.render());
-    }
+    (vec![table], checks)
 }

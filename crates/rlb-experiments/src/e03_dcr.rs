@@ -9,15 +9,15 @@
 //! *shape* versus E1: queue occupancy and max latency scale with
 //! `log log m`, not `log m`.
 
-use crate::common::{self, PolicyKind};
-use crate::{Check, ExperimentOutput};
-use rlb_core::{SimConfig, Workload};
+use crate::common::{self, PolicyKind, Scenario};
+use crate::{Check, Findings};
+use rlb_core::SimConfig;
 use rlb_metrics::table::{fmt_f, fmt_rate, fmt_u};
 use rlb_metrics::Table;
 use rlb_workloads::RepeatedSet;
 
 /// Runs the experiment.
-pub fn run(quick: bool) -> ExperimentOutput {
+pub fn run(quick: bool) -> Findings {
     let trials = common::trial_count(quick);
     let steps = common::step_count(quick);
     let mut table = Table::new(
@@ -33,17 +33,15 @@ pub fn run(quick: bool) -> ExperimentOutput {
             "loglog(m)",
         ],
     );
-    // Each m is an independent pool job; row order is preserved.
-    let computed = common::par_rows(common::m_sweep(quick), move |&m| {
-        let agg = common::aggregate_trials(trials, PolicyKind::DelayedCuckoo, steps, move |i| {
-            let config = SimConfig::dcr_theorem(m, 16, 4).with_seed(0xe3 + i as u64 * 131);
-            let workload = RepeatedSet::first_k(common::m32(m), 97 + i as u64);
-            (config, Box::new(workload) as Box<dyn Workload + Send>)
-        });
-        (m, agg)
+    let ms = common::m_sweep(quick);
+    let dcr = [PolicyKind::DelayedCuckoo];
+    let cells = common::grid(&ms, &dcr, trials, steps, |&m, &policy, i| {
+        let config = SimConfig::dcr_theorem(m, 16, 4).with_seed(0xe3 + i as u64 * 131);
+        let workload = RepeatedSet::first_k(common::m32(m), 97 + i as u64);
+        Scenario::new(config, policy, workload)
     });
     let mut rows = Vec::new();
-    for (m, agg) in computed {
+    for (m, agg) in ms.into_iter().zip(cells) {
         let q = SimConfig::dcr_theorem(m, 16, 4).queue_capacity;
         table.row(vec![
             fmt_u(m as u64),
@@ -124,21 +122,5 @@ pub fn run(quick: bool) -> ExperimentOutput {
                 .join(", "),
         ));
     }
-    ExperimentOutput {
-        id: "E3",
-        title: "Theorem 4.3: delayed cuckoo routing",
-        tables: vec![table],
-        checks,
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn quick_run_passes_all_shape_checks() {
-        let out = run(true);
-        assert!(out.all_passed(), "failed checks:\n{}", out.render());
-    }
+    (vec![table], checks)
 }

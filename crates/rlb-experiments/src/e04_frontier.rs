@@ -16,29 +16,15 @@
 //! baseline needs strictly more, and (c) everything is monotone in `q`.
 //! The `Ω(log log m)` *floor* itself is exhibited directly by E6.
 
-use crate::common::{self, PolicyKind};
-use crate::{Check, ExperimentOutput};
-use rlb_core::{DrainMode, SimConfig, Workload};
+use crate::common::{self, PolicyKind, Scenario};
+use crate::{Check, Findings};
+use rlb_core::SimConfig;
 use rlb_metrics::table::{fmt_rate, fmt_u};
 use rlb_metrics::Table;
 use rlb_workloads::RepeatedSet;
 
-fn config_for(m: usize, q: u32, seed: u64) -> SimConfig {
-    SimConfig {
-        num_servers: m,
-        num_chunks: 4 * m,
-        replication: 2,
-        process_rate: 16,
-        queue_capacity: q,
-        flush_interval: None,
-        drain_mode: DrainMode::EndOfStep,
-        seed,
-        safety_check_every: Some(4),
-    }
-}
-
 /// Runs the experiment.
-pub fn run(quick: bool) -> ExperimentOutput {
+pub fn run(quick: bool) -> Findings {
     let m = if quick { 1024 } else { 4096 };
     let trials = common::trial_count(quick);
     let steps = common::step_count(quick);
@@ -56,28 +42,19 @@ pub fn run(quick: bool) -> ExperimentOutput {
         PolicyKind::DelayedCuckoo,
         PolicyKind::UniformRandom,
     ];
-    // Every (q, policy) cell is independent; compute them all as pool
-    // jobs, then assemble the table serially in sweep order.
-    let params: Vec<(u32, PolicyKind)> = qs
-        .iter()
-        .flat_map(|&q| policies.iter().map(move |&p| (q, p)))
-        .collect();
-    let cells = common::par_rows(params, move |&(q, policy)| {
-        let agg = common::aggregate_trials(trials, policy, steps, move |i| {
-            let config = config_for(m, q, 0xe4 + i as u64 * 151);
-            let workload = RepeatedSet::first_k(common::m32(m), 7 + i as u64);
-            (config, Box::new(workload) as Box<dyn Workload + Send>)
-        });
-        agg.rejection_rate
+    let cells = common::grid(&qs, &policies, trials, steps, move |&q, &policy, i| {
+        let mut config = SimConfig::explicit(m, 2, 16, q).with_seed(0xe4 + i as u64 * 151);
+        config.safety_check_every = Some(4);
+        let workload = RepeatedSet::first_k(common::m32(m), 7 + i as u64);
+        Scenario::new(config, policy, workload)
     });
     let mut per_policy: Vec<(PolicyKind, Vec<f64>)> =
         policies.iter().map(|&p| (p, Vec::new())).collect();
-    for (qi, &q) in qs.iter().enumerate() {
+    for (&q, cells) in qs.iter().zip(cells.chunks(policies.len())) {
         let mut row = vec![fmt_u(q as u64)];
-        for (pi, (_, rates)) in per_policy.iter_mut().enumerate() {
-            let rate = cells[qi * policies.len() + pi];
-            rates.push(rate);
-            row.push(fmt_rate(rate));
+        for ((_, rates), cell) in per_policy.iter_mut().zip(cells) {
+            rates.push(cell.rejection_rate);
+            row.push(fmt_rate(cell.rejection_rate));
         }
         table.row(row);
     }
@@ -122,21 +99,5 @@ pub fn run(quick: bool) -> ExperimentOutput {
             "checked pointwise along the sweep".to_string(),
         ),
     ];
-    ExperimentOutput {
-        id: "E4",
-        title: "Queue-size frontier: greedy vs DCR",
-        tables: vec![table],
-        checks,
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn quick_run_passes_all_shape_checks() {
-        let out = run(true);
-        assert!(out.all_passed(), "failed checks:\n{}", out.render());
-    }
+    (vec![table], checks)
 }

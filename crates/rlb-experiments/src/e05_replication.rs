@@ -9,15 +9,15 @@
 //! phenomenon *does* survive reappearance dependencies (the paper's main
 //! positive message).
 
-use crate::common::{self, PolicyKind};
-use crate::{Check, ExperimentOutput};
-use rlb_core::{DrainMode, SimConfig, Workload};
+use crate::common::{self, PolicyKind, Scenario};
+use crate::{Check, Findings};
+use rlb_core::SimConfig;
 use rlb_metrics::table::{fmt_f, fmt_rate, fmt_u};
 use rlb_metrics::Table;
 use rlb_workloads::RepeatedSet;
 
 /// Runs the experiment.
-pub fn run(quick: bool) -> ExperimentOutput {
+pub fn run(quick: bool) -> Findings {
     let m = if quick { 512 } else { 2048 };
     let trials = common::trial_count(quick);
     let steps = common::step_count(quick);
@@ -28,24 +28,18 @@ pub fn run(quick: bool) -> ExperimentOutput {
         format!("Rejection rate vs replication degree (m = {m}, g = {g}, q = log2(m)+1)"),
         &["d", "reject-rate", "avg-lat", "max-backlog"],
     );
+    let ds = [1usize, 2, 3, 4];
+    let greedy = [PolicyKind::Greedy];
+    let cells = common::grid(&ds, &greedy, trials, steps, move |&d, &policy, i| {
+        let q = common::ceil_u32(common::log2(m)) + 1;
+        let mut config =
+            SimConfig::explicit(m, d, g, q).with_seed(0xe5 + i as u64 * 163 + d as u64 * 7);
+        config.safety_check_every = Some(4);
+        let workload = RepeatedSet::first_k(common::m32(m), 3 + i as u64);
+        Scenario::new(config, policy, workload)
+    });
     let mut rates = Vec::new();
-    for d in [1usize, 2, 3, 4] {
-        let agg = common::aggregate_trials(trials, PolicyKind::Greedy, steps, move |i| {
-            let q = common::ceil_u32(common::log2(m)) + 1;
-            let config = SimConfig {
-                num_servers: m,
-                num_chunks: 4 * m,
-                replication: d,
-                process_rate: g,
-                queue_capacity: q,
-                flush_interval: None,
-                drain_mode: DrainMode::EndOfStep,
-                seed: 0xe5 + i as u64 * 163 + d as u64 * 7,
-                safety_check_every: Some(4),
-            };
-            let workload = RepeatedSet::first_k(common::m32(m), 3 + i as u64);
-            (config, Box::new(workload) as Box<dyn Workload + Send>)
-        });
+    for (d, agg) in ds.into_iter().zip(cells) {
         table.row(vec![
             fmt_u(d as u64),
             fmt_rate(agg.rejection_rate),
@@ -76,21 +70,5 @@ pub fn run(quick: bool) -> ExperimentOutput {
             format!("d=1 {d1:.4} vs d=2 {d2:.2e}"),
         ),
     ];
-    ExperimentOutput {
-        id: "E5",
-        title: "d = 1 impossibility vs d >= 2",
-        tables: vec![table],
-        checks,
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn quick_run_passes_all_shape_checks() {
-        let out = run(true);
-        assert!(out.all_passed(), "failed checks:\n{}", out.render());
-    }
+    (vec![table], checks)
 }

@@ -12,15 +12,14 @@
 //!   slow — the floor no strategy can beat).
 
 use crate::common;
-use crate::{Check, ExperimentOutput};
+use crate::{Check, Findings};
 use rlb_ballsbins::{single_round_max_load, AlwaysGoLeft, GreedyD, OneChoice};
 use rlb_hash::Pcg64;
-use rlb_kv::runner::{default_threads, run_trials};
 use rlb_metrics::table::{fmt_f, fmt_u};
 use rlb_metrics::Table;
 
 /// Runs the experiment.
-pub fn run(quick: bool) -> ExperimentOutput {
+pub fn run(quick: bool) -> Findings {
     let trials = if quick { 3 } else { 9 };
     let ms: Vec<usize> = if quick {
         vec![1 << 10, 1 << 14]
@@ -42,8 +41,8 @@ pub fn run(quick: bool) -> ExperimentOutput {
     );
     // rows[i] = (m, [mean max load per strategy]); each m is an
     // independent pool job, assembled in sweep order below.
-    let computed = common::par_rows(ms.clone(), move |&m| {
-        let outcomes = run_trials(trials, default_threads(), move |i| {
+    let computed = rlb_pool::global().map(ms.clone(), move |&m| {
+        let outcomes = rlb_pool::global().map_indexed(trials, move |i| {
             let mut rng = Pcg64::new(0xe6 + i as u64, m as u64);
             [
                 single_round_max_load(&OneChoice, m, m, &mut rng) as f64,
@@ -133,21 +132,5 @@ pub fn run(quick: bool) -> ExperimentOutput {
             ),
         ),
     ];
-    ExperimentOutput {
-        id: "E6",
-        title: "Theorem 5.1: one-step max load lower bound",
-        tables: vec![table],
-        checks,
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn quick_run_passes_all_shape_checks() {
-        let out = run(true);
-        assert!(out.all_passed(), "failed checks:\n{}", out.render());
-    }
+    (vec![table], checks)
 }

@@ -13,17 +13,16 @@
 //!    confirm it decays polynomially in `m` (slope ≈ −(d−...) in
 //!    log-log), tying the mechanism back to the oblivious model.
 
-use crate::common::{self, PolicyKind};
-use crate::{Check, ExperimentOutput};
-use rlb_core::policies::{DelayedCuckoo, Greedy};
-use rlb_core::{DrainMode, SimConfig, Simulation, Workload};
+use crate::common::{self, PolicyKind, Scenario};
+use crate::{Check, Findings};
+use rlb_core::SimConfig;
 use rlb_metrics::table::{fmt_f, fmt_rate, fmt_u};
 use rlb_metrics::Table;
 use rlb_workloads::planted::{collision_probability_estimate, planted_collision_placement};
 use rlb_workloads::RepeatedSet;
 
 /// Runs the experiment.
-pub fn run(quick: bool) -> ExperimentOutput {
+pub fn run(quick: bool) -> Findings {
     let m = if quick { 256 } else { 1024 };
     let steps = common::step_count(quick);
     let d = 2usize;
@@ -39,34 +38,13 @@ pub fn run(quick: bool) -> ExperimentOutput {
     );
     let mut planted_rates = Vec::new();
     for policy in [PolicyKind::Greedy, PolicyKind::DelayedCuckoo] {
-        let config = SimConfig {
-            num_servers: m,
-            num_chunks: 4 * m,
-            replication: d,
-            process_rate: g,
-            queue_capacity: 8,
-            flush_interval: None,
-            drain_mode: DrainMode::EndOfStep,
-            seed: 0xe7,
-            safety_check_every: None,
-        };
+        let config = SimConfig::explicit(m, d, g, 8).with_seed(0xe7);
         let placement =
             planted_collision_placement(config.num_chunks, m, d, colliders, config.seed);
-        let mut workload = RepeatedSet::first_k(common::m32(m), 11);
-        let report = match policy {
-            PolicyKind::Greedy => {
-                let mut sim = Simulation::with_placement(config, Greedy::new(), placement);
-                sim.run(&mut workload as &mut dyn Workload, steps);
-                sim.finish()
-            }
-            PolicyKind::DelayedCuckoo => {
-                let policy = DelayedCuckoo::new(&config);
-                let mut sim = Simulation::with_placement(config, policy, placement);
-                sim.run(&mut workload as &mut dyn Workload, steps);
-                sim.finish()
-            }
-            _ => unreachable!(),
-        };
+        let workload = RepeatedSet::first_k(common::m32(m), 11);
+        let report = Scenario::new(config, policy, workload)
+            .placement(placement)
+            .run(steps);
         mech.row(vec![
             policy.name().to_string(),
             fmt_rate(report.rejection_rate),
@@ -135,21 +113,5 @@ pub fn run(quick: bool) -> ExperimentOutput {
             ),
         ),
     ];
-    ExperimentOutput {
-        id: "E7",
-        title: "Theorem 5.2: rejection-rate lower bound",
-        tables: vec![mech, prob],
-        checks,
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn quick_run_passes_all_shape_checks() {
-        let out = run(true);
-        assert!(out.all_passed(), "failed checks:\n{}", out.render());
-    }
+    (vec![mech, prob], checks)
 }

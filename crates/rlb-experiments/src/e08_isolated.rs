@@ -8,9 +8,9 @@
 //! effectively unbounded here (no rejections) so the measurement is the
 //! pure arrival-rate quantity of the lemma.
 
-use crate::common::{self, PolicyKind};
-use crate::{Check, ExperimentOutput};
-use rlb_core::{Decision, DrainMode, Observer, SimConfig, Workload};
+use crate::common::{self, PolicyKind, Scenario};
+use crate::{Check, Findings};
+use rlb_core::{Decision, Observer, SimConfig};
 use rlb_metrics::table::{fmt_f, fmt_u};
 use rlb_metrics::Table;
 use rlb_workloads::RepeatedSet;
@@ -29,7 +29,7 @@ impl Observer for ArrivalCounter {
 }
 
 /// Runs the experiment.
-pub fn run(quick: bool) -> ExperimentOutput {
+pub fn run(quick: bool) -> Findings {
     let steps = common::step_count(quick);
     let trials = common::trial_count(quick).min(3);
     let mut table = Table::new(
@@ -50,27 +50,15 @@ pub fn run(quick: bool) -> ExperimentOutput {
                 // drain is tight (g = 1 = average load) so that carried
                 // backlog is informative — the stateful baseline routes
                 // by it, the isolated strategy is blind to it.
-                let config = SimConfig {
-                    num_servers: m,
-                    num_chunks: 4 * m,
-                    replication: 2,
-                    process_rate: 1,
-                    queue_capacity: common::m32(steps as usize) * 8,
-                    flush_interval: None,
-                    drain_mode: DrainMode::EndOfStep,
-                    seed: 0xe8 + t as u64 * 173,
-                    safety_check_every: None,
-                };
+                let q = common::m32(steps as usize) * 8;
+                let config = SimConfig::explicit(m, 2, 1, q).with_seed(0xe8 + t as u64 * 173);
                 // The lemma fixes one sequence sigma and replays it
                 // verbatim every step.
-                let mut workload = RepeatedSet::first_k(common::m32(m), 5 + t as u64).fixed_order();
+                let workload = RepeatedSet::first_k(common::m32(m), 5 + t as u64).fixed_order();
                 let mut obs = ArrivalCounter { counts: vec![0; m] };
-                let report = policy.run_observed(
-                    config,
-                    &mut workload as &mut dyn Workload,
-                    steps,
-                    &mut obs,
-                );
+                let report = Scenario::new(config, policy, workload)
+                    .observer(&mut obs)
+                    .run(steps);
                 assert_eq!(
                     report.rejected_total, 0,
                     "queues were meant to be unbounded"
@@ -122,21 +110,5 @@ pub fn run(quick: bool) -> ExperimentOutput {
             ),
         ),
     ];
-    ExperimentOutput {
-        id: "E8",
-        title: "Lemma 5.3 / Corollary 5.4: time-step isolation",
-        tables: vec![table],
-        checks,
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn quick_run_passes_all_shape_checks() {
-        let out = run(true);
-        assert!(out.all_passed(), "failed checks:\n{}", out.render());
-    }
+    (vec![table], checks)
 }

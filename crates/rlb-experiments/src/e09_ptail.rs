@@ -7,9 +7,9 @@
 //! measure the empirical exceedance frequency for a range of `ℓ`,
 //! comparing against `e^{−ℓ}`.
 
-use crate::common::{self, PolicyKind};
-use crate::{Check, ExperimentOutput};
-use rlb_core::{Decision, Observer, SimConfig, Workload};
+use crate::common::{self, PolicyKind, Scenario};
+use crate::{Check, Findings};
+use rlb_core::{Decision, Observer, SimConfig};
 use rlb_metrics::table::{fmt_rate, fmt_u};
 use rlb_metrics::Table;
 use rlb_workloads::RepeatedSet;
@@ -35,24 +35,20 @@ impl Observer for PArrivals {
 }
 
 /// Runs the experiment.
-pub fn run(quick: bool) -> ExperimentOutput {
+pub fn run(quick: bool) -> Findings {
     let m = if quick { 256 } else { 1024 };
     let steps = common::step_count(quick);
     let g = 16u32;
     let config = SimConfig::dcr_theorem(m, g, 4).with_seed(0xe9);
-    let mut workload = RepeatedSet::first_k(common::m32(m), 17);
+    let workload = RepeatedSet::first_k(common::m32(m), 17);
     let mut obs = PArrivals {
         m,
         current: vec![0; m],
         per_step: Vec::with_capacity(steps as usize),
     };
-    let report = PolicyKind::DelayedCuckoo.run_observed(
-        config,
-        &mut workload as &mut dyn Workload,
-        steps,
-        &mut obs,
-    );
-    report.check_conservation().unwrap();
+    Scenario::new(config, PolicyKind::DelayedCuckoo, workload)
+        .observer(&mut obs)
+        .run(steps);
 
     // For each window length l we report the exceedance probability at
     // several thresholds tau = c*l. The lemma's threshold is g*l/4 = 4l,
@@ -156,21 +152,5 @@ pub fn run(quick: bool) -> ExperimentOutput {
             ),
         ),
     ];
-    ExperimentOutput {
-        id: "E9",
-        title: "Lemma 4.8: P-queue arrival tail",
-        tables: vec![table],
-        checks,
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn quick_run_passes_all_shape_checks() {
-        let out = run(true);
-        assert!(out.all_passed(), "failed checks:\n{}", out.render());
-    }
+    (vec![table], checks)
 }

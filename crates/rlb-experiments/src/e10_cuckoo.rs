@@ -14,13 +14,12 @@
 //!    tests in `rlb-cuckoo`).
 
 use crate::common;
-use crate::{Check, ExperimentOutput};
+use crate::{Check, Findings};
 use rlb_cuckoo::offline::validate_assignment;
 use rlb_cuckoo::{
     Choices, OfflineAssignment, RandomWalkAllocator, RoutingTable, TripartiteAssigner,
 };
 use rlb_hash::{Pcg64, Rng};
-use rlb_kv::runner::{default_threads, run_trials};
 use rlb_metrics::table::{fmt_f, fmt_rate, fmt_u};
 use rlb_metrics::Table;
 
@@ -31,7 +30,7 @@ fn random_items(m: usize, k: usize, rng: &mut Pcg64) -> Vec<Choices> {
 }
 
 /// Runs the experiment.
-pub fn run(quick: bool) -> ExperimentOutput {
+pub fn run(quick: bool) -> Findings {
     let trials = if quick { 60 } else { 400 };
     let ms: Vec<usize> = if quick {
         vec![512, 2048]
@@ -46,7 +45,7 @@ pub fn run(quick: bool) -> ExperimentOutput {
     );
     let mut tail_rows = Vec::new();
     for &m in &ms {
-        let stashes = run_trials(trials, default_threads(), move |i| {
+        let stashes = rlb_pool::global().map_indexed(trials, move |i| {
             let mut rng = Pcg64::new(0xe10 + i as u64, m as u64);
             let items = random_items(m, m / 3, &mut rng);
             let a = OfflineAssignment::assign_exact(m, &items);
@@ -77,7 +76,7 @@ pub fn run(quick: bool) -> ExperimentOutput {
     );
     let mut tri_rows = Vec::new();
     for &m in &ms {
-        let outcomes = run_trials(trials, default_threads(), move |i| {
+        let outcomes = rlb_pool::global().map_indexed(trials, move |i| {
             let mut rng = Pcg64::new(0x10e + i as u64, m as u64);
             let items = random_items(m, m, &mut rng);
             let t = RoutingTable::build(m, &items, TripartiteAssigner::default());
@@ -100,7 +99,7 @@ pub fn run(quick: bool) -> ExperimentOutput {
 
     // Part 3: allocator cross-check at a hot load (0.45 m).
     let m = 4096;
-    let cross = run_trials(trials.min(100), default_threads(), move |i| {
+    let cross = rlb_pool::global().map_indexed(trials.min(100), move |i| {
         let mut rng = Pcg64::new(0xc4 + i as u64, 3);
         let items = random_items(m, (m as f64 * 0.45) as usize, &mut rng);
         let exact = OfflineAssignment::assign_exact(m, &items);
@@ -199,21 +198,8 @@ pub fn run(quick: bool) -> ExperimentOutput {
             "stash(random-walk) >= stash(exact) in every trial".to_string(),
         ),
     ];
-    ExperimentOutput {
-        id: "E10",
-        title: "Theorem 4.1 / Lemma 4.2: cuckoo substrate",
-        tables: vec![stash_table, tri_table, cross_table, threshold_table],
+    (
+        vec![stash_table, tri_table, cross_table, threshold_table],
         checks,
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn quick_run_passes_all_shape_checks() {
-        let out = run(true);
-        assert!(out.all_passed(), "failed checks:\n{}", out.render());
-    }
+    )
 }

@@ -8,15 +8,14 @@
 //! is what lets the DCR analysis bound `Q`-queue occupancy phase after
 //! phase.
 
-use crate::{Check, ExperimentOutput};
+use crate::{Check, Findings};
 use rlb_ballsbins::{heavily_loaded_gap, GreedyD, OneChoice};
 use rlb_hash::Pcg64;
-use rlb_kv::runner::{default_threads, run_trials};
 use rlb_metrics::table::{fmt_f, fmt_u};
 use rlb_metrics::Table;
 
 /// Runs the experiment.
-pub fn run(quick: bool) -> ExperimentOutput {
+pub fn run(quick: bool) -> Findings {
     let m = if quick { 512 } else { 1024 };
     let trials = if quick { 3 } else { 9 };
     let hs: Vec<usize> = if quick {
@@ -29,8 +28,8 @@ pub fn run(quick: bool) -> ExperimentOutput {
         &["h", "greedy-2 gap", "one-choice gap"],
     );
     // Each h is an independent pool job; rows assemble in sweep order.
-    let rows = crate::common::par_rows(hs.clone(), move |&h| {
-        let gaps = run_trials(trials, default_threads(), move |i| {
+    let rows = rlb_pool::global().map(hs.clone(), move |&h| {
+        let gaps = rlb_pool::global().map_indexed(trials, move |i| {
             let mut rng = Pcg64::new(0xe11 + i as u64, h as u64);
             let g2 = heavily_loaded_gap(&GreedyD::new(2), m, h, &mut rng);
             let g1 = heavily_loaded_gap(&OneChoice, m, h, &mut rng);
@@ -67,21 +66,5 @@ pub fn run(quick: bool) -> ExperimentOutput {
             "pointwise along the sweep".to_string(),
         ),
     ];
-    ExperimentOutput {
-        id: "E11",
-        title: "Heavily-loaded gap (Lemma 4.4 ingredient)",
-        tables: vec![table],
-        checks,
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn quick_run_passes_all_shape_checks() {
-        let out = run(true);
-        assert!(out.all_passed(), "failed checks:\n{}", out.render());
-    }
+    (vec![table], checks)
 }

@@ -6,15 +6,15 @@
 //! one-choice near saturation, with crossovers only at low load where
 //! everything is trivially fine.
 
-use crate::common::{self, PolicyKind};
-use crate::{Check, ExperimentOutput};
-use rlb_core::{DrainMode, SimConfig, Workload};
+use crate::common::{self, PolicyKind, Scenario};
+use crate::{Check, Findings};
+use rlb_core::SimConfig;
 use rlb_metrics::table::{fmt_f, fmt_rate};
 use rlb_metrics::Table;
 use rlb_workloads::PartialRepeat;
 
 /// Runs the experiment.
-pub fn run(quick: bool) -> ExperimentOutput {
+pub fn run(quick: bool) -> Findings {
     let m = if quick { 512 } else { 2048 };
     let trials = common::trial_count(quick).min(3);
     let steps = common::step_count(quick);
@@ -42,31 +42,18 @@ pub fn run(quick: bool) -> ExperimentOutput {
             "one-choice",
         ],
     );
-    let mut grid: Vec<Vec<f64>> = Vec::new();
-    for &rho in &rhos {
+    let cells = common::grid(&rhos, &policies, trials, steps, move |&rho, &policy, i| {
         let per_step = ((m as f64) * rho) as usize;
-        let mut row_rates = Vec::new();
+        let q = common::ceil_u32(common::log2(m)) + 1;
+        let config = SimConfig::explicit(m, 2, g, q).with_seed(0xe12 + i as u64 * 191);
+        let workload = PartialRepeat::new(4 * m as u64, per_step, 0.5, 23 + i as u64);
+        Scenario::new(config, policy, workload)
+    });
+    let mut grid: Vec<Vec<f64>> = Vec::new();
+    for (&rho, cells) in rhos.iter().zip(cells.chunks(policies.len())) {
+        let row_rates: Vec<f64> = cells.iter().map(|cell| cell.rejection_rate).collect();
         let mut row = vec![fmt_f(rho, 2)];
-        for policy in policies {
-            let agg = common::aggregate_trials(trials, policy, steps, move |i| {
-                let q = common::ceil_u32(common::log2(m)) + 1;
-                let config = SimConfig {
-                    num_servers: m,
-                    num_chunks: 4 * m,
-                    replication: 2,
-                    process_rate: g,
-                    queue_capacity: q,
-                    flush_interval: None,
-                    drain_mode: DrainMode::EndOfStep,
-                    seed: 0xe12 + i as u64 * 191,
-                    safety_check_every: None,
-                };
-                let workload = PartialRepeat::new(4 * m as u64, per_step, 0.5, 23 + i as u64);
-                (config, Box::new(workload) as Box<dyn Workload + Send>)
-            });
-            row_rates.push(agg.rejection_rate);
-            row.push(fmt_rate(agg.rejection_rate));
-        }
+        row.extend(row_rates.iter().map(|&rate| fmt_rate(rate)));
         table.row(row);
         grid.push(row_rates);
     }
@@ -96,21 +83,5 @@ pub fn run(quick: bool) -> ExperimentOutput {
             format!("greedy {greedy:.2e}, dcr {dcr:.2e}"),
         ),
     ];
-    ExperimentOutput {
-        id: "E12",
-        title: "Load/throughput frontier across policies",
-        tables: vec![table],
-        checks,
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn quick_run_passes_all_shape_checks() {
-        let out = run(true);
-        assert!(out.all_passed(), "failed checks:\n{}", out.render());
-    }
+    (vec![table], checks)
 }

@@ -11,15 +11,15 @@
 //! four-way split plus the table, not raw capacity, is what the theorem
 //! trades for `Θ(log log m)` queues.
 
-use crate::common::{self, PolicyKind};
-use crate::{Check, ExperimentOutput};
-use rlb_core::{DrainMode, SimConfig, Workload};
+use crate::common::{self, PolicyKind, Scenario};
+use crate::{Check, Findings};
+use rlb_core::SimConfig;
 use rlb_metrics::table::{fmt_rate, fmt_u};
 use rlb_metrics::Table;
 use rlb_workloads::RepeatedSet;
 
 /// Runs the experiment.
-pub fn run(quick: bool) -> ExperimentOutput {
+pub fn run(quick: bool) -> Findings {
     let m = if quick { 512 } else { 2048 };
     let trials = common::trial_count(quick).min(3);
     let steps = common::step_count(quick);
@@ -35,23 +35,20 @@ pub fn run(quick: bool) -> ExperimentOutput {
         format!("Rejection vs processing rate at fixed small queues (m = {m}, q = {q})"),
         &["policy", "g", "reject-rate", "max-backlog"],
     );
-    let mut rates = Vec::new();
-    for &(policy, g) in &variants {
-        let agg = common::aggregate_trials(trials, policy, steps, move |i| {
-            let config = SimConfig {
-                num_servers: m,
-                num_chunks: 4 * m,
-                replication: 2,
-                process_rate: g,
-                queue_capacity: q,
-                flush_interval: None,
-                drain_mode: DrainMode::EndOfStep,
-                seed: 0xe13 + i as u64 * 211 + g as u64,
-                safety_check_every: None,
-            };
+    let cells = common::grid(
+        &variants,
+        &[()],
+        trials,
+        steps,
+        move |&(policy, g), _, i| {
+            let config =
+                SimConfig::explicit(m, 2, g, q).with_seed(0xe13 + i as u64 * 211 + g as u64);
             let workload = RepeatedSet::first_k(common::m32(m), 41 + i as u64);
-            (config, Box::new(workload) as Box<dyn Workload + Send>)
-        });
+            Scenario::new(config, policy, workload)
+        },
+    );
+    let mut rates = Vec::new();
+    for (&(policy, g), agg) in variants.iter().zip(cells) {
         table.row(vec![
             policy.name().to_string(),
             fmt_u(g as u64),
@@ -90,21 +87,5 @@ pub fn run(quick: bool) -> ExperimentOutput {
             format!("greedy@16 {greedy16:.2e}, greedy@4 {greedy4:.2e}"),
         ),
     ];
-    ExperimentOutput {
-        id: "E13",
-        title: "Ablation: DCR's 'g sufficiently large' constant",
-        tables: vec![table],
-        checks,
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn quick_run_passes_all_shape_checks() {
-        let out = run(true);
-        assert!(out.all_passed(), "failed checks:\n{}", out.render());
-    }
+    (vec![table], checks)
 }

@@ -8,10 +8,9 @@
 //! like `mean_backlog / interval`) and the routing rejection rate, as a
 //! function of the interval.
 
-use crate::common;
-use crate::{Check, ExperimentOutput};
-use rlb_core::policies::Greedy;
-use rlb_core::{DrainMode, RunReport, SimConfig, Simulation, Workload};
+use crate::common::{self, PolicyKind, Scenario};
+use crate::{Check, Findings};
+use rlb_core::{RunReport, SimConfig};
 use rlb_metrics::table::{fmt_f, fmt_rate};
 use rlb_metrics::Table;
 use rlb_workloads::RepeatedSet;
@@ -23,25 +22,16 @@ fn run_one(m: usize, interval: Option<u64>, steps: u64, seed: u64) -> RunReport 
     // time and the flush cost is exactly zero (an even stronger
     // statement, but a vacuous table). Full load with g = 1 would be
     // critical and conflate flush drops with overflow rejections.
-    let config = SimConfig {
-        num_servers: m,
-        num_chunks: 4 * m,
-        replication: 2,
-        process_rate: 1,
-        queue_capacity: common::ceil_u32(common::log2(m)) + 1,
-        flush_interval: interval,
-        drain_mode: DrainMode::EndOfStep,
-        seed,
-        safety_check_every: Some(4),
-    };
-    let mut workload = RepeatedSet::first_k(common::m32(3 * m / 4), seed ^ 0x5a);
-    let mut sim = Simulation::new(config, Greedy::new());
-    sim.run(&mut workload as &mut dyn Workload, steps);
-    sim.finish()
+    let q = common::ceil_u32(common::log2(m)) + 1;
+    let mut config = SimConfig::explicit(m, 2, 1, q).with_seed(seed);
+    config.flush_interval = interval;
+    config.safety_check_every = Some(4);
+    let workload = RepeatedSet::first_k(common::m32(3 * m / 4), seed ^ 0x5a);
+    Scenario::new(config, PolicyKind::Greedy, workload).run(steps)
 }
 
 /// Runs the experiment.
-pub fn run(quick: bool) -> ExperimentOutput {
+pub fn run(quick: bool) -> Findings {
     let m = if quick { 512 } else { 2048 };
     let steps = if quick { 120 } else { 400 };
     let intervals: Vec<Option<u64>> = vec![Some(20), Some(50), Some(100), None];
@@ -114,21 +104,5 @@ pub fn run(quick: bool) -> ExperimentOutput {
                 .join(", "),
         ),
     ];
-    ExperimentOutput {
-        id: "E14",
-        title: "Ablation: greedy flush interval",
-        tables: vec![table],
-        checks,
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn quick_run_passes_all_shape_checks() {
-        let out = run(true);
-        assert!(out.all_passed(), "failed checks:\n{}", out.render());
-    }
+    (vec![table], checks)
 }

@@ -12,10 +12,9 @@
 //!   ≈ `f²` for random placement — plus transient queueing at the
 //!   survivors, which the load-aware policies absorb.
 
-use crate::common::{self, PolicyKind};
-use crate::{Check, ExperimentOutput};
-use rlb_core::policies::{DelayedCuckoo, Greedy, OneChoice};
-use rlb_core::{DrainMode, OutageSchedule, RunReport, SimConfig, Simulation, Workload};
+use crate::common::{self, PolicyKind, Scenario};
+use crate::{Check, Findings};
+use rlb_core::{OutageSchedule, RunReport, SimConfig};
 use rlb_metrics::table::{fmt_f, fmt_rate};
 use rlb_metrics::Table;
 use rlb_workloads::RepeatedSet;
@@ -29,43 +28,16 @@ fn run_with_outage(
     window: (u64, u64),
     seed: u64,
 ) -> RunReport {
-    let config = SimConfig {
-        num_servers: m,
-        num_chunks: 4 * m,
-        replication: d,
-        process_rate: 16,
-        queue_capacity: 16,
-        flush_interval: None,
-        drain_mode: DrainMode::EndOfStep,
-        seed,
-        safety_check_every: None,
-    };
+    let config = SimConfig::explicit(m, d, 16, 16).with_seed(seed);
     let down = common::m32(((m as f64) * f) as usize);
-    let outages = OutageSchedule::mass_failure(down, window.0, window.1);
-    let mut workload = RepeatedSet::first_k(common::m32(m), seed ^ 0x0f);
-    match policy {
-        PolicyKind::Greedy => {
-            let mut sim = Simulation::new(config, Greedy::new()).with_outages(outages);
-            sim.run(&mut workload as &mut dyn Workload, steps);
-            sim.finish()
-        }
-        PolicyKind::DelayedCuckoo => {
-            let p = DelayedCuckoo::new(&config);
-            let mut sim = Simulation::new(config, p).with_outages(outages);
-            sim.run(&mut workload as &mut dyn Workload, steps);
-            sim.finish()
-        }
-        PolicyKind::OneChoice => {
-            let mut sim = Simulation::new(config, OneChoice::new()).with_outages(outages);
-            sim.run(&mut workload as &mut dyn Workload, steps);
-            sim.finish()
-        }
-        _ => unreachable!("E15 compares greedy, DCR, one-choice"),
-    }
+    let workload = RepeatedSet::first_k(common::m32(m), seed ^ 0x0f);
+    Scenario::new(config, policy, workload)
+        .outages(OutageSchedule::mass_failure(down, window.0, window.1))
+        .run(steps)
 }
 
 /// Runs the experiment.
-pub fn run(quick: bool) -> ExperimentOutput {
+pub fn run(quick: bool) -> Findings {
     let m = if quick { 256 } else { 1024 };
     let steps = common::step_count(quick);
     // Outage covers the middle half of the run.
@@ -84,9 +56,6 @@ pub fn run(quick: bool) -> ExperimentOutput {
         let one = run_with_outage(PolicyKind::OneChoice, m, 1, f, steps, window, 0xe15);
         let greedy = run_with_outage(PolicyKind::Greedy, m, 2, f, steps, window, 0xe15);
         let dcr = run_with_outage(PolicyKind::DelayedCuckoo, m, 2, f, steps, window, 0xe15);
-        for r in [&one, &greedy, &dcr] {
-            r.check_conservation().unwrap();
-        }
         table.row(vec![
             fmt_f(f, 2),
             fmt_rate(one.rejection_rate),
@@ -137,21 +106,5 @@ pub fn run(quick: bool) -> ExperimentOutput {
             "greedy and dcr within 5x of f^2 * window".to_string(),
         ),
     ];
-    ExperimentOutput {
-        id: "E15",
-        title: "Extension: outage resilience through replication",
-        tables: vec![table],
-        checks,
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn quick_run_passes_all_shape_checks() {
-        let out = run(true);
-        assert!(out.all_passed(), "failed checks:\n{}", out.render());
-    }
+    (vec![table], checks)
 }

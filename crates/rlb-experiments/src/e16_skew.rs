@@ -9,15 +9,15 @@
 //! flat while the `d = 1` baseline suffers increasingly from the hot
 //! set's static placement.
 
-use crate::common::{self, PolicyKind};
-use crate::{Check, ExperimentOutput};
-use rlb_core::{DrainMode, SimConfig, Workload};
+use crate::common::{self, PolicyKind, Scenario};
+use crate::{Check, Findings};
+use rlb_core::SimConfig;
 use rlb_metrics::table::{fmt_f, fmt_rate};
 use rlb_metrics::Table;
 use rlb_workloads::ZipfDistinct;
 
 /// Runs the experiment.
-pub fn run(quick: bool) -> ExperimentOutput {
+pub fn run(quick: bool) -> Findings {
     let m = if quick { 256 } else { 1024 };
     let steps = common::step_count(quick);
     let trials = common::trial_count(quick).min(3);
@@ -32,44 +32,27 @@ pub fn run(quick: bool) -> ExperimentOutput {
         format!("Rejection vs Zipf exponent (m = {m}, g = {g}, full load, universe 4m)"),
         &["alpha", "greedy", "delayed-cuckoo", "one-choice"],
     );
-    // Every (alpha, policy) cell is an independent pool job; the table
-    // assembles serially in sweep order.
-    let params: Vec<(f64, PolicyKind)> = alphas
-        .iter()
-        .flat_map(|&alpha| policies.iter().map(move |&p| (alpha, p)))
-        .collect();
-    let cells = common::par_rows(params, move |&(alpha, policy)| {
-        let d = if policy == PolicyKind::OneChoice {
-            1
-        } else {
-            2
-        };
-        let agg = common::aggregate_trials(trials, policy, steps, move |i| {
-            let config = SimConfig {
-                num_servers: m,
-                num_chunks: 4 * m,
-                replication: d,
-                process_rate: g,
-                queue_capacity: 12,
-                flush_interval: None,
-                drain_mode: DrainMode::EndOfStep,
-                seed: 0xe16 + i as u64 * 251,
-                safety_check_every: None,
+    let cells = common::grid(
+        &alphas,
+        &policies,
+        trials,
+        steps,
+        move |&alpha, &policy, i| {
+            let d = if policy == PolicyKind::OneChoice {
+                1
+            } else {
+                2
             };
+            let config = SimConfig::explicit(m, d, g, 12).with_seed(0xe16 + i as u64 * 251);
             let workload = ZipfDistinct::new(4 * m, m, alpha, 61 + i as u64);
-            (config, Box::new(workload) as Box<dyn Workload + Send>)
-        });
-        agg.rejection_rate
-    });
+            Scenario::new(config, policy, workload)
+        },
+    );
     let mut grid = Vec::new();
-    for (ai, &alpha) in alphas.iter().enumerate() {
+    for (&alpha, cells) in alphas.iter().zip(cells.chunks(policies.len())) {
+        let rates: Vec<f64> = cells.iter().map(|cell| cell.rejection_rate).collect();
         let mut row = vec![fmt_f(alpha, 1)];
-        let mut rates = Vec::new();
-        for pi in 0..policies.len() {
-            let rate = cells[ai * policies.len() + pi];
-            rates.push(rate);
-            row.push(fmt_rate(rate));
-        }
+        row.extend(rates.iter().map(|&rate| fmt_rate(rate)));
         table.row(row);
         grid.push((alpha, rates));
     }
@@ -101,21 +84,5 @@ pub fn run(quick: bool) -> ExperimentOutput {
             format!("alpha=1.2: one-choice {one_skewed:.3} vs worst aware {worst_aware:.2e}"),
         ),
     ];
-    ExperimentOutput {
-        id: "E16",
-        title: "Extension: robustness to popularity skew",
-        tables: vec![table],
-        checks,
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn quick_run_passes_all_shape_checks() {
-        let out = run(true);
-        assert!(out.all_passed(), "failed checks:\n{}", out.render());
-    }
+    (vec![table], checks)
 }

@@ -10,15 +10,14 @@
 //! that the engine's strictly-online routing (the model's requirement)
 //! is also the information-optimal point.
 
-use crate::{Check, ExperimentOutput};
+use crate::{Check, Findings};
 use rlb_ballsbins::{batched_gap, GreedyD, OneChoice};
 use rlb_hash::Pcg64;
-use rlb_kv::runner::{default_threads, run_trials};
 use rlb_metrics::table::{fmt_f, fmt_u};
 use rlb_metrics::Table;
 
 /// Runs the experiment.
-pub fn run(quick: bool) -> ExperimentOutput {
+pub fn run(quick: bool) -> Findings {
     let m = if quick { 512 } else { 2048 };
     let h = 16usize; // heavy load: h*m balls
     let trials = if quick { 3 } else { 9 };
@@ -29,8 +28,8 @@ pub fn run(quick: bool) -> ExperimentOutput {
     );
     // Each batch size is an independent pool job; rows assemble in
     // sweep order.
-    let rows = crate::common::par_rows(batches.clone(), move |&b| {
-        let gaps = run_trials(trials, default_threads(), move |i| {
+    let rows = rlb_pool::global().map(batches.clone(), move |&b| {
+        let gaps = rlb_pool::global().map_indexed(trials, move |i| {
             let mut rng = Pcg64::new(0xe17 + i as u64, b as u64);
             let g2 = batched_gap(&GreedyD::new(2), m, h * m, b, &mut rng);
             let g1 = batched_gap(&OneChoice, m, h * m, b, &mut rng);
@@ -70,21 +69,5 @@ pub fn run(quick: bool) -> ExperimentOutput {
             ),
         ),
     ];
-    ExperimentOutput {
-        id: "E17",
-        title: "Extension: the value of within-step information",
-        tables: vec![table],
-        checks,
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn quick_run_passes_all_shape_checks() {
-        let out = run(true);
-        assert!(out.all_passed(), "failed checks:\n{}", out.render());
-    }
+    (vec![table], checks)
 }

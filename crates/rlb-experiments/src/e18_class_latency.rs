@@ -7,9 +7,9 @@
 //! latency histograms recorded by the engine let us look at each part of
 //! that argument directly.
 
-use crate::common::{self, PolicyKind};
-use crate::{Check, ExperimentOutput};
-use rlb_core::{SimConfig, Workload};
+use crate::common::{self, PolicyKind, Scenario};
+use crate::{Check, Findings};
+use rlb_core::SimConfig;
 use rlb_metrics::table::{fmt_f, fmt_u};
 use rlb_metrics::Table;
 use rlb_workloads::RepeatedSet;
@@ -17,7 +17,7 @@ use rlb_workloads::RepeatedSet;
 const CLASS_NAMES: [&str; 4] = ["Q", "P", "Q'", "P'"];
 
 /// Runs the experiment.
-pub fn run(quick: bool) -> ExperimentOutput {
+pub fn run(quick: bool) -> Findings {
     let m = if quick { 512 } else { 2048 };
     let steps = common::step_count(quick);
     // Tight-but-valid DCR: g = 16 keeps the theorem constants; the
@@ -41,10 +41,8 @@ pub fn run(quick: bool) -> ExperimentOutput {
     let mut per_class: Vec<(usize, u64, f64, u64, u64)> = Vec::new();
     for g in [16u32, 8] {
         let config = SimConfig::dcr_theorem(m, g, 4).with_seed(0xe18 + g as u64);
-        let mut workload = RepeatedSet::first_k(common::m32(m), 29);
-        let report =
-            PolicyKind::DelayedCuckoo.run(config, &mut workload as &mut dyn Workload, steps);
-        report.check_conservation().unwrap();
+        let workload = RepeatedSet::first_k(common::m32(m), 29);
+        let report = Scenario::new(config, PolicyKind::DelayedCuckoo, workload).run(steps);
         for (c, hist) in report.latency_by_class.iter().enumerate() {
             let count = hist.count();
             table.row(vec![
@@ -101,21 +99,5 @@ pub fn run(quick: bool) -> ExperimentOutput {
             format!("carry max latency {carry_max} vs phase {phase_len}"),
         ),
     ];
-    ExperimentOutput {
-        id: "E18",
-        title: "DCR latency anatomy by queue class (Prop. 4.9)",
-        tables: vec![table],
-        checks,
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn quick_run_passes_all_shape_checks() {
-        let out = run(true);
-        assert!(out.all_passed(), "failed checks:\n{}", out.render());
-    }
+    (vec![table], checks)
 }

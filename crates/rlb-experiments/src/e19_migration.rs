@@ -12,16 +12,16 @@
 //! * `d = 2` greedy: ≈ 0 rejection from step one, zero moves — but 2×
 //!   storage.
 
-use crate::common::{self, PolicyKind};
-use crate::{Check, ExperimentOutput};
+use crate::common::{self, PolicyKind, Scenario};
+use crate::{Check, Findings};
 use rlb_core::migration::{MigrationConfig, MigrationSim};
-use rlb_core::{DrainMode, SimConfig, Workload};
+use rlb_core::{SimConfig, Workload};
 use rlb_metrics::table::{fmt_rate, fmt_u};
 use rlb_metrics::Table;
 use rlb_workloads::RepeatedSet;
 
 /// Runs the experiment.
-pub fn run(quick: bool) -> ExperimentOutput {
+pub fn run(quick: bool) -> Findings {
     let m = if quick { 256 } else { 1024 };
     let steps = if quick { 300 } else { 600 };
     let g = 2u32;
@@ -66,20 +66,9 @@ pub fn run(quick: bool) -> ExperimentOutput {
     }
 
     // d = 2 greedy on the full engine for the replication column.
-    let config = SimConfig {
-        num_servers: m,
-        num_chunks: 4 * m,
-        replication: 2,
-        process_rate: g,
-        queue_capacity: 8,
-        flush_interval: None,
-        drain_mode: DrainMode::EndOfStep,
-        seed: 0xe19,
-        safety_check_every: None,
-    };
-    let mut workload = RepeatedSet::first_k(common::m32(m), 19);
-    let greedy = PolicyKind::Greedy.run(config, &mut workload as &mut dyn Workload, steps);
-    greedy.check_conservation().unwrap();
+    let config = SimConfig::explicit(m, 2, g, 8).with_seed(0xe19);
+    let workload = RepeatedSet::first_k(common::m32(m), 19);
+    let greedy = Scenario::new(config, PolicyKind::Greedy, workload).run(steps);
     table.row(vec![
         "d=2 greedy (this paper)".into(),
         fmt_rate(greedy.rejection_rate),
@@ -118,21 +107,5 @@ pub fn run(quick: bool) -> ExperimentOutput {
             ),
         ),
     ];
-    ExperimentOutput {
-        id: "E19",
-        title: "Related work: migration (Wang et al.) vs replication",
-        tables: vec![table],
-        checks,
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn quick_run_passes_all_shape_checks() {
-        let out = run(true);
-        assert!(out.all_passed(), "failed checks:\n{}", out.render());
-    }
+    (vec![table], checks)
 }

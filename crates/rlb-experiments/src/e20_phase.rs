@@ -14,8 +14,8 @@
 //! constant factor of `log log m` works, which is why the theorem only
 //! needs `Θ(·)`.
 
-use crate::common::{self, PolicyKind};
-use crate::{Check, ExperimentOutput};
+use crate::common::{self, PolicyKind, Scenario};
+use crate::{Check, Findings};
 use rlb_core::policies::{DcrParams, DelayedCuckoo};
 use rlb_core::{SimConfig, Simulation, Workload};
 use rlb_metrics::table::{fmt_f, fmt_rate, fmt_u};
@@ -23,7 +23,7 @@ use rlb_metrics::Table;
 use rlb_workloads::RepeatedSet;
 
 /// Runs the experiment.
-pub fn run(quick: bool) -> ExperimentOutput {
+pub fn run(quick: bool) -> Findings {
     let m = if quick { 512 } else { 2048 };
     let steps = common::step_count(quick) * 2;
     let loglog = common::loglog2(m).ceil() as u64;
@@ -47,8 +47,7 @@ pub fn run(quick: bool) -> ExperimentOutput {
         sim.run(&mut workload as &mut dyn Workload, steps);
         let diag = sim.policy().diagnostics();
         let p_share = diag.p_routed as f64 / (diag.p_routed + diag.q_routed).max(1) as f64;
-        let report = sim.finish();
-        report.check_conservation().unwrap();
+        let report = common::conserved(sim.finish());
         table.row(vec![
             fmt_u(phase_length),
             fmt_rate(report.rejection_rate),
@@ -61,8 +60,8 @@ pub fn run(quick: bool) -> ExperimentOutput {
     table.note("L = 1 has no repeats to table-route; the theorem's Θ(loglog m) sits on a plateau");
     // Context row: plain greedy for comparison.
     let config = SimConfig::dcr_theorem(m, 16, 4).with_seed(0xe20);
-    let mut workload = RepeatedSet::first_k(common::m32(m), 37);
-    let greedy = PolicyKind::Greedy.run(config, &mut workload as &mut dyn Workload, steps);
+    let workload = RepeatedSet::first_k(common::m32(m), 37);
+    let greedy = Scenario::new(config, PolicyKind::Greedy, workload).run(steps);
 
     let l1 = rows[0];
     let plateau: Vec<_> = rows[1..].to_vec();
@@ -98,21 +97,5 @@ pub fn run(quick: bool) -> ExperimentOutput {
             format!("greedy {:.2e}", greedy.rejection_rate),
         ),
     ];
-    ExperimentOutput {
-        id: "E20",
-        title: "Ablation: DCR phase length",
-        tables: vec![table],
-        checks,
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn quick_run_passes_all_shape_checks() {
-        let out = run(true);
-        assert!(out.all_passed(), "failed checks:\n{}", out.render());
-    }
+    (vec![table], checks)
 }

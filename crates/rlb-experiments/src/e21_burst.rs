@@ -12,15 +12,15 @@
 //! bounded queue sheds a few percent *gracefully* (bounded p99, no
 //! collapse); DCR at its theorem constants rides through everything.
 
-use crate::common::{self, PolicyKind};
-use crate::{Check, ExperimentOutput};
-use rlb_core::{DrainMode, SimConfig, Workload};
+use crate::common::{self, PolicyKind, Scenario};
+use crate::{Check, Findings};
+use rlb_core::SimConfig;
 use rlb_metrics::table::{fmt_f, fmt_rate, fmt_u};
 use rlb_metrics::Table;
 use rlb_workloads::OnOffBurst;
 
 /// Runs the experiment.
-pub fn run(quick: bool) -> ExperimentOutput {
+pub fn run(quick: bool) -> Findings {
     let m = if quick { 512 } else { 2048 };
     let steps = common::step_count(quick) * 2;
     let g = 1u32;
@@ -47,24 +47,14 @@ pub fn run(quick: bool) -> ExperimentOutput {
         let mut row = vec![format!("{burst}:{trough}"), fmt_f(avg_load, 2)];
         let mut cells = Vec::new();
         for policy in [PolicyKind::Greedy, PolicyKind::DelayedCuckoo] {
-            let config = SimConfig {
-                num_servers: m,
-                num_chunks: 4 * m,
-                replication: 2,
-                process_rate: if policy == PolicyKind::DelayedCuckoo {
-                    8
-                } else {
-                    g
-                },
-                queue_capacity: 40,
-                flush_interval: None,
-                drain_mode: DrainMode::EndOfStep,
-                seed: 0xe21 + burst,
-                safety_check_every: None,
+            let rate = if policy == PolicyKind::DelayedCuckoo {
+                8
+            } else {
+                g
             };
-            let mut workload = OnOffBurst::new(common::m32(m), m, m / 5, burst, trough, 43 + burst);
-            let report = policy.run(config, &mut workload as &mut dyn Workload, steps);
-            report.check_conservation().unwrap();
+            let config = SimConfig::explicit(m, 2, rate, 40).with_seed(0xe21 + burst);
+            let workload = OnOffBurst::new(common::m32(m), m, m / 5, burst, trough, 43 + burst);
+            let report = Scenario::new(config, policy, workload).run(steps);
             row.push(fmt_rate(report.rejection_rate));
             row.push(fmt_u(report.p99_latency));
             cells.push((report.rejection_rate, report.p99_latency));
@@ -117,21 +107,5 @@ pub fn run(quick: bool) -> ExperimentOutput {
             "p99 <= q = 40 for every configuration".to_string(),
         ),
     ];
-    ExperimentOutput {
-        id: "E21",
-        title: "Extension: queues as burst absorbers",
-        tables: vec![table],
-        checks,
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn quick_run_passes_all_shape_checks() {
-        let out = run(true);
-        assert!(out.all_passed(), "failed checks:\n{}", out.render());
-    }
+    (vec![table], checks)
 }

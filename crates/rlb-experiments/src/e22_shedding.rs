@@ -8,30 +8,16 @@
 //! server-steps while the rejection rate rises as `t` shrinks — with
 //! plain greedy (`t = q`) as the throughput-optimal endpoint.
 
-use crate::common;
-use crate::{Check, ExperimentOutput};
-use rlb_core::policies::{Greedy, GreedyShedding};
-use rlb_core::{DrainMode, RunReport, SimConfig, Simulation, Workload};
+use crate::common::{self, PolicyKind, Scenario};
+use crate::{Check, Findings};
+use rlb_core::policies::GreedyShedding;
+use rlb_core::{RunReport, SimConfig, Simulation};
 use rlb_metrics::table::{fmt_f, fmt_rate, fmt_u};
 use rlb_metrics::Table;
 use rlb_workloads::OnOffBurst;
 
-fn config(m: usize, q: u32) -> SimConfig {
-    SimConfig {
-        num_servers: m,
-        num_chunks: 4 * m,
-        replication: 2,
-        process_rate: 1,
-        queue_capacity: q,
-        flush_interval: None,
-        drain_mode: DrainMode::EndOfStep,
-        seed: 0xe22,
-        safety_check_every: None,
-    }
-}
-
 /// Runs the experiment.
-pub fn run(quick: bool) -> ExperimentOutput {
+pub fn run(quick: bool) -> Findings {
     let m = if quick { 512 } else { 2048 };
     let steps = common::step_count(quick) * 2;
     let q = 16u32;
@@ -45,18 +31,16 @@ pub fn run(quick: bool) -> ExperimentOutput {
     );
     let mut rows: Vec<(u32, RunReport)> = Vec::new();
     for &t in &thresholds {
+        let config = SimConfig::explicit(m, 2, 1, q).with_seed(0xe22);
         let mut workload = make_workload();
         let report = if t >= q {
             // t = q is exactly plain greedy.
-            let mut sim = Simulation::new(config(m, q), Greedy::new());
-            sim.run(&mut workload as &mut dyn Workload, steps);
-            sim.finish()
+            Scenario::new(config, PolicyKind::Greedy, workload).run(steps)
         } else {
-            let mut sim = Simulation::new(config(m, q), GreedyShedding::new(t));
-            sim.run(&mut workload as &mut dyn Workload, steps);
-            sim.finish()
+            let mut sim = Simulation::new(config, GreedyShedding::new(t));
+            sim.run(&mut workload, steps);
+            common::conserved(sim.finish())
         };
-        report.check_conservation().unwrap();
         table.row(vec![
             if t >= q {
                 format!("{t} (= q, plain greedy)")
@@ -118,21 +102,5 @@ pub fn run(quick: bool) -> ExperimentOutput {
             ),
         ),
     ];
-    ExperimentOutput {
-        id: "E22",
-        title: "The third knob: voluntary rejection (latency flooring)",
-        tables: vec![table],
-        checks,
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn quick_run_passes_all_shape_checks() {
-        let out = run(true);
-        assert!(out.all_passed(), "failed checks:\n{}", out.render());
-    }
+    (vec![table], checks)
 }

@@ -20,7 +20,7 @@
 //! rate `θ* ≈ 0.22` for λ = 7.2, g = 8 ⇒ `Θ(log m)`), and the gap
 //! between them widens with `m`.
 
-use crate::{Check, ExperimentOutput};
+use crate::{Check, Findings};
 use rlb_meanfield::{solve_fixpoint, MfConfig, MfPolicy, SolveOptions};
 use rlb_metrics::table::fmt_u;
 use rlb_metrics::Table;
@@ -75,7 +75,7 @@ fn capacity_threshold(m: u64, policy: MfPolicy) -> u32 {
 }
 
 /// Runs the experiment.
-pub fn run(quick: bool) -> ExperimentOutput {
+pub fn run(quick: bool) -> Findings {
     let sizes: &[u64] = if quick {
         &[1 << 10, 1 << 16, 100_000_000]
     } else {
@@ -151,23 +151,12 @@ pub fn run(quick: bool) -> ExperimentOutput {
             ),
         ),
     ];
-    ExperimentOutput {
-        id: "E23",
-        title: "Capacity thresholds at scale: log m vs log log m",
-        tables: vec![table],
-        checks,
-    }
+    (vec![table], checks)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn quick_run_passes_all_shape_checks() {
-        let out = run(true);
-        assert!(out.all_passed(), "failed checks:\n{}", out.render());
-    }
 
     #[test]
     fn bisection_returns_the_boundary() {

@@ -89,11 +89,15 @@ impl Check {
     }
 }
 
+/// What an experiment module's `run` returns: its tables and its shape
+/// checks. Id and title are the registry's.
+pub(crate) type Findings = (Vec<Table>, Vec<Check>);
+
 /// The output of one experiment.
 #[derive(Debug, Clone)]
 pub struct ExperimentOutput {
     /// Experiment id (`"E1"`, ...).
-    pub id: &'static str,
+    pub id: String,
     /// Human title.
     pub title: &'static str,
     /// Result tables.
@@ -127,8 +131,8 @@ impl ExperimentOutput {
     }
 }
 
-// `id`/`title` are `&'static str`, so only serialization (not parsing)
-// is meaningful for experiment outputs.
+// `title` is `&'static str`, so only serialization (not parsing) is
+// meaningful for experiment outputs.
 impl ToJson for Check {
     fn to_json(&self) -> Json {
         Json::Obj(vec![
@@ -150,99 +154,120 @@ impl ToJson for ExperimentOutput {
     }
 }
 
-/// One registry entry: `(id, title, runner)`.
-pub type ExperimentEntry = (&'static str, &'static str, fn(bool) -> ExperimentOutput);
+/// One registry entry: the one owner of an experiment's id and title.
+#[derive(Debug, Clone, Copy)]
+pub struct Experiment {
+    /// Id as typed on the command line (`"e1"`, ...).
+    pub id: &'static str,
+    /// Human title.
+    pub title: &'static str,
+    body: fn(bool) -> Findings,
+}
+
+impl Experiment {
+    /// Runs the experiment (`quick` = reduced sizes and trials).
+    pub fn run(&self, quick: bool) -> ExperimentOutput {
+        let (tables, checks) = (self.body)(quick);
+        ExperimentOutput {
+            id: self.id.to_uppercase(),
+            title: self.title,
+            tables,
+            checks,
+        }
+    }
+}
 
 /// The experiment registry.
-pub fn registry() -> Vec<ExperimentEntry> {
+pub fn registry() -> Vec<Experiment> {
+    let e = |id, title, body: fn(bool) -> Findings| Experiment { id, title, body };
     vec![
-        ("e1", "Theorem 3.1: greedy guarantees", e01_greedy::run),
-        (
+        e("e1", "Theorem 3.1: greedy guarantees", e01_greedy::run),
+        e(
             "e2",
             "Definition 3.2 / Lemma 3.4: safe distribution",
             e02_safety::run,
         ),
-        ("e3", "Theorem 4.3: delayed cuckoo routing", e03_dcr::run),
-        (
+        e("e3", "Theorem 4.3: delayed cuckoo routing", e03_dcr::run),
+        e(
             "e4",
             "Queue-size frontier: greedy vs DCR",
             e04_frontier::run,
         ),
-        ("e5", "d = 1 impossibility vs d >= 2", e05_replication::run),
-        (
+        e("e5", "d = 1 impossibility vs d >= 2", e05_replication::run),
+        e(
             "e6",
             "Theorem 5.1: one-step max load lower bound",
             e06_one_step::run,
         ),
-        (
+        e(
             "e7",
             "Theorem 5.2: rejection-rate lower bound",
             e07_collision::run,
         ),
-        (
+        e(
             "e8",
             "Lemma 5.3 / Corollary 5.4: time-step isolation",
             e08_isolated::run,
         ),
-        ("e9", "Lemma 4.8: P-queue arrival tail", e09_ptail::run),
-        (
+        e("e9", "Lemma 4.8: P-queue arrival tail", e09_ptail::run),
+        e(
             "e10",
             "Theorem 4.1 / Lemma 4.2: cuckoo substrate",
             e10_cuckoo::run,
         ),
-        (
+        e(
             "e11",
             "Heavily-loaded gap (Lemma 4.4 ingredient)",
             e11_heavy::run,
         ),
-        (
+        e(
             "e12",
             "Load/throughput frontier across policies",
             e12_load::run,
         ),
-        (
+        e(
             "e13",
-            "Ablation: DCR g-constant at small queues",
+            "Ablation: DCR's 'g sufficiently large' constant",
             e13_smallq::run,
         ),
-        ("e14", "Ablation: greedy flush interval", e14_flush::run),
-        (
+        e("e14", "Ablation: greedy flush interval", e14_flush::run),
+        e(
             "e15",
             "Extension: outage resilience through replication",
             e15_outage::run,
         ),
-        (
+        e(
             "e16",
             "Extension: robustness to popularity skew",
             e16_skew::run,
         ),
-        (
+        e(
             "e17",
             "Extension: the value of within-step information",
             e17_batched::run,
         ),
-        (
+        e(
             "e18",
             "DCR latency anatomy by queue class (Prop. 4.9)",
             e18_class_latency::run,
         ),
-        (
+        e(
             "e19",
             "Related work: migration (Wang et al.) vs replication",
             e19_migration::run,
         ),
-        ("e20", "Ablation: DCR phase length", e20_phase::run),
-        (
+        e("e20", "Ablation: DCR phase length", e20_phase::run),
+        e(
             "e21",
             "Extension: queues as burst absorbers",
             e21_burst::run,
         ),
-        (
+        e(
             "e22",
             "The third knob: voluntary rejection (latency flooring)",
             e22_shedding::run,
         ),
-        (
+        e(
             "e23",
             "Capacity thresholds at scale: log m vs log log m",
             e23_threshold::run,
@@ -254,8 +279,8 @@ pub fn registry() -> Vec<ExperimentEntry> {
 /// it cannot rot as experiments are added.
 pub fn usage() -> String {
     let reg = registry();
-    let first = reg.first().map(|&(id, _, _)| id).unwrap_or("e1");
-    let last = reg.last().map(|&(id, _, _)| id).unwrap_or("e1");
+    let first = reg.first().map_or("e1", |e| e.id);
+    let last = reg.last().map_or("e1", |e| e.id);
     format!(
         "experiments [IDS...] [--quick] [--json] [--out-dir DIR] [--jobs N]\n\
          \n\
@@ -273,18 +298,28 @@ mod tests {
 
     #[test]
     fn registry_ids_are_unique() {
-        let mut ids: Vec<&str> = registry().iter().map(|&(id, _, _)| id).collect();
+        let mut ids: Vec<&str> = registry().iter().map(|e| e.id).collect();
         ids.sort_unstable();
         ids.dedup();
         assert_eq!(ids.len(), registry().len());
     }
 
     #[test]
+    fn quick_runs_pass_all_shape_checks() {
+        let outputs = rlb_pool::global().map(registry(), |e| e.run(true));
+        for out in outputs {
+            assert!(out.all_passed(), "failed checks:\n{}", out.render());
+            assert!(!out.tables.is_empty(), "{} printed no table", out.id);
+            assert!(out.tables.iter().all(|t| !t.is_empty()), "{}", out.id);
+        }
+    }
+
+    #[test]
     fn usage_tracks_the_registry() {
         let reg = registry();
         let u = usage();
-        let first = reg.first().unwrap().0;
-        let last = reg.last().unwrap().0;
+        let first = reg.first().unwrap().id;
+        let last = reg.last().unwrap().id;
         assert!(
             u.contains(&format!("({first}..{last})")),
             "usage must quote the registry's id range: {u}"
@@ -294,7 +329,7 @@ mod tests {
     #[test]
     fn check_rendering() {
         let out = ExperimentOutput {
-            id: "E0",
+            id: "E0".into(),
             title: "demo",
             tables: vec![],
             checks: vec![Check::new("a", true, "ok"), Check::new("b", false, "bad")],

@@ -10,7 +10,7 @@
 //! to a serial run — `--jobs` only changes wall-clock. Exits non-zero if
 //! any shape check fails.
 
-use rlb_experiments::{registry, usage, ExperimentEntry};
+use rlb_experiments::{registry, usage, Experiment};
 
 /// A malformed command line: say why on stderr and exit 2.
 fn usage_error(message: &str) -> ! {
@@ -58,18 +58,15 @@ fn main() {
     let run_all = wanted.is_empty() || wanted.iter().any(|w| w == "all");
 
     let reg = registry();
-    let selected: Vec<ExperimentEntry> = reg
+    let selected: Vec<Experiment> = reg
         .iter()
-        .filter(|(id, _, _)| run_all || wanted.iter().any(|w| w == id))
+        .filter(|e| run_all || wanted.iter().any(|w| w == e.id))
         .copied()
         .collect();
     if selected.is_empty() {
         eprintln!(
             "no matching experiments; known ids: {}",
-            reg.iter()
-                .map(|&(id, _, _)| id)
-                .collect::<Vec<_>>()
-                .join(", ")
+            reg.iter().map(|e| e.id).collect::<Vec<_>>().join(", ")
         );
         std::process::exit(2);
     }
@@ -79,9 +76,8 @@ fn main() {
     // differ from a serial run); results come back in registry order
     // and all stdout/--out-dir emission below is serial, so the
     // user-visible output is byte-identical for any --jobs value.
-    let entries = selected.clone();
-    let collected = rlb_pool::global().map_indexed(entries.len(), move |idx| {
-        let (id, title, runner) = entries[idx];
+    let collected = rlb_pool::global().map(selected.clone(), move |entry| {
+        let Experiment { id, title, .. } = *entry;
         eprintln!(
             "running {id}: {title}{}",
             if quick { " (quick)" } else { "" }
@@ -89,13 +85,13 @@ fn main() {
         // Wall-clock progress display only; never feeds results.
         // lint:allow(determinism)
         let started = std::time::Instant::now();
-        let out = runner(quick);
+        let out = entry.run(quick);
         eprintln!("{id} finished in {:.1?}", started.elapsed());
         out
     });
 
     let mut failures = 0usize;
-    for ((id, _, _), out) in selected.iter().zip(&collected) {
+    for (Experiment { id, .. }, out) in selected.iter().zip(&collected) {
         if !json {
             println!("{}", out.render());
         }

@@ -106,7 +106,7 @@ fn help_usage_is_registry_derived() {
     assert!(out.status.success());
     let text = String::from_utf8(out.stdout).expect("usage is utf-8");
     assert_eq!(text, rlb_experiments::usage());
-    let last_id = rlb_experiments::registry().last().unwrap().0;
+    let last_id = rlb_experiments::registry().last().unwrap().id;
     assert!(
         text.contains(last_id),
         "usage must mention the newest experiment id {last_id}: {text}"

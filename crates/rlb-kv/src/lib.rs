@@ -9,18 +9,12 @@
 //!   bounded explicit-override table).
 //! * [`cluster`] — [`cluster::KvCluster`]: issue `get`s, advance time,
 //!   read the paper's metrics off the live system.
-//! * [`runner`] — a scoped-thread parallel runner executing many
-//!   independent simulation trials (seed sweeps, parameter sweeps)
-//!   across threads; this is where the experiment harness gets its
-//!   statistical power.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cluster;
 pub mod directory;
-pub mod runner;
 
 pub use cluster::{KvCluster, StepSummary, TenantStats};
 pub use directory::ChunkDirectory;
-pub use runner::{run_trials, run_trials_traced};

@@ -1,11 +1,12 @@
 //! Golden-trace determinism: tracing must not perturb the engine's
-//! determinism, and the multi-trial runner must splice per-trial JSONL
-//! streams in index order — so the same seeds yield a byte-identical
-//! trace document no matter how many worker threads ran the trials.
+//! determinism, and per-trial JSONL streams spliced in index order
+//! yield a byte-identical trace document no matter how many worker
+//! threads ran the trials.
 
 use rlb_core::policies::Greedy;
 use rlb_core::{SimConfig, TraceEvent};
-use rlb_kv::{run_trials_traced, KvCluster};
+use rlb_kv::KvCluster;
+use rlb_pool::Pool;
 use rlb_trace::{parse_jsonl, JsonlSink, Recorder};
 
 /// One traced trial: a multi-tenant key workload on a greedy cluster,
@@ -28,13 +29,24 @@ fn traced_trial(index: usize) -> ((u64, u64, u64), String) {
     )
 }
 
+/// Runs the traced trials on a private pool of `threads` executors (so
+/// they exist whatever the machine) and splices the streams in trial
+/// order; each stream is self-terminated (`JsonlSink` ends lines in
+/// `\n`).
+fn traced_trials(trials: usize, threads: usize) -> (Vec<(u64, u64, u64)>, String) {
+    let outcomes = Pool::new(threads).map_indexed(trials, traced_trial);
+    let jsonl = outcomes.iter().map(|(_, stream)| stream.as_str()).collect();
+    let values = outcomes.into_iter().map(|(value, _)| value).collect();
+    (values, jsonl)
+}
+
 #[test]
 fn golden_trace_is_byte_identical_across_thread_counts() {
     let trials = 6;
-    let (baseline_values, baseline_jsonl) = run_trials_traced(trials, 1, traced_trial);
+    let (baseline_values, baseline_jsonl) = traced_trials(trials, 1);
     assert_eq!(baseline_values.len(), trials);
     for threads in [2, 8] {
-        let (values, jsonl) = run_trials_traced(trials, threads, traced_trial);
+        let (values, jsonl) = traced_trials(trials, threads);
         assert_eq!(
             values, baseline_values,
             "values differ at {threads} threads"

@@ -1,9 +1,9 @@
-//! End-to-end tests of the KV façade and the parallel runner.
+//! End-to-end tests of the KV façade, alone and as pooled trials.
 
 use rlb_core::policies::{DelayedCuckoo, Greedy};
 use rlb_core::SimConfig;
-use rlb_kv::runner::run_trials;
 use rlb_kv::KvCluster;
+use rlb_pool::Pool;
 
 #[test]
 fn mixed_tenants_with_pinned_keys() {
@@ -68,7 +68,7 @@ fn dcr_backed_cluster_handles_hot_keys() {
 }
 
 #[test]
-fn runner_is_thread_count_invariant() {
+fn pooled_trials_are_thread_count_invariant() {
     let job = |i: usize| {
         let config = SimConfig::baseline(32).with_seed(i as u64);
         let mut kv = KvCluster::new(config, Greedy::new());
@@ -81,9 +81,8 @@ fn runner_is_thread_count_invariant() {
         let r = kv.finish();
         (r.arrived, r.accepted, r.completed)
     };
-    let t1 = run_trials(8, 1, job);
-    let t4 = run_trials(8, 4, job);
-    let t16 = run_trials(8, 16, job);
+    // Private pools, so 4 and 16 executors exist whatever the machine.
+    let [t1, t4, t16] = [1, 4, 16].map(|threads| Pool::new(threads).map_indexed(8, job));
     assert_eq!(t1, t4);
     assert_eq!(t4, t16);
 }

@@ -597,7 +597,7 @@ mod tests {
         let src = "fn f() { let t = std::time::Instant::now(); }";
         assert!(lint_source("crates/rlb-bench/src/wallclock.rs", src).is_empty());
         assert!(lint_source("crates/rlb-cli/src/lib.rs", src).is_empty());
-        assert_eq!(lint_source("crates/rlb-kv/src/runner.rs", src).len(), 1);
+        assert_eq!(lint_source("crates/rlb-kv/src/directory.rs", src).len(), 1);
     }
 
     #[test]
@@ -739,7 +739,7 @@ mod tests {
             "use std::sync::mpsc::channel;",
             "use std::sync::OnceLock;",
         ] {
-            let f = lint_source("crates/rlb-kv/src/runner.rs", bad);
+            let f = lint_source("crates/rlb-kv/src/directory.rs", bad);
             assert_eq!(f.len(), 1, "{bad}: {f:?}");
             assert_eq!(f[0].rule, "raw-sync");
         }
@@ -753,10 +753,10 @@ mod tests {
         // The executor is NOT exempt — it imports from rlb_sync now.
         assert_eq!(lint_source("crates/rlb-pool/src/lib.rs", src).len(), 2);
         let test_src = "#[cfg(test)]\nmod tests {\n    fn g() { std::thread::spawn(|| {}); }\n}";
-        assert!(lint_source("crates/rlb-kv/src/runner.rs", test_src).is_empty());
+        assert!(lint_source("crates/rlb-kv/src/directory.rs", test_src).is_empty());
         let allowed = "// justification here. lint:allow(raw-sync)\nfn f() { \
                        std::thread::spawn(|| {}); }";
-        assert!(lint_source("crates/rlb-kv/src/runner.rs", allowed).is_empty());
+        assert!(lint_source("crates/rlb-kv/src/directory.rs", allowed).is_empty());
     }
 
     #[test]
@@ -764,7 +764,7 @@ mod tests {
         let ok = "use std::sync::Arc;\nuse std::sync::PoisonError;\nfn f() { \
                   std::thread::sleep(d); let n = std::thread::available_parallelism(); \
                   let t = std::thread::current(); }";
-        assert!(lint_source("crates/rlb-kv/src/runner.rs", ok).is_empty());
+        assert!(lint_source("crates/rlb-kv/src/directory.rs", ok).is_empty());
     }
 
     #[test]

@@ -1,26 +1,22 @@
 //! # rlb-pool — the workspace's deterministic job executor
 //!
-//! Every parallel computation in the workspace — multi-trial runs in
-//! `rlb-kv`, sweep rows and whole experiments in `rlb-experiments` —
-//! funnels through this crate. It exists to make parallelism **boring**:
-//! results are returned in submission order regardless of completion
-//! order, so a correctly seeded computation produces bit-identical
-//! output no matter how many threads ran it (including one).
+//! Every parallel computation in the workspace — whole experiments,
+//! their sweep grids and their trials in `rlb-experiments`, the serving
+//! daemon's per-pass socket fan-out — funnels through this crate. It
+//! exists to make parallelism **boring**: results are returned in
+//! submission order regardless of completion order, so a correctly
+//! seeded computation produces bit-identical output no matter how many
+//! threads ran it (including one).
 //!
 //! ## Design
 //!
 //! * **Long-lived workers.** A [`Pool`] spawns `jobs - 1` worker
 //!   threads once; the thread submitting a batch is the remaining
-//!   executor. Nothing is spawned per call (the pre-pool design paid a
-//!   scoped-thread-pool setup per `run_trials` invocation).
+//!   executor. Nothing is spawned per call.
 //! * **Ordered maps.** [`Pool::map_indexed`] runs `f(0..n)` and returns
 //!   `Vec<T>` indexed by input position; [`Pool::map`] is the same over
 //!   owned items. Workers claim indices from a shared atomic counter
 //!   and write into per-index slots, so arrival order never matters.
-//!   [`Pool::map_indexed_capped`] additionally bounds how many
-//!   executors drain one batch, for callers that must cap their own
-//!   parallelism below the pool size — results are identical either
-//!   way.
 //! * **Nested jobs, no deadlock, no oversubscription.** A job may call
 //!   `map`/`map_indexed` on the same pool. The submitter first *helps
 //!   drain its own batch* (claiming indices like any worker) and only
@@ -79,20 +75,12 @@ trait Batch: Send + Sync {
     fn run_one(&self) -> bool;
     /// Whether every index has been claimed (possibly still running).
     fn exhausted(&self) -> bool;
-    /// Reserves an executor slot; `false` when the batch is exhausted or
-    /// already at its concurrency cap. An executor that joined drains
-    /// until exhaustion, so slots are never released mid-batch.
-    fn try_join(&self) -> bool;
 }
 
 /// Shared state of one `map_indexed` call.
 struct BatchState<T, F> {
     f: F,
     n: usize,
-    /// Max executors allowed to drain this batch concurrently.
-    cap: usize,
-    /// Executors currently draining (the submitter holds slot 0).
-    active: AtomicUsize,
     /// Next unclaimed index.
     next: AtomicUsize,
     /// Result slots, written by whichever thread ran the index.
@@ -105,14 +93,10 @@ struct BatchState<T, F> {
 }
 
 impl<T, F: Fn(usize) -> T> BatchState<T, F> {
-    fn new(n: usize, cap: usize, f: F) -> Self {
+    fn new(n: usize, f: F) -> Self {
         Self {
             f,
             n,
-            cap,
-            // The submitter always participates (it joins before the
-            // batch becomes visible in the queue), so it is pre-counted.
-            active: AtomicUsize::new(1),
             next: AtomicUsize::new(0),
             slots: (0..n).map(|_| Mutex::new(None)).collect(),
             panic: Mutex::new(None),
@@ -151,17 +135,6 @@ impl<T: Send, F: Fn(usize) -> T + Send + Sync> Batch for BatchState<T, F> {
     fn exhausted(&self) -> bool {
         self.next.load(Ordering::Relaxed) >= self.n
     }
-
-    fn try_join(&self) -> bool {
-        if self.exhausted() {
-            return false;
-        }
-        self.active
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |active| {
-                (active < self.cap).then_some(active.saturating_add(1))
-            })
-            .is_ok()
-    }
 }
 
 /// State shared between the pool handle and its workers.
@@ -175,10 +148,8 @@ struct Shared {
 impl Shared {
     /// Moves exhausted front batches into `retired` (the caller drops
     /// them **after** releasing the queue lock — see `worker_loop`),
-    /// then joins and clones the first batch that accepts another
-    /// executor (skipping, but keeping, batches at their concurrency
-    /// cap). Runs under the queue lock, so the slot reservation is
-    /// atomic with the scan.
+    /// then clones the first batch that still has an unclaimed index.
+    /// Runs under the queue lock.
     fn next_batch(
         queue: &mut VecDeque<Arc<dyn Batch>>,
         retired: &mut Vec<Arc<dyn Batch>>,
@@ -186,7 +157,7 @@ impl Shared {
         while queue.front().is_some_and(|front| front.exhausted()) {
             retired.extend(queue.pop_front());
         }
-        queue.iter().find(|batch| batch.try_join()).cloned()
+        queue.iter().find(|batch| !batch.exhausted()).cloned()
     }
 }
 
@@ -311,27 +282,10 @@ impl Pool {
         T: Send + 'static,
         F: Fn(usize) -> T + Send + Sync + 'static,
     {
-        // `jobs` executors exist in total, so this cap never binds.
-        self.map_indexed_capped(n, self.jobs, f)
-    }
-
-    /// Like [`Pool::map_indexed`], but at most `cap` executors (the
-    /// submitting thread plus up to `cap - 1` workers) run the batch
-    /// concurrently — for callers that must bound their own parallelism
-    /// (e.g. memory-heavy trials) below the pool size. Results are
-    /// identical for every `cap`; `cap <= 1` runs inline.
-    pub fn map_indexed_capped<T, F>(&self, n: usize, cap: usize, f: F) -> Vec<T>
-    where
-        T: Send + 'static,
-        F: Fn(usize) -> T + Send + Sync + 'static,
-    {
-        if n == 0 {
-            return Vec::new();
-        }
-        if self.jobs == 1 || cap <= 1 || n == 1 {
+        if self.jobs == 1 || n <= 1 {
             return (0..n).map(f).collect();
         }
-        let batch = Arc::new(BatchState::new(n, cap, f));
+        let batch = Arc::new(BatchState::new(n, f));
         {
             let mut queue = self.shared.queue.lock().expect("queue lock"); // lock poisoning means a job already panicked; die with it. lint:allow(panic-path)
             queue.push_back(Arc::clone(&batch) as Arc<dyn Batch>);

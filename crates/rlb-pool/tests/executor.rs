@@ -115,51 +115,32 @@ fn deep_nesting_completes() {
     assert_eq!(got, expect);
 }
 
-/// `map_indexed_capped` matches the sequential loop bit for bit for
-/// every cap, and never lets more than `cap` executors drain the batch
-/// at once (measured by a high-water mark of in-flight jobs).
+/// A batch is bounded by the pool's size and by nothing else: all `n`
+/// jobs of a batch on an `n`-executor pool are in flight at once,
+/// whatever the machine's core count. Job `i` returns only after every
+/// later index has, so completion order is the exact reverse of index
+/// order — and the result is index-ordered all the same. With fewer
+/// than `n` executors on the batch, job 0 never sees the others finish
+/// and the deadline fails the test.
 #[test]
-fn capped_batches_bound_concurrency() {
-    let pool = Pool::new(8);
-    let n = 64usize;
-    let expect: Vec<u64> = (0..n).map(|i| mix(0xcab, i)).collect();
-    for cap in [1usize, 2, 3, 8, 64] {
-        let active = Arc::new(AtomicUsize::new(0));
-        let high = Arc::new(AtomicUsize::new(0));
-        let (active_in, high_in) = (Arc::clone(&active), Arc::clone(&high));
-        let got = pool.map_indexed_capped(n, cap, move |i| {
-            let now = active_in.fetch_add(1, Ordering::SeqCst) + 1;
-            high_in.fetch_max(now, Ordering::SeqCst);
-            std::thread::sleep(std::time::Duration::from_micros(100));
-            active_in.fetch_sub(1, Ordering::SeqCst);
-            mix(0xcab, i)
-        });
-        assert_eq!(got, expect, "cap {cap}");
-        let high = high.load(Ordering::SeqCst);
-        assert!(high <= cap, "cap {cap} exceeded: {high} jobs in flight");
-    }
-}
-
-/// Capped batches must not wedge the pool: with several capped inner
-/// batches in flight from nested submitters, everything completes
-/// (workers skip batches at cap instead of blocking on them) and the
-/// result is still deterministic.
-#[test]
-fn capped_batch_does_not_block_the_queue() {
-    let pool = Arc::new(Pool::new(4));
-    let inner_pool = Arc::clone(&pool);
-    let got = pool.map_indexed(6, move |outer| {
-        let seed = 0xfeed ^ outer as u64;
-        let inner = inner_pool.map_indexed_capped(7, 2, move |j| mix(seed, j));
-        inner.iter().fold(0u64, |acc, v| acc.wrapping_add(*v))
+fn a_batch_fills_the_pool_and_finishes_in_any_order() {
+    let n = 8usize;
+    let unfinished = Arc::new(AtomicUsize::new(n));
+    let counter = Arc::clone(&unfinished);
+    let got = Pool::new(n).map_indexed(n, move |i| {
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
+        while counter.load(Ordering::SeqCst) != i + 1 {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "job {i} still waits on later jobs: fewer than {n} executors ran the batch"
+            );
+            std::thread::yield_now();
+        }
+        counter.fetch_sub(1, Ordering::SeqCst);
+        mix(0xf111, i)
     });
-    let expect: Vec<u64> = (0..6)
-        .map(|outer| {
-            let seed = 0xfeed ^ outer as u64;
-            (0..7).map(|j| mix(seed, j)).fold(0u64, u64::wrapping_add)
-        })
-        .collect();
-    assert_eq!(got, expect);
+    assert_eq!(got, (0..n).map(|i| mix(0xf111, i)).collect::<Vec<_>>());
+    assert_eq!(unfinished.load(Ordering::SeqCst), 0);
 }
 
 /// Regression for a lost-wakeup race in `Drop`: the shutdown store must

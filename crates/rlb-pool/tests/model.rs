@@ -1,4 +1,4 @@
-//! Model-checked verification of rlb-pool's four schedule-sensitive
+//! Model-checked verification of rlb-pool's three schedule-sensitive
 //! protocols, plus proof of the checker's detection power on the
 //! re-injected PR-4 shutdown race.
 //!
@@ -64,39 +64,6 @@ fn batch_counting_claims_each_index_exactly_once() {
     assert!(
         schedules <= 100_000,
         "batch schedule space blew up: {schedules}"
-    );
-}
-
-#[test]
-fn capped_batch_never_exceeds_cap() {
-    // map_indexed_capped try-join protocol: with a 3-executor pool and
-    // cap 2, at most 2 executors may ever drain the batch concurrently,
-    // in every schedule. In-flight high-water is tracked from inside
-    // the jobs via model atomics.
-    let schedules = check_ok(&cfg(), || {
-        let pool = Pool::new(3);
-        let in_flight = Arc::new(AtomicUsize::new(0));
-        let high = Arc::new(AtomicUsize::new(0));
-        let (inf, hi) = (Arc::clone(&in_flight), Arc::clone(&high));
-        let out = pool.map_indexed_capped(2, 2, move |i| {
-            let now = inf.fetch_add(1, Ordering::Relaxed) + 1;
-            let _ = hi.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |h| {
-                (h < now).then_some(now)
-            });
-            inf.fetch_sub(1, Ordering::Relaxed);
-            i + 1
-        });
-        assert_eq!(out, vec![1, 2]);
-        assert!(
-            high.load(Ordering::Relaxed) <= 2,
-            "cap 2 exceeded: high water {}",
-            high.load(Ordering::Relaxed)
-        );
-    });
-    println!("capped_batch: {schedules} schedules, all pass");
-    assert!(
-        schedules <= 100_000,
-        "capped schedule space blew up: {schedules}"
     );
 }
 

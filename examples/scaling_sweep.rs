@@ -1,10 +1,10 @@
 //! Scaling sweep: how the guarantees hold as the cluster grows.
 //!
 //! Sweeps `m` over a decade for greedy and delayed cuckoo routing on the
-//! adversarial repeated workload, running seeds in parallel across cores
-//! (the `rlb_kv::runner` fleet), and prints rejection-rate Wilson
-//! confidence intervals alongside the latency profile — the table you
-//! would put in a capacity-planning doc.
+//! adversarial repeated workload, running seeds in parallel as jobs on
+//! the workspace executor (`rlb_pool::global()`), and prints
+//! rejection-rate Wilson confidence intervals alongside the latency
+//! profile — the table you would put in a capacity-planning doc.
 //!
 //! ```text
 //! cargo run --release --example scaling_sweep
@@ -12,8 +12,8 @@
 
 use reappearance_lb::core::policies::{DelayedCuckoo, Greedy};
 use reappearance_lb::core::{RunReport, SimConfig, Simulation};
-use reappearance_lb::kv::runner::{default_threads, run_trials};
 use reappearance_lb::metrics::wilson95;
+use reappearance_lb::pool;
 use reappearance_lb::workloads::RepeatedSet;
 
 fn run_one(policy: &str, m: usize, seed: u64, steps: u64) -> RunReport {
@@ -41,7 +41,7 @@ fn main() {
     let trials = 8usize;
     println!(
         "repeated-set adversary, {steps} steps x {trials} seeds per point, {} worker threads\n",
-        default_threads()
+        pool::global().jobs()
     );
     for policy in ["greedy", "delayed-cuckoo"] {
         println!("== {policy} ==");
@@ -50,7 +50,7 @@ fn main() {
             "m", "reject-rate (95% CI)", "avg-lat", "max-lat", "peak-backlog"
         );
         for m in [256usize, 512, 1024, 2048, 4096] {
-            let reports = run_trials(trials, default_threads(), move |i| {
+            let reports = pool::global().map_indexed(trials, move |i| {
                 run_one(policy, m, i as u64 * 7919 + 13, steps)
             });
             let arrived: u64 = reports.iter().map(|r| r.arrived).sum();

@@ -19,7 +19,8 @@
 //! * [`ballsbins`] — classical balls-and-bins strategies and the
 //!   lower-bound experiments of §5.
 //! * [`workloads`] — oblivious-adversary request generators and traces.
-//! * [`kv`] — a key-value-store façade and a parallel trial runner.
+//! * [`kv`] — a key-value-store façade.
+//! * [`pool`] — the deterministic job executor independent trials run on.
 //! * [`hash`] / [`metrics`] — deterministic randomness and measurement.
 //!
 //! ## Quickstart
@@ -51,4 +52,5 @@ pub use rlb_cuckoo as cuckoo;
 pub use rlb_hash as hash;
 pub use rlb_kv as kv;
 pub use rlb_metrics as metrics;
+pub use rlb_pool as pool;
 pub use rlb_workloads as workloads;

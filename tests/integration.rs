@@ -2,7 +2,8 @@
 
 use reappearance_lb::core::policies::{DelayedCuckoo, Greedy, OneChoice, UniformRandom};
 use reappearance_lb::core::{DrainMode, RunReport, SimConfig, Simulation, Workload};
-use reappearance_lb::kv::{runner::run_trials, KvCluster};
+use reappearance_lb::kv::KvCluster;
+use reappearance_lb::pool::Pool;
 use reappearance_lb::workloads::{FreshRandom, PartialRepeat, RepeatedSet, Trace, ZipfDistinct};
 
 fn base(m: usize, seed: u64) -> SimConfig {
@@ -148,7 +149,7 @@ fn parallel_trials_match_serial_execution() {
         (r.accepted, r.completed)
     };
     let serial: Vec<_> = (0..6).map(run_one).collect();
-    let parallel = run_trials(6, 4, run_one);
+    let parallel = Pool::new(4).map_indexed(6, run_one);
     assert_eq!(serial, parallel);
 }
 

@@ -2,20 +2,18 @@
 //! the per-theorem experiments in quick mode and require every shape
 //! check (the qualitative predictions of the paper) to hold.
 //!
-//! The full suite runs via `cargo run --release -p rlb-experiments`;
-//! each experiment also has its own quick-mode unit test inside
-//! `rlb-experiments`. These integration copies exercise the public
-//! registry entry points.
+//! The full suite runs via `cargo run --release -p rlb-experiments`.
+//! These tests exercise the public registry entry points.
 
 use rlb_experiments::registry;
 
 fn run_and_assert(id: &str) {
     let reg = registry();
-    let (_, _, runner) = reg
+    let experiment = reg
         .iter()
-        .find(|&&(rid, _, _)| rid == id)
+        .find(|e| e.id == id)
         .unwrap_or_else(|| panic!("unknown experiment {id}"));
-    let out = runner(true);
+    let out = experiment.run(true);
     assert!(
         out.all_passed(),
         "{id} failed shape checks:\n{}",
@@ -45,8 +43,8 @@ fn substrate_results_hold() {
 
 #[test]
 fn registry_is_complete() {
-    let ids: Vec<&str> = registry().iter().map(|&(id, _, _)| id).collect();
-    for e in 1..=22 {
+    let ids: Vec<&str> = registry().iter().map(|e| e.id).collect();
+    for e in 1..=ids.len() {
         assert!(
             ids.contains(&format!("e{e}").as_str()),
             "experiment e{e} missing from registry"
