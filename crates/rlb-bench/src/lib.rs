@@ -1,67 +1,18 @@
-//! Shared fixtures and the wall-clock harness for the benchmark suite.
+//! The two wall-clock gates behind `rlb-sim bench`.
 //!
-//! The benches live in `benches/` and are plain `harness = false`
-//! binaries driven by [`wallclock::Harness`] (the workspace builds
-//! without external dev-dependencies, so no criterion):
+//! * [`suite`] — `bench --suite`: times the `experiments` binary
+//!   serial vs default-jobs and compares against the committed
+//!   `BENCH_experiments.json`.
+//! * [`meanfield`] — `bench --meanfield`: mean-field solver wall-time
+//!   across `m` plus the solver-vs-engine speedup floor recorded in
+//!   `BENCH_meanfield.json`.
 //!
-//! * `routing` — per-request routing cost of every policy.
-//! * `simulation` — full-step cost of the engine across cluster sizes,
-//!   including the light/heavy/interleaved perf-gate scenarios.
-//! * `cuckoo` — offline allocators and the Lemma 4.2 tripartite build.
-//! * `ballsbins` — classical strategies at one-step and heavy load.
-//! * `experiments` — wall-clock of the per-theorem experiment suite in
-//!   quick mode (regression guard for the reproduction harness itself).
-//!
-//! Set `RLB_BENCH_MIN_MS` to control the per-benchmark measuring window
-//! (default 200 ms; e.g. `RLB_BENCH_MIN_MS=20` for a smoke run).
+//! Neither sits on a request's path. Engine and wire-path throughput
+//! are measured by the stand-alone `benchmark/` package
+//! (`BENCHMARK.json`), and by nothing here.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use rlb_core::{DrainMode, SimConfig};
-
-pub mod engine;
 pub mod meanfield;
 pub mod suite;
-pub mod wallclock;
-
-/// A standard benchmark configuration for `m` servers.
-pub fn bench_config(m: usize, seed: u64) -> SimConfig {
-    SimConfig {
-        num_servers: m,
-        num_chunks: 4 * m,
-        replication: 2,
-        process_rate: 16,
-        queue_capacity: 16,
-        flush_interval: None,
-        drain_mode: DrainMode::EndOfStep,
-        seed,
-        safety_check_every: None,
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn bench_config_is_valid() {
-        bench_config(64, 1).validate().unwrap();
-    }
-
-    #[test]
-    fn harness_measures_and_reports() {
-        let mut h = wallclock::Harness::with_window(std::time::Duration::from_millis(5));
-        let mut x = 0u64;
-        h.bench("group", "trivial", Some(10), || {
-            x = x.wrapping_add(1);
-            x
-        });
-        assert_eq!(h.records().len(), 1);
-        let r = &h.records()[0];
-        assert!(r.iters >= 1);
-        assert!(r.nanos_per_iter >= 0.0);
-        assert!(r.elements_per_sec.unwrap() > 0.0);
-        assert!(h.summary().contains("trivial"));
-    }
-}

@@ -35,8 +35,8 @@ pub const SPEEDUP_MIN_RATIO: f64 = 100.0;
 /// Engine measurement window (steps) for the speedup row.
 const ENGINE_STEPS: u64 = 32;
 
-/// Timed samples per measurement; the fastest is reported (same
-/// noise-floor estimator as the engine gate).
+/// Timed samples per measurement; the fastest is reported (the
+/// noise-floor estimator: interference only ever slows a run down).
 const GATE_SAMPLES: usize = 3;
 
 /// One measured row of `BENCH_meanfield.json`. Solve-only rows carry

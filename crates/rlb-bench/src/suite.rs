@@ -1,22 +1,38 @@
 //! Experiment-suite wall-clock benchmark (`rlb-sim bench --suite`).
 //!
-//! Where [`crate::engine`] gates the per-step cost of the simulation
-//! engine, this module gates the wall-clock of the headline deliverable
+//! This module gates the wall-clock of the headline deliverable
 //! itself: `rlb-experiments all`. It times the `experiments` binary as
 //! a subprocess — the suite sizes its global executor once per process
 //! (`--jobs` / `RLB_JOBS`), so serial and parallel configurations can
 //! only be compared across process boundaries — and records the fastest
-//! of [`SUITE_SAMPLES`] runs per configuration, the same noise-floor
-//! estimator the engine gate uses.
+//! of [`SUITE_SAMPLES`] runs per configuration (interference only ever
+//! slows a run down, so the minimum is the noise-floor estimator).
 //!
-//! Results are committed as `BENCH_experiments.json` with the same
-//! ratio-gate treatment `rlb-sim bench` applies to `BENCH_engine.json`:
-//! re-running compares suite runs/second per configuration against the
-//! committed numbers and fails below [`crate::engine::GATE_MIN_RATIO`].
+//! Results are committed as `BENCH_experiments.json` under a ratio
+//! gate: re-running compares suite runs/second per configuration
+//! against the committed numbers and fails below [`GATE_MIN_RATIO`].
 
-use crate::engine::GateRow;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
+
+/// Minimum acceptable throughput ratio against a recorded baseline.
+pub const GATE_MIN_RATIO: f64 = 0.95;
+
+/// One configuration compared against its recorded baseline.
+#[derive(Debug, Clone)]
+pub struct GateRow {
+    /// Configuration name (`"all/jobs1"`).
+    pub name: String,
+    /// Suite runs per second in this run over the baseline file's.
+    pub ratio: f64,
+}
+
+impl GateRow {
+    /// Whether this configuration meets [`GATE_MIN_RATIO`].
+    pub fn passes(&self) -> bool {
+        self.ratio >= GATE_MIN_RATIO
+    }
+}
 
 /// Timed samples per configuration; the fastest is reported.
 pub(crate) const SUITE_SAMPLES: usize = 3;
@@ -156,9 +172,10 @@ pub fn run_suite_gate(bin: &Path, quick: bool) -> Result<SuiteBenchReport, Strin
 }
 
 /// Extracts `(name, suite_runs_per_sec)` pairs from a previously
-/// written `BENCH_experiments.json`, with the same leniency as
-/// [`crate::engine::parse_baseline`]: entries only need `name` and
-/// `suite_runs_per_sec`.
+/// written `BENCH_experiments.json`, tolerating schema drift: entries
+/// only need `name` and `suite_runs_per_sec` (a strict
+/// [`SuiteBenchReport`] parse would reject a file written before a
+/// field was added).
 ///
 /// # Errors
 /// Returns a message if the document is not JSON or has no `results`
@@ -192,8 +209,6 @@ pub fn compare_to_baseline(report: &SuiteBenchReport, baseline: &[(String, f64)]
             }
             Some(GateRow {
                 name: r.name.clone(),
-                baseline_steps_per_sec: base,
-                steps_per_sec: r.suite_runs_per_sec,
                 ratio: r.suite_runs_per_sec / base,
             })
         })

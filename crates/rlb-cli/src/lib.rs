@@ -24,18 +24,12 @@
 //!   --interleaved        use sub-step (interleaved) draining
 //!   --json               emit the full report as JSON
 //!
-//! rlb-sim bench [--out PATH] [--sizes M1,M2,...]
-//!
-//!   Runs the engine perf gate (light/heavy/interleaved scenarios per
-//!   cluster size; default sizes 1024,8192,65536) and writes the
-//!   machine-readable results to PATH (default BENCH_engine.json).
-//!
 //! rlb-sim bench --suite [--out PATH] [--quick]
 //!
 //!   Times `experiments all` as a subprocess, serial (--jobs 1) vs the
 //!   default executor size, fastest-of-3 each, and writes the results
-//!   to PATH (default BENCH_experiments.json) with the same 0.95x
-//!   ratio gate against the previously committed numbers.
+//!   to PATH (default BENCH_experiments.json) under a 0.95x ratio gate
+//!   against the previously committed numbers.
 //!
 //! rlb-sim bench --meanfield [--out PATH]
 //!
@@ -364,9 +358,9 @@ pub fn render_text(opts: &CliOptions, report: &RunReport) -> String {
 
 /// Runs the `lint` subcommand: the workspace's self-hosted static
 /// analysis (`rlb-lint`) over every `crates/*/src` file, with
-/// `crates/*/{tests,examples,benches}` and the root `tests/` as
-/// reference material and `lint-roots.toml` as the panic-reachability
-/// manifest. Returns the rendered report and whether the workspace is
+/// `crates/*/{tests,examples}` and the root package's
+/// `{src,tests,examples}` as reference material and `lint-roots.toml`
+/// as the panic-reachability manifest. Returns the rendered report and whether the workspace is
 /// clean; the binary exits nonzero on any finding.
 ///
 /// Arguments (after the `lint` subcommand): `--root PATH` (default
@@ -422,94 +416,50 @@ pub fn run_lint(args: &[String]) -> Result<(String, bool), String> {
     Ok((out, report.is_clean()))
 }
 
-/// Runs the engine perf gate (`rlb-sim bench`) and writes the results
-/// as JSON. Returns a human-readable summary plus whether the ratio
-/// gate passed (vacuously true when no baseline file existed to compare
-/// against); the binary exits nonzero on a gate failure so CI can run
-/// the gate directly.
+/// Runs one of the two wall-clock gates — `rlb-sim bench --suite` or
+/// `rlb-sim bench --meanfield` — and writes its results as JSON.
+/// Returns a human-readable summary plus whether the gate passed; the
+/// binary exits nonzero on a gate failure so CI can run a gate
+/// directly.
 ///
-/// Arguments (after the `bench` subcommand):
-/// `--out PATH` (default `BENCH_engine.json`) and
-/// `--sizes M1,M2,...` (default `1024,8192,65536`); `--suite` and
-/// `--meanfield` select the other two gates, whose flags this also
-/// reads.
+/// Arguments (after the `bench` subcommand): the mode, `--out PATH`
+/// (default: the mode's committed `BENCH_*.json`), and under `--suite`,
+/// `--quick`.
 ///
 /// # Errors
-/// Returns a message on malformed arguments or an unwritable output
-/// path.
+/// Returns a message on malformed arguments — a `bench` that names no
+/// mode included — or an unwritable output path.
 pub fn run_bench(args: &[String]) -> Result<(String, bool), String> {
     let suite = args.iter().any(|a| a == "--suite");
     let meanfield = !suite && args.iter().any(|a| a == "--meanfield");
-    let (scope, default_out) = if suite {
-        ("bench --suite ", "BENCH_experiments.json")
+    let scope = if suite {
+        "bench --suite "
     } else if meanfield {
-        ("bench --meanfield ", "BENCH_meanfield.json")
+        "bench --meanfield "
     } else {
-        ("bench ", "BENCH_engine.json")
+        "bench "
     };
-    let mut out_path = default_out.to_string();
+    let mut out_path = None;
     let mut quick = false;
-    let mut sizes: Vec<usize> = rlb_bench::engine::GATE_SIZES.to_vec();
     let mut flags = Flags::new(args);
     while let Some(arg) = flags.next_flag() {
         match arg {
             "--suite" if suite => {}
             "--meanfield" if meanfield => {}
             "--quick" if suite => quick = true,
-            "--out" => out_path = flags.operand(arg, "a path")?.to_string(),
-            "--sizes" if !suite && !meanfield => {
-                sizes = flags
-                    .operand(arg, "a list, e.g. 1024,8192")?
-                    .split(',')
-                    .map(|s| {
-                        s.trim()
-                            .parse::<usize>()
-                            .map_err(|_| format!("--sizes: not a number: {s:?}"))
-                    })
-                    .collect::<Result<_, _>>()?;
-                if sizes.is_empty() {
-                    return Err("--sizes: empty list".into());
-                }
-            }
+            "--out" => out_path = Some(flags.operand(arg, "a path")?.to_string()),
             other => return Err(unknown(scope, other)),
         }
     }
+    let out_or = |default: &str| out_path.unwrap_or_else(|| default.to_string());
+    // With no mode the flags were still read, so a typo is named first.
     if suite {
-        return run_suite_bench(out_path, quick);
+        run_suite_bench(out_or("BENCH_experiments.json"), quick)
+    } else if meanfield {
+        run_meanfield_bench(out_or("BENCH_meanfield.json"))
+    } else {
+        Err("bench requires a mode: --suite or --meanfield".into())
     }
-    if meanfield {
-        return run_meanfield_bench(out_path);
-    }
-    let report = rlb_bench::engine::run_gate(&sizes);
-    // Compare against the previous results before overwriting them: the
-    // engine runs with tracing compiled out (the default `NoopSink`),
-    // so this row-by-row ratio is the traced-off overhead gate.
-    let baseline = std::fs::read_to_string(&out_path)
-        .ok()
-        .and_then(|old| rlb_bench::engine::parse_baseline(&old).ok());
-    let gate_rows = baseline
-        .as_deref()
-        .map(|b| rlb_bench::engine::compare_to_baseline(&report, b))
-        .unwrap_or_default();
-    let json = rlb_json::to_string_pretty(&report);
-    std::fs::write(&out_path, &json).map_err(|e| format!("cannot write {out_path:?}: {e}"))?;
-    use std::fmt::Write as _;
-    let mut summary = String::new();
-    for r in &report.results {
-        let vs_baseline = gate_rows
-            .iter()
-            .find(|g| g.name == r.name)
-            .map(|g| format!("  {:>5.2}x vs baseline", g.ratio))
-            .unwrap_or_default();
-        let _ = writeln!(
-            summary,
-            "{:<24} {:>12.1} steps/s  {:>14.1} requests/s{vs_baseline}",
-            r.name, r.steps_per_sec, r.requests_per_sec
-        );
-    }
-    let passed = gate_verdict("traced-off", &gate_rows, &mut summary);
-    let _ = writeln!(summary, "wrote {out_path}");
-    Ok((summary, passed))
 }
 
 /// Appends the ratio gate's verdict line (the worst row against the
@@ -517,7 +467,7 @@ pub fn run_bench(args: &[String]) -> Result<(String, bool), String> {
 /// vacuously, and silently, when there was no baseline to compare with.
 fn gate_verdict(
     label: &str,
-    gate_rows: &[rlb_bench::engine::GateRow],
+    gate_rows: &[rlb_bench::suite::GateRow],
     summary: &mut String,
 ) -> bool {
     use std::fmt::Write as _;
@@ -530,7 +480,7 @@ fn gate_verdict(
         "{label} gate: worst ratio {:.2}x ({}) vs threshold {:.2}x -> {verdict}",
         worst.ratio,
         worst.name,
-        rlb_bench::engine::GATE_MIN_RATIO
+        rlb_bench::suite::GATE_MIN_RATIO
     );
     worst.passes()
 }

@@ -22,7 +22,6 @@ const CASES: &[(Parser, &str, &str)] = &[
     (SERVE, "--listen", "--listen requires a value"),
     (TRACE, "--out", "--out requires a path"),
     (LINT, "--rule", "--rule requires a rule name"),
-    (BENCH, "--sizes", "--sizes requires a list, e.g. 1024,8192"),
     (BENCH, "--meanfield --out", "--out requires a path"),
     // Not a number.
     (RUN, "--steps 10e3", "--steps: not a number: \"10e3\""),
@@ -44,8 +43,9 @@ const CASES: &[(Parser, &str, &str)] = &[
     (SERVE, "--bogus", "unknown serve/load option \"--bogus\""),
     (LINT, "--bogus", "unknown lint option \"--bogus\""),
     (BENCH, "--bogus", "unknown bench option \"--bogus\""),
-    (BENCH, "--suite --sizes 8", "unknown bench --suite option \"--sizes\""),
     (BENCH, "--meanfield --quick", "unknown bench --meanfield option \"--quick\""),
+    // A subcommand with nothing selected to run.
+    (BENCH, "", "bench requires a mode: --suite or --meanfield"),
 ];
 
 #[test]

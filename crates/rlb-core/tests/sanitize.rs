@@ -113,7 +113,7 @@ fn corrupted_route_backlog_is_caught() {
 
 #[test]
 fn heavy_saturating_run_passes_every_step() {
-    // A scaled-down cut of the bench suite's `heavy/m*` scenario: one
+    // A scaled-down cut of the benchmark's `engine-dense` workload: one
     // request per server per step over a repeated chunk set, far above
     // the drain rate, so the arena sits at capacity with the dense
     // drain sweep active — re-deriving every invariant after each step.

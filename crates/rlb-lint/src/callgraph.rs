@@ -3,11 +3,12 @@
 //! One pass over every parsed file builds a function table and, per
 //! function body, the outgoing call edges plus the *site lists* the
 //! transitive passes consume: panic sites (`unwrap`/`expect`/panic
-//! macros/indexing/slice patterns/`/`-`%`), bare-arithmetic sites
-//! (`+ - * <<` and their compound assignments), and `?` try sites.
+//! macros/indexing/slice patterns/`/`-`%`) and bare-arithmetic sites
+//! (`+ - * <<` and their compound assignments).
 //!
-//! Resolution is deliberately approximate, erring toward *fewer*
-//! edges, with the boundaries documented here and in ARCHITECTURE.md:
+//! Resolution (one [`Resolver`], shared with the tier-3 passes) is
+//! deliberately approximate, erring toward *fewer* edges, with the
+//! boundaries documented here and in ARCHITECTURE.md:
 //!
 //! * `Type::name(..)` and `Self::name(..)` resolve through the
 //!   (owner, name) table; `module::name(..)` falls back to free
@@ -20,8 +21,8 @@
 //! * Calls that resolve to nothing are assumed to be std (or another
 //!   non-workspace) call and treated as non-panicking; so are trait
 //!   calls through `dyn`/generic dispatch and turbofish forms
-//!   (`f::<T>(..)`). `?` propagates errors, not panics, so try sites
-//!   are counted but create no panic edge.
+//!   (`f::<T>(..)`). `?` propagates errors, not panics, so a try site
+//!   is not a panic site.
 //! * `#[cfg(test)]` functions are excluded from the table: a test
 //!   helper must never capture resolution of a hot-path name.
 
@@ -75,10 +76,8 @@ impl PanicKind {
 pub struct PanicSite {
     /// Which kind.
     pub kind: PanicKind,
-    /// 1-based line.
-    pub line: usize,
-    /// 1-based column.
-    pub col: usize,
+    /// Byte offset of the site's token.
+    pub pos: usize,
 }
 
 /// A bare-arithmetic site inside a function body.
@@ -86,10 +85,8 @@ pub struct PanicSite {
 pub struct ArithSite {
     /// The operator (`+`, `<<=`, …).
     pub op: &'static str,
-    /// 1-based line.
-    pub line: usize,
-    /// 1-based column.
-    pub col: usize,
+    /// Byte offset of the operator.
+    pub pos: usize,
     /// Inside a `debug_assert*!(..)` argument (exempt: compiled out in
     /// release, and the assert *is* the overflow justification).
     pub debug_asserted: bool,
@@ -107,8 +104,6 @@ pub struct FnNode {
     pub qname: String,
     /// Defining crate (`rlb-core`).
     pub krate: String,
-    /// 1-based declaration line.
-    pub line: usize,
     /// Inside `#[cfg(test)]`.
     pub in_test: bool,
 }
@@ -124,16 +119,10 @@ pub struct CallGraph {
     pub panic_sites: Vec<Vec<PanicSite>>,
     /// Per-node bare-arithmetic sites.
     pub arith_sites: Vec<Vec<ArithSite>>,
-    /// Per-node `?` try-site count (error propagation, not panic).
-    pub try_counts: Vec<usize>,
     /// Method/free-call names that matched 2+ candidates: name → the
     /// candidate qnames. These calls produce *no* edge (documented
     /// false-negative boundary); the set is surfaced in lint stats.
     pub ambiguities: BTreeMap<String, BTreeSet<String>>,
-    /// Total resolved call edges (pre-dedup), for stats.
-    pub calls_resolved: usize,
-    /// Calls that matched nothing in the workspace table (assumed std).
-    pub calls_unresolved: usize,
 }
 
 impl CallGraph {
@@ -170,112 +159,117 @@ impl CallGraph {
     }
 }
 
-/// Read-only call resolution for the tier-3 passes, which need callee
-/// *identity* at a call site (to apply a function summary) rather than
-/// just the edge set. It rebuilds the same three tables [`build`] uses
-/// internally and applies the same rules — same-owner method first,
-/// then unique name; `Qual::name` by owner then free; bare names with
-/// same-crate shadowing — so its hits are exactly the calls the graph
-/// drew edges for. Ambiguous and unresolved calls return `None`: the
-/// shared false-negative boundary documented on [`CallGraph`].
+/// What a call site resolved to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Resolution<'r> {
+    /// Exactly one workspace function: the graph draws an edge, and
+    /// the tier-3 passes apply the callee's summary.
+    One(usize),
+    /// Several candidates share the name. No edge is drawn (the
+    /// documented false-negative boundary); the candidates go to
+    /// [`CallGraph::ambiguities`].
+    Ambiguous(&'r [usize]),
+    /// Nothing in the workspace table: assumed std.
+    Unresolved,
+}
+
+/// The one place a call site is resolved to a callee: [`build`] draws
+/// its edges from it and the tier-3 passes ask it for callee
+/// *identity* (to apply a function summary), so they resolve exactly
+/// the calls the graph drew. Test fns are in none of the tables.
 pub(crate) struct Resolver<'a> {
-    by_owner_name: BTreeMap<(&'a str, &'a str), Vec<usize>>,
+    /// owner → name → ids: every fn declared in an `impl`/`trait`.
+    by_owner_name: BTreeMap<&'a str, BTreeMap<&'a str, Vec<usize>>>,
+    /// The `self`-taking subset of the above, by name alone.
     method_by_name: BTreeMap<&'a str, Vec<usize>>,
     free_by_name: BTreeMap<&'a str, Vec<usize>>,
+    /// Per node: its enclosing owner and its crate, as a *caller*.
+    callers: Vec<(Option<&'a str>, &'a str)>,
 }
 
 impl<'a> Resolver<'a> {
-    /// Rebuilds the resolution tables over `g`'s non-test nodes.
-    pub(crate) fn new(files: &'a [ParsedFile], g: &CallGraph) -> Self {
+    fn new(files: &'a [ParsedFile], nodes: &[FnNode]) -> Self {
         let mut r = Resolver {
             by_owner_name: BTreeMap::new(),
             method_by_name: BTreeMap::new(),
             free_by_name: BTreeMap::new(),
+            callers: Vec::with_capacity(nodes.len()),
         };
-        for (id, n) in g.nodes.iter().enumerate() {
+        for (id, n) in nodes.iter().enumerate() {
+            let pf = &files[n.file];
+            let f = &pf.items.fns[n.item];
+            r.callers.push((f.owner.as_deref(), pf.crate_name()));
             if n.in_test {
                 continue;
             }
-            let f = &files[n.file].items.fns[n.item];
-            match &f.owner {
+            let name = f.name.as_str();
+            match f.owner.as_deref() {
                 Some(o) => {
-                    r.by_owner_name
-                        .entry((o.as_str(), f.name.as_str()))
-                        .or_default()
-                        .push(id);
+                    let by_name = r.by_owner_name.entry(o).or_default();
+                    by_name.entry(name).or_default().push(id);
                     if f.has_self {
-                        r.method_by_name
-                            .entry(f.name.as_str())
-                            .or_default()
-                            .push(id);
+                        r.method_by_name.entry(name).or_default().push(id);
                     }
                 }
-                None => r.free_by_name.entry(f.name.as_str()).or_default().push(id),
+                None => r.free_by_name.entry(name).or_default().push(id),
             }
         }
         r
     }
 
     /// Resolves a call to `name` preceded by `prev`/`prev2` (the two
-    /// code tokens before the name), made from inside `caller`.
+    /// code tokens before the name), made from inside node `caller`.
     pub(crate) fn resolve(
         &self,
-        g: &CallGraph,
         caller: usize,
-        files: &[ParsedFile],
         name: &str,
         prev: Option<&str>,
         prev2: Option<&str>,
-    ) -> Option<usize> {
-        let n = &g.nodes[caller];
-        let owner = files[n.file].items.fns[n.item].owner.as_deref();
-        match prev {
+    ) -> Resolution<'_> {
+        let (owner, krate) = self.callers[caller];
+        let owned = |o: &str| {
+            self.by_owner_name
+                .get(o)
+                .and_then(|by_name| by_name.get(name))
+        };
+        let by_name = match prev {
             Some(".") => {
-                if let Some(o) = owner {
-                    if let Some([one]) = self.by_owner_name.get(&(o, name)).map(Vec::as_slice) {
-                        return Some(*one);
-                    }
+                // Method call: same-owner method wins, else unique-name.
+                if let Some([one]) = owner.and_then(owned).map(Vec::as_slice) {
+                    return Resolution::One(*one);
                 }
-                match self.method_by_name.get(name).map(Vec::as_slice) {
-                    Some([one]) => Some(*one),
-                    _ => None,
-                }
+                self.method_by_name.get(name)
             }
             Some("::") => {
+                // `Type::name(..)` / `Self::name(..)` through the owner
+                // table; `module::name(..)` falls back to free fns.
                 let qualifier = prev2.unwrap_or("");
                 let looked_up = if qualifier == "Self" {
                     owner
                 } else {
                     Some(qualifier)
                 };
-                if let Some(o) = looked_up {
-                    if let Some(c) = self.by_owner_name.get(&(o, name)) {
-                        return match c.as_slice() {
-                            [one] => Some(*one),
-                            _ => None,
-                        };
-                    }
-                }
-                match self.free_by_name.get(name).map(Vec::as_slice) {
-                    Some([one]) => Some(*one),
-                    _ => None,
-                }
+                looked_up
+                    .and_then(owned)
+                    .or_else(|| self.free_by_name.get(name))
             }
-            _ => match self.free_by_name.get(name).map(Vec::as_slice) {
-                Some([one]) => Some(*one),
-                Some(many) => {
-                    let same: Vec<usize> = many
-                        .iter()
-                        .copied()
-                        .filter(|&c| g.nodes[c].krate == g.nodes[caller].krate)
-                        .collect();
-                    match same.as_slice() {
-                        [one] => Some(*one),
-                        _ => None,
+            // Bare call: a free fn, unique workspace-wide — or unique
+            // in the calling crate (local names shadow).
+            _ => {
+                let free = self.free_by_name.get(name);
+                if let Some(many) = free.filter(|all| all.len() > 1) {
+                    let mut local = many.iter().filter(|&&c| self.callers[c].1 == krate);
+                    if let (Some(&one), None) = (local.next(), local.next()) {
+                        return Resolution::One(one);
                     }
                 }
-                _ => None,
-            },
+                free
+            }
+        };
+        match by_name.map(Vec::as_slice) {
+            Some([one]) => Resolution::One(*one),
+            Some(many) => Resolution::Ambiguous(many),
+            None => Resolution::Unresolved,
         }
     }
 }
@@ -301,99 +295,61 @@ pub(crate) fn is_camel_type(text: &str) -> bool {
         && text.chars().any(|c| c.is_ascii_lowercase())
 }
 
-/// Builds the graph over every parsed file.
-pub fn build(files: &[ParsedFile]) -> CallGraph {
+/// Builds the graph over every parsed file, and hands back the
+/// resolver its edges were drawn from.
+pub(crate) fn build(files: &[ParsedFile]) -> (CallGraph, Resolver<'_>) {
     let mut g = CallGraph::default();
-    // ---- node table
+    // node id lookup for (file, item)
+    let mut node_of: BTreeMap<(usize, usize), usize> = BTreeMap::new();
     for (fi, pf) in files.iter().enumerate() {
         for (ii, f) in pf.items.fns.iter().enumerate() {
+            node_of.insert((fi, ii), g.nodes.len());
             g.nodes.push(FnNode {
                 file: fi,
                 item: ii,
                 qname: f.qname(),
                 krate: pf.crate_name().to_string(),
-                line: f.line,
                 in_test: f.in_test,
             });
         }
     }
-    // ---- resolution tables (test fns excluded)
-    let mut by_owner_name: BTreeMap<(&str, &str), Vec<usize>> = BTreeMap::new();
-    let mut method_by_name: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
-    let mut free_by_name: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
-    for (id, n) in g.nodes.iter().enumerate() {
-        if n.in_test {
-            continue;
-        }
-        let f = &files[n.file].items.fns[n.item];
-        match &f.owner {
-            Some(o) => {
-                by_owner_name
-                    .entry((o.as_str(), f.name.as_str()))
-                    .or_default()
-                    .push(id);
-                if f.has_self {
-                    method_by_name.entry(f.name.as_str()).or_default().push(id);
-                }
-            }
-            None => free_by_name.entry(f.name.as_str()).or_default().push(id),
-        }
-    }
+    let resolver = Resolver::new(files, &g.nodes);
     g.edges = vec![Vec::new(); g.nodes.len()];
     g.panic_sites = vec![Vec::new(); g.nodes.len()];
     g.arith_sites = vec![Vec::new(); g.nodes.len()];
-    g.try_counts = vec![0; g.nodes.len()];
-
-    // node id lookup for (file, item)
-    let mut node_of: BTreeMap<(usize, usize), usize> = BTreeMap::new();
-    for (id, n) in g.nodes.iter().enumerate() {
-        node_of.insert((n.file, n.item), id);
-    }
 
     // ---- body walks
     for (fi, pf) in files.iter().enumerate() {
-        let src = &pf.source;
-        let toks = &pf.tokens.toks;
-        // Code-token positions (comments dropped) for O(1) prev/next.
-        let code: Vec<usize> = pf.tokens.code_tokens().map(|(i, _)| i).collect();
-        let text = |p: usize| toks[code[p]].text(src);
-        let kind = |p: usize| toks[code[p]].kind;
         // debug_assert*!(..) argument byte spans.
-        let da_spans = debug_assert_spans(pf, &code);
+        let da_spans = debug_assert_spans(pf);
 
-        for p in 0..code.len() {
-            let ti = code[p];
-            let Some(item) = pf.items.fn_at(ti) else {
+        for p in 0..pf.code.len() {
+            let Some(item) = pf.items.fn_at(pf.code[p]) else {
                 continue;
             };
             let node = node_of[&(fi, item)];
-            let lo = toks[ti].lo;
-            let line = pf.tokens.line_of(lo);
-            let col = pf.tokens.col_of(lo);
-            let prev = p.checked_sub(1).map(&text);
-            let prev_kind = p.checked_sub(1).map(&kind);
-            let next = code.get(p + 1).map(|_| text(p + 1));
-            let prev_is_value = match prev_kind {
+            let pos = pf.byte(p);
+            let prev = p.checked_sub(1).map(|q| pf.text(q));
+            let next = (p + 1 < pf.code.len()).then(|| pf.text(p + 1));
+            let prev_is_value = match p.checked_sub(1).map(|q| pf.kind(q)) {
                 Some(TokenKind::Ident) => is_value_ident(prev.unwrap_or("")),
                 Some(TokenKind::Int | TokenKind::Float | TokenKind::Str | TokenKind::Char) => true,
                 Some(TokenKind::Punct) => matches!(prev, Some(")") | Some("]")),
                 _ => false,
             };
+            let mut panic_site = |kind| g.panic_sites[node].push(PanicSite { kind, pos });
 
-            match kind(p) {
+            match pf.kind(p) {
                 TokenKind::Ident => {
-                    let name = text(p);
+                    let name = pf.text(p);
                     // Macro invocation?
                     if next == Some("!") {
-                        let mk = match name {
-                            "panic" => Some(PanicKind::Panic),
-                            "unreachable" => Some(PanicKind::Unreachable),
-                            "todo" => Some(PanicKind::Todo),
-                            "unimplemented" => Some(PanicKind::Unimplemented),
-                            _ => None,
-                        };
-                        if let Some(k) = mk {
-                            g.panic_sites[node].push(PanicSite { kind: k, line, col });
+                        match name {
+                            "panic" => panic_site(PanicKind::Panic),
+                            "unreachable" => panic_site(PanicKind::Unreachable),
+                            "todo" => panic_site(PanicKind::Todo),
+                            "unimplemented" => panic_site(PanicKind::Unimplemented),
+                            _ => {}
                         }
                         continue;
                     }
@@ -402,73 +358,40 @@ pub fn build(files: &[ParsedFile]) -> CallGraph {
                     }
                     // A call. `.unwrap()` / `.expect(` are panic sites,
                     // everything else resolves to an edge when it can.
-                    if prev == Some(".") {
-                        match name {
-                            "unwrap" => {
-                                g.panic_sites[node].push(PanicSite {
-                                    kind: PanicKind::Unwrap,
-                                    line,
-                                    col,
-                                });
-                                continue;
+                    match (prev, name) {
+                        (Some("."), "unwrap") => panic_site(PanicKind::Unwrap),
+                        (Some("."), "expect") => panic_site(PanicKind::Expect),
+                        _ => match resolver.resolve(
+                            node,
+                            name,
+                            prev,
+                            p.checked_sub(2).map(|q| pf.text(q)),
+                        ) {
+                            Resolution::One(callee) => g.edges[node].push(callee),
+                            Resolution::Ambiguous(candidates) => {
+                                let qnames = candidates.iter().map(|&c| g.nodes[c].qname.clone());
+                                g.ambiguities
+                                    .entry(name.to_string())
+                                    .or_default()
+                                    .extend(qnames);
                             }
-                            "expect" => {
-                                g.panic_sites[node].push(PanicSite {
-                                    kind: PanicKind::Expect,
-                                    line,
-                                    col,
-                                });
-                                continue;
-                            }
-                            _ => {}
-                        }
+                            Resolution::Unresolved => {}
+                        },
                     }
-                    let owner = files[fi].items.fns[item].owner.as_deref();
-                    resolve_call(
-                        &mut g,
-                        node,
-                        name,
-                        prev,
-                        p.checked_sub(2).map(&text),
-                        owner,
-                        &by_owner_name,
-                        &method_by_name,
-                        &free_by_name,
-                    );
                 }
                 TokenKind::Punct => {
-                    let op = text(p);
+                    let op = pf.text(p);
                     match op {
-                        "?" => g.try_counts[node] += 1,
-                        "[" => {
-                            if prev == Some("let") {
-                                g.panic_sites[node].push(PanicSite {
-                                    kind: PanicKind::SlicePattern,
-                                    line,
-                                    col,
-                                });
-                            } else if prev_is_value {
-                                g.panic_sites[node].push(PanicSite {
-                                    kind: PanicKind::Index,
-                                    line,
-                                    col,
-                                });
-                            }
-                        }
+                        "[" if prev == Some("let") => panic_site(PanicKind::SlicePattern),
+                        "[" if prev_is_value => panic_site(PanicKind::Index),
                         // Float division cannot panic; `x as f64 / y`
                         // and `m / 2f64.powi(..)` are visible without
                         // type inference.
-                        "/" | "%" | "/=" | "%="
-                            if prev_is_value && !float_adjacent(pf, &code, p) =>
-                        {
-                            g.panic_sites[node].push(PanicSite {
-                                kind: PanicKind::DivMod,
-                                line,
-                                col,
-                            });
+                        "/" | "%" | "/=" | "%=" if prev_is_value && !float_adjacent(pf, p) => {
+                            panic_site(PanicKind::DivMod)
                         }
                         "+" | "-" | "*" | "<<" | "+=" | "-=" | "*=" | "<<=" if prev_is_value => {
-                            if arith_is_exempt(pf, &code, p) {
+                            if arith_is_exempt(pf, p) {
                                 continue;
                             }
                             let op_static = match op {
@@ -481,14 +404,10 @@ pub fn build(files: &[ParsedFile]) -> CallGraph {
                                 "*=" => "*=",
                                 _ => "<<=",
                             };
-                            let byte = toks[ti].lo;
                             g.arith_sites[node].push(ArithSite {
                                 op: op_static,
-                                line,
-                                col,
-                                debug_asserted: da_spans
-                                    .iter()
-                                    .any(|&(a, b)| a <= byte && byte < b),
+                                pos,
+                                debug_asserted: da_spans.iter().any(|&(a, b)| a <= pos && pos < b),
                             });
                         }
                         _ => {}
@@ -502,89 +421,51 @@ pub fn build(files: &[ParsedFile]) -> CallGraph {
         e.sort_unstable();
         e.dedup();
     }
-    g
+    (g, resolver)
 }
 
 /// Operand-level exemptions for the arithmetic pass: float-adjacent
 /// operations (no wrap semantics), `+ 'static` / `+ Send` trait-bound
 /// positions, and `*`-deref/`-`-negation already excluded by the
 /// binary-position check at the call site.
-fn arith_is_exempt(pf: &ParsedFile, code: &[usize], p: usize) -> bool {
-    if float_adjacent(pf, code, p) {
-        return true;
-    }
-    let toks = &pf.tokens.toks;
-    let src = &pf.source;
-    let neighbor = |q: Option<usize>| q.map(|q| (&toks[code[q]], toks[code[q]].text(src)));
-    for nb in [p.checked_sub(1), (p + 1 < code.len()).then_some(p + 1)] {
-        if let Some((t, s)) = neighbor(nb) {
-            if t.kind == TokenKind::Lifetime {
-                return true;
-            }
-            if t.kind == TokenKind::Ident && is_camel_type(s) {
-                return true;
-            }
-        }
-    }
-    false
+fn arith_is_exempt(pf: &ParsedFile, p: usize) -> bool {
+    float_adjacent(pf, p)
+        || neighbours(pf, p).any(|q| {
+            pf.kind(q) == TokenKind::Lifetime
+                || (pf.kind(q) == TokenKind::Ident && is_camel_type(pf.text(q)))
+        })
 }
 
 /// Whether either operand next to the operator at code position `p` is
 /// visibly a float: a float literal, or an `f64`/`f32` ident (the tail
 /// of an `as f64` cast).
-fn float_adjacent(pf: &ParsedFile, code: &[usize], p: usize) -> bool {
-    let toks = &pf.tokens.toks;
-    let src = &pf.source;
-    for q in [p.checked_sub(1), (p + 1 < code.len()).then_some(p + 1)]
+fn float_adjacent(pf: &ParsedFile, p: usize) -> bool {
+    neighbours(pf, p).any(|q| {
+        pf.kind(q) == TokenKind::Float
+            || (pf.kind(q) == TokenKind::Ident && matches!(pf.text(q), "f64" | "f32"))
+    })
+}
+
+/// The code positions on either side of `p` that exist.
+fn neighbours(pf: &ParsedFile, p: usize) -> impl Iterator<Item = usize> {
+    [p.checked_sub(1), (p + 1 < pf.code.len()).then_some(p + 1)]
         .into_iter()
         .flatten()
-    {
-        let t = &toks[code[q]];
-        if t.kind == TokenKind::Float {
-            return true;
-        }
-        if t.kind == TokenKind::Ident && matches!(t.text(src), "f64" | "f32") {
-            return true;
-        }
-    }
-    false
 }
 
 /// `debug_assert*!( … )` argument byte spans in one file.
-fn debug_assert_spans(pf: &ParsedFile, code: &[usize]) -> Vec<(usize, usize)> {
-    let toks = &pf.tokens.toks;
-    let src = &pf.source;
+fn debug_assert_spans(pf: &ParsedFile) -> Vec<(usize, usize)> {
     let mut spans = Vec::new();
     let mut p = 0;
-    while p + 2 < code.len() {
-        let name = toks[code[p]].text(src);
-        if toks[code[p]].kind == TokenKind::Ident
-            && name.starts_with("debug_assert")
-            && toks[code[p + 1]].text(src) == "!"
-            && matches!(toks[code[p + 2]].text(src), "(" | "[")
+    while p + 2 < pf.code.len() {
+        if pf.kind(p) == TokenKind::Ident
+            && pf.text(p).starts_with("debug_assert")
+            && pf.text(p + 1) == "!"
+            && matches!(pf.text(p + 2), "(" | "[")
         {
-            let open = code[p + 2];
-            let mut depth = 0i32;
-            let mut q = p + 2;
-            while q < code.len() {
-                match toks[code[q]].text(src) {
-                    "(" | "[" => depth += 1,
-                    ")" | "]" => {
-                        depth -= 1;
-                        if depth == 0 {
-                            break;
-                        }
-                    }
-                    _ => {}
-                }
-                q += 1;
-            }
-            let close = code
-                .get(q)
-                .copied()
-                .unwrap_or(*code.last().unwrap_or(&open));
-            spans.push((toks[open].lo, toks[close].hi));
-            p = q + 1;
+            let close = pf.matching(p + 2, pf.code.len());
+            spans.push((pf.byte(p + 2), pf.tok(close).hi));
+            p = close + 1;
             continue;
         }
         p += 1;
@@ -592,100 +473,17 @@ fn debug_assert_spans(pf: &ParsedFile, code: &[usize]) -> Vec<(usize, usize)> {
     spans
 }
 
-/// Resolves one call and records the edge / ambiguity / miss.
-#[allow(clippy::too_many_arguments)]
-fn resolve_call(
-    g: &mut CallGraph,
-    node: usize,
-    name: &str,
-    prev: Option<&str>,
-    prev2: Option<&str>,
-    owner: Option<&str>,
-    by_owner_name: &BTreeMap<(&str, &str), Vec<usize>>,
-    method_by_name: &BTreeMap<&str, Vec<usize>>,
-    free_by_name: &BTreeMap<&str, Vec<usize>>,
-) {
-    let add_edge = |g: &mut CallGraph, callee: usize| {
-        g.calls_resolved += 1;
-        g.edges[node].push(callee);
-    };
-    let record_ambiguous = |g: &mut CallGraph, name: &str, cands: &[usize]| {
-        let qnames: BTreeSet<String> = cands.iter().map(|&c| g.nodes[c].qname.clone()).collect();
-        g.ambiguities
-            .entry(name.to_string())
-            .or_default()
-            .extend(qnames);
-    };
-    match prev {
-        Some(".") => {
-            // Method call: same-owner method wins, else unique-name.
-            if let Some(o) = owner {
-                if let Some(c) = by_owner_name.get(&(o, name)) {
-                    if c.len() == 1 {
-                        add_edge(g, c[0]);
-                        return;
-                    }
-                }
-            }
-            match method_by_name.get(name).map(Vec::as_slice) {
-                Some([one]) => add_edge(g, *one),
-                Some(many) if many.len() > 1 => record_ambiguous(g, name, many),
-                _ => g.calls_unresolved += 1,
-            }
-        }
-        Some("::") => {
-            let qualifier = prev2.unwrap_or("");
-            let looked_up_owner = if qualifier == "Self" {
-                owner
-            } else {
-                Some(qualifier)
-            };
-            if let Some(o) = looked_up_owner {
-                if let Some(c) = by_owner_name.get(&(o, name)) {
-                    match c.as_slice() {
-                        [one] => add_edge(g, *one),
-                        many => record_ambiguous(g, name, many),
-                    }
-                    return;
-                }
-            }
-            // `module::name(..)`: fall back to free fns by name.
-            match free_by_name.get(name).map(Vec::as_slice) {
-                Some([one]) => add_edge(g, *one),
-                Some(many) if many.len() > 1 => record_ambiguous(g, name, many),
-                _ => g.calls_unresolved += 1,
-            }
-        }
-        _ => {
-            // Bare call: a free fn, unique workspace-wide (or unique in
-            // the calling crate — local names shadow).
-            match free_by_name.get(name).map(Vec::as_slice) {
-                Some([one]) => add_edge(g, *one),
-                Some(many) if many.len() > 1 => {
-                    let same_crate: Vec<usize> = many
-                        .iter()
-                        .copied()
-                        .filter(|&c| g.nodes[c].krate == g.nodes[node].krate)
-                        .collect();
-                    if let [one] = same_crate.as_slice() {
-                        add_edge(g, *one);
-                    } else {
-                        record_ambiguous(g, name, many);
-                    }
-                }
-                _ => g.calls_unresolved += 1,
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn parse(files: &[(&str, &str)]) -> Vec<ParsedFile> {
+        files.iter().map(|(p, s)| ParsedFile::new(p, s)).collect()
+    }
+
     fn graph_of(files: &[(&str, &str)]) -> (Vec<ParsedFile>, CallGraph) {
-        let parsed: Vec<ParsedFile> = files.iter().map(|(p, s)| ParsedFile::new(p, s)).collect();
-        let g = build(&parsed);
+        let parsed = parse(files);
+        let g = build(&parsed).0;
         (parsed, g)
     }
 
@@ -741,14 +539,85 @@ mod tests {
 
     #[test]
     fn test_fns_do_not_capture_resolution() {
-        let (_, g) = graph_of(&[(
+        let files = parse(&[(
             "crates/rlb-core/src/sim.rs",
             "fn f(x: &T) { x.probe(); }\n\
              #[cfg(test)]\nmod tests { impl Fake { fn probe(&self) { panic!() } } }",
         )]);
+        let (g, resolver) = build(&files);
         let f = node(&g, "f");
         assert!(g.edges[f].is_empty());
-        assert_eq!(g.calls_unresolved, 1);
+        assert_eq!(
+            resolver.resolve(f, "probe", Some("."), Some("x")),
+            Resolution::Unresolved
+        );
+    }
+
+    /// Every arm of the resolver (`.name(`, `Qual::name(`, bare
+    /// `name(`) against each of its three outcomes.
+    #[test]
+    fn resolution_table() {
+        let files = parse(&[
+            (
+                "crates/a/src/lib.rs",
+                "fn helper() {}\nfn unique_free() {}\nfn from_a() {}\n\
+                 impl Q { fn run(&self) {} fn make() {} fn go(&self) {} fn dup() {} }\n\
+                 impl R { fn go(&self) {} fn solo(&self) {} }",
+            ),
+            (
+                "crates/b/src/lib.rs",
+                "fn helper() {}\nfn from_b() {}\nimpl Q { fn dup() {} }",
+            ),
+            ("crates/c/src/lib.rs", "fn from_c() {}"),
+        ]);
+        let (g, resolver) = build(&files);
+        // Node id of the fn `qname` declared in crate `krate`.
+        let id = |krate: &str, qname: &str| {
+            let found = g
+                .nodes
+                .iter()
+                .position(|n| n.krate == krate && n.qname == qname);
+            found.unwrap_or_else(|| panic!("no {qname} in {krate}"))
+        };
+        use Resolution::{Ambiguous, One, Unresolved};
+        let go = [id("a", "Q::go"), id("a", "R::go")];
+        let dup = [id("a", "Q::dup"), id("b", "Q::dup")];
+        let helper = [id("a", "helper"), id("b", "helper")];
+        // (caller's crate, caller, the call site's last code tokens, outcome)
+        #[rustfmt::skip]
+        let cases: &[(&str, &str, &str, Resolution)] = &[
+            // `.name(`: the caller's own impl wins over a shared name,
+            // else the workspace-unique `self`-taking fn of that name.
+            ("a", "Q::run", "self . go", One(go[0])),
+            ("c", "from_c", "x . solo", One(id("a", "R::solo"))),
+            ("c", "from_c", "x . go", Ambiguous(&go)),
+            ("c", "from_c", "x . make", Unresolved), // takes no `self`
+            ("c", "from_c", "v . push", Unresolved),
+            // `Qual::name(`: the (owner, name) table, `Self` standing
+            // for the caller's owner; `module::name(` falls back to
+            // free fns by name, with no crate preference.
+            ("c", "from_c", "Q :: make", One(id("a", "Q::make"))),
+            ("a", "Q::run", "Self :: make", One(id("a", "Q::make"))),
+            ("c", "from_c", "a :: unique_free", One(id("a", "unique_free"))),
+            ("c", "from_c", "Q :: dup", Ambiguous(&dup)),
+            ("a", "from_a", "b :: helper", Ambiguous(&helper)),
+            ("a", "from_a", "Self :: make", Unresolved), // caller has no owner
+            ("c", "from_c", "Vec :: new", Unresolved),
+            // Bare `name(`: a free fn unique in the workspace, or — two
+            // crates define `helper` — the calling crate's own.
+            ("c", "from_c", "unique_free", One(id("a", "unique_free"))),
+            ("a", "from_a", ") { helper", One(helper[0])),
+            ("b", "from_b", ") { helper", One(helper[1])),
+            ("c", "from_c", ") { helper", Ambiguous(&helper)),
+            ("c", "from_c", "; make", Unresolved), // not a free fn
+            ("c", "from_c", "= drop", Unresolved),
+        ];
+        for &(krate, caller, call, want) in cases {
+            let mut toks = call.split(' ').rev();
+            let (name, prev, prev2) = (toks.next().expect("a name"), toks.next(), toks.next());
+            let got = resolver.resolve(id(krate, caller), name, prev, prev2);
+            assert_eq!(got, want, "in {caller}: {call}(");
+        }
     }
 
     #[test]
@@ -807,13 +676,12 @@ mod tests {
     }
 
     #[test]
-    fn try_sites_are_counted_not_panics() {
+    fn try_sites_are_not_panic_sites() {
         let (_, g) = graph_of(&[(
             "crates/rlb-core/src/sim.rs",
             "fn f(x: Option<u32>) -> Option<u32> { let y = x?; Some(y) }",
         )]);
         let f = node(&g, "f");
-        assert_eq!(g.try_counts[f], 1);
         assert!(g.panic_sites[f].is_empty());
     }
 

@@ -3,10 +3,9 @@
 //!
 //! [`build_file`] turns every non-test function body in a
 //! [`ParsedFile`] into a [`Cfg`]: basic blocks of statements plus
-//! successor edges. Statements are ranges of *code-token* positions
-//! (comments stripped — the shared `code` vector in [`FileCfgs`] maps
-//! them back to real token indices), so the dataflow layer can walk a
-//! statement's tokens with simple adjacency.
+//! successor edges. Statements are ranges of *code positions* (the
+//! comment-free view [`ParsedFile`] owns), so the dataflow layer can
+//! walk a statement's tokens with simple adjacency.
 //!
 //! Construction rules:
 //!
@@ -58,8 +57,8 @@
 use crate::items::ParsedFile;
 use crate::token::TokenKind;
 
-/// One statement: a `[lo, hi)` range of positions into the file's
-/// code-token vector (see [`FileCfgs::code`]).
+/// One statement: a `[lo, hi)` range of code positions in its file
+/// (see [`ParsedFile`]).
 #[derive(Debug, Clone, Copy)]
 pub struct Stmt {
     /// First code-token position of the statement.
@@ -101,29 +100,23 @@ impl Cfg {
     }
 }
 
-/// All CFGs for one file, plus the shared code-token position map.
+/// All CFGs for one file.
 #[derive(Debug, Clone, Default)]
 pub struct FileCfgs {
-    /// `code[c]` is the token index (into `pf.tokens.toks`) of code
-    /// position `c` — the comment-free view all [`Stmt`] ranges index.
-    pub code: Vec<usize>,
     /// `(index into pf.items.fns, cfg)` for every non-test fn.
     pub cfgs: Vec<(usize, Cfg)>,
 }
 
 /// Builds the CFGs for every non-test function in `pf`.
 pub fn build_file(pf: &ParsedFile) -> FileCfgs {
-    let code: Vec<usize> = pf.tokens.code_tokens().map(|(i, _)| i).collect();
     let mut cfgs = Vec::new();
     for (fi, f) in pf.items.fns.iter().enumerate() {
         if f.in_test {
             continue;
         }
-        let lo = code.partition_point(|&ti| ti < f.body_toks.0);
-        let hi = code.partition_point(|&ti| ti < f.body_toks.1);
+        let (lo, hi) = pf.code_range(f.body_toks);
         let mut b = Builder {
             pf,
-            code: &code,
             blocks: vec![Block::default(), Block::default()],
             succ: vec![Vec::new(), Vec::new()],
             loops: Vec::new(),
@@ -144,7 +137,7 @@ pub fn build_file(pf: &ParsedFile) -> FileCfgs {
             },
         ));
     }
-    FileCfgs { code, cfgs }
+    FileCfgs { cfgs }
 }
 
 const EXIT: usize = 1;
@@ -161,25 +154,12 @@ struct LoopCtx {
 
 struct Builder<'a> {
     pf: &'a ParsedFile,
-    code: &'a [usize],
     blocks: Vec<Block>,
     succ: Vec<Vec<usize>>,
     loops: Vec<LoopCtx>,
 }
 
 impl<'a> Builder<'a> {
-    fn tok(&self, c: usize) -> &crate::token::Token {
-        &self.pf.tokens.toks[self.code[c]]
-    }
-
-    fn text(&self, c: usize) -> &str {
-        self.tok(c).text(&self.pf.source)
-    }
-
-    fn kind(&self, c: usize) -> TokenKind {
-        self.tok(c).kind
-    }
-
     fn new_block(&mut self) -> usize {
         self.blocks.push(Block::default());
         self.succ.push(Vec::new());
@@ -198,71 +178,17 @@ impl<'a> Builder<'a> {
                 semi,
                 pattern,
             });
-            if !pattern && self.range_has(lo, hi, "?") {
+            if !pattern && (lo..hi).any(|c| self.pf.text(c) == "?") {
                 self.edge(block, EXIT);
             }
         }
     }
 
-    fn range_has(&self, lo: usize, hi: usize, what: &str) -> bool {
-        (lo..hi).any(|c| self.text(c) == what)
-    }
-
-    /// Code position of the close bracket matching the opener at `at`
-    /// (clamped to `hi` for unbalanced input).
-    fn matching(&self, at: usize, hi: usize) -> usize {
-        let mut d = 0usize;
-        let mut c = at;
-        while c < hi {
-            match self.text(c) {
-                "(" | "[" | "{" => d += 1,
-                ")" | "]" | "}" => {
-                    d -= 1;
-                    if d == 0 {
-                        return c;
-                    }
-                }
-                _ => {}
-            }
-            c += 1;
-        }
-        hi.saturating_sub(1).max(at)
-    }
-
     /// First depth-0 `{` at or after `p` (the body of a condition /
     /// scrutinee that cannot contain a bare struct literal).
     fn body_brace(&self, p: usize, hi: usize) -> usize {
-        let mut d = 0usize;
-        let mut c = p;
-        while c < hi {
-            match self.text(c) {
-                "{" if d == 0 => return c,
-                "(" | "[" | "{" => d += 1,
-                ")" | "]" | "}" => d = d.saturating_sub(1),
-                _ => {}
-            }
-            c += 1;
-        }
-        hi.saturating_sub(1).max(p)
-    }
-
-    /// First depth-0 occurrence of exactly `what` at or after `p`.
-    fn depth0(&self, p: usize, hi: usize, what: &str) -> Option<usize> {
-        let mut d = 0usize;
-        let mut c = p;
-        while c < hi {
-            let t = self.text(c);
-            if d == 0 && t == what {
-                return Some(c);
-            }
-            match t {
-                "(" | "[" | "{" => d += 1,
-                ")" | "]" | "}" => d = d.saturating_sub(1),
-                _ => {}
-            }
-            c += 1;
-        }
-        None
+        let brace = self.pf.depth0(p, hi, |t| t == "{");
+        brace.unwrap_or(hi.saturating_sub(1).max(p))
     }
 
     /// Builds the statement sequence in `[lo, hi)` starting from block
@@ -271,22 +197,24 @@ impl<'a> Builder<'a> {
         let mut p = lo;
         while p < hi {
             // Optional loop/block label: `'outer: loop { … }`.
-            let (label, q) =
-                if self.kind(p) == TokenKind::Lifetime && p + 1 < hi && self.text(p + 1) == ":" {
-                    (Some(self.text(p).to_string()), p + 2)
-                } else {
-                    (None, p)
-                };
+            let (label, q) = if self.pf.kind(p) == TokenKind::Lifetime
+                && p + 1 < hi
+                && self.pf.text(p + 1) == ":"
+            {
+                (Some(self.pf.text(p).to_string()), p + 2)
+            } else {
+                (None, p)
+            };
             if q >= hi {
                 break;
             }
-            let t0 = self.text(q).to_string();
-            p = match t0.as_str() {
+            let t0 = self.pf.text(q);
+            p = match t0 {
                 "if" => self.if_stmt(q, hi, &mut cur),
                 "match" => self.match_stmt(q, hi, &mut cur),
-                "loop" | "while" | "for" => self.loop_stmt(q, &t0, label, hi, &mut cur),
+                "loop" | "while" | "for" => self.loop_stmt(q, t0, label, hi, &mut cur),
                 "{" => self.block_stmt(q, label, hi, &mut cur),
-                "unsafe" if q + 1 < hi && self.text(q + 1) == "{" => {
+                "unsafe" if q + 1 < hi && self.pf.text(q + 1) == "{" => {
                     self.block_stmt(q + 1, label, hi, &mut cur)
                 }
                 "return" => self.return_stmt(q, hi, &mut cur),
@@ -322,27 +250,27 @@ impl<'a> Builder<'a> {
         // `if let PAT = EXPR {`: the body brace comes after the
         // depth-0 `=` (struct patterns may contain braces). Plain
         // conditions cannot contain bare struct literals.
-        let scan_from = if p + 1 < hi && self.text(p + 1) == "let" {
-            self.depth0(p, hi, "=").map_or(p, |e| e + 1)
+        let scan_from = if p + 1 < hi && self.pf.text(p + 1) == "let" {
+            self.pf.depth0(p, hi, |t| t == "=").map_or(p, |e| e + 1)
         } else {
             p
         };
         let lb = self.body_brace(scan_from, hi);
         self.push_stmt(cond_block, p, lb, true, false);
-        let rb = self.matching(lb, hi);
+        let rb = self.pf.matching(lb, hi);
         let then_entry = self.new_block();
         self.edge(cond_block, then_entry);
         let then_exit = self.seq(lb + 1, rb, then_entry);
         exits.push(then_exit);
         let mut next = rb + 1;
-        if next < hi && self.text(next) == "else" {
-            if next + 1 < hi && self.text(next + 1) == "if" {
+        if next < hi && self.pf.text(next) == "else" {
+            if next + 1 < hi && self.pf.text(next + 1) == "if" {
                 let elif_cond = self.new_block();
                 self.edge(cond_block, elif_cond);
                 return self.if_chain(next + 1, elif_cond, hi, exits);
             }
             let elb = next + 1; // the `{` of `else { … }`
-            let erb = self.matching(elb, hi);
+            let erb = self.pf.matching(elb, hi);
             let else_entry = self.new_block();
             self.edge(cond_block, else_entry);
             let else_exit = self.seq(elb + 1, erb, else_entry);
@@ -359,12 +287,12 @@ impl<'a> Builder<'a> {
     fn match_stmt(&mut self, p: usize, hi: usize, cur: &mut usize) -> usize {
         let lb = self.body_brace(p, hi);
         self.push_stmt(*cur, p, lb, true, false);
-        let rb = self.matching(lb, hi);
+        let rb = self.pf.matching(lb, hi);
         let scrut = *cur;
         let join = self.new_block();
         let mut i = lb + 1;
         while i < rb {
-            let Some(arrow) = self.depth0(i, rb, "=>") else {
+            let Some(arrow) = self.pf.depth0(i, rb, |t| t == "=>") else {
                 break;
             };
             let arm_entry = self.new_block();
@@ -372,15 +300,15 @@ impl<'a> Builder<'a> {
             self.push_stmt(arm_entry, i, arrow, true, true);
             let b = arrow + 1;
             let arm_exit;
-            if b < rb && self.text(b) == "{" {
-                let brc = self.matching(b, rb);
+            if b < rb && self.pf.text(b) == "{" {
+                let brc = self.pf.matching(b, rb);
                 arm_exit = self.seq(b + 1, brc, arm_entry);
                 i = brc + 1;
-                if i < rb && self.text(i) == "," {
+                if i < rb && self.pf.text(i) == "," {
                     i += 1;
                 }
             } else {
-                let end = self.depth0(b, rb, ",").unwrap_or(rb);
+                let end = self.pf.depth0(b, rb, |t| t == ",").unwrap_or(rb);
                 arm_exit = self.seq(b, end, arm_entry);
                 i = end + 1;
             }
@@ -402,11 +330,13 @@ impl<'a> Builder<'a> {
     ) -> usize {
         let scan_from = match kw {
             // `while let PAT = EXPR {` — body brace after the `=`.
-            "while" if p + 1 < hi && self.text(p + 1) == "let" => {
-                self.depth0(p, hi, "=").map_or(p, |e| e + 1)
+            "while" if p + 1 < hi && self.pf.text(p + 1) == "let" => {
+                self.pf.depth0(p, hi, |t| t == "=").map_or(p, |e| e + 1)
             }
             // `for PAT in EXPR {` — body brace after the `in`.
-            "for" => (p..hi).find(|&c| self.text(c) == "in").map_or(p, |e| e + 1),
+            "for" => (p..hi)
+                .find(|&c| self.pf.text(c) == "in")
+                .map_or(p, |e| e + 1),
             _ => p,
         };
         let lb = self.body_brace(scan_from, hi);
@@ -417,7 +347,7 @@ impl<'a> Builder<'a> {
             // head block so its bindings and kills apply per-iteration.
             self.push_stmt(head, p, lb, true, false);
         }
-        let rb = self.matching(lb, hi);
+        let rb = self.pf.matching(lb, hi);
         let after = self.new_block();
         if kw != "loop" {
             self.edge(head, after); // condition may be false at once
@@ -441,7 +371,7 @@ impl<'a> Builder<'a> {
         hi: usize,
         cur: &mut usize,
     ) -> usize {
-        let rb = self.matching(lb, hi);
+        let rb = self.pf.matching(lb, hi);
         if let Some(l) = label {
             let after = self.new_block();
             self.loops.push(LoopCtx {
@@ -470,68 +400,59 @@ impl<'a> Builder<'a> {
     fn jump_stmt(&mut self, p: usize, hi: usize, cur: &mut usize) -> usize {
         let end = self.stmt_boundary(p, hi);
         self.push_stmt(*cur, p, end, true, false);
-        let kw = self.text(p).to_string();
-        let label = (p + 1 < end && self.kind(p + 1) == TokenKind::Lifetime)
-            .then(|| self.text(p + 1).to_string());
-        let target = self
+        self.edge(*cur, self.jump_target(p, end));
+        *cur = self.new_block(); // unreachable continuation
+        end
+    }
+
+    /// Where the `break`/`continue` at `c` goes: the innermost enclosing
+    /// loop, or the one named by a label before `hi`. A jump with no
+    /// resolvable context degrades to an exit edge.
+    fn jump_target(&self, c: usize, hi: usize) -> usize {
+        let pf = self.pf;
+        let label = (c + 1 < hi && pf.kind(c + 1) == TokenKind::Lifetime).then(|| pf.text(c + 1));
+        let ctx = self
             .loops
             .iter()
             .rev()
-            .find(|c| label.as_ref().is_none_or(|l| c.label.as_deref() == Some(l)))
-            .map(|c| if kw == "break" { c.after } else { c.head });
-        // A jump with no resolvable context degrades to an exit edge.
-        self.edge(*cur, target.unwrap_or(EXIT));
-        *cur = self.new_block(); // unreachable continuation
-        end
+            .find(|x| label.is_none_or(|l| x.label.as_deref() == Some(l)));
+        ctx.map_or(EXIT, |x| {
+            if pf.text(c) == "break" {
+                x.after
+            } else {
+                x.head
+            }
+        })
     }
 
     /// Skips a nested item (`fn helper() { … }`, `struct S { … }`, …):
     /// to the depth-0 `;` or through the matching brace, whichever
     /// comes first.
     fn skip_item(&self, p: usize, hi: usize) -> usize {
-        let mut d = 0usize;
-        let mut c = p;
-        while c < hi {
-            match self.text(c) {
-                ";" if d == 0 => return c + 1,
-                "{" if d == 0 => return self.matching(c, hi) + 1,
-                "(" | "[" | "{" => d += 1,
-                ")" | "]" | "}" => d = d.saturating_sub(1),
-                _ => {}
-            }
-            c += 1;
+        match self.pf.depth0(p, hi, |t| t == ";" || t == "{") {
+            Some(c) if self.pf.text(c) == "{" => self.pf.matching(c, hi) + 1,
+            Some(c) => c + 1,
+            None => hi,
         }
-        hi
     }
 
     /// End of a plain statement: one past the depth-0 `;`, or `hi`.
     fn stmt_boundary(&self, p: usize, hi: usize) -> usize {
-        let mut d = 0usize;
-        let mut c = p;
-        while c < hi {
-            match self.text(c) {
-                ";" if d == 0 => return c + 1,
-                "(" | "[" | "{" => d += 1,
-                ")" | "]" | "}" => d = d.saturating_sub(1),
-                _ => {}
-            }
-            c += 1;
-        }
-        hi
+        self.pf.depth0(p, hi, |t| t == ";").map_or(hi, |c| c + 1)
     }
 
     /// Any other statement. `let … else { … }` diverging blocks are
     /// consumed opaquely and scanned for `return`/`break`/`continue`.
     fn plain_stmt(&mut self, p: usize, hi: usize, cur: &mut usize) -> usize {
-        let is_let = self.text(p) == "let";
+        let is_let = self.pf.text(p) == "let";
         let mut d = 0usize;
         let mut i = p;
         let mut diverge: Option<(usize, usize)> = None;
         while i < hi {
-            let t = self.text(i);
+            let t = self.pf.text(i);
             match t {
-                "{" if d == 0 && is_let && i > p && self.text(i - 1) == "else" => {
-                    let close = self.matching(i, hi);
+                "{" if d == 0 && is_let && i > p && self.pf.text(i - 1) == "else" => {
+                    let close = self.pf.matching(i, hi);
                     diverge = Some((i + 1, close));
                     i = close + 1;
                     continue;
@@ -546,7 +467,7 @@ impl<'a> Builder<'a> {
             }
             i += 1;
         }
-        let semi = i > p && self.text(i - 1) == ";";
+        let semi = i > p && self.pf.text(i - 1) == ";";
         self.push_stmt(*cur, p, i, semi, false);
         if let Some((dlo, dhi)) = diverge {
             self.diverge_edges(dlo, dhi, *cur);
@@ -560,19 +481,9 @@ impl<'a> Builder<'a> {
     fn diverge_edges(&mut self, lo: usize, hi: usize, cur: usize) {
         let mut c = lo;
         while c < hi {
-            match self.text(c) {
+            match self.pf.text(c) {
                 "return" => self.edge(cur, EXIT),
-                kw @ ("break" | "continue") => {
-                    let label = (c + 1 < hi && self.kind(c + 1) == TokenKind::Lifetime)
-                        .then(|| self.text(c + 1).to_string());
-                    let target = self
-                        .loops
-                        .iter()
-                        .rev()
-                        .find(|x| label.as_ref().is_none_or(|l| x.label.as_deref() == Some(l)))
-                        .map(|x| if kw == "break" { x.after } else { x.head });
-                    self.edge(cur, target.unwrap_or(EXIT));
-                }
+                "break" | "continue" => self.edge(cur, self.jump_target(c, hi)),
                 _ => {}
             }
             c += 1;

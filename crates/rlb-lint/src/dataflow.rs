@@ -53,11 +53,12 @@
 
 use std::collections::BTreeMap;
 
-use crate::callgraph::{self, CallGraph, Resolver};
+use crate::callgraph::{self, CallGraph, Resolution, Resolver};
 use crate::cfg::{FileCfgs, Stmt};
-use crate::items::ParsedFile;
+use crate::items::{FnItem, ParsedFile};
 use crate::rules::{self, Finding, Suppressions};
 use crate::token::TokenKind;
+use crate::LintStats;
 
 /// Taint bit: decoded wire bytes (rlb-serve).
 pub(crate) const UNTRUSTED: u32 = 1;
@@ -178,38 +179,25 @@ struct Summary {
     param_sinks: Vec<ParamSink>,
 }
 
-/// Everything the tier-3 taint passes produce.
-#[derive(Debug, Default)]
-pub(crate) struct TaintReport {
-    pub(crate) cfg_blocks: usize,
-    pub(crate) cfg_edges: usize,
-    /// Raw (pre-suppression) wire-read source sites, workspace-wide.
-    pub(crate) untrusted_sources: usize,
-    /// Raw clock/parallelism source sites outside the allow crates.
-    pub(crate) clock_sources: usize,
-    /// Raw untrusted source sites per crate (CI vacuity pin).
-    pub(crate) untrusted_sources_by_crate: BTreeMap<String, usize>,
-}
-
 /// Runs CFG construction and both taint passes over the linted files.
 /// `allows` is parallel to `files`.
 pub(crate) fn run(
     files: &[ParsedFile],
     allows: &[Suppressions],
     graph: &CallGraph,
+    resolver: &Resolver<'_>,
     findings: &mut Vec<Finding>,
-) -> TaintReport {
-    let mut rep = TaintReport::default();
+    stats: &mut LintStats,
+) {
     let cfgs: Vec<FileCfgs> = files.iter().map(crate::cfg::build_file).collect();
     for fc in &cfgs {
         for (_, cfg) in &fc.cfgs {
-            rep.cfg_blocks += cfg.blocks.len();
-            rep.cfg_edges += cfg.edge_count();
+            stats.cfg_blocks += cfg.blocks.len();
+            stats.cfg_edges += cfg.edge_count();
         }
     }
-    count_sources(files, &mut rep);
+    count_sources(files, stats);
 
-    let resolver = Resolver::new(files, graph);
     // node id -> (file index, index into that file's cfgs)
     let mut node_of: BTreeMap<(usize, usize), usize> = BTreeMap::new();
     for (id, n) in graph.nodes.iter().enumerate() {
@@ -227,7 +215,7 @@ pub(crate) fn run(
         .map(|n| {
             cfg_of
                 .get(&n)
-                .map(|&(fi, _)| param_names(&files[fi], &cfgs[fi], graph, n))
+                .map(|&(fi, _)| param_names(&files[fi], &files[fi].items.fns[graph.nodes[n].item]))
                 .unwrap_or_default()
         })
         .collect();
@@ -235,7 +223,6 @@ pub(crate) fn run(
     let mut eng = Engine {
         files,
         cfgs: &cfgs,
-        graph,
         resolver,
         cfg_of,
         params,
@@ -276,63 +263,54 @@ pub(crate) fn run(
     });
     out.dedup();
     findings.extend(out);
-    rep
 }
 
 /// Raw source-site statistics, counted independently of the analysis
 /// so the CI vacuity pins cannot be blinded by plumbing regressions.
-fn count_sources(files: &[ParsedFile], rep: &mut TaintReport) {
+fn count_sources(files: &[ParsedFile], stats: &mut LintStats) {
     for pf in files {
-        let krate = pf.crate_name().to_string();
-        let untrusted_scope = UNTRUSTED_SOURCE_CRATES.contains(&krate.as_str());
-        let clock_scope = !rules::DETERMINISM_ALLOW_CRATES.contains(&krate.as_str());
-        let toks: Vec<(usize, &crate::token::Token)> = pf.tokens.code_tokens().collect();
-        for (i, (_, t)) in toks.iter().enumerate() {
-            if t.kind != TokenKind::Ident || pf.items.in_test(t.lo) {
+        let krate = pf.crate_name();
+        let untrusted_scope = UNTRUSTED_SOURCE_CRATES.contains(&krate);
+        let clock_scope = !rules::DETERMINISM_ALLOW_CRATES.contains(&krate);
+        for c in 0..pf.code.len() {
+            if pf.kind(c) != TokenKind::Ident || !pf.at(c + 1, "(") || pf.items.in_test(pf.byte(c))
+            {
                 continue;
             }
-            let text = t.text(&pf.source);
-            let next = toks.get(i + 1).map(|(_, t)| t.text(&pf.source));
-            if untrusted_scope && text == "from_le_bytes" && next == Some("(") {
-                rep.untrusted_sources += 1;
-                *rep.untrusted_sources_by_crate
-                    .entry(krate.clone())
+            let text = pf.text(c);
+            if untrusted_scope && text == "from_le_bytes" {
+                stats.untrusted_sources += 1;
+                *stats
+                    .untrusted_sources_by_crate
+                    .entry(krate.to_string())
                     .or_default() += 1;
             }
-            if clock_scope && next == Some("(") {
-                let prev2 = i
-                    .checked_sub(2)
-                    .map(|j| toks[j].1.text(&pf.source))
-                    .unwrap_or("");
+            if clock_scope {
+                let prev2 = c.checked_sub(2).map_or("", |q| pf.text(q));
                 let clock_call = (text == "now" && (prev2 == "Instant" || prev2 == "SystemTime"))
                     || text == "available_parallelism";
                 if clock_call {
-                    rep.clock_sources += 1;
+                    stats.clock_sources += 1;
                 }
             }
         }
     }
 }
 
-/// Extracts up to [`MAX_PARAMS`] parameter names for fn node `n` by
-/// walking its signature backwards from the body brace.
-fn param_names(pf: &ParsedFile, fc: &FileCfgs, g: &CallGraph, n: usize) -> Vec<String> {
-    let item = &pf.items.fns[g.nodes[n].item];
+/// Extracts up to [`MAX_PARAMS`] parameter names of `item` by walking
+/// its signature backwards from the body brace.
+fn param_names(pf: &ParsedFile, item: &FnItem) -> Vec<String> {
     // Code position of the body `{` = last code token before the body.
-    let body_lo = fc.code.partition_point(|&ti| ti < item.body_toks.0);
-    if body_lo == 0 {
-        return Vec::new();
-    }
-    let text = |c: usize| pf.tokens.toks[fc.code[c]].text(&pf.source);
+    let body_lo = pf.code_range(item.body_toks).0;
     // Reverse scan to the `fn` keyword at reverse bracket depth 0.
-    let mut c = body_lo - 1; // the `{`
+    let mut c = body_lo.saturating_sub(1); // the `{`
     let mut d = 0i32;
     let fn_pos = loop {
         if c == 0 {
             return Vec::new();
         }
         c -= 1;
-        match text(c) {
+        match pf.text(c) {
             ")" | "]" | "}" => d += 1,
             "(" | "[" | "{" => d -= 1,
             "fn" if d <= 0 => break c,
@@ -340,10 +318,10 @@ fn param_names(pf: &ParsedFile, fc: &FileCfgs, g: &CallGraph, n: usize) -> Vec<S
         }
     };
     // Forward: name, optional generics (angle-tracked), then `(`.
-    let mut c = fn_pos + 2; // skip `fn name`
+    let mut open = fn_pos + 2; // skip `fn name`
     let mut angle = 0i32;
-    while c < body_lo {
-        match text(c) {
+    while open < body_lo {
+        match pf.text(open) {
             "<" => angle += 1,
             ">" => angle -= 1,
             "<<" => angle += 2,
@@ -351,78 +329,66 @@ fn param_names(pf: &ParsedFile, fc: &FileCfgs, g: &CallGraph, n: usize) -> Vec<S
             "(" if angle <= 0 => break,
             _ => {}
         }
-        c += 1;
+        open += 1;
     }
-    if c >= body_lo {
+    if open >= body_lo {
         return Vec::new();
     }
-    let close = {
-        let mut d = 0usize;
-        let mut k = c;
-        loop {
-            match text(k) {
-                "(" | "[" | "{" => d += 1,
-                ")" | "]" | "}" => {
-                    d -= 1;
-                    if d == 0 {
-                        break k;
-                    }
-                }
-                _ => {}
-            }
-            k += 1;
-            if k >= body_lo {
-                break body_lo - 1;
-            }
-        }
-    };
-    // Per comma-segment at paren depth 1: lowercase idents before the
-    // segment's `:` are the binding (patterns bind several; `self`
-    // segments bind none).
+    // Per parameter: the lowercase idents before its `:` are the
+    // binding (patterns bind several; `self` has no `:` and binds
+    // none).
     let mut names = Vec::new();
-    let mut seg: Vec<String> = Vec::new();
-    let mut seen_colon = false;
+    for (lo, hi) in arg_ranges(pf, open, pf.matching(open, body_lo)) {
+        let colon = pf.depth0(lo, hi, |t| t == ":").unwrap_or(lo);
+        let bound: Vec<&str> = (lo..colon)
+            .filter(|&k| binds(pf, k) && pf.text(k) != "self")
+            .map(|k| pf.text(k))
+            .collect();
+        if !bound.is_empty() && names.len() < MAX_PARAMS {
+            names.push(bound.join("+"));
+        }
+    }
+    names
+}
+
+/// Is the token at `c` a name a pattern could bind: a lowercase,
+/// non-keyword identifier?
+fn binds(pf: &ParsedFile, c: usize) -> bool {
+    let t = pf.text(c);
+    pf.kind(c) == TokenKind::Ident
+        && t.starts_with(|ch: char| ch.is_ascii_lowercase())
+        && callgraph::is_value_ident(t)
+}
+
+/// Argument ranges of a call: `open` is the `(`, `close` its match;
+/// split at depth-1 commas.
+fn arg_ranges(pf: &ParsedFile, open: usize, close: usize) -> Vec<(usize, usize)> {
+    let mut args = Vec::new();
     let mut d = 0usize;
-    for k in c..=close {
-        let t = text(k);
-        match t {
+    let mut start = open + 1;
+    for c in open..=close {
+        match pf.text(c) {
             "(" | "[" | "{" => d += 1,
             ")" | "]" | "}" => {
-                d -= 1;
-                if d == 0 {
-                    break;
+                d = d.saturating_sub(1);
+                if d == 0 && c > start {
+                    args.push((start, c));
                 }
+            }
+            "," if d == 1 => {
+                args.push((start, c));
+                start = c + 1;
             }
             _ => {}
         }
-        if d == 1 && t == ":" {
-            seen_colon = true;
-        } else if (d == 1 && t == ",") || (d == 0 && t == ")") {
-            if seen_colon && !seg.is_empty() && names.len() < MAX_PARAMS {
-                names.push(seg.join("+"));
-            }
-            seg.clear();
-            seen_colon = false;
-        } else if !seen_colon
-            && pf.tokens.toks[fc.code[k]].kind == TokenKind::Ident
-            && t.starts_with(|ch: char| ch.is_ascii_lowercase())
-            && callgraph::is_value_ident(t)
-            && t != "self"
-        {
-            seg.push(t.to_string());
-        }
     }
-    if seen_colon && !seg.is_empty() && names.len() < MAX_PARAMS {
-        names.push(seg.join("+"));
-    }
-    names
+    args
 }
 
 struct Engine<'a> {
     files: &'a [ParsedFile],
     cfgs: &'a [FileCfgs],
-    graph: &'a CallGraph,
-    resolver: Resolver<'a>,
+    resolver: &'a Resolver<'a>,
     cfg_of: BTreeMap<usize, (usize, usize)>,
     /// Per node: parameter binding names (a pattern param joins its
     /// idents with `+`, and every piece gets the bit).
@@ -434,12 +400,19 @@ struct Engine<'a> {
 /// Per-function context during one analysis.
 struct FnCtx<'a> {
     pf: &'a ParsedFile,
-    fc: &'a FileCfgs,
     node: usize,
     file: usize,
     krate: String,
     /// Determinism sinks are exempt in the allow crates.
     det_exempt: bool,
+}
+
+impl FnCtx<'_> {
+    /// `file.rs:line` of code position `c`, for provenance chains.
+    fn site(&self, c: usize) -> String {
+        let short = self.pf.rel_path.rsplit('/').next().unwrap_or("");
+        format!("{short}:{}", self.pf.line(c))
+    }
 }
 
 impl<'a> Engine<'a> {
@@ -452,7 +425,6 @@ impl<'a> Engine<'a> {
         let krate = pf.crate_name().to_string();
         let ctx = FnCtx {
             pf,
-            fc: &self.cfgs[fi],
             node: n,
             file: fi,
             krate: krate.clone(),
@@ -525,49 +497,6 @@ impl<'a> Engine<'a> {
         summary
     }
 
-    // ---- token helpers over a statement's code range
-
-    fn text<'b>(&self, ctx: &FnCtx<'b>, c: usize) -> &'b str {
-        ctx.pf.tokens.toks[ctx.fc.code[c]].text(&ctx.pf.source)
-    }
-
-    fn kind(&self, ctx: &FnCtx<'_>, c: usize) -> TokenKind {
-        ctx.pf.tokens.toks[ctx.fc.code[c]].kind
-    }
-
-    fn byte(&self, ctx: &FnCtx<'_>, c: usize) -> usize {
-        ctx.pf.tokens.toks[ctx.fc.code[c]].lo
-    }
-
-    fn line(&self, ctx: &FnCtx<'_>, c: usize) -> usize {
-        ctx.pf.tokens.line_of(self.byte(ctx, c))
-    }
-
-    fn site(&self, ctx: &FnCtx<'_>, c: usize) -> String {
-        let short = ctx.pf.rel_path.rsplit('/').next().unwrap_or("");
-        format!("{short}:{}", self.line(ctx, c))
-    }
-
-    /// Matching close bracket, clamped to `hi`.
-    fn matching(&self, ctx: &FnCtx<'_>, at: usize, hi: usize) -> usize {
-        let mut d = 0usize;
-        let mut c = at;
-        while c < hi {
-            match self.text(ctx, c) {
-                "(" | "[" | "{" => d += 1,
-                ")" | "]" | "}" => {
-                    d -= 1;
-                    if d == 0 {
-                        return c;
-                    }
-                }
-                _ => {}
-            }
-            c += 1;
-        }
-        hi.saturating_sub(1).max(at)
-    }
-
     /// One abstract step for `stmt`. Order: shape parse, RHS taint
     /// evaluation (sources, calls, cleansers), sink scan against the
     /// pre-assignment state, binding application, validator kills.
@@ -588,27 +517,22 @@ impl<'a> Engine<'a> {
             // clean (aggregate boundary).
             self.validator_kills(ctx, lo, hi, st);
             for c in lo..hi {
-                let t = self.text(ctx, c);
-                if self.kind(ctx, c) == TokenKind::Ident
-                    && t.starts_with(|ch: char| ch.is_ascii_lowercase())
-                    && callgraph::is_value_ident(t)
-                    && (c + 1 >= hi || self.text(ctx, c + 1) != ":")
-                {
-                    st.remove(t);
+                if binds(ctx.pf, c) && (c + 1 >= hi || ctx.pf.text(c + 1) != ":") {
+                    st.remove(ctx.pf.text(c));
                 }
             }
             return;
         }
-        let first = self.text(ctx, lo);
+        let first = ctx.pf.text(lo);
         // Shape: `let [mut] PAT = RHS`, `for PAT in RHS`, `LHS op= RHS`
         // or a bare expression.
         let (pat, rhs, compound) = if first == "let" {
-            match self.depth0_tok(ctx, lo, hi, "=") {
+            match ctx.pf.depth0(lo, hi, |t| t == "=") {
                 Some(eq) => ((lo + 1, eq), (eq + 1, hi), false),
                 None => ((lo + 1, hi), (hi, hi), false),
             }
         } else if first == "for" {
-            match (lo..hi).find(|&c| self.text(ctx, c) == "in") {
+            match (lo..hi).find(|&c| ctx.pf.text(c) == "in") {
                 Some(inp) => ((lo + 1, inp), (inp + 1, hi), false),
                 None => ((lo, lo), (lo, hi), false),
             }
@@ -624,31 +548,18 @@ impl<'a> Engine<'a> {
         let val = self.eval(ctx, rhs.0, rhs.1, st, summary, out);
         self.scan_sinks(ctx, lo, hi, st, summary, out);
 
-        // `self.field = rhs` in an engine-state crate.
+        // `self.field = rhs` in an engine-state crate: a clock-tainted
+        // value is a finding; a param-tainted one also makes a summary
+        // fact so callers can judge their argument.
         if pat.1 > pat.0 + 2
-            && self.text(ctx, pat.0) == "self"
-            && self.text(ctx, pat.0 + 1) == "."
+            && ctx.pf.text(pat.0) == "self"
+            && ctx.pf.text(pat.0 + 1) == "."
             && STATE_CRATES.contains(&ctx.krate.as_str())
-            && val.mask & CLOCK != 0
         {
-            self.hit(
-                ctx,
-                pat.0,
-                SinkKind::EngineState,
-                &val.prov,
-                None,
-                summary,
-                out,
-            );
-        }
-        if val.mask & !SRC_MASK != 0 && ctx_param_sink_applies(&val) {
-            // Param-tainted value stored into engine state also makes
-            // a summary fact so callers can judge their argument.
-            if pat.1 > pat.0 + 2
-                && self.text(ctx, pat.0) == "self"
-                && self.text(ctx, pat.0 + 1) == "."
-                && STATE_CRATES.contains(&ctx.krate.as_str())
-            {
+            if val.mask & CLOCK != 0 {
+                self.hit(ctx, pat.0, SinkKind::EngineState, &val.prov, None, out);
+            }
+            if val.mask & !SRC_MASK != 0 {
                 self.param_fact(ctx, pat.0, SinkKind::EngineState, &val, summary);
             }
         }
@@ -695,44 +606,13 @@ impl<'a> Engine<'a> {
         self.validator_kills(ctx, lo, hi, st);
     }
 
-    /// First depth-0 occurrence of exactly `what`.
-    fn depth0_tok(&self, ctx: &FnCtx<'_>, lo: usize, hi: usize, what: &str) -> Option<usize> {
-        let mut d = 0usize;
-        for c in lo..hi {
-            let t = self.text(ctx, c);
-            if d == 0 && t == what {
-                return Some(c);
-            }
-            match t {
-                "(" | "[" | "{" => d += 1,
-                ")" | "]" | "}" => d = d.saturating_sub(1),
-                _ => {}
-            }
-        }
-        None
-    }
-
     /// First depth-0 assignment operator: `(pos, is_compound)`.
     fn depth0_assign(&self, ctx: &FnCtx<'_>, lo: usize, hi: usize) -> Option<(usize, bool)> {
         const COMPOUND: &[&str] = &["+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>="];
-        let mut d = 0usize;
-        for c in lo..hi {
-            let t = self.text(ctx, c);
-            if d == 0 {
-                if t == "=" {
-                    return Some((c, false));
-                }
-                if COMPOUND.contains(&t) {
-                    return Some((c, true));
-                }
-            }
-            match t {
-                "(" | "[" | "{" => d += 1,
-                ")" | "]" | "}" => d = d.saturating_sub(1),
-                _ => {}
-            }
-        }
-        None
+        let op = ctx
+            .pf
+            .depth0(lo, hi, |t| t == "=" || COMPOUND.contains(&t))?;
+        Some((op, ctx.pf.text(op) != "="))
     }
 
     /// The lowercase idents a binding pattern introduces.
@@ -740,19 +620,14 @@ impl<'a> Engine<'a> {
         let mut v = Vec::new();
         // `self.f = …` and `x[i] = …` are stores, not bindings.
         if hi > lo + 1 {
-            let second = self.text(ctx, lo + 1);
+            let second = ctx.pf.text(lo + 1);
             if second == "." || second == "[" {
                 return v;
             }
         }
         for c in lo..hi {
-            let t = self.text(ctx, c);
-            if self.kind(ctx, c) == TokenKind::Ident
-                && t.starts_with(|ch: char| ch.is_ascii_lowercase())
-                && callgraph::is_value_ident(t)
-                && t != "self"
-            {
-                v.push(t.to_string());
+            if binds(ctx.pf, c) && ctx.pf.text(c) != "self" {
+                v.push(ctx.pf.text(c).to_string());
             }
         }
         v
@@ -775,14 +650,14 @@ impl<'a> Engine<'a> {
         let mut cleansed = false;
         let mut c = lo;
         while c < hi {
-            let t = self.text(ctx, c);
-            let k = self.kind(ctx, c);
-            let next = (c + 1 < hi).then(|| self.text(ctx, c + 1));
-            let prev = (c > lo).then(|| self.text(ctx, c - 1));
+            let t = ctx.pf.text(c);
+            let k = ctx.pf.kind(c);
+            let next = (c + 1 < hi).then(|| ctx.pf.text(c + 1));
+            let prev = (c > lo).then(|| ctx.pf.text(c - 1));
             // Opaque aggregate: `Camel { … }` construction.
             if k == TokenKind::Ident && callgraph::is_camel_type(t) && next == Some("{") {
                 self.report_struct_sink(ctx, t, c + 1, hi, st, summary, out);
-                c = self.matching(ctx, c + 1, hi) + 1;
+                c = ctx.pf.matching(c + 1, hi) + 1;
                 continue;
             }
             if k == TokenKind::Ident {
@@ -810,13 +685,11 @@ impl<'a> Engine<'a> {
                 }
                 // Calls with summaries.
                 if next == Some("(") && callgraph::is_value_ident(t) {
-                    let prev2 = (c >= lo + 2).then(|| self.text(ctx, c - 2));
-                    if let Some(callee) = self
-                        .resolver
-                        .resolve(self.graph, ctx.node, self.files, t, prev, prev2)
+                    let prev2 = (c >= lo + 2).then(|| ctx.pf.text(c - 2));
+                    if let Resolution::One(callee) = self.resolver.resolve(ctx.node, t, prev, prev2)
                     {
-                        let close = self.matching(ctx, c + 1, hi);
-                        let args = self.arg_ranges(ctx, c + 1, close);
+                        let close = ctx.pf.matching(c + 1, hi);
+                        let args = arg_ranges(ctx.pf, c + 1, close);
                         let cs = self.summaries[callee].clone();
                         if cs.ret_src != 0 {
                             mask |= cs.ret_src;
@@ -852,7 +725,6 @@ impl<'a> Engine<'a> {
                                             ps.kind,
                                             &at.prov,
                                             Some(&format!("passed to `{t}` -> {}", ps.site)),
-                                            summary,
                                             out,
                                         );
                                     }
@@ -918,11 +790,11 @@ impl<'a> Engine<'a> {
         let mut prov = String::new();
         let mut c = lo;
         while c < hi {
-            let t = self.text(ctx, c);
-            let k = self.kind(ctx, c);
-            let next = (c + 1 < hi).then(|| self.text(ctx, c + 1));
+            let t = ctx.pf.text(c);
+            let k = ctx.pf.kind(c);
+            let next = (c + 1 < hi).then(|| ctx.pf.text(c + 1));
             if k == TokenKind::Ident && callgraph::is_camel_type(t) && next == Some("{") {
-                c = self.matching(ctx, c + 1, hi) + 1;
+                c = ctx.pf.matching(c + 1, hi) + 1;
                 continue;
             }
             if k == TokenKind::Ident {
@@ -934,11 +806,9 @@ impl<'a> Engine<'a> {
                         }
                     }
                 } else if next == Some("(") && callgraph::is_value_ident(t) {
-                    let prev = (c > lo).then(|| self.text(ctx, c - 1));
-                    let prev2 = (c > lo + 1).then(|| self.text(ctx, c - 2));
-                    if let Some(callee) = self
-                        .resolver
-                        .resolve(self.graph, ctx.node, self.files, t, prev, prev2)
+                    let prev = (c > lo).then(|| ctx.pf.text(c - 1));
+                    let prev2 = (c > lo + 1).then(|| ctx.pf.text(c - 2));
+                    if let Resolution::One(callee) = self.resolver.resolve(ctx.node, t, prev, prev2)
                     {
                         let cs = &self.summaries[callee];
                         if cs.ret_src != 0 {
@@ -948,7 +818,7 @@ impl<'a> Engine<'a> {
                             }
                         }
                     }
-                } else if (c == lo || self.text(ctx, c - 1) != ".")
+                } else if (c == lo || ctx.pf.text(c - 1) != ".")
                     && next != Some(":")
                     && callgraph::is_value_ident(t)
                 {
@@ -967,32 +837,26 @@ impl<'a> Engine<'a> {
 
     /// Is the ident at `c` a taint source? Returns its bit + origin.
     fn source_at(&self, ctx: &FnCtx<'_>, c: usize, hi: usize) -> Option<(u32, String)> {
-        let t = self.text(ctx, c);
-        let next_is_call = c + 1 < hi && self.text(ctx, c + 1) == "(";
+        let t = ctx.pf.text(c);
+        let next_is_call = c + 1 < hi && ctx.pf.text(c + 1) == "(";
         if !next_is_call {
             return None;
         }
         if t == "from_le_bytes" && UNTRUSTED_SOURCE_CRATES.contains(&ctx.krate.as_str()) {
             return Some((
                 UNTRUSTED,
-                format!("wire bytes (`from_le_bytes`, {})", self.site(ctx, c)),
+                format!("wire bytes (`from_le_bytes`, {})", ctx.site(c)),
             ));
         }
         if ctx.det_exempt {
             return None;
         }
-        let prev2 = if c >= 2 { self.text(ctx, c - 2) } else { "" };
+        let prev2 = if c >= 2 { ctx.pf.text(c - 2) } else { "" };
         if t == "now" && (prev2 == "Instant" || prev2 == "SystemTime") {
-            return Some((
-                CLOCK,
-                format!("clock (`{prev2}::now`, {})", self.site(ctx, c)),
-            ));
+            return Some((CLOCK, format!("clock (`{prev2}::now`, {})", ctx.site(c))));
         }
         if t == "available_parallelism" {
-            return Some((
-                CLOCK,
-                format!("`available_parallelism` ({})", self.site(ctx, c)),
-            ));
+            return Some((CLOCK, format!("`available_parallelism` ({})", ctx.site(c))));
         }
         None
     }
@@ -1005,32 +869,7 @@ impl<'a> Engine<'a> {
         } else {
             "determinism-flow"
         };
-        self.allows[ctx.file].suppresses(self.line(ctx, c), rule)
-    }
-
-    /// Argument ranges of a call: `open` is the `(`; split at depth-1
-    /// commas.
-    fn arg_ranges(&self, ctx: &FnCtx<'_>, open: usize, close: usize) -> Vec<(usize, usize)> {
-        let mut args = Vec::new();
-        let mut d = 0usize;
-        let mut start = open + 1;
-        for c in open..=close {
-            match self.text(ctx, c) {
-                "(" | "[" | "{" => d += 1,
-                ")" | "]" | "}" => {
-                    d -= 1;
-                    if d == 0 && c > start {
-                        args.push((start, c));
-                    }
-                }
-                "," if d == 1 => {
-                    args.push((start, c));
-                    start = c + 1;
-                }
-                _ => {}
-            }
-        }
-        args
+        self.allows[ctx.file].suppresses(ctx.pf.line(c), rule)
     }
 
     /// Sinks in the statement, checked against the pre-assignment
@@ -1049,15 +888,15 @@ impl<'a> Engine<'a> {
         const ARITH: &[&str] = &["+", "-", "*", "<<", "+=", "-=", "*=", "<<="];
         let mut c = lo;
         while c < hi {
-            let t = self.text(ctx, c);
-            let k = self.kind(ctx, c);
-            let next = (c + 1 < hi).then(|| self.text(ctx, c + 1));
-            let prev = (c > lo).then(|| self.text(ctx, c - 1));
+            let t = ctx.pf.text(c);
+            let k = ctx.pf.kind(c);
+            let next = (c + 1 < hi).then(|| ctx.pf.text(c + 1));
+            let prev = (c > lo).then(|| ctx.pf.text(c - 1));
             if k == TokenKind::Ident
                 && next == Some("(")
                 && (t == "with_capacity" || t == "reserve")
             {
-                let close = self.matching(ctx, c + 1, hi);
+                let close = ctx.pf.matching(c + 1, hi);
                 let at = self.scan_taint(ctx, c + 2, close, st);
                 self.sink_hit(ctx, c, SinkKind::Alloc, &at, summary, out);
                 c = close + 1;
@@ -1068,10 +907,10 @@ impl<'a> Engine<'a> {
                 && t == "vec"
                 && next == Some("!")
                 && c + 2 < hi
-                && self.text(ctx, c + 2) == "["
+                && ctx.pf.text(c + 2) == "["
             {
-                let close = self.matching(ctx, c + 2, hi);
-                if let Some(semi) = self.depth1_semi(ctx, c + 2, close) {
+                let close = ctx.pf.matching(c + 2, hi);
+                if let Some(semi) = ctx.pf.depth0(c + 3, close, |t| t == ";") {
                     let at = self.scan_taint(ctx, semi + 1, close, st);
                     self.sink_hit(ctx, c, SinkKind::Alloc, &at, summary, out);
                 }
@@ -1080,7 +919,7 @@ impl<'a> Engine<'a> {
             }
             // Indexing: `expr[i]` — `[` after a value token.
             if t == "[" && prev.is_some_and(is_value_end) {
-                let close = self.matching(ctx, c, hi);
+                let close = ctx.pf.matching(c, hi);
                 let at = self.scan_taint(ctx, c + 1, close, st);
                 self.sink_hit(ctx, c, SinkKind::Index, &at, summary, out);
                 c += 1;
@@ -1088,7 +927,7 @@ impl<'a> Engine<'a> {
             }
             // Trace emission.
             if k == TokenKind::Ident && t == "on_event" && next == Some("(") && prev == Some(".") {
-                let close = self.matching(ctx, c + 1, hi);
+                let close = ctx.pf.matching(c + 1, hi);
                 let at = self.scan_taint(ctx, c + 2, close, st);
                 self.sink_hit(ctx, c, SinkKind::TraceEmit, &at, summary, out);
                 c = close + 1;
@@ -1100,14 +939,14 @@ impl<'a> Engine<'a> {
                     .into_iter()
                     .flatten()
                 {
-                    let nt = self.text(ctx, nb);
-                    if self.kind(ctx, nb) == TokenKind::Ident
+                    let nt = ctx.pf.text(nb);
+                    if ctx.pf.kind(nb) == TokenKind::Ident
                         && !callgraph::is_camel_type(nt)
                         && callgraph::is_value_ident(nt)
                     {
                         // Field reads (`x.f + 1`) are aggregate reads,
                         // not variable reads.
-                        if nb > lo && self.text(ctx, nb - 1) == "." {
+                        if nb > lo && ctx.pf.text(nb - 1) == "." {
                             continue;
                         }
                         if let Some(v) = st.get(nt) {
@@ -1128,7 +967,7 @@ impl<'a> Engine<'a> {
         const CMP: &[&str] = &["<", "<=", ">", ">=", "==", "!="];
         let mut kills: Vec<String> = Vec::new();
         for c in lo..hi {
-            if !CMP.contains(&self.text(ctx, c)) {
+            if !CMP.contains(&ctx.pf.text(c)) {
                 continue;
             }
             // Tainted single-ident operand on the left, bound on the
@@ -1143,16 +982,16 @@ impl<'a> Engine<'a> {
             ];
             for (var_at, wlo, whi) in sides {
                 let Some(v) = var_at else { continue };
-                let t = self.text(ctx, v);
-                if self.kind(ctx, v) != TokenKind::Ident
+                let t = ctx.pf.text(v);
+                if ctx.pf.kind(v) != TokenKind::Ident
                     || !t.starts_with(|ch: char| ch.is_ascii_lowercase())
                     || st.get(t).is_none_or(|x| x.mask & UNTRUSTED == 0)
                 {
                     continue;
                 }
                 let bound = (wlo..whi).any(|w| {
-                    let wt = self.text(ctx, w);
-                    self.kind(ctx, w) == TokenKind::Int
+                    let wt = ctx.pf.text(w);
+                    ctx.pf.kind(w) == TokenKind::Int
                         || is_screaming(wt)
                         || wt == "len"
                         || wt == "capacity"
@@ -1172,20 +1011,6 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// The `;` splitting `vec![elem; len]`, at bracket depth 1.
-    fn depth1_semi(&self, ctx: &FnCtx<'_>, open: usize, close: usize) -> Option<usize> {
-        let mut d = 0usize;
-        for c in open..close {
-            match self.text(ctx, c) {
-                "(" | "[" | "{" => d += 1,
-                ")" | "]" | "}" => d = d.saturating_sub(1),
-                ";" if d == 1 => return Some(c),
-                _ => {}
-            }
-        }
-        None
-    }
-
     /// `…Report { field: tainted }` / `…Stats { … }` struct-literal
     /// sink, scanned when [`Self::eval`] skips an aggregate.
     #[allow(clippy::too_many_arguments)]
@@ -1202,7 +1027,7 @@ impl<'a> Engine<'a> {
         if !(name.ends_with("Report") || name.ends_with("Stats") || name.ends_with("Summary")) {
             return;
         }
-        let close = self.matching(ctx, open, hi);
+        let close = ctx.pf.matching(open, hi);
         let at = self.scan_taint(ctx, open + 1, close, st);
         self.sink_hit(ctx, open, SinkKind::ReportField, &at, summary, out);
     }
@@ -1222,7 +1047,7 @@ impl<'a> Engine<'a> {
             return;
         }
         if at.mask & kind.mask() != 0 {
-            self.hit(ctx, c, kind, &at.prov, None, summary, out);
+            self.hit(ctx, c, kind, &at.prov, None, out);
         } else if at.mask & !SRC_MASK != 0 {
             self.param_fact(ctx, c, kind, at, summary);
         }
@@ -1244,7 +1069,7 @@ impl<'a> Engine<'a> {
                     ParamSink {
                         param: i,
                         kind,
-                        site: format!("{} ({})", kind.what(), self.site(ctx, c)),
+                        site: format!("{} ({})", kind.what(), ctx.site(c)),
                     },
                 );
             }
@@ -1252,7 +1077,6 @@ impl<'a> Engine<'a> {
     }
 
     /// Emits one finding at code position `c` (final pass only).
-    #[allow(clippy::too_many_arguments)]
     fn hit(
         &self,
         ctx: &FnCtx<'_>,
@@ -1260,13 +1084,12 @@ impl<'a> Engine<'a> {
         kind: SinkKind,
         prov: &str,
         via: Option<&str>,
-        _summary: &mut Summary,
         out: &mut Option<&mut Vec<Finding>>,
     ) {
         let Some(out) = out.as_deref_mut() else {
             // Non-reporting passes still consult the suppression table
             // so allows at sink lines register as used.
-            let _ = self.allows[ctx.file].suppresses(self.line(ctx, c), kind.rule());
+            let _ = self.allows[ctx.file].suppresses(ctx.pf.line(c), kind.rule());
             return;
         };
         let flow = match via {
@@ -1280,11 +1103,11 @@ impl<'a> Engine<'a> {
             }
             _ => "route the value through rlb-bench/rlb-cli or derive it from the seeded run",
         };
-        rules::emit(
+        rules::emit_at(
             out,
             ctx.pf,
             &self.allows[ctx.file],
-            self.byte(ctx, c),
+            ctx.pf.byte(c),
             kind.rule(),
             format!(
                 "{} reaches {}: {flow}; {fix}",
@@ -1321,10 +1144,4 @@ fn push_param_sink(summary: &mut Summary, ps: ParamSink) {
     if summary.param_sinks.len() < 8 && !summary.param_sinks.contains(&ps) {
         summary.param_sinks.push(ps);
     }
-}
-
-/// Param-bit flows only matter when the value actually carries param
-/// bits (helper kept for readability at the call site).
-fn ctx_param_sink_applies(v: &VarT) -> bool {
-    v.mask & !SRC_MASK != 0
 }

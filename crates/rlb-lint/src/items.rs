@@ -31,6 +31,11 @@ pub struct ParsedFile {
     pub items: FileItems,
     /// Per-line comment text (0-indexed), for `lint:allow` extraction.
     pub comments: Vec<String>,
+    /// The comment-free view every pass walks: `code[c]` is the token
+    /// index (into `tokens.toks`) of *code position* `c`. Statement
+    /// ranges, call sites and bracket matches are all code positions,
+    /// read through the cursor methods below.
+    pub(crate) code: Vec<usize>,
 }
 
 impl ParsedFile {
@@ -39,18 +44,98 @@ impl ParsedFile {
         let tokens = tokenize(source);
         let items = parse(source, &tokens);
         let comments = comments_by_line(source, &tokens);
+        let code = tokens.code_tokens().map(|(i, _)| i).collect();
         ParsedFile {
             rel_path: rel_path.to_string(),
             source: source.to_string(),
             tokens,
             items,
             comments,
+            code,
         }
     }
 
     /// The crate name of `crates/<name>/src/...` paths.
     pub(crate) fn crate_name(&self) -> &str {
         crate_of(&self.rel_path).unwrap_or("")
+    }
+
+    /// The token at code position `c`.
+    pub(crate) fn tok(&self, c: usize) -> &Token {
+        &self.tokens.toks[self.code[c]]
+    }
+
+    /// Text of the token at code position `c`.
+    pub(crate) fn text(&self, c: usize) -> &str {
+        self.tok(c).text(&self.source)
+    }
+
+    /// Kind of the token at code position `c`.
+    pub(crate) fn kind(&self, c: usize) -> TokenKind {
+        self.tok(c).kind
+    }
+
+    /// Byte offset of the token at code position `c`.
+    pub(crate) fn byte(&self, c: usize) -> usize {
+        self.tok(c).lo
+    }
+
+    /// 1-based line of the token at code position `c`.
+    pub(crate) fn line(&self, c: usize) -> usize {
+        self.tokens.line_of(self.byte(c))
+    }
+
+    /// Is there a token at code position `c`, and is it exactly `s`?
+    pub(crate) fn at(&self, c: usize, s: &str) -> bool {
+        c < self.code.len() && self.text(c) == s
+    }
+
+    /// The code-position range of a token-index range (a fn item's
+    /// `body_toks`).
+    pub(crate) fn code_range(&self, toks: (usize, usize)) -> (usize, usize) {
+        (
+            self.code.partition_point(|&ti| ti < toks.0),
+            self.code.partition_point(|&ti| ti < toks.1),
+        )
+    }
+
+    /// Code position of the bracket closing the opener at `open`,
+    /// looking no further than `hi`. When the range ends before the
+    /// close (unbalanced input), clamps to the last position in range
+    /// so callers always get a position they may index.
+    pub(crate) fn matching(&self, open: usize, hi: usize) -> usize {
+        let mut depth = 0usize;
+        for c in open..hi {
+            match self.text(c) {
+                "(" | "[" | "{" => depth += 1,
+                ")" | "]" | "}" => {
+                    depth = depth.saturating_sub(1);
+                    if depth == 0 {
+                        return c;
+                    }
+                }
+                _ => {}
+            }
+        }
+        hi.saturating_sub(1).max(open)
+    }
+
+    /// First position in `[lo, hi)` at bracket depth 0 whose text
+    /// satisfies `is`.
+    pub(crate) fn depth0(&self, lo: usize, hi: usize, is: impl Fn(&str) -> bool) -> Option<usize> {
+        let mut depth = 0usize;
+        for c in lo..hi {
+            let t = self.text(c);
+            if depth == 0 && is(t) {
+                return Some(c);
+            }
+            match t {
+                "(" | "[" | "{" => depth += 1,
+                ")" | "]" | "}" => depth = depth.saturating_sub(1),
+                _ => {}
+            }
+        }
+        None
     }
 }
 
@@ -73,8 +158,6 @@ pub struct FnItem {
     pub has_self: bool,
     /// `pub` (externally visible; `pub(crate)`/`pub(super)` are not).
     pub is_pub: bool,
-    /// 1-based line of the `fn` keyword.
-    pub line: usize,
     /// Token index range of the body (between the braces, exclusive).
     pub body_toks: (usize, usize),
     /// Whether the item sits inside a `#[cfg(test)]` region.
@@ -401,20 +484,9 @@ fn header_fn_item(source: &str, toks: &[Token], header: &[usize]) -> Option<FnIt
         owner: None,
         has_self,
         is_pub: header_is_pub(source, toks, &header[..fn_at]),
-        line: line_of_tok(toks, name_i, source),
         body_toks: (0, 0),
         in_test: false,
     })
-}
-
-/// 1-based line of token `i` (count newlines before its span — header
-/// slices don't carry the line table, so recompute locally).
-fn line_of_tok(toks: &[Token], i: usize, source: &str) -> usize {
-    source.as_bytes()[..toks[i].lo]
-        .iter()
-        .filter(|&&b| b == b'\n')
-        .count()
-        + 1
 }
 
 /// A bare `pub` (not `pub(crate)`/`pub(super)`) among these tokens?
@@ -718,6 +790,28 @@ mod tests {
         assert_eq!(items.pub_items.len(), 1);
         assert_eq!(items.pub_items[0].owner.as_deref(), Some("Histogram"));
         assert_eq!(items.pub_items[0].name, "record");
+    }
+
+    #[test]
+    fn bracket_matcher_nests_clamps_and_skips_for_the_depth0_finder() {
+        // 0 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15
+        // f ( a [ 1 ] , { ( b )  }  )  +  g  (
+        let pf = ParsedFile::new("crates/x/src/lib.rs", "f(a[1], { (b) }) + g(");
+        let n = pf.code.len();
+        assert_eq!(n, 16);
+        // Nested mixed brackets: each opener finds its own close.
+        assert_eq!(pf.matching(1, n), 12);
+        assert_eq!(pf.matching(3, n), 5);
+        assert_eq!(pf.matching(7, n), 11);
+        // The range ends before the close: clamped to its last position.
+        assert_eq!(pf.matching(1, 9), 8);
+        // An opener at `hi - 1` (here also the unclosed `g(`): itself.
+        assert_eq!(pf.matching(15, n), 15);
+        assert_eq!(pf.matching(1, 2), 1);
+        // The depth-0 finder sees the `,` only from inside the call.
+        assert_eq!(pf.depth0(0, n, |t| t == ","), None);
+        assert_eq!(pf.depth0(2, 12, |t| t == ","), Some(6));
+        assert_eq!(pf.depth0(0, n, |t| t == "+"), Some(13));
     }
 
     #[test]

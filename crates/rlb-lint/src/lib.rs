@@ -4,23 +4,28 @@
 //! compiler does not enforce: the engine is **deterministic per seed**
 //! (the E1–E14 theorem-shape experiments and the golden-trace suite
 //! depend on bit-identical reruns) and the tracing hot path is
-//! **zero-overhead when disabled** (the `rlb-sim bench` 0.95x gate).
-//! One stray `HashMap` iteration, `Instant::now()` in accounting code,
-//! or an unguarded `sink.on_event(..)` silently breaks both. This crate
-//! guards them statically.
+//! **zero-overhead when disabled** (every emission compiles out behind
+//! `if S::ENABLED`; the repo benchmark's `engine-*` workloads measure
+//! the result). One stray `HashMap` iteration, `Instant::now()` in
+//! accounting code, or an unguarded `sink.on_event(..)` silently
+//! breaks both. This crate guards them statically.
 //!
-//! The analysis has three tiers:
+//! Every file is tokenized ([`token`]) and item-parsed ([`items`])
+//! once into a [`items::ParsedFile`], which owns the comment-free code
+//! view and the one cursor (token text/kind/position, bracket
+//! matching) all passes walk it with. The rule catalog, the finding
+//! type and the suppression machinery live in [`rules`]. The analysis
+//! has three tiers:
 //!
-//! 1. **Per-file rules** ([`rules`]) over a spanned token stream
-//!    ([`token`]) — determinism, trace-guard, panic-discipline,
-//!    lossy-cast, raw-sync.
+//! 1. **Per-file rules** ([`rules`]) — determinism, trace-guard,
+//!    panic-discipline, lossy-cast, raw-sync.
 //! 2. **Workspace passes** ([`passes`]) over a name-resolution-
-//!    approximate call graph ([`callgraph`]) built from the parsed
-//!    item structure ([`items`]): panic-reachability and unchecked
-//!    arithmetic inside the cones of the roots declared in
-//!    `lint-roots.toml` ([`roots`]), plus a dead-pub-surface sweep
-//!    that counts references from every crate, test, example, and
-//!    binary in the workspace.
+//!    approximate call graph ([`callgraph`], whose one resolver the
+//!    flow passes share): panic-reachability and unchecked arithmetic
+//!    inside the cones of the roots declared in `lint-roots.toml`
+//!    ([`roots`]), plus a dead-pub-surface sweep that counts
+//!    references from every crate, test, example, and binary in the
+//!    workspace, the root package's included.
 //! 3. **Flow passes** over per-function control-flow graphs ([`cfg`])
 //!    and a worklist taint dataflow with call-graph function
 //!    summaries (`dataflow`): `untrusted-input` (wire-decoded values
@@ -63,7 +68,6 @@ use std::path::{Path, PathBuf};
 /// JSON artifact — they make a "0 findings" run auditable (a lint that
 /// resolved 0 roots or built 0 edges is vacuously green, not clean).
 #[derive(Debug, Clone, Default)]
-// field type of `LintReport::stats`. lint:allow(dead-pub)
 pub struct LintStats {
     /// Non-test functions in the call graph.
     pub fns: usize,
@@ -248,7 +252,8 @@ fn json_escape(s: &str) -> String {
 
 /// Whether a workspace-relative path is *linted* (subject to rules and
 /// passes) as opposed to reference-only (scanned for identifiers by the
-/// dead-pub pass: crate `tests/`/`examples/`/`benches/`, root `tests/`).
+/// dead-pub pass: crate `tests/`/`examples/`, and the root package's
+/// `src/`, `tests/` and `examples/`).
 fn is_linted_path(rel_path: &str) -> bool {
     match rel_path.strip_prefix("crates/") {
         Some(rest) => rest
@@ -295,45 +300,38 @@ pub fn lint_files(
         rules::file_rules(pf, allow, &mut findings);
     }
     // Phase 2: workspace passes over the call graph.
-    let g = callgraph::build(&linted);
-    let reach = passes::cone_passes(&linted, &allows, &g, &manifest, &mut findings);
-    let pub_items = passes::dead_pub(&linted, &reference, &allows, &mut findings);
+    let (g, resolver) = callgraph::build(&linted);
+    let mut stats = LintStats {
+        fns: g.nodes.len(),
+        edges: g.edges.iter().map(Vec::len).sum(),
+        ambiguous_names: g.ambiguities.len(),
+        ..LintStats::default()
+    };
+    passes::cone_passes(&linted, &allows, &g, &manifest, &mut findings, &mut stats);
+    passes::dead_pub(&linted, &reference, &allows, &mut findings, &mut stats);
     // Phase 3: flow passes — CFG-based taint dataflow (untrusted-input,
-    // determinism-flow) and the interprocedural lock-order pass.
-    let taint = dataflow::run(&linted, &allows, &g, &mut findings);
-    let lock_rep = locks::run(&linted, &allows, &g, &mut findings);
+    // determinism-flow) and the interprocedural lock-order pass, on the
+    // resolver the graph's edges were drawn from.
+    dataflow::run(&linted, &allows, &g, &resolver, &mut findings, &mut stats);
+    locks::run(&linted, &allows, &g, &resolver, &mut findings, &mut stats);
     // Unused-suppression audit runs last: every rule above has marked
     // the `lint:allow` entries it consumed.
     for (pf, allow) in linted.iter().zip(&allows) {
-        rules::unused_suppressions(pf, allow, rules::RULES, &mut findings);
+        rules::unused_suppressions(pf, allow, |r| r.suppressible, &mut findings);
     }
     findings
         .sort_by(|a, b| (&a.file, a.line, a.col, a.rule).cmp(&(&b.file, b.line, b.col, b.rule)));
     Ok(LintReport {
         files_scanned: linted.len(),
         findings,
-        stats: LintStats {
-            fns: g.nodes.len(),
-            edges: g.edges.iter().map(Vec::len).sum(),
-            root_fns: reach.root_fns,
-            cone_fns: reach.cone_fns,
-            ambiguous_names: g.ambiguities.len(),
-            pub_items,
-            cfg_blocks: taint.cfg_blocks,
-            cfg_edges: taint.cfg_edges,
-            untrusted_sources: taint.untrusted_sources,
-            clock_sources: taint.clock_sources,
-            lock_sites: lock_rep.lock_sites,
-            lock_edges: lock_rep.lock_edges,
-            untrusted_sources_by_crate: taint.untrusted_sources_by_crate,
-            lock_sites_by_crate: lock_rep.lock_sites_by_crate,
-        },
+        stats,
     })
 }
 
 /// Lints every `.rs` file under `crates/*/src` of the workspace at
-/// `root`, using `crates/*/{tests,examples,benches}` and the root
-/// `tests/` directory as reference material and `lint-roots.toml` (if
+/// `root`, using `crates/*/{tests,examples}` and the root package's
+/// `{src,tests,examples}` (the facade, its integration tests and the
+/// worked examples) as reference material and `lint-roots.toml` (if
 /// present) as the panic-reachability root manifest.
 ///
 /// # Errors
@@ -357,16 +355,15 @@ pub fn lint_workspace(root: &Path) -> Result<LintReport, String> {
     let mut paths = Vec::new();
     for dir in &crate_dirs {
         collect_rs_files(&dir.join("src"), &mut paths)?;
-        for aux in ["tests", "examples", "benches"] {
-            let d = dir.join(aux);
-            if d.is_dir() {
-                collect_rs_files(&d, &mut paths)?;
-            }
-        }
     }
-    let root_tests = root.join("tests");
-    if root_tests.is_dir() {
-        collect_rs_files(&root_tests, &mut paths)?;
+    // Reference-only material: each crate's tests and examples, then
+    // the root package's facade, integration tests and examples.
+    let reference_dirs = crate_dirs
+        .iter()
+        .flat_map(|dir| ["tests", "examples"].map(|aux| dir.join(aux)))
+        .chain(["src", "tests", "examples"].map(|aux| root.join(aux)));
+    for dir in reference_dirs.filter(|dir| dir.is_dir()) {
+        collect_rs_files(&dir, &mut paths)?;
     }
     let mut files = Vec::new();
     for file in &paths {
@@ -454,15 +451,23 @@ mod tests {
         let src = root.join("crates/rlb-core/src");
         std::fs::create_dir_all(&src).unwrap();
         std::fs::create_dir_all(root.join("crates/rlb-core/tests")).unwrap();
+        std::fs::create_dir_all(root.join("examples")).unwrap();
         std::fs::write(
             src.join("sim.rs"),
-            "pub fn run(x: Option<u32>) -> u32 { x.unwrap() }\npub fn spare() {}\n",
+            "pub fn run(x: Option<u32>) -> u32 { x.unwrap() }\npub fn spare() {}\n\
+             pub fn shown() {}\n",
         )
         .unwrap();
-        // The crate's own tests/ keep `spare` alive; `run` panics.
+        // The crate's own tests/ keep `spare` alive, a root example
+        // keeps `shown` alive; `run` panics.
         std::fs::write(
             root.join("crates/rlb-core/tests/api.rs"),
             "fn t() { rlb_core::spare(); rlb_core::run(None); }\n",
+        )
+        .unwrap();
+        std::fs::write(
+            root.join("examples/x.rs"),
+            "fn main() { rlb_core::shown(); }\n",
         )
         .unwrap();
         std::fs::write(

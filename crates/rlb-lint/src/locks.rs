@@ -44,21 +44,11 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::callgraph::{self, CallGraph, Resolver};
+use crate::callgraph::{self, CallGraph, Resolution, Resolver};
 use crate::items::ParsedFile;
 use crate::rules::{self, Finding, Suppressions};
 use crate::token::TokenKind;
-
-/// Tier-3 lock statistics for the report.
-#[derive(Debug, Default)]
-pub(crate) struct LockReport {
-    /// `.lock()` call sites in scope.
-    pub(crate) lock_sites: usize,
-    /// Acquired-while-holding edges (deduped by name pair).
-    pub(crate) lock_edges: usize,
-    /// Sites per crate (CI vacuity pin).
-    pub(crate) lock_sites_by_crate: BTreeMap<String, usize>,
-}
+use crate::LintStats;
 
 /// One acquired-while-holding edge with its evidence.
 #[derive(Debug, Clone)]
@@ -99,29 +89,24 @@ pub(crate) fn run(
     files: &[ParsedFile],
     allows: &[Suppressions],
     graph: &CallGraph,
+    resolver: &Resolver<'_>,
     findings: &mut Vec<Finding>,
-) -> LockReport {
-    let mut rep = LockReport::default();
-    let resolver = Resolver::new(files, graph);
+    stats: &mut LintStats,
+) {
     let mut direct: Vec<BTreeSet<String>> = vec![BTreeSet::new(); graph.nodes.len()];
     let mut edges: Vec<Edge> = Vec::new();
     let mut held_calls: Vec<HeldCall> = Vec::new();
 
-    let codes: Vec<Vec<usize>> = files
-        .iter()
-        .map(|pf| pf.tokens.code_tokens().map(|(i, _)| i).collect())
-        .collect();
     for (n, node) in graph.nodes.iter().enumerate() {
         if node.in_test || rules::RAW_SYNC_ALLOW_CRATES.contains(&node.krate.as_str()) {
             continue;
         }
         scan_fn(
             files,
-            &codes,
             graph,
-            &resolver,
+            resolver,
             n,
-            &mut rep,
+            stats,
             &mut direct[n],
             &mut edges,
             &mut held_calls,
@@ -177,7 +162,7 @@ pub(crate) fn run(
         adj.entry(&e.from).or_default().insert(&e.to);
         pairs.insert((&e.from, &e.to));
     }
-    rep.lock_edges = pairs.len();
+    stats.lock_edges = pairs.len();
 
     // Cycle detection: an edge participates in a cycle iff its target
     // can reach its source. Report one finding per ordered name pair.
@@ -203,7 +188,7 @@ pub(crate) fn run(
                 )
             })
             .unwrap_or_else(|| format!(" (cycle closes back to `{}` transitively)", e.from));
-        rules::emit(
+        rules::emit_at(
             findings,
             &files[e.file],
             &allows[e.file],
@@ -216,7 +201,6 @@ pub(crate) fn run(
             ),
         );
     }
-    rep
 }
 
 /// Whether `n` lives in a crate whose sync internals are beneath the
@@ -247,25 +231,17 @@ fn reaches(adj: &BTreeMap<&str, BTreeSet<&str>>, from: &str, to: &str) -> bool {
 #[allow(clippy::too_many_arguments)]
 fn scan_fn(
     files: &[ParsedFile],
-    codes: &[Vec<usize>],
     graph: &CallGraph,
     resolver: &Resolver<'_>,
     n: usize,
-    rep: &mut LockReport,
+    stats: &mut LintStats,
     direct: &mut BTreeSet<String>,
     edges: &mut Vec<Edge>,
     held_calls: &mut Vec<HeldCall>,
 ) {
     let node = &graph.nodes[n];
     let pf = &files[node.file];
-    let code = &codes[node.file];
-    let item = &pf.items.fns[node.item];
-    let lo = code.partition_point(|&ti| ti < item.body_toks.0);
-    let hi = code.partition_point(|&ti| ti < item.body_toks.1);
-    let text = |c: usize| pf.tokens.toks[code[c]].text(&pf.source);
-    let kind = |c: usize| pf.tokens.toks[code[c]].kind;
-    let byte = |c: usize| pf.tokens.toks[code[c]].lo;
-    let line = |c: usize| pf.tokens.line_of(byte(c));
+    let (lo, hi) = pf.code_range(pf.items.fns[node.item].body_toks);
 
     let mut held: Vec<Held> = Vec::new();
     let mut brace = 0usize;
@@ -275,20 +251,21 @@ fn scan_fn(
     let mut c = lo;
     while c < hi {
         // Tokens belonging to a *nested* fn are that fn's business.
-        if pf.items.fn_at(code[c]) != Some(node.item) {
+        if pf.items.fn_at(pf.code[c]) != Some(node.item) {
             c += 1;
             continue;
         }
-        let t = text(c);
+        let t = pf.text(c);
         match t {
             "let" => {
                 // The first binding-looking ident after `let [mut]`.
                 let mut j = c + 1;
-                while j < hi && (text(j) == "mut" || text(j) == "(") {
+                while j < hi && (pf.text(j) == "mut" || pf.text(j) == "(") {
                     j += 1;
                 }
-                if j < hi && kind(j) == TokenKind::Ident && callgraph::is_value_ident(text(j)) {
-                    pending_let = Some(text(j).to_string());
+                if j < hi && pf.kind(j) == TokenKind::Ident && callgraph::is_value_ident(pf.text(j))
+                {
+                    pending_let = Some(pf.text(j).to_string());
                 }
             }
             "{" => {
@@ -311,11 +288,12 @@ fn scan_fn(
             }
             _ => {}
         }
-        if kind(c) == TokenKind::Ident && c + 1 < hi && text(c + 1) == "(" {
-            if t == "lock" && c > lo && text(c - 1) == "." {
-                let name = receiver_name(pf, code, lo, c - 1);
-                rep.lock_sites += 1;
-                *rep.lock_sites_by_crate
+        if pf.kind(c) == TokenKind::Ident && c + 1 < hi && pf.text(c + 1) == "(" {
+            if t == "lock" && c > lo && pf.text(c - 1) == "." {
+                let name = receiver_name(pf, lo, c - 1);
+                stats.lock_sites += 1;
+                *stats
+                    .lock_sites_by_crate
                     .entry(node.krate.clone())
                     .or_default() += 1;
                 if let Some(name) = name {
@@ -326,12 +304,12 @@ fn scan_fn(
                                 from: h.name.clone(),
                                 to: name.clone(),
                                 file: node.file,
-                                pos: byte(c),
+                                pos: pf.byte(c),
                                 why: format!(
                                     "`{name}` acquired at {}:{} while holding `{}` (since \
                                      line {})",
                                     pf.rel_path,
-                                    line(c),
+                                    pf.line(c),
                                     h.name,
                                     h.line
                                 ),
@@ -342,8 +320,7 @@ fn scan_fn(
                     // after `.lock()` is just `?`/`.unwrap()`/
                     // `.expect(…)`; anything else (`.len()`, `.take()`)
                     // consumes the guard as a temporary.
-                    let binds_guard =
-                        pending_let.is_some() && chain_ends_with_guard(pf, code, c + 1, hi);
+                    let binds_guard = pending_let.is_some() && chain_ends_with_guard(pf, c + 1, hi);
                     held.push(Held {
                         name,
                         depth: brace,
@@ -354,28 +331,26 @@ fn scan_fn(
                         } else {
                             Hold::Temp
                         },
-                        line: line(c),
+                        line: pf.line(c),
                     });
                 }
             } else if t == "drop" {
                 // `drop(guard)` releases a scope-held guard early.
-                if c + 3 < hi && kind(c + 2) == TokenKind::Ident && text(c + 3) == ")" {
-                    let var = text(c + 2);
+                if c + 3 < hi && pf.kind(c + 2) == TokenKind::Ident && pf.text(c + 3) == ")" {
+                    let var = pf.text(c + 2);
                     held.retain(|h| !matches!(&h.hold, Hold::Scope { var: Some(v) } if v == var));
                 }
             } else if callgraph::is_value_ident(t) && !held.is_empty() {
-                let prev = (c > lo).then(|| text(c - 1));
-                let prev2 = (c > lo + 1).then(|| text(c - 2));
-                if let Some(callee) = resolver
-                    .resolve(graph, n, files, t, prev, prev2)
-                    .filter(|&callee| !exempt_crate(graph, callee))
-                {
-                    held_calls.push((
+                let prev = (c > lo).then(|| pf.text(c - 1));
+                let prev2 = (c > lo + 1).then(|| pf.text(c - 2));
+                match resolver.resolve(n, t, prev, prev2) {
+                    Resolution::One(callee) if !exempt_crate(graph, callee) => held_calls.push((
                         held.iter().map(|h| (h.name.clone(), h.line)).collect(),
                         callee,
                         node.file,
-                        byte(c),
-                    ));
+                        pf.byte(c),
+                    )),
+                    _ => {}
                 }
             }
         }
@@ -385,20 +360,19 @@ fn scan_fn(
 
 /// The lock's field name: the ident reached from the `.` before
 /// `lock`, walking back over balanced `()` / `[]` chains.
-fn receiver_name(pf: &ParsedFile, code: &[usize], lo: usize, dot: usize) -> Option<String> {
-    let text = |i: usize| pf.tokens.toks[code[i]].text(&pf.source);
+fn receiver_name(pf: &ParsedFile, lo: usize, dot: usize) -> Option<String> {
     if dot <= lo {
         return None;
     }
     let mut j = dot - 1;
     loop {
-        let t = text(j);
+        let t = pf.text(j);
         if t == ")" || t == "]" {
             // Walk to the matching opener.
             let (open, close) = if t == ")" { ("(", ")") } else { ("[", "]") };
             let mut d = 0usize;
             loop {
-                let u = text(j);
+                let u = pf.text(j);
                 if u == close {
                     d += 1;
                 } else if u == open {
@@ -420,67 +394,29 @@ fn receiver_name(pf: &ParsedFile, code: &[usize], lo: usize, dot: usize) -> Opti
         }
         break;
     }
-    (pf.tokens.toks[code[j]].kind == TokenKind::Ident
-        && callgraph::is_value_ident(text(j))
-        && text(j) != "self"
-        && !callgraph::is_camel_type(text(j)))
-    .then(|| text(j).to_string())
+    let name = pf.text(j);
+    (pf.kind(j) == TokenKind::Ident
+        && callgraph::is_value_ident(name)
+        && name != "self"
+        && !callgraph::is_camel_type(name))
+    .then(|| name.to_string())
 }
 
 /// From the `(` of `.lock(`: does the method chain end with the guard
 /// still in hand (only `?` / `.unwrap()` / `.expect(…)` follow)?
-fn chain_ends_with_guard(pf: &ParsedFile, code: &[usize], open: usize, hi: usize) -> bool {
-    let text = |i: usize| pf.tokens.toks[code[i]].text(&pf.source);
-    let mut j = {
-        // Matching close paren of the lock call.
-        let mut d = 0usize;
-        let mut k = open;
-        loop {
-            match text(k) {
-                "(" | "[" | "{" => d += 1,
-                ")" | "]" | "}" => {
-                    d -= 1;
-                    if d == 0 {
-                        break k + 1;
-                    }
-                }
-                _ => {}
-            }
-            k += 1;
-            if k >= hi {
-                return true;
-            }
-        }
-    };
+fn chain_ends_with_guard(pf: &ParsedFile, open: usize, hi: usize) -> bool {
+    let mut j = pf.matching(open, hi) + 1;
     loop {
         if j >= hi {
             return true;
         }
-        match text(j) {
+        match pf.text(j) {
             "?" => j += 1,
             "." if j + 2 < hi
-                && (text(j + 1) == "unwrap" || text(j + 1) == "expect")
-                && text(j + 2) == "(" =>
+                && (pf.text(j + 1) == "unwrap" || pf.text(j + 1) == "expect")
+                && pf.text(j + 2) == "(" =>
             {
-                let mut d = 0usize;
-                let mut k = j + 2;
-                loop {
-                    match text(k) {
-                        "(" | "[" | "{" => d += 1,
-                        ")" | "]" | "}" => {
-                            d -= 1;
-                            if d == 0 {
-                                break;
-                            }
-                        }
-                        _ => {}
-                    }
-                    k += 1;
-                    if k >= hi {
-                        return true;
-                    }
-                }
-                j = k + 1;
+                j = pf.matching(j + 2, hi) + 1;
             }
             // Any other method / field access consumes the guard.
             "." => return false,

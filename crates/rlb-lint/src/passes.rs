@@ -10,20 +10,12 @@
 //! finding line or the line above suppresses — and rots into an
 //! `unused-suppression` finding when the site moves.
 
-use crate::callgraph::{CallGraph, PanicKind, PanicSite};
+use crate::callgraph::{CallGraph, PanicKind};
 use crate::items::{crate_of, ParsedFile};
 use crate::roots::Manifest;
-use crate::rules::{Finding, Suppressions};
+use crate::rules::{emit, emit_at, Finding, Suppressions};
+use crate::LintStats;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-
-/// What the cone passes report back for the stats block.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ReachStats {
-    /// Root fns resolved from the manifest.
-    pub root_fns: usize,
-    /// Fns reachable from any root (roots included).
-    pub cone_fns: usize,
-}
 
 /// Runs panic-reachability and unchecked-arithmetic over every root
 /// cone. Manifest entries that resolve to nothing are *rot* and
@@ -35,7 +27,20 @@ pub(crate) fn cone_passes(
     g: &CallGraph,
     manifest: &Manifest,
     findings: &mut Vec<Finding>,
-) -> ReachStats {
+    stats: &mut LintStats,
+) {
+    // A manifest entry that matches nothing, against the manifest line.
+    let mut rot = |line: usize, entry: String, what: &str| {
+        findings.push(Finding {
+            file: "lint-roots.toml".to_string(),
+            line,
+            col: 0,
+            rule: "lint-roots",
+            message: format!(
+                "`{entry}` matches no {what} — manifest rot; rename or remove the entry"
+            ),
+        });
+    };
     // Exempted crates: rot-checked against the linted files, then used
     // as a traversal barrier below.
     let mut exempt: BTreeSet<&str> = BTreeSet::new();
@@ -46,17 +51,7 @@ pub(crate) fn cone_passes(
         {
             exempt.insert(e.krate.as_str());
         } else {
-            findings.push(Finding {
-                file: "lint-roots.toml".to_string(),
-                line: e.line,
-                col: 0,
-                rule: "lint-roots",
-                message: format!(
-                    "`crate = \"{}\"` matches no linted crate — manifest rot; rename or \
-                     remove the entry",
-                    e.krate
-                ),
-            });
+            rot(e.line, format!("crate = \"{}\"", e.krate), "linted crate");
         }
     }
 
@@ -72,52 +67,43 @@ pub(crate) fn cone_passes(
             Vec::new()
         };
         if ids.is_empty() {
-            let what = spec
+            let entry = spec
                 .fn_name
                 .as_ref()
                 .map(|n| format!("fn = \"{n}\""))
                 .unwrap_or_else(|| format!("file = \"{}\"", spec.file.as_deref().unwrap_or("")));
-            findings.push(Finding {
-                file: "lint-roots.toml".to_string(),
-                line: spec.line,
-                col: 0,
-                rule: "lint-roots",
-                message: format!(
-                    "`{what}` matches no function in the workspace — manifest rot; rename or \
-                     remove the entry"
-                ),
-            });
+            rot(spec.line, entry, "function in the workspace");
             continue;
         }
         root_nodes.extend(ids);
     }
     root_nodes.dedup();
 
-    // Multi-source BFS, sources in manifest order: visited[n] = (root,
-    // parent) reconstructs one concrete root→n call chain.
-    let mut visited: BTreeMap<usize, (usize, Option<usize>)> = BTreeMap::new();
+    // Multi-source BFS, sources in manifest order: visited[n] = parent
+    // (`None` for a root) reconstructs one concrete root→n call chain.
+    let mut visited: BTreeMap<usize, Option<usize>> = BTreeMap::new();
     let mut queue = VecDeque::new();
     for &r in &root_nodes {
         if !visited.contains_key(&r) && !exempt.contains(g.nodes[r].krate.as_str()) {
-            visited.insert(r, (r, None));
+            visited.insert(r, None);
             queue.push_back(r);
         }
     }
-    let distinct_roots = queue.len();
+    stats.root_fns = queue.len();
     while let Some(n) = queue.pop_front() {
-        let root = visited[&n].0;
         for &callee in &g.edges[n] {
             if !visited.contains_key(&callee) && !exempt.contains(g.nodes[callee].krate.as_str()) {
-                visited.insert(callee, (root, Some(n)));
+                visited.insert(callee, Some(n));
                 queue.push_back(callee);
             }
         }
     }
+    stats.cone_fns = visited.len();
 
     let chain_of = |n: usize| -> String {
         let mut names = vec![g.nodes[n].qname.clone()];
         let mut cur = n;
-        while let Some(&(_, Some(parent))) = visited.get(&cur) {
+        while let Some(&Some(parent)) = visited.get(&cur) {
             names.push(g.nodes[parent].qname.clone());
             cur = parent;
         }
@@ -129,41 +115,31 @@ pub(crate) fn cone_passes(
             .join(" -> ")
     };
 
-    for (&n, &(root, parent)) in &visited {
+    for (&n, &parent) in &visited {
         let node = &g.nodes[n];
-        let pf = &files[node.file];
-        let chain = chain_of(n);
+        let (pf, allow) = (&files[node.file], &allow[node.file]);
+        let line_of = |pos: usize| pf.tokens.line_of(pos);
         let provenance = if parent.is_none() {
             format!("root fn `{}`", node.qname)
         } else {
-            format!("`{}`, reached from root via {chain}", node.qname)
+            format!("`{}`, reached from root via {}", node.qname, chain_of(n))
         };
-        let _ = root;
 
         // ---- panic-reachability: one finding per (fn, panic kind),
         // anchored at the kind's first site so suppressions stay
         // site-specific and rot when sites move.
-        let mut by_kind: BTreeMap<PanicKind, Vec<&PanicSite>> = BTreeMap::new();
+        let mut by_kind: BTreeMap<PanicKind, Vec<usize>> = BTreeMap::new();
         for s in &g.panic_sites[n] {
-            by_kind.entry(s.kind).or_default().push(s);
+            by_kind.entry(s.kind).or_default().push(s.pos);
         }
         for (kind, sites) in by_kind {
-            let anchor = sites[0];
-            if allow[node.file].suppresses(anchor.line, "panic-path") {
-                continue;
-            }
-            findings.push(Finding {
-                file: pf.rel_path.clone(),
-                line: anchor.line,
-                col: anchor.col,
-                rule: "panic-path",
-                message: format!(
-                    "{} at {} in {provenance}: make the path infallible, propagate an error, \
-                     or justify with `lint:allow(panic-path)`",
-                    kind.label(),
-                    lines_of(sites.iter().map(|s| s.line)),
-                ),
-            });
+            let message = format!(
+                "{} at {} in {provenance}: make the path infallible, propagate an error, or \
+                 justify with `lint:allow(panic-path)`",
+                kind.label(),
+                lines_of(sites.iter().copied().map(line_of)),
+            );
+            emit_at(findings, pf, allow, sites[0], "panic-path", message);
         }
 
         // ---- unchecked arithmetic, same anchoring scheme.
@@ -172,27 +148,16 @@ pub(crate) fn cone_passes(
             .filter(|s| !s.debug_asserted)
             .collect();
         if let Some(anchor) = live.first() {
-            if !allow[node.file].suppresses(anchor.line, "unchecked-arith") {
-                let ops: BTreeSet<&str> = live.iter().map(|s| s.op).collect();
-                findings.push(Finding {
-                    file: pf.rel_path.clone(),
-                    line: anchor.line,
-                    col: anchor.col,
-                    rule: "unchecked-arith",
-                    message: format!(
-                        "bare `{}` integer arithmetic at {} in {provenance}: use \
-                         checked_*/saturating_*/wrapping_* (or debug_assert! the bounds), or \
-                         justify with `lint:allow(unchecked-arith)`",
-                        ops.into_iter().collect::<Vec<_>>().join("` `"),
-                        lines_of(live.iter().map(|s| s.line)),
-                    ),
-                });
-            }
+            let ops: BTreeSet<&str> = live.iter().map(|s| s.op).collect();
+            let message = format!(
+                "bare `{}` integer arithmetic at {} in {provenance}: use \
+                 checked_*/saturating_*/wrapping_* (or debug_assert! the bounds), or justify \
+                 with `lint:allow(unchecked-arith)`",
+                ops.into_iter().collect::<Vec<_>>().join("` `"),
+                lines_of(live.iter().map(|s| line_of(s.pos))),
+            );
+            emit_at(findings, pf, allow, anchor.pos, "unchecked-arith", message);
         }
-    }
-    ReachStats {
-        root_fns: distinct_roots,
-        cone_fns: visited.len(),
     }
 }
 
@@ -212,11 +177,11 @@ fn lines_of(lines: impl Iterator<Item = usize>) -> String {
 
 /// Dead-pub-surface: a `pub` item in a library crate's `src/` that no
 /// *other* compilation unit of the workspace mentions — sibling
-/// crates, the defining crate's own `tests/`/`examples/`/`benches/`
-/// and in-file `#[cfg(test)]` modules, its binaries (`main.rs`,
-/// `src/bin/`), and the root `tests/` all count as usage. Mentioned
-/// only inside its own lib: that is exactly the "demote to
-/// `pub(crate)`" case; mentioned nowhere: delete it.
+/// crates, the defining crate's own `tests/`/`examples/` and in-file
+/// `#[cfg(test)]` modules, its binaries (`main.rs`, `src/bin/`), and
+/// the root package's facade, `tests/` and `examples/` all count as
+/// usage. Mentioned only inside its own lib: that is exactly the
+/// "demote to `pub(crate)`" case; mentioned nowhere: delete it.
 ///
 /// Re-export leaves (`pub use` names) are reference sources but not
 /// candidates: a dead re-exported item is reported once, at its
@@ -230,7 +195,8 @@ pub(crate) fn dead_pub(
     reference: &[ParsedFile],
     allow: &[Suppressions],
     findings: &mut Vec<Finding>,
-) -> usize {
+    stats: &mut LintStats,
+) {
     // Identifier sets per compilation unit. In-file test modules count
     // as a separate unit (`<crate>/t`): a pub item exercised only by
     // its own unit tests is deliberately-kept API, not dead surface.
@@ -239,12 +205,12 @@ pub(crate) fn dead_pub(
         let unit = unit_of(&pf.rel_path);
         let mut main_set = BTreeSet::new();
         let mut test_set = BTreeSet::new();
-        for (_, t) in pf.tokens.code_tokens() {
-            if t.kind == crate::token::TokenKind::Ident {
-                if pf.items.in_test(t.lo) {
-                    test_set.insert(t.text(&pf.source));
+        for c in 0..pf.code.len() {
+            if pf.kind(c) == crate::token::TokenKind::Ident {
+                if pf.items.in_test(pf.byte(c)) {
+                    test_set.insert(pf.text(c));
                 } else {
-                    main_set.insert(t.text(&pf.source));
+                    main_set.insert(pf.text(c));
                 }
             }
         }
@@ -256,7 +222,6 @@ pub(crate) fn dead_pub(
         }
         idents.entry(unit).or_default().append(&mut main_set);
     }
-    let mut checked = 0usize;
     for (fi, pf) in linted.iter().enumerate() {
         let unit = unit_of(&pf.rel_path);
         // Only library-crate source declares workspace-visible API.
@@ -267,40 +232,39 @@ pub(crate) fn dead_pub(
             if item.kind == "use" {
                 continue;
             }
-            checked += 1;
+            stats.pub_items += 1;
             let used_elsewhere = idents
                 .iter()
                 .any(|(u, set)| *u != unit && set.contains(item.name.as_str()));
             if used_elsewhere {
                 continue;
             }
-            if allow[fi].suppresses(item.line, "dead-pub") {
-                continue;
-            }
             let qname = match &item.owner {
                 Some(o) => format!("{o}::{}", item.name),
                 None => item.name.clone(),
             };
-            findings.push(Finding {
-                file: pf.rel_path.clone(),
-                line: item.line,
-                col: 0,
-                rule: "dead-pub",
-                message: format!(
-                    "`pub {} {qname}` is referenced nowhere else in the workspace (other \
-                     crates, tests, examples, and binaries included): demote to `pub(crate)`, \
-                     delete it, or justify with `lint:allow(dead-pub)`",
-                    item.kind
-                ),
-            });
+            let message = format!(
+                "`pub {} {qname}` is referenced nowhere else in the workspace (other crates, \
+                 tests, examples, and binaries included): demote to `pub(crate)`, delete it, or \
+                 justify with `lint:allow(dead-pub)`",
+                item.kind
+            );
+            emit(
+                findings,
+                pf,
+                &allow[fi],
+                (item.line, 0),
+                "dead-pub",
+                message,
+            );
         }
     }
-    checked
 }
 
 /// The compilation unit a file belongs to, for reference counting:
 /// `rlb-core` (the lib), `rlb-cli/bin` (its binaries), `rlb-core/aux`
-/// (tests/examples/benches), `root/aux` (workspace-level tests).
+/// (tests/examples), `root/aux` (the root package: facade, tests,
+/// examples).
 fn unit_of(rel_path: &str) -> String {
     let Some(krate) = crate_of(rel_path) else {
         return "root/aux".to_string();
@@ -326,13 +290,13 @@ mod tests {
     use crate::roots::parse_manifest;
     use crate::rules::allow_by_line;
 
-    fn run(files: &[(&str, &str)], roots: &str) -> (Vec<Finding>, ReachStats) {
+    fn run(files: &[(&str, &str)], roots: &str) -> (Vec<Finding>, LintStats) {
         let parsed: Vec<ParsedFile> = files.iter().map(|(p, s)| ParsedFile::new(p, s)).collect();
         let allows: Vec<Suppressions> = parsed.iter().map(|p| allow_by_line(&p.comments)).collect();
-        let g = build(&parsed);
+        let (g, _) = build(&parsed);
         let manifest = parse_manifest(roots).expect("roots parse");
-        let mut findings = Vec::new();
-        let stats = cone_passes(&parsed, &allows, &g, &manifest, &mut findings);
+        let (mut findings, mut stats) = (Vec::new(), LintStats::default());
+        cone_passes(&parsed, &allows, &g, &manifest, &mut findings, &mut stats);
         (findings, stats)
     }
 
@@ -477,9 +441,9 @@ mod tests {
         );
         let allows = vec![allow_by_line(&lib.comments), allow_by_line(&user.comments)];
         let linted = vec![lib, user];
-        let mut findings = Vec::new();
-        let checked = dead_pub(&linted, &[], &allows, &mut findings);
-        assert_eq!(checked, 3);
+        let (mut findings, mut stats) = (Vec::new(), LintStats::default());
+        dead_pub(&linted, &[], &allows, &mut findings, &mut stats);
+        assert_eq!(stats.pub_items, 3);
         assert_eq!(findings.len(), 1, "{findings:?}");
         assert_eq!(findings[0].rule, "dead-pub");
         assert!(findings[0].message.contains("never_used"));
@@ -499,7 +463,13 @@ mod tests {
         let allows = vec![allow_by_line(&lib.comments), allow_by_line(&bin.comments)];
         let linted = vec![lib, bin];
         let mut findings = Vec::new();
-        dead_pub(&linted, &[tests], &allows, &mut findings);
+        dead_pub(
+            &linted,
+            &[tests],
+            &allows,
+            &mut findings,
+            &mut LintStats::default(),
+        );
         assert_eq!(findings.len(), 1, "{findings:?}");
         assert!(findings[0].message.contains("truly_dead"));
     }

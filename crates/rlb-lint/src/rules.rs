@@ -1,25 +1,18 @@
-//! The per-file rule passes.
+//! The rule catalog, the per-file rule passes, and the finding and
+//! suppression machinery every pass emits through.
 //!
-//! Every rule scans the *token stream* (see [`crate::token`]) of a
-//! parsed file, so findings carry exact line:column positions and never
-//! fire on comment or string-literal prose. `#[cfg(test)]` regions are
-//! exempt from every rule, and a finding is suppressed by a
-//! `// lint:allow(<rule>)` comment on the same line or the line above.
+//! Every per-file rule scans the comment-free *code* view of a parsed
+//! file (see [`ParsedFile`]), so findings carry exact line:column
+//! positions and never fire on comment or string-literal prose.
+//! `#[cfg(test)]` regions are exempt from every rule, and a finding is
+//! suppressed by a `// lint:allow(<rule>)` comment on the same line or
+//! the line above.
 //!
-//! | rule               | scope                                   | forbids |
-//! |--------------------|-----------------------------------------|---------|
-//! | `determinism`      | all crates except `rlb-bench`/`rlb-cli` | `HashMap`/`HashSet`, `Instant::now`/`SystemTime`, `thread_rng`/`rand::` |
-//! | `trace-guard`      | `rlb-core`, `rlb-kv`, `rlb-serve`, `rlb-load` | `.on_event(` outside `if S::ENABLED { … }` (sink impls exempt) |
-//! | `panic-discipline` | engine hot path + serve/load hot files  | `.unwrap()`, `.expect(`, `panic!`, `unreachable!`, `todo!`, `unimplemented!` |
-//! | `lossy-cast`       | accounting code + `rlb-serve`/`rlb-load` | narrowing `as u8` / `as u16` / `as u32` |
-//! | `raw-sync`         | all crates except `rlb-sync`/`rlb-check` | `std::sync::*` (except `Arc`/`Weak` and the lock-result types) and `thread::spawn`/`scope`/`Builder` — primitives come from `rlb_sync`, so the `model` feature can route them through the checker |
-//!
-//! The transitive workspace passes (`panic-path`, `unchecked-arith`,
-//! `dead-pub` — see [`crate::passes`]) share this module's [`Finding`]
-//! and suppression machinery. One meta rule, `unused-suppression`,
-//! runs after everything else: a `lint:allow` naming a catalog rule
-//! that suppressed nothing is itself a finding (and is deliberately
-//! not suppressible — stale excuses hide real ones).
+//! [`CATALOG`] is the one list of rules: what each is called, whether
+//! a `lint:allow` may name it, and — for the per-file rules — where it
+//! applies and which function checks it. The workspace passes
+//! ([`crate::passes`], `dataflow`, `locks`) own the remaining rows and
+//! emit through the same [`emit`].
 
 use crate::items::ParsedFile;
 use crate::token::TokenKind;
@@ -34,7 +27,7 @@ pub struct Finding {
     /// 1-based column (0 when the finding has no single token, e.g.
     /// manifest rot).
     pub col: usize,
-    /// Rule name (one of [`RULES`]).
+    /// Rule name (one of [`all_rule_names`]).
     pub rule: &'static str,
     /// What fired and what to do about it.
     pub message: String,
@@ -58,40 +51,100 @@ impl std::fmt::Display for Finding {
     }
 }
 
-/// The per-file rules (appliable by [`lint_source`] on one file alone).
-pub(crate) const FILE_RULES: &[&str] = &[
-    "determinism",
-    "trace-guard",
-    "panic-discipline",
-    "lossy-cast",
-    "raw-sync",
+/// Which files a per-file rule covers.
+type Scope = fn(&ParsedFile) -> bool;
+/// A per-file check: pushes its findings for one parsed file.
+type FileCheck = fn(&ParsedFile, &Suppressions, &mut Vec<Finding>);
+
+/// One row of the rule catalog.
+pub(crate) struct Rule {
+    /// The name findings carry and `lint:allow(...)` / `--rule` take.
+    pub(crate) name: &'static str,
+    /// Whether a `lint:allow` may suppress it. The meta rules are not:
+    /// dead excuses and manifest rot cannot be excused.
+    pub(crate) suppressible: bool,
+    /// For a per-file rule (appliable by [`lint_source`] on one file
+    /// alone): which files it covers, and the check. `None` for the
+    /// workspace passes.
+    per_file: Option<(Scope, FileCheck)>,
+}
+
+/// Every rule a finding can carry, in the order `rlb-sim lint --rule`
+/// lists them.
+pub(crate) const CATALOG: &[Rule] = &[
+    // `HashMap`/`HashSet`, `Instant::now`/`SystemTime`, `thread_rng`/
+    // `rand::` — everywhere but the crates that read clocks by design.
+    Rule::per_file(
+        "determinism",
+        |pf| !DETERMINISM_ALLOW_CRATES.contains(&pf.crate_name()),
+        determinism,
+    ),
+    // `.on_event(` outside `if S::ENABLED { … }` (sink impls exempt).
+    Rule::per_file(
+        "trace-guard",
+        |pf| TRACE_GUARD_CRATES.contains(&pf.crate_name()),
+        trace_guard,
+    ),
+    // `.unwrap()`, `.expect(`, `panic!`, `unreachable!`, `todo!`,
+    // `unimplemented!` in the engine and serve/load hot-path files.
+    Rule::per_file(
+        "panic-discipline",
+        |pf| PANIC_SCOPE.contains(&pf.rel_path.as_str()),
+        panic_discipline,
+    ),
+    // Narrowing `as u8` / `as u16` / `as u32` in accounting code.
+    Rule::per_file(
+        "lossy-cast",
+        |pf| in_lossy_cast_scope(&pf.rel_path),
+        lossy_cast,
+    ),
+    // `std::sync::*` (except `Arc`/`Weak` and the lock-result types)
+    // and `thread::spawn`/`scope`/`Builder` outside the shim layer —
+    // primitives come from `rlb_sync`, so the `model` feature can route
+    // them through the checker.
+    Rule::per_file(
+        "raw-sync",
+        |pf| !RAW_SYNC_ALLOW_CRATES.contains(&pf.crate_name()),
+        raw_sync,
+    ),
+    // The transitive workspace passes: cones of the `lint-roots.toml`
+    // roots and the pub surface (`passes`), taint flow (`dataflow`),
+    // acquired-while-holding cycles (`locks`).
+    Rule::workspace("panic-path", true),
+    Rule::workspace("unchecked-arith", true),
+    Rule::workspace("dead-pub", true),
+    Rule::workspace("untrusted-input", true),
+    Rule::workspace("determinism-flow", true),
+    Rule::workspace("lock-order", true),
+    // The meta rules. `unused-suppression` runs after everything else:
+    // a `lint:allow` naming a suppressible rule that suppressed nothing
+    // is itself a finding (stale excuses hide real ones).
+    Rule::workspace("unused-suppression", false),
+    Rule::workspace("lint-roots", false),
 ];
 
-/// The full rule catalog (names usable in `lint:allow(...)`): the
-/// per-file rules plus the transitive workspace passes. The meta rules
-/// `unused-suppression` and `lint-roots` are intentionally absent:
-/// dead excuses and manifest rot cannot be suppressed.
-pub(crate) const RULES: &[&str] = &[
-    "determinism",
-    "trace-guard",
-    "panic-discipline",
-    "lossy-cast",
-    "raw-sync",
-    "panic-path",
-    "unchecked-arith",
-    "dead-pub",
-    "untrusted-input",
-    "determinism-flow",
-    "lock-order",
-];
+impl Rule {
+    const fn per_file(name: &'static str, in_scope: Scope, check: FileCheck) -> Rule {
+        Rule {
+            name,
+            suppressible: true,
+            per_file: Some((in_scope, check)),
+        }
+    }
 
-/// Every rule name a finding can carry: the suppressible catalog plus
-/// the unsuppressible meta rules. This is the vocabulary `rlb-sim lint
-/// --rule` validates against.
+    const fn workspace(name: &'static str, suppressible: bool) -> Rule {
+        Rule {
+            name,
+            suppressible,
+            per_file: None,
+        }
+    }
+}
+
+/// Every rule name a finding can carry. This is the vocabulary
+/// `rlb-sim lint --rule` validates against.
 pub fn all_rule_names() -> Vec<&'static str> {
-    let mut v = RULES.to_vec();
-    v.extend(["unused-suppression", "lint-roots"]);
-    v
+    CATALOG.iter().map(|r| r.name).collect()
 }
 
 /// Crates whose code may read clocks / use ambient hashing: the bench
@@ -139,14 +192,14 @@ fn in_lossy_cast_scope(rel_path: &str) -> bool {
 }
 
 /// Lints one file in isolation: the per-file rules plus the dead-
-/// suppression check against [`FILE_RULES`] (a `lint:allow` naming a
-/// workspace pass is left for the workspace engine to judge).
+/// suppression check against them (a `lint:allow` naming a workspace
+/// pass is left for the workspace engine to judge).
 pub fn lint_source(rel_path: &str, source: &str) -> Vec<Finding> {
     let pf = ParsedFile::new(rel_path, source);
     let allow = allow_by_line(&pf.comments);
     let mut findings = Vec::new();
     file_rules(&pf, &allow, &mut findings);
-    unused_suppressions(&pf, &allow, FILE_RULES, &mut findings);
+    unused_suppressions(&pf, &allow, |r| r.per_file.is_some(), &mut findings);
     findings.sort_by(|a, b| (a.line, a.col, a.rule).cmp(&(b.line, b.col, b.rule)));
     findings
 }
@@ -155,59 +208,16 @@ pub fn lint_source(rel_path: &str, source: &str) -> Vec<Finding> {
 /// the suppression table so workspace passes can share its usage flags
 /// before the dead-suppression check runs.
 pub(crate) fn file_rules(pf: &ParsedFile, allow: &Suppressions, findings: &mut Vec<Finding>) {
-    let krate = pf.crate_name();
-    if !DETERMINISM_ALLOW_CRATES.contains(&krate) {
-        determinism(pf, allow, findings);
-    }
-    if TRACE_GUARD_CRATES.contains(&krate) {
-        trace_guard(pf, allow, findings);
-    }
-    if PANIC_SCOPE.contains(&pf.rel_path.as_str()) {
-        panic_discipline(pf, allow, findings);
-    }
-    if in_lossy_cast_scope(&pf.rel_path) {
-        lossy_cast(pf, allow, findings);
-    }
-    if !RAW_SYNC_ALLOW_CRATES.contains(&krate) {
-        raw_sync(pf, allow, findings);
+    for rule in CATALOG {
+        if let Some((in_scope, check)) = rule.per_file {
+            if in_scope(pf) {
+                check(pf, allow, findings);
+            }
+        }
     }
 }
 
 // ---------------------------------------------------------------- rules
-
-/// A file's code tokens as `(position-in-code-list, token-index)` with
-/// text/kind helpers — the shape every rule iterates over.
-struct Scan<'a> {
-    pf: &'a ParsedFile,
-    code: Vec<usize>,
-}
-
-impl<'a> Scan<'a> {
-    fn new(pf: &'a ParsedFile) -> Self {
-        let code = pf.tokens.code_tokens().map(|(i, _)| i).collect();
-        Scan { pf, code }
-    }
-
-    fn len(&self) -> usize {
-        self.code.len()
-    }
-
-    fn text(&self, p: usize) -> &str {
-        self.pf.tokens.toks[self.code[p]].text(&self.pf.source)
-    }
-
-    fn kind(&self, p: usize) -> TokenKind {
-        self.pf.tokens.toks[self.code[p]].kind
-    }
-
-    fn at(&self, p: usize, s: &str) -> bool {
-        p < self.len() && self.text(p) == s
-    }
-
-    fn byte(&self, p: usize) -> usize {
-        self.pf.tokens.toks[self.code[p]].lo
-    }
-}
 
 fn determinism(pf: &ParsedFile, allow: &Suppressions, findings: &mut Vec<Finding>) {
     const IDENTS: &[(&str, &str)] = &[
@@ -225,39 +235,38 @@ fn determinism(pf: &ParsedFile, allow: &Suppressions, findings: &mut Vec<Finding
             "ambient RNG breaks per-seed determinism; thread rlb_hash::Pcg64 from the config seed",
         ),
     ];
-    let s = Scan::new(pf);
-    for p in 0..s.len() {
-        if s.kind(p) != TokenKind::Ident {
+    for p in 0..pf.code.len() {
+        if pf.kind(p) != TokenKind::Ident {
             continue;
         }
-        let t = s.text(p);
+        let t = pf.text(p);
         if let Some(&(token, why)) = IDENTS.iter().find(|(i, _)| *i == t) {
-            emit(
+            emit_at(
                 findings,
                 pf,
                 allow,
-                s.byte(p),
+                pf.byte(p),
                 "determinism",
                 format!("`{token}`: {why}"),
             );
             continue;
         }
-        if t == "Instant" && s.at(p + 1, "::") && s.at(p + 2, "now") {
-            emit(
+        if t == "Instant" && pf.at(p + 1, "::") && pf.at(p + 2, "now") {
+            emit_at(
                 findings,
                 pf,
                 allow,
-                s.byte(p),
+                pf.byte(p),
                 "determinism",
                 "`Instant::now`: wall-clock reads make runs irreproducible".to_string(),
             );
         }
-        if t == "rand" && s.at(p + 1, "::") {
-            emit(
+        if t == "rand" && pf.at(p + 1, "::") {
+            emit_at(
                 findings,
                 pf,
                 allow,
-                s.byte(p),
+                pf.byte(p),
                 "determinism",
                 "`rand::`: ambient RNG breaks per-seed determinism; thread rlb_hash::Pcg64 \
                  from the config seed"
@@ -268,18 +277,17 @@ fn determinism(pf: &ParsedFile, allow: &Suppressions, findings: &mut Vec<Finding
 }
 
 fn trace_guard(pf: &ParsedFile, allow: &Suppressions, findings: &mut Vec<Finding>) {
-    let s = Scan::new(pf);
-    for p in 0..s.len() {
-        if !(s.at(p, "on_event") && p > 0 && s.at(p - 1, ".") && s.at(p + 1, "(")) {
+    for p in 0..pf.code.len() {
+        if !(pf.at(p, "on_event") && p > 0 && pf.at(p - 1, ".") && pf.at(p + 1, "(")) {
             continue;
         }
-        let byte = s.byte(p - 1);
+        let byte = pf.byte(p - 1);
         // Sink implementations (and forwarders) live inside
         // `fn on_event` bodies; those are receivers, not emitters.
         if pf.items.in_guard(byte) || pf.items.in_on_event_fn(byte) {
             continue;
         }
-        emit(
+        emit_at(
             findings,
             pf,
             allow,
@@ -294,32 +302,34 @@ fn trace_guard(pf: &ParsedFile, allow: &Suppressions, findings: &mut Vec<Finding
 
 fn panic_discipline(pf: &ParsedFile, allow: &Suppressions, findings: &mut Vec<Finding>) {
     const MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"];
-    let s = Scan::new(pf);
-    for p in 0..s.len() {
-        if s.kind(p) != TokenKind::Ident {
+    for p in 0..pf.code.len() {
+        if pf.kind(p) != TokenKind::Ident {
             continue;
         }
-        let t = s.text(p);
-        let (byte, shown) =
-            if (t == "unwrap" || t == "expect") && p > 0 && s.at(p - 1, ".") && s.at(p + 1, "(") {
-                let shown = if t == "unwrap" {
-                    ".unwrap()"
-                } else {
-                    ".expect("
-                };
-                (s.byte(p - 1), shown)
-            } else if MACROS.contains(&t) && s.at(p + 1, "!") {
-                let shown = match t {
-                    "panic" => "panic!",
-                    "unreachable" => "unreachable!",
-                    "todo" => "todo!",
-                    _ => "unimplemented!",
-                };
-                (s.byte(p), shown)
+        let t = pf.text(p);
+        let (byte, shown) = if (t == "unwrap" || t == "expect")
+            && p > 0
+            && pf.at(p - 1, ".")
+            && pf.at(p + 1, "(")
+        {
+            let shown = if t == "unwrap" {
+                ".unwrap()"
             } else {
-                continue;
+                ".expect("
             };
-        emit(
+            (pf.byte(p - 1), shown)
+        } else if MACROS.contains(&t) && pf.at(p + 1, "!") {
+            let shown = match t {
+                "panic" => "panic!",
+                "unreachable" => "unreachable!",
+                "todo" => "todo!",
+                _ => "unimplemented!",
+            };
+            (pf.byte(p), shown)
+        } else {
+            continue;
+        };
+        emit_at(
             findings,
             pf,
             allow,
@@ -334,19 +344,18 @@ fn panic_discipline(pf: &ParsedFile, allow: &Suppressions, findings: &mut Vec<Fi
 }
 
 fn lossy_cast(pf: &ParsedFile, allow: &Suppressions, findings: &mut Vec<Finding>) {
-    let s = Scan::new(pf);
-    for p in 0..s.len() {
-        if !s.at(p, "as") || s.kind(p) != TokenKind::Ident {
+    for p in 0..pf.code.len() {
+        if !pf.at(p, "as") || pf.kind(p) != TokenKind::Ident {
             continue;
         }
-        let Some(ty) = ["u8", "u16", "u32"].iter().find(|ty| s.at(p + 1, ty)) else {
+        let Some(ty) = ["u8", "u16", "u32"].iter().find(|ty| pf.at(p + 1, ty)) else {
             continue;
         };
-        emit(
+        emit_at(
             findings,
             pf,
             allow,
-            s.byte(p),
+            pf.byte(p),
             "lossy-cast",
             format!(
                 "narrowing `as {ty}` in accounting code silently truncates; use `try_from` or \
@@ -372,15 +381,14 @@ fn raw_sync(pf: &ParsedFile, allow: &Suppressions, findings: &mut Vec<Finding>) 
         "TryLockError",
         "TryLockResult",
     ];
-    let s = Scan::new(pf);
-    for p in 0..s.len() {
-        if s.at(p, "thread") && s.at(p + 1, "::") {
-            if let Some(f) = THREAD_FNS.iter().find(|f| s.at(p + 2, f)) {
-                emit(
+    for p in 0..pf.code.len() {
+        if pf.at(p, "thread") && pf.at(p + 1, "::") {
+            if let Some(f) = THREAD_FNS.iter().find(|f| pf.at(p + 2, f)) {
+                emit_at(
                     findings,
                     pf,
                     allow,
-                    s.byte(p),
+                    pf.byte(p),
                     "raw-sync",
                     format!(
                         "`thread::{f}` outside the sync-shim layer: raw threads are invisible \
@@ -393,9 +401,9 @@ fn raw_sync(pf: &ParsedFile, allow: &Suppressions, findings: &mut Vec<Finding>) 
         // Any `std::sync::` path except the sync-transparent re-exports
         // must be imported from rlb_sync instead, or the `model`
         // feature cannot swap it for the instrumented version.
-        if s.at(p, "std") && s.at(p + 1, "::") && s.at(p + 2, "sync") && s.at(p + 3, "::") {
-            let seg = (p + 4 < s.len() && s.kind(p + 4) == TokenKind::Ident)
-                .then(|| s.text(p + 4).to_string());
+        if pf.at(p, "std") && pf.at(p + 1, "::") && pf.at(p + 2, "sync") && pf.at(p + 3, "::") {
+            let seg = (p + 4 < pf.code.len() && pf.kind(p + 4) == TokenKind::Ident)
+                .then(|| pf.text(p + 4).to_string());
             if seg.as_deref().is_some_and(|g| TRANSPARENT.contains(&g)) {
                 continue;
             }
@@ -403,11 +411,11 @@ fn raw_sync(pf: &ParsedFile, allow: &Suppressions, findings: &mut Vec<Finding>) 
                 Some(g) => format!("`std::sync::{g}`"),
                 None => "a grouped `std::sync::{..}` import".to_string(),
             };
-            emit(
+            emit_at(
                 findings,
                 pf,
                 allow,
-                s.byte(p),
+                pf.byte(p),
                 "raw-sync",
                 format!(
                     "{what} outside the sync-shim layer: import the primitive from rlb_sync so \
@@ -420,8 +428,8 @@ fn raw_sync(pf: &ParsedFile, allow: &Suppressions, findings: &mut Vec<Finding>) 
 }
 
 /// Pushes a finding at byte offset `pos` unless it is in a test region
-/// or suppressed by a `lint:allow` on its line or the line above.
-pub(crate) fn emit(
+/// or suppressed (see [`emit`]).
+pub(crate) fn emit_at(
     findings: &mut Vec<Finding>,
     pf: &ParsedFile,
     allow: &Suppressions,
@@ -429,51 +437,54 @@ pub(crate) fn emit(
     rule: &'static str,
     message: String,
 ) {
-    if pf.items.in_test(pos) {
-        return;
+    if !pf.items.in_test(pos) {
+        let at = (pf.tokens.line_of(pos), pf.tokens.col_of(pos));
+        emit(findings, pf, allow, at, rule, message);
     }
-    let line = pf.tokens.line_of(pos);
-    if allow.suppresses(line, rule) {
-        return;
-    }
-    findings.push(Finding {
-        file: pf.rel_path.clone(),
-        line,
-        col: pf.tokens.col_of(pos),
-        rule,
-        message,
-    });
 }
 
-/// After every pass has run, reports `lint:allow` entries naming a rule
-/// in `checked_rules` that suppressed nothing. Dead suppressions rot
+/// The one way a suppressible finding is reported: pushed at
+/// `(line, col)` (`col` 0 for a whole-line finding) unless a
+/// `lint:allow` on its line or the line above names `rule`.
+pub(crate) fn emit(
+    findings: &mut Vec<Finding>,
+    pf: &ParsedFile,
+    allow: &Suppressions,
+    (line, col): (usize, usize),
+    rule: &'static str,
+    message: String,
+) {
+    if !allow.suppresses(line, rule) {
+        findings.push(Finding {
+            file: pf.rel_path.clone(),
+            line,
+            col,
+            rule,
+            message,
+        });
+    }
+}
+
+/// After every pass has run, reports `lint:allow` entries naming a
+/// `checked` rule that suppressed nothing. Dead suppressions rot
 /// fastest of all annotations — the code they excused changes and the
-/// excuse outlives it — so they are findings in their own right. The
-/// meta rule is not in [`RULES`] and therefore cannot be suppressed;
-/// entries inside `#[cfg(test)]` regions and entries naming nothing in
-/// `checked_rules` (prose like `lint:allow(<rule>)` in docs, or a
-/// workspace-pass rule when only one file is linted) are skipped.
+/// excuse outlives it — so they are findings in their own right (and
+/// not suppressible ones); entries inside `#[cfg(test)]` regions and
+/// entries naming no checked rule (prose like `lint:allow(<rule>)` in
+/// docs, or a workspace-pass rule when only one file is linted) are
+/// skipped.
 pub(crate) fn unused_suppressions(
     pf: &ParsedFile,
     allow: &Suppressions,
-    checked_rules: &[&str],
+    checked: fn(&Rule) -> bool,
     findings: &mut Vec<Finding>,
 ) {
-    let mut starts = vec![0usize];
-    for (i, b) in pf.source.bytes().enumerate() {
-        if b == b'\n' {
-            starts.push(i + 1);
-        }
-    }
     for (l0, entries) in allow.by_line.iter().enumerate() {
         for (rule, used) in entries {
-            if used.get() || !checked_rules.contains(&rule.as_str()) {
+            if used.get() || !CATALOG.iter().any(|r| r.name == rule && checked(r)) {
                 continue;
             }
-            if pf
-                .items
-                .in_test(starts.get(l0).copied().unwrap_or(usize::MAX))
-            {
+            if pf.items.in_test(pf.tokens.line_start(l0)) {
                 continue;
             }
             findings.push(Finding {
@@ -595,7 +606,7 @@ mod tests {
     #[test]
     fn determinism_allowlists_bench_and_cli() {
         let src = "fn f() { let t = std::time::Instant::now(); }";
-        assert!(lint_source("crates/rlb-bench/src/wallclock.rs", src).is_empty());
+        assert!(lint_source("crates/rlb-bench/src/suite.rs", src).is_empty());
         assert!(lint_source("crates/rlb-cli/src/lib.rs", src).is_empty());
         assert_eq!(lint_source("crates/rlb-kv/src/directory.rs", src).len(), 1);
     }

@@ -78,6 +78,11 @@ impl Tokens {
         pos - self.line_starts[line - 1] + 1
     }
 
+    /// Byte offset at which 0-based line `line0` starts.
+    pub(crate) fn line_start(&self, line0: usize) -> usize {
+        self.line_starts[line0]
+    }
+
     /// Number of lines (at least 1, even for empty input).
     pub fn line_count(&self) -> usize {
         self.line_starts.len()

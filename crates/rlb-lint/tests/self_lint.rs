@@ -5,12 +5,23 @@
 //! unsuppressed finding — run `rlb-sim lint` locally for the file/line
 //! list.
 
+use rlb_lint::LintReport;
 use std::path::Path;
+use std::sync::OnceLock;
+
+/// The one workspace scan all three tests read (it is most of this
+/// crate's test time).
+fn workspace_report() -> &'static LintReport {
+    static REPORT: OnceLock<LintReport> = OnceLock::new();
+    REPORT.get_or_init(|| {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("..").join("..");
+        rlb_lint::lint_workspace(&root).expect("workspace walk")
+    })
+}
 
 #[test]
 fn workspace_is_lint_clean() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("..").join("..");
-    let report = rlb_lint::lint_workspace(&root).expect("workspace walk");
+    let report = workspace_report();
     assert!(
         report.files_scanned > 50,
         "suspiciously few files scanned ({}) — walk broken?",
@@ -35,9 +46,7 @@ fn workspace_is_lint_clean() {
 /// live, not silently skipped.
 #[test]
 fn call_graph_passes_are_live() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("..").join("..");
-    let report = rlb_lint::lint_workspace(&root).expect("workspace walk");
-    let s = &report.stats;
+    let s = &workspace_report().stats;
     assert!(s.fns > 500, "call graph too small: {} fns", s.fns);
     assert!(s.edges > 1000, "call graph too sparse: {} edges", s.edges);
     assert!(
@@ -66,9 +75,7 @@ fn call_graph_passes_are_live() {
 /// a plumbing regression that silently zeroes a pass fails loudly.
 #[test]
 fn flow_passes_are_live() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("..").join("..");
-    let report = rlb_lint::lint_workspace(&root).expect("workspace walk");
-    let s = &report.stats;
+    let s = &workspace_report().stats;
     assert!(s.cfg_blocks > 3000, "too few CFG blocks: {}", s.cfg_blocks);
     assert!(
         s.cfg_edges > s.cfg_blocks,
