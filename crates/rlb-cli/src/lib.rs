@@ -67,7 +67,7 @@ pub(crate) mod serve_load;
 pub use fastforward::{
     parse_fastforward_args, run_fastforward, solve_fastforward, FastForwardOptions,
 };
-pub use serve_load::{parse_serve_load_args, run_load, run_serve, ServeLoadOptions};
+pub use serve_load::{parse_serve_load_args, run_load, run_serve, ServeLoadOptions, Side};
 
 use flags::{unknown, Flags};
 use rlb_core::policies::{with_policy, PolicyVisitor};

@@ -16,9 +16,45 @@ use rlb_load::{run_live, run_sim, Client, ClientConfig, LiveSpec, Mode, Populari
 use rlb_pool::Pool;
 use rlb_serve::{serve_blocking, ServeConfig, ServeOptions, ServeOutcome, ServerCore};
 
+/// Which subcommand a command line belongs to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Side {
+    /// `rlb-sim serve`.
+    Serve,
+    /// `rlb-sim load`.
+    Load,
+}
+
+/// Flags only the daemon reads when live.
+const SERVE_FLAGS: [&str; 9] = [
+    "--policy",
+    "--servers",
+    "--chunks",
+    "--replication",
+    "--rate",
+    "--queue",
+    "--listen",
+    "--gate",
+    "--max-requests",
+];
+/// Flags only the load generator reads when live.
+const LOAD_FLAGS: [&str; 9] = [
+    "--connect",
+    "--clients",
+    "--requests",
+    "--mode",
+    "--popularity",
+    "--put-ratio",
+    "--tenants",
+    "--tick-micros",
+    "--max-seconds",
+];
+/// Flags only the co-simulation reads.
+const SIM_FLAGS: [&str; 2] = ["--ticks", "--transcript"];
+
 /// Parsed options shared by `serve` and `load` (the union: `--sim-clock`
 /// runs the co-simulation, which needs both the engine and the load
-/// shape; flags irrelevant to the chosen mode are simply unused).
+/// shape; a live mode rejects the flags it would not read).
 #[derive(Debug, Clone)]
 // return type of `parse_serve_load_args`. lint:allow(dead-pub)
 pub struct ServeLoadOptions {
@@ -147,15 +183,28 @@ fn parse_popularity(spec: &str) -> Result<Popularity, String> {
     }
 }
 
-/// Parses the shared serve/load flag set.
+/// Parses the shared serve/load flag set for `side`'s command line.
+/// Without `--sim-clock` each side reads only its own flags (plus
+/// `--seed` and `--jobs`), so one it would silently drop — the other
+/// side's, or the co-simulation's — is an error naming it.
 ///
 /// # Errors
 /// Returns a usage-style message on malformed input.
-pub fn parse_serve_load_args(args: &[String]) -> Result<ServeLoadOptions, String> {
+pub fn parse_serve_load_args(side: Side, args: &[String]) -> Result<ServeLoadOptions, String> {
     let mut opts = ServeLoadOptions::default();
     let mut chunks_set = false;
+    let (this_side, other_side, foreign) = match side {
+        Side::Serve => ("serve", "load", &LOAD_FLAGS),
+        Side::Load => ("load", "serve", &SERVE_FLAGS),
+    };
+    let mut unread: Option<(&str, &str)> = None;
     let mut flags = Flags::new(args);
     while let Some(arg) = flags.next_flag() {
+        if foreign.contains(&arg) {
+            unread.get_or_insert((arg, other_side));
+        } else if SIM_FLAGS.contains(&arg) {
+            unread.get_or_insert((arg, "co-simulation"));
+        }
         if flags.engine_flag(arg, &mut opts.engine, &mut opts.policy, &mut chunks_set)? {
             continue;
         }
@@ -184,6 +233,11 @@ pub fn parse_serve_load_args(args: &[String]) -> Result<ServeLoadOptions, String
             "--max-seconds" => opts.max_seconds = flags.positive(arg)?,
             other => return Err(unknown("serve/load ", other)),
         }
+    }
+    if let (false, Some((flag, owner))) = (opts.sim_clock, unread) {
+        return Err(format!(
+            "{flag}: live `{this_side}` does not read this {owner} flag; it takes effect only with --sim-clock"
+        ));
     }
     if !chunks_set {
         opts.engine.num_chunks = 4 * opts.engine.num_servers;
@@ -256,7 +310,7 @@ fn run_sim_clock(opts: &ServeLoadOptions, pool: &Pool) -> Result<String, String>
 /// Returns a message on malformed arguments, an unbindable listen
 /// address, or a policy/config mismatch.
 pub fn run_serve(args: &[String]) -> Result<String, String> {
-    let opts = parse_serve_load_args(args)?;
+    let opts = parse_serve_load_args(Side::Serve, args)?;
     let pool = Pool::new(opts.jobs);
     if opts.sim_clock {
         return run_sim_clock(&opts, &pool);
@@ -312,7 +366,7 @@ pub fn run_serve(args: &[String]) -> Result<String, String> {
 /// malformed arguments; 1 on a policy/config mismatch or if any client
 /// failed to run cleanly (partial results are still reported first).
 pub fn run_load(args: &[String]) -> Result<String, (String, i32)> {
-    let opts = parse_serve_load_args(args).map_err(|e| (e, 2))?;
+    let opts = parse_serve_load_args(Side::Load, args).map_err(|e| (e, 2))?;
     let pool = Pool::new(opts.jobs.max(opts.clients));
     if opts.sim_clock {
         return run_sim_clock(&opts, &pool).map_err(|e| (e, 1));
@@ -350,7 +404,7 @@ mod tests {
 
     #[test]
     fn defaults_parse() {
-        let opts = parse_serve_load_args(&[]).unwrap();
+        let opts = parse_serve_load_args(Side::Serve, &[]).unwrap();
         assert!(!opts.sim_clock);
         assert_eq!(opts.policy, "greedy");
         assert_eq!(opts.engine.num_servers, 64);
@@ -359,12 +413,15 @@ mod tests {
 
     #[test]
     fn full_flag_set_parses() {
-        let opts = parse_serve_load_args(&args(
-            "--sim-clock --policy dcr --servers 32 --rate 8 --queue 8 --seed 9 \
-             --gate 100 --jobs 2 --clients 3 --requests 50 --mode open:1.5 \
-             --popularity phased:4,8,10,512 --put-ratio 0.5 --tenants 3 \
-             --ticks 40 --transcript",
-        ))
+        let opts = parse_serve_load_args(
+            Side::Serve,
+            &args(
+                "--sim-clock --policy dcr --servers 32 --rate 8 --queue 8 --seed 9 \
+                 --gate 100 --jobs 2 --clients 3 --requests 50 --mode open:1.5 \
+                 --popularity phased:4,8,10,512 --put-ratio 0.5 --tenants 3 \
+                 --ticks 40 --transcript",
+            ),
+        )
         .unwrap();
         assert!(opts.sim_clock && opts.transcript);
         assert_eq!(opts.engine.num_chunks, 128, "chunks default to 4m");
@@ -395,13 +452,17 @@ mod tests {
             "--put-ratio 1.5",
             "--jobs 0",
         ] {
-            assert!(parse_serve_load_args(&args(bad)).is_err(), "{bad}");
+            for side in [Side::Serve, Side::Load] {
+                let line = format!("--sim-clock {bad}");
+                assert!(parse_serve_load_args(side, &args(&line)).is_err(), "{bad}");
+            }
         }
     }
 
     #[test]
     fn client_fleet_spreads_tenants_and_seeds() {
-        let mut opts = parse_serve_load_args(&args("--clients 4 --tenants 2 --seed 5")).unwrap();
+        let line = args("--clients 4 --tenants 2 --seed 5");
+        let mut opts = parse_serve_load_args(Side::Load, &line).unwrap();
         opts.requests = 10;
         let cfgs = opts.client_configs();
         assert_eq!(cfgs.len(), 4);

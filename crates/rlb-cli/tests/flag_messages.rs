@@ -9,7 +9,8 @@ fn args(s: &str) -> Vec<String> {
 type Parser = fn(&[String]) -> Option<String>;
 const RUN: Parser = |a| rlb_cli::parse_args(a).err();
 const FASTFORWARD: Parser = |a| rlb_cli::parse_fastforward_args(a).err();
-const SERVE: Parser = |a| rlb_cli::parse_serve_load_args(a).err();
+const SERVE: Parser = |a| rlb_cli::parse_serve_load_args(rlb_cli::Side::Serve, a).err();
+const LOAD: Parser = |a| rlb_cli::parse_serve_load_args(rlb_cli::Side::Load, a).err();
 const TRACE: Parser = |a| rlb_cli::run_trace(a).err();
 const LINT: Parser = |a| rlb_cli::run_lint(a).err();
 const BENCH: Parser = |a| rlb_cli::run_bench(a).err();
@@ -26,7 +27,7 @@ const CASES: &[(Parser, &str, &str)] = &[
     // Not a number.
     (RUN, "--steps 10e3", "--steps: not a number: \"10e3\""),
     (FASTFORWARD, "--damping nope", "--damping: not a number: \"nope\""),
-    (SERVE, "--put-ratio x", "--put-ratio: not a number: \"x\""),
+    (LOAD, "--put-ratio x", "--put-ratio: not a number: \"x\""),
     // Zero where a positive count is needed.
     (RUN, "--flush 0", "--flush: must be positive, got \"0\""),
     (FASTFORWARD, "--m 0", "--m: must be positive, got \"0\""),
@@ -44,6 +45,14 @@ const CASES: &[(Parser, &str, &str)] = &[
     (LINT, "--bogus", "unknown lint option \"--bogus\""),
     (BENCH, "--bogus", "unknown bench option \"--bogus\""),
     (BENCH, "--meanfield --quick", "unknown bench --meanfield option \"--quick\""),
+    // A flag the live mode would drop: the other side's, or the
+    // co-simulation's. (`--seed` and `--jobs` belong to both sides.)
+    (SERVE, "--requests 10", "--requests: live `serve` does not read this load flag; it takes effect only with --sim-clock"),
+    (SERVE, "--listen 127.0.0.1:0 --mode closed:4", "--mode: live `serve` does not read this load flag; it takes effect only with --sim-clock"),
+    (LOAD, "--servers 16 --gate 8", "--servers: live `load` does not read this serve flag; it takes effect only with --sim-clock"),
+    (LOAD, "--max-requests 5", "--max-requests: live `load` does not read this serve flag; it takes effect only with --sim-clock"),
+    (SERVE, "--ticks 8", "--ticks: live `serve` does not read this co-simulation flag; it takes effect only with --sim-clock"),
+    (LOAD, "--seed 3 --transcript", "--transcript: live `load` does not read this co-simulation flag; it takes effect only with --sim-clock"),
     // A subcommand with nothing selected to run.
     (BENCH, "", "bench requires a mode: --suite or --meanfield"),
 ];
@@ -59,7 +68,7 @@ fn each_message_shape_has_one_wording() {
 fn engine_flags_mean_the_same_to_run_and_to_serve() {
     let line = args("--policy dcr --servers 32 --rate 4 --queue 8 --seed 9");
     let run = rlb_cli::parse_args(&line).unwrap();
-    let serve = rlb_cli::parse_serve_load_args(&line).unwrap();
+    let serve = rlb_cli::parse_serve_load_args(rlb_cli::Side::Serve, &line).unwrap();
     assert_eq!((run.policy.as_str(), serve.policy.as_str()), ("dcr", "dcr"));
     for config in [&run.config, &serve.engine] {
         assert_eq!((config.num_servers, config.num_chunks), (32, 128));
@@ -68,9 +77,34 @@ fn engine_flags_mean_the_same_to_run_and_to_serve() {
     }
     // An explicit universe wins over 4 * servers, in either order.
     for line in ["--chunks 64 --servers 32", "--servers 32 --chunks 64"] {
-        let (run, serve) = (rlb_cli::parse_args, rlb_cli::parse_serve_load_args);
-        assert_eq!(run(&args(line)).unwrap().config.num_chunks, 64);
+        let serve = |a: &[String]| rlb_cli::parse_serve_load_args(rlb_cli::Side::Serve, a);
+        assert_eq!(
+            rlb_cli::parse_args(&args(line)).unwrap().config.num_chunks,
+            64
+        );
         assert_eq!(serve(&args(line)).unwrap().engine.num_chunks, 64);
+    }
+}
+
+#[test]
+fn live_modes_take_their_own_flags_and_sim_clock_takes_both_sides() {
+    use rlb_cli::{parse_serve_load_args as parse, Side};
+    // The CI daemon smoke's two command lines.
+    let serve = "--listen 127.0.0.1:7317 --servers 16 --max-requests 20000";
+    let load =
+        "--connect 127.0.0.1:7317 --clients 4 --requests 5000 --mode closed:16 --max-seconds 60";
+    assert!(parse(Side::Serve, &args(serve)).is_ok());
+    assert!(parse(Side::Load, &args(load)).is_ok());
+    for side in [Side::Serve, Side::Load] {
+        assert!(parse(side, &args("--seed 7 --jobs 2")).is_ok());
+        // Under --sim-clock either subcommand runs both sides, wherever
+        // the switch sits on the line.
+        for line in [
+            format!("--sim-clock {serve} {load} --ticks 8 --transcript"),
+            format!("{load} --ticks 8 {serve} --sim-clock"),
+        ] {
+            assert!(parse(side, &args(&line)).is_ok(), "{line}");
+        }
     }
 }
 

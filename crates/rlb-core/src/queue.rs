@@ -213,14 +213,13 @@ impl QueueArray {
     #[inline]
     fn occ_remove(&mut self, server: u32, class: usize) {
         let idx = self.ctrl_ix(server, class);
-        let slot = self.ctrl[idx + CTRL_SLOT] as usize; // idx/slot from ctrl words sanitize_check pins. lint:allow(panic-path, unchecked-arith)
+        let slot = self.ctrl[idx + CTRL_SLOT] as usize;
         debug_assert_ne!(slot as u32, NOT_OCCUPIED);
         self.ctrl[idx + CTRL_SLOT] = NOT_OCCUPIED;
         let m = self.num_servers;
         let list = &mut self.occupied[class];
         // The slot back-pointer guarantees membership, so the list is
-        // non-empty here; an infallible pop keeps the drain hot path
-        // free of panic branches (hot-path panic discipline).
+        // non-empty here; an infallible pop needs no panic branch.
         debug_assert!(slot < list.len(), "occupancy slot points into list");
         if let Some(last) = list.pop() {
             if last != server {
@@ -273,8 +272,8 @@ impl QueueArray {
     /// routing backlog and is skipped by [`QueueArray::drain_class`].
     #[inline]
     pub fn set_live(&mut self, server: u32, live: bool) {
-        let l = server as usize * LOAD_WORDS;
-        self.live[server as usize] = live;
+        let l = server as usize * LOAD_WORDS; // server < m: rows sized to the cluster at build. lint:allow(unchecked-arith)
+        self.live[server as usize] = live; // server < m: enforced by the public API asserts. lint:allow(panic-path)
         self.loads[l + LOAD_ROUTE] = if live {
             self.loads[l + LOAD_BACKLOG]
         } else {
@@ -283,27 +282,26 @@ impl QueueArray {
     }
 
     /// Sets every server's liveness from a mask (`up.len()` must equal
-    /// the server count).
+    /// the server count), calling `on_change(server, live)` for each
+    /// server whose liveness flipped, in server order.
     ///
     /// # Panics
     /// Panics if the mask length differs from the server count.
-    pub fn set_liveness(&mut self, up: &[bool]) {
+    pub fn set_liveness(&mut self, up: &[bool], mut on_change: impl FnMut(u32, bool)) {
         assert_eq!(up.len(), self.num_servers, "liveness mask length");
         for (s, &live) in up.iter().enumerate() {
-            self.live[s] = live; // s < m: live[] is sized to the cluster at build. lint:allow(panic-path)
-            let l = s * LOAD_WORDS; // per-class bases bounded by capacity at build. lint:allow(unchecked-arith)
-            self.loads[l + LOAD_ROUTE] = if live {
-                self.loads[l + LOAD_BACKLOG]
-            } else {
-                DOWN
-            };
+            let server = s as u32;
+            if self.is_live(server) != live {
+                self.set_live(server, live);
+                on_change(server, live);
+            }
         }
     }
 
     /// Backlog of one class of one server.
     #[inline]
     pub fn class_backlog(&self, server: u32, class: usize) -> u32 {
-        self.ctrl[self.ctrl_ix(server, class) + CTRL_LEN]
+        self.ctrl[self.ctrl_ix(server, class) + CTRL_LEN] // ctrl_ix bound: class < k, server < m, checked at build. lint:allow(panic-path, unchecked-arith)
     }
 
     /// Whether `class` at `server` is full.
@@ -355,165 +353,169 @@ impl QueueArray {
         Ok(())
     }
 
-    /// Dequeues up to `count` requests from `(server, class)` in FIFO
-    /// order, invoking `on_complete(arrival_step)` for each. Returns the
-    /// number dequeued. Liveness-agnostic: callers decide whether a
-    /// down server drains (the engine skips them).
+    /// Pops the `n` oldest entries of `server`'s ring in one class,
+    /// oldest first, into `f` and returns how many stay queued: the one
+    /// ring walk, and the one update of the per-server words, under
+    /// every dequeue, sweep, migration drop and flush. The ring is named
+    /// by its `ctrl` index, arena base and capacity, which the bulk
+    /// callers hoist out of their per-server loops. `total` and the
+    /// occupancy index are left to the caller, which batches both.
+    /// Requires `n <= len`.
     #[inline]
-    pub fn dequeue_up_to(
+    fn pop(
         &mut self,
         server: u32,
-        class: usize,
-        count: u32,
-        mut on_complete: impl FnMut(u32),
+        idx: usize,
+        base: usize,
+        cap: u32,
+        n: u32,
+        mut f: impl FnMut(u32),
     ) -> u32 {
-        let idx = self.ctrl_ix(server, class);
-        let cap = self.caps[class]; // class/server validated by the dequeue entry asserts. lint:allow(panic-path)
-        let base = self.base(server, class);
-        let len = self.ctrl[idx + CTRL_LEN]; // heads/len stay within cap: sanitize_check invariant. lint:allow(unchecked-arith)
-        let n = count.min(len);
-        if n == 0 {
-            return 0;
-        }
-        let mut h = self.ctrl[idx + CTRL_HEAD];
+        let mut h = self.ctrl[idx + CTRL_HEAD]; // idx/base name a built ring; head and len stay within cap: sanitize_check invariant. lint:allow(panic-path, unchecked-arith)
         for _ in 0..n {
-            on_complete(self.buf[base + h as usize]);
+            f(self.buf[base + h as usize]);
             h += 1;
             if h == cap {
                 h = 0;
             }
         }
         self.ctrl[idx + CTRL_HEAD] = h;
-        self.ctrl[idx + CTRL_LEN] = len - n;
+        let rem = self.ctrl[idx + CTRL_LEN] - n;
+        self.ctrl[idx + CTRL_LEN] = rem;
         let l = server as usize * LOAD_WORDS;
         self.loads[l + LOAD_BACKLOG] -= n;
-        if self.live[server as usize] {
+        // A down server's routing word stays pinned at the sentinel
+        // (which no live value reaches), so the word itself says whether
+        // it follows the backlog.
+        if self.loads[l + LOAD_ROUTE] != DOWN {
             self.loads[l + LOAD_ROUTE] -= n;
         }
-        self.total -= n as u64;
-        if len == n {
+        rem
+    }
+
+    /// Dequeues up to `count` requests from `(server, class)` in FIFO
+    /// order, invoking `on_complete(arrival_step)` for each. Returns the
+    /// number dequeued. Liveness-agnostic. Nothing in the engine calls
+    /// this: it is the per-server reference the queue tests compare
+    /// [`QueueArray::sweep_class`] against.
+    #[inline]
+    pub fn dequeue_up_to(
+        &mut self,
+        server: u32,
+        class: usize,
+        count: u32,
+        on_complete: impl FnMut(u32),
+    ) -> u32 {
+        let n = count.min(self.class_backlog(server, class));
+        if n == 0 {
+            return 0;
+        }
+        let idx = self.ctrl_ix(server, class);
+        let (base, cap) = (self.base(server, class), self.caps[class]);
+        if self.pop(server, idx, base, cap, n, on_complete) == 0 {
             self.occ_remove(server, class);
         }
+        self.total -= n as u64;
         n
     }
 
     /// Drains up to `take` requests from every *live* occupied server's
     /// `class` queue in one bulk sweep, invoking
-    /// `on_complete(arrival_step)` per request. Returns the number
-    /// drained. Down servers keep their queued work and their occupancy
-    /// membership.
+    /// `on_complete(server, arrival_step)` per request. Returns the
+    /// number drained. Each server is finished (FIFO) before the next
+    /// one starts, so a server's completions reach the callback as one
+    /// consecutive run. Down servers keep their queued work and their
+    /// occupancy membership.
     ///
-    /// This is the engine's untraced drain path: when occupancy is
-    /// dense (at least half the servers hold work) it sweeps the
-    /// class-major `ctrl` row and the class's arena block sequentially
-    /// and rebuilds the occupancy list wholesale — no per-server
-    /// swap-remove churn; when sparse it compacts the occupancy list in
-    /// place. Visit order differs between the paths, but per-completion
-    /// statistics are order-independent accumulations, so reports are
-    /// identical either way.
-    pub fn drain_class(
+    /// This is the engine's only drain. When occupancy is dense (at
+    /// least half the servers hold work) it visits every server in id
+    /// order — sequential over the class-major `ctrl` row and arena
+    /// block, an empty queue costing one length check; when sparse it
+    /// visits the occupancy list. Visit order differs between the two,
+    /// but per-completion statistics are order-independent
+    /// accumulations, so reports are identical.
+    pub fn sweep_class(
         &mut self,
         class: usize,
         take: u32,
-        mut on_complete: impl FnMut(u32),
+        on_complete: impl FnMut(u32, u32),
     ) -> u64 {
         // occupied[] entries are live slots by invariant. lint:allow(panic-path)
         if take == 0 || self.occupied[class].is_empty() {
             return 0;
         }
         let m = self.num_servers;
-        let cap = self.caps[class];
-        let cbase = self.class_base[class];
-        let lo = class * m * CTRL_WORDS; // slot arithmetic bounded by per-class capacity. lint:allow(unchecked-arith)
-        let mut drained = 0u64;
         let mut list = std::mem::take(&mut self.occupied[class]);
-        if list.len() * 2 >= m {
-            // Dense: sequential sweep over this class's contiguous
-            // control row and arena block; rebuild the occupancy list
-            // from scratch (cheaper and cache-friendlier than per-server
-            // swap-removes).
-            list.clear();
-            for s in 0..m {
-                let idx = lo + s * CTRL_WORDS;
-                let len = self.ctrl[idx + CTRL_LEN];
-                if len == 0 {
-                    continue;
-                }
-                if !self.live[s] {
-                    self.ctrl[idx + CTRL_SLOT] = list.len() as u32;
-                    list.push(s as u32);
-                    continue;
-                }
-                let n = take.min(len);
-                let base = cbase + s * cap as usize;
-                let mut h = self.ctrl[idx + CTRL_HEAD];
-                for _ in 0..n {
-                    on_complete(self.buf[base + h as usize]);
-                    h += 1;
-                    if h == cap {
-                        h = 0;
-                    }
-                }
-                self.ctrl[idx + CTRL_HEAD] = h;
-                let rem = len - n;
-                self.ctrl[idx + CTRL_LEN] = rem;
-                let l = s * LOAD_WORDS;
-                self.loads[l + LOAD_BACKLOG] -= n;
-                self.loads[l + LOAD_ROUTE] -= n;
-                drained += n as u64;
-                if rem > 0 {
-                    self.ctrl[idx + CTRL_SLOT] = list.len() as u32;
-                    list.push(s as u32);
-                } else {
-                    self.ctrl[idx + CTRL_SLOT] = NOT_OCCUPIED;
-                }
-            }
+        // drained <= total: every entry popped was counted in. lint:allow(unchecked-arith)
+        let drained = if list.len() * 2 >= m {
+            self.sweep_walk(class, take, &mut list, m, |_, i| i as u32, on_complete)
         } else {
-            // Sparse: walk the detached occupancy list, compacting
-            // still-occupied servers toward the front.
-            let mut kept = 0usize;
-            for i in 0..list.len() {
-                let server = list[i];
-                let s = server as usize;
-                let idx = lo + s * CTRL_WORDS;
-                if !self.live[s] {
-                    self.ctrl[idx + CTRL_SLOT] = kept as u32;
-                    list[kept] = server;
-                    kept += 1;
-                    continue;
-                }
-                let len = self.ctrl[idx + CTRL_LEN];
-                debug_assert!(len > 0, "occupancy lists only hold non-empty queues");
-                let n = take.min(len);
-                let base = cbase + s * cap as usize;
-                let mut h = self.ctrl[idx + CTRL_HEAD];
-                for _ in 0..n {
-                    on_complete(self.buf[base + h as usize]);
-                    h += 1;
-                    if h == cap {
-                        h = 0;
-                    }
-                }
-                self.ctrl[idx + CTRL_HEAD] = h;
-                let rem = len - n;
-                self.ctrl[idx + CTRL_LEN] = rem;
-                let l = s * LOAD_WORDS;
-                self.loads[l + LOAD_BACKLOG] -= n;
-                self.loads[l + LOAD_ROUTE] -= n;
-                drained += n as u64;
-                if rem > 0 {
-                    self.ctrl[idx + CTRL_SLOT] = kept as u32;
-                    list[kept] = server;
-                    kept += 1;
-                } else {
-                    self.ctrl[idx + CTRL_SLOT] = NOT_OCCUPIED;
-                }
-            }
-            list.truncate(kept);
-        }
+            let n = list.len();
+            self.sweep_walk(class, take, &mut list, n, |list, i| list[i], on_complete)
+        };
         self.total -= drained;
         self.occupied[class] = list;
         drained
+    }
+
+    /// The sweep's one loop, compiled once per walk: visits the servers
+    /// `at(list, 0..visits)`, pops each live one's share and compacts
+    /// `list` — the class's detached occupancy list — in place behind
+    /// the walk (no per-server swap-remove). Servers still holding work
+    /// are refiled at `list[..kept]`: the occupied set only shrinks
+    /// during a sweep, so `kept` never passes the sparse walk's read
+    /// position, nor the list's length under the dense walk (which does
+    /// not read the list at all).
+    fn sweep_walk(
+        &mut self,
+        class: usize,
+        take: u32,
+        list: &mut Vec<u32>,
+        visits: usize,
+        at: impl Fn(&[u32], usize) -> u32,
+        mut on_complete: impl FnMut(u32, u32),
+    ) -> u64 {
+        let cap = self.caps[class]; // class validated by the sweep's entry; servers come from 0..m or the occupancy list. lint:allow(panic-path)
+        let cbase = self.class_base[class];
+        let lo = class * self.num_servers * CTRL_WORDS; // slot arithmetic bounded by per-class capacity. lint:allow(unchecked-arith)
+        let mut drained = 0u64;
+        let mut kept = 0usize;
+        for i in 0..visits {
+            let server = at(list, i);
+            let idx = lo + server as usize * CTRL_WORDS;
+            let mut rem = self.ctrl[idx + CTRL_LEN];
+            if rem == 0 {
+                continue;
+            }
+            if self.live[server as usize] {
+                let n = take.min(rem);
+                let base = cbase + server as usize * cap as usize;
+                rem = self.pop(server, idx, base, cap, n, |arrival| {
+                    on_complete(server, arrival)
+                });
+                drained += n as u64;
+            }
+            if rem > 0 {
+                self.ctrl[idx + CTRL_SLOT] = kept as u32;
+                list[kept] = server;
+                kept += 1;
+            } else {
+                self.ctrl[idx + CTRL_SLOT] = NOT_OCCUPIED;
+            }
+        }
+        list.truncate(kept);
+        drained
+    }
+
+    /// [`QueueArray::sweep_class`] for callers that do not need to know
+    /// which server completed a request.
+    pub fn drain_class(
+        &mut self,
+        class: usize,
+        take: u32,
+        mut on_complete: impl FnMut(u32),
+    ) -> u64 {
+        self.sweep_class(class, take, |_, arrival| on_complete(arrival))
     }
 
     /// Servers whose `class` queue is currently non-empty, in
@@ -542,7 +544,7 @@ impl QueueArray {
         // Visit only servers with pending `from` entries; every one of
         // them leaves the `from` occupancy list, so the list is detached
         // wholesale and its allocation reused.
-        let movers = std::mem::take(&mut self.occupied[from]); // from/to classes validated by the migrate entry asserts. lint:allow(panic-path)
+        let mut movers = std::mem::take(&mut self.occupied[from]); // from/to classes validated by the migrate entry asserts. lint:allow(panic-path)
         for &server in &movers {
             let from_idx = self.ctrl_ix(server, from);
             let pending = self.ctrl[from_idx + CTRL_LEN]; // slot math bounded by both class capacities. lint:allow(unchecked-arith)
@@ -574,34 +576,22 @@ impl QueueArray {
                     to_pos = 0;
                 }
             }
-            for _ in moved..pending {
-                on_drop(self.buf[from_base + from_h as usize]);
-                from_h += 1;
-                if from_h == from_cap {
-                    from_h = 0;
-                }
-                dropped += 1;
-            }
             self.ctrl[from_idx + CTRL_HEAD] = from_h;
-            self.ctrl[from_idx + CTRL_LEN] = 0;
+            self.ctrl[from_idx + CTRL_LEN] = pending - moved; // the dropped tail, popped below
             self.ctrl[from_idx + CTRL_SLOT] = NOT_OCCUPIED;
             self.ctrl[to_idx + CTRL_LEN] = to_len + moved;
             if to_len == 0 && moved > 0 {
                 self.occ_insert(server, to);
             }
+            // What found no room leaves the server: the only entries
+            // whose departure changes its backlog.
             let lost = pending - moved;
-            let l = server as usize * LOAD_WORDS;
-            self.loads[l + LOAD_BACKLOG] -= lost;
-            if self.live[server as usize] {
-                self.loads[l + LOAD_ROUTE] -= lost;
-            }
-            self.total -= lost as u64;
+            self.pop(server, from_idx, from_base, from_cap, lost, &mut on_drop);
+            dropped += lost as u64;
         }
-        self.occupied[from] = {
-            let mut v = movers;
-            v.clear();
-            v
-        };
+        self.total -= dropped;
+        movers.clear();
+        self.occupied[from] = movers;
         dropped
     }
 
@@ -613,35 +603,17 @@ impl QueueArray {
         let k = self.num_classes();
         let mut dropped = 0u64;
         for class in 0..k {
-            let cap = self.caps[class]; // flush walks only built classes. lint:allow(panic-path)
-            let servers = std::mem::take(&mut self.occupied[class]);
+            let mut servers = std::mem::take(&mut self.occupied[class]); // flush walks only built classes. lint:allow(panic-path)
             for &server in &servers {
+                let n = self.class_backlog(server, class);
                 let idx = self.ctrl_ix(server, class);
-                let base = self.base(server, class);
-                let n = self.ctrl[idx + CTRL_LEN]; // drain counters bounded by queued totals. lint:allow(unchecked-arith)
-                let mut h = self.ctrl[idx + CTRL_HEAD];
-                for _ in 0..n {
-                    on_drop(self.buf[base + h as usize]);
-                    h += 1;
-                    if h == cap {
-                        h = 0;
-                    }
-                }
-                self.ctrl[idx + CTRL_HEAD] = h;
-                self.ctrl[idx + CTRL_LEN] = 0;
-                self.ctrl[idx + CTRL_SLOT] = NOT_OCCUPIED;
-                let l = server as usize * LOAD_WORDS;
-                self.loads[l + LOAD_BACKLOG] -= n;
-                if self.live[server as usize] {
-                    self.loads[l + LOAD_ROUTE] -= n;
-                }
+                let (base, cap) = (self.base(server, class), self.caps[class]);
+                self.pop(server, idx, base, cap, n, &mut on_drop);
+                self.ctrl[idx + CTRL_SLOT] = NOT_OCCUPIED; // idx from ctrl_ix: in bounds by construction. lint:allow(unchecked-arith)
                 dropped += n as u64;
             }
-            self.occupied[class] = {
-                let mut v = servers;
-                v.clear();
-                v
-            };
+            servers.clear();
+            self.occupied[class] = servers;
         }
         self.total = 0;
         dropped
@@ -1065,47 +1037,72 @@ mod tests {
 
     #[test]
     fn drain_class_matches_per_server_dequeues() {
-        // Bulk drain (dense and sparse) must complete exactly what the
-        // per-server dequeue loop would, skipping down servers.
-        for occupied in [2usize, 7] {
-            let mut bulk = QueueArray::new(
-                8,
-                &[ClassSpec {
-                    capacity: 4,
-                    drain_per_step: 2,
-                }],
-            );
-            let mut reference = bulk.clone();
-            for s in 0..occupied as u32 {
+        // The sweep — dense walk, sparse walk, and one class of a
+        // four-class array — must hand over each live server's
+        // completions as one FIFO run, exactly what the per-server
+        // reference dequeues, and never touch a down server.
+        let spec = ClassSpec {
+            capacity: 4,
+            drain_per_step: 2,
+        };
+        for (k, class, occupied) in [(1, 0, 7u32), (1, 0, 2), (4, 2, 7), (4, 2, 2)] {
+            let case = format!("k = {k}, occupied = {occupied}");
+            let mut bulk = QueueArray::new(8, &vec![spec; k]);
+            for s in 0..occupied {
                 for v in 0..3u32 {
-                    bulk.enqueue(s, 0, s * 10 + v).unwrap();
-                    reference.enqueue(s, 0, s * 10 + v).unwrap();
+                    bulk.enqueue(s, class, s * 10 + v).unwrap();
                 }
+            }
+            if k > 1 {
+                // Work queued in another class stays where it is.
+                bulk.enqueue(0, 1, 99).unwrap();
             }
             bulk.set_live(1, false);
-            reference.set_live(1, false);
-            let mut bulk_seen = Vec::new();
-            let drained = bulk.drain_class(0, 2, |a| bulk_seen.push(a));
-            let mut ref_seen = Vec::new();
+            let mut reference = bulk.clone();
+            let mut runs: Vec<(u32, Vec<u32>)> = Vec::new();
+            let drained = bulk.sweep_class(class, 2, |s, a| match runs.last_mut() {
+                Some((last, run)) if *last == s => run.push(a),
+                _ => runs.push((s, vec![a])),
+            });
+            let mut visited: Vec<u32> = runs.iter().map(|(s, _)| *s).collect();
+            visited.sort_unstable();
+            assert!(
+                visited.windows(2).all(|w| w[0] != w[1]),
+                "{case}: a server's completions were split: {runs:?}"
+            );
+            assert!(!visited.contains(&1), "{case}: down server drained");
             for s in 0..8u32 {
+                let mut expected = Vec::new();
                 if reference.is_live(s) {
-                    reference.dequeue_up_to(s, 0, 2, |a| ref_seen.push(a));
+                    reference.dequeue_up_to(s, class, 2, |a| expected.push(a));
                 }
-            }
-            bulk_seen.sort_unstable();
-            ref_seen.sort_unstable();
-            assert_eq!(bulk_seen, ref_seen, "occupied = {occupied}");
-            assert_eq!(drained, ref_seen.len() as u64);
-            for s in 0..8u32 {
-                assert_eq!(bulk.backlog(s), reference.backlog(s), "server {s}");
+                let got = runs.iter().find(|(r, _)| *r == s);
+                assert_eq!(
+                    got.map_or(&[][..], |(_, run)| run),
+                    expected,
+                    "{case}: server {s}"
+                );
+                assert_eq!(bulk.backlog(s), reference.backlog(s), "{case}: server {s}");
+                assert_eq!(
+                    bulk.route_backlog(s),
+                    reference.route_backlog(s),
+                    "{case}: server {s}"
+                );
             }
             assert_eq!(
-                occupied_sorted(&bulk, 0),
-                occupied_sorted(&reference, 0),
-                "occupied = {occupied}"
+                drained,
+                runs.iter().map(|(_, run)| run.len() as u64).sum::<u64>()
             );
+            assert_eq!(bulk.total_backlog(), reference.total_backlog(), "{case}");
+            for c in 0..k {
+                assert_eq!(
+                    occupied_sorted(&bulk, c),
+                    occupied_sorted(&reference, c),
+                    "{case}: class {c}"
+                );
+            }
             // Down server kept its work and its membership.
-            assert_eq!(bulk.backlog(1), 3);
+            assert_eq!(bulk.class_backlog(1, class), 3);
         }
     }
 
@@ -1125,11 +1122,14 @@ mod tests {
         assert_eq!(q.route_backlog(1), 0);
         // Mask form agrees with per-server form.
         q.enqueue(0, 0, 2).unwrap();
-        q.set_liveness(&[false, true, true]);
+        let mut flips = Vec::new();
+        q.set_liveness(&[false, true, true], |s, live| flips.push((s, live)));
         assert_eq!(q.route_backlog(0), u32::MAX);
         assert_eq!(q.route_backlog(1), 0);
-        q.set_liveness(&[true, true, true]);
+        q.set_liveness(&[true, true, true], |s, live| flips.push((s, live)));
         assert_eq!(q.route_backlog(0), 1);
+        // Only the servers whose liveness changed are reported.
+        assert_eq!(flips, vec![(0, false), (0, true)]);
     }
 
     // Satellite regression tests: the pre-SoA constructor accumulated

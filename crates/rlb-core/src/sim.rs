@@ -89,13 +89,10 @@ impl<S: TraceSink> StepOps for OpsAdapter<'_, S> {
     }
 }
 
-/// A running simulation.
-///
-/// Generic over its [`TraceSink`]; the default [`NoopSink`] disables
-/// tracing entirely (the emission sites are compiled out). Attach a
-/// real sink with [`Simulation::with_sink`] and recover it with
-/// [`Simulation::finish_traced`].
-pub struct Simulation<P: Policy, S: TraceSink = NoopSink> {
+/// Everything a run owns except its sink. Tracing observes this state
+/// and never holds any of it, so [`Simulation::with_sink`] moves it
+/// whole.
+struct Engine<P: Policy> {
     config: SimConfig,
     placement: ReplicaPlacement,
     queues: QueueArray,
@@ -107,20 +104,27 @@ pub struct Simulation<P: Policy, S: TraceSink = NoopSink> {
     /// Cached queue classes (avoids re-querying the policy per drain).
     classes: Vec<crate::queue::ClassSpec>,
     outages: OutageSchedule,
+    /// Scratch for the schedule's mask at the current step. The queue
+    /// array owns liveness; nothing reads this after the sync.
     up_mask: Vec<bool>,
-    /// Liveness mask of the previous step (maintained only when the
-    /// sink is enabled, to diff into outage begin/end events).
-    up_prev: Vec<bool>,
-    /// Reusable buffer of completed-arrival steps for drain events.
+    /// One server's completed-arrival steps, for its drain event.
     drain_scratch: Vec<u32>,
-    /// Per-latency completion counts accumulated within one bulk drain
-    /// call (indexed by latency), flushed into the histograms after.
+    /// Per-latency completion counts accumulated within one sweep
+    /// (indexed by latency), flushed into the histograms after it.
     lat_counts: Vec<u64>,
     /// Latencies holding a non-zero `lat_counts` entry, in first-seen
-    /// order — flushing in that order replays the per-request histogram
-    /// growth sequence, keeping serialized reports byte-identical to
-    /// the unbatched path.
+    /// order.
     lat_touched: Vec<u64>,
+}
+
+/// A running simulation.
+///
+/// Generic over its [`TraceSink`]; the default [`NoopSink`] disables
+/// tracing entirely (the emission sites are compiled out). Attach a
+/// real sink with [`Simulation::with_sink`] and recover it with
+/// [`Simulation::finish_traced`].
+pub struct Simulation<P: Policy, S: TraceSink = NoopSink> {
+    engine: Engine<P>,
     sink: S,
 }
 
@@ -175,7 +179,7 @@ impl<P: Policy> Simulation<P> {
         let classes = policy.queue_classes(&config);
         assert!(!classes.is_empty(), "policy declared no queue classes");
         let queues = QueueArray::new(config.num_servers, &classes);
-        Self {
+        let engine = Engine {
             placement,
             queues,
             policy,
@@ -186,12 +190,14 @@ impl<P: Policy> Simulation<P> {
             classes,
             outages: OutageSchedule::none(),
             up_mask: vec![true; config.num_servers],
-            up_prev: Vec::new(),
             drain_scratch: Vec::new(),
             lat_counts: Vec::new(),
             lat_touched: Vec::new(),
-            sink: NoopSink,
             config,
+        };
+        Self {
+            engine,
+            sink: NoopSink,
         }
     }
 }
@@ -205,12 +211,12 @@ impl<P: Policy, S: TraceSink> Simulation<P, S> {
     pub fn with_outages(mut self, outages: OutageSchedule) -> Self {
         if let Some(max) = outages.max_server() {
             assert!(
-                (max as usize) < self.config.num_servers,
+                (max as usize) < self.engine.config.num_servers,
                 "outage references server {max} outside the cluster of {}",
-                self.config.num_servers
+                self.engine.config.num_servers
             );
         }
-        self.outages = outages;
+        self.engine.outages = outages;
         self
     }
 
@@ -219,21 +225,7 @@ impl<P: Policy, S: TraceSink> Simulation<P, S> {
     /// to the previous sink are dropped with it.
     pub fn with_sink<S2: TraceSink>(self, sink: S2) -> Simulation<P, S2> {
         Simulation {
-            config: self.config,
-            placement: self.placement,
-            queues: self.queues,
-            policy: self.policy,
-            stats: self.stats,
-            step: self.step,
-            chunk_scratch: self.chunk_scratch,
-            backlog_scratch: self.backlog_scratch,
-            classes: self.classes,
-            outages: self.outages,
-            up_mask: self.up_mask,
-            up_prev: self.up_prev,
-            drain_scratch: self.drain_scratch,
-            lat_counts: self.lat_counts,
-            lat_touched: self.lat_touched,
+            engine: self.engine,
             sink,
         }
     }
@@ -251,28 +243,28 @@ impl<P: Policy, S: TraceSink> Simulation<P, S> {
 
     /// The configuration.
     pub fn config(&self) -> &SimConfig {
-        &self.config
+        &self.engine.config
     }
 
     /// The replica placement in use.
     pub fn placement(&self) -> &ReplicaPlacement {
-        &self.placement
+        &self.engine.placement
     }
 
     /// The policy (immutable access, e.g. for instrumentation reads).
     pub fn policy(&self) -> &P {
-        &self.policy
+        &self.engine.policy
     }
 
     /// Current step counter (steps executed so far).
     pub fn step_count(&self) -> u64 {
-        self.step
+        self.engine.step
     }
 
     /// Live statistics (counters so far; the authoritative summary is
     /// [`Simulation::finish`]).
     pub fn stats(&self) -> &RunStats {
-        &self.stats
+        &self.engine.stats
     }
 
     /// Discards the statistics collected so far (queues and policy state
@@ -282,16 +274,17 @@ impl<P: Policy, S: TraceSink> Simulation<P, S> {
     /// later completions (or flush drops) land against that carried
     /// backlog and conservation holds within the measured window.
     pub fn reset_stats(&mut self) {
-        self.stats = RunStats::new();
+        let engine = &mut self.engine;
+        engine.stats = RunStats::new();
         // Requests currently queued were accepted before the window;
         // count them as accepted so completion accounting balances.
-        self.stats.accepted = self.queues.total_backlog();
-        self.stats.arrived = self.stats.accepted;
+        engine.stats.accepted = engine.queues.total_backlog();
+        engine.stats.arrived = engine.stats.accepted;
     }
 
     /// A read-only view of the queues.
     pub fn view(&self) -> ClusterView<'_> {
-        ClusterView::new(&self.queues)
+        ClusterView::new(&self.engine.queues)
     }
 
     /// Runs `steps` steps drawing requests from `workload`.
@@ -311,49 +304,63 @@ impl<P: Policy, S: TraceSink> Simulation<P, S> {
         observer: &mut O,
     ) {
         for _ in 0..steps {
-            self.execute_step(workload, observer);
+            self.engine.execute_step(&mut self.sink, workload, observer);
         }
     }
 
-    fn execute_step<W: Workload + ?Sized, O: Observer + ?Sized>(
+    /// Test hook (feature `sanitize`): mutable access to the queue
+    /// array so sanitizer tests can inject corruption.
+    #[cfg(feature = "sanitize")]
+    #[doc(hidden)]
+    pub fn sanitize_queues_mut(&mut self) -> &mut QueueArray {
+        &mut self.engine.queues
+    }
+
+    /// Finishes the run and returns the report.
+    pub fn finish(self) -> RunReport {
+        self.finish_traced().0
+    }
+
+    /// Finishes the run, returning the report and the trace sink (so a
+    /// recorder's buffer or an exporter's output can be read out).
+    pub fn finish_traced(self) -> (RunReport, S) {
+        let engine = self.engine;
+        let in_flight = engine.queues.total_backlog();
+        let report = engine.stats.finish(engine.step, in_flight);
+        debug_assert!(
+            report.check_conservation().is_ok(),
+            "conservation violated: {:?}",
+            report.check_conservation()
+        );
+        (report, self.sink)
+    }
+}
+
+impl<P: Policy> Engine<P> {
+    fn execute_step<S: TraceSink, W: Workload + ?Sized, O: Observer + ?Sized>(
         &mut self,
+        sink: &mut S,
         workload: &mut W,
         observer: &mut O,
     ) {
         let step = self.step;
         self.chunk_scratch.clear();
         workload.next_step(step, &mut self.chunk_scratch);
-        // With no scheduled outages the mask stays the all-true value it
-        // was initialized with; skip the O(m) per-step refill.
+        // With no scheduled outages every server stays live, as built;
+        // skip the O(m) per-step refill.
         if !self.outages.is_empty() {
-            if S::ENABLED {
-                if self.up_prev.is_empty() {
-                    self.up_prev = vec![true; self.config.num_servers];
-                } else {
-                    self.up_prev.clone_from(&self.up_mask);
-                }
-            }
             self.outages.fill_up_mask(step, &mut self.up_mask);
-            // The queue array owns the liveness the routing/drain hot
-            // paths consult (sentinel route backlogs); keep it synced
-            // with the schedule-derived mask.
-            self.queues.set_liveness(&self.up_mask);
-            if S::ENABLED {
-                for server in 0..self.config.num_servers {
-                    // server < m: masks sized to the cluster at build. lint:allow(panic-path)
-                    match (self.up_prev[server], self.up_mask[server]) {
-                        (true, false) => self.sink.on_event(&TraceEvent::OutageBegin {
-                            step,
-                            server: server as u32,
-                        }),
-                        (false, true) => self.sink.on_event(&TraceEvent::OutageEnd {
-                            step,
-                            server: server as u32,
-                        }),
-                        _ => {}
-                    }
+            // The queue array owns the liveness that routing, the
+            // accept path and the drain consult.
+            self.queues.set_liveness(&self.up_mask, |server, live| {
+                if S::ENABLED {
+                    sink.on_event(&if live {
+                        TraceEvent::OutageEnd { step, server }
+                    } else {
+                        TraceEvent::OutageBegin { step, server }
+                    });
                 }
-            }
+            });
         }
         debug_assert!(
             {
@@ -371,7 +378,7 @@ impl<P: Policy, S: TraceSink> Simulation<P, S> {
             &mut OpsAdapter {
                 queues: &mut self.queues,
                 stats: &mut self.stats,
-                sink: &mut self.sink,
+                sink: &mut *sink,
                 step,
             },
         );
@@ -379,12 +386,12 @@ impl<P: Policy, S: TraceSink> Simulation<P, S> {
         let n = self.chunk_scratch.len();
         match self.config.drain_mode {
             DrainMode::EndOfStep => {
-                self.route_range(0, n, step, observer);
+                self.route_range(sink, 0, n, step, observer);
                 // The single drain is sub-step 0 of 1. (Passing index 1
                 // here happens to yield the same quota only because the
                 // cumulative split is exact for one sub-step; see the
                 // `end_of_step_drains_exactly_rate_per_server` test.)
-                self.drain(0, 1, step);
+                self.drain(sink, 0, 1, step);
             }
             DrainMode::Interleaved => {
                 // g sub-steps; arrivals split evenly; each class drains a
@@ -394,8 +401,8 @@ impl<P: Policy, S: TraceSink> Simulation<P, S> {
                 for s in 0..substeps {
                     let lo = n * s / substeps; // substeps >= 1 asserted by Config::validate; n small. lint:allow(panic-path, unchecked-arith)
                     let hi = n * (s + 1) / substeps;
-                    self.route_range(lo, hi, step, observer);
-                    self.drain(s as u32, substeps as u32, step);
+                    self.route_range(sink, lo, hi, step, observer);
+                    self.drain(sink, s as u32, substeps as u32, step);
                 }
             }
         }
@@ -410,7 +417,7 @@ impl<P: Policy, S: TraceSink> Simulation<P, S> {
                     stats.record_reject(RejectReason::Flush);
                 });
                 if S::ENABLED {
-                    self.sink.on_event(&TraceEvent::Flush { step, dropped });
+                    sink.on_event(&TraceEvent::Flush { step, dropped });
                 }
             }
         }
@@ -450,8 +457,9 @@ impl<P: Policy, S: TraceSink> Simulation<P, S> {
     /// over `&QueueArray` (which owns liveness), so "rebuilding" it is a
     /// register move, not a scan. The engine-equivalence goldens pin the
     /// resulting routing sequence.
-    fn route_range<O: Observer + ?Sized>(
+    fn route_range<S: TraceSink, O: Observer + ?Sized>(
         &mut self,
+        sink: &mut S,
         lo: usize,
         hi: usize,
         step: u64,
@@ -502,7 +510,7 @@ impl<P: Policy, S: TraceSink> Simulation<P, S> {
                             "policy routed chunk {chunk} to non-replica server {server}"
                         );
                         if S::ENABLED {
-                            self.sink.on_event(&TraceEvent::Route {
+                            sink.on_event(&TraceEvent::Route {
                                 step,
                                 chunk,
                                 server,
@@ -514,11 +522,11 @@ impl<P: Policy, S: TraceSink> Simulation<P, S> {
                                     .collect(),
                             });
                         }
-                        if !self.up_mask[server as usize] {
+                        if !self.queues.is_live(server) {
                             decision = Decision::Reject(RejectReason::ServerDown);
                             self.stats.record_reject(RejectReason::ServerDown);
                             if S::ENABLED {
-                                self.sink.on_event(&TraceEvent::Reject {
+                                sink.on_event(&TraceEvent::Reject {
                                     step,
                                     chunk,
                                     cause: TraceCause::Outage,
@@ -533,7 +541,7 @@ impl<P: Policy, S: TraceSink> Simulation<P, S> {
                                 let backlog = self.queues.backlog(server);
                                 self.stats.record_enqueue_backlog(backlog);
                                 if S::ENABLED {
-                                    self.sink.on_event(&TraceEvent::Enqueue {
+                                    sink.on_event(&TraceEvent::Enqueue {
                                         step,
                                         server,
                                         class,
@@ -545,7 +553,7 @@ impl<P: Policy, S: TraceSink> Simulation<P, S> {
                                 decision = Decision::Reject(RejectReason::Overflow);
                                 self.stats.record_reject(RejectReason::Overflow);
                                 if S::ENABLED {
-                                    self.sink.on_event(&TraceEvent::Reject {
+                                    sink.on_event(&TraceEvent::Reject {
                                         step,
                                         chunk,
                                         cause: TraceCause::Overflow,
@@ -557,7 +565,7 @@ impl<P: Policy, S: TraceSink> Simulation<P, S> {
                     Decision::Reject(reason) => {
                         self.stats.record_reject(reason);
                         if S::ENABLED {
-                            self.sink.on_event(&TraceEvent::Reject {
+                            sink.on_event(&TraceEvent::Reject {
                                 step,
                                 chunk,
                                 cause: TraceCause::from_reason(reason),
@@ -571,27 +579,18 @@ impl<P: Policy, S: TraceSink> Simulation<P, S> {
         self.chunk_scratch = chunks;
     }
 
-    /// Drains each class by its share for sub-step `s` of `substeps`.
+    /// Drains each class by its share for sub-step `s` of `substeps`:
+    /// one [`QueueArray::sweep_class`] per class, whatever the sink.
     ///
-    /// Untraced runs take the queue array's bulk
-    /// [`QueueArray::drain_class`] sweep: one call per class, visiting
-    /// the class-major rows (dense) or the occupancy list (sparse) with
-    /// no per-server call or swap-remove churn. Traced runs keep the
-    /// per-server dequeue loop so each server's completions can be
-    /// emitted as one [`TraceEvent::Drain`]. Visit order differs
-    /// between the paths, but every per-completion statistic is an
-    /// order-independent accumulation, so reports are bit-identical
-    /// either way (pinned by the `traced_run_matches_untraced` test and
-    /// the engine-equivalence goldens).
-    fn drain(&mut self, s: u32, substeps: u32, step: u64) {
-        let stats = &mut self.stats;
-        let scratch = &mut self.drain_scratch;
-        let lat_counts = &mut self.lat_counts;
-        let lat_touched = &mut self.lat_touched;
-        let sink = &mut self.sink;
-        let queues = &mut self.queues;
-        let up_mask = &self.up_mask;
-        let m = self.config.num_servers;
+    /// A sweep under load completes thousands of requests sharing a
+    /// handful of distinct latencies, so completions are tallied per
+    /// latency and each latency becomes one histogram update. The
+    /// tallies flush in first-seen order because that replays the
+    /// per-request histogram growth sequence, which keeps serialized
+    /// reports byte-identical to recording one completion at a time.
+    /// Outside this call every `lat_counts` entry is zero and
+    /// `lat_touched` is empty.
+    fn drain<S: TraceSink>(&mut self, sink: &mut S, s: u32, substeps: u32, step: u64) {
         for (class, spec) in self.classes.iter().enumerate() {
             let rate = spec.drain_per_step;
             // Cumulative-quota split: over `substeps` sub-steps the class
@@ -600,85 +599,31 @@ impl<P: Policy, S: TraceSink> Simulation<P, S> {
             if take == 0 {
                 continue;
             }
-            if !S::ENABLED {
-                // A bulk drain under load completes thousands of
-                // requests sharing a handful of distinct latencies;
-                // tally per-latency counts and fold each into a single
-                // histogram update. Counts flush in first-seen order,
-                // which replays the per-request histogram growth
-                // sequence exactly, so serialized reports stay
-                // byte-identical to the unbatched path. Outside this
-                // call every `lat_counts` entry is zero and
-                // `lat_touched` is empty.
-                queues.drain_class(class, take, |arrival| {
-                    let lat = (step - arrival as u64) as usize;
-                    if lat >= lat_counts.len() {
-                        lat_counts.resize(lat + 1, 0);
+            // The sweep finishes one server before it starts the next,
+            // so a change of server closes the previous server's event.
+            let mut draining = 0u32;
+            self.queues.sweep_class(class, take, |server, arrival| {
+                let lat = (step - arrival as u64) as usize;
+                if lat >= self.lat_counts.len() {
+                    self.lat_counts.resize(lat + 1, 0);
+                }
+                // lat < lat_counts.len(): histogram sized to max latency. lint:allow(panic-path)
+                if self.lat_counts[lat] == 0 {
+                    self.lat_touched.push(lat as u64);
+                }
+                self.lat_counts[lat] += 1;
+                if S::ENABLED {
+                    if server != draining {
+                        emit_drain(sink, step, draining, class, &mut self.drain_scratch);
+                        draining = server;
                     }
-                    // lat < lat_counts.len(): histogram sized to max latency. lint:allow(panic-path)
-                    if lat_counts[lat] == 0 {
-                        lat_touched.push(lat as u64);
-                    }
-                    lat_counts[lat] += 1;
-                });
-                for &lat in lat_touched.iter() {
-                    let n = std::mem::take(&mut lat_counts[lat as usize]);
-                    stats.record_completion_in_class_n(class, lat, n);
+                    self.drain_scratch.push(arrival);
                 }
-                lat_touched.clear();
-                continue;
-            }
-            if queues.occupied_servers(class).len() * 2 >= m {
-                // Dense: most servers hold work, so a sequential sweep
-                // beats list order on cache locality (empty queues cost
-                // one length check).
-                for server in 0..m as u32 {
-                    if !up_mask[server as usize] {
-                        continue;
-                    }
-                    scratch.clear();
-                    queues.dequeue_up_to(server, class, take, |arrival| {
-                        stats.record_completion_in_class(class, step - arrival as u64);
-                        scratch.push(arrival);
-                    });
-                    if S::ENABLED && !scratch.is_empty() {
-                        sink.on_event(&TraceEvent::Drain {
-                            step,
-                            server,
-                            class: class as u8,
-                            arrivals: scratch.clone(),
-                        });
-                    }
-                }
-                continue;
-            }
-            let mut i = 0;
-            while i < queues.occupied_servers(class).len() {
-                let server = queues.occupied_servers(class)[i];
-                if !up_mask[server as usize] {
-                    i += 1;
-                    continue;
-                }
-                scratch.clear();
-                queues.dequeue_up_to(server, class, take, |arrival| {
-                    stats.record_completion_in_class(class, step - arrival as u64);
-                    scratch.push(arrival);
-                });
-                if S::ENABLED && !scratch.is_empty() {
-                    sink.on_event(&TraceEvent::Drain {
-                        step,
-                        server,
-                        class: class as u8,
-                        arrivals: scratch.clone(),
-                    });
-                }
-                // An emptied server is swap-removed from the occupancy
-                // list, pulling an unvisited candidate into slot `i`;
-                // advance only while `server` kept its slot.
-                let occ = queues.occupied_servers(class);
-                if i < occ.len() && occ[i] == server {
-                    i += 1;
-                }
+            });
+            emit_drain(sink, step, draining, class, &mut self.drain_scratch);
+            for lat in self.lat_touched.drain(..) {
+                let n = std::mem::take(&mut self.lat_counts[lat as usize]);
+                self.stats.record_completion_in_class_n(class, lat, n);
             }
         }
     }
@@ -693,23 +638,11 @@ impl<P: Policy, S: TraceSink> Simulation<P, S> {
             // lint:allow(panic-discipline)
             panic!("sanitize failed after step {step}: {e}"); // deliberate fail-fast: sanitize violations must abort. lint:allow(panic-path)
         }
-        // Liveness mask: re-derive from the outage schedule. With no
-        // schedule the mask must still be the all-true initial value.
-        let mut expected = vec![true; self.config.num_servers];
-        if !self.outages.is_empty() {
-            self.outages.fill_up_mask(step, &mut expected);
-        }
-        if expected != self.up_mask {
-            // lint:allow(panic-discipline)
-            panic!(
-                "sanitize failed after step {step}: liveness mask drifted from the outage schedule"
-            );
-        }
-        // The queue array's owned liveness (consulted by the routing
-        // sentinel backlogs and the bulk drain) must agree with the
-        // schedule too. With no schedule it stays the all-live default.
-        for (server, &up) in expected.iter().enumerate() {
-            if self.queues.is_live(server as u32) != up {
+        // The queue array's liveness (what the routing sentinel, the
+        // accept path and the sweep all read) must be what the outage
+        // schedule says for this step; with no schedule, all live.
+        for server in 0..self.config.num_servers as u32 {
+            if self.queues.is_live(server) != self.outages.is_up(server, step) {
                 // lint:allow(panic-discipline)
                 panic!(
                     "sanitize failed after step {step}: queue-owned liveness of server {server} \
@@ -718,38 +651,33 @@ impl<P: Policy, S: TraceSink> Simulation<P, S> {
             }
         }
     }
+}
 
-    /// Test hook (feature `sanitize`): mutable access to the queue
-    /// array so sanitizer tests can inject corruption.
-    #[cfg(feature = "sanitize")]
-    #[doc(hidden)]
-    pub fn sanitize_queues_mut(&mut self) -> &mut QueueArray {
-        &mut self.queues
-    }
-
-    /// Finishes the run and returns the report.
-    pub fn finish(self) -> RunReport {
-        self.finish_traced().0
-    }
-
-    /// Finishes the run, returning the report and the trace sink (so a
-    /// recorder's buffer or an exporter's output can be read out).
-    pub fn finish_traced(self) -> (RunReport, S) {
-        let in_flight = self.queues.total_backlog();
-        let report = self.stats.finish(self.step, in_flight);
-        debug_assert!(
-            report.check_conservation().is_ok(),
-            "conservation violated: {:?}",
-            report.check_conservation()
-        );
-        (report, self.sink)
+/// Emits `server`'s completions in `arrivals` (if any) as one
+/// [`TraceEvent::Drain`] and empties the buffer for the next server.
+/// Nothing ever reaches `arrivals` under a disabled sink.
+fn emit_drain<S: TraceSink>(
+    sink: &mut S,
+    step: u64,
+    server: u32,
+    class: usize,
+    arrivals: &mut Vec<u32>,
+) {
+    if S::ENABLED && !arrivals.is_empty() {
+        sink.on_event(&TraceEvent::Drain {
+            step,
+            server,
+            class: class as u8,
+            arrivals: arrivals.clone(),
+        });
+        arrivals.clear();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policies::Greedy;
+    use crate::policies::{DelayedCuckoo, Greedy};
 
     fn small_config() -> SimConfig {
         SimConfig {
@@ -920,29 +848,46 @@ mod tests {
         }
     }
 
-    #[test]
-    fn traced_run_matches_untraced_and_events_balance() {
-        let mut cfg = small_config();
-        cfg.process_rate = 1;
-        cfg.flush_interval = Some(5);
+    /// Runs one scenario untraced and traced and checks what must hold
+    /// for every scenario: attaching a sink does not perturb the run,
+    /// the event stream carries the report's accounting, and `Drain`
+    /// events are one per draining server per class per sub-step, never
+    /// for a down server. Returns the traced report and events for the
+    /// row's own assertions.
+    fn check_traced<P: Policy>(
+        case: &str,
+        cfg: &SimConfig,
+        policy: impl Fn() -> P,
+        outages: &OutageSchedule,
+        load: u32,
+        steps: u64,
+    ) -> (RunReport, Vec<TraceEvent>) {
         let baseline = {
-            let mut sim = Simulation::new(cfg.clone(), Greedy::new());
-            sim.run(&mut fixed_workload(16), 20);
+            let mut sim = Simulation::new(cfg.clone(), policy()).with_outages(outages.clone());
+            sim.run(&mut fixed_workload(load), steps);
             sim.finish()
         };
-        let mut sim = Simulation::new(cfg, Greedy::new()).with_sink(VecSink(Vec::new()));
-        sim.run(&mut fixed_workload(16), 20);
+        let mut sim = Simulation::new(cfg.clone(), policy())
+            .with_outages(outages.clone())
+            .with_sink(VecSink(Vec::new()));
+        sim.run(&mut fixed_workload(load), steps);
         let (report, sink) = sim.finish_traced();
+        assert_eq!(
+            rlb_json::to_string(&report),
+            rlb_json::to_string(&baseline),
+            "{case}: attaching a sink perturbed the run"
+        );
 
-        // Attaching a sink must not perturb the run.
-        assert_eq!(rlb_json::to_string(&report), rlb_json::to_string(&baseline));
-
-        // The event stream carries the same accounting as the report.
+        let substeps = match cfg.drain_mode {
+            DrainMode::EndOfStep => 1,
+            DrainMode::Interleaved => cfg.process_rate.max(1),
+        };
         let mut enqueues = 0u64;
         let mut routes = 0u64;
         let mut rejects = 0u64;
         let mut drained = 0u64;
-        let mut flush_dropped = 0u64;
+        let mut dropped_after_accept = 0u64;
+        let mut drains = std::collections::BTreeMap::new();
         for ev in &sink.0 {
             match ev {
                 TraceEvent::Route {
@@ -957,29 +902,130 @@ mod tests {
                 }
                 TraceEvent::Enqueue { .. } => enqueues += 1,
                 TraceEvent::Reject { .. } => rejects += 1,
-                TraceEvent::Drain { arrivals, step, .. } => {
+                TraceEvent::Drain {
+                    step,
+                    server,
+                    class,
+                    arrivals,
+                } => {
                     drained += arrivals.len() as u64;
+                    assert!(!arrivals.is_empty(), "{case}: empty drain event");
                     assert!(arrivals.iter().all(|&a| (a as u64) <= *step));
+                    assert!(
+                        outages.is_up(*server, *step),
+                        "{case}: down server {server} drained at step {step}"
+                    );
+                    *drains.entry((*step, *class, *server)).or_insert(0u32) += 1;
                 }
-                TraceEvent::Flush { dropped, .. } => flush_dropped += dropped,
+                TraceEvent::Flush { dropped, .. } | TraceEvent::PhaseRoll { dropped, .. } => {
+                    dropped_after_accept += dropped
+                }
                 _ => {}
             }
         }
-        assert_eq!(enqueues, report.accepted);
-        assert_eq!(rejects, report.rejected_total - report.rejected_flush);
-        assert_eq!(drained, report.completed);
-        assert_eq!(flush_dropped, report.rejected_flush);
+        assert_eq!(enqueues, report.accepted, "{case}");
+        assert_eq!(
+            rejects,
+            report.rejected_total - report.rejected_flush,
+            "{case}"
+        );
+        assert_eq!(drained, report.completed, "{case}");
+        assert_eq!(dropped_after_accept, report.rejected_flush, "{case}");
         assert!(routes >= enqueues, "every enqueue follows a route decision");
+        assert!(
+            drains.values().all(|&events| events <= substeps),
+            "{case}: a server's completions in one sweep were split across events"
+        );
+        (report, sink.0)
+    }
+
+    /// Most distinct servers with a `Drain` event in any one step: at
+    /// least the occupancy any sweep of that step saw among live
+    /// servers, and exactly it under end-of-step drain.
+    fn max_servers_drained_in_a_step(events: &[TraceEvent]) -> usize {
+        let mut per_step = std::collections::BTreeMap::new();
+        for ev in events {
+            if let TraceEvent::Drain { step, server, .. } = ev {
+                per_step
+                    .entry(*step)
+                    .or_insert_with(std::collections::BTreeSet::new)
+                    .insert(*server);
+            }
+        }
+        per_step.values().map(|s| s.len()).max().unwrap_or(0)
+    }
+
+    #[test]
+    fn traced_run_matches_untraced_and_events_balance() {
+        let none = OutageSchedule::none();
+
+        // Greedy, end-of-step, saturated: every server holds work, so
+        // each sweep takes the dense walk; flushes and routing-time
+        // rejections are both in play.
+        let mut cfg = small_config();
+        cfg.process_rate = 1;
+        cfg.flush_interval = Some(5);
+        let (report, events) = check_traced("dense", &cfg, Greedy::new, &none, 16, 20);
+        assert!(max_servers_drained_in_a_step(&events) * 2 >= cfg.num_servers);
         assert!(report.rejected_flush > 0, "scenario must exercise flushes");
         assert!(
-            rejects > 0,
+            report.rejected_total > report.rejected_flush,
             "scenario must exercise routing-time rejections"
+        );
+
+        // Greedy, interleaved, 8 requests a step over 64 servers: under
+        // half the servers ever hold work, so every sweep walks the
+        // occupancy list.
+        let mut cfg = small_config();
+        cfg.num_servers = 64;
+        cfg.num_chunks = 256;
+        cfg.drain_mode = DrainMode::Interleaved;
+        let (report, events) = check_traced("sparse", &cfg, Greedy::new, &none, 8, 20);
+        assert!(report.completed > 0);
+        assert!(max_servers_drained_in_a_step(&events) * 2 < cfg.num_servers);
+
+        // Delayed cuckoo routing over three phases: four classes, with
+        // the carry-over classes filled by `migrate_class` at the rolls.
+        let cfg = SimConfig::dcr_theorem(64, 4, 2).with_seed(9);
+        let phase = DelayedCuckoo::new(&cfg).params().phase_length;
+        let (report, events) = check_traced(
+            "dcr",
+            &cfg,
+            || DelayedCuckoo::new(&cfg),
+            &none,
+            64,
+            3 * phase,
+        );
+        assert!(events
+            .iter()
+            .any(|e| matches!(e, TraceEvent::PhaseRoll { .. })));
+        assert!(
+            report
+                .latency_by_class
+                .iter()
+                .skip(2)
+                .any(|h| h.count() > 0),
+            "scenario must drain a carry-over class"
+        );
+
+        // An outage window over a saturated cluster: server 3 goes down
+        // holding work, keeps it, and drains it after coming back.
+        let mut cfg = small_config();
+        cfg.process_rate = 1;
+        let mut outage = OutageSchedule::none();
+        outage.push(3, 2, 5);
+        let (_, events) = check_traced("outage", &cfg, Greedy::new, &outage, 16, 10);
+        assert!(
+            events.iter().any(
+                |e| matches!(e, TraceEvent::Drain { step, server: 3, arrivals, .. }
+                if *step >= 5 && arrivals.iter().any(|&a| a < 2))
+            ),
+            "scenario must freeze queued work across the outage"
         );
     }
 
     #[test]
     fn outage_transitions_are_traced() {
-        use crate::outage::OutageSchedule;
         let mut schedule = OutageSchedule::none();
         schedule.push(3, 2, 5);
         let mut sim = Simulation::new(small_config(), Greedy::new())

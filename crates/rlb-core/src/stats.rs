@@ -92,34 +92,13 @@ impl RunStats {
         }
     }
 
-    /// Records a completed request with the given latency.
-    #[inline]
-    pub fn record_completion(&mut self, latency: u64) {
-        self.completed = self.completed.saturating_add(1);
-        self.latency.record(latency);
-    }
-
-    /// Records a completed request served from queue `class`.
-    ///
-    /// The per-class vector still sizes lazily on first use (the
-    /// serialized report only carries classes that completed work), but
-    /// the growth branch is kept out of the inlined hot path: the drain
-    /// sweep calls this once per completed request.
-    #[inline]
-    pub(crate) fn record_completion_in_class(&mut self, class: usize, latency: u64) {
-        if self.latency_by_class.len() <= class {
-            self.grow_latency_classes(class);
-        }
-        if let Some(h) = self.latency_by_class.get_mut(class) {
-            h.record(latency);
-        }
-        self.record_completion(latency);
-    }
-
     /// Records `n` completed requests served from queue `class`, all
-    /// sharing the same latency. Equivalent to `n` calls of
-    /// [`RunStats::record_completion_in_class`] — the bulk drain path
-    /// folds its per-latency counts into one histogram update each.
+    /// sharing the same latency (the drain folds its per-latency counts
+    /// into one histogram update each).
+    ///
+    /// The per-class vector sizes lazily on first use (the serialized
+    /// report only carries classes that completed work), with the growth
+    /// branch kept out of the inlined path.
     #[inline]
     pub(crate) fn record_completion_in_class_n(&mut self, class: usize, latency: u64, n: u64) {
         if self.latency_by_class.len() <= class {
@@ -132,7 +111,7 @@ impl RunStats {
         self.latency.record_n(latency, n);
     }
 
-    /// Cold growth path for [`RunStats::record_completion_in_class`]:
+    /// Cold growth path for [`RunStats::record_completion_in_class_n`]:
     /// runs at most once per class over a whole run.
     #[cold]
     #[inline(never)]
@@ -352,8 +331,8 @@ mod tests {
         s.accepted = 8;
         s.record_reject(RejectReason::Policy);
         s.record_reject(RejectReason::Overflow);
-        s.record_completion(3);
-        s.record_completion(5);
+        s.record_completion_in_class_n(0, 3, 1);
+        s.record_completion_in_class_n(0, 5, 1);
         let r = s.finish(4, 6);
         assert_eq!(r.rejected_total, 2);
         assert!((r.rejection_rate - 0.2).abs() < 1e-12);

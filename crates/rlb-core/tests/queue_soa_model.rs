@@ -188,7 +188,13 @@ fn soa_engine_matches_naive_model_under_liveness_churn() {
                 }
                 13 => {
                     let mask: Vec<bool> = (0..m).map(|_| rng.gen_range(4) != 0).collect();
-                    q.set_liveness(&mask);
+                    let mut flips = Vec::new();
+                    q.set_liveness(&mask, |s, live| flips.push((s, live)));
+                    let expected: Vec<(u32, bool)> = (0..m)
+                        .filter(|&s| model.live[s] != mask[s])
+                        .map(|s| (s as u32, mask[s]))
+                        .collect();
+                    assert_eq!(flips, expected, "{}: reported transitions", ctx());
                     model.live.copy_from_slice(&mask);
                 }
                 14 => {

@@ -162,6 +162,12 @@ impl Workload for OneShot<'_> {
 /// ```
 pub struct KvCluster<P: Policy, S: TraceSink = NoopSink> {
     sim: Simulation<P, S>,
+    keys: KeyFront,
+}
+
+/// The key-facing state in front of the engine; nothing in it depends
+/// on the sink, so [`KvCluster::with_sink`] moves it whole.
+struct KeyFront {
     directory: ChunkDirectory,
     pending: Vec<u32>,
     /// Membership + tenant attribution for this step's pending chunks.
@@ -175,16 +181,16 @@ impl<P: Policy> KvCluster<P> {
     /// Builds a cluster from a simulation config and a policy. The key
     /// directory is salted from the config seed.
     pub fn new(config: SimConfig, policy: P) -> Self {
-        let directory = ChunkDirectory::new(config.num_chunks, config.seed ^ 0x6b76, 64);
-        let pending_index = PendingIndex::new(config.num_chunks);
-        let sim = Simulation::new(config, policy);
-        Self {
-            sim,
-            directory,
+        let keys = KeyFront {
+            directory: ChunkDirectory::new(config.num_chunks, config.seed ^ 0x6b76, 64),
             pending: Vec::new(),
-            pending_index,
+            pending_index: PendingIndex::new(config.num_chunks),
             coalesced_this_step: 0,
             tenant_stats: Vec::new(),
+        };
+        Self {
+            sim: Simulation::new(config, policy),
+            keys,
         }
     }
 }
@@ -196,22 +202,18 @@ impl<P: Policy, S: TraceSink> KvCluster<P, S> {
     pub fn with_sink<S2: TraceSink>(self, sink: S2) -> KvCluster<P, S2> {
         KvCluster {
             sim: self.sim.with_sink(sink),
-            directory: self.directory,
-            pending: self.pending,
-            pending_index: self.pending_index,
-            coalesced_this_step: self.coalesced_this_step,
-            tenant_stats: self.tenant_stats,
+            keys: self.keys,
         }
     }
 
     /// The key directory (e.g. for pinning keys).
     pub fn directory_mut(&mut self) -> &mut ChunkDirectory {
-        &mut self.directory
+        &mut self.keys.directory
     }
 
     /// The key directory, read-only.
     pub fn directory(&self) -> &ChunkDirectory {
-        &self.directory
+        &self.keys.directory
     }
 
     /// The underlying simulation (read-only; e.g. policy diagnostics).
@@ -237,18 +239,19 @@ impl<P: Policy, S: TraceSink> KvCluster<P, S> {
     /// tenant whose key created it; coalesced followers are counted per
     /// their own tenant.
     pub fn get_for(&mut self, tenant: u16, key: u64) -> bool {
-        if self.tenant_stats.len() <= tenant as usize {
-            self.tenant_stats
+        if self.keys.tenant_stats.len() <= tenant as usize {
+            self.keys
+                .tenant_stats
                 .resize(tenant as usize + 1, TenantStats::default());
         }
-        self.tenant_stats[tenant as usize].key_requests += 1;
-        let chunk = self.directory.chunk_of(key);
-        let created = if self.pending_index.insert(chunk, tenant) {
-            self.pending.push(chunk);
+        self.keys.tenant_stats[tenant as usize].key_requests += 1;
+        let chunk = self.keys.directory.chunk_of(key);
+        let created = if self.keys.pending_index.insert(chunk, tenant) {
+            self.keys.pending.push(chunk);
             true
         } else {
-            self.coalesced_this_step += 1;
-            self.tenant_stats[tenant as usize].coalesced += 1;
+            self.keys.coalesced_this_step += 1;
+            self.keys.tenant_stats[tenant as usize].coalesced += 1;
             false
         };
         if S::ENABLED {
@@ -267,7 +270,8 @@ impl<P: Policy, S: TraceSink> KvCluster<P, S> {
     /// Accounting for `tenant` so far (zeros if the tenant never issued
     /// a request).
     pub fn tenant_stats(&self, tenant: u16) -> TenantStats {
-        self.tenant_stats
+        self.keys
+            .tenant_stats
             .get(tenant as usize)
             .copied()
             .unwrap_or_default()
@@ -275,7 +279,7 @@ impl<P: Policy, S: TraceSink> KvCluster<P, S> {
 
     /// Chunk requests currently queued for the next commit.
     pub fn pending_requests(&self) -> usize {
-        self.pending.len()
+        self.keys.pending.len()
     }
 
     /// Requests already accepted into server queues but not yet
@@ -283,12 +287,6 @@ impl<P: Policy, S: TraceSink> KvCluster<P, S> {
     /// not been committed). O(1).
     pub fn queued(&self) -> u64 {
         self.sim.view().total_backlog()
-    }
-
-    /// Per-server backlogs right now, in server-id order — the live
-    /// load signal an admission controller polls between commits.
-    pub fn server_backlogs(&self) -> impl Iterator<Item = u32> + '_ {
-        self.sim.view().backlogs()
     }
 
     /// Executes one time step with the accumulated requests.
@@ -308,14 +306,14 @@ impl<P: Policy, S: TraceSink> KvCluster<P, S> {
     {
         let step = self.sim.step_count();
         let rejected_before = self.sim.stats().rejected_total();
-        let chunk_requests = self.pending.len() as u64;
+        let chunk_requests = self.keys.pending.len() as u64;
         {
             let mut oneshot = OneShot {
-                chunks: &self.pending,
+                chunks: &self.keys.pending,
             };
             let attribution = TenantAttribution {
-                owner_of_chunk: &self.pending_index,
-                stats: &mut self.tenant_stats,
+                owner_of_chunk: &self.keys.pending_index,
+                stats: &mut self.keys.tenant_stats,
             };
             let mut tap = DecisionTap {
                 attribution,
@@ -327,12 +325,12 @@ impl<P: Policy, S: TraceSink> KvCluster<P, S> {
         let summary = StepSummary {
             step,
             chunk_requests,
-            coalesced_keys: self.coalesced_this_step,
+            coalesced_keys: self.keys.coalesced_this_step,
             rejected,
         };
-        self.pending.clear();
-        self.pending_index.clear();
-        self.coalesced_this_step = 0;
+        self.keys.pending.clear();
+        self.keys.pending_index.clear();
+        self.keys.coalesced_this_step = 0;
         summary
     }
 
@@ -415,7 +413,7 @@ mod tests {
         assert_eq!(kv.queued(), 0);
         let summary = kv.commit_step();
         let queued = kv.queued();
-        let per_server: u64 = kv.server_backlogs().map(u64::from).sum();
+        let per_server: u64 = kv.simulation().view().backlogs().map(u64::from).sum();
         assert_eq!(queued, per_server);
         assert_eq!(
             queued + summary.rejected + kv.simulation().stats().completed,
@@ -423,7 +421,7 @@ mod tests {
         );
         kv.idle(16);
         assert_eq!(kv.queued(), 0);
-        assert!(kv.server_backlogs().all(|b| b == 0));
+        assert!(kv.simulation().view().backlogs().all(|b| b == 0));
     }
 
     #[test]

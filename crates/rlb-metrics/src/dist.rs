@@ -1,11 +1,10 @@
-//! Distribution-distance helpers for solver-vs-engine validation.
+//! Distribution distance for solver-vs-engine validation.
 //!
 //! The mean-field solver predicts a backlog *distribution* (a tail
 //! vector `s[k] = P(backlog ≥ k)`); the discrete engine measures one.
-//! Cross-validation needs scale-free distances between the two:
-//! L∞ on the tail vectors (the Kolmogorov–Smirnov statistic for
-//! integer-valued distributions) and total-variation on the implied
-//! probability mass functions. Vectors of different lengths are
+//! Cross-validation needs a scale-free distance between the two: L∞ on
+//! the tail vectors (the Kolmogorov–Smirnov statistic for
+//! integer-valued distributions). Vectors of different lengths are
 //! compared as if zero-padded — a truncated tail is an implicit zero.
 
 /// L∞ (Kolmogorov–Smirnov) distance between two vectors, treating
@@ -31,36 +30,6 @@ pub fn linf_distance(a: &[f64], b: &[f64]) -> f64 {
     worst
 }
 
-/// Total-variation distance `0.5 · Σ |p[k] − q[k]|` between two
-/// probability mass functions, treating missing entries as zero.
-///
-/// Callers holding tail vectors convert with [`tail_to_pmf`] first.
-pub fn total_variation(p: &[f64], q: &[f64]) -> f64 {
-    let len = p.len().max(q.len());
-    let mut sum = 0.0f64;
-    for i in 0..len {
-        let x = p.get(i).copied().unwrap_or(0.0);
-        let y = q.get(i).copied().unwrap_or(0.0);
-        sum += (x - y).abs();
-    }
-    0.5 * sum
-}
-
-/// Converts a tail vector `s[k] = P(X ≥ k)` into the probability mass
-/// function `p[k] = s[k] − s[k+1]`, with the final entry carrying all
-/// remaining mass (`p[last] = s[last]`).
-///
-/// Entries are clamped at zero so a tail with floating-point jitter
-/// (`s[k+1]` a few ulps above `s[k]`) still yields a valid pmf.
-pub fn tail_to_pmf(tail: &[f64]) -> Vec<f64> {
-    let mut pmf = Vec::with_capacity(tail.len());
-    for (i, &s) in tail.iter().enumerate() {
-        let next = tail.get(i + 1).copied().unwrap_or(0.0);
-        pmf.push((s - next).max(0.0));
-    }
-    pmf
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -75,45 +44,7 @@ mod tests {
     }
 
     #[test]
-    fn total_variation_of_disjoint_pmfs_is_one() {
-        let p = [1.0, 0.0];
-        let q = [0.0, 1.0];
-        assert!((total_variation(&p, &q) - 1.0).abs() < 1e-15);
-        assert_eq!(total_variation(&p, &p), 0.0);
-    }
-
-    #[test]
-    fn tail_to_pmf_conserves_mass_and_clamps_jitter() {
-        // Tail of a distribution on {0, 1, 2}: P(X>=0)=1, P(X>=1)=0.6,
-        // P(X>=2)=0.2 -> pmf (0.4, 0.4, 0.2).
-        let pmf = tail_to_pmf(&[1.0, 0.6, 0.2]);
-        assert_eq!(pmf.len(), 3);
-        assert!((pmf.iter().sum::<f64>() - 1.0).abs() < 1e-15);
-        assert!((pmf[0] - 0.4).abs() < 1e-15);
-        assert!((pmf[2] - 0.2).abs() < 1e-15);
-
-        // A non-monotone wiggle from float noise clamps to zero rather
-        // than emitting negative mass.
-        let noisy = tail_to_pmf(&[1.0, 0.5, 0.5 + 1e-17]);
-        assert!(noisy.iter().all(|&p| p >= 0.0));
-    }
-
-    #[test]
     fn empty_inputs_are_benign() {
         assert_eq!(linf_distance(&[], &[]), 0.0);
-        assert_eq!(total_variation(&[], &[]), 0.0);
-        assert!(tail_to_pmf(&[]).is_empty());
-    }
-
-    #[test]
-    fn distances_agree_on_tail_vs_pmf_views() {
-        // KS distance on tails bounds TV on pmfs from below for these
-        // simple shapes; sanity-check the helpers against each other.
-        let s1 = [1.0, 0.5, 0.25, 0.0];
-        let s2 = [1.0, 0.7, 0.1, 0.0];
-        let ks = linf_distance(&s1, &s2);
-        let tv = total_variation(&tail_to_pmf(&s1), &tail_to_pmf(&s2));
-        assert!(ks > 0.0 && tv > 0.0);
-        assert!(tv + 1e-15 >= ks / 2.0);
     }
 }

@@ -21,16 +21,14 @@ pub(crate) mod dist;
 pub(crate) mod ewma;
 pub(crate) mod histogram;
 pub(crate) mod kahan;
-pub mod summary;
 pub mod table;
 pub(crate) mod timeseries;
 
 pub use backlog::{BacklogSnapshot, SafeDistributionReport};
 pub use ci::{wilson95, ProportionCi};
-pub use dist::{linf_distance, tail_to_pmf, total_variation};
+pub use dist::linf_distance;
 pub use ewma::Ewma;
 pub use histogram::{Histogram, TailValue};
 pub use kahan::{KahanSum, RunningMean};
-pub use summary::{Accumulator, SummaryStats};
 pub use table::Table;
 pub use timeseries::TimeSeries;

@@ -133,7 +133,6 @@ pub struct ServerCore<P: Policy> {
     /// `PendingIndex` in rlb-kv for the idiom).
     decisions: Vec<Option<Decision>>,
     touched: Vec<u32>,
-    backlog_scratch: Vec<u32>,
     process_rate: u32,
     pings: u64,
 }
@@ -154,7 +153,6 @@ impl<P: Policy> ServerCore<P> {
             tenants: Vec::new(),
             decisions: vec![None; num_chunks],
             touched: Vec::new(),
-            backlog_scratch: Vec::new(),
             process_rate,
             pings: 0,
         }
@@ -283,21 +281,15 @@ impl<P: Policy> ServerCore<P> {
         });
         let _ = summary;
 
-        // 3. Post-step backlogs — the queue each reply waits behind.
-        self.backlog_scratch.clear();
-        self.backlog_scratch.extend(self.kv.server_backlogs());
-
-        // 4. Resolve every staged request from its chunk's decision.
+        // 3. Resolve every staged request from its chunk's decision.
         let staged = std::mem::take(&mut self.staged);
         for s in staged {
             let decision = self.decisions[s.chunk as usize];
             match decision {
                 Some(Decision::Route { server, .. }) => {
-                    let backlog = self
-                        .backlog_scratch
-                        .get(server as usize)
-                        .copied()
-                        .unwrap_or(0);
+                    // The post-step backlog: the queue the reply waits
+                    // behind.
+                    let backlog = self.kv.simulation().view().backlog(server);
                     let wait = u64::from(backlog) / u64::from(self.process_rate.max(1));
                     let due = self.tick + 1 + wait;
                     let latency = u32::try_from(due - self.tick).unwrap_or(u32::MAX);
@@ -345,7 +337,7 @@ impl<P: Policy> ServerCore<P> {
             self.decisions[chunk as usize] = None;
         }
 
-        // 5. Advance time and emit due replies (service completion:
+        // 4. Advance time and emit due replies (service completion:
         //    puts apply to the store here, gets read here).
         self.tick += 1;
         while let Some(entry) = self.scheduled.first_entry() {

@@ -1,7 +1,7 @@
 //! Declarative workload specifications.
 //!
-//! A [`WorkloadSpec`] is a serializable description of a workload —
-//! the configuration-file / CLI counterpart of the concrete generators.
+//! A [`WorkloadSpec`] is a plain-data description of a workload — the
+//! CLI counterpart of the concrete generators.
 //! `spec.build(seed)` instantiates the generator; specs also parse from
 //! the compact CLI syntax used by the `rlb-sim` tool:
 //!
@@ -17,9 +17,8 @@
 use crate::generators::{FreshRandom, OnOffBurst, PartialRepeat, PhasedWorkingSets, RepeatedSet};
 use crate::zipf::ZipfDistinct;
 use rlb_core::Workload;
-use rlb_json::{FromJson, Json, ToJson};
 
-/// A serializable workload description.
+/// A workload description.
 ///
 /// ```
 /// use rlb_workloads::WorkloadSpec;
@@ -250,112 +249,6 @@ impl WorkloadSpec {
     }
 }
 
-// Serialized with an internal `"kind"` tag and kebab-case variant names,
-// matching the seed's on-disk config format (e.g. `{"kind":"zipf",...}`).
-impl ToJson for WorkloadSpec {
-    fn to_json(&self) -> Json {
-        let mut obj: Vec<(String, Json)> = Vec::new();
-        let mut put = |k: &str, v: Json| obj.push((k.to_string(), v));
-        match *self {
-            WorkloadSpec::Repeated { k } => {
-                put("kind", Json::Str("repeated".into()));
-                put("k", k.to_json());
-            }
-            WorkloadSpec::Fresh { universe, per_step } => {
-                put("kind", Json::Str("fresh".into()));
-                put("universe", universe.to_json());
-                put("per_step", per_step.to_json());
-            }
-            WorkloadSpec::Partial {
-                universe,
-                per_step,
-                p,
-            } => {
-                put("kind", Json::Str("partial".into()));
-                put("universe", universe.to_json());
-                put("per_step", per_step.to_json());
-                put("p", p.to_json());
-            }
-            WorkloadSpec::Zipf {
-                universe,
-                per_step,
-                alpha,
-            } => {
-                put("kind", Json::Str("zipf".into()));
-                put("universe", universe.to_json());
-                put("per_step", per_step.to_json());
-                put("alpha", alpha.to_json());
-            }
-            WorkloadSpec::Burst {
-                universe,
-                burst_per_step,
-                trough_per_step,
-                burst_len,
-                trough_len,
-            } => {
-                put("kind", Json::Str("burst".into()));
-                put("universe", universe.to_json());
-                put("burst_per_step", burst_per_step.to_json());
-                put("trough_per_step", trough_per_step.to_json());
-                put("burst_len", burst_len.to_json());
-                put("trough_len", trough_len.to_json());
-            }
-            WorkloadSpec::Phased {
-                universe,
-                sets,
-                k,
-                steps_per_phase,
-            } => {
-                put("kind", Json::Str("phased".into()));
-                put("universe", universe.to_json());
-                put("sets", sets.to_json());
-                put("k", k.to_json());
-                put("steps_per_phase", steps_per_phase.to_json());
-            }
-        }
-        Json::Obj(obj)
-    }
-}
-
-impl FromJson for WorkloadSpec {
-    fn from_json(v: &Json) -> Result<Self, String> {
-        let kind: String = rlb_json::field(v, "kind")?;
-        match kind.as_str() {
-            "repeated" => Ok(WorkloadSpec::Repeated {
-                k: rlb_json::field(v, "k")?,
-            }),
-            "fresh" => Ok(WorkloadSpec::Fresh {
-                universe: rlb_json::field(v, "universe")?,
-                per_step: rlb_json::field(v, "per_step")?,
-            }),
-            "partial" => Ok(WorkloadSpec::Partial {
-                universe: rlb_json::field(v, "universe")?,
-                per_step: rlb_json::field(v, "per_step")?,
-                p: rlb_json::field(v, "p")?,
-            }),
-            "zipf" => Ok(WorkloadSpec::Zipf {
-                universe: rlb_json::field(v, "universe")?,
-                per_step: rlb_json::field(v, "per_step")?,
-                alpha: rlb_json::field(v, "alpha")?,
-            }),
-            "burst" => Ok(WorkloadSpec::Burst {
-                universe: rlb_json::field(v, "universe")?,
-                burst_per_step: rlb_json::field(v, "burst_per_step")?,
-                trough_per_step: rlb_json::field(v, "trough_per_step")?,
-                burst_len: rlb_json::field(v, "burst_len")?,
-                trough_len: rlb_json::field(v, "trough_len")?,
-            }),
-            "phased" => Ok(WorkloadSpec::Phased {
-                universe: rlb_json::field(v, "universe")?,
-                sets: rlb_json::field(v, "sets")?,
-                k: rlb_json::field(v, "k")?,
-                steps_per_phase: rlb_json::field(v, "steps_per_phase")?,
-            }),
-            other => Err(format!("unknown workload kind {other:?}")),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -431,7 +324,7 @@ mod tests {
     }
 
     #[test]
-    fn burst_spec_parses_builds_and_round_trips() {
+    fn burst_spec_parses_and_builds() {
         let spec = WorkloadSpec::parse_cli("burst:100,10,3,2", 200).unwrap();
         assert_eq!(
             spec,
@@ -450,8 +343,6 @@ mod tests {
         out.clear();
         rlb_core::Workload::next_step(w.as_mut(), 4, &mut out);
         assert_eq!(out.len(), 10);
-        let back: WorkloadSpec = rlb_json::from_str(&rlb_json::to_string(&spec)).unwrap();
-        assert_eq!(spec, back);
     }
 
     #[test]
@@ -460,19 +351,6 @@ mod tests {
         assert!(WorkloadSpec::parse_cli("repeated", 10).is_err());
         assert!(WorkloadSpec::parse_cli("partial:x,1", 10).is_err());
         assert!(WorkloadSpec::parse_cli("zipf:1.0", 10).is_err());
-    }
-
-    #[test]
-    fn json_round_trip() {
-        let spec = WorkloadSpec::Zipf {
-            universe: 500,
-            per_step: 32,
-            alpha: 1.1,
-        };
-        let json = rlb_json::to_string(&spec);
-        let back: WorkloadSpec = rlb_json::from_str(&json).unwrap();
-        assert_eq!(spec, back);
-        assert!(json.contains("\"kind\":\"zipf\""));
     }
 
     #[test]
