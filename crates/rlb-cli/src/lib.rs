@@ -24,13 +24,6 @@
 //!   --interleaved        use sub-step (interleaved) draining
 //!   --json               emit the full report as JSON
 //!
-//! rlb-sim bench --suite [--out PATH] [--quick]
-//!
-//!   Times `experiments all` as a subprocess, serial (--jobs 1) vs the
-//!   default executor size, fastest-of-3 each, and writes the results
-//!   to PATH (default BENCH_experiments.json) under a 0.95x ratio gate
-//!   against the previously committed numbers.
-//!
 //! rlb-sim bench --meanfield [--out PATH]
 //!
 //!   Times mean-field steady-state solves across m plus the
@@ -416,73 +409,39 @@ pub fn run_lint(args: &[String]) -> Result<(String, bool), String> {
     Ok((out, report.is_clean()))
 }
 
-/// Runs one of the two wall-clock gates — `rlb-sim bench --suite` or
-/// `rlb-sim bench --meanfield` — and writes its results as JSON.
-/// Returns a human-readable summary plus whether the gate passed; the
-/// binary exits nonzero on a gate failure so CI can run a gate
-/// directly.
+/// Runs the wall-clock gate behind `rlb-sim bench --meanfield` and
+/// writes its results as JSON. Returns a human-readable summary plus
+/// whether the gate passed; the binary exits nonzero on a gate failure
+/// so CI can run the gate directly.
 ///
-/// Arguments (after the `bench` subcommand): the mode, `--out PATH`
-/// (default: the mode's committed `BENCH_*.json`), and under `--suite`,
-/// `--quick`.
+/// Arguments (after the `bench` subcommand): the mode and `--out PATH`
+/// (default: the committed `BENCH_meanfield.json`).
 ///
 /// # Errors
 /// Returns a message on malformed arguments — a `bench` that names no
 /// mode included — or an unwritable output path.
 pub fn run_bench(args: &[String]) -> Result<(String, bool), String> {
-    let suite = args.iter().any(|a| a == "--suite");
-    let meanfield = !suite && args.iter().any(|a| a == "--meanfield");
-    let scope = if suite {
-        "bench --suite "
-    } else if meanfield {
+    let meanfield = args.iter().any(|a| a == "--meanfield");
+    let scope = if meanfield {
         "bench --meanfield "
     } else {
         "bench "
     };
-    let mut out_path = None;
-    let mut quick = false;
+    let mut out_path = "BENCH_meanfield.json".to_string();
     let mut flags = Flags::new(args);
     while let Some(arg) = flags.next_flag() {
         match arg {
-            "--suite" if suite => {}
-            "--meanfield" if meanfield => {}
-            "--quick" if suite => quick = true,
-            "--out" => out_path = Some(flags.operand(arg, "a path")?.to_string()),
+            "--meanfield" => {}
+            "--out" => out_path = flags.operand(arg, "a path")?.to_string(),
             other => return Err(unknown(scope, other)),
         }
     }
-    let out_or = |default: &str| out_path.unwrap_or_else(|| default.to_string());
     // With no mode the flags were still read, so a typo is named first.
-    if suite {
-        run_suite_bench(out_or("BENCH_experiments.json"), quick)
-    } else if meanfield {
-        run_meanfield_bench(out_or("BENCH_meanfield.json"))
+    if meanfield {
+        run_meanfield_bench(out_path)
     } else {
-        Err("bench requires a mode: --suite or --meanfield".into())
+        Err("bench requires a mode: --meanfield".into())
     }
-}
-
-/// Appends the ratio gate's verdict line (the worst row against the
-/// 0.95x threshold) to `summary` and returns whether the gate passed —
-/// vacuously, and silently, when there was no baseline to compare with.
-fn gate_verdict(
-    label: &str,
-    gate_rows: &[rlb_bench::suite::GateRow],
-    summary: &mut String,
-) -> bool {
-    use std::fmt::Write as _;
-    let Some(worst) = gate_rows.iter().min_by(|a, b| a.ratio.total_cmp(&b.ratio)) else {
-        return true;
-    };
-    let verdict = if worst.passes() { "PASS" } else { "FAIL" };
-    let _ = writeln!(
-        summary,
-        "{label} gate: worst ratio {:.2}x ({}) vs threshold {:.2}x -> {verdict}",
-        worst.ratio,
-        worst.name,
-        rlb_bench::suite::GATE_MIN_RATIO
-    );
-    worst.passes()
 }
 
 /// Runs the mean-field speedup gate (`rlb-sim bench --meanfield`):
@@ -530,56 +489,6 @@ fn run_meanfield_bench(out_path: String) -> Result<(String, bool), String> {
         rlb_bench::meanfield::SPEEDUP_M,
         report.gate_min_speedup
     );
-    let _ = writeln!(summary, "wrote {out_path}");
-    Ok((summary, passed))
-}
-
-/// Runs the experiment-suite wall-clock gate (`rlb-sim bench --suite`):
-/// times the `experiments` binary serial vs default-jobs (fastest of 3
-/// full-suite runs each, subprocess so the executor size can differ),
-/// compares against the committed `BENCH_experiments.json`, and
-/// rewrites it.
-///
-/// Arguments: `--out PATH` (default `BENCH_experiments.json`) and
-/// `--quick` (time the quick suite; for smoke runs, not for committing).
-///
-/// # Errors
-/// Returns a message on a missing `experiments` binary, a failing suite
-/// run, or an unwritable output path.
-fn run_suite_bench(out_path: String, quick: bool) -> Result<(String, bool), String> {
-    let bin = rlb_bench::suite::locate_experiments_bin()?;
-    let report = rlb_bench::suite::run_suite_gate(&bin, quick)?;
-    let baseline = std::fs::read_to_string(&out_path)
-        .ok()
-        .and_then(|old| rlb_bench::suite::parse_baseline(&old).ok());
-    let gate_rows = baseline
-        .as_deref()
-        .map(|b| rlb_bench::suite::compare_to_baseline(&report, b))
-        .unwrap_or_default();
-    let json = rlb_json::to_string_pretty(&report);
-    std::fs::write(&out_path, &json).map_err(|e| format!("cannot write {out_path:?}: {e}"))?;
-    use std::fmt::Write as _;
-    let mut summary = String::new();
-    for r in &report.results {
-        let vs_baseline = gate_rows
-            .iter()
-            .find(|g| g.name == r.name)
-            .map(|g| format!("  {:>5.2}x vs baseline", g.ratio))
-            .unwrap_or_default();
-        let _ = writeln!(
-            summary,
-            "{:<16} {:>8.2} s  fastest of {}{vs_baseline}",
-            r.name,
-            r.elapsed_nanos as f64 / 1e9,
-            r.samples
-        );
-    }
-    let _ = writeln!(
-        summary,
-        "parallel speedup: {:.2}x over serial (default jobs = {})",
-        report.speedup, report.default_jobs
-    );
-    let passed = gate_verdict("suite", &gate_rows, &mut summary);
     let _ = writeln!(summary, "wrote {out_path}");
     Ok((summary, passed))
 }

@@ -57,10 +57,6 @@ const USAGE: &str = "rlb-sim: simulate a load-balanced distributed KV store\n\n\
      \x20 --interleaved     sub-step draining\n\
      \x20 --json            JSON report\n\n\
      subcommands:\n\
-     \x20 bench --suite [--out PATH] [--quick]\n\
-     \x20                   time the experiments binary serial vs default-jobs and\n\
-     \x20                   write BENCH_experiments.json (exits nonzero if a ratio\n\
-     \x20                   falls below 0.95x of the committed numbers)\n\
      \x20 bench --meanfield [--out PATH]\n\
      \x20                   mean-field solver wall-time plus the solver-vs-engine\n\
      \x20                   speedup gate at m=65536 (100x floor, BENCH_meanfield.json)\n\

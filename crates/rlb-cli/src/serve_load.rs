@@ -249,12 +249,10 @@ pub fn parse_serve_load_args(side: Side, args: &[String]) -> Result<ServeLoadOpt
 
 impl ServeLoadOptions {
     fn serve_config(&self) -> ServeConfig {
-        let gate_limit = self.gate.unwrap_or_else(|| {
-            (self.engine.num_servers as u64) * u64::from(self.engine.process_rate) * 4
-        });
+        let default = ServeConfig::for_engine(self.engine.clone());
         ServeConfig {
-            engine: self.engine.clone(),
-            gate_limit,
+            gate_limit: self.gate.unwrap_or(default.gate_limit),
+            ..default
         }
     }
 

@@ -54,7 +54,7 @@ const CASES: &[(Parser, &str, &str)] = &[
     (SERVE, "--ticks 8", "--ticks: live `serve` does not read this co-simulation flag; it takes effect only with --sim-clock"),
     (LOAD, "--seed 3 --transcript", "--transcript: live `load` does not read this co-simulation flag; it takes effect only with --sim-clock"),
     // A subcommand with nothing selected to run.
-    (BENCH, "", "bench requires a mode: --suite or --meanfield"),
+    (BENCH, "", "bench requires a mode: --meanfield"),
 ];
 
 #[test]

@@ -15,6 +15,7 @@ use rlb_core::{
 
 /// Per-step accounting returned by [`KvCluster::commit_step`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+// return type of `KvCluster::commit_step`. lint:allow(dead-pub)
 pub struct StepSummary {
     /// Step index just executed.
     pub step: u64,
@@ -98,37 +99,25 @@ impl PendingIndex {
     }
 }
 
-/// Observer that attributes per-chunk routing outcomes back to the
-/// tenant whose key created the chunk request this step.
-struct TenantAttribution<'a> {
-    owner_of_chunk: &'a PendingIndex,
-    stats: &'a mut Vec<TenantStats>,
-}
-
-impl Observer for TenantAttribution<'_> {
-    fn on_route(&mut self, _step: u64, chunk: u32, decision: Decision) {
-        let Some(tenant) = self.owner_of_chunk.owner_of(chunk) else {
-            return;
-        };
-        let entry = &mut self.stats[tenant as usize];
-        match decision {
-            Decision::Route { .. } => entry.accepted += 1,
-            Decision::Reject(_) => entry.rejected += 1,
-        }
-    }
-}
-
-/// Observer adaptor: tenant attribution plus a caller-supplied tap on
-/// every per-chunk routing decision (see
+/// The one observer of a committed step: attributes each chunk's routing
+/// outcome to the tenant whose key created the chunk request, then hands
+/// the decision to the caller's tap (see
 /// [`KvCluster::commit_step_observed`]).
 struct DecisionTap<'a, F: FnMut(u32, Decision)> {
-    attribution: TenantAttribution<'a>,
-    on_decision: &'a mut F,
+    owner_of_chunk: &'a PendingIndex,
+    stats: &'a mut [TenantStats],
+    on_decision: F,
 }
 
 impl<F: FnMut(u32, Decision)> Observer for DecisionTap<'_, F> {
-    fn on_route(&mut self, step: u64, chunk: u32, decision: Decision) {
-        self.attribution.on_route(step, chunk, decision);
+    fn on_route(&mut self, _step: u64, chunk: u32, decision: Decision) {
+        if let Some(tenant) = self.owner_of_chunk.owner_of(chunk) {
+            let entry = &mut self.stats[tenant as usize];
+            match decision {
+                Decision::Route { .. } => entry.accepted += 1,
+                Decision::Reject(_) => entry.rejected += 1,
+            }
+        }
         (self.on_decision)(chunk, decision);
     }
 }
@@ -299,28 +288,23 @@ impl<P: Policy, S: TraceSink> KvCluster<P, S> {
     /// it, in engine routing order. This is how a serving layer learns
     /// *which replica* each accepted request landed on (and why each
     /// reject happened) without re-deriving policy state: the tap fires
-    /// inside the same observer pass that drives tenant attribution.
-    pub fn commit_step_observed<F>(&mut self, mut on_decision: F) -> StepSummary
+    /// inside the one observer pass, right after tenant attribution.
+    pub fn commit_step_observed<F>(&mut self, on_decision: F) -> StepSummary
     where
         F: FnMut(u32, Decision),
     {
         let step = self.sim.step_count();
         let rejected_before = self.sim.stats().rejected_total();
         let chunk_requests = self.keys.pending.len() as u64;
-        {
-            let mut oneshot = OneShot {
-                chunks: &self.keys.pending,
-            };
-            let attribution = TenantAttribution {
-                owner_of_chunk: &self.keys.pending_index,
-                stats: &mut self.keys.tenant_stats,
-            };
-            let mut tap = DecisionTap {
-                attribution,
-                on_decision: &mut on_decision,
-            };
-            self.sim.run_observed(&mut oneshot, 1, &mut tap);
-        }
+        let mut oneshot = OneShot {
+            chunks: &self.keys.pending,
+        };
+        let mut tap = DecisionTap {
+            owner_of_chunk: &self.keys.pending_index,
+            stats: &mut self.keys.tenant_stats,
+            on_decision,
+        };
+        self.sim.run_observed(&mut oneshot, 1, &mut tap);
         let rejected = self.sim.stats().rejected_total() - rejected_before;
         let summary = StepSummary {
             step,

@@ -53,7 +53,7 @@ pub mod cfg;
 mod dataflow;
 pub mod items;
 mod locks;
-pub mod passes;
+mod passes;
 pub mod roots;
 pub mod rules;
 pub mod token;

@@ -30,7 +30,6 @@ pub struct LiveSpec {
 }
 
 /// Outcome of one live client.
-// per-client element of `run_live`'s return. lint:allow(dead-pub)
 pub struct LiveClientResult {
     /// The finished client state machine (counters + latency).
     pub client: Client,

@@ -11,28 +11,33 @@
 //! ## Time
 //!
 //! The core advances in discrete **ticks**, each mapping to one engine
-//! step. Requests arriving between ticks are staged; [`ServerCore::tick`]
-//! commits them as one engine step, routing every distinct chunk with
-//! the configured policy against live replica backlogs (via
+//! step. A request is written down once, at admission: its key is
+//! folded and handed to the cluster on the spot, and the same record
+//! waits for the step, then for its reply. [`ServerCore::tick`] commits
+//! the step, routing every distinct chunk with the configured policy
+//! against live replica backlogs (via
 //! [`KvCluster::commit_step_observed`]). An accepted request's reply is
 //! scheduled `1 + backlog(server)/rate` ticks out — a modeled service
 //! latency: the queue the routing policy just lengthened is the queue
-//! the reply waits behind. Live mode drives ticks from wall time;
-//! sim-clock mode drives them from the driver loop. Neither changes
-//! routing, admission, or reply content.
+//! the reply waits behind. Queues are bounded, so the schedule is a
+//! short ring of per-tick buckets, not a general ordered map. Live mode
+//! drives ticks from wall time; sim-clock mode drives them from the
+//! driver loop. Neither changes routing, admission, or reply content.
 //!
-//! ## Admission
+//! ## Admission and rejects
 //!
 //! A request holds one [`BacklogGate`] unit from acceptance until its
 //! reply or reject frame is handed back, bounding staged + in-engine +
 //! reply-pending work. A full gate rejects at arrival with
-//! [`RejectCause::Admission`] — the typed, per-tenant-counted reject
-//! frame the issue asks for.
+//! [`RejectCause::Admission`]. Every reject frame, whatever its cause
+//! and whichever layer refused the request, is built by
+//! [`ServerCore::reject`], which is what makes the per-tenant,
+//! per-cause counts complete.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 
 use rlb_core::{Decision, Policy, SimConfig};
-use rlb_kv::{KvCluster, StepSummary};
+use rlb_kv::KvCluster;
 
 use crate::gate::BacklogGate;
 use crate::proto::{Frame, RejectCause, REJECT_CAUSES};
@@ -41,40 +46,19 @@ use crate::proto::{Frame, RejectCause, REJECT_CAUSES};
 /// session table).
 pub(crate) type SessionId = u32;
 
-/// What the server does with one admitted request at service time.
-enum Op {
-    /// Read: look the key up at reply emission.
-    Get { tenant: u16, key: Vec<u8> },
-    /// Write: apply to the store at reply emission, reply empty.
-    Put {
-        tenant: u16,
-        key: Vec<u8>,
-        value: Vec<u8>,
-    },
-}
-
-impl Op {
-    fn tenant(&self) -> u16 {
-        match self {
-            Op::Get { tenant, .. } | Op::Put { tenant, .. } => *tenant,
-        }
-    }
-}
-
-/// One staged (admitted, not yet committed) request.
-struct Staged {
+/// One admitted request, written down once in `admit` and carried
+/// unchanged through the engine step to its reply or reject.
+struct Request {
     session: SessionId,
     req_id: u32,
+    tenant: u16,
+    /// Where `tick` finds this request's routing decision.
     chunk: u32,
-    op: Op,
-}
-
-/// One scheduled reply awaiting its due tick.
-struct PendingReply {
-    session: SessionId,
-    req_id: u32,
-    latency: u32,
-    op: Op,
+    /// The tick it was admitted in; a reply's `latency` counts from it.
+    admitted: u64,
+    key: Vec<u8>,
+    /// A put's value, applied to the store at reply time; `None` reads.
+    value: Option<Vec<u8>>,
 }
 
 /// Per-tenant serving-layer accounting (frame-level, unlike the
@@ -105,12 +89,17 @@ pub struct ServeConfig {
 }
 
 impl ServeConfig {
-    /// A small default cluster: `servers` servers at the baseline
-    /// configuration, gate limit scaled to total service capacity.
-    pub fn baseline(servers: usize, seed: u64) -> Self {
-        let engine = SimConfig::baseline(servers).with_seed(seed);
-        let gate_limit = (servers as u64) * u64::from(engine.process_rate) * 4;
+    /// `engine` behind the default gate: four ticks of the cluster's
+    /// total service capacity (`servers × rate × 4`).
+    pub fn for_engine(engine: SimConfig) -> Self {
+        let gate_limit = (engine.num_servers as u64) * u64::from(engine.process_rate) * 4;
         Self { engine, gate_limit }
+    }
+
+    /// A small default cluster: `servers` servers at the baseline
+    /// configuration behind the default gate.
+    pub fn baseline(servers: usize, seed: u64) -> Self {
+        Self::for_engine(SimConfig::baseline(servers).with_seed(seed))
     }
 }
 
@@ -122,50 +111,38 @@ pub struct ServerCore<P: Policy> {
     /// iteration keeps this crate inside the workspace determinism
     /// lint, and the key space is tenant-scoped.
     store: BTreeMap<(u16, Vec<u8>), Vec<u8>>,
-    staged: Vec<Staged>,
-    /// Replies keyed by (due tick, admission sequence): emission order
-    /// is deterministic and FIFO within a tick.
-    scheduled: BTreeMap<(u64, u64), PendingReply>,
-    seq: u64,
+    /// Admitted since the last tick, already handed to `kv`.
+    staged: Vec<Request>,
+    /// Routed requests awaiting their reply: bucket `i` is due `i + 1`
+    /// ticks from now. A bucket is filled in admission order and a
+    /// reply waits at most `queue capacity / rate` ticks, so emission is
+    /// FIFO within a tick and the ring stays that short.
+    scheduled: VecDeque<Vec<Request>>,
     tick: u64,
     tenants: Vec<TenantServeStats>,
     /// This tick's per-chunk decision, stamped scratch (see
     /// `PendingIndex` in rlb-kv for the idiom).
     decisions: Vec<Option<Decision>>,
     touched: Vec<u32>,
-    process_rate: u32,
     pings: u64,
 }
 
 impl<P: Policy> ServerCore<P> {
     /// Builds the core from a config and a routing policy.
     pub fn new(config: ServeConfig, policy: P) -> Self {
-        let process_rate = config.engine.process_rate;
         let num_chunks = config.engine.num_chunks;
         Self {
             kv: KvCluster::new(config.engine, policy),
             gate: BacklogGate::new(config.gate_limit),
             store: BTreeMap::new(),
             staged: Vec::new(),
-            scheduled: BTreeMap::new(),
-            seq: 0,
+            scheduled: VecDeque::new(),
             tick: 0,
             tenants: Vec::new(),
             decisions: vec![None; num_chunks],
             touched: Vec::new(),
-            process_rate,
             pings: 0,
         }
-    }
-
-    /// Current virtual time (ticks committed so far).
-    pub fn now(&self) -> u64 {
-        self.tick
-    }
-
-    /// The admission gate (for diagnostics).
-    pub fn gate(&self) -> &BacklogGate {
-        &self.gate
     }
 
     /// Serving-layer accounting for `tenant` (zeros if unseen).
@@ -181,9 +158,10 @@ impl<P: Policy> ServerCore<P> {
         self.pings
     }
 
-    /// Replies and rejects not yet emitted (gate units still held).
-    pub fn in_flight(&self) -> u64 {
-        self.gate.inflight()
+    /// Reply and reject frames produced so far, over every tenant
+    /// (pings are not counted).
+    pub fn responses(&self) -> u64 {
+        self.tenants.iter().map(|t| t.replies + t.rejects()).sum()
     }
 
     fn tenant_mut(&mut self, tenant: u16) -> &mut TenantServeStats {
@@ -194,8 +172,15 @@ impl<P: Policy> ServerCore<P> {
         &mut self.tenants[tenant as usize]
     }
 
-    fn count_reject(&mut self, tenant: u16, cause: RejectCause) {
+    /// Counts one reject against `tenant` and builds its frame. Every
+    /// `Reject` the daemon sends is made here, so every cause is counted
+    /// per tenant; the transport calls it for what never reaches
+    /// [`on_frame`](ServerCore::on_frame) — a request refused after
+    /// shutdown, and the `req_id` 0 answer to an undecodable byte stream
+    /// (tenant 0: no frame, so no tenant, was read).
+    pub fn reject(&mut self, tenant: u16, req_id: u32, cause: RejectCause) -> Frame {
         self.tenant_mut(tenant).rejects_by_cause[cause as usize] += 1;
+        Frame::Reject { req_id, cause }
     }
 
     /// Handles one decoded frame from `session`. An immediate response
@@ -212,156 +197,122 @@ impl<P: Policy> ServerCore<P> {
                 req_id,
                 tenant,
                 key,
-            } => self.admit(session, req_id, tenant, Op::Get { tenant, key }),
+            } => self.admit(session, req_id, tenant, key, None),
             Frame::Put {
                 req_id,
                 tenant,
                 key,
                 value,
-            } => self.admit(session, req_id, tenant, Op::Put { tenant, key, value }),
+            } => self.admit(session, req_id, tenant, key, Some(value)),
             // Reply/Reject are server→client frames; receiving one is a
             // protocol violation by the client.
             Frame::Reply { req_id, .. } | Frame::Reject { req_id, .. } => {
-                self.count_reject(0, RejectCause::Malformed);
-                Some(Frame::Reject {
-                    req_id,
-                    cause: RejectCause::Malformed,
-                })
+                Some(self.reject(0, req_id, RejectCause::Malformed))
             }
         }
     }
 
-    fn admit(&mut self, session: SessionId, req_id: u32, tenant: u16, op: Op) -> Option<Frame> {
+    fn admit(
+        &mut self,
+        session: SessionId,
+        req_id: u32,
+        tenant: u16,
+        key: Vec<u8>,
+        value: Option<Vec<u8>>,
+    ) -> Option<Frame> {
         if !self.gate.try_acquire(1) {
-            self.count_reject(tenant, RejectCause::Admission);
-            return Some(Frame::Reject {
-                req_id,
-                cause: RejectCause::Admission,
-            });
+            return Some(self.reject(tenant, req_id, RejectCause::Admission));
         }
-        let key = match &op {
-            Op::Get { key, .. } | Op::Put { key, .. } => key.as_slice(),
-        };
-        let chunk = self.kv.directory().chunk_of(key_to_u64(tenant, key));
-        self.staged.push(Staged {
+        // The cluster takes the request now, in arrival order (same-chunk
+        // requests coalesce into one chunk request inside it); the next
+        // tick only has to commit the step.
+        let folded = key_to_u64(tenant, &key);
+        self.kv.get_for(tenant, folded);
+        self.staged.push(Request {
             session,
             req_id,
-            chunk,
-            op,
+            tenant,
+            chunk: self.kv.directory().chunk_of(folded),
+            admitted: self.tick,
+            key,
+            value,
         });
         None
     }
 
     /// Commits one engine step: routes every staged request, schedules
     /// replies behind the chosen replica's backlog, and returns every
-    /// response frame due at or before the new tick, in deterministic
+    /// response frame due at the new tick, in deterministic
     /// (reject-then-due, FIFO) order.
     pub fn tick(&mut self) -> Vec<(SessionId, Frame)> {
         let mut out = Vec::new();
 
-        // 1. Feed staged requests into the cluster (coalescing happens
-        //    inside: same-chunk requests become one chunk request).
-        for s in &self.staged {
-            let (tenant, key) = match &s.op {
-                Op::Get { tenant, key } | Op::Put { tenant, key, .. } => (*tenant, key),
-            };
-            self.kv.get_for(tenant, key_to_u64(tenant, key));
-        }
-
-        // 2. Commit the step, tapping each chunk's routing decision
+        // 1. Commit the step, tapping each chunk's routing decision
         //    into stamped scratch.
         let decisions = &mut self.decisions;
         let touched = &mut self.touched;
-        let summary: StepSummary = self.kv.commit_step_observed(|chunk, d| {
+        self.kv.commit_step_observed(|chunk, d| {
             let slot = &mut decisions[chunk as usize];
             if slot.is_none() {
                 touched.push(chunk);
             }
             *slot = Some(d);
         });
-        let _ = summary;
 
-        // 3. Resolve every staged request from its chunk's decision.
-        let staged = std::mem::take(&mut self.staged);
-        for s in staged {
-            let decision = self.decisions[s.chunk as usize];
-            match decision {
+        // 2. Resolve every staged request from its chunk's decision.
+        let rate = self.kv.simulation().config().process_rate;
+        let mut staged = std::mem::take(&mut self.staged);
+        for req in staged.drain(..) {
+            let cause = match self.decisions[req.chunk as usize] {
                 Some(Decision::Route { server, .. }) => {
                     // The post-step backlog: the queue the reply waits
                     // behind.
                     let backlog = self.kv.simulation().view().backlog(server);
-                    let wait = u64::from(backlog) / u64::from(self.process_rate.max(1));
-                    let due = self.tick + 1 + wait;
-                    let latency = u32::try_from(due - self.tick).unwrap_or(u32::MAX);
-                    self.scheduled.insert(
-                        (due, self.seq),
-                        PendingReply {
-                            session: s.session,
-                            req_id: s.req_id,
-                            latency,
-                            op: s.op,
-                        },
-                    );
-                    self.seq += 1;
+                    let wait = (backlog / rate) as usize;
+                    if self.scheduled.len() <= wait {
+                        self.scheduled.resize_with(wait + 1, Vec::new);
+                    }
+                    if let Some(bucket) = self.scheduled.get_mut(wait) {
+                        bucket.push(req);
+                    }
+                    continue;
                 }
-                Some(Decision::Reject(reason)) => {
-                    let cause = RejectCause::from_engine(reason);
-                    self.count_reject(s.op.tenant(), cause);
-                    self.gate.release(1);
-                    out.push((
-                        s.session,
-                        Frame::Reject {
-                            req_id: s.req_id,
-                            cause,
-                        },
-                    ));
-                }
-                // A staged request whose chunk produced no decision
-                // cannot happen (every staged chunk was fed in step 1);
-                // treat it as a policy reject rather than panicking in
-                // a live daemon.
-                None => {
-                    self.count_reject(s.op.tenant(), RejectCause::Policy);
-                    self.gate.release(1);
-                    out.push((
-                        s.session,
-                        Frame::Reject {
-                            req_id: s.req_id,
-                            cause: RejectCause::Policy,
-                        },
-                    ));
-                }
-            }
+                Some(Decision::Reject(reason)) => RejectCause::from_engine(reason),
+                // Every staged chunk was handed to the cluster at
+                // admission, so it has a decision; were that ever
+                // broken, a live daemon answers rather than panics.
+                None => RejectCause::Policy,
+            };
+            self.gate.release(1);
+            out.push((req.session, self.reject(req.tenant, req.req_id, cause)));
         }
+        self.staged = staged;
         for chunk in self.touched.drain(..) {
             self.decisions[chunk as usize] = None;
         }
 
-        // 4. Advance time and emit due replies (service completion:
-        //    puts apply to the store here, gets read here).
+        // 3. Advance time and emit the replies now due (service
+        //    completion: puts apply to the store here, gets read here).
         self.tick += 1;
-        while let Some(entry) = self.scheduled.first_entry() {
-            if entry.key().0 > self.tick {
-                break;
-            }
-            let (_, reply) = entry.remove_entry();
-            let (tenant, value) = match reply.op {
-                Op::Get { tenant, key } => (
-                    tenant,
-                    self.store.get(&(tenant, key)).cloned().unwrap_or_default(),
-                ),
-                Op::Put { tenant, key, value } => {
-                    self.store.insert((tenant, key), value);
-                    (tenant, Vec::new())
+        for req in self.scheduled.pop_front().unwrap_or_default() {
+            let value = match req.value {
+                None => self
+                    .store
+                    .get(&(req.tenant, req.key))
+                    .cloned()
+                    .unwrap_or_default(),
+                Some(value) => {
+                    self.store.insert((req.tenant, req.key), value);
+                    Vec::new()
                 }
             };
-            self.tenant_mut(tenant).replies += 1;
+            self.tenant_mut(req.tenant).replies += 1;
             self.gate.release(1);
             out.push((
-                reply.session,
+                req.session,
                 Frame::Reply {
-                    req_id: reply.req_id,
-                    latency: reply.latency,
+                    req_id: req.req_id,
+                    latency: u32::try_from(self.tick - req.admitted).unwrap_or(u32::MAX),
                     value,
                 },
             ));
@@ -625,6 +576,176 @@ mod tests {
         let t0 = c.tenant_serve_stats(0);
         let t1 = c.tenant_serve_stats(1);
         assert_eq!(t0.replies + t0.rejects() + t1.replies + t1.rejects(), 10);
+    }
+
+    #[test]
+    fn a_refused_frame_is_counted_under_its_own_tenant_and_cause() {
+        let mut c = core();
+        let frame = c.reject(5, 77, RejectCause::Shutdown);
+        assert_eq!(
+            frame,
+            Frame::Reject {
+                req_id: 77,
+                cause: RejectCause::Shutdown,
+            }
+        );
+        c.reject(0, 0, RejectCause::Malformed);
+        assert_eq!(
+            c.tenant_serve_stats(5).rejects_by_cause[RejectCause::Shutdown as usize],
+            1
+        );
+        assert_eq!(
+            c.tenant_serve_stats(0).rejects_by_cause[RejectCause::Malformed as usize],
+            1
+        );
+        assert_eq!(c.responses(), 2);
+        let summary = c.render_summary();
+        assert!(summary.contains("tenant 0: replies=0 rejects=1 malformed=1"));
+        assert!(summary.contains("tenant 5: replies=0 rejects=1 shutdown=1"));
+    }
+
+    /// Two servers, both a replica of every chunk: Greedy splits a tick's
+    /// distinct chunks evenly, so every post-step backlog is known.
+    fn two_servers(rate: u32, queue: u32) -> ServerCore<Greedy> {
+        let cfg = ServeConfig {
+            engine: SimConfig::explicit(2, 2, rate, queue).with_chunks(256),
+            gate_limit: 1 << 20,
+        };
+        ServerCore::new(cfg, Greedy::new())
+    }
+
+    /// Admits gets for `n` keys that fall in `n` distinct chunks, with
+    /// `req_id`s counting up from `first_id`.
+    fn admit_distinct(c: &mut ServerCore<Greedy>, first_id: u32, n: usize) {
+        let mut chunks = Vec::new();
+        for key in (0u32..).map(|k| k.to_le_bytes().to_vec()) {
+            if chunks.len() == n {
+                break;
+            }
+            let chunk = c.kv.directory().chunk_of(key_to_u64(0, &key));
+            if !chunks.contains(&chunk) {
+                let req_id = first_id + chunks.len() as u32;
+                chunks.push(chunk);
+                let get = Frame::Get {
+                    req_id,
+                    tenant: 0,
+                    key,
+                };
+                assert_eq!(c.on_frame(0, get), None);
+            }
+        }
+    }
+
+    fn reply_ids_and_latencies(out: Vec<(SessionId, Frame)>) -> Vec<(u32, u32)> {
+        out.into_iter()
+            .map(|(_, f)| match f {
+                Frame::Reply {
+                    req_id, latency, ..
+                } => (req_id, latency),
+                other => panic!("expected a reply, got {other:?}"),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_reply_waits_one_tick_plus_the_backlog_it_queued_behind() {
+        // 14 chunks over 2 servers at g = 2: 7 each, 5 left after the
+        // drain, so every reply is due 1 + 5/2 = 3 ticks after admission.
+        let mut c = two_servers(2, 8);
+        admit_distinct(&mut c, 0, 14);
+        assert!(c.tick().is_empty());
+        let backlogs: Vec<u32> = c.kv.simulation().view().backlogs().collect();
+        assert_eq!(backlogs, [5, 5]);
+        assert!(!c.drained(), "a bucket holds the replies");
+        assert!(c.tick().is_empty());
+        assert!(!c.drained());
+        let replies = reply_ids_and_latencies(c.tick());
+        let want: Vec<(u32, u32)> = (0..14).map(|id| (id, 3)).collect();
+        assert_eq!(replies, want);
+        assert!(c.drained());
+    }
+
+    #[test]
+    fn replies_due_the_same_tick_leave_in_admission_order() {
+        // Tick 0 admits 8 (4 a server, 2 left after the drain: due at
+        // tick 2); tick 1 admits 2 more (2 + 1 - 2 = 1 left: due at tick
+        // 2 as well). The earlier admissions leave first.
+        let mut c = two_servers(2, 8);
+        admit_distinct(&mut c, 100, 8);
+        assert!(c.tick().is_empty());
+        admit_distinct(&mut c, 0, 2);
+        let replies = reply_ids_and_latencies(c.tick());
+        let mut want: Vec<(u32, u32)> = (100..108).map(|id| (id, 2)).collect();
+        want.extend([(0, 1), (1, 1)]);
+        assert_eq!(replies, want);
+        assert!(c.drained());
+    }
+
+    #[test]
+    fn a_get_admitted_after_a_put_in_one_tick_reads_the_put() {
+        let mut c = core();
+        let key = b"k".to_vec();
+        let put = Frame::Put {
+            req_id: 1,
+            tenant: 0,
+            key: key.clone(),
+            value: b"new".to_vec(),
+        };
+        let get = Frame::Get {
+            req_id: 2,
+            tenant: 0,
+            key,
+        };
+        assert_eq!(c.on_frame(0, put), None);
+        assert_eq!(c.on_frame(1, get), None);
+        let out = c.tick();
+        assert_eq!(
+            out,
+            vec![
+                (
+                    0,
+                    Frame::Reply {
+                        req_id: 1,
+                        latency: 1,
+                        value: Vec::new(),
+                    }
+                ),
+                (
+                    1,
+                    Frame::Reply {
+                        req_id: 2,
+                        latency: 1,
+                        value: b"new".to_vec(),
+                    }
+                ),
+            ]
+        );
+    }
+
+    #[test]
+    fn the_reply_ring_is_bounded_by_queue_capacity_over_rate() {
+        // g = 2, q = 5, 24 distinct chunks a tick against 2 x 2 drained:
+        // queues sit full and Greedy turns the overflow away.
+        let (rate, queue) = (2u32, 5u32);
+        let mut c = two_servers(rate, queue);
+        let view = c.kv.simulation().view();
+        let capacity: u32 = (0..view.num_classes()).map(|k| view.capacity(k)).sum();
+        assert_eq!(capacity, queue);
+        let bound = capacity.div_ceil(rate) as usize + 1;
+        let mut longest = 0;
+        for t in 0..200 {
+            admit_distinct(&mut c, t * 24, 24);
+            c.tick();
+            longest = longest.max(c.scheduled.len());
+            assert!(c.scheduled.len() <= bound, "tick {t}");
+        }
+        assert!(longest >= 1, "replies did wait behind a backlog");
+        let stats = c.tenant_serve_stats(0);
+        assert!(stats.rejects() > 0, "the run was saturated: {stats:?}");
+        for _ in 0..bound {
+            c.tick();
+        }
+        assert!(c.drained(), "{bound} ticks empty the ring");
     }
 
     #[test]

@@ -12,20 +12,11 @@
 
 use rlb_sync::{Arc, Mutex};
 
-use crate::proto::{DecodeError, Frame, FrameReader};
-
-/// One direction of byte flow.
-#[derive(Default)]
-struct Lane {
-    bytes: Vec<u8>,
-    closed: bool,
-}
-
 struct Duplex {
     /// Bytes flowing a → b.
-    ab: Mutex<Lane>,
+    ab: Mutex<Vec<u8>>,
     /// Bytes flowing b → a.
-    ba: Mutex<Lane>,
+    ba: Mutex<Vec<u8>>,
 }
 
 /// One endpoint of an in-memory duplex byte pipe.
@@ -33,31 +24,28 @@ pub struct PipeEnd {
     duplex: Arc<Duplex>,
     /// True for the `a` side (writes into `ab`, reads from `ba`).
     is_a: bool,
-    reader: FrameReader,
 }
 
 /// Creates a connected endpoint pair.
 pub fn pipe() -> (PipeEnd, PipeEnd) {
     let duplex = Arc::new(Duplex {
-        ab: Mutex::new(Lane::default()),
-        ba: Mutex::new(Lane::default()),
+        ab: Mutex::new(Vec::new()),
+        ba: Mutex::new(Vec::new()),
     });
     (
         PipeEnd {
             duplex: Arc::clone(&duplex),
             is_a: true,
-            reader: FrameReader::new(),
         },
         PipeEnd {
             duplex,
             is_a: false,
-            reader: FrameReader::new(),
         },
     )
 }
 
 impl PipeEnd {
-    fn tx(&self) -> &Mutex<Lane> {
+    fn tx(&self) -> &Mutex<Vec<u8>> {
         if self.is_a {
             &self.duplex.ab
         } else {
@@ -65,33 +53,12 @@ impl PipeEnd {
         }
     }
 
-    fn rx(&self) -> &Mutex<Lane> {
+    fn rx(&self) -> &Mutex<Vec<u8>> {
         if self.is_a {
             &self.duplex.ba
         } else {
             &self.duplex.ab
         }
-    }
-
-    /// Encodes a frame into the outgoing lane.
-    pub fn send(&self, frame: &Frame) {
-        let mut lane = self.tx().lock().expect("pipe lane lock");
-        if !lane.closed {
-            frame.encode(&mut lane.bytes);
-        }
-    }
-
-    /// Moves every buffered incoming byte into this end's frame reader
-    /// and decodes complete frames, mirroring `TcpSession::read_frames`.
-    pub fn recv(&mut self) -> (Vec<Frame>, Option<DecodeError>) {
-        let incoming = {
-            let mut lane = self.rx().lock().expect("pipe lane lock");
-            std::mem::take(&mut lane.bytes)
-        };
-        if !incoming.is_empty() {
-            self.reader.push(&incoming);
-        }
-        self.reader.drain()
     }
 
     /// Appends pre-encoded frame bytes to the outgoing lane (the sim
@@ -99,28 +66,14 @@ impl PipeEnd {
     /// bytes serially).
     pub fn send_bytes(&self, bytes: &[u8]) {
         let mut lane = self.tx().lock().expect("pipe lane lock");
-        if !lane.closed {
-            lane.bytes.extend_from_slice(bytes);
-        }
+        lane.extend_from_slice(bytes);
     }
 
     /// Drains the incoming lane's raw bytes without decoding (the sim
     /// driver decodes them on pool workers instead).
     pub fn take_bytes(&self) -> Vec<u8> {
         let mut lane = self.rx().lock().expect("pipe lane lock");
-        std::mem::take(&mut lane.bytes)
-    }
-
-    /// Closes the outgoing lane; subsequent sends are dropped.
-    pub fn close(&self) {
-        self.tx().lock().expect("pipe lane lock").closed = true;
-    }
-
-    /// Whether the peer has closed its outgoing lane and every byte it
-    /// sent has been consumed.
-    pub fn peer_done(&self) -> bool {
-        let lane = self.rx().lock().expect("pipe lane lock");
-        lane.closed && lane.bytes.is_empty()
+        std::mem::take(&mut *lane)
     }
 }
 
@@ -129,35 +82,24 @@ mod tests {
     use super::*;
 
     #[test]
-    fn frames_cross_the_pipe_both_ways() {
-        let (a, mut b) = pipe();
-        let mut a = a;
-        a.send(&Frame::Ping { nonce: 1 });
-        a.send(&Frame::Ping { nonce: 2 });
-        let (frames, err) = b.recv();
-        assert!(err.is_none());
-        assert_eq!(
-            frames,
-            vec![Frame::Ping { nonce: 1 }, Frame::Ping { nonce: 2 }]
-        );
-        b.send(&Frame::Ping { nonce: 3 });
-        let (back, err) = a.recv();
-        assert!(err.is_none());
-        assert_eq!(back, vec![Frame::Ping { nonce: 3 }]);
+    fn bytes_cross_the_pipe_both_ways_in_order() {
+        let (a, b) = pipe();
+        a.send_bytes(b"one");
+        a.send_bytes(b"two");
+        assert_eq!(b.take_bytes(), b"onetwo", "sends append in order");
+        b.send_bytes(b"back");
+        assert_eq!(a.take_bytes(), b"back");
     }
 
     #[test]
-    fn close_is_observed_after_drain() {
-        let (a, mut b) = pipe();
-        a.send(&Frame::Ping { nonce: 9 });
-        a.close();
-        assert!(!b.peer_done(), "unread bytes keep the peer not-done");
-        let (frames, _) = b.recv();
-        assert_eq!(frames.len(), 1);
-        assert!(b.peer_done());
-        // Sends after close are dropped, not buffered.
-        a.send(&Frame::Ping { nonce: 10 });
-        let (frames, _) = b.recv();
-        assert!(frames.is_empty());
+    fn take_empties_the_lane_and_lanes_are_independent() {
+        let (a, b) = pipe();
+        a.send_bytes(b"x");
+        assert!(
+            a.take_bytes().is_empty(),
+            "an end never reads its own bytes"
+        );
+        assert_eq!(b.take_bytes(), b"x");
+        assert!(b.take_bytes().is_empty(), "taken bytes are gone");
     }
 }

@@ -2,9 +2,13 @@
 //!
 //! The accept thread pushes newly accepted connections into a
 //! [`SessionRegistry`]; the reactor drains them at the top of each
-//! pass. Shutdown is the schedule-sensitive part: the reactor may be
+//! pass. Shutdown is the schedule-sensitive part: a consumer may be
 //! blocked in [`SessionRegistry::wait_any`] with no clients when
-//! shutdown is requested, and the accept thread may be mid-insert. The
+//! shutdown is requested, and the accept thread may be mid-insert.
+//! (Today's reactor never blocks there — it polls
+//! [`SessionRegistry::drain`] and sleeps 200 µs after an idle pass —
+//! so `wait_any` runs only under test, `tests/model.rs` above all; it
+//! is kept as the wake ROADMAP item 1(a) names for the reactor.) The
 //! protocol here is the one PR 4's review established for the pool:
 //! the closed flag is stored *while holding the queue mutex*, so the
 //! store is ordered against any waiter's check-then-wait and the

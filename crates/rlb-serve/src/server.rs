@@ -103,7 +103,6 @@ pub fn serve_blocking<P: Policy>(
 
     let mut sessions: Vec<Option<Arc<Mutex<TcpSession>>>> = Vec::new();
     let mut accepted: u64 = 0;
-    let mut responses: u64 = 0;
     let mut draining = false;
 
     loop {
@@ -140,42 +139,27 @@ pub fn serve_blocking<P: Policy>(
 
         // 3. Serial core pass, in session order: the single place
         //    shared state mutates, so worker count cannot reorder it.
-        let mut outgoing: Vec<(SessionId, Vec<Frame>)> = Vec::new();
+        //    Responses collect per session, indexed by session id.
+        let mut outgoing: Vec<Vec<Frame>> = vec![Vec::new(); sessions.len()];
         let mut dead: Vec<SessionId> = Vec::new();
         for read in reads {
-            let mut to_session: Vec<Frame> = Vec::new();
+            let to_session = &mut outgoing[read.sid as usize];
             for frame in read.frames {
                 worked = true;
                 if !draining {
-                    if let Some(resp) = core.on_frame(read.sid, frame) {
-                        if !matches!(resp, Frame::Ping { .. }) {
-                            responses += 1;
-                        }
-                        to_session.push(resp);
-                    }
-                } else {
+                    to_session.extend(core.on_frame(read.sid, frame));
+                } else if let Frame::Get { req_id, tenant, .. }
+                | Frame::Put { req_id, tenant, .. } = frame
+                {
                     // Past shutdown: every new request is turned away.
-                    if let Some(req_id) = request_id(&frame) {
-                        responses += 1;
-                        to_session.push(Frame::Reject {
-                            req_id,
-                            cause: RejectCause::Shutdown,
-                        });
-                    }
+                    to_session.push(core.reject(tenant, req_id, RejectCause::Shutdown));
                 }
             }
             if read.malformed {
-                responses += 1;
-                to_session.push(Frame::Reject {
-                    req_id: 0,
-                    cause: RejectCause::Malformed,
-                });
+                to_session.push(core.reject(0, 0, RejectCause::Malformed));
                 dead.push(read.sid);
             } else if read.closed {
                 dead.push(read.sid);
-            }
-            if !to_session.is_empty() {
-                outgoing.push((read.sid, to_session));
             }
         }
 
@@ -183,22 +167,20 @@ pub fn serve_blocking<P: Policy>(
         if !core.drained() {
             worked = true;
             for (sid, frame) in core.tick() {
-                responses += 1;
-                match outgoing.iter_mut().find(|(s, _)| *s == sid) {
-                    Some((_, frames)) => frames.push(frame),
-                    None => outgoing.push((sid, vec![frame])),
-                }
+                outgoing[sid as usize].push(frame);
             }
         }
 
         // 5. Fan encode + socket writes back out over the pool.
         let writes: Vec<(SessionId, Arc<Mutex<TcpSession>>, Vec<Frame>)> = outgoing
             .into_iter()
-            .filter_map(|(sid, frames)| {
-                sessions
-                    .get(sid as usize)
-                    .and_then(|s| s.as_ref())
-                    .map(|arc| (sid, Arc::clone(arc), frames))
+            .zip(&sessions)
+            .enumerate()
+            .filter_map(|(sid, (frames, session))| match session {
+                Some(session) if !frames.is_empty() => {
+                    Some((sid as SessionId, Arc::clone(session), frames))
+                }
+                _ => None,
             })
             .collect();
         let failed: Vec<Option<SessionId>> = pool.map(writes, |(sid, session, frames)| {
@@ -234,7 +216,7 @@ pub fn serve_blocking<P: Policy>(
         // 7. Shutdown protocol: close the registry, stop admitting,
         //    drain, exit.
         let stop_requested = opts.shutdown.load(Ordering::Relaxed)
-            || opts.max_requests.is_some_and(|n| responses >= n);
+            || opts.max_requests.is_some_and(|n| core.responses() >= n);
         if stop_requested && !draining {
             registry.shutdown();
             draining = true;
@@ -259,18 +241,10 @@ pub fn serve_blocking<P: Policy>(
     let _ = acceptor.join();
 
     Ok(ServeOutcome {
-        responses,
+        responses: core.responses(),
         sessions: accepted,
         summary: core.render_summary(),
     })
-}
-
-/// The request id a client-issued frame would expect a response under.
-fn request_id(frame: &Frame) -> Option<u32> {
-    match frame {
-        Frame::Get { req_id, .. } | Frame::Put { req_id, .. } => Some(*req_id),
-        Frame::Ping { .. } | Frame::Reply { .. } | Frame::Reject { .. } => None,
-    }
 }
 
 /// Accept-thread body: poll the non-blocking listener, hand streams to
@@ -289,12 +263,9 @@ fn accept_loop(listener: &TcpListener, registry: &SessionRegistry<TcpStream>) {
                     return;
                 }
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_micros(200));
-            }
-            Err(_) => {
-                std::thread::sleep(Duration::from_micros(200));
-            }
+            // Nothing to accept yet (`WouldBlock`) or an accept that
+            // failed for one connection: poll again after a pause.
+            Err(_) => std::thread::sleep(Duration::from_micros(200)),
         }
     }
 }
