@@ -28,6 +28,21 @@ pub(crate) fn parse_positive<T: FromStr + PartialEq + From<u8>>(
     Ok(v)
 }
 
+/// Parses one finite float satisfying `ok`; `constraint` completes
+/// "must be …" in the error ("in (0, 1]").
+pub(crate) fn parse_float(
+    flag: &str,
+    raw: &str,
+    constraint: &str,
+    ok: impl Fn(f64) -> bool,
+) -> Result<f64, String> {
+    let x: f64 = parse_num(flag, raw)?;
+    if !(x.is_finite() && ok(x)) {
+        return Err(format!("{flag}: must be {constraint}, got {raw:?}"));
+    }
+    Ok(x)
+}
+
 /// A cursor over one subcommand's arguments: `next_flag` yields the
 /// next flag, the other methods read that flag's operand.
 pub(crate) struct Flags<'a> {
@@ -77,20 +92,14 @@ impl<'a> Flags<'a> {
         parse_positive(flag, self.value(flag)?)
     }
 
-    /// A finite float operand satisfying `ok`; `constraint` completes
-    /// "must be …" in the error ("in (0, 1]").
+    /// A float operand, as [`parse_float`] reads it.
     pub(crate) fn float(
         &mut self,
         flag: &str,
         constraint: &str,
         ok: impl Fn(f64) -> bool,
     ) -> Result<f64, String> {
-        let raw = self.value(flag)?;
-        let x: f64 = parse_num(flag, raw)?;
-        if !(x.is_finite() && ok(x)) {
-            return Err(format!("{flag}: must be {constraint}, got {raw:?}"));
-        }
-        Ok(x)
+        parse_float(flag, self.value(flag)?, constraint, ok)
     }
 
     /// Reads `arg`'s operand into `config`/`policy` if `arg` is one of

@@ -9,7 +9,7 @@
 //! output for a fixed seed regardless of `--jobs` (the property
 //! `rlb-load`'s golden test pins).
 
-use crate::flags::{parse_positive, unknown, Flags};
+use crate::flags::{parse_float, parse_positive, unknown, Flags};
 use rlb_core::policies::{with_policy, PolicyVisitor};
 use rlb_core::{Policy, SimConfig};
 use rlb_load::{run_live, run_sim, Client, ClientConfig, LiveSpec, Mode, Popularity, SimSpec};
@@ -164,15 +164,10 @@ fn parse_popularity(spec: &str) -> Result<Popularity, String> {
         ("uniform", [u]) => Ok(Popularity::Uniform {
             universe: parse_positive("--popularity", u)?,
         }),
-        ("zipf", [alpha, u]) => {
-            let alpha: f64 = alpha
-                .parse()
-                .map_err(|_| format!("--popularity: bad alpha {alpha:?}"))?;
-            Ok(Popularity::Zipf {
-                alpha,
-                universe: parse_positive("--popularity", u)?,
-            })
-        }
+        ("zipf", [alpha, u]) => Ok(Popularity::Zipf {
+            alpha: parse_float("--popularity", alpha, "finite and >= 0", |a| a >= 0.0)?,
+            universe: parse_positive("--popularity", u)?,
+        }),
         ("phased", [w, k, t, u]) => Ok(Popularity::Phased {
             sets: parse_positive("--popularity", w)?,
             set_size: parse_positive("--popularity", k)?,

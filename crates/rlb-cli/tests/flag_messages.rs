@@ -37,6 +37,19 @@ const CASES: &[(Parser, &str, &str)] = &[
     (FASTFORWARD, "--damping nan", "--damping: must be in (0, 1], got \"nan\""),
     (FASTFORWARD, "--tolerance inf", "--tolerance: must be positive, got \"inf\""),
     (FASTFORWARD, "--lambda -1", "--lambda: must be finite and >= 0, got \"-1\""),
+    // A `--workload` / `--popularity` field outside what the generator
+    // behind it asserts: counts are integers, not floats cast to one.
+    (RUN, "--workload repeated:-5", "--workload: k must be an integer >= 1, got \"-5\""),
+    (RUN, "--workload repeated:3.9", "--workload: k must be an integer >= 1, got \"3.9\""),
+    (RUN, "--workload fresh:nan", "--workload: per_step must be an integer >= 1, got \"nan\""),
+    (RUN, "--workload fresh:1e30", "--workload: per_step must be an integer >= 1, got \"1e30\""),
+    (RUN, "--workload zipf:0.9,-4", "--workload: per_step must be an integer >= 1, got \"-4\""),
+    (RUN, "--workload burst:8,4,0,0", "--workload: burst_len must be an integer >= 1, got \"0\""),
+    (RUN, "--workload phased:0,4,5", "--workload: sets must be an integer >= 1, got \"0\""),
+    (RUN, "--workload partial:2.5,16", "--workload: p must be a number in [0, 1], got \"2.5\""),
+    (RUN, "--workload fresh:100 --chunks 64", "--workload: per_step must be at most the universe of 64 chunks, got \"100\""),
+    (RUN, "--workload nope:1", "--workload: expected repeated:K | fresh:N | partial:P,N | zipf:ALPHA,N | phased:SETS,K,STEPS | burst:N,TROUGH,LEN,TROUGH_LEN, got \"nope:1\""),
+    (SERVE, "--sim-clock --popularity zipf:-3,100", "--popularity: must be finite and >= 0, got \"-3\""),
     // An argument no arm takes.
     (RUN, "--bogus", "unknown option \"--bogus\""),
     (TRACE, "--bogus", "unknown option \"--bogus\""),

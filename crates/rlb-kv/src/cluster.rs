@@ -40,11 +40,11 @@ pub struct TenantStats {
     pub rejected: u64,
 }
 
-/// Per-step chunk-request index: membership ("is this chunk already
-/// pending?") plus the owning tenant, keyed by chunk id.
+/// Per-step chunk-request index: which slot of this step's pending list
+/// a chunk already occupies, keyed by chunk id.
 ///
 /// A stamped dense array instead of a `HashMap`: chunk ids are `<
-/// num_chunks`, so one slot per chunk with a generation stamp gives O(1)
+/// num_chunks`, so one entry per chunk with a generation stamp gives O(1)
 /// insert/lookup, an O(1) per-step clear (bump the generation), and —
 /// unlike a hash table — a deterministic memory layout with no
 /// iteration-order hazard (the workspace `determinism` lint forbids
@@ -52,8 +52,8 @@ pub struct TenantStats {
 struct PendingIndex {
     /// Generation at which each chunk was last inserted.
     stamp: Vec<u32>,
-    /// Owning tenant, valid only where `stamp` matches `current`.
-    owner: Vec<u16>,
+    /// The chunk's slot, valid only where `stamp` matches `current`.
+    slot: Vec<u32>,
     /// Current step's generation; never 0 so a zeroed stamp is "absent".
     current: u32,
 }
@@ -62,28 +62,20 @@ impl PendingIndex {
     fn new(num_chunks: usize) -> Self {
         Self {
             stamp: vec![0; num_chunks],
-            owner: vec![0; num_chunks],
+            slot: vec![0; num_chunks],
             current: 1,
         }
     }
 
-    /// Marks `chunk` pending with owner `tenant`. Returns `true` if the
-    /// chunk was not yet pending this step.
-    fn insert(&mut self, chunk: u32, tenant: u16) -> bool {
+    /// Marks `chunk` pending in slot `next` unless it already holds a
+    /// slot this step; returns the slot it holds.
+    fn insert(&mut self, chunk: u32, next: u32) -> u32 {
         let i = chunk as usize;
-        if self.stamp[i] == self.current {
-            return false;
+        if self.stamp[i] != self.current {
+            self.stamp[i] = self.current;
+            self.slot[i] = next;
         }
-        self.stamp[i] = self.current;
-        self.owner[i] = tenant;
-        true
-    }
-
-    /// The tenant whose key created the pending request for `chunk`
-    /// this step, if any.
-    fn owner_of(&self, chunk: u32) -> Option<u16> {
-        let i = chunk as usize;
-        (self.stamp[i] == self.current).then(|| self.owner[i])
+        self.slot[i]
     }
 
     /// O(1) clear: start the next generation. On the (practically
@@ -99,26 +91,34 @@ impl PendingIndex {
     }
 }
 
-/// The one observer of a committed step: attributes each chunk's routing
-/// outcome to the tenant whose key created the chunk request, then hands
-/// the decision to the caller's tap (see
-/// [`KvCluster::commit_step_observed`]).
-struct DecisionTap<'a, F: FnMut(u32, Decision)> {
-    owner_of_chunk: &'a PendingIndex,
+/// The one observer of a committed step. The engine routes the pending
+/// chunks in the order they were handed over, so the decisions made so
+/// far count the slot being decided: the outcome is attributed to the
+/// tenant whose key opened that slot, then kept for
+/// [`KvCluster::decision`].
+struct StepTap<'a> {
+    pending: &'a [u32],
+    owners: &'a [u16],
     stats: &'a mut [TenantStats],
-    on_decision: F,
+    decisions: &'a mut Vec<Decision>,
 }
 
-impl<F: FnMut(u32, Decision)> Observer for DecisionTap<'_, F> {
+impl Observer for StepTap<'_> {
     fn on_route(&mut self, _step: u64, chunk: u32, decision: Decision) {
-        if let Some(tenant) = self.owner_of_chunk.owner_of(chunk) {
-            let entry = &mut self.stats[tenant as usize];
+        let slot = self.decisions.len();
+        debug_assert_eq!(
+            self.pending.get(slot),
+            Some(&chunk),
+            "the engine left pending order"
+        );
+        let owner = self.owners.get(slot);
+        if let Some(entry) = owner.and_then(|&tenant| self.stats.get_mut(tenant as usize)) {
             match decision {
                 Decision::Route { .. } => entry.accepted += 1,
                 Decision::Reject(_) => entry.rejected += 1,
             }
         }
-        (self.on_decision)(chunk, decision);
+        self.decisions.push(decision);
     }
 }
 
@@ -158,9 +158,13 @@ pub struct KvCluster<P: Policy, S: TraceSink = NoopSink> {
 /// on the sink, so [`KvCluster::with_sink`] moves it whole.
 struct KeyFront {
     directory: ChunkDirectory,
+    /// This step's distinct chunks, in first-seen order: slot `i` is
+    /// `pending[i]`, opened by a key of tenant `owners[i]`.
     pending: Vec<u32>,
-    /// Membership + tenant attribution for this step's pending chunks.
+    owners: Vec<u16>,
     pending_index: PendingIndex,
+    /// The last committed step's routing decisions, one per slot.
+    decisions: Vec<Decision>,
     coalesced_this_step: u64,
     /// Cumulative per-tenant accounting, indexed by tenant id.
     tenant_stats: Vec<TenantStats>,
@@ -173,7 +177,9 @@ impl<P: Policy> KvCluster<P> {
         let keys = KeyFront {
             directory: ChunkDirectory::new(config.num_chunks, config.seed ^ 0x6b76, 64),
             pending: Vec::new(),
+            owners: Vec::new(),
             pending_index: PendingIndex::new(config.num_chunks),
+            decisions: Vec::new(),
             coalesced_this_step: 0,
             tenant_stats: Vec::new(),
         };
@@ -215,10 +221,9 @@ impl<P: Policy, S: TraceSink> KvCluster<P, S> {
         self.sim.sink()
     }
 
-    /// Issues a `get` for `key` in the current step. Returns `true` if a
-    /// new chunk request was created, `false` if it coalesced into an
-    /// existing one. Attributed to tenant 0.
-    pub fn get(&mut self, key: u64) -> bool {
+    /// Issues a `get` for `key` in the current step, attributed to
+    /// tenant 0. Returns the slot, as [`KvCluster::get_for`] does.
+    pub fn get(&mut self, key: u64) -> u32 {
         self.get_for(0, key)
     }
 
@@ -227,7 +232,13 @@ impl<P: Policy, S: TraceSink> KvCluster<P, S> {
     /// [`KvCluster::tenant_stats`]). A chunk request is attributed to the
     /// tenant whose key created it; coalesced followers are counted per
     /// their own tenant.
-    pub fn get_for(&mut self, tenant: u16, key: u64) -> bool {
+    ///
+    /// Returns the **slot** of the chunk request the key rides on this
+    /// step. Slots count a step's distinct chunks from 0 in first-seen
+    /// order, so two keys get the same slot exactly when they coalesce,
+    /// and after the commit [`KvCluster::decision`] of that slot is the
+    /// key's routing outcome.
+    pub fn get_for(&mut self, tenant: u16, key: u64) -> u32 {
         if self.keys.tenant_stats.len() <= tenant as usize {
             self.keys
                 .tenant_stats
@@ -235,14 +246,16 @@ impl<P: Policy, S: TraceSink> KvCluster<P, S> {
         }
         self.keys.tenant_stats[tenant as usize].key_requests += 1;
         let chunk = self.keys.directory.chunk_of(key);
-        let created = if self.keys.pending_index.insert(chunk, tenant) {
+        let next = self.keys.pending.len() as u32;
+        let slot = self.keys.pending_index.insert(chunk, next);
+        let created = slot == next;
+        if created {
             self.keys.pending.push(chunk);
-            true
+            self.keys.owners.push(tenant);
         } else {
             self.keys.coalesced_this_step += 1;
             self.keys.tenant_stats[tenant as usize].coalesced += 1;
-            false
-        };
+        }
         if S::ENABLED {
             let step = self.sim.step_count();
             self.sim.sink_mut().on_event(&TraceEvent::TenantOp {
@@ -253,7 +266,7 @@ impl<P: Policy, S: TraceSink> KvCluster<P, S> {
                 coalesced: !created,
             });
         }
-        created
+        slot
     }
 
     /// Accounting for `tenant` so far (zeros if the tenant never issued
@@ -278,31 +291,22 @@ impl<P: Policy, S: TraceSink> KvCluster<P, S> {
         self.sim.view().total_backlog()
     }
 
-    /// Executes one time step with the accumulated requests.
+    /// Executes one time step with the accumulated requests. Each
+    /// slot's routing decision stays readable through
+    /// [`KvCluster::decision`] until the next commit.
     pub fn commit_step(&mut self) -> StepSummary {
-        self.commit_step_observed(|_, _| {})
-    }
-
-    /// Like [`KvCluster::commit_step`], but also invokes `on_decision`
-    /// with each pending chunk's routing decision as the engine makes
-    /// it, in engine routing order. This is how a serving layer learns
-    /// *which replica* each accepted request landed on (and why each
-    /// reject happened) without re-deriving policy state: the tap fires
-    /// inside the one observer pass, right after tenant attribution.
-    pub fn commit_step_observed<F>(&mut self, on_decision: F) -> StepSummary
-    where
-        F: FnMut(u32, Decision),
-    {
         let step = self.sim.step_count();
         let rejected_before = self.sim.stats().rejected_total();
         let chunk_requests = self.keys.pending.len() as u64;
         let mut oneshot = OneShot {
             chunks: &self.keys.pending,
         };
-        let mut tap = DecisionTap {
-            owner_of_chunk: &self.keys.pending_index,
+        self.keys.decisions.clear();
+        let mut tap = StepTap {
+            pending: &self.keys.pending,
+            owners: &self.keys.owners,
             stats: &mut self.keys.tenant_stats,
-            on_decision,
+            decisions: &mut self.keys.decisions,
         };
         self.sim.run_observed(&mut oneshot, 1, &mut tap);
         let rejected = self.sim.stats().rejected_total() - rejected_before;
@@ -313,9 +317,20 @@ impl<P: Policy, S: TraceSink> KvCluster<P, S> {
             rejected,
         };
         self.keys.pending.clear();
+        self.keys.owners.clear();
         self.keys.pending_index.clear();
         self.keys.coalesced_this_step = 0;
         summary
+    }
+
+    /// What the last committed step decided for `slot` (see
+    /// [`KvCluster::get_for`]): the replica and queue class the chunk
+    /// request was enqueued on, or why it was rejected — after the
+    /// engine's own rewrites, so a `Route` the chosen queue had no room
+    /// for reads as `Reject(Overflow)`. `None` for a slot that step did
+    /// not have.
+    pub fn decision(&self, slot: u32) -> Option<Decision> {
+        self.keys.decisions.get(slot as usize).copied()
     }
 
     /// Advances `steps` idle steps (no new requests; queues drain).
@@ -339,6 +354,7 @@ impl<P: Policy, S: TraceSink> KvCluster<P, S> {
 mod tests {
     use super::*;
     use rlb_core::policies::Greedy;
+    use rlb_core::{ClassSpec, ClusterView, RejectReason, RouteCtx};
 
     fn cluster() -> KvCluster<Greedy> {
         let config = SimConfig::baseline(16).with_seed(5);
@@ -365,8 +381,7 @@ mod tests {
         // Pin two keys to the same chunk to force coalescing.
         kv.directory_mut().pin(1, 3).unwrap();
         kv.directory_mut().pin(2, 3).unwrap();
-        assert!(kv.get(1));
-        assert!(!kv.get(2));
+        assert_eq!(kv.get(1), kv.get(2));
         let summary = kv.commit_step();
         assert_eq!(summary.chunk_requests, 1);
         assert_eq!(summary.coalesced_keys, 1);
@@ -446,23 +461,88 @@ mod tests {
     }
 
     #[test]
-    fn observed_commit_taps_every_decision() {
+    fn every_slot_of_a_committed_step_has_its_decision() {
         let mut kv = cluster();
-        for key in 0..50u64 {
-            kv.get(key);
-        }
-        let mut decisions = Vec::new();
-        let summary = kv.commit_step_observed(|chunk, d| decisions.push((chunk, d)));
+        let slots: Vec<u32> = (0..50u64).map(|key| kv.get(key)).collect();
+        let summary = kv.commit_step();
+        let decisions: Vec<Decision> = (0..).map_while(|slot| kv.decision(slot)).collect();
         assert_eq!(decisions.len() as u64, summary.chunk_requests);
+        assert!(slots.iter().all(|&slot| kv.decision(slot).is_some()));
         let rejects = decisions
             .iter()
-            .filter(|(_, d)| matches!(d, Decision::Reject(_)))
+            .filter(|d| matches!(d, Decision::Reject(_)))
             .count() as u64;
         assert_eq!(rejects, summary.rejected);
-        // The tap and the plain commit share one observer pass, so
-        // tenant attribution still balances.
+        // Keeping the decisions and attributing tenants are one observer
+        // pass, so tenant attribution still balances.
         let t0 = kv.tenant_stats(0);
         assert_eq!(t0.accepted + t0.rejected + t0.coalesced, t0.key_requests);
+        // Readable until the next commit, which replaces them.
+        kv.idle(1);
+        assert_eq!(kv.decision(0), decisions.first().copied());
+        kv.commit_step();
+        assert_eq!(kv.decision(0), None);
+    }
+
+    /// Routes to the first replica without asking whether it has room,
+    /// so the engine has `Route`s to rewrite into `Reject(Overflow)`.
+    struct FirstReplicaBlind;
+
+    impl Policy for FirstReplicaBlind {
+        fn name(&self) -> &'static str {
+            "first-replica-blind"
+        }
+        fn queue_classes(&self, config: &SimConfig) -> Vec<ClassSpec> {
+            Greedy::new().queue_classes(config)
+        }
+        fn route(&mut self, ctx: RouteCtx<'_>, _: &ClusterView<'_>) -> Decision {
+            Decision::Route {
+                server: ctx.replicas[0],
+                class: 0,
+            }
+        }
+    }
+
+    #[test]
+    fn slots_are_dense_in_first_seen_order_and_name_the_engines_decisions() {
+        // 4 servers, g = 1, q = 2 under 40 keys over 16 chunks a step:
+        // first replicas fill and the engine overflows.
+        let config = SimConfig::explicit(4, 2, 1, 2).with_seed(3);
+        let mut kv = KvCluster::new(config.clone(), FirstReplicaBlind);
+        let mut twin = Simulation::new(config, FirstReplicaBlind);
+        let mut overflows = 0;
+        for step in 0..4u64 {
+            // First-seen order of this step's chunks, and each key's slot.
+            let mut chunks: Vec<u32> = Vec::new();
+            for key in (step * 100..).take(40) {
+                let chunk = kv.directory().chunk_of(key);
+                let slot = kv.get_for((key % 3) as u16, key);
+                // The slot its chunk already holds, else the next one.
+                let seen = chunks.iter().position(|&c| c == chunk);
+                assert_eq!(slot as usize, seen.unwrap_or(chunks.len()));
+                if seen.is_none() {
+                    chunks.push(chunk);
+                }
+            }
+            assert_eq!(kv.pending_requests(), chunks.len());
+            kv.commit_step();
+            // What the observer is told when the bare engine routes the
+            // same chunks in that order.
+            let mut seen = Vec::new();
+            let mut tap = StepTap {
+                pending: &chunks,
+                owners: &[],
+                stats: &mut [],
+                decisions: &mut seen,
+            };
+            twin.run_observed(&mut OneShot { chunks: &chunks }, 1, &mut tap);
+            assert_eq!(seen.len(), chunks.len());
+            let ours: Vec<Decision> = (0..).map_while(|slot| kv.decision(slot)).collect();
+            assert_eq!(ours, seen, "step {step}");
+            let overflow = Decision::Reject(RejectReason::Overflow);
+            overflows += seen.iter().filter(|&&d| d == overflow).count();
+        }
+        assert!(overflows > 0, "no step had an overflow rewrite");
     }
 
     #[test]

@@ -7,7 +7,7 @@ use rlb_core::policies::Greedy;
 use rlb_core::{SimConfig, TraceEvent};
 use rlb_kv::KvCluster;
 use rlb_pool::Pool;
-use rlb_trace::{parse_jsonl, JsonlSink, Recorder};
+use rlb_trace::{parse_jsonl, JsonlSink};
 
 /// One traced trial: a multi-tenant key workload on a greedy cluster,
 /// fully drained, returning summary counters plus the JSONL stream.
@@ -68,17 +68,16 @@ fn golden_trace_is_byte_identical_across_thread_counts() {
 #[test]
 fn tenant_ops_carry_coalescing_and_interleave_with_engine_events() {
     let config = SimConfig::baseline(16).with_seed(5);
-    let mut kv = KvCluster::new(config, Greedy::new()).with_sink(Recorder::new(4096));
+    let mut kv = KvCluster::new(config, Greedy::new()).with_sink(JsonlSink::new());
     // Pin two keys to one chunk so the second `get` coalesces.
     kv.directory_mut().pin(1, 3).unwrap();
     kv.directory_mut().pin(2, 3).unwrap();
-    assert!(kv.get_for(7, 1));
-    assert!(!kv.get_for(8, 2));
+    assert_eq!(kv.get_for(7, 1), kv.get_for(8, 2));
     kv.commit_step();
 
-    let ops: Vec<&TraceEvent> = kv
-        .sink()
-        .events()
+    let events = parse_jsonl(kv.sink().as_str()).unwrap();
+    let ops: Vec<&TraceEvent> = events
+        .iter()
         .filter(|e| matches!(e, TraceEvent::TenantOp { .. }))
         .collect();
     assert_eq!(ops.len(), 2);
@@ -104,7 +103,6 @@ fn tenant_ops_carry_coalescing_and_interleave_with_engine_events() {
     );
 
     // Key ops precede the routing of the step they belong to.
-    let events: Vec<&TraceEvent> = kv.sink().events().collect();
     let first_route = events
         .iter()
         .position(|e| matches!(e, TraceEvent::Route { .. }))

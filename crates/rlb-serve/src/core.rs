@@ -15,23 +15,25 @@
 //! folded and handed to the cluster on the spot, and the same record
 //! waits for the step, then for its reply. [`ServerCore::tick`] commits
 //! the step, routing every distinct chunk with the configured policy
-//! against live replica backlogs (via
-//! [`KvCluster::commit_step_observed`]). An accepted request's reply is
-//! scheduled `1 + backlog(server)/rate` ticks out — a modeled service
-//! latency: the queue the routing policy just lengthened is the queue
-//! the reply waits behind. Queues are bounded, so the schedule is a
-//! short ring of per-tick buckets, not a general ordered map. Live mode
-//! drives ticks from wall time; sim-clock mode drives them from the
-//! driver loop. Neither changes routing, admission, or reply content.
+//! against live replica backlogs, and reads each request's outcome back
+//! by the slot the cluster gave its key at admission
+//! ([`KvCluster::decision`]); nothing in a tick walks the servers or
+//! the chunk universe. An accepted request's reply is scheduled
+//! `1 + backlog(server)/rate` ticks out — a modeled service latency:
+//! the queue the routing policy just lengthened is the queue the reply
+//! waits behind. Queues are bounded, so the schedule is a short ring of
+//! per-tick buckets, not a general ordered map. Live mode drives ticks
+//! from wall time; sim-clock mode drives them from the driver loop.
+//! Neither changes routing, admission, or reply content.
 //!
 //! ## Admission and rejects
 //!
-//! A request holds one [`BacklogGate`] unit from acceptance until its
-//! reply or reject frame is handed back, bounding staged + in-engine +
-//! reply-pending work. A full gate rejects at arrival with
-//! [`RejectCause::Admission`]. Every reject frame, whatever its cause
-//! and whichever layer refused the request, is built by
-//! [`ServerCore::reject`], which is what makes the per-tenant,
+//! A request holds one unit of the admission gate (`gate.rs`) from
+//! acceptance until its reply or reject frame is handed back, bounding
+//! staged + in-engine + reply-pending work. A full gate rejects at
+//! arrival with [`RejectCause::Admission`]. Every reject frame,
+//! whatever its cause and whichever layer refused the request, is built
+//! by [`ServerCore::reject`], which is what makes the per-tenant,
 //! per-cause counts complete.
 
 use std::collections::{BTreeMap, VecDeque};
@@ -52,8 +54,9 @@ struct Request {
     session: SessionId,
     req_id: u32,
     tenant: u16,
-    /// Where `tick` finds this request's routing decision.
-    chunk: u32,
+    /// The cluster's slot for the chunk request this key rides on:
+    /// where `tick` finds the routing decision.
+    slot: u32,
     /// The tick it was admitted in; a reply's `latency` counts from it.
     admitted: u64,
     key: Vec<u8>,
@@ -83,6 +86,8 @@ impl TenantServeStats {
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// The simulated cluster (servers, replication, rate, queues, seed).
+    /// `safety_check_every` is ignored: the daemon takes no per-step
+    /// Def. 3.2 snapshot, whatever this says.
     pub engine: SimConfig,
     /// Admission gate limit (max requests in flight through the server).
     pub gate_limit: u64,
@@ -120,27 +125,26 @@ pub struct ServerCore<P: Policy> {
     scheduled: VecDeque<Vec<Request>>,
     tick: u64,
     tenants: Vec<TenantServeStats>,
-    /// This tick's per-chunk decision, stamped scratch (see
-    /// `PendingIndex` in rlb-kv for the idiom).
-    decisions: Vec<Option<Decision>>,
-    touched: Vec<u32>,
     pings: u64,
 }
 
 impl<P: Policy> ServerCore<P> {
     /// Builds the core from a config and a routing policy.
     pub fn new(config: ServeConfig, policy: P) -> Self {
-        let num_chunks = config.engine.num_chunks;
+        // The snapshot is O(servers) a step and feeds a report the
+        // daemon never finishes; a request's path does not include it.
+        let engine = SimConfig {
+            safety_check_every: None,
+            ..config.engine
+        };
         Self {
-            kv: KvCluster::new(config.engine, policy),
+            kv: KvCluster::new(engine, policy),
             gate: BacklogGate::new(config.gate_limit),
             store: BTreeMap::new(),
             staged: Vec::new(),
             scheduled: VecDeque::new(),
             tick: 0,
             tenants: Vec::new(),
-            decisions: vec![None; num_chunks],
-            touched: Vec::new(),
             pings: 0,
         }
     }
@@ -226,13 +230,12 @@ impl<P: Policy> ServerCore<P> {
         // The cluster takes the request now, in arrival order (same-chunk
         // requests coalesce into one chunk request inside it); the next
         // tick only has to commit the step.
-        let folded = key_to_u64(tenant, &key);
-        self.kv.get_for(tenant, folded);
+        let slot = self.kv.get_for(tenant, key_to_u64(tenant, &key));
         self.staged.push(Request {
             session,
             req_id,
             tenant,
-            chunk: self.kv.directory().chunk_of(folded),
+            slot,
             admitted: self.tick,
             key,
             value,
@@ -247,23 +250,14 @@ impl<P: Policy> ServerCore<P> {
     pub fn tick(&mut self) -> Vec<(SessionId, Frame)> {
         let mut out = Vec::new();
 
-        // 1. Commit the step, tapping each chunk's routing decision
-        //    into stamped scratch.
-        let decisions = &mut self.decisions;
-        let touched = &mut self.touched;
-        self.kv.commit_step_observed(|chunk, d| {
-            let slot = &mut decisions[chunk as usize];
-            if slot.is_none() {
-                touched.push(chunk);
-            }
-            *slot = Some(d);
-        });
+        // 1. Commit the step; the cluster keeps one decision per slot.
+        self.kv.commit_step();
 
-        // 2. Resolve every staged request from its chunk's decision.
+        // 2. Resolve every staged request from its slot's decision.
         let rate = self.kv.simulation().config().process_rate;
         let mut staged = std::mem::take(&mut self.staged);
         for req in staged.drain(..) {
-            let cause = match self.decisions[req.chunk as usize] {
+            let cause = match self.kv.decision(req.slot) {
                 Some(Decision::Route { server, .. }) => {
                     // The post-step backlog: the queue the reply waits
                     // behind.
@@ -278,8 +272,8 @@ impl<P: Policy> ServerCore<P> {
                     continue;
                 }
                 Some(Decision::Reject(reason)) => RejectCause::from_engine(reason),
-                // Every staged chunk was handed to the cluster at
-                // admission, so it has a decision; were that ever
+                // Every staged request was handed to the cluster at
+                // admission, so its slot has a decision; were that ever
                 // broken, a live daemon answers rather than panics.
                 None => RejectCause::Policy,
             };
@@ -287,9 +281,6 @@ impl<P: Policy> ServerCore<P> {
             out.push((req.session, self.reject(req.tenant, req.req_id, cause)));
         }
         self.staged = staged;
-        for chunk in self.touched.drain(..) {
-            self.decisions[chunk as usize] = None;
-        }
 
         // 3. Advance time and emit the replies now due (service
         //    completion: puts apply to the store here, gets read here).
@@ -614,24 +605,36 @@ mod tests {
         ServerCore::new(cfg, Greedy::new())
     }
 
+    /// Candidate keys of tenant 0, each with the slot it takes when they
+    /// are admitted in this order within one tick — read off a scratch
+    /// cluster over `c`'s directory, so `c` itself admits nothing.
+    fn probe_slots(c: &ServerCore<Greedy>) -> impl Iterator<Item = (Vec<u8>, u32)> {
+        let mut probe = KvCluster::new(c.kv.simulation().config().clone(), Greedy::new());
+        (0u32..).map(move |k| {
+            let key = k.to_le_bytes().to_vec();
+            let slot = probe.get(key_to_u64(0, &key));
+            (key, slot)
+        })
+    }
+
     /// Admits gets for `n` keys that fall in `n` distinct chunks, with
     /// `req_id`s counting up from `first_id`.
     fn admit_distinct(c: &mut ServerCore<Greedy>, first_id: u32, n: usize) {
-        let mut chunks = Vec::new();
-        for key in (0u32..).map(|k| k.to_le_bytes().to_vec()) {
-            if chunks.len() == n {
+        let mut admitted = 0;
+        for (key, slot) in probe_slots(c) {
+            if admitted == n {
                 break;
             }
-            let chunk = c.kv.directory().chunk_of(key_to_u64(0, &key));
-            if !chunks.contains(&chunk) {
-                let req_id = first_id + chunks.len() as u32;
-                chunks.push(chunk);
+            // A key falls in a new chunk exactly when it opens the next
+            // slot.
+            if slot as usize == admitted {
                 let get = Frame::Get {
-                    req_id,
+                    req_id: first_id + admitted as u32,
                     tenant: 0,
                     key,
                 };
                 assert_eq!(c.on_frame(0, get), None);
+                admitted += 1;
             }
         }
     }
@@ -746,6 +749,93 @@ mod tests {
             c.tick();
         }
         assert!(c.drained(), "{bound} ticks empty the ring");
+    }
+
+    #[test]
+    fn a_tick_takes_no_safety_snapshot() {
+        let config = ServeConfig::baseline(16, 7);
+        assert_eq!(config.engine.safety_check_every, Some(1));
+        let mut c = ServerCore::new(config, Greedy::new());
+        for t in 0..32u32 {
+            for i in 0..8u32 {
+                let get = Frame::Get {
+                    req_id: t * 8 + i,
+                    tenant: 0,
+                    key: vec![t as u8, i as u8],
+                };
+                assert_eq!(c.on_frame(0, get), None);
+            }
+            c.tick();
+        }
+        assert!(c.tenant_serve_stats(0).replies > 0, "the ticks were loaded");
+        assert_eq!(c.kv.simulation().stats().safety_samples, 0);
+    }
+
+    /// Keys in distinct chunks up to the first candidate that shares a
+    /// chunk with one of them: `(keys, leader, follower)`, where
+    /// `keys[leader]` and `follower` coalesce.
+    fn a_coalescing_pair(c: &ServerCore<Greedy>) -> (Vec<Vec<u8>>, usize, Vec<u8>) {
+        let mut keys = Vec::new();
+        for (key, slot) in probe_slots(c) {
+            if (slot as usize) < keys.len() {
+                return (keys, slot as usize, key);
+            }
+            keys.push(key);
+        }
+        unreachable!("the candidates never run out")
+    }
+
+    fn get(req_id: u32, key: &[u8]) -> Frame {
+        Frame::Get {
+            req_id,
+            tenant: 0,
+            key: key.to_vec(),
+        }
+    }
+
+    #[test]
+    fn gets_coalesced_onto_one_chunk_are_served_alike() {
+        let mut c = core();
+        let (keys, leader, follower) = a_coalescing_pair(&c);
+        assert_eq!(c.on_frame(0, get(1, &keys[leader])), None);
+        assert_eq!(c.on_frame(1, get(2, &follower)), None);
+        let reply = |req_id| Frame::Reply {
+            req_id,
+            latency: 1,
+            value: Vec::new(),
+        };
+        assert_eq!(c.tick(), vec![(0, reply(1)), (1, reply(2))]);
+        let stats = c.kv.tenant_stats(0);
+        assert_eq!((stats.key_requests, stats.coalesced), (2, 1));
+        assert_eq!((stats.accepted, stats.rejected), (1, 0));
+    }
+
+    #[test]
+    fn a_get_coalesced_onto_a_rejected_chunk_is_rejected_with_its_cause() {
+        // q = 1: the first two chunks of a tick fill the two servers and
+        // Greedy turns every later one away. The other keys go first, so
+        // the pair's chunk is refused.
+        let mut c = two_servers(1, 1);
+        let (keys, leader, follower) = a_coalescing_pair(&c);
+        for (i, key) in keys.iter().enumerate().filter(|&(i, _)| i != leader) {
+            assert_eq!(c.on_frame(0, get(100 + i as u32, key)), None);
+        }
+        assert_eq!(c.on_frame(0, get(1, &keys[leader])), None);
+        assert_eq!(c.on_frame(1, get(2, &follower)), None);
+        let mut rejects = c.tick();
+        rejects.retain(|(_, frame)| matches!(frame, Frame::Reject { .. }));
+        let refused = |req_id| Frame::Reject {
+            req_id,
+            cause: RejectCause::Policy,
+        };
+        assert_eq!(
+            rejects.last_chunk::<2>(),
+            Some(&[(0, refused(1)), (1, refused(2))]),
+            "{rejects:?}"
+        );
+        // The pair is one refused chunk request and two counted frames.
+        assert_eq!(c.kv.tenant_stats(0).rejected + 1, rejects.len() as u64);
+        assert_eq!(c.tenant_serve_stats(0).rejects(), rejects.len() as u64);
     }
 
     #[test]

@@ -7,48 +7,34 @@
 //! [`RejectCause::Admission`](crate::proto::RejectCause::Admission)
 //! frames instead of unbounded queues.
 //!
-//! The check-then-add must be atomic: decided and applied under one
-//! lock hold. `tests/model.rs` proves the invariant `inflight <= limit`
-//! across all schedules, and that the checker flags the split
-//! check/add variant ([`try_acquire_buggy`]) the moment two admitters
-//! race past a nearly-full gate.
-//!
-//! [`try_acquire_buggy`]: BacklogGate::try_acquire_buggy
-
-use rlb_sync::Mutex;
+//! The gate is plain state of the one [`ServerCore`](crate::ServerCore)
+//! that owns it: every caller reaches it through the core's `&mut self`,
+//! so the check and the add cannot be interleaved and there is nothing
+//! to lock.
 
 /// A counting admission gate with a hard limit.
-pub struct BacklogGate {
+pub(crate) struct BacklogGate {
     limit: u64,
-    inflight: Mutex<u64>,
+    inflight: u64,
 }
 
 impl BacklogGate {
     /// A gate admitting at most `limit` units in flight.
-    pub fn new(limit: u64) -> Self {
-        Self {
-            limit,
-            inflight: Mutex::new(0),
-        }
-    }
-
-    /// The configured limit.
-    pub fn limit(&self) -> u64 {
-        self.limit
+    pub(crate) fn new(limit: u64) -> Self {
+        Self { limit, inflight: 0 }
     }
 
     /// Currently held units.
-    pub fn inflight(&self) -> u64 {
-        *self.inflight.lock().expect("gate lock")
+    pub(crate) fn inflight(&self) -> u64 {
+        self.inflight
     }
 
-    /// Admits `n` units if they fit, atomically. Returns whether the
-    /// units were taken.
-    pub fn try_acquire(&self, n: u64) -> bool {
-        let mut held = self.inflight.lock().expect("gate lock");
-        match held.checked_add(n) {
+    /// Admits `n` units if they fit. Returns whether the units were
+    /// taken.
+    pub(crate) fn try_acquire(&mut self, n: u64) -> bool {
+        match self.inflight.checked_add(n) {
             Some(next) if next <= self.limit => {
-                *held = next;
+                self.inflight = next;
                 true
             }
             _ => false,
@@ -58,31 +44,8 @@ impl BacklogGate {
     /// Returns `n` units to the gate. Over-release is clamped rather
     /// than panicking: the serve loop treats accounting drift as a bug
     /// its tests catch, not a reason to crash a live daemon.
-    pub fn release(&self, n: u64) {
-        let mut held = self.inflight.lock().expect("gate lock");
-        *held = held.saturating_sub(n);
-    }
-
-    /// The seeded check-then-act race for the checker detection test:
-    /// the capacity check and the add happen under *separate* lock
-    /// holds, so two admitters can both pass the check against a
-    /// nearly-full gate and overshoot the limit together. Only exists
-    /// under the `model` feature; never use outside tests.
-    #[cfg(feature = "model")]
-    #[doc(hidden)]
-    pub fn try_acquire_buggy(&self, n: u64) -> bool {
-        let fits = {
-            let held = self.inflight.lock().expect("gate lock");
-            held.checked_add(n).is_some_and(|next| next <= self.limit)
-        };
-        // The gap: another admitter can take the last units here.
-        if fits {
-            let mut held = self.inflight.lock().expect("gate lock");
-            *held = held.saturating_add(n);
-            true
-        } else {
-            false
-        }
+    pub(crate) fn release(&mut self, n: u64) {
+        self.inflight = self.inflight.saturating_sub(n);
     }
 }
 
@@ -92,7 +55,7 @@ mod tests {
 
     #[test]
     fn acquire_release_tracks_inflight() {
-        let g = BacklogGate::new(3);
+        let mut g = BacklogGate::new(3);
         assert!(g.try_acquire(2));
         assert_eq!(g.inflight(), 2);
         assert!(g.try_acquire(1));
@@ -104,7 +67,7 @@ mod tests {
 
     #[test]
     fn overflowing_request_never_wraps() {
-        let g = BacklogGate::new(u64::MAX);
+        let mut g = BacklogGate::new(u64::MAX);
         assert!(g.try_acquire(u64::MAX));
         assert!(!g.try_acquire(1), "checked_add refuses the wrap");
         g.release(1);
@@ -113,7 +76,7 @@ mod tests {
 
     #[test]
     fn over_release_clamps_to_zero() {
-        let g = BacklogGate::new(2);
+        let mut g = BacklogGate::new(2);
         assert!(g.try_acquire(1));
         g.release(5);
         assert_eq!(g.inflight(), 0);

@@ -6,21 +6,23 @@
 //! ([`wire`], [`pipe`]), and a transport-agnostic daemon core
 //! ([`core`]) that stages client requests, routes every distinct chunk
 //! with the paper's policies against live replica backlogs, applies
-//! admission control from a bounded in-flight gate ([`gate`]), and
-//! schedules replies behind the chosen replica's queue.
+//! admission control from a bounded in-flight gate, and schedules
+//! replies behind the chosen replica's queue.
 //!
 //! The live daemon ([`server::serve_blocking`]) multiplexes sessions
-//! onto rlb-pool workers, with the accept-thread hand-off and the
-//! admission gate built on rlb-sync primitives so `tests/model.rs` can
-//! exhaustively model the session/accept/shutdown protocols with
-//! rlb-check. The same core runs under `rlb-load`'s virtual-time
-//! driver over framed pipes, which is what lets CI pin byte-identical
-//! transcripts — see `ARCHITECTURE.md` § "Serving layer".
+//! onto rlb-pool workers. The one protocol two threads share — the
+//! accept thread handing sessions to the reactor, shutdown included —
+//! is [`registry`], built on rlb-sync primitives so `tests/model.rs`
+//! can explore it exhaustively with rlb-check; the core, gate included,
+//! is single-owner state behind `&mut self`. The same core runs under
+//! `rlb-load`'s virtual-time driver over framed pipes, which is what
+//! lets CI pin byte-identical transcripts — see `ARCHITECTURE.md`
+//! § "Serving layer".
 
 #![forbid(unsafe_code)]
 
 pub mod core;
-pub mod gate;
+mod gate;
 pub mod pipe;
 pub mod proto;
 pub mod registry;
@@ -28,7 +30,6 @@ pub mod server;
 pub mod wire;
 
 pub use crate::core::{key_to_u64, ServeConfig, ServerCore};
-pub use crate::gate::BacklogGate;
 pub use crate::pipe::{pipe, PipeEnd};
 pub use crate::proto::{fmt_frame, DecodeError, Frame, FrameReader, RejectCause};
 pub use crate::registry::SessionRegistry;

@@ -1,6 +1,6 @@
 //! Folding an event stream back into metrics.
 
-use rlb_core::{TraceCause, TraceEvent, TraceSink};
+use rlb_core::{TraceCause, TraceEvent};
 use rlb_metrics::table::{fmt_f, fmt_u};
 use rlb_metrics::{Histogram, Table, TimeSeries};
 
@@ -91,8 +91,7 @@ impl Aggregator {
         }
     }
 
-    /// Folds one event in (same as the [`TraceSink`] impl, usable on a
-    /// parsed stream).
+    /// Folds one event of a parsed stream in.
     pub fn ingest(&mut self, event: &TraceEvent) {
         self.events += 1;
         self.max_step = self.max_step.max(event.step());
@@ -270,12 +269,6 @@ impl Aggregator {
             ));
         }
         table
-    }
-}
-
-impl TraceSink for Aggregator {
-    fn on_event(&mut self, event: &TraceEvent) {
-        self.ingest(event);
     }
 }
 

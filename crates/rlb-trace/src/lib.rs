@@ -1,105 +1,46 @@
 //! Trace sinks for the simulation engine.
 //!
 //! `rlb-core` defines the event taxonomy and the [`TraceSink`] trait
-//! (with the compile-time-erased `NoopSink`); this crate provides the
-//! sinks that do something with the stream:
+//! (with the compile-time-erased `NoopSink`); this crate provides what
+//! does something with the stream:
 //!
-//! * [`Recorder`] — a bounded ring buffer holding the last `N` events,
-//!   for post-mortems on failed shape checks ("show me what the engine
-//!   did right before the assertion tripped");
 //! * [`JsonlSink`] — streams every event as one compact JSON line,
 //!   suitable for files, diffing, and external tooling. Deterministic:
 //!   the same seeded run yields a byte-identical stream;
+//! * [`parse_jsonl`] — reads such a stream back into events;
 //! * [`Aggregator`] — folds events back into `rlb-metrics` histograms
 //!   (per-class latency, rejection causes, enqueue-time backlog), so
 //!   any traced run yields the per-class latency anatomy that
-//!   experiment E18 builds from engine internals;
-//! * [`Tee`] — fans one stream out to two sinks.
+//!   experiment E18 builds from engine internals.
+//!
+//! Serialize, persist, parse, fold is the one route (`rlb-sim trace`
+//! takes it through a file on every invocation):
 //!
 //! ```
 //! use rlb_core::{policies::Greedy, SimConfig, Simulation};
-//! use rlb_trace::{Aggregator, JsonlSink, Tee};
+//! use rlb_trace::{parse_jsonl, Aggregator, JsonlSink};
 //!
 //! let config = SimConfig::baseline(16).with_seed(3);
-//! let mut sim = Simulation::new(config, Greedy::new())
-//!     .with_sink(Tee::new(JsonlSink::new(), Aggregator::new()));
+//! let mut sim = Simulation::new(config, Greedy::new()).with_sink(JsonlSink::new());
 //! let mut workload = |_s: u64, out: &mut Vec<u32>| out.extend(0..16u32);
 //! sim.run(&mut workload, 10);
-//! let (report, sink) = sim.finish_traced();
-//! let (jsonl, agg) = sink.into_parts();
+//! let (report, jsonl) = sim.finish_traced();
+//! let events = parse_jsonl(jsonl.as_str()).unwrap();
+//! assert_eq!(events.len() as u64, jsonl.lines());
+//! let mut agg = Aggregator::new();
+//! for event in &events {
+//!     agg.ingest(event);
+//! }
 //! assert_eq!(agg.completed(), report.completed);
-//! assert_eq!(jsonl.lines(), rlb_trace::parse_jsonl(jsonl.as_str()).unwrap().len() as u64);
 //! ```
+//!
+//! [`TraceSink`]: rlb_core::TraceSink
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod aggregate;
 mod jsonl;
-mod recorder;
 
 pub use aggregate::Aggregator;
 pub use jsonl::{parse_jsonl, JsonlSink};
-pub use recorder::Recorder;
-
-use rlb_core::{TraceEvent, TraceSink};
-
-/// Fans one event stream out to two sinks, in order (`a` first).
-#[derive(Debug, Clone, Default)]
-pub struct Tee<A: TraceSink, B: TraceSink> {
-    /// The first sink.
-    pub a: A,
-    /// The second sink.
-    pub b: B,
-}
-
-impl<A: TraceSink, B: TraceSink> Tee<A, B> {
-    /// Combines two sinks.
-    pub fn new(a: A, b: B) -> Self {
-        Self { a, b }
-    }
-
-    /// Splits back into the two sinks.
-    pub fn into_parts(self) -> (A, B) {
-        (self.a, self.b)
-    }
-}
-
-impl<A: TraceSink, B: TraceSink> TraceSink for Tee<A, B> {
-    const ENABLED: bool = A::ENABLED || B::ENABLED;
-
-    fn on_event(&mut self, event: &TraceEvent) {
-        if A::ENABLED {
-            self.a.on_event(event);
-        }
-        if B::ENABLED {
-            self.b.on_event(event);
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use rlb_core::NoopSink;
-
-    #[test]
-    fn tee_forwards_to_both() {
-        let mut tee = Tee::new(Recorder::new(4), Recorder::new(4));
-        tee.on_event(&TraceEvent::Flush {
-            step: 1,
-            dropped: 2,
-        });
-        let (a, b) = tee.into_parts();
-        assert_eq!(a.events().count(), 1);
-        assert_eq!(b.events().count(), 1);
-    }
-
-    #[test]
-    fn tee_of_noops_is_disabled() {
-        // Evaluated at compile time: a tee of noops is itself erased,
-        // while one live side enables the pair.
-        const { assert!(!<Tee<NoopSink, NoopSink> as TraceSink>::ENABLED) }
-        const { assert!(<Tee<Recorder, NoopSink> as TraceSink>::ENABLED) }
-    }
-}

@@ -1,12 +1,12 @@
 //! The acceptance check for the trace subsystem: an [`Aggregator`] fed
-//! the event stream of a DCR repeated-set run must reproduce the
-//! engine's own per-class latency anatomy (experiment E18's table)
-//! exactly — first live, then again from the persisted JSONL.
+//! the persisted JSONL stream of a DCR repeated-set run — the route
+//! `rlb-sim trace` takes — must reproduce the engine's own per-class
+//! latency anatomy (experiment E18's table) exactly.
 
 use rlb_core::policies::DelayedCuckoo;
 use rlb_core::{SimConfig, Simulation, Workload};
 use rlb_metrics::Histogram;
-use rlb_trace::{parse_jsonl, Aggregator, JsonlSink, Tee};
+use rlb_trace::{parse_jsonl, Aggregator, JsonlSink};
 use rlb_workloads::RepeatedSet;
 
 fn hist_pairs(h: &Histogram) -> Vec<(u64, u64)> {
@@ -24,14 +24,20 @@ fn aggregator_reproduces_e18_class_latency_anatomy() {
     let policy = DelayedCuckoo::new(&config);
     let mut workload = RepeatedSet::first_k(m as u32, 29);
 
-    let mut sim =
-        Simulation::new(config, policy).with_sink(Tee::new(JsonlSink::new(), Aggregator::new()));
+    let mut sim = Simulation::new(config, policy).with_sink(JsonlSink::new());
     sim.run(&mut workload as &mut dyn Workload, 400);
-    let (report, sink) = sim.finish_traced();
-    let (jsonl, agg) = sink.into_parts();
+    let (report, jsonl) = sim.finish_traced();
 
     report.check_conservation().unwrap();
     assert!(report.completed > 0, "run must complete requests");
+
+    let events = parse_jsonl(jsonl.as_str()).unwrap();
+    assert_eq!(events.len() as u64, jsonl.lines());
+    let mut agg = Aggregator::new();
+    for ev in &events {
+        agg.ingest(ev);
+    }
+    assert_eq!(agg.events(), jsonl.lines());
 
     // Traffic counters line up with the engine's aggregate report.
     assert_eq!(agg.enqueues(), report.accepted);
@@ -67,29 +73,6 @@ fn aggregator_reproduces_e18_class_latency_anatomy() {
         .map(|h| h.count() as f64 / total as f64)
         .unwrap_or(0.0);
     assert!(p_share > 0.5, "P share {p_share:.2}");
-
-    // Round-trip: parsing the persisted JSONL and re-folding yields the
-    // identical anatomy.
-    let events = parse_jsonl(jsonl.as_str()).unwrap();
-    assert_eq!(events.len() as u64, jsonl.lines());
-    let mut replayed = Aggregator::new();
-    for ev in &events {
-        replayed.ingest(ev);
-    }
-    assert_eq!(replayed.completed(), agg.completed());
-    assert_eq!(replayed.events(), agg.events());
-    for (c, (a, b)) in replayed
-        .latency_by_class()
-        .iter()
-        .zip(agg.latency_by_class())
-        .enumerate()
-    {
-        assert_eq!(hist_pairs(a), hist_pairs(b), "replayed class {c}");
-    }
-    assert_eq!(
-        replayed.summary_table().render(),
-        agg.summary_table().render()
-    );
 
     // The rendered summary labels every class the engine reported,
     // under E18's naming.

@@ -17,6 +17,7 @@
 use crate::generators::{FreshRandom, OnOffBurst, PartialRepeat, PhasedWorkingSets, RepeatedSet};
 use crate::zipf::ZipfDistinct;
 use rlb_core::Workload;
+use std::str::FromStr;
 
 /// A workload description.
 ///
@@ -165,87 +166,102 @@ impl WorkloadSpec {
         }
     }
 
-    /// Parses the compact CLI syntax (see module docs). The universe for
-    /// `fresh`/`partial`/`zipf` defaults to `default_universe`.
+    /// Parses the compact CLI syntax (see module docs) over a universe
+    /// of `universe` chunks.
+    ///
+    /// Everything the generator constructors assert is checked here, so
+    /// a spec this returns builds: counts are whole numbers of at least
+    /// 1 (a trough may be 0), a step's chunks fit the universe, `p` is a
+    /// probability and `alpha` a finite non-negative exponent.
     ///
     /// # Errors
-    /// Returns a human-readable message for malformed input.
-    pub fn parse_cli(s: &str, default_universe: u64) -> Result<Self, String> {
+    /// Returns a one-line message naming `--workload` and the offending
+    /// text.
+    pub fn parse_cli(s: &str, universe: u64) -> Result<Self, String> {
         let (kind, rest) = s.split_once(':').unwrap_or((s, ""));
-        let parts: Vec<&str> = if rest.is_empty() {
-            Vec::new()
-        } else {
-            rest.split(',').collect()
-        };
-        let num = |s: &str| -> Result<f64, String> {
-            s.trim()
-                .parse::<f64>()
-                .map_err(|_| format!("not a number: {s:?}"))
-        };
-        match kind {
-            "repeated" => {
-                let k = *parts.first().ok_or("repeated needs k, e.g. repeated:512")?;
-                Ok(WorkloadSpec::Repeated {
-                    k: num(k)? as u32,
-                })
-            }
-            "fresh" => {
-                let per = *parts.first().ok_or("fresh needs per_step, e.g. fresh:512")?;
-                Ok(WorkloadSpec::Fresh {
-                    universe: default_universe,
-                    per_step: num(per)? as usize,
-                })
-            }
-            "partial" => {
-                if parts.len() != 2 {
-                    return Err("partial needs p,per_step, e.g. partial:0.5,512".into());
-                }
-                Ok(WorkloadSpec::Partial {
-                    universe: default_universe,
-                    per_step: num(parts[1])? as usize,
-                    p: num(parts[0])?,
-                })
-            }
-            "zipf" => {
-                if parts.len() != 2 {
-                    return Err("zipf needs alpha,per_step, e.g. zipf:0.99,512".into());
-                }
-                Ok(WorkloadSpec::Zipf {
-                    universe: default_universe as usize,
-                    per_step: num(parts[1])? as usize,
-                    alpha: num(parts[0])?,
-                })
-            }
-            "burst" => {
-                if parts.len() != 4 {
-                    return Err(
-                        "burst needs burst,trough,burst_len,trough_len, e.g. burst:512,64,5,5"
-                            .into(),
-                    );
-                }
+        let parts: Vec<&str> = rest.split(',').map(str::trim).collect();
+        match (kind, parts.as_slice()) {
+            ("repeated", [k]) => Ok(WorkloadSpec::Repeated {
+                k: count("k", k, 1)?,
+            }),
+            ("fresh", [per]) => Ok(WorkloadSpec::Fresh {
+                universe,
+                per_step: per_step("per_step", per, 1, universe)?,
+            }),
+            ("partial", [p, per]) => Ok(WorkloadSpec::Partial {
+                universe,
+                per_step: per_step("per_step", per, 1, universe)?,
+                p: float("p", p, "a number in [0, 1]", |p| (0.0..=1.0).contains(&p))?,
+            }),
+            ("zipf", [alpha, per]) => Ok(WorkloadSpec::Zipf {
+                universe: universe as usize,
+                per_step: per_step("per_step", per, 1, universe)?,
+                alpha: float("alpha", alpha, "finite and >= 0", |a| a >= 0.0)?,
+            }),
+            ("burst", [burst, trough, burst_len, trough_len]) => {
+                let universe = universe.min(u64::from(u32::MAX));
                 Ok(WorkloadSpec::Burst {
-                    universe: default_universe.min(u32::MAX as u64) as u32,
-                    burst_per_step: num(parts[0])? as usize,
-                    trough_per_step: num(parts[1])? as usize,
-                    burst_len: num(parts[2])? as u64,
-                    trough_len: num(parts[3])? as u64,
+                    universe: universe as u32,
+                    burst_per_step: per_step("burst", burst, 1, universe)?,
+                    trough_per_step: per_step("trough", trough, 0, universe)?,
+                    burst_len: count("burst_len", burst_len, 1)?,
+                    trough_len: count("trough_len", trough_len, 1)?,
                 })
             }
-            "phased" => {
-                if parts.len() != 3 {
-                    return Err("phased needs sets,k,steps, e.g. phased:4,128,50".into());
+            ("phased", [sets, k, steps]) => {
+                let sets: usize = count("sets", sets, 1)?;
+                let k: usize = count("k", k, 1)?;
+                if sets.checked_mul(k).is_none_or(|n| n as u64 > universe) {
+                    return Err(format!(
+                        "--workload: sets * k must be at most the universe of {universe} chunks, got {s:?}"
+                    ));
                 }
                 Ok(WorkloadSpec::Phased {
-                    universe: default_universe,
-                    sets: num(parts[0])? as usize,
-                    k: num(parts[1])? as usize,
-                    steps_per_phase: num(parts[2])? as u64,
+                    universe,
+                    sets,
+                    k,
+                    steps_per_phase: count("steps", steps, 1)?,
                 })
             }
-            other => Err(format!(
-                "unknown workload kind {other:?} (expected repeated/fresh/partial/zipf/phased/burst)"
+            _ => Err(format!(
+                "--workload: expected repeated:K | fresh:N | partial:P,N | zipf:ALPHA,N | \
+                 phased:SETS,K,STEPS | burst:N,TROUGH,LEN,TROUGH_LEN, got {s:?}"
             )),
         }
+    }
+}
+
+/// One integer field of a spec, parsed as the integer it is: a float
+/// parse and a cast would turn `-5` and `nan` into 0, `3.9` into 3 and
+/// `1e30` into the type's maximum.
+fn count<T: FromStr + PartialOrd + From<u8>>(name: &str, raw: &str, min: u8) -> Result<T, String> {
+    match raw.parse::<T>() {
+        Ok(n) if n >= T::from(min) => Ok(n),
+        _ => Err(format!(
+            "--workload: {name} must be an integer >= {min}, got {raw:?}"
+        )),
+    }
+}
+
+/// A per-step request count: distinct chunks, so at most the universe.
+fn per_step(name: &str, raw: &str, min: u8, universe: u64) -> Result<usize, String> {
+    let n: usize = count(name, raw, min)?;
+    if n as u64 > universe {
+        return Err(format!(
+            "--workload: {name} must be at most the universe of {universe} chunks, got {raw:?}"
+        ));
+    }
+    Ok(n)
+}
+
+/// A finite float field satisfying `ok`; `constraint` completes "must
+/// be …".
+fn float(name: &str, raw: &str, constraint: &str, ok: impl Fn(f64) -> bool) -> Result<f64, String> {
+    match raw.parse::<f64>() {
+        Ok(x) if x.is_finite() && ok(x) => Ok(x),
+        _ => Err(format!(
+            "--workload: {name} must be {constraint}, got {raw:?}"
+        )),
     }
 }
 
@@ -295,6 +311,13 @@ mod tests {
         assert_eq!(
             WorkloadSpec::parse_cli("repeated:512", 4096).unwrap(),
             WorkloadSpec::Repeated { k: 512 }
+        );
+        assert_eq!(
+            WorkloadSpec::parse_cli("fresh:16", 4096).unwrap(),
+            WorkloadSpec::Fresh {
+                universe: 4096,
+                per_step: 16
+            }
         );
         assert_eq!(
             WorkloadSpec::parse_cli("partial:0.5,100", 4096).unwrap(),
@@ -351,6 +374,45 @@ mod tests {
         assert!(WorkloadSpec::parse_cli("repeated", 10).is_err());
         assert!(WorkloadSpec::parse_cli("partial:x,1", 10).is_err());
         assert!(WorkloadSpec::parse_cli("zipf:1.0", 10).is_err());
+    }
+
+    #[test]
+    fn every_spec_that_parses_builds() {
+        // Just past what the constructors assert, universe 64 (rlb-cli's
+        // `flag_messages.rs` has the wording of the plainer cases).
+        for bad in [
+            "repeated:0",
+            "partial:-0.1,16",
+            "partial:0.5,65",
+            "zipf:-1,16",
+            "zipf:inf,16",
+            "burst:8,4,5,0",
+            "burst:65,4,5,5",
+            "burst:8,65,5,5",
+            "phased:4,0,5",
+            "phased:4,4,0",
+            "phased:9,8,5",
+            "phased:18446744073709551615,2,5",
+        ] {
+            let err = WorkloadSpec::parse_cli(bad, 64).expect_err(bad);
+            assert!(err.starts_with("--workload: "), "{bad}: {err}");
+            assert!(!err.contains('\n'), "{bad}: {err}");
+        }
+        // The edges of what they accept.
+        for good in [
+            "repeated:1",
+            "fresh:64",
+            "partial:0,64",
+            "partial:1,1",
+            "zipf:0,64",
+            "burst:64,0,1,1",
+            "phased:8,8,1",
+        ] {
+            let spec = WorkloadSpec::parse_cli(good, 64).expect(good);
+            let mut out = Vec::new();
+            spec.build(3).next_step(0, &mut out);
+            assert_eq!(out.len(), spec.per_step(), "{good}");
+        }
     }
 
     #[test]
