@@ -519,7 +519,9 @@ impl QueueArray {
     }
 
     /// Servers whose `class` queue is currently non-empty, in
-    /// unspecified order. O(1); backed by the occupancy index.
+    /// unspecified order. O(1); backed by the occupancy index. No
+    /// product code reads the index from outside; it is `pub` for the
+    /// occupancy property sweep in `tests/queue_occupancy.rs`.
     #[inline]
     pub fn occupied_servers(&self, class: usize) -> &[u32] {
         &self.occupied[class]

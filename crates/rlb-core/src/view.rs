@@ -91,14 +91,6 @@ impl<'a> ClusterView<'a> {
     pub fn total_backlog(&self) -> u64 {
         self.queues.total_backlog()
     }
-
-    /// Servers whose `class` queue is non-empty, in unspecified order
-    /// (the queue array's occupancy index). Lets observers and policies
-    /// scan occupied state without an O(num_servers) sweep.
-    #[inline]
-    pub fn occupied_servers(&self, class: usize) -> &[u32] {
-        self.queues.occupied_servers(class)
-    }
 }
 
 #[cfg(test)]

@@ -68,14 +68,20 @@ impl PendingIndex {
     }
 
     /// Marks `chunk` pending in slot `next` unless it already holds a
-    /// slot this step; returns the slot it holds.
-    fn insert(&mut self, chunk: u32, next: u32) -> u32 {
+    /// slot this step; returns the slot it holds. Total: a chunk id
+    /// outside the table (none exists — `chunk_of` hashes into
+    /// `0..num_chunks` and `pin` validates) would open a slot of its
+    /// own every time rather than index out of bounds.
+    fn slot_of(&mut self, chunk: u32, next: u32) -> u32 {
         let i = chunk as usize;
-        if self.stamp[i] != self.current {
-            self.stamp[i] = self.current;
-            self.slot[i] = next;
+        let (Some(stamp), Some(slot)) = (self.stamp.get_mut(i), self.slot.get_mut(i)) else {
+            return next;
+        };
+        if *stamp != self.current {
+            *stamp = self.current;
+            *slot = next;
         }
-        self.slot[i]
+        *slot
     }
 
     /// O(1) clear: start the next generation. On the (practically
@@ -247,7 +253,7 @@ impl<P: Policy, S: TraceSink> KvCluster<P, S> {
         self.keys.tenant_stats[tenant as usize].key_requests += 1;
         let chunk = self.keys.directory.chunk_of(key);
         let next = self.keys.pending.len() as u32;
-        let slot = self.keys.pending_index.insert(chunk, next);
+        let slot = self.keys.pending_index.slot_of(chunk, next);
         let created = slot == next;
         if created {
             self.keys.pending.push(chunk);

@@ -16,6 +16,13 @@
 //!   edge. `match` forks one block per arm (pattern + guard recorded
 //!   as a [`Stmt`] with `pattern = true`) and re-joins after the arm
 //!   bodies.
+//! - One mid-expression position is lowered too: a `match`, `if` chain
+//!   or block that is the *whole* initialiser of a `let`
+//!   (`let frame = match tag { … };`). It forks and joins like the same
+//!   expression as a statement; the scrutinee / condition statement
+//!   starts at the `let`, and each branch's value is tagged with the
+//!   `let`'s pattern ([`Stmt::tail_of`]) so it feeds the bindings, not
+//!   the return value.
 //! - Loops get a head block (holding the `while` condition or the
 //!   whole `for pat in expr` header), a back edge from the body exit,
 //!   and an after block; `break`/`continue` resolve through a stack of
@@ -31,11 +38,12 @@
 //!
 //! Approximation boundaries, in the same spirit as `callgraph.rs`:
 //!
-//! - **Mid-expression control flow is opaque.** `let x = if c { a }
-//!   else { b };` is one statement; its braces are just nesting depth.
-//!   Both branches land in one statement, so taint joins across them —
-//!   a conservative union, which is the safe direction for the flow
-//!   passes built on top.
+//! - **Other mid-expression control flow is opaque.** `f(if c { a }
+//!   else { b });` and `let x = match k { … }.len();` are one
+//!   statement each; their braces are just nesting depth. Both
+//!   branches land in one statement, so taint joins across them — a
+//!   conservative union for values, but a `let` *inside* such a branch
+//!   binds nothing the statement's sinks can see.
 //! - **Closures are inlined into their statement.** A closure body's
 //!   tokens belong to the enclosing statement (and any `break` inside
 //!   it is below statement depth, so it never reaches the loop stack).
@@ -71,6 +79,10 @@ pub struct Stmt {
     /// Whether this is a `match` arm pattern (+ optional guard) rather
     /// than an executable statement.
     pub pattern: bool,
+    /// For a statement inside a lowered `let` initialiser: the code
+    /// range of that `let`'s pattern, which a `semi = false` statement
+    /// (a branch's value) feeds instead of the return value.
+    pub tail_of: Option<(usize, usize)>,
 }
 
 /// A basic block: statements executed in order.
@@ -120,6 +132,7 @@ pub fn build_file(pf: &ParsedFile) -> FileCfgs {
             blocks: vec![Block::default(), Block::default()],
             succ: vec![Vec::new(), Vec::new()],
             loops: Vec::new(),
+            tail_of: None,
         };
         let last = b.seq(lo, hi, 0);
         b.succ[last].push(EXIT);
@@ -157,6 +170,9 @@ struct Builder<'a> {
     blocks: Vec<Block>,
     succ: Vec<Vec<usize>>,
     loops: Vec<LoopCtx>,
+    /// Pattern range of the innermost `let` whose initialiser is being
+    /// lowered (see [`Stmt::tail_of`]).
+    tail_of: Option<(usize, usize)>,
 }
 
 impl<'a> Builder<'a> {
@@ -177,6 +193,7 @@ impl<'a> Builder<'a> {
                 hi,
                 semi,
                 pattern,
+                tail_of: self.tail_of,
             });
             if !pattern && (lo..hi).any(|c| self.pf.text(c) == "?") {
                 self.edge(block, EXIT);
@@ -189,6 +206,36 @@ impl<'a> Builder<'a> {
     fn body_brace(&self, p: usize, hi: usize) -> usize {
         let brace = self.pf.depth0(p, hi, |t| t == "{");
         brace.unwrap_or(hi.saturating_sub(1).max(p))
+    }
+
+    /// The body `{` of the `if` / `while` / `match` at `p`.
+    /// `if let PAT = EXPR {`: the body brace comes after the
+    /// depth-0 `=` (struct patterns may contain braces); plain
+    /// conditions cannot contain bare struct literals.
+    fn cond_brace(&self, p: usize, hi: usize) -> usize {
+        let from = if self.pf.at(p + 1, "let") {
+            self.pf.depth0(p, hi, |t| t == "=").map_or(p, |e| e + 1)
+        } else {
+            p
+        };
+        self.body_brace(from, hi)
+    }
+
+    /// One past the `match` / `if`-`else` chain / block expression that
+    /// starts at `p`.
+    fn ctrl_end(&self, mut p: usize, hi: usize) -> usize {
+        loop {
+            let lb = if self.pf.at(p, "{") {
+                p
+            } else {
+                self.cond_brace(p, hi)
+            };
+            let rb = self.pf.matching(lb, hi);
+            if !self.pf.at(rb + 1, "else") {
+                return rb + 1;
+            }
+            p = rb + 2; // the `if` of `else if`, or the `{` of `else {`
+        }
     }
 
     /// Builds the statement sequence in `[lo, hi)` starting from block
@@ -210,8 +257,8 @@ impl<'a> Builder<'a> {
             }
             let t0 = self.pf.text(q);
             p = match t0 {
-                "if" => self.if_stmt(q, hi, &mut cur),
-                "match" => self.match_stmt(q, hi, &mut cur),
+                "if" => self.if_stmt(q, q, hi, &mut cur),
+                "match" => self.match_stmt(q, q, hi, &mut cur),
                 "loop" | "while" | "for" => self.loop_stmt(q, t0, label, hi, &mut cur),
                 "{" => self.block_stmt(q, label, hi, &mut cur),
                 "unsafe" if q + 1 < hi && self.pf.text(q + 1) == "{" => {
@@ -228,10 +275,12 @@ impl<'a> Builder<'a> {
         cur
     }
 
-    /// `if` / `else if` / `else` chain: fork per branch, re-join.
-    fn if_stmt(&mut self, p: usize, hi: usize, cur: &mut usize) -> usize {
+    /// `if` / `else if` / `else` chain: fork per branch, re-join. The
+    /// condition statement starts at `stmt_lo`: the `if` itself, or the
+    /// `let` it initialises.
+    fn if_stmt(&mut self, stmt_lo: usize, p: usize, hi: usize, cur: &mut usize) -> usize {
         let mut exits = Vec::new();
-        let next = self.if_chain(p, *cur, hi, &mut exits);
+        let next = self.if_chain(stmt_lo, p, *cur, hi, &mut exits);
         let join = self.new_block();
         for e in exits {
             self.edge(e, join);
@@ -242,21 +291,14 @@ impl<'a> Builder<'a> {
 
     fn if_chain(
         &mut self,
+        stmt_lo: usize,
         p: usize,
         cond_block: usize,
         hi: usize,
         exits: &mut Vec<usize>,
     ) -> usize {
-        // `if let PAT = EXPR {`: the body brace comes after the
-        // depth-0 `=` (struct patterns may contain braces). Plain
-        // conditions cannot contain bare struct literals.
-        let scan_from = if p + 1 < hi && self.pf.text(p + 1) == "let" {
-            self.pf.depth0(p, hi, |t| t == "=").map_or(p, |e| e + 1)
-        } else {
-            p
-        };
-        let lb = self.body_brace(scan_from, hi);
-        self.push_stmt(cond_block, p, lb, true, false);
+        let lb = self.cond_brace(p, hi);
+        self.push_stmt(cond_block, stmt_lo, lb, true, false);
         let rb = self.pf.matching(lb, hi);
         let then_entry = self.new_block();
         self.edge(cond_block, then_entry);
@@ -267,7 +309,7 @@ impl<'a> Builder<'a> {
             if next + 1 < hi && self.pf.text(next + 1) == "if" {
                 let elif_cond = self.new_block();
                 self.edge(cond_block, elif_cond);
-                return self.if_chain(next + 1, elif_cond, hi, exits);
+                return self.if_chain(next + 1, next + 1, elif_cond, hi, exits);
             }
             let elb = next + 1; // the `{` of `else { … }`
             let erb = self.pf.matching(elb, hi);
@@ -283,10 +325,11 @@ impl<'a> Builder<'a> {
     }
 
     /// `match`: scrutinee in the current block, one block per arm
-    /// (pattern recorded, body built recursively), re-join after.
-    fn match_stmt(&mut self, p: usize, hi: usize, cur: &mut usize) -> usize {
+    /// (pattern recorded, body built recursively), re-join after. The
+    /// scrutinee statement starts at `stmt_lo`, as in [`Self::if_stmt`].
+    fn match_stmt(&mut self, stmt_lo: usize, p: usize, hi: usize, cur: &mut usize) -> usize {
         let lb = self.body_brace(p, hi);
-        self.push_stmt(*cur, p, lb, true, false);
+        self.push_stmt(*cur, stmt_lo, lb, true, false);
         let rb = self.pf.matching(lb, hi);
         let scrut = *cur;
         let join = self.new_block();
@@ -328,18 +371,14 @@ impl<'a> Builder<'a> {
         hi: usize,
         cur: &mut usize,
     ) -> usize {
-        let scan_from = match kw {
-            // `while let PAT = EXPR {` — body brace after the `=`.
-            "while" if p + 1 < hi && self.pf.text(p + 1) == "let" => {
-                self.pf.depth0(p, hi, |t| t == "=").map_or(p, |e| e + 1)
-            }
+        let lb = match kw {
             // `for PAT in EXPR {` — body brace after the `in`.
-            "for" => (p..hi)
-                .find(|&c| self.pf.text(c) == "in")
-                .map_or(p, |e| e + 1),
-            _ => p,
+            "for" => {
+                let from = (p..hi).find(|&c| self.pf.text(c) == "in");
+                self.body_brace(from.map_or(p, |e| e + 1), hi)
+            }
+            _ => self.cond_brace(p, hi),
         };
-        let lb = self.body_brace(scan_from, hi);
         let head = self.new_block();
         self.edge(*cur, head);
         if lb > p + 1 || kw != "loop" {
@@ -445,6 +484,11 @@ impl<'a> Builder<'a> {
     /// consumed opaquely and scanned for `return`/`break`/`continue`.
     fn plain_stmt(&mut self, p: usize, hi: usize, cur: &mut usize) -> usize {
         let is_let = self.pf.text(p) == "let";
+        if is_let {
+            if let Some(next) = self.let_ctrl_init(p, hi, cur) {
+                return next;
+            }
+        }
         let mut d = 0usize;
         let mut i = p;
         let mut diverge: Option<(usize, usize)> = None;
@@ -473,6 +517,37 @@ impl<'a> Builder<'a> {
             self.diverge_edges(dlo, dhi, *cur);
         }
         i
+    }
+
+    /// `let PAT = match … { … };`, `= if … { … } else { … };` and
+    /// `= { … };`: the initialiser is lowered as the same expression in
+    /// statement position would be, so bindings made and caps checked
+    /// inside it are seen in order; the statement that holds the
+    /// scrutinee / condition starts at the `let` (and so binds `PAT`),
+    /// and every branch value feeds `PAT` through [`Stmt::tail_of`].
+    /// `None` (the statement stays opaque) when anything follows the
+    /// closing brace but `;` — a method call, `?`, an operator.
+    fn let_ctrl_init(&mut self, p: usize, hi: usize, cur: &mut usize) -> Option<usize> {
+        let eq = self.pf.depth0(p, hi, |t| t == "=" || t == ";")?;
+        let q = eq + 1;
+        if !self.pf.at(eq, "=") || q >= hi || !matches!(self.pf.text(q), "match" | "if" | "{") {
+            return None;
+        }
+        let end = self.ctrl_end(q, hi);
+        if end >= hi || !self.pf.at(end, ";") {
+            return None;
+        }
+        let outer = self.tail_of.replace((p + 1, eq));
+        match self.pf.text(q) {
+            "match" => self.match_stmt(p, q, hi, cur),
+            "if" => self.if_stmt(p, q, hi, cur),
+            _ => {
+                self.push_stmt(*cur, p, q, true, false);
+                self.block_stmt(q, None, hi, cur)
+            }
+        };
+        self.tail_of = outer;
+        Some(end + 1)
     }
 
     /// Adds the control edges a `let`-`else` diverging block implies

@@ -5,7 +5,8 @@
 //!
 //! - `UNTRUSTED` — a value decoded from wire bytes in rlb-serve
 //!   (`from_le_bytes` on read buffers). It must pass a recognized
-//!   validation (comparison against a `MAX_*`/literal/`.len()` bound,
+//!   validation (comparison against a `MAX_*`/`.len()` bound, ordering
+//!   comparison against a literal — `n == 0` bounds nothing —
 //!   a `checked_*`/`saturating_*`/`try_from` operation, `.min(`/
 //!   `.clamp(`, or a range-bounding `%`/`&`) before reaching an
 //!   allocation (`with_capacity`/`reserve`/`vec![_; n]`), a slice
@@ -593,10 +594,19 @@ impl<'a> Engine<'a> {
             }
         }
         if is_ret && val.mask != 0 {
-            match st.get_mut(RET) {
-                Some(r) => r.mask |= val.mask,
-                None => {
-                    st.insert(RET.to_string(), val.clone());
+            // A value leaves through the fn's return — or, for a branch
+            // value inside a lowered `let` initialiser, into that
+            // `let`'s bindings.
+            let into = match stmt.tail_of {
+                Some((plo, phi)) if first != "return" => self.pattern_vars(ctx, plo, phi),
+                _ => vec![RET.to_string()],
+            };
+            for var in into {
+                match st.get_mut(&var) {
+                    Some(r) => r.mask |= val.mask,
+                    None => {
+                        st.insert(var, val.clone());
+                    }
                 }
             }
         }
@@ -970,6 +980,10 @@ impl<'a> Engine<'a> {
             if !CMP.contains(&ctx.pf.text(c)) {
                 continue;
             }
+            // `n == 0` / `n != 4` says nothing about how large `n` may
+            // be on the other branch; only an ordering bounds against a
+            // literal.
+            let ordering = !matches!(ctx.pf.text(c), "==" | "!=");
             // Tainted single-ident operand on the left, bound on the
             // right (within a short window), and mirrored.
             let sides = [
@@ -991,7 +1005,7 @@ impl<'a> Engine<'a> {
                 }
                 let bound = (wlo..whi).any(|w| {
                     let wt = ctx.pf.text(w);
-                    ctx.pf.kind(w) == TokenKind::Int
+                    (ordering && ctx.pf.kind(w) == TokenKind::Int)
                         || is_screaming(wt)
                         || wt == "len"
                         || wt == "capacity"

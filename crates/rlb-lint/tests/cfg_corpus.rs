@@ -202,6 +202,47 @@ fn f(n: u32) -> u32 {
 }
 
 #[test]
+fn a_let_initialiser_match_forks_like_a_statement_match() {
+    // Same arms as above behind `let v = … ;`: the same fork and join,
+    // with every arm value tagged as feeding `v` rather than the
+    // return. Anything after the closing brace but `;` keeps the
+    // statement opaque.
+    let src = "\
+fn f(n: u32) -> u32 {
+    let v = match n {
+        0 => 10,
+        x if x > 100 => {
+            let y = x / 2;
+            y
+        }
+        _ => 0,
+    };
+    v
+}
+";
+    let cfg = cfg_of(src);
+    check_invariants(&cfg, src);
+    assert_eq!((cfg.blocks.len(), cfg.edge_count()), (6, 7), "{src}");
+    let tails: Vec<&Stmt> = cfg
+        .blocks
+        .iter()
+        .flat_map(|b: &Block| b.stmts.iter())
+        .filter(|s| !s.semi && !s.pattern)
+        .collect();
+    assert_eq!(tails.len(), 4, "three arm values and the fn's own tail");
+    assert_eq!(
+        tails.iter().filter(|s| s.tail_of.is_some()).count(),
+        3,
+        "the arm values feed `v`; the final `v` feeds the return"
+    );
+    pin(
+        "fn f(n: u32) -> u32 {\n    let v = match n {\n        0 => 10,\n        _ => 0,\n    }\n    .max(1);\n    v\n}\n",
+        2,
+        1,
+    );
+}
+
+#[test]
 fn question_mark_adds_an_early_exit_edge() {
     // In a loop body, the `?` early exit is distinguishable from the
     // back edge: the try version gains exactly one body -> exit edge.

@@ -7,13 +7,30 @@
 //!
 //! The default run completes 100k requests (the CI smoke contract);
 //! set `RLB_SMOKE_REQUESTS` to scale it down for constrained machines.
+//!
+//! The accept path is pinned here too: the daemon accepts its own
+//! connections inside a pass, so a backlog made before the first pass
+//! is adopted whole, a stop raised with work in flight closes the
+//! listener before anything else, and no accept thread exists.
+
+use std::io::{Read, Write};
+use std::net::{TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+use std::thread::JoinHandle;
+use std::time::Duration;
 
 use rlb_core::policies::Greedy;
 use rlb_core::SimConfig;
-use rlb_load::{run_live, ClientConfig, LiveClientResult, LiveSpec, LoadReport, Mode, Popularity};
+use rlb_load::{
+    run_live, Client, ClientConfig, LiveClientResult, LiveSpec, LoadReport, Mode, Popularity,
+};
 use rlb_pool::Pool;
 use rlb_serve::proto::REJECT_CAUSES;
-use rlb_serve::{serve_blocking, ServeConfig, ServeOptions, ServeOutcome, ServerCore};
+use rlb_serve::{
+    serve_blocking, Frame, ReadStatus, RejectCause, ServeConfig, ServeOptions, ServeOutcome,
+    ServerCore, TcpSession,
+};
 
 const CLIENTS: usize = 8;
 const TENANTS: u16 = 4;
@@ -73,27 +90,24 @@ fn assert_both_sides_agree(outcome: &ServeOutcome, results: &[LiveClientResult])
     );
 }
 
-/// Runs a daemon that stops after `max_requests` responses against 8
-/// closed-loop clients offering `per_client` requests each.
-fn serve_and_load(
+/// Starts a daemon on its own thread, on a fresh loopback port.
+fn spawn_daemon(
     config: ServeConfig,
-    per_client: u64,
-    max_requests: u64,
-) -> (ServeOutcome, Vec<LiveClientResult>) {
-    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+    opts: ServeOptions,
+    jobs: usize,
+) -> (String, JoinHandle<ServeOutcome>) {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
     let addr = listener.local_addr().expect("local addr").to_string();
-
     let server = std::thread::spawn(move || {
         let core = ServerCore::new(config, Greedy::new());
-        let opts = ServeOptions {
-            max_requests: Some(max_requests),
-            ..Default::default()
-        };
-        let pool = Pool::new(4);
-        serve_blocking(listener, core, &opts, &pool).expect("serve")
+        serve_blocking(listener, core, &opts, &Pool::new(jobs)).expect("serve")
     });
+    (addr, server)
+}
 
-    let configs: Vec<ClientConfig> = (0..CLIENTS)
+/// The 8 closed-loop clients every load in this file offers.
+fn client_configs(per_client: u64) -> Vec<ClientConfig> {
+    (0..CLIENTS)
         .map(|i| ClientConfig {
             tenant: (i as u16) % TENANTS,
             mode: Mode::Closed { concurrency: 16 },
@@ -105,14 +119,28 @@ fn serve_and_load(
             total_requests: per_client,
             seed: 0xbeef + i as u64,
         })
-        .collect();
+        .collect()
+}
+
+/// Runs a daemon that stops after `max_requests` responses against 8
+/// closed-loop clients offering `per_client` requests each.
+fn serve_and_load(
+    config: ServeConfig,
+    per_client: u64,
+    max_requests: u64,
+) -> (ServeOutcome, Vec<LiveClientResult>) {
+    let opts = ServeOptions {
+        max_requests: Some(max_requests),
+        ..Default::default()
+    };
+    let (addr, server) = spawn_daemon(config, opts, 4);
     let spec = LiveSpec {
         addr,
         tick_micros: 200,
         max_seconds: 120,
     };
     let pool = Pool::new(CLIENTS);
-    let results = run_live(configs, &spec, &pool);
+    let results = run_live(client_configs(per_client), &spec, &pool);
     (server.join().expect("server thread"), results)
 }
 
@@ -177,4 +205,194 @@ fn an_early_stop_is_accounted_exactly_too() {
     let report = rlb_load::aggregate(&results);
     assert!(outcome.responses >= total / 2, "the stop was reached");
     assert_eq!(outcome.responses, report.replies + report.rejects());
+}
+
+/// Connections made before the daemon's first pass wait in the kernel's
+/// backlog; that pass accepts until `WouldBlock`, so all of them are
+/// adopted at once. With `shutdown` already raised the first accept
+/// sweep is also the last (the listener is dropped at the end of the
+/// pass), and the daemon needs no thread but the test's own.
+#[test]
+fn a_backlog_made_before_the_first_pass_is_adopted_whole() {
+    const BACKLOG: usize = 32;
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("local addr");
+    let streams: Vec<TcpStream> = (0..BACKLOG)
+        .map(|i| {
+            let mut stream = TcpStream::connect(addr).expect("connect");
+            let get = Frame::Get {
+                req_id: 1,
+                tenant: i as u16 % TENANTS,
+                key: vec![i as u8; 8],
+            };
+            stream.write_all(&get.to_bytes()).expect("write");
+            stream
+        })
+        .collect();
+
+    let core = ServerCore::new(ServeConfig::baseline(16, 0xacce55), Greedy::new());
+    let opts = ServeOptions::default();
+    opts.shutdown.store(true, Ordering::Relaxed);
+    let outcome = serve_blocking(listener, core, &opts, &Pool::new(1)).expect("serve");
+
+    assert_eq!(outcome.sessions, BACKLOG as u64, "the whole backlog");
+    assert_eq!(outcome.responses, BACKLOG as u64, "one answer each");
+    for stream in streams {
+        let mut session = TcpSession::new(stream).expect("session");
+        let (frames, err, status) = session.read_frames();
+        assert_eq!(err, None);
+        assert_eq!(status, ReadStatus::Eof, "the daemon returned");
+        assert!(
+            matches!(
+                frames[..],
+                [Frame::Reply { req_id: 1, .. } | Frame::Reject { req_id: 1, .. }]
+            ),
+            "exactly one answer, got {frames:?}"
+        );
+    }
+}
+
+/// A connection attempted once the daemon has stopped accepting is
+/// never served: refused, or taken by the kernel and reset, with no
+/// frame read either way.
+fn assert_never_served(addr: &str) {
+    let Ok(mut stream) = TcpStream::connect(addr) else {
+        return;
+    };
+    let _ = stream.write_all(&Frame::Ping { nonce: 7 }.to_bytes());
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("read timeout");
+    let mut buf = [0u8; 64];
+    match stream.read(&mut buf) {
+        Ok(0) | Err(_) => {}
+        Ok(n) => panic!("a connection made after the stop read {n} bytes"),
+    }
+}
+
+/// `shutdown` raised with requests outstanding (up to 16 a client) and
+/// replies still queued (one request a server a tick, as in the
+/// early-stop case): the clients are driven by hand on this thread so
+/// the flag goes up at a known point — past a quarter of the load, in
+/// an iteration that leaves some request unanswered — and they keep
+/// offering load until the daemon hangs up.
+/// Every frame it sent is in its summary, and the first sign of the
+/// stop a client can see — a `Reject{Shutdown}`, or the hang-up — comes
+/// after the listener is gone.
+#[test]
+fn a_stop_with_work_in_flight_answers_what_it_admitted_and_accepts_no_more() {
+    let per_client = smoke_requests_per_client();
+    let stop_after = per_client * CLIENTS as u64 / 4;
+    let config = ServeConfig::for_engine(SimConfig::explicit(16, 2, 1, 16).with_seed(0xacce55));
+    let shutdown = Arc::new(AtomicBool::new(false));
+    let opts = ServeOptions {
+        max_requests: None,
+        shutdown: Arc::clone(&shutdown),
+    };
+    let (addr, server) = spawn_daemon(config, opts, 4);
+
+    let mut clients: Vec<(Client, TcpSession, bool)> = client_configs(per_client)
+        .into_iter()
+        .map(|cfg| {
+            let stream = TcpStream::connect(&addr).expect("connect");
+            let session = TcpSession::new(stream).expect("session");
+            (Client::new(cfg), session, true)
+        })
+        .collect();
+    let mut probed = false;
+    while clients.iter().any(|(_, _, open)| *open) {
+        let mut stop_seen = false;
+        let mut idle = true;
+        for (client, session, open) in clients.iter_mut().filter(|(_, _, open)| *open) {
+            let mut frames = Vec::new();
+            client.on_tick(0, &mut frames);
+            frames.iter().for_each(|f| session.queue(f));
+            let written = session.flush().is_ok();
+            let (got, err, status) = session.read_frames();
+            assert_eq!(err, None);
+            for frame in &got {
+                client.on_frame(0, frame);
+                stop_seen |= matches!(
+                    frame,
+                    Frame::Reject {
+                        cause: RejectCause::Shutdown,
+                        ..
+                    }
+                );
+            }
+            idle &= frames.is_empty() && got.is_empty();
+            *open = written && status == ReadStatus::Open && !client.done();
+            stop_seen |= !*open && !client.done();
+        }
+        let (sent, responses) = clients.iter().fold((0, 0), |(sent, responses), (c, _, _)| {
+            (sent + c.sent(), responses + c.responses())
+        });
+        if responses >= stop_after && sent > responses {
+            shutdown.store(true, Ordering::Relaxed);
+        }
+        if stop_seen && !probed {
+            assert_never_served(&addr);
+            probed = true;
+        }
+        if idle {
+            std::thread::sleep(Duration::from_micros(50));
+        }
+    }
+    let outcome = server.join().expect("server thread");
+    assert!(probed, "a connection was attempted during the drain");
+
+    let results: Vec<LiveClientResult> = clients
+        .into_iter()
+        .map(|(client, _, _)| LiveClientResult {
+            client,
+            error: None,
+        })
+        .collect();
+    assert_both_sides_agree(&outcome, &results);
+    let report = rlb_load::aggregate(&results);
+    assert!(outcome.responses >= stop_after, "the stop was reached");
+    assert_eq!(outcome.responses, report.replies + report.rejects());
+    assert_eq!(
+        outcome.sessions, CLIENTS as u64,
+        "the late connection was never adopted"
+    );
+}
+
+/// The daemon is the thread that called `serve_blocking` and nothing
+/// else: with a one-worker pool (inline jobs) it spawns no thread at
+/// all, and in particular none named like the old acceptor (`comm` is
+/// the thread name cut to 15 bytes). Other tests share this process, so
+/// the check is by name rather than by count; CI counts the threads of
+/// a real `serve --jobs 1` process.
+#[cfg(target_os = "linux")]
+#[test]
+fn a_serving_daemon_has_no_accept_thread() {
+    let shutdown = Arc::new(AtomicBool::new(false));
+    let opts = ServeOptions {
+        max_requests: None,
+        shutdown: Arc::clone(&shutdown),
+    };
+    let (addr, server) = spawn_daemon(ServeConfig::baseline(16, 0xacce55), opts, 1);
+
+    // A ping answered: the daemon is inside its pass loop.
+    let mut stream = TcpStream::connect(&addr).expect("connect");
+    let bytes = Frame::Ping { nonce: 7 }.to_bytes();
+    stream.write_all(&bytes).expect("write");
+    let mut echo = vec![0u8; bytes.len()];
+    stream.read_exact(&mut echo).expect("echo");
+    assert_eq!(echo, bytes);
+
+    let names: Vec<String> = std::fs::read_dir("/proc/self/task")
+        .expect("task list")
+        .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+        .collect();
+    shutdown.store(true, Ordering::Relaxed);
+    let outcome = server.join().expect("server thread");
+
+    assert!(!names.is_empty(), "read some thread names");
+    assert!(
+        !names.iter().any(|name| name.starts_with("rlb-serve-acc")),
+        "an accept thread is running: {names:?}"
+    );
+    assert_eq!(outcome.sessions, 1);
 }

@@ -365,7 +365,7 @@ pub fn key_to_u64(tenant: u16, key: &[u8]) -> u64 {
     rlb_hash::mix::fmix64(h ^ key.len() as u64)
 }
 
-#[cfg(all(test, not(feature = "model")))]
+#[cfg(test)]
 mod tests {
     use super::*;
     use rlb_core::policies::Greedy;

@@ -49,7 +49,7 @@ impl BacklogGate {
     }
 }
 
-#[cfg(all(test, not(feature = "model")))]
+#[cfg(test)]
 mod tests {
     use super::*;
 

@@ -77,7 +77,7 @@ impl PipeEnd {
     }
 }
 
-#[cfg(all(test, not(feature = "model")))]
+#[cfg(test)]
 mod tests {
     use super::*;
 

@@ -1,28 +1,31 @@
-//! The live TCP server: accept thread + reactor loop.
+//! The live TCP server: one reactor loop, on the calling thread.
 //!
-//! Threading model (the model-checked part is the hand-off):
+//! Threading model:
 //!
 //! ```text
-//!   accept thread ──insert──▶ SessionRegistry ──drain──▶ reactor thread
-//!        │                        (rlb-sync                  │
-//!   TcpListener                Mutex + Condvar)         per-pass fan-out
-//!   (non-blocking)                                           ▼
-//!                                                  rlb-pool workers
-//!                                              (session I/O: read/decode
-//!                                               + encode/write, one lock
-//!                                               per session)
+//!   TcpListener ──accept until WouldBlock──▶ reactor (the caller's thread)
+//!   (non-blocking)                                │
+//!                                          per-pass fan-out
+//!                                                 ▼
+//!                                         rlb-pool workers
+//!                                     (session I/O: read/decode
+//!                                      + encode/write, one lock
+//!                                      per session)
 //! ```
 //!
-//! The reactor owns the [`ServerCore`] and runs a pass loop: drain new
-//! sessions, fan session socket reads out over the pool, feed decoded
-//! frames to the core **serially in session order** (this is the only
-//! shared-state mutation, so behavior is independent of worker count),
-//! tick the engine, fan the response writes back out over the pool, and
-//! sleep briefly only when a pass did no work. Shutdown closes the
-//! registry first (the model-checked protocol in `registry.rs`), then
-//! drains every admitted request to a reply or reject before returning.
+//! The reactor owns the listener and the [`ServerCore`] and runs a pass
+//! loop: accept what the kernel has queued, fan session socket reads
+//! out over the pool, feed decoded frames to the core **serially in
+//! session order** (this is the only shared-state mutation, so behavior
+//! is independent of worker count), tick the engine, fan the response
+//! writes back out over the pool, and sleep briefly only when a pass did
+//! no work. [`serve_blocking`] spawns nothing: with a one-worker pool
+//! (which runs its jobs inline) the daemon is one thread. Shutdown is
+//! stop accepting (the listener is dropped, so a later connect is
+//! refused), then drain every admitted request to a reply or reject,
+//! then flush, then return.
 
-use std::net::{TcpListener, TcpStream};
+use std::net::TcpListener;
 use std::time::Duration;
 
 use rlb_core::Policy;
@@ -31,7 +34,6 @@ use rlb_sync::{Arc, AtomicBool, Mutex, Ordering};
 
 use crate::core::{ServerCore, SessionId};
 use crate::proto::{Frame, RejectCause};
-use crate::registry::SessionRegistry;
 use crate::wire::{ReadStatus, TcpSession};
 
 /// Knobs for one serve run.
@@ -84,39 +86,25 @@ pub fn serve_blocking<P: Policy>(
     pool: &Pool,
 ) -> std::io::Result<ServeOutcome> {
     listener.set_nonblocking(true)?;
-    let registry: Arc<SessionRegistry<TcpStream>> = Arc::new(SessionRegistry::new());
-
-    // The accept loop is the one hand-rolled thread in this crate: it
-    // blocks on kernel accepts, which no pool job may do (a stalled
-    // job would starve the executor). Spawned through rlb_sync so the
-    // registry hand-off it drives stays on model-checkable primitives.
-    let acceptor = {
-        let registry = Arc::clone(&registry);
-        // Dedicated accept thread: pool jobs must not block on the
-        // kernel, and rlb_sync::thread keeps the spawn on the
-        // switchable shim layer. lint:allow(raw-sync)
-        rlb_sync::thread::Builder::new()
-            .name("rlb-serve-accept".into())
-            .spawn(move || accept_loop(&listener, &registry))
-            .expect("spawn accept thread")
-    };
+    // `None` once draining starts: dropping the listener is what
+    // refuses a connect made during the drain.
+    let mut listener = Some(listener);
 
     let mut sessions: Vec<Option<Arc<Mutex<TcpSession>>>> = Vec::new();
     let mut accepted: u64 = 0;
-    let mut draining = false;
 
     loop {
         let mut worked = false;
+        let draining = listener.is_none();
 
-        // 1. Adopt newly accepted connections.
-        for stream in registry.drain() {
-            match TcpSession::new(stream) {
-                Ok(session) => {
-                    sessions.push(Some(Arc::new(Mutex::new(session))));
-                    accepted += 1;
-                    worked = true;
-                }
-                Err(_) => continue,
+        // 1. Adopt what the kernel has accepted, until `WouldBlock` (or
+        //    an accept that failed for one connection: the next pass
+        //    retries it).
+        while let Some(Ok((stream, _))) = listener.as_ref().map(TcpListener::accept) {
+            if let Ok(session) = TcpSession::new(stream) {
+                sessions.push(Some(Arc::new(Mutex::new(session))));
+                accepted += 1;
+                worked = true;
             }
         }
 
@@ -213,15 +201,14 @@ pub fn serve_blocking<P: Policy>(
             }
         }
 
-        // 7. Shutdown protocol: close the registry, stop admitting,
-        //    drain, exit.
+        // 7. Shutdown protocol: stop accepting, stop admitting, drain,
+        //    flush, exit.
         let stop_requested = opts.shutdown.load(Ordering::Relaxed)
             || opts.max_requests.is_some_and(|n| core.responses() >= n);
-        if stop_requested && !draining {
-            registry.shutdown();
-            draining = true;
+        if stop_requested {
+            listener = None;
         }
-        if draining && core.drained() {
+        if listener.is_none() && core.drained() {
             let all_flushed = sessions.iter().flatten().all(|arc| {
                 let mut s = arc.lock().expect("session lock");
                 s.flush().unwrap_or(true)
@@ -236,36 +223,9 @@ pub fn serve_blocking<P: Policy>(
         }
     }
 
-    // Let the acceptor observe the closed registry and exit.
-    registry.shutdown();
-    let _ = acceptor.join();
-
     Ok(ServeOutcome {
         responses: core.responses(),
         sessions: accepted,
         summary: core.render_summary(),
     })
-}
-
-/// Accept-thread body: poll the non-blocking listener, hand streams to
-/// the registry, exit when the registry closes.
-fn accept_loop(listener: &TcpListener, registry: &SessionRegistry<TcpStream>) {
-    loop {
-        if registry.is_closed() {
-            return;
-        }
-        match listener.accept() {
-            Ok((stream, _)) => {
-                if registry.insert(stream).is_err() {
-                    // Closed between the check and the insert: the
-                    // stream is returned and dropped (connection reset
-                    // for the client, which is what shutdown means).
-                    return;
-                }
-            }
-            // Nothing to accept yet (`WouldBlock`) or an accept that
-            // failed for one connection: poll again after a pause.
-            Err(_) => std::thread::sleep(Duration::from_micros(200)),
-        }
-    }
 }
