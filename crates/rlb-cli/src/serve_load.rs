@@ -374,7 +374,7 @@ pub fn run_load(args: &[String]) -> Result<String, (String, i32)> {
     let mut out = report.render("10us");
     let mut failed = 0;
     for (i, r) in results.iter().enumerate() {
-        if let Some(e) = &r.error {
+        if let Some(e) = r.failure() {
             use std::fmt::Write as _;
             let _ = writeln!(out, "client {i}: {e}");
             failed += 1;

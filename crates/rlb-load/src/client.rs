@@ -10,8 +10,12 @@
 //! * **Closed loop**: a fixed concurrency window; a new request is
 //!   issued the moment a response retires an old one. The outstanding
 //!   high-water mark equals the window (pinned by `tests/stats.rs`).
+//!
+//! A client issues its `req_id`s itself, consecutively, so it finds a
+//! request again by position ([`Outstanding`]) — no search, no hashing,
+//! one allocation that is reused for the whole run.
 
-use std::collections::BTreeMap;
+use std::collections::VecDeque;
 
 use rlb_metrics::Histogram;
 use rlb_serve::proto::{Frame, REJECT_CAUSES};
@@ -51,15 +55,91 @@ pub struct ClientConfig {
     pub seed: u64,
 }
 
+/// The ledger of unanswered requests: a window over the client's own
+/// consecutive `req_id`s, indexed by position.
+///
+/// Slot `req_id − base` holds the request's issue tick, or `None` once
+/// it is retired; the front compacts as it retires, so the window spans
+/// from the oldest unanswered request to the newest issued one. Same
+/// idiom as `rlb-kv`'s `PendingIndex`: a dense array instead of a map,
+/// O(1) issue and retire, no hashing and no iteration order, so it
+/// stays inside the workspace `determinism` lint.
+///
+/// **Memory bound:** one slot per request issued since the oldest
+/// unanswered one — where a map would hold only the unanswered. The two
+/// are equal when replies come back in issue order; a request the
+/// server never answers pins every later slot (16 bytes each) until
+/// the run ends. The daemon answers every request within
+/// `⌈queue / rate⌉ + 1` ticks of reading it, so against it a closed
+/// loop of window `c` spans at most `c` slots for each of those ticks.
+///
+/// `req_id` 0 is the protocol's session-level id (the daemon answers an
+/// undecodable byte stream with it) and is never issued: when the
+/// sequence wraps, 0's slot is born retired and the request takes 1.
+struct Outstanding {
+    /// `req_id` of `slots[0]`. Wraps with the id sequence.
+    base: u32,
+    /// The next id in sequence: `base + slots.len()`, wrapping.
+    next: u32,
+    slots: VecDeque<Option<u64>>,
+    /// Slots still holding an issue tick.
+    live: usize,
+}
+
+impl Outstanding {
+    fn starting_at(first_req_id: u32) -> Self {
+        Self {
+            base: first_req_id,
+            next: first_req_id,
+            slots: VecDeque::new(),
+            live: 0,
+        }
+    }
+
+    /// Opens the next slot for a request issued at `now`; returns its id.
+    fn issue(&mut self, now: u64) -> u32 {
+        if self.next == 0 {
+            self.slots.push_back(None);
+            self.compact();
+            self.next = 1;
+        }
+        let req_id = self.next;
+        self.slots.push_back(Some(now));
+        self.live += 1;
+        self.next = self.next.wrapping_add(1);
+        req_id
+    }
+
+    /// Retires `req_id` and returns its issue tick; `None` — and no
+    /// change — for an id outside the window (never issued, or long
+    /// answered), already retired, or 0.
+    fn retire(&mut self, req_id: u32) -> Option<u64> {
+        let slot = self
+            .slots
+            .get_mut(req_id.wrapping_sub(self.base) as usize)?;
+        let sent_at = slot.take()?;
+        self.live -= 1;
+        self.compact();
+        Some(sent_at)
+    }
+
+    /// Drops retired slots off the front, so `slots[0]` is live or the
+    /// window is empty.
+    fn compact(&mut self) {
+        while let Some(None) = self.slots.front() {
+            self.slots.pop_front();
+            self.base = self.base.wrapping_add(1);
+        }
+    }
+}
+
 /// One simulated client.
 pub struct Client {
     cfg: ClientConfig,
     arrivals: Option<PoissonArrivals>,
     picker: KeyPicker,
     op_rng: rlb_hash::Pcg64,
-    next_req_id: u32,
-    /// req_id → issue tick.
-    outstanding: BTreeMap<u32, u64>,
+    outstanding: Outstanding,
     /// Outstanding high-water mark.
     hwm: usize,
     sent: u64,
@@ -85,8 +165,7 @@ impl Client {
             arrivals,
             picker,
             op_rng,
-            next_req_id: 1,
-            outstanding: BTreeMap::new(),
+            outstanding: Outstanding::starting_at(1),
             hwm: 0,
             sent: 0,
             latency: Histogram::new(),
@@ -126,9 +205,14 @@ impl Client {
         self.rejects_by_cause.iter().sum()
     }
 
+    /// Requests issued and not yet answered.
+    pub fn outstanding(&self) -> usize {
+        self.outstanding.live
+    }
+
     /// All requests issued and every one answered.
     pub fn done(&self) -> bool {
-        self.sent >= self.cfg.total_requests && self.outstanding.is_empty()
+        self.sent >= self.cfg.total_requests && self.outstanding.live == 0
     }
 
     /// Issues this tick's requests into `out`.
@@ -143,23 +227,22 @@ impl Client {
                 u64::from(n)
             }
             Mode::Closed { concurrency } => {
-                (concurrency as u64).saturating_sub(self.outstanding.len() as u64)
+                (concurrency as u64).saturating_sub(self.outstanding.live as u64)
             }
         };
-        let remaining = self.cfg.total_requests.saturating_sub(self.sent);
-        for _ in 0..want.min(remaining) {
+        let want = want.min(self.cfg.total_requests.saturating_sub(self.sent));
+        out.reserve(usize::try_from(want).unwrap_or(0));
+        for _ in 0..want {
             out.push(self.issue(now));
         }
     }
 
     fn issue(&mut self, now: u64) -> Frame {
         use rlb_hash::Rng as _;
-        let req_id = self.next_req_id;
-        self.next_req_id = self.next_req_id.wrapping_add(1);
+        let req_id = self.outstanding.issue(now);
         let key_id = self.picker.pick(now);
         let key = key_id.to_le_bytes().to_vec();
-        self.outstanding.insert(req_id, now);
-        self.hwm = self.hwm.max(self.outstanding.len());
+        self.hwm = self.hwm.max(self.outstanding.live);
         self.sent += 1;
         if self.op_rng.gen_f64() < self.cfg.put_ratio {
             // Value content derives from the key so runs are seed-pure.
@@ -184,7 +267,7 @@ impl Client {
     pub fn on_frame(&mut self, now: u64, frame: &Frame) -> bool {
         match frame {
             Frame::Reply { req_id, .. } => {
-                if let Some(sent_at) = self.outstanding.remove(req_id) {
+                if let Some(sent_at) = self.outstanding.retire(*req_id) {
                     self.replies += 1;
                     self.latency.record(now.saturating_sub(sent_at));
                     return true;
@@ -192,8 +275,9 @@ impl Client {
                 false
             }
             Frame::Reject { req_id, cause } => {
-                // Session-level rejects (req_id 0) retire nothing.
-                if let Some(_sent_at) = self.outstanding.remove(req_id) {
+                // Session-level rejects (req_id 0) retire nothing: 0 is
+                // never issued.
+                if self.outstanding.retire(*req_id).is_some() {
                     self.rejects_by_cause[*cause as usize] += 1;
                     return true;
                 }
@@ -207,7 +291,9 @@ impl Client {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rlb_hash::{Pcg64, Rng};
     use rlb_serve::proto::RejectCause;
+    use std::collections::BTreeMap;
 
     fn closed(concurrency: u32, total: u64) -> Client {
         Client::new(ClientConfig {
@@ -220,6 +306,31 @@ mod tests {
         })
     }
 
+    fn ids(frames: &[Frame]) -> Vec<u32> {
+        frames
+            .iter()
+            .map(|f| match f {
+                Frame::Get { req_id, .. } | Frame::Put { req_id, .. } => *req_id,
+                other => panic!("unexpected frame {other:?}"),
+            })
+            .collect()
+    }
+
+    fn reply(req_id: u32) -> Frame {
+        Frame::Reply {
+            req_id,
+            latency: 0,
+            value: Vec::new(),
+        }
+    }
+
+    fn session_reject() -> Frame {
+        Frame::Reject {
+            req_id: 0,
+            cause: RejectCause::Malformed,
+        }
+    }
+
     #[test]
     fn closed_loop_holds_its_window() {
         let mut c = closed(4, 100);
@@ -230,10 +341,7 @@ mod tests {
         c.on_tick(1, &mut out2);
         assert!(out2.is_empty(), "window full, nothing issued");
         // Retire one; the next tick issues exactly one.
-        let req_id = match &out[0] {
-            Frame::Get { req_id, .. } | Frame::Put { req_id, .. } => *req_id,
-            other => panic!("unexpected frame {other:?}"),
-        };
+        let req_id = ids(&out)[0];
         assert!(c.on_frame(
             3,
             &Frame::Reply {
@@ -254,13 +362,7 @@ mod tests {
         let mut c = closed(2, 10);
         let mut out = Vec::new();
         c.on_tick(0, &mut out);
-        let ids: Vec<u32> = out
-            .iter()
-            .map(|f| match f {
-                Frame::Get { req_id, .. } | Frame::Put { req_id, .. } => *req_id,
-                other => panic!("unexpected frame {other:?}"),
-            })
-            .collect();
+        let ids = ids(&out);
         c.on_frame(
             1,
             &Frame::Reject {
@@ -321,5 +423,259 @@ mod tests {
         }
         assert!(c.done());
         assert_eq!(c.responses(), 20);
+    }
+
+    #[test]
+    fn the_id_sequence_skips_the_session_level_zero_across_the_wrap() {
+        let mut c = closed(8, 100);
+        c.outstanding = Outstanding::starting_at(u32::MAX - 3);
+        assert!(!c.on_frame(0, &session_reject()), "before anything is sent");
+        let mut out = Vec::new();
+        c.on_tick(0, &mut out);
+        let max = u32::MAX;
+        assert_eq!(ids(&out), [max - 3, max - 2, max - 1, max, 1, 2, 3, 4]);
+        assert_eq!(c.outstanding(), 8);
+
+        // Out of order, on both sides of the wrap; req_id 0 retires
+        // nothing before, at and after it.
+        assert!(!c.on_frame(1, &session_reject()));
+        assert!(c.on_frame(1, &reply(1)), "the request that took 0's place");
+        assert!(!c.on_frame(1, &reply(1)), "once");
+        assert!(c.on_frame(1, &reply(max)));
+        assert!(!c.on_frame(1, &session_reject()));
+        assert_eq!(c.outstanding(), 6);
+        for req_id in [3, max - 3, max - 1, 2, max - 2] {
+            assert!(c.on_frame(2, &reply(req_id)), "req_id {req_id}");
+            assert!(!c.on_frame(2, &session_reject()));
+        }
+        assert_eq!(c.outstanding(), 1);
+        assert_eq!(c.outstanding.slots.len(), 1, "compacted past 0's slot");
+
+        out.clear();
+        c.on_tick(3, &mut out);
+        assert_eq!(ids(&out), [5, 6, 7, 8, 9, 10, 11]);
+        assert!(!c.on_frame(3, &session_reject()));
+        assert!(c.on_frame(3, &reply(4)));
+        assert_eq!((c.replies, c.rejects(), c.outstanding()), (8, 0, 7));
+        assert_eq!(c.high_water(), 8);
+    }
+
+    #[test]
+    fn a_window_that_drains_right_at_the_wrap_restarts_at_one() {
+        let mut c = closed(1, 10);
+        c.outstanding = Outstanding::starting_at(u32::MAX);
+        let mut out = Vec::new();
+        c.on_tick(0, &mut out);
+        assert!(c.on_frame(0, &reply(u32::MAX)));
+        c.on_tick(1, &mut out);
+        assert_eq!(ids(&out), [u32::MAX, 1]);
+        assert!(!c.on_frame(1, &session_reject()));
+        assert!(c.on_frame(1, &reply(1)));
+        assert_eq!(c.outstanding.slots.len(), 0);
+    }
+
+    #[test]
+    fn the_window_compacts_to_the_live_span() {
+        let mut c = closed(4, 100);
+        let mut out = Vec::new();
+        c.on_tick(0, &mut out);
+        for req_id in [2, 3, 4] {
+            assert!(c.on_frame(1, &reply(req_id)));
+        }
+        assert_eq!(c.outstanding(), 1);
+        assert_eq!(
+            c.outstanding.slots.len(),
+            4,
+            "1 is unanswered and holds the front"
+        );
+        assert!(c.on_frame(1, &reply(1)));
+        assert_eq!(c.outstanding.slots.len(), 0);
+
+        out.clear();
+        c.on_tick(2, &mut out);
+        assert_eq!(ids(&out), [5, 6, 7, 8]);
+        assert!(c.on_frame(3, &reply(7)));
+        assert!(c.on_frame(3, &reply(5)));
+        // 6 (live), 7 (retired), 8 (live).
+        assert_eq!((c.outstanding(), c.outstanding.slots.len()), (2, 3));
+        assert!(c.on_frame(3, &reply(6)));
+        assert_eq!((c.outstanding(), c.outstanding.slots.len()), (1, 1));
+    }
+
+    #[test]
+    fn the_window_holds_every_request_issued_since_the_oldest_unanswered_one() {
+        let mut c = closed(4, 1000);
+        let mut out = Vec::new();
+        for t in 0..200 {
+            out.clear();
+            c.on_tick(t, &mut out);
+            for req_id in ids(&out).into_iter().filter(|&id| id != 1) {
+                assert!(c.on_frame(t, &reply(req_id)));
+            }
+            // Request 1 is never answered: the bound is reached.
+            assert_eq!(c.outstanding.slots.len() as u64, c.sent());
+            assert!(c.outstanding() <= 4);
+        }
+        assert!(c.sent() > 400);
+        assert!(c.on_frame(200, &reply(1)));
+        assert_eq!(c.outstanding.slots.len(), c.outstanding());
+    }
+
+    /// What `Client` kept before it indexed by position: a map from id to
+    /// issue tick, and the counters derived from it.
+    #[derive(Default)]
+    struct Reference {
+        outstanding: BTreeMap<u32, u64>,
+        latency: Histogram,
+        replies: u64,
+        rejects_by_cause: [u64; REJECT_CAUSES.len()],
+        hwm: usize,
+        sent: u64,
+        newest: u32,
+    }
+
+    impl Reference {
+        fn on_issued(&mut self, now: u64, frames: &[Frame]) {
+            for req_id in ids(frames) {
+                assert_ne!(req_id, 0, "the session-level id was issued");
+                let clash = self.outstanding.insert(req_id, now);
+                assert_eq!(clash, None, "req_id {req_id} issued while outstanding");
+                self.hwm = self.hwm.max(self.outstanding.len());
+                self.sent += 1;
+                self.newest = req_id;
+            }
+        }
+
+        /// Ids from the oldest unanswered to the newest issued, counting
+        /// back from the newest so the wrap is no special case.
+        fn span(&self) -> usize {
+            let back = |id: &u32| self.newest.wrapping_sub(*id) as usize;
+            self.outstanding.keys().map(back).max().map_or(0, |b| b + 1)
+        }
+
+        fn on_frame(&mut self, now: u64, frame: &Frame) -> bool {
+            match frame {
+                Frame::Reply { req_id, .. } => match self.outstanding.remove(req_id) {
+                    Some(sent_at) => {
+                        self.replies += 1;
+                        self.latency.record(now - sent_at);
+                        true
+                    }
+                    None => false,
+                },
+                Frame::Reject { req_id, cause } => {
+                    let known = self.outstanding.remove(req_id).is_some();
+                    self.rejects_by_cause[*cause as usize] += u64::from(known);
+                    known
+                }
+                _ => false,
+            }
+        }
+    }
+
+    /// Random interleavings of `on_tick` and `on_frame` — answers out of
+    /// order, duplicated, for ids never issued and ids long retired —
+    /// against the map-based reference, compared after every call.
+    fn sweep(mode: Mode, first_req_id: u32, seed: u64) {
+        let total = 3_000;
+        let mut c = Client::new(ClientConfig {
+            tenant: 2,
+            mode,
+            popularity: Popularity::Uniform { universe: 64 },
+            put_ratio: 0.3,
+            total_requests: total,
+            seed,
+        });
+        c.outstanding = Outstanding::starting_at(first_req_id);
+        let mut model = Reference::default();
+        let mut rng = Pcg64::new(seed, 0x77696e);
+        let mut retired: Vec<u32> = Vec::new();
+        let mut out = Vec::new();
+        let mut now = 0u64;
+        let mut steps = 0;
+        while !c.done() {
+            steps += 1;
+            assert!(steps < 200_000, "the run does not finish");
+            now += rng.gen_range(2);
+            if rng.gen_range(4) == 0 {
+                out.clear();
+                c.on_tick(now, &mut out);
+                model.on_issued(now, &out);
+            } else {
+                let req_id = match rng.gen_range(8) {
+                    // An unanswered request, anywhere in the window.
+                    0..=4 if !model.outstanding.is_empty() => {
+                        let nth = rng.gen_index(model.outstanding.len());
+                        *model.outstanding.keys().nth(nth).expect("nth < len")
+                    }
+                    // One already answered.
+                    5 if !retired.is_empty() => retired[rng.gen_index(retired.len())],
+                    // Just past the newest issued, the session-level 0,
+                    // or anything at all.
+                    6 => c.outstanding.next.wrapping_add(rng.gen_range(3) as u32),
+                    7 => 0,
+                    _ => rng.next_u64() as u32,
+                };
+                let frame = match rng.gen_range(3) {
+                    0 => Frame::Reject {
+                        req_id,
+                        cause: REJECT_CAUSES[rng.gen_index(REJECT_CAUSES.len())],
+                    },
+                    _ => reply(req_id),
+                };
+                let retires = model.on_frame(now, &frame);
+                assert_eq!(c.on_frame(now, &frame), retires, "step {steps}: {frame:?}");
+                if retires {
+                    retired.push(req_id);
+                }
+            }
+            assert_eq!(c.outstanding(), model.outstanding.len(), "step {steps}");
+            assert_eq!(c.high_water(), model.hwm, "step {steps}");
+            assert_eq!(c.sent(), model.sent, "step {steps}");
+            assert_eq!(c.replies, model.replies, "step {steps}");
+            assert_eq!(c.rejects_by_cause, model.rejects_by_cause, "step {steps}");
+            assert_eq!(
+                c.done(),
+                model.sent >= total && model.outstanding.is_empty(),
+                "step {steps}"
+            );
+            // The window spans oldest unanswered ..= newest issued.
+            assert_eq!(c.outstanding.slots.len(), model.span(), "step {steps}");
+        }
+        assert_eq!(c.latency, model.latency);
+        assert_eq!(c.sent(), total);
+        assert_eq!(c.responses(), total);
+    }
+
+    #[test]
+    fn the_window_is_the_map_it_replaced_closed_loop() {
+        for seed in 0..6 {
+            sweep(
+                Mode::Closed {
+                    concurrency: 1 + 5 * seed as u32,
+                },
+                1,
+                seed,
+            );
+        }
+    }
+
+    #[test]
+    fn the_window_is_the_map_it_replaced_open_loop() {
+        for seed in 10..16 {
+            sweep(
+                Mode::Open {
+                    rate: 0.5 + seed as f64 / 4.0,
+                },
+                1,
+                seed,
+            );
+        }
+    }
+
+    #[test]
+    fn the_window_is_the_map_it_replaced_across_the_id_wrap() {
+        sweep(Mode::Closed { concurrency: 24 }, u32::MAX - 1_000, 20);
+        sweep(Mode::Open { rate: 3.0 }, u32::MAX - 1_500, 21);
     }
 }

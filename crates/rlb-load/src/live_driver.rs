@@ -37,6 +37,16 @@ pub struct LiveClientResult {
     pub error: Option<String>,
 }
 
+impl LiveClientResult {
+    /// The line `rlb-sim load` prints for a failed client: why it
+    /// stopped and how many of its requests were still unanswered.
+    /// `None` for a clean finish.
+    pub fn failure(&self) -> Option<String> {
+        let why = self.error.as_ref()?;
+        Some(format!("{why} ({} unanswered)", self.client.outstanding()))
+    }
+}
+
 /// Monotonic microsecond clock for live latency measurement.
 struct WallClock {
     start: std::time::Instant,

@@ -205,6 +205,17 @@ fn an_early_stop_is_accounted_exactly_too() {
     let report = rlb_load::aggregate(&results);
     assert!(outcome.responses >= total / 2, "the stop was reached");
     assert_eq!(outcome.responses, report.replies + report.rejects());
+
+    // A client the stop cut off says how many requests it left
+    // unanswered, and those are all of the unanswered ones.
+    let mut unanswered = 0;
+    for r in results.iter().filter(|r| !r.client.done()) {
+        let n = r.client.outstanding();
+        let line = r.failure().expect("an unfinished client failed");
+        assert!(line.ends_with(&format!(" ({n} unanswered)")), "{line}");
+        unanswered += n as u64;
+    }
+    assert_eq!(unanswered, report.sent - outcome.responses);
 }
 
 /// Connections made before the daemon's first pass wait in the kernel's

@@ -22,9 +22,18 @@
 //! `1 + backlog(server)/rate` ticks out — a modeled service latency:
 //! the queue the routing policy just lengthened is the queue the reply
 //! waits behind. Queues are bounded, so the schedule is a short ring of
-//! per-tick buckets, not a general ordered map. Live mode drives ticks
+//! per-tick buckets, not a general ordered map; a bucket that comes off
+//! the ring keeps its allocation for the ring's next growth, so a steady
+//! run schedules replies without allocating. Live mode drives ticks
 //! from wall time; sim-clock mode drives them from the driver loop.
 //! Neither changes routing, admission, or reply content.
+//!
+//! ## The store
+//!
+//! Values live in one ordered map keyed `(fold, tenant, key)`, where
+//! `fold` is the `key_to_u64` the request already carries for the chunk
+//! directory: a lookup is decided by one inline word at almost every
+//! node and reads key bytes only where folds tie.
 //!
 //! ## Admission and rejects
 //!
@@ -59,6 +68,9 @@ struct Request {
     slot: u32,
     /// The tick it was admitted in; a reply's `latency` counts from it.
     admitted: u64,
+    /// `key_to_u64(tenant, key)`, computed once in `admit`: the chunk
+    /// directory hashes it, and the store's order leads with it.
+    fold: u64,
     key: Vec<u8>,
     /// A put's value, applied to the store at reply time; `None` reads.
     value: Option<Vec<u8>>,
@@ -114,8 +126,12 @@ pub struct ServerCore<P: Policy> {
     gate: BacklogGate,
     /// The value store. `BTreeMap` (not `HashMap`): deterministic
     /// iteration keeps this crate inside the workspace determinism
-    /// lint, and the key space is tenant-scoped.
-    store: BTreeMap<(u16, Vec<u8>), Vec<u8>>,
+    /// lint, and the key space is tenant-scoped. The request's fold
+    /// leads the key so a lookup compares inline words down the tree and
+    /// dereferences key bytes only where the fold ties — on the hit, or
+    /// on a 64-bit collision, which `(tenant, key)` then tells apart.
+    /// Nothing iterates the store, so its order is nobody's output.
+    store: BTreeMap<(u64, u16, Vec<u8>), Vec<u8>>,
     /// Admitted since the last tick, already handed to `kv`.
     staged: Vec<Request>,
     /// Routed requests awaiting their reply: bucket `i` is due `i + 1`
@@ -123,6 +139,10 @@ pub struct ServerCore<P: Policy> {
     /// reply waits at most `queue capacity / rate` ticks, so emission is
     /// FIFO within a tick and the ring stays that short.
     scheduled: VecDeque<Vec<Request>>,
+    /// Emptied buckets that came off the ring, kept for the ring's next
+    /// growth: ring + spares never hold more buckets than the ring's
+    /// longest extent, and a steady run allocates none.
+    spare: Vec<Vec<Request>>,
     tick: u64,
     tenants: Vec<TenantServeStats>,
     pings: u64,
@@ -143,6 +163,7 @@ impl<P: Policy> ServerCore<P> {
             store: BTreeMap::new(),
             staged: Vec::new(),
             scheduled: VecDeque::new(),
+            spare: Vec::new(),
             tick: 0,
             tenants: Vec::new(),
             pings: 0,
@@ -230,13 +251,15 @@ impl<P: Policy> ServerCore<P> {
         // The cluster takes the request now, in arrival order (same-chunk
         // requests coalesce into one chunk request inside it); the next
         // tick only has to commit the step.
-        let slot = self.kv.get_for(tenant, key_to_u64(tenant, &key));
+        let fold = key_to_u64(tenant, &key);
+        let slot = self.kv.get_for(tenant, fold);
         self.staged.push(Request {
             session,
             req_id,
             tenant,
             slot,
             admitted: self.tick,
+            fold,
             key,
             value,
         });
@@ -248,7 +271,11 @@ impl<P: Policy> ServerCore<P> {
     /// response frame due at the new tick, in deterministic
     /// (reject-then-due, FIFO) order.
     pub fn tick(&mut self) -> Vec<(SessionId, Frame)> {
-        let mut out = Vec::new();
+        // Every response is a staged request turned away or a member of
+        // the front bucket (as it stands, plus staged requests routed
+        // behind an empty queue).
+        let due = self.scheduled.front().map_or(0, Vec::len);
+        let mut out = Vec::with_capacity(due + self.staged.len());
 
         // 1. Commit the step; the cluster keeps one decision per slot.
         self.kv.commit_step();
@@ -264,7 +291,9 @@ impl<P: Policy> ServerCore<P> {
                     let backlog = self.kv.simulation().view().backlog(server);
                     let wait = (backlog / rate) as usize;
                     if self.scheduled.len() <= wait {
-                        self.scheduled.resize_with(wait + 1, Vec::new);
+                        let spare = &mut self.spare;
+                        self.scheduled
+                            .resize_with(wait + 1, || spare.pop().unwrap_or_default());
                     }
                     if let Some(bucket) = self.scheduled.get_mut(wait) {
                         bucket.push(req);
@@ -284,16 +313,18 @@ impl<P: Policy> ServerCore<P> {
 
         // 3. Advance time and emit the replies now due (service
         //    completion: puts apply to the store here, gets read here).
+        //    Only a bucket that came off the ring is kept as a spare: an
+        //    idle tick pops nothing and banks nothing.
         self.tick += 1;
-        for req in self.scheduled.pop_front().unwrap_or_default() {
+        let Some(mut bucket) = self.scheduled.pop_front() else {
+            return out;
+        };
+        for req in bucket.drain(..) {
+            let key = (req.fold, req.tenant, req.key);
             let value = match req.value {
-                None => self
-                    .store
-                    .get(&(req.tenant, req.key))
-                    .cloned()
-                    .unwrap_or_default(),
+                None => self.store.get(&key).cloned().unwrap_or_default(),
                 Some(value) => {
-                    self.store.insert((req.tenant, req.key), value);
+                    self.store.insert(key, value);
                     Vec::new()
                 }
             };
@@ -308,6 +339,7 @@ impl<P: Policy> ServerCore<P> {
                 },
             ));
         }
+        self.spare.push(bucket);
         out
     }
 
@@ -749,6 +781,108 @@ mod tests {
             c.tick();
         }
         assert!(c.drained(), "{bound} ticks empty the ring");
+    }
+
+    #[test]
+    fn idle_ticks_after_a_burst_bank_no_buckets() {
+        // As in the first case above: 14 chunks leave 5 behind a server,
+        // so the ring grows to 3 buckets and the replies leave on the
+        // third tick.
+        let mut c = two_servers(2, 8);
+        for round in 0..3 {
+            admit_distinct(&mut c, round * 100, 14);
+            for _ in 0..2 {
+                assert!(c.tick().is_empty());
+                assert_eq!(c.scheduled.len() + c.spare.len(), 3);
+            }
+            assert_eq!(c.tick().len(), 14);
+            for _ in 0..50 {
+                assert!(c.tick().is_empty());
+                assert!(c.scheduled.is_empty() && c.drained());
+                assert_eq!(c.spare.len(), 3, "what came off the ring, no more");
+            }
+        }
+        assert!(c.spare.iter().all(Vec::is_empty));
+    }
+
+    /// Random gets, puts and overwrites against a plain
+    /// `(tenant, key) -> value` map, applied in the order the core
+    /// replies: the fold that leads the store's key changes no answer.
+    #[test]
+    fn the_store_answers_like_a_map_on_tenant_and_key() {
+        use rlb_hash::{Pcg64, Rng};
+
+        // Lengths 0..=128, with neighbours that agree on their first 8
+        // bytes (one fold word) and part later, or only at the last byte.
+        let mut keys: Vec<Vec<u8>> = vec![Vec::new(), vec![0], vec![0; 7], vec![0; 8], vec![0; 9]];
+        for tail in [&b""[..], b"a", b"b", b"ab", b"\0"] {
+            keys.push([b"8 bytes!", tail].concat());
+        }
+        for last in 0..4u8 {
+            let mut long = vec![0x5a; 128];
+            long[127] = last;
+            keys.push(long);
+            keys.push(vec![last; 64]);
+        }
+
+        for seed in 0..4u64 {
+            let mut rng = Pcg64::new(seed, 0x73746f7265);
+            let mut c = core();
+            let mut model: BTreeMap<(u16, Vec<u8>), Vec<u8>> = BTreeMap::new();
+            // The request frames, by req_id, until they are answered.
+            let mut asked: BTreeMap<u32, Frame> = BTreeMap::new();
+            let (mut reads, mut hits) = (0, 0);
+            for t in 0..400u32 {
+                for i in 0..rng.gen_range(12) as u32 {
+                    let req_id = t * 16 + i;
+                    let tenant = rng.gen_range(3) as u16;
+                    let key = keys[rng.gen_index(keys.len())].clone();
+                    let frame = if rng.gen_range(2) == 0 {
+                        let len = rng.gen_index(33);
+                        let value = (0..len).map(|_| rng.next_u64() as u8).collect();
+                        Frame::Put {
+                            req_id,
+                            tenant,
+                            key,
+                            value,
+                        }
+                    } else {
+                        Frame::Get {
+                            req_id,
+                            tenant,
+                            key,
+                        }
+                    };
+                    asked.insert(req_id, frame.clone());
+                    assert_eq!(c.on_frame(0, frame), None);
+                }
+                for (_, frame) in c.tick() {
+                    let Frame::Reply { req_id, value, .. } = frame else {
+                        continue;
+                    };
+                    match asked.remove(&req_id).expect("asked once") {
+                        Frame::Put {
+                            tenant,
+                            key,
+                            value: put,
+                            ..
+                        } => {
+                            assert!(value.is_empty());
+                            model.insert((tenant, key), put);
+                        }
+                        Frame::Get { tenant, key, .. } => {
+                            let want = model.get(&(tenant, key)).cloned().unwrap_or_default();
+                            assert_eq!(value, want, "seed {seed} tick {t} req {req_id}");
+                            reads += 1;
+                            hits += usize::from(!want.is_empty());
+                        }
+                        other => unreachable!("{other:?} was never asked"),
+                    }
+                }
+            }
+            assert!(reads > 500 && hits > 250, "{reads} reads, {hits} non-empty");
+            assert_eq!(c.store.len(), model.len());
+        }
     }
 
     #[test]
