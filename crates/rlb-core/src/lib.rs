@@ -54,5 +54,5 @@ pub use policy::{Decision, Policy, RejectReason, RouteCtx};
 pub use queue::{ClassSpec, QueueArray};
 pub use sim::{NullObserver, Observer, Simulation, Workload};
 pub use stats::{RunReport, RunStats};
-pub use trace::{NoopSink, TraceCause, TraceEvent, TraceSink};
+pub use trace::{latency_steps, NoopSink, TraceCause, TraceEvent, TraceSink};
 pub use view::ClusterView;

@@ -118,6 +118,11 @@ pub struct QueueArray {
 }
 
 impl QueueArray {
+    /// Bytes per server of the rows a routing decision reads: the load
+    /// pair and class 0's control entry.
+    pub(crate) const ROUTE_ROW_BYTES: usize =
+        (LOAD_WORDS + CTRL_WORDS) * std::mem::size_of::<u32>();
+
     /// Creates queues for `num_servers` servers with the given classes.
     /// Every server starts live.
     ///

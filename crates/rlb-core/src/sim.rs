@@ -16,7 +16,7 @@ use crate::outage::OutageSchedule;
 use crate::policy::{Decision, Policy, RejectReason, RouteCtx, StepOps};
 use crate::queue::QueueArray;
 use crate::stats::{RunReport, RunStats};
-use crate::trace::{NoopSink, TraceCause, TraceEvent, TraceSink};
+use crate::trace::{latency_steps, NoopSink, TraceCause, TraceEvent, TraceSink};
 use crate::view::ClusterView;
 use rlb_hash::ReplicaPlacement;
 use rlb_metrics::BacklogSnapshot;
@@ -25,10 +25,37 @@ use rlb_metrics::BacklogSnapshot;
 /// `Simulation::route_range`).
 const PREFETCH_BLOCK: usize = 32;
 
-/// Cluster size from which the routing loop warms each block's cache
-/// lines before routing it; below this the replica table and load rows
-/// are cache resident and the warm pass is pure overhead.
-const PREFETCH_MIN_SERVERS: usize = 4096;
+/// Estimate of the cache a core keeps to itself (a mid-size L2). The
+/// routing loop warms each block's cache lines before routing it only
+/// when the rows it reads at random — [`routed_row_bytes`] — outgrow
+/// this: rows that fit mostly stay resident between steps, so a second
+/// pass over them has little latency left to hide — and under a policy
+/// whose repeat path reads none of them, as delayed cuckoo routing's,
+/// it only evicts what the policy does read.
+///
+/// Two points are measured (`benchmark/`, ARCHITECTURE.md "What a table
+/// built one group at a time cost"): 0.9 MiB of rows (m = 16 384,
+/// n = 4m, d = 2), where the pass costs `engine-dcr` 9–11 % and is worth
+/// 2–3 % to `engine-dense`, and 14 MiB (m = 262 144), where it pays
+/// `engine-sparse` 8–14 %. Where between 1 and 14 MiB the pass starts
+/// to pay is unmeasured until the benchmark has a row there (ROADMAP
+/// 1(iii)).
+const ROUTE_CACHE_BYTES: usize = 2 << 20;
+
+/// Bytes of the rows a routing pass reads at random: every chunk's
+/// replica row, and per server the load pair and class 0's control
+/// entry.
+fn routed_row_bytes(config: &SimConfig) -> usize {
+    let placement = config
+        .num_chunks
+        .saturating_mul(config.replication)
+        .saturating_mul(std::mem::size_of::<u32>());
+    placement.saturating_add(
+        config
+            .num_servers
+            .saturating_mul(QueueArray::ROUTE_ROW_BYTES),
+    )
+}
 
 /// A source of per-step request sets.
 ///
@@ -115,6 +142,9 @@ struct Engine<P: Policy> {
     /// Latencies holding a non-zero `lat_counts` entry, in first-seen
     /// order.
     lat_touched: Vec<u64>,
+    /// Whether `route_range` warms each block before routing it: the
+    /// routed rows outgrow [`ROUTE_CACHE_BYTES`].
+    warm_blocks: bool,
 }
 
 /// A running simulation.
@@ -193,6 +223,7 @@ impl<P: Policy> Simulation<P> {
             drain_scratch: Vec::new(),
             lat_counts: Vec::new(),
             lat_touched: Vec::new(),
+            warm_blocks: routed_row_bytes(&config) > ROUTE_CACHE_BYTES,
             config,
         };
         Self {
@@ -469,21 +500,22 @@ impl<P: Policy> Engine<P> {
         // queue mutations; reattached (untouched) at the end.
         let chunks = std::mem::take(&mut self.chunk_scratch);
         self.stats.arrived += (hi - lo) as u64; // hi >= lo by the substep partition. lint:allow(unchecked-arith)
-                                                // On large clusters each request's replica-table row and each
-                                                // candidate's packed control/load words sit on random cold cache
-                                                // lines, and the serial routing loop eats one miss latency after
-                                                // another. Walking the requests in blocks with a read-only warm
-                                                // pass ahead of the routing pass lets those misses overlap: the
-                                                // warm reads are folded into a checksum handed to `black_box` so
-                                                // they cannot be elided, and the routing pass right behind hits
-                                                // lines already in flight or resident. The warm pass never
-                                                // changes state, so the routed sequence is untouched (pinned by
-                                                // the engine-equivalence goldens). Small clusters stay cache
-                                                // resident and skip the extra pass.
-        let warm_blocks = self.config.num_servers >= PREFETCH_MIN_SERVERS;
+
+        // When the routed rows outgrow the cache (`warm_blocks`), each
+        // request's replica-table row and each candidate's packed
+        // control/load words sit on random cold cache lines, and the
+        // serial routing loop eats one miss latency after another.
+        // Walking the requests in blocks with a read-only warm pass
+        // ahead of the routing pass lets those misses overlap: the warm
+        // reads are folded into a checksum handed to `black_box` so they
+        // cannot be elided, and the routing pass right behind hits lines
+        // already in flight or resident. The warm pass never changes
+        // state, so the routed sequence is untouched (pinned by the
+        // engine-equivalence goldens and by
+        // `warm_pass_is_selected_by_bytes_and_changes_no_report`).
         // lo..hi within chunks: substep partition bound. lint:allow(panic-path)
         for block in chunks[lo..hi].chunks(PREFETCH_BLOCK) {
-            if warm_blocks {
+            if self.warm_blocks {
                 let mut warm = 0u32;
                 for &chunk in block {
                     for &server in self.placement.replicas(chunk) {
@@ -603,7 +635,7 @@ impl<P: Policy> Engine<P> {
             // so a change of server closes the previous server's event.
             let mut draining = 0u32;
             self.queues.sweep_class(class, take, |server, arrival| {
-                let lat = (step - arrival as u64) as usize;
+                let lat = latency_steps(step, arrival) as usize;
                 if lat >= self.lat_counts.len() {
                     self.lat_counts.resize(lat + 1, 0);
                 }
@@ -1052,6 +1084,88 @@ mod tests {
             transitions[1],
             &TraceEvent::OutageEnd { step: 5, server: 3 }
         );
+    }
+
+    #[test]
+    fn step_counter_passes_two_to_the_32_with_work_queued() {
+        // The queues keep the low 32 bits of a request's arrival step.
+        // A run that crosses step 2^32 with requests waiting must read
+        // their latencies modulo 2^32 — the same run started at step 0
+        // is the reference — instead of sizing the per-sweep tally by a
+        // latency of ~2^32 (which aborted on a 32 GiB allocation).
+        for mode in [DrainMode::EndOfStep, DrainMode::Interleaved] {
+            let mut cfg = small_config();
+            cfg.process_rate = 2; // 32 arrivals a step against 8 * 2 drained
+            cfg.drain_mode = mode;
+            let run = |start: u64| {
+                let mut sim =
+                    Simulation::new(cfg.clone(), Greedy::new()).with_sink(VecSink(Vec::new()));
+                sim.engine.step = start;
+                sim.run(&mut fixed_workload(32), 6);
+                let (mut report, sink) = sim.finish_traced();
+                report.check_conservation().unwrap();
+                assert_eq!(report.steps, start + 6);
+                report.steps = 6;
+                // What a trace consumer derives from the `Drain` events.
+                let mut traced = rlb_metrics::Histogram::new();
+                for ev in &sink.0 {
+                    if let TraceEvent::Drain { step, arrivals, .. } = ev {
+                        for &arrival in arrivals {
+                            traced.record(latency_steps(*step, arrival));
+                        }
+                    }
+                }
+                assert_eq!(
+                    rlb_json::to_string(&traced),
+                    rlb_json::to_string(&report.latency),
+                    "{mode:?}: the events' latencies are not the report's"
+                );
+                report
+            };
+            let reference = run(0);
+            assert!(
+                reference.max_latency >= 1 && reference.in_flight > 0,
+                "{mode:?}: the scenario must carry queued work from step to step"
+            );
+            // Steps 2^32 - 3 ..= 2^32 + 2.
+            let wrapped = run((1 << 32) - 3);
+            assert_eq!(
+                rlb_json::to_string(&wrapped),
+                rlb_json::to_string(&reference),
+                "{mode:?}: crossing step 2^32 changed the report"
+            );
+        }
+    }
+
+    #[test]
+    fn warm_pass_is_selected_by_bytes_and_changes_no_report() {
+        // The two measured points, both n = 4m, d = 2. m = 16 384 (the
+        // benchmark's `engine-dense` / `engine-dcr`): 512 KiB of replica
+        // rows + 128 KiB of load pairs + 256 KiB of class-0 control rows
+        // fit the estimate, no warm pass. m = 262 144 (`engine-sparse`):
+        // 14 MiB do not, and its warm pass must stay on.
+        let engine =
+            |m: usize| Simulation::new(SimConfig::explicit(m, 2, 1, 1), Greedy::new()).engine;
+        let small = engine(16_384);
+        assert_eq!(routed_row_bytes(&small.config), 896 << 10);
+        assert!(!small.warm_blocks);
+        let large = engine(262_144);
+        assert_eq!(routed_row_bytes(&large.config), 14 << 20);
+        assert!(large.warm_blocks);
+
+        // The pass only reads: the same run, warmed or not, reports the
+        // same bytes.
+        let mut cfg = small_config();
+        cfg.process_rate = 1;
+        cfg.drain_mode = DrainMode::Interleaved;
+        let run = |warm: bool| {
+            let mut sim = Simulation::new(cfg.clone(), Greedy::new());
+            assert!(!sim.engine.warm_blocks);
+            sim.engine.warm_blocks = warm;
+            sim.run(&mut fixed_workload(32), 20);
+            rlb_json::to_string(&sim.finish())
+        };
+        assert_eq!(run(true), run(false));
     }
 
     #[test]

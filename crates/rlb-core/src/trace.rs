@@ -106,7 +106,8 @@ pub enum TraceEvent {
     },
     /// A server drained requests from one class (one event per
     /// non-empty `(server, class)` drain; `arrivals` holds the arrival
-    /// step of each completed request, so latency is `step - arrival`).
+    /// step of each completed request as the queues keep it — its low
+    /// 32 bits — so latency is [`latency_steps`]`(step, arrival)`).
     Drain {
         /// Step of the drain.
         step: u64,
@@ -197,6 +198,17 @@ impl TraceEvent {
             | TraceEvent::TenantOp { step, .. } => step,
         }
     }
+}
+
+/// Latency, in steps, of a request that arrived at `arrival` — the low
+/// 32 bits of its step, which is what the queues and
+/// [`TraceEvent::Drain`] hold — and completes at `step`: the difference
+/// modulo 2³². A request waits far fewer than 2³² steps (queues are
+/// bounded and drain every step), so this is its true latency whether
+/// or not the step counter passed a multiple of 2³² while it waited.
+#[inline]
+pub fn latency_steps(step: u64, arrival: u32) -> u64 {
+    u64::from((step as u32).wrapping_sub(arrival))
 }
 
 fn obj(kind: &str, step: u64, rest: Vec<(String, Json)>) -> Json {

@@ -11,6 +11,18 @@
 //! [`TableBuilder`], a workspace reused across calls; `assign_exact` is
 //! a one-call wrapper around it.
 //!
+//! A peel is a pointer chase — pop a vertex, read its one edge, go to
+//! the edge's other end — so its cost is load latency, not arithmetic.
+//! Two things keep that cost down. Each vertex carries the XOR of its
+//! alive edges' ids *and* of their far endpoints, so a step is two
+//! dependent loads (`verts[v]`, `verts[far]`) and never reads the item
+//! array. And the workspace holds three independent lanes, one per
+//! Lemma 4.2 group, which `build_table` peels abreast: one pop per lane
+//! per round, with a branch-free push so that no lane's mispredict
+//! flushes the loads the other two have in flight. The lanes never
+//! reorder anything *within* a lane, so each group's assignment is what
+//! solving it alone gives.
+//!
 //! [`RandomWalkAllocator`] is the classical random-walk insertion
 //! heuristic with a kick budget; it is kept as an alternative allocator
 //! for cross-validation and benchmarking (it may stash more than the
@@ -18,6 +30,7 @@
 
 use crate::Choices;
 use rlb_hash::Rng;
+use std::cell::Cell;
 
 /// The result of an offline assignment: each item is either placed at one
 /// of its two candidate positions (at most one item per position) or
@@ -53,7 +66,7 @@ impl OfflineAssignment {
     pub fn assign_exact(num_positions: usize, items: &[Choices]) -> Self {
         assert!(num_positions > 0, "need at least one position");
         let mut slots = vec![0u32; items.len()];
-        TableBuilder::new().solve(num_positions, items, 1, &mut slots);
+        TableBuilder::new().solve(num_positions, items, &mut slots);
         let stash = (0..items.len() as u32)
             .filter(|&i| slots[i as usize] == STASHED)
             .collect();
@@ -92,7 +105,7 @@ impl OfflineAssignment {
     }
 }
 
-/// Slot value of a stashed item in a [`TableBuilder::solve`] output.
+/// Slot value of a stashed item in a [`TableBuilder`] output.
 pub(crate) const STASHED: u32 = u32::MAX;
 
 /// Vertex flags.
@@ -103,14 +116,67 @@ const ALIVE: u8 = 1;
 const SEEN: u8 = 2;
 
 /// One position of the cuckoo graph during a solve.
-#[derive(Debug, Clone, Copy, Default)]
+///
+/// The two XOR words make peeling free of adjacency lists *and* of the
+/// item array: at degree 1 they are the one remaining edge and its
+/// other end, so a peel step is two dependent loads (`verts[v]`, then
+/// `verts[far]`), not three through `items[e]`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct Vertex {
     /// Remaining degree (self-loops count 2).
     deg: u32,
     /// XOR of the ids of the alive incident edges (a self-loop cancels
-    /// itself): at degree 1 this *is* the one remaining edge, so peeling
-    /// needs no adjacency lists.
+    /// itself).
     edges: u32,
+    /// XOR of the far endpoints of the alive incident edges (a
+    /// self-loop's two ends are the vertex itself and cancel too).
+    far: u32,
+}
+
+/// The graph of one solve: Theorem 4.1's instance, or one of Lemma 4.2's
+/// three groups.
+#[derive(Debug, Clone, Default)]
+struct Lane {
+    verts: Vec<Vertex>,
+    /// `OCCUPIED | MARKED` per vertex.
+    vflag: Vec<u8>,
+    /// `ALIVE | SEEN` per edge.
+    eflag: Vec<u8>,
+    /// Storage of the peel stack of unoccupied degree-1 vertices. A
+    /// vertex's degree reaches 1 at most once, so the stack never holds
+    /// more than `n` entries; the slot above the top is always written
+    /// (see [`Run::unlink`]), hence `n + 1` slots.
+    stack: Vec<u32>,
+}
+
+/// Used only when edges survive a lane's first peel (its graph has a
+/// cycle): CSR adjacency of the survivors — the edge ids at `v` are
+/// `adj[off[v]..off[v + 1]]`, ascending, a self-loop listed twice — the
+/// DFS stack and the current component's non-tree edges. Cycles are
+/// oriented one lane at a time, so the lanes share one.
+#[derive(Debug, Clone, Default)]
+struct CycleScratch {
+    off: Vec<u32>,
+    adj: Vec<u32>,
+    dfs: Vec<u32>,
+    nontree: Vec<u32>,
+}
+
+impl CycleScratch {
+    /// Sizes the buffers for lanes of at most `k` items over `n`
+    /// positions, up front, so that the first cycle of a long run does
+    /// not allocate.
+    fn reserve(&mut self, n: usize, k: usize) {
+        for (buf, len) in [
+            (&mut self.off, n + 1),
+            (&mut self.adj, 2 * k),
+            (&mut self.dfs, n),
+            (&mut self.nontree, k),
+        ] {
+            buf.clear();
+            buf.reserve(len);
+        }
+    }
 }
 
 /// The peeling + unicyclic-orientation solver, as a reusable workspace.
@@ -119,27 +185,22 @@ struct Vertex {
 /// [`OfflineAssignment::assign_exact`] and [`crate::RoutingTable::build`]
 /// create a builder for one call; delayed cuckoo routing keeps one for a
 /// whole run and calls [`TableBuilder::build_table`] after every step.
+///
+/// The workspace holds one [`Lane`] per Lemma 4.2 group, which
+/// `build_table` peels **abreast** (see the module docs): one pop per
+/// lane per round, each lane on its own LIFO stack in its own order.
+/// Which table comes out depends on the pop order *within* a lane and on
+/// nothing else, so every group's assignment is exactly what solving it
+/// alone gives (pinned by `tests/table_golden.rs` and the lane sweep in
+/// `tripartite.rs`). A single solve is the same loop over one lane.
+///
 /// All buffers are sized by `(positions, items)` alone and are cleared
 /// and resized in place, so a run at a fixed request-set size allocates
 /// during its first call only.
 #[derive(Debug, Clone, Default)]
 pub struct TableBuilder {
-    verts: Vec<Vertex>,
-    /// `OCCUPIED | MARKED` per vertex.
-    vflag: Vec<u8>,
-    /// `ALIVE | SEEN` per edge.
-    eflag: Vec<u8>,
-    /// Peel stack of unoccupied degree-1 vertices. A vertex's degree
-    /// reaches 1 at most once, so it never outgrows `n` entries.
-    queue: Vec<u32>,
-    /// Used only when edges survive the first peel (the graph has a
-    /// cycle): CSR adjacency of the survivors — the edge ids at `v` are
-    /// `adj[off[v]..off[v + 1]]`, ascending, a self-loop listed twice —
-    /// the DFS stack and the current component's non-tree edges.
-    off: Vec<u32>,
-    adj: Vec<u32>,
-    stack: Vec<u32>,
-    nontree: Vec<u32>,
+    lanes: [Lane; 3],
+    cycles: CycleScratch,
 }
 
 impl TableBuilder {
@@ -148,34 +209,111 @@ impl TableBuilder {
         Self::default()
     }
 
-    /// Bytes of heap the workspace holds. Constant from the second call
-    /// on while `(positions, items)` stay the same.
+    /// Bytes of heap the workspace holds, all three lanes counted.
+    /// Constant from the second call on while `(positions, items)` stay
+    /// the same.
     pub fn capacity_bytes(&self) -> usize {
-        let words = self.queue.capacity()
-            + self.off.capacity()
-            + self.adj.capacity()
-            + self.stack.capacity()
-            + self.nontree.capacity();
-        std::mem::size_of::<Vertex>() * self.verts.capacity()
-            + std::mem::size_of::<u32>() * words
-            + self.vflag.capacity()
-            + self.eflag.capacity()
+        let c = &self.cycles;
+        let words: usize = [&c.off, &c.adj, &c.dfs, &c.nontree]
+            .into_iter()
+            .chain(self.lanes.iter().map(|lane| &lane.stack))
+            .map(Vec::capacity)
+            .sum();
+        let graphs: usize = self
+            .lanes
+            .iter()
+            .map(|lane| {
+                std::mem::size_of::<Vertex>() * lane.verts.capacity()
+                    + lane.vflag.capacity()
+                    + lane.eflag.capacity()
+            })
+            .sum();
+        graphs + std::mem::size_of::<u32>() * words
     }
 
-    /// Minimal-stash assignment of the items `items[0]`, `items[stride]`,
-    /// `items[2 * stride]`, … into `n` positions. Item `j`'s position (or
-    /// [`STASHED`]) is written to `out[j * stride]`; the return value is
-    /// the number of stashed items.
+    /// Minimal-stash assignment of `items` into `n` positions. Item
+    /// `j`'s position (or [`STASHED`]) is written to `out[j]`; the
+    /// return value is the number of stashed items.
     ///
     /// # Panics
     /// Panics if any choice is out of range.
-    pub(crate) fn solve(
+    pub(crate) fn solve(&mut self, n: usize, items: &[Choices], out: &mut [u32]) -> usize {
+        let out = Cell::from_mut(out).as_slice_of_cells();
+        let [lane, ..] = &mut self.lanes;
+        let [stashed] = finish([lane.prepare(n, items, 1, out)], &mut self.cycles);
+        stashed
+    }
+
+    /// Three minimal-stash assignments into `n` positions each, one per
+    /// strided group `items[g]`, `items[g + 3]`, … (`g` = 0, 1, 2),
+    /// solved abreast. Item `i`'s position (or [`STASHED`]) is written
+    /// to `out[i]`; the return value is each group's stashed count.
+    ///
+    /// # Panics
+    /// Panics if any choice is out of range.
+    pub(crate) fn solve_groups(
         &mut self,
         n: usize,
         items: &[Choices],
+        out: &[Cell<u32>],
+    ) -> [usize; 3] {
+        let mut g = 0;
+        let runs = self.lanes.each_mut().map(|lane| {
+            // A request set of fewer than three items leaves lanes empty.
+            let from = g.min(items.len());
+            g += 1;
+            lane.prepare(n, &items[from..], 3, &out[from..])
+        });
+        finish(runs, &mut self.cycles)
+    }
+}
+
+/// Peels `runs` abreast, then orients what cycles each has left, one
+/// run after another; returns each run's stashed count.
+fn finish<const N: usize>(mut runs: [Run<'_>; N], cycles: &mut CycleScratch) -> [usize; N] {
+    // The first lane is never the shorter one.
+    if let Some(first) = runs.first() {
+        cycles.reserve(first.verts.len(), first.eflag.len());
+    }
+    // One pop per lane per round. Nothing a lane does depends on
+    // another's state, so the loads of up to `N` pointer chases are in
+    // flight together; a lane that has emptied its stack just stops
+    // contributing.
+    loop {
+        let mut popped = false;
+        for run in &mut runs {
+            popped |= run.peel_step();
+        }
+        if !popped {
+            break;
+        }
+    }
+    runs.map(|mut run| {
+        if run.alive > 0 {
+            run.orient_cycles(cycles);
+        }
+        debug_assert!(
+            run.verts.iter().all(|v| *v == Vertex::default()),
+            "every edge is placed or stashed, so no vertex may keep a degree or an XOR residue"
+        );
+        run.stashed
+    })
+}
+
+impl Lane {
+    /// Builds the cuckoo graph of the items `items[0]`, `items[stride]`,
+    /// `items[2 * stride]`, … over `n` positions and the initial peel
+    /// stack. Item `j`'s result goes to `out[j * stride]`.
+    ///
+    /// # Panics
+    /// Panics if any choice is out of range.
+    fn prepare<'a>(
+        &'a mut self,
+        n: usize,
+        items: &'a [Choices],
         stride: usize,
-        out: &mut [u32],
-    ) -> usize {
+        out: &'a [Cell<u32>],
+    ) -> Run<'a> {
         let k = items.len().div_ceil(stride);
         assert!(k <= (u32::MAX / 2) as usize, "too many items");
 
@@ -187,70 +325,55 @@ impl TableBuilder {
                 (c.h1 as usize) < n && (c.h2 as usize) < n,
                 "choice out of range"
             );
-            for v in [c.h1, c.h2] {
-                verts[v as usize].deg += 1;
-                verts[v as usize].edges ^= e as u32;
+            for (v, far) in [(c.h1, c.h2), (c.h2, c.h1)] {
+                let vert = &mut verts[v as usize];
+                vert.deg += 1;
+                vert.edges ^= e as u32;
+                vert.far ^= far;
             }
         }
-        // The initial peel stack, in ascending vertex order (branchless:
+        // The initial peel stack, in ascending vertex order (branch-free:
         // the slot is always written, the length moves only at degree 1).
-        self.queue.clear();
-        self.queue.resize(n, 0);
-        let mut queue_len = 0usize;
+        self.stack.clear();
+        self.stack.resize(n + 1, 0);
+        let mut top = 0usize;
         for (v, vert) in verts.iter().enumerate() {
-            self.queue[queue_len] = v as u32;
-            queue_len += (vert.deg == 1) as usize;
+            self.stack[top] = v as u32;
+            top += (vert.deg == 1) as usize;
         }
-        self.queue.truncate(queue_len);
 
         self.vflag.clear();
         self.vflag.resize(n, 0);
         self.eflag.clear();
         self.eflag.resize(k, ALIVE);
-        // Reserved up front so that the first cycle of a long run does
-        // not allocate.
-        self.off.clear();
-        self.off.reserve(n + 1);
-        self.adj.clear();
-        self.adj.reserve(2 * k);
-        self.stack.clear();
-        self.stack.reserve(n);
-        self.nontree.clear();
-        self.nontree.reserve(k);
-
-        let mut run = Run {
+        Run {
             items,
             stride,
             out,
             verts,
             vflag: &mut self.vflag,
             eflag: &mut self.eflag,
-            queue: &mut self.queue,
+            stack: &mut self.stack,
+            top,
             alive: k,
             stashed: 0,
-        };
-        run.peel();
-        if run.alive > 0 {
-            run.orient_cycles(
-                &mut self.off,
-                &mut self.adj,
-                &mut self.stack,
-                &mut self.nontree,
-            );
         }
-        run.stashed
     }
 }
 
-/// One solve over a prepared [`TableBuilder`].
+/// One solve over a prepared [`Lane`].
 struct Run<'a> {
     items: &'a [Choices],
     stride: usize,
-    out: &'a mut [u32],
+    /// Shared with the other lanes of a `build_table`, which write
+    /// disjoint (interleaved) slots of it.
+    out: &'a [Cell<u32>],
     verts: &'a mut [Vertex],
     vflag: &'a mut [u8],
     eflag: &'a mut [u8],
-    queue: &'a mut Vec<u32>,
+    /// The peel stack is `stack[..top]`.
+    stack: &'a mut [u32],
+    top: usize,
     /// Edges neither placed nor stashed yet.
     alive: usize,
     stashed: usize,
@@ -272,71 +395,110 @@ impl Run<'_> {
         self.vflag[v as usize] & OCCUPIED != 0
     }
 
-    /// Assigns alive edge `e` to position `v` and removes it.
+    /// Writes alive edge `e`'s result and takes it out of the alive set;
+    /// the caller unlinks it from its endpoints.
     #[inline]
-    fn place(&mut self, e: u32, v: u32) {
+    fn retire(&mut self, e: u32, slot: u32) {
         debug_assert!(self.is_alive(e));
+        self.out[e as usize * self.stride].set(slot);
+        self.eflag[e as usize] &= !ALIVE;
+        self.alive -= 1;
+    }
+
+    /// Records alive edge `e` as assigned to the unoccupied position `v`.
+    #[inline]
+    fn settle(&mut self, e: u32, v: u32) {
         debug_assert!(!self.is_occupied(v));
-        self.out[e as usize * self.stride] = v;
+        self.retire(e, v);
         self.vflag[v as usize] |= OCCUPIED;
-        self.kill(e);
+    }
+
+    /// Removes edge `e`, whose other end is `far`, from vertex `v`, and
+    /// puts `v` on the peel stack if that leaves it unoccupied with one
+    /// edge. The push is branch-free — the slot above the top is always
+    /// written, the top moves by the condition — because the condition
+    /// is a coin flip the predictor loses, and a flush throws away the
+    /// loads the other lanes have in flight.
+    #[inline]
+    fn unlink(&mut self, v: u32, e: u32, far: u32) {
+        let vert = &mut self.verts[v as usize];
+        vert.deg -= 1;
+        vert.edges ^= e;
+        vert.far ^= far;
+        let push = (vert.deg == 1) & (self.vflag[v as usize] & OCCUPIED == 0);
+        self.stack[self.top] = v;
+        self.top += push as usize;
+    }
+
+    /// Removes alive edge `e` from both its endpoints, `h1` first.
+    fn unlink_both(&mut self, e: u32) {
+        let c = self.choices(e);
+        self.unlink(c.h1, e, c.h2);
+        self.unlink(c.h2, e, c.h1);
+    }
+
+    /// Assigns alive edge `e` to position `v`, of any degree, and
+    /// removes it.
+    fn place(&mut self, e: u32, v: u32) {
+        self.settle(e, v);
+        self.unlink_both(e);
     }
 
     /// Stashes alive edge `e` and removes it.
     fn stash(&mut self, e: u32) {
-        self.out[e as usize * self.stride] = STASHED;
+        self.retire(e, STASHED);
         self.stashed += 1;
-        self.kill(e);
+        self.unlink_both(e);
     }
 
-    /// Removes edge `e`, updating degrees and the peel stack.
-    #[inline]
-    fn kill(&mut self, e: u32) {
-        debug_assert!(self.is_alive(e));
-        self.eflag[e as usize] &= !ALIVE;
-        self.alive -= 1;
-        let c = self.choices(e);
-        for endpoint in [c.h1, c.h2] {
-            let vert = &mut self.verts[endpoint as usize];
-            vert.deg -= 1;
-            vert.edges ^= e;
-            if vert.deg == 1 && !self.is_occupied(endpoint) {
-                self.queue.push(endpoint);
-            }
+    /// Pops one vertex off the peel stack; if it is still unoccupied
+    /// with one edge, it takes that edge (read, with its other end, off
+    /// the vertex itself). Returns whether there was a vertex to pop.
+    #[inline(always)]
+    fn peel_step(&mut self) -> bool {
+        if self.top == 0 {
+            return false;
         }
+        self.top -= 1;
+        let v = self.stack[self.top];
+        let vert = self.verts[v as usize];
+        if vert.deg == 1 && !self.is_occupied(v) {
+            let (e, far) = (vert.edges, vert.far);
+            debug_assert_eq!(self.choices(e).other(v), far);
+            self.settle(e, v);
+            self.verts[v as usize] = Vertex::default();
+            self.unlink(far, e, v);
+        }
+        true
     }
 
-    /// Drains the peel stack: every unoccupied degree-1 vertex takes its
-    /// unique remaining edge.
+    /// Drains the peel stack.
     fn peel(&mut self) {
-        while let Some(v) = self.queue.pop() {
-            let vert = self.verts[v as usize];
-            if vert.deg == 1 && !self.is_occupied(v) {
-                self.place(vert.edges, v);
-            }
-        }
+        while self.peel_step() {}
     }
 
     /// Handles what the first peel left: components of minimum degree 2.
     /// Each keeps one cycle (one non-tree edge of a DFS) and stashes its
     /// other non-tree edges; the cycle is then oriented by placing one of
     /// its edges and peeling around.
-    fn orient_cycles(
-        &mut self,
-        off: &mut Vec<u32>,
-        adj: &mut Vec<u32>,
-        stack: &mut Vec<u32>,
-        nontree: &mut Vec<u32>,
-    ) {
+    fn orient_cycles(&mut self, scratch: &mut CycleScratch) {
         let (n, k) = (self.verts.len(), self.eflag.len());
+        let CycleScratch {
+            off,
+            adj,
+            dfs,
+            nontree,
+        } = scratch;
         // Adjacency of the surviving edges. Filling backwards turns every
         // list end into its list start and leaves each list ascending.
         let mut end = 0u32;
+        off.clear();
         off.extend(self.verts.iter().map(|vert| {
             end += vert.deg;
             end
         }));
         off.push(end);
+        adj.clear();
         adj.resize(end as usize, 0);
         for e in (0..k as u32).rev().filter(|&e| self.is_alive(e)) {
             let c = self.choices(e);
@@ -356,10 +518,10 @@ impl Run<'_> {
             // Discover the component: vertices + alive edges, classifying
             // tree vs non-tree edges via DFS.
             nontree.clear();
-            stack.clear();
-            stack.push(root);
+            dfs.clear();
+            dfs.push(root);
             self.vflag[root as usize] |= MARKED;
-            while let Some(v) = stack.pop() {
+            while let Some(v) = dfs.pop() {
                 let (start, end) = (off[v as usize], off[v as usize + 1]);
                 for &e in &adj[start as usize..end as usize] {
                     if self.eflag[e as usize] != ALIVE {
@@ -372,7 +534,7 @@ impl Run<'_> {
                         nontree.push(e);
                     } else {
                         self.vflag[other as usize] |= MARKED;
-                        stack.push(other);
+                        dfs.push(other);
                     }
                 }
             }

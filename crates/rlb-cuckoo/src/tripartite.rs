@@ -5,14 +5,18 @@
 //! most **one** item per position. Lemma 4.2 applies it three times:
 //! split the request set into three groups of at most `⌈k/3⌉`, solve each
 //! group independently, and overlay the three one-per-position
-//! assignments. Each server then holds at most 3 placed items, plus the
-//! (O(1) whp) stashed items, which are assigned arbitrarily — we send a
-//! stashed item to its first hash. The **failure event** of Lemma 4.2 is
-//! any group needing a stash larger than the configured bound; delayed
-//! cuckoo routing rejects repeat requests whose table failed.
+//! assignments. (Independently, not one after another: the builder peels
+//! the three groups abreast, each in the order it would take alone — see
+//! [`crate::offline`].) Each server then holds at most 3 placed items,
+//! plus the (O(1) whp) stashed items, which are assigned arbitrarily — we
+//! send a stashed item to its first hash. The **failure event** of
+//! Lemma 4.2 is any group needing a stash larger than the configured
+//! bound; delayed cuckoo routing rejects repeat requests whose table
+//! failed.
 
 use crate::offline::{TableBuilder, STASHED};
 use crate::Choices;
+use std::cell::Cell;
 
 /// Configuration for the tripartite assigner.
 #[derive(Debug, Clone, Copy)]
@@ -148,30 +152,26 @@ impl TableBuilder {
         assert!(num_servers > 0, "need at least one server");
         server_of.clear();
         server_of.resize(items.len(), 0);
-        let mut status = TableStatus {
-            failed: false,
-            total_stash: 0,
-        };
         // Three groups by round-robin index: sizes differ by at most 1.
         // (Round-robin rather than contiguous split keeps the groups
         // balanced regardless of any structure in the input order.)
-        // Group `g` is the strided view `items[g], items[g + 3], …`.
-        for g in 0..3.min(items.len()) {
-            let (group, out) = (&items[g..], &mut server_of[g..]);
-            let stashed = self.solve(num_servers, group, 3, out);
-            if stashed > 0 {
-                // Stashed items go to their first hash (arbitrary
-                // placement per the paper's remark after Thm 4.1).
-                for (slot, c) in out.iter_mut().zip(group).step_by(3) {
-                    if *slot == STASHED {
-                        *slot = c.h1;
-                    }
+        // Group `g` is the strided view `items[g], items[g + 3], …`; the
+        // three write interleaved slots of one output, hence the cells.
+        let out = Cell::from_mut(&mut server_of[..]).as_slice_of_cells();
+        let stashed = self.solve_groups(num_servers, items, out);
+        for g in (0..3).filter(|&g| stashed[g] > 0) {
+            // Stashed items go to their first hash (arbitrary
+            // placement per the paper's remark after Thm 4.1).
+            for (slot, c) in out.iter().zip(items).skip(g).step_by(3) {
+                if slot.get() == STASHED {
+                    slot.set(c.h1);
                 }
             }
-            status.failed |= stashed > cfg.max_stash_per_group;
-            status.total_stash += stashed;
         }
-        status
+        TableStatus {
+            failed: stashed.iter().any(|&s| s > cfg.max_stash_per_group),
+            total_stash: stashed.iter().sum(),
+        }
     }
 }
 
@@ -242,6 +242,152 @@ mod tests {
         }
         assert_eq!(load.iter().sum::<u32>() as usize, m);
         assert_eq!(load.iter().copied().max().unwrap(), t.max_per_server());
+    }
+
+    /// What `build_table` must equal: each strided group solved on its
+    /// own, stride 1, by a fresh builder. Returns the raw slots
+    /// ([`STASHED`] kept) and each group's stashed count.
+    fn groups_solved_alone(n: usize, items: &[Choices]) -> (Vec<u32>, [usize; 3]) {
+        let mut slots = vec![0u32; items.len()];
+        let mut stashed = [0usize; 3];
+        for g in 0..3 {
+            let group: Vec<Choices> = items.iter().skip(g).step_by(3).copied().collect();
+            let alone = crate::OfflineAssignment::assign_exact(n, &group);
+            crate::offline::validate_assignment(n, &group, &alone).unwrap();
+            for j in 0..group.len() {
+                slots[g + 3 * j] = alone.position_of(j).unwrap_or(STASHED);
+            }
+            stashed[g] = alone.stash().len();
+        }
+        (slots, stashed)
+    }
+
+    /// One builder, reused for the whole sweep as a run reuses it.
+    fn assert_lanes_match(builder: &mut TableBuilder, case: &str, n: usize, items: &[Choices]) {
+        let (slots, stashed) = groups_solved_alone(n, items);
+
+        let mut raw = vec![0u32; items.len()];
+        let cells = Cell::from_mut(&mut raw[..]).as_slice_of_cells();
+        assert_eq!(
+            builder.solve_groups(n, items, cells),
+            stashed,
+            "{case}: stash sizes"
+        );
+        assert_eq!(raw, slots, "{case}: slots");
+
+        let cfg = TripartiteAssigner::default();
+        let mut server_of = vec![7; 3]; // stale content must not survive
+        let status = builder.build_table(n, items, cfg, &mut server_of);
+        let expected: Vec<u32> = slots
+            .iter()
+            .zip(items)
+            .map(|(&slot, c)| if slot == STASHED { c.h1 } else { slot })
+            .collect();
+        assert_eq!(server_of, expected, "{case}: table");
+        assert_eq!(
+            (status.failed, status.total_stash),
+            (
+                stashed.iter().any(|&s| s > cfg.max_stash_per_group),
+                stashed.iter().sum(),
+            ),
+            "{case}: status"
+        );
+    }
+
+    #[test]
+    fn lanes_abreast_equal_three_groups_solved_alone() {
+        let m = 48usize;
+        let mut builder = TableBuilder::new();
+        let mut rng = Pcg64::new(0x6c616e65, 0);
+        let mut failures = 0;
+        for n in [1, 2, m] {
+            for k in [0, 1, 2, 3, 4, 5, m / 3, m, 2 * m] {
+                // Uniform pairs: at n = 1 every item is a self-loop, at
+                // n = 2 the graph is self-loops and parallel edges, and
+                // k = 2m at n = m leaves every lane with cycles to orient.
+                for trial in 0..16 {
+                    let items: Vec<Choices> = (0..k)
+                        .map(|_| Choices::new(rng.gen_index(n) as u32, rng.gen_index(n) as u32))
+                        .collect();
+                    let case = format!("uniform n={n} k={k} trial={trial}");
+                    assert_lanes_match(&mut builder, &case, n, &items);
+                }
+                // Every item at one position: each lane places one and
+                // stashes the rest.
+                let pos = rng.gen_index(n) as u32;
+                let items = vec![Choices::new(pos, pos); k];
+                assert_lanes_match(
+                    &mut builder,
+                    &format!("one position n={n} k={k}"),
+                    n,
+                    &items,
+                );
+                let status = builder.build_table(n, &items, Default::default(), &mut Vec::new());
+                assert_eq!(status.total_stash, k.saturating_sub(3));
+                assert_eq!(status.failed, k.div_ceil(3) > 5, "n={n} k={k}");
+                failures += status.failed as usize;
+            }
+        }
+        assert!(
+            failures > 0,
+            "the sweep must reach the Lemma 4.2 failure event"
+        );
+    }
+
+    #[test]
+    fn a_lane_that_runs_dry_early_does_not_disturb_the_others() {
+        // Lane 0 is one long path (a peel of `len` rounds, one vertex on
+        // the stack at a time), lane 1 is all self-loops (nothing to
+        // peel: its stack is empty from the first round and every item is
+        // a cycle), lane 2 is parallel edges (two placed, the rest
+        // stashed: the table fails).
+        let len = 40u32;
+        let items: Vec<Choices> = (0..len)
+            .flat_map(|j| {
+                [
+                    Choices::new(j, j + 1),
+                    Choices::new(j, j),
+                    Choices::new(0, 1),
+                ]
+            })
+            .take(3 * len as usize - 1) // and lane 2 one item shorter
+            .collect();
+        let mut builder = TableBuilder::new();
+        let n = len as usize + 1;
+        assert_lanes_match(&mut builder, "dry lane", n, &items);
+        let mut server_of = Vec::new();
+        let status = builder.build_table(n, &items, Default::default(), &mut server_of);
+        assert!(status.failed);
+        assert_eq!(status.total_stash, len as usize - 1 - 2);
+        // Lane 0's path is fully placed, lane 1's loops sit where they must.
+        assert!(items.iter().zip(&server_of).all(|(c, &s)| c.contains(s)));
+        assert!((0..len as usize).all(|j| server_of[3 * j + 1] == j as u32));
+    }
+
+    #[test]
+    fn capacity_counts_all_three_lanes() {
+        let m = 300;
+        let items = random_items(m, m, 5);
+        let mut one = TableBuilder::new();
+        one.solve(m, &items[..m / 3], &mut vec![0; m / 3]);
+        let mut three = TableBuilder::new();
+        three.build_table(m, &items, Default::default(), &mut Vec::new());
+        // Per lane: a 12-byte vertex, a flag byte and a stack word per
+        // position, a flag byte per item.
+        let lane = 17 * m + m / 3;
+        assert!(one.capacity_bytes() >= lane);
+        // The cycle scratch is shared, so the two further lanes are the
+        // whole difference.
+        assert!(three.capacity_bytes() >= one.capacity_bytes() + 2 * lane);
+        // Constant from the second call on.
+        let before = three.capacity_bytes();
+        three.build_table(
+            m,
+            &random_items(m, m, 6),
+            Default::default(),
+            &mut Vec::new(),
+        );
+        assert_eq!(three.capacity_bytes(), before);
     }
 
     #[test]

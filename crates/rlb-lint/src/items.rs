@@ -9,11 +9,12 @@
 //!
 //! Like the tokenizer, this is an *approximation with documented
 //! boundaries*, not a Rust parser: each `{` is classified by its
-//! header — the tokens since the previous `{`, `}`, or `;` — which is
-//! where attributes, `fn` signatures, and `impl` headers necessarily
-//! sit. Token-level matching (not substring matching) means `fn_count:`
-//! in a struct literal or `HashMap` inside a string can no longer
-//! confuse the structural analysis.
+//! header — the tokens since the previous `{`, `}`, or `;` (a `;`
+//! inside `[` `]` is an array type's, `[usize; 3]`, and ends nothing) —
+//! which is where attributes, `fn` signatures, and `impl` headers
+//! necessarily sit. Token-level matching (not substring matching) means
+//! `fn_count:` in a struct literal or `HashMap` inside a string can no
+//! longer confuse the structural analysis.
 
 use crate::token::{comments_by_line, tokenize, Token, TokenKind, Tokens};
 
@@ -344,6 +345,11 @@ pub fn parse(source: &str, tokens: &Tokens) -> FileItems {
                 }
                 header.clear();
             }
+            // A `;` inside `[` `]` belongs to an array type or a repeat
+            // expression (`-> [usize; 3]`, `[0u8; 4]`): ending the header
+            // there dropped every `fn` with an array in its signature
+            // from the call graph.
+            ";" if header_has_open_square(source, toks, &header) => header.push(i),
             ";" => {
                 let in_test_now = stack.iter().any(|r| r.test);
                 if fn_stack.is_empty() && !in_test_now {
@@ -383,6 +389,17 @@ pub fn parse(source: &str, tokens: &Tokens) -> FileItems {
 /// The owner type of the innermost enclosing `impl`/`trait` region.
 fn enclosing_owner(stack: &[Region]) -> Option<&str> {
     stack.iter().rev().find_map(|r| r.owner.as_deref())
+}
+
+/// More `[` than `]` in the header?
+fn header_has_open_square(source: &str, toks: &[Token], header: &[usize]) -> bool {
+    let count = |p: &str| {
+        header
+            .iter()
+            .filter(|&&j| toks[j].text(source) == p)
+            .count()
+    };
+    count("[") > count("]")
 }
 
 /// `#[cfg(test)]` or `#[cfg(all(test, …))]` in the header?

@@ -60,6 +60,31 @@ fn deepest(x: Option<u32>) -> u32 {
     );
 }
 
+/// `items.rs` used to end a header at any `;`, so the `;` of an array
+/// type cut a signature in two and the `fn` vanished: no graph node, no
+/// CFG, and a panic site inside it reported from nowhere.
+#[test]
+fn a_fn_with_an_array_in_its_signature_is_in_the_graph() {
+    let src = "\
+pub fn entry(x: Option<u32>) -> [u32; 3] {
+    lanes([x, x, x])
+}
+fn lanes(p: [Option<u32>; 3]) -> [u32; 3] {
+    p.map(|x| x.unwrap())
+}
+";
+    let report = run(&[("crates/seeded/src/lib.rs", src)], ROOTS);
+    assert_eq!(report.stats.fns, 2, "stats: {:?}", report.stats);
+    assert_eq!(report.stats.cone_fns, 2, "stats: {:?}", report.stats);
+    let panics = messages(&report, "panic-path");
+    assert_eq!(panics.len(), 1, "findings: {}", report.render());
+    assert!(
+        panics[0].contains("`lanes`, reached from root via `entry` -> `lanes`"),
+        "chain missing from: {}",
+        panics[0]
+    );
+}
+
 #[test]
 fn bare_arithmetic_in_the_cone_is_reported() {
     let src = "\

@@ -60,6 +60,14 @@ fn call_graph_passes_are_live() {
         s.cone_fns,
         s.root_fns
     );
+    // 71 at time of writing. A fn the item parser drops (as it did one
+    // with an array type in its signature) leaves the cone silently; a
+    // floor makes a wholesale loss loud.
+    assert!(
+        s.cone_fns >= 60,
+        "only {} fns reachable from the roots",
+        s.cone_fns
+    );
     assert!(
         s.pub_items > 300,
         "dead-pub pass checked only {} items",

@@ -1,6 +1,6 @@
 //! Folding an event stream back into metrics.
 
-use rlb_core::{TraceCause, TraceEvent};
+use rlb_core::{latency_steps, TraceCause, TraceEvent};
 use rlb_metrics::table::{fmt_f, fmt_u};
 use rlb_metrics::{Histogram, Table, TimeSeries};
 
@@ -36,8 +36,9 @@ const ALL_CAUSES: [TraceCause; NUM_CAUSES] = [
 /// alone, so the same numbers are derivable from a persisted JSONL
 /// trace of any run (see experiment E18 for the in-engine version).
 ///
-/// Completion latency comes from [`TraceEvent::Drain`] (`step -
-/// arrival` per drained request); enqueue-time backlog from
+/// Completion latency comes from [`TraceEvent::Drain`]
+/// ([`latency_steps`] per drained request, the engine's own spelling, so
+/// the two agree across step 2³² too); enqueue-time backlog from
 /// [`TraceEvent::Enqueue`]; rejection counts from
 /// [`TraceEvent::Reject`] plus flush and phase-roll drop counters.
 #[derive(Debug, Clone)]
@@ -116,7 +117,7 @@ impl Aggregator {
                     self.latency_by_class.resize_with(class + 1, Histogram::new);
                 }
                 for &arrival in arrivals {
-                    let latency = step.saturating_sub(u64::from(arrival));
+                    let latency = latency_steps(*step, arrival);
                     self.latency.record(latency);
                     self.latency_by_class[class].record(latency);
                 }
@@ -344,6 +345,29 @@ mod tests {
         assert!(rendered.contains("Q"), "{rendered}");
         assert!(rendered.contains("flush-dropped 2"), "{rendered}");
         assert!(rendered.contains("phase-rolls 1"), "{rendered}");
+    }
+
+    #[test]
+    fn latency_is_read_modulo_two_to_the_32() {
+        // `arrivals` carry the low 32 bits of the arrival step, so from
+        // step 2^32 on a plain `step - arrival` in u64 is off by a
+        // multiple of 2^32 (the second event read ~2^33 and ~2^32).
+        let mut agg = Aggregator::new();
+        agg.ingest(&TraceEvent::Drain {
+            step: 1 << 32,
+            server: 0,
+            class: 0,
+            arrivals: vec![u32::MAX, u32::MAX - 1],
+        });
+        agg.ingest(&TraceEvent::Drain {
+            step: (1 << 33) + 1,
+            server: 0,
+            class: 0,
+            arrivals: vec![u32::MAX, 0],
+        });
+        assert_eq!(agg.completed(), 4);
+        assert_eq!(agg.latency().max(), Some(2));
+        assert_eq!(agg.latency().mean(), Some(1.5));
     }
 
     #[test]
