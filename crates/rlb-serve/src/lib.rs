@@ -9,16 +9,20 @@
 //! admission control from a bounded in-flight gate, and schedules
 //! replies behind the chosen replica's queue.
 //!
-//! The live daemon ([`server::serve_blocking`]) is one polling loop on
-//! the calling thread: it accepts its own connections, fans session
-//! I/O out to rlb-pool workers and spawns nothing, so no protocol in
-//! this crate is shared between threads; the core, gate included, is
-//! single-owner state behind `&mut self`. The same core runs under
-//! `rlb-load`'s virtual-time driver over framed pipes, which is what
-//! lets CI pin byte-identical transcripts — see `ARCHITECTURE.md`
-//! § "Serving layer".
+//! The live daemon ([`server::serve_blocking`]) is one loop on the
+//! calling thread that opens every pass with one readiness wait over
+//! its listener and sessions (`wire::wait_ready`): it accepts its own
+//! connections, fans session I/O out to rlb-pool workers and spawns
+//! nothing, so no protocol in this crate is shared between threads; the
+//! core, gate included, is single-owner state behind `&mut self`. The
+//! same core runs under `rlb-load`'s virtual-time driver over framed
+//! pipes, which is what lets CI pin byte-identical transcripts — see
+//! `ARCHITECTURE.md` § "Serving layer".
+//!
+//! The crate denies `unsafe` code; the one exemption is the `poll(2)`
+//! call inside `wait_ready`, whose `SAFETY:` comment says why it holds.
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 
 pub mod core;
 mod gate;
