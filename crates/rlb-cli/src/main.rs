@@ -71,14 +71,14 @@ const USAGE: &str = "rlb-sim: simulate a load-balanced distributed KV store\n\n\
      \x20                   run with the JSONL trace sink, write trace.jsonl, print the\n\
      \x20                   per-class latency summary derived from the persisted trace\n\
      \x20 serve [--listen ADDR] [--sim-clock] [--policy NAME] [--servers M]\n\
-     \x20       [--gate L] [--max-requests N] [--jobs J] [load flags in --sim-clock]\n\
+     \x20       [--gate L] [--max-requests N] [load flags in --sim-clock]\n\
      \x20                   run the KV serving daemon over TCP; with --sim-clock run the\n\
      \x20                   deterministic virtual-time serve+load co-simulation instead\n\
      \x20                   ([--ticks T] [--transcript]); a live serve or load given a\n\
      \x20                   flag only the other or the co-simulation reads exits 2\n\
      \x20 load [--connect ADDR] [--sim-clock] [--clients C] [--requests N]\n\
      \x20      [--mode open:R|closed:K] [--popularity uniform:U|zipf:A,U|phased:W,K,T,U]\n\
-     \x20      [--put-ratio F] [--tenants T] [--tick-micros U] [--max-seconds S] [--jobs J]\n\
+     \x20      [--put-ratio F] [--tenants T] [--tick-micros U] [--max-seconds S]\n\
      \x20      [serve flags in --sim-clock]\n\
      \x20                   drive a running server and report latency/rejection rates;\n\
      \x20                   with --sim-clock run the same co-simulation as serve\n\

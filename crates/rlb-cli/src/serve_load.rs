@@ -1,20 +1,19 @@
 //! The `serve` and `load` subcommands: the serving layer's CLI.
 //!
 //! `rlb-sim serve` binds a TCP listener and runs the live daemon
-//! ([`rlb_serve::serve_blocking`]); `rlb-sim load` drives a running
-//! server over TCP ([`rlb_load::run_live`]). Both accept `--sim-clock`,
-//! which runs the *same server core and client state machines* as a
-//! virtual-time co-simulation over framed pipes
-//! ([`rlb_load::run_sim`]) — no sockets, no wall clock, byte-identical
-//! output for a fixed seed regardless of `--jobs` (the property
-//! `rlb-load`'s golden test pins).
+//! ([`rlb_serve::serve`]); `rlb-sim load` drives a running server over
+//! TCP ([`rlb_load::run_live`]). Both accept `--sim-clock`, which runs
+//! the *same server core and client state machines* as a virtual-time
+//! co-simulation over framed pipes ([`rlb_load::co_simulate`]) — no
+//! sockets, no wall clock, byte-identical output for a fixed seed (the
+//! property `rlb-load`'s golden test pins).
 
 use crate::flags::{parse_float, parse_positive, unknown, Flags};
 use rlb_core::policies::{with_policy, PolicyVisitor};
 use rlb_core::{Policy, SimConfig};
-use rlb_load::{run_live, run_sim, Client, ClientConfig, LiveSpec, Mode, Popularity, SimSpec};
+use rlb_load::{co_simulate, run_live, Client, ClientConfig, LiveSpec, Mode, Popularity, SimSpec};
 use rlb_pool::Pool;
-use rlb_serve::{serve_blocking, ServeConfig, ServeOptions, ServeOutcome, ServerCore};
+use rlb_serve::{serve, ServeConfig, ServeOptions, ServeOutcome, ServerCore};
 
 /// Which subcommand a command line belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -72,8 +71,6 @@ pub struct ServeLoadOptions {
     pub gate: Option<u64>,
     /// Live serve: stop after this many responses.
     pub max_requests: Option<u64>,
-    /// Executor size for the run's private pool.
-    pub jobs: usize,
     /// Number of load clients.
     pub clients: usize,
     /// Requests per client.
@@ -109,7 +106,6 @@ impl Default for ServeLoadOptions {
             engine: SimConfig::baseline(servers),
             gate: None,
             max_requests: None,
-            jobs: rlb_pool::default_jobs(),
             clients: 4,
             requests: 256,
             mode: Mode::Closed { concurrency: 8 },
@@ -180,7 +176,7 @@ fn parse_popularity(spec: &str) -> Result<Popularity, String> {
 
 /// Parses the shared serve/load flag set for `side`'s command line.
 /// Without `--sim-clock` each side reads only its own flags (plus
-/// `--seed` and `--jobs`), so one it would silently drop — the other
+/// `--seed`), so one it would silently drop — the other
 /// side's, or the co-simulation's — is an error naming it.
 ///
 /// # Errors
@@ -209,7 +205,6 @@ pub fn parse_serve_load_args(side: Side, args: &[String]) -> Result<ServeLoadOpt
             "--connect" => opts.connect = flags.value(arg)?.to_string(),
             "--gate" => opts.gate = Some(flags.positive(arg)?),
             "--max-requests" => opts.max_requests = Some(flags.positive(arg)?),
-            "--jobs" => opts.jobs = flags.positive(arg)?,
             "--clients" => opts.clients = flags.positive(arg)?,
             "--requests" => opts.requests = flags.positive(arg)?,
             "--mode" => opts.mode = parse_mode(flags.value(arg)?)?,
@@ -268,18 +263,17 @@ impl ServeLoadOptions {
 }
 
 /// Runs the sim-clock co-simulation and renders its deterministic text.
-fn run_sim_clock(opts: &ServeLoadOptions, pool: &Pool) -> Result<String, String> {
-    struct CoSim<'a> {
+fn run_sim_clock(opts: &ServeLoadOptions) -> Result<String, String> {
+    struct CoSim {
         cfg: ServeConfig,
         clients: Vec<Client>,
         spec: SimSpec,
-        pool: &'a Pool,
     }
-    impl PolicyVisitor for CoSim<'_> {
+    impl PolicyVisitor for CoSim {
         type Out = String;
         fn visit<P: Policy>(self, policy: P) -> String {
             let core = ServerCore::new(self.cfg, policy);
-            run_sim(core, self.clients, &self.spec, self.pool).text
+            co_simulate(core, self.clients, &self.spec).text
         }
     }
     let co_sim = CoSim {
@@ -289,7 +283,6 @@ fn run_sim_clock(opts: &ServeLoadOptions, pool: &Pool) -> Result<String, String>
             ticks: opts.ticks,
             transcript: opts.transcript,
         },
-        pool,
     };
     with_policy(&opts.policy, &opts.engine, crate::RNG_SALT, co_sim)
 }
@@ -304,9 +297,8 @@ fn run_sim_clock(opts: &ServeLoadOptions, pool: &Pool) -> Result<String, String>
 /// address, or a policy/config mismatch.
 pub fn run_serve(args: &[String]) -> Result<String, String> {
     let opts = parse_serve_load_args(Side::Serve, args)?;
-    let pool = Pool::new(opts.jobs);
     if opts.sim_clock {
-        return run_sim_clock(&opts, &pool);
+        return run_sim_clock(&opts);
     }
     let listener = std::net::TcpListener::bind(&opts.listen)
         .map_err(|e| format!("cannot bind {}: {e}", opts.listen))?;
@@ -322,20 +314,18 @@ pub fn run_serve(args: &[String]) -> Result<String, String> {
         cfg: ServeConfig,
         listener: std::net::TcpListener,
         opts: &'a ServeOptions,
-        pool: &'a Pool,
     }
     impl PolicyVisitor for Live<'_> {
         type Out = std::io::Result<ServeOutcome>;
         fn visit<P: Policy>(self, policy: P) -> Self::Out {
             let core = ServerCore::new(self.cfg, policy);
-            serve_blocking(self.listener, core, self.opts, self.pool)
+            serve(self.listener, core, self.opts)
         }
     }
     let live = Live {
         cfg: opts.serve_config(),
         listener,
         opts: &serve_opts,
-        pool: &pool,
     };
     let outcome = with_policy(&opts.policy, &opts.engine, crate::RNG_SALT, live)?
         .map_err(|e| format!("serve: {e}"))?;
@@ -360,16 +350,16 @@ pub fn run_serve(args: &[String]) -> Result<String, String> {
 /// failed to run cleanly (partial results are still reported first).
 pub fn run_load(args: &[String]) -> Result<String, (String, i32)> {
     let opts = parse_serve_load_args(Side::Load, args).map_err(|e| (e, 2))?;
-    let pool = Pool::new(opts.jobs.max(opts.clients));
     if opts.sim_clock {
-        return run_sim_clock(&opts, &pool).map_err(|e| (e, 1));
+        return run_sim_clock(&opts).map_err(|e| (e, 1));
     }
     let spec = LiveSpec {
         addr: opts.connect.clone(),
         tick_micros: opts.tick_micros,
         max_seconds: opts.max_seconds,
     };
-    let results = run_live(opts.client_configs(), &spec, &pool);
+    // One executor a client, so every client runs at once.
+    let results = run_live(opts.client_configs(), &spec, &Pool::new(opts.clients));
     let report = rlb_load::aggregate(&results);
     let mut out = report.render("10us");
     let mut failed = 0;
@@ -410,7 +400,7 @@ mod tests {
             Side::Serve,
             &args(
                 "--sim-clock --policy dcr --servers 32 --rate 8 --queue 8 --seed 9 \
-                 --gate 100 --jobs 2 --clients 3 --requests 50 --mode open:1.5 \
+                 --gate 100 --clients 3 --requests 50 --mode open:1.5 \
                  --popularity phased:4,8,10,512 --put-ratio 0.5 --tenants 3 \
                  --ticks 40 --transcript",
             ),
@@ -443,7 +433,6 @@ mod tests {
             "--popularity zipf:1.1",
             "--popularity phased:1,2,3",
             "--put-ratio 1.5",
-            "--jobs 0",
         ] {
             for side in [Side::Serve, Side::Load] {
                 let line = format!("--sim-clock {bad}");
@@ -472,17 +461,13 @@ mod tests {
     #[test]
     fn sim_clock_serve_runs_all_policies_deterministically() {
         for policy in rlb_core::policies::POLICY_NAMES {
-            let a = run_serve(&args(&format!(
+            let line = args(&format!(
                 "--sim-clock --policy {policy} --servers 16 --clients 2 \
-                 --requests 20 --ticks 16 --jobs 1"
-            )))
-            .unwrap_or_else(|e| panic!("{policy}: {e}"));
-            let b = run_serve(&args(&format!(
-                "--sim-clock --policy {policy} --servers 16 --clients 2 \
-                 --requests 20 --ticks 16 --jobs 3"
-            )))
-            .unwrap_or_else(|e| panic!("{policy}: {e}"));
-            assert_eq!(a, b, "{policy}: sim-clock output depends on --jobs");
+                 --requests 20 --ticks 16"
+            ));
+            let a = run_serve(&line).unwrap_or_else(|e| panic!("{policy}: {e}"));
+            let b = run_serve(&line).unwrap_or_else(|e| panic!("{policy}: {e}"));
+            assert_eq!(a, b, "{policy}: sim-clock output differs run to run");
             assert!(a.contains("clients: sent="), "{policy}:\n{a}");
             assert!(a.contains("server: replies="), "{policy}:\n{a}");
         }

@@ -59,13 +59,16 @@ const CASES: &[(Parser, &str, &str)] = &[
     (BENCH, "--bogus", "unknown bench option \"--bogus\""),
     (BENCH, "--meanfield --quick", "unknown bench --meanfield option \"--quick\""),
     // A flag the live mode would drop: the other side's, or the
-    // co-simulation's. (`--seed` and `--jobs` belong to both sides.)
+    // co-simulation's. (`--seed` belongs to both sides.)
     (SERVE, "--requests 10", "--requests: live `serve` does not read this load flag; it takes effect only with --sim-clock"),
     (SERVE, "--listen 127.0.0.1:0 --mode closed:4", "--mode: live `serve` does not read this load flag; it takes effect only with --sim-clock"),
     (LOAD, "--servers 16 --gate 8", "--servers: live `load` does not read this serve flag; it takes effect only with --sim-clock"),
     (LOAD, "--max-requests 5", "--max-requests: live `load` does not read this serve flag; it takes effect only with --sim-clock"),
     (SERVE, "--ticks 8", "--ticks: live `serve` does not read this co-simulation flag; it takes effect only with --sim-clock"),
     (LOAD, "--seed 3 --transcript", "--transcript: live `load` does not read this co-simulation flag; it takes effect only with --sim-clock"),
+    // A flag neither side reads any more: sim-clock is serial, the
+    // daemon is one thread and the load generator runs a thread a client.
+    (SERVE, "--jobs 2", "unknown serve/load option \"--jobs\""),
     // A subcommand with nothing selected to run.
     (BENCH, "", "bench requires a mode: --meanfield"),
 ];
@@ -109,7 +112,6 @@ fn live_modes_take_their_own_flags_and_sim_clock_takes_both_sides() {
     assert!(parse(Side::Serve, &args(serve)).is_ok());
     assert!(parse(Side::Load, &args(load)).is_ok());
     for side in [Side::Serve, Side::Load] {
-        assert!(parse(side, &args("--seed 7 --jobs 2")).is_ok());
         // Under --sim-clock either subcommand runs both sides, wherever
         // the switch sits on the line.
         for line in [

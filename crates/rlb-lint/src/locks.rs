@@ -22,7 +22,9 @@
 //!   .lock()`) contribute a site but no edges.
 //! - A `let`-bound guard is held to the end of its enclosing brace
 //!   scope, or until `drop(guard)`. A temporary guard is held to the
-//!   statement's `;` — or through the attached `{ … }` block when one
+//!   first `;` at its brace depth or shallower — so one taken in a
+//!   match arm or a braced closure ends with the statement holding the
+//!   match or the call — or through the attached `{ … }` block when one
 //!   opens first (`if let Some(x) = m.lock()….take() { … }` holds
 //!   `m` through the body; Rust ≤ 2021 temporary-scope semantics,
 //!   which is what this workspace pins).
@@ -284,7 +286,9 @@ fn scan_fn(
             ")" | "]" => paren = paren.saturating_sub(1),
             ";" if paren == 0 => {
                 pending_let = None;
-                held.retain(|h| !matches!(h.hold, Hold::Temp if h.depth == brace));
+                // Or shallower: a temporary in a match arm or a braced
+                // closure ends with the statement around it.
+                held.retain(|h| !matches!(h.hold, Hold::Temp if h.depth >= brace));
             }
             _ => {}
         }

@@ -513,6 +513,69 @@ impl S {
     );
 }
 
+/// A temporary guard dies at the first `;` at its brace depth or
+/// shallower: one taken in a match arm or a braced closure is gone by
+/// the end of the statement holding the match or the call, so `arm`
+/// and `closure` never hold `a` while taking `b`, and with `ba` they
+/// make no cycle. (The pass once released a temporary only at a `;` at
+/// exactly its own depth, so both held `a` to the end of the fn and the
+/// false edge `a -> b` closed a cycle with `ba`.) A temporary in an
+/// `if let` scrutinee is still held through the attached block, so
+/// `attached` does hold `c` while taking `d`, and `dc` closes that
+/// cycle.
+#[test]
+fn a_temporary_guard_in_a_match_arm_or_closure_ends_with_its_statement() {
+    let src = "\
+pub struct S {
+    a: Mutex<u32>,
+    b: Mutex<u32>,
+    c: Mutex<u32>,
+    d: Mutex<u32>,
+}
+impl S {
+    pub fn arm(&self, x: Option<u32>) -> u32 {
+        let v = match x {
+            Some(y) => self.a.lock().unwrap().wrapping_add(y),
+            None => 0,
+        };
+        v + *self.b.lock().unwrap()
+    }
+    pub fn closure(&self, xs: &[u32]) -> u32 {
+        let n = xs.iter().map(|x| { self.a.lock().unwrap().wrapping_add(*x) }).sum::<u32>();
+        n + *self.b.lock().unwrap()
+    }
+    pub fn ba(&self) -> u32 {
+        let h = self.b.lock().unwrap();
+        let g = self.a.lock().unwrap();
+        *g + *h
+    }
+    pub fn attached(&self) -> u32 {
+        if let Some(v) = self.c.lock().unwrap().checked_add(1) {
+            return v + *self.d.lock().unwrap();
+        }
+        0
+    }
+    pub fn dc(&self) -> u32 {
+        let h = self.d.lock().unwrap();
+        let g = self.c.lock().unwrap();
+        *g + *h
+    }
+}
+";
+    let report = run(&[("crates/seeded/src/lib.rs", src)], "");
+    let hits = messages(&report, "lock-order");
+    assert!(
+        !hits.iter().any(|m| m.contains("cycle `a` -> `b`")),
+        "false edge `a` -> `b`: {hits:?}"
+    );
+    assert_eq!(hits.len(), 2, "findings: {}", report.render());
+    assert!(
+        hits.iter().any(|m| m.contains("cycle `c` -> `d`")),
+        "attached-block hold lost: {hits:?}"
+    );
+    assert_eq!(report.stats.lock_edges, 3, "stats: {:?}", report.stats);
+}
+
 #[test]
 fn suppressed_seeded_bug_counts_as_a_used_suppression() {
     let src = "\

@@ -2,7 +2,7 @@
 //!
 //! Everything here renders to deterministic text: fixed field order,
 //! fixed float precision, tenants in id order. The sim golden test
-//! byte-compares this output across `--jobs` settings, and the live CI
+//! byte-compares this output against a committed golden, and the live CI
 //! job compares the client-side counts below against the server's own
 //! summary.
 

@@ -5,22 +5,18 @@
 //!
 //! 1. **deliver** — move last tick's response bytes to each client,
 //!    decode, record latencies (client order);
-//! 2. **issue** — each client issues this tick's requests; frame
-//!    batches are *encoded on pool workers*, bytes move into the pipes
-//!    serially (client order);
-//! 3. **serve** — per-session byte batches are *decoded on pool
-//!    workers*; decoded frames feed [`ServerCore::on_frame`] serially
-//!    in session order; [`ServerCore::tick`] commits the engine step;
-//!    response batches are encoded on pool workers and written back.
+//! 2. **issue** — each client issues this tick's requests, which are
+//!    encoded and moved into its pipe (client order);
+//! 3. **serve** — each session's bytes are decoded and its frames fed
+//!    to [`ServerCore::on_frame`] (session order);
+//!    [`ServerCore::tick`] commits the engine step; every session's
+//!    responses are encoded and written back.
 //!
-//! Every pool interaction is a pure `map` whose results come back in
-//! submission order, and every piece of shared state mutates only in
-//! the serial phases — so the transcript and report are byte-identical
-//! for any `--jobs` setting, which `tests/sim_golden.rs` pins against
-//! a committed golden.
+//! Every phase is a plain serial loop over a fixed order, so the
+//! transcript and report are a function of the seeds alone, which
+//! `tests/sim_golden.rs` pins against a committed golden.
 
 use rlb_core::Policy;
-use rlb_pool::Pool;
 use rlb_serve::pipe::{pipe, PipeEnd};
 use rlb_serve::proto::{fmt_frame, Frame, FrameReader};
 use rlb_serve::ServerCore;
@@ -40,7 +36,7 @@ pub struct SimSpec {
 }
 
 /// Result of one co-simulation.
-// return type of `run_sim`. lint:allow(dead-pub)
+// return type of `co_simulate`. lint:allow(dead-pub)
 pub struct SimOutput {
     /// Stable text: optional transcript lines, then the client report,
     /// then the server summary. This exact string is the golden.
@@ -57,33 +53,24 @@ pub struct SimOutput {
 const DRAIN_CAP: u64 = 1000;
 
 /// Runs the co-simulation to completion.
-pub fn run_sim<P: Policy>(
+pub fn co_simulate<P: Policy>(
     mut core: ServerCore<P>,
     mut clients: Vec<Client>,
     spec: &SimSpec,
-    pool: &Pool,
 ) -> SimOutput {
     let n = clients.len();
-    let mut client_ends: Vec<PipeEnd> = Vec::with_capacity(n);
-    let mut server_ends: Vec<PipeEnd> = Vec::with_capacity(n);
-    for _ in 0..n {
-        let (c, s) = pipe();
-        client_ends.push(c);
-        server_ends.push(s);
-    }
+    let (client_ends, server_ends): (Vec<PipeEnd>, Vec<PipeEnd>) = (0..n).map(|_| pipe()).unzip();
 
     let mut text = String::new();
     let mut t: u64 = 0;
     loop {
         // Phase 1: deliver last tick's responses to the clients.
-        let incoming: Vec<Vec<u8>> = client_ends.iter().map(PipeEnd::take_bytes).collect();
-        let delivered: Vec<Vec<Frame>> = pool.map(incoming, |bytes: &Vec<u8>| decode_batch(bytes));
-        for (i, frames) in delivered.into_iter().enumerate() {
-            for frame in &frames {
+        for (i, (client, end)) in clients.iter_mut().zip(&client_ends).enumerate() {
+            for frame in &decode_batch(&end.take_bytes()) {
                 if spec.transcript {
                     text.push_str(&format!("t={t} c{i} < {}\n", fmt_frame(frame)));
                 }
-                clients[i].on_frame(t, frame);
+                client.on_frame(t, frame);
             }
         }
 
@@ -99,44 +86,34 @@ pub fn run_sim<P: Policy>(
             break;
         }
 
-        // Phase 2: clients issue; encode on the pool; bytes move in
-        // client order.
-        let mut batches: Vec<Vec<Frame>> = vec![Vec::new(); n];
+        // Phase 2: clients issue; bytes move in client order.
         if issuing {
-            for (i, c) in clients.iter_mut().enumerate() {
-                c.on_tick(t, &mut batches[i]);
-            }
-        }
-        if spec.transcript {
-            for (i, frames) in batches.iter().enumerate() {
-                for frame in frames {
-                    text.push_str(&format!("t={t} c{i} > {}\n", fmt_frame(frame)));
+            for (i, (client, end)) in clients.iter_mut().zip(&client_ends).enumerate() {
+                let mut frames = Vec::new();
+                client.on_tick(t, &mut frames);
+                if spec.transcript {
+                    for frame in &frames {
+                        text.push_str(&format!("t={t} c{i} > {}\n", fmt_frame(frame)));
+                    }
                 }
+                end.send_bytes(&encode_batch(&frames));
             }
-        }
-        let encoded: Vec<Vec<u8>> = pool.map(batches, encode_batch);
-        for (i, bytes) in encoded.iter().enumerate() {
-            client_ends[i].send_bytes(bytes);
         }
 
-        // Phase 3: server pass — decode on the pool, core serially.
-        let incoming: Vec<Vec<u8>> = server_ends.iter().map(PipeEnd::take_bytes).collect();
-        let decoded: Vec<Vec<Frame>> = pool.map(incoming, |bytes: &Vec<u8>| decode_batch(bytes));
+        // Phase 3: server pass — the core takes each session's frames
+        // in session order, then ticks.
         let mut responses: Vec<Vec<Frame>> = vec![Vec::new(); n];
-        for (i, frames) in decoded.into_iter().enumerate() {
+        for (i, end) in server_ends.iter().enumerate() {
             let sid = u32::try_from(i).unwrap_or(u32::MAX);
-            for frame in frames {
-                if let Some(resp) = core.on_frame(sid, frame) {
-                    responses[i].push(resp);
-                }
+            for frame in decode_batch(&end.take_bytes()) {
+                responses[i].extend(core.on_frame(sid, frame));
             }
         }
         for (sid, frame) in core.tick() {
             responses[sid as usize].push(frame);
         }
-        let encoded: Vec<Vec<u8>> = pool.map(responses, encode_batch);
-        for (i, bytes) in encoded.iter().enumerate() {
-            server_ends[i].send_bytes(bytes);
+        for (end, frames) in server_ends.iter().zip(&responses) {
+            end.send_bytes(&encode_batch(frames));
         }
 
         t += 1;
@@ -152,8 +129,8 @@ pub fn run_sim<P: Policy>(
     }
 }
 
-/// Encodes a frame batch (pure; runs on pool workers).
-fn encode_batch(frames: &Vec<Frame>) -> Vec<u8> {
+/// Encodes a frame batch.
+fn encode_batch(frames: &[Frame]) -> Vec<u8> {
     let mut out = Vec::new();
     for f in frames {
         f.encode(&mut out);
@@ -162,8 +139,7 @@ fn encode_batch(frames: &Vec<Frame>) -> Vec<u8> {
 }
 
 /// Decodes a byte batch that is known to hold whole frames (both ends
-/// of a sim pipe only ever write complete frames). Pure; runs on pool
-/// workers.
+/// of a sim pipe only ever write complete frames).
 fn decode_batch(bytes: &[u8]) -> Vec<Frame> {
     let mut reader = FrameReader::new();
     reader.push(bytes);

@@ -18,9 +18,11 @@
 //! stops sending and reads late still gets every reply its requests
 //! earned, because a session with unsent bytes is written to whenever
 //! its socket drains, and a retired session leaves the wait, so the
-//! daemon outlives more connections than it may hold descriptors. The
-//! load generator's open loop waits the same way and still sends each
-//! tick's arrivals when the tick falls due.
+//! daemon outlives more connections than it may hold descriptors. A
+//! session's id is never reused, so replies scheduled for a client that
+//! hung up are counted but reach no client accepted after it. The load
+//! generator's open loop waits the same way and still sends each tick's
+//! arrivals when the tick falls due.
 
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -37,8 +39,8 @@ use rlb_load::{
 use rlb_pool::Pool;
 use rlb_serve::proto::{MAX_VALUE_LEN, REJECT_CAUSES};
 use rlb_serve::{
-    serve_blocking, Frame, FrameReader, ReadStatus, RejectCause, ServeConfig, ServeOptions,
-    ServeOutcome, ServerCore, TcpSession,
+    serve, Frame, FrameReader, ReadStatus, RejectCause, ServeConfig, ServeOptions, ServeOutcome,
+    ServerCore, TcpSession,
 };
 
 const CLIENTS: usize = 8;
@@ -100,16 +102,12 @@ fn assert_both_sides_agree(outcome: &ServeOutcome, results: &[LiveClientResult])
 }
 
 /// Starts a daemon on its own thread, on a fresh loopback port.
-fn spawn_daemon(
-    config: ServeConfig,
-    opts: ServeOptions,
-    jobs: usize,
-) -> (String, JoinHandle<ServeOutcome>) {
+fn spawn_daemon(config: ServeConfig, opts: ServeOptions) -> (String, JoinHandle<ServeOutcome>) {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
     let addr = listener.local_addr().expect("local addr").to_string();
     let server = std::thread::spawn(move || {
         let core = ServerCore::new(config, Greedy::new());
-        serve_blocking(listener, core, &opts, &Pool::new(jobs)).expect("serve")
+        serve(listener, core, &opts).expect("serve")
     });
     (addr, server)
 }
@@ -142,7 +140,7 @@ fn serve_and_load(
         max_requests: Some(max_requests),
         ..Default::default()
     };
-    let (addr, server) = spawn_daemon(config, opts, 4);
+    let (addr, server) = spawn_daemon(config, opts);
     let spec = LiveSpec {
         addr,
         tick_micros: 200,
@@ -253,7 +251,7 @@ fn a_backlog_made_before_the_first_pass_is_adopted_whole() {
     let core = ServerCore::new(ServeConfig::baseline(16, 0xacce55), Greedy::new());
     let opts = ServeOptions::default();
     opts.shutdown.store(true, Ordering::Relaxed);
-    let outcome = serve_blocking(listener, core, &opts, &Pool::new(1)).expect("serve");
+    let outcome = serve(listener, core, &opts).expect("serve");
 
     assert_eq!(outcome.sessions, BACKLOG as u64, "the whole backlog");
     assert_eq!(outcome.responses, BACKLOG as u64, "one answer each");
@@ -309,7 +307,7 @@ fn a_stop_with_work_in_flight_answers_what_it_admitted_and_accepts_no_more() {
         max_requests: None,
         shutdown: Arc::clone(&shutdown),
     };
-    let (addr, server) = spawn_daemon(config, opts, 4);
+    let (addr, server) = spawn_daemon(config, opts);
 
     let mut clients: Vec<(Client, TcpSession, bool)> = client_configs(per_client)
         .into_iter()
@@ -378,12 +376,11 @@ fn a_stop_with_work_in_flight_answers_what_it_admitted_and_accepts_no_more() {
     );
 }
 
-/// The daemon is the thread that called `serve_blocking` and nothing
-/// else: with a one-worker pool (inline jobs) it spawns no thread at
-/// all, and in particular none named like the old acceptor (`comm` is
-/// the thread name cut to 15 bytes). Other tests share this process, so
-/// the check is by name rather than by count; CI counts the threads of
-/// a real `serve --jobs 1` process.
+/// The daemon is the thread that called `serve` and nothing else: it
+/// spawns no thread at all, and in particular none named like the old
+/// acceptor (`comm` is the thread name cut to 15 bytes). Other tests
+/// share this process, so the check is by name rather than by count; CI
+/// counts the threads of a real `serve` process.
 #[cfg(target_os = "linux")]
 #[test]
 fn a_serving_daemon_has_no_accept_thread() {
@@ -392,7 +389,7 @@ fn a_serving_daemon_has_no_accept_thread() {
         max_requests: None,
         shutdown: Arc::clone(&shutdown),
     };
-    let (addr, server) = spawn_daemon(ServeConfig::baseline(16, 0xacce55), opts, 1);
+    let (addr, server) = spawn_daemon(ServeConfig::baseline(16, 0xacce55), opts);
 
     // A ping answered: the daemon is inside its pass loop.
     let mut stream = TcpStream::connect(&addr).expect("connect");
@@ -424,7 +421,7 @@ fn spawn_until_stopped(config: ServeConfig) -> (String, JoinHandle<ServeOutcome>
         max_requests: None,
         shutdown: Arc::clone(&shutdown),
     };
-    let (addr, server) = spawn_daemon(config, opts, 1);
+    let (addr, server) = spawn_daemon(config, opts);
     (addr, server, shutdown)
 }
 
@@ -602,6 +599,88 @@ fn a_daemon_outlives_more_connections_than_it_may_hold_descriptors() {
     shutdown.store(true, Ordering::Relaxed);
     let outcome = server.join().expect("server thread");
     assert_eq!(outcome.sessions, connections + 1);
+}
+
+/// A client that hangs up with replies still scheduled leaves them to a
+/// session that is gone: the core answers and counts them all the same,
+/// and the daemon drops them rather than hand them to whichever session
+/// it accepts next. At one request a server a tick, 64 `Get`s over 16
+/// servers wait several ticks for their replies; the first client of
+/// each round pipelines them (tenant 0, `req_id`s from `0x4000_0000`)
+/// and closes at once, and a second client connects straight after and
+/// runs a closed loop of its own (tenant 1, `req_id`s from 1). Every
+/// frame the second client reads must answer one of its own requests,
+/// and the server's ledger must hold an answer to every request the
+/// first client sent — one reply or reject each — beside exactly what
+/// the second clients counted.
+#[test]
+fn replies_for_a_client_that_hung_up_reach_no_later_client() {
+    const ROUNDS: u32 = 20;
+    const ORPHANS: u32 = 64;
+    let config = ServeConfig::for_engine(SimConfig::explicit(16, 2, 1, 16).with_seed(0xacce55));
+    let (addr, server, shutdown) = spawn_until_stopped(config);
+
+    let mut later = Vec::new();
+    for round in 0..ROUNDS {
+        let mut gets = Vec::new();
+        for i in 0..ORPHANS {
+            let get = Frame::Get {
+                req_id: 0x4000_0000 + i,
+                tenant: 0,
+                key: (round * ORPHANS + i).to_le_bytes().to_vec(),
+            };
+            get.encode(&mut gets);
+        }
+        let mut gone = TcpStream::connect(&addr).expect("connect");
+        gone.write_all(&gets).expect("write");
+        drop(gone);
+
+        let mut client = Client::new(ClientConfig {
+            tenant: 1,
+            mode: Mode::Closed { concurrency: 16 },
+            popularity: Popularity::Uniform { universe: 64 },
+            put_ratio: 0.0,
+            total_requests: 32,
+            seed: u64::from(round),
+        });
+        let stream = TcpStream::connect(&addr).expect("connect");
+        let mut session = TcpSession::new(stream).expect("session");
+        while !client.done() {
+            let mut frames = Vec::new();
+            client.on_tick(0, &mut frames);
+            frames.iter().for_each(|f| session.queue(f));
+            session.flush().expect("write");
+            let (got, err, status) = session.read_frames();
+            assert_eq!((err, status), (None, ReadStatus::Open), "round {round}");
+            for frame in &got {
+                assert!(
+                    client.on_frame(0, frame),
+                    "round {round}: a frame answering none of this client's requests: {frame:?}"
+                );
+            }
+            if frames.is_empty() && got.is_empty() {
+                session.wait(Duration::from_millis(1)).expect("wait");
+            }
+        }
+        later.push(LiveClientResult {
+            client,
+            error: None,
+        });
+    }
+    shutdown.store(true, Ordering::Relaxed);
+    let outcome = server.join().expect("server thread");
+
+    let lines = parse_tenant_lines(&outcome.summary);
+    let (orphaned, counted) = lines.split_first().expect("tenant lines");
+    assert_eq!(
+        (orphaned.0, orphaned.1 + orphaned.2.iter().sum::<u64>()),
+        (0, u64::from(ROUNDS * ORPHANS)),
+        "every orphaned request answered and counted\n{}",
+        outcome.summary
+    );
+    let b = rlb_load::aggregate(&later);
+    assert_eq!(counted, [(1, b.replies, b.rejects_by_cause)]);
+    assert_eq!(outcome.sessions, 2 * u64::from(ROUNDS));
 }
 
 /// An open loop issues each tick's arrivals when the tick falls due,

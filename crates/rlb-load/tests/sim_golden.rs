@@ -2,11 +2,10 @@
 //!
 //! One mixed scenario — open- and closed-loop clients, two tenants,
 //! zipf and phased popularity, puts and gets, an undersized gate so
-//! admission rejects occur — runs under `--jobs 1`, `2`, and `8`. The
-//! full output text (per-frame transcript + client report + server
-//! summary) must be **byte-identical** across worker counts and match
-//! the committed golden, pinning the serving layer the same way
-//! `rlb-core`'s `engine_equivalence` suite pins the engine.
+//! admission rejects occur — runs once. The full output text
+//! (per-frame transcript + client report + server summary) must match
+//! the committed golden **byte for byte**, pinning the serving layer the
+//! same way `rlb-core`'s `engine_equivalence` suite pins the engine.
 //!
 //! To regenerate after an *intentional* behavior change:
 //!
@@ -19,8 +18,7 @@
 
 use rlb_core::policies::Greedy;
 use rlb_core::SimConfig;
-use rlb_load::{run_sim, Client, ClientConfig, Mode, Popularity, SimSpec};
-use rlb_pool::Pool;
+use rlb_load::{co_simulate, Client, ClientConfig, Mode, Popularity, SimSpec};
 use rlb_serve::{ServeConfig, ServerCore};
 
 const GOLDEN_PATH: &str = concat!(
@@ -30,7 +28,7 @@ const GOLDEN_PATH: &str = concat!(
 
 /// The pinned scenario. Every number here is part of the golden
 /// contract — change one and the transcript legitimately moves.
-fn run_scenario(jobs: usize) -> String {
+fn run_scenario() -> String {
     // A deliberately contended cluster: drain rate 2 with 4-deep queues
     // builds real backlogs, so latencies spread and the undersized gate
     // fills under the open-loop bursts.
@@ -87,26 +85,18 @@ fn run_scenario(jobs: usize) -> String {
         ticks: 24,
         transcript: true,
     };
-    let pool = Pool::new(jobs);
-    let out = run_sim(core, clients, &spec, &pool);
+    let out = co_simulate(core, clients, &spec);
     assert_eq!(
         out.report.replies + out.report.rejects(),
         out.report.sent,
-        "jobs {jobs}: every request must resolve"
+        "every request must resolve"
     );
     out.text
 }
 
 #[test]
-fn sim_transcript_is_byte_identical_across_jobs_and_matches_golden() {
-    let baseline = run_scenario(1);
-    for jobs in [2, 8] {
-        assert_eq!(
-            run_scenario(jobs),
-            baseline,
-            "transcript diverged at {jobs} workers"
-        );
-    }
+fn sim_transcript_matches_golden() {
+    let baseline = run_scenario();
 
     if std::env::var("RLB_REGEN_GOLDEN").is_ok() {
         std::fs::create_dir_all(std::path::Path::new(GOLDEN_PATH).parent().unwrap()).unwrap();
@@ -124,14 +114,14 @@ fn sim_transcript_is_byte_identical_across_jobs_and_matches_golden() {
 
 #[test]
 fn scenario_is_deterministic_run_to_run() {
-    assert_eq!(run_scenario(2), run_scenario(2));
+    assert_eq!(run_scenario(), run_scenario());
 }
 
 #[test]
 fn transcript_contains_every_layer() {
     // Sanity on the golden's coverage: requests both ways, replies,
     // admission rejects, the client report, and the server summary.
-    let text = run_scenario(1);
+    let text = run_scenario();
     assert!(text.contains(" > get "), "client get issued:\n{text}");
     assert!(text.contains(" > put "), "client put issued:\n{text}");
     assert!(text.contains(" < reply "), "server replied:\n{text}");

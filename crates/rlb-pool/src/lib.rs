@@ -1,8 +1,8 @@
 //! # rlb-pool — the workspace's deterministic job executor
 //!
 //! Every parallel computation in the workspace — whole experiments,
-//! their sweep grids and their trials in `rlb-experiments`, the serving
-//! daemon's per-pass socket fan-out — funnels through this crate. It
+//! their sweep grids and their trials in `rlb-experiments`, the live
+//! load generator's one job a client — funnels through this crate. It
 //! exists to make parallelism **boring**: results are returned in
 //! submission order regardless of completion order, so a correctly
 //! seeded computation produces bit-identical output no matter how many

@@ -9,15 +9,15 @@
 //! admission control from a bounded in-flight gate, and schedules
 //! replies behind the chosen replica's queue.
 //!
-//! The live daemon ([`server::serve_blocking`]) is one loop on the
-//! calling thread that opens every pass with one readiness wait over
-//! its listener and sessions (`wire::wait_ready`): it accepts its own
-//! connections, fans session I/O out to rlb-pool workers and spawns
-//! nothing, so no protocol in this crate is shared between threads; the
-//! core, gate included, is single-owner state behind `&mut self`. The
-//! same core runs under `rlb-load`'s virtual-time driver over framed
-//! pipes, which is what lets CI pin byte-identical transcripts — see
-//! `ARCHITECTURE.md` § "Serving layer".
+//! The live daemon ([`server::serve`]) is one loop on the calling
+//! thread that opens every pass with one readiness wait over its
+//! listener and sessions (`wire::wait_ready`): it accepts its own
+//! connections, owns every session outright, does all socket I/O and
+//! codec work itself and spawns nothing, so no protocol in this crate is
+//! shared between threads; the core, gate included, is single-owner
+//! state behind `&mut self`. The same core runs under `rlb-load`'s
+//! virtual-time driver over framed pipes, which is what lets CI pin
+//! byte-identical transcripts — see `ARCHITECTURE.md` § "Serving layer".
 //!
 //! The crate denies `unsafe` code; the one exemption is the `poll(2)`
 //! call inside `wait_ready`, whose `SAFETY:` comment says why it holds.
@@ -34,5 +34,21 @@ pub mod wire;
 pub use crate::core::{key_to_u64, ServeConfig, ServerCore};
 pub use crate::pipe::{pipe, PipeEnd};
 pub use crate::proto::{fmt_frame, DecodeError, Frame, FrameReader, RejectCause};
-pub use crate::server::{serve_blocking, ServeOptions, ServeOutcome};
+pub use crate::server::{serve, ServeOptions, ServeOutcome};
 pub use crate::wire::{ReadStatus, TcpSession};
+
+/// [`serve`] under its former name, with the pool the daemon no longer
+/// uses; `_pool` is ignored.
+///
+/// # Errors
+/// As [`serve`].
+#[doc(hidden)]
+// benchmark/'s serve-tcp rig is the caller. lint:allow(dead-pub)
+pub fn serve_blocking<P: rlb_core::Policy>(
+    listener: std::net::TcpListener,
+    core: ServerCore<P>,
+    opts: &ServeOptions,
+    _pool: &rlb_pool::Pool,
+) -> std::io::Result<ServeOutcome> {
+    serve(listener, core, opts)
+}

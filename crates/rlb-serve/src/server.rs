@@ -4,53 +4,56 @@
 //!
 //! ```text
 //!   TcpListener ──┐
-//!   sessions ─────┴─▶ wait_ready (one poll(2)) ──▶ reactor (the caller's thread)
-//!                                                       │
-//!                                                per-pass fan-out
-//!                                                       ▼
-//!                                               rlb-pool workers
-//!                                           (session I/O: read/decode
-//!                                            + encode/write, one lock
-//!                                            per session)
+//!   sessions ─────┴─▶ wait_ready (one poll(2)) ──▶ reactor (the caller's thread):
+//!                                                  accept, read + decode, core,
+//!                                                  tick, encode + write
 //! ```
 //!
-//! The reactor owns the listener and the [`ServerCore`] and runs a pass
-//! loop. Every pass opens with one readiness wait (`wait_ready`) over
-//! the listener and every live session — each asks for input, and for
-//! output while its outbox holds unsent bytes; a retired session has no
-//! entry — that does not block at all after a pass that did work and
-//! blocks at most `IDLE_WAIT` (1 ms, `poll`'s smallest non-zero
-//! timeout) after one that did not: a busy daemon never naps, an idle
-//! one wakes on the first byte, and a drained one reads `shutdown` at
-//! least once a millisecond. The pass then follows what the wait
-//! found: accept only if the listener is readable (after a failed
-//! accept — out of descriptors, say — the next wait leaves the
-//! listener out and the pass after it accepts regardless, so an idle
-//! daemon out of descriptors retries once a millisecond instead of
-//! spinning), fan socket reads out over the pool for the sessions
-//! found readable (and any accepted in this pass), feed decoded frames
-//! to the core **serially in session order** (this is the only shared-state
-//! mutation, so behavior is independent of worker count), tick the
-//! engine, and fan the response writes back out over the pool — to
-//! every session with new frames *or* unsent bytes, so a reader that
-//! fell behind is written to whenever its socket drains, whether or not
-//! it sends again. [`serve_blocking`] spawns nothing: with a one-worker
-//! pool (which runs its jobs inline) the daemon is one thread.
+//! The reactor owns the listener, the [`ServerCore`] and every session
+//! outright, and runs a pass loop. Every pass opens with one readiness
+//! wait (`wait_ready`) over the listener and every live session — each
+//! asks for input, and for output while its outbox holds unsent bytes —
+//! that does not block at all after a pass that did work and blocks at
+//! most `IDLE_WAIT` (1 ms, `poll`'s smallest non-zero timeout) after one
+//! that did not: a busy daemon never naps, an idle one wakes on the
+//! first byte, and a drained one reads `shutdown` at least once a
+//! millisecond. The pass then follows what the wait found: accept only
+//! if the listener is readable (after a failed accept — out of
+//! descriptors, say — the next wait leaves the listener out and the
+//! pass after it accepts regardless, so an idle daemon out of
+//! descriptors retries once a millisecond instead of spinning); read
+//! the sessions found readable (and any accepted in this pass), feeding
+//! their frames to the core in session order and each response straight
+//! into its session's outbox; tick the engine and route its responses
+//! the same way; then flush every session that owes bytes or whose
+//! input ended, so a reader that fell behind is written to whenever its
+//! socket drains, whether or not it sends again, and retire the ones
+//! that are over.
+//!
+//! Sessions live in one map keyed by their accept serial, which is
+//! never reused: the map iterates in accept order, and a reply the core
+//! scheduled for a session that has since gone finds no entry and is
+//! dropped (the core has counted it), never reaching a later session.
+//! After 2³² accepts the serials are spent, and the listener is treated
+//! like one whose accept keeps failing: it leaves the wait for good,
+//! while the live sessions are served on. A pass costs its live
+//! sessions, not every connection ever accepted. [`serve`] spawns
+//! nothing: the daemon is one thread.
 //! Shutdown is stop accepting (the listener is dropped, so a later
 //! connect is refused), then drain every admitted request to a reply
 //! or reject, then flush, then return.
 
+use std::collections::BTreeMap;
 use std::io::ErrorKind;
 use std::net::TcpListener;
 use std::time::Duration;
 
 use rlb_core::Policy;
-use rlb_pool::Pool;
-use rlb_sync::{Arc, AtomicBool, Mutex, Ordering};
+use rlb_sync::{Arc, AtomicBool, Ordering};
 
 use crate::core::{ServerCore, SessionId};
 use crate::proto::{Frame, RejectCause};
-use crate::wire::{wait_ready, ReadStatus, Readiness, TcpSession};
+use crate::wire::{wait_ready, Readiness, TcpSession};
 
 /// The longest a pass that found nothing to do lets the next wait
 /// block: `poll`'s smallest non-zero timeout, and so the longest a
@@ -87,58 +90,42 @@ pub struct ServeOutcome {
     pub summary: String,
 }
 
-/// Result of one pool-side session read pass.
-struct ReadResult {
-    sid: SessionId,
-    frames: Vec<Frame>,
-    malformed: bool,
-    closed: bool,
-}
-
 /// Serves `listener` until shutdown, blocking the calling thread.
 ///
 /// # Errors
 /// Propagates listener configuration errors and a failed readiness
 /// wait; per-session socket errors just drop that session.
-pub fn serve_blocking<P: Policy>(
+pub fn serve<P: Policy>(
     listener: TcpListener,
     mut core: ServerCore<P>,
     opts: &ServeOptions,
-    pool: &Pool,
 ) -> std::io::Result<ServeOutcome> {
     listener.set_nonblocking(true)?;
     // `None` once draining starts: dropping the listener is what
     // refuses a connect made during the drain.
     let mut listener = Some(listener);
 
-    // Indexed by session id; a retired session's slot stays `None`, so
-    // an id is never reused.
-    let mut sessions: Vec<Option<Arc<Mutex<TcpSession>>>> = Vec::new();
-    let mut accepted: u64 = 0;
-    // The wait's entries: one a live session, whose id is `polled`'s
-    // entry at the same index, then the listener's while it is open and
-    // its last accept did not fail. Retired slots are left out: `poll`
-    // fails once asked for more entries than the process may have
-    // descriptors, and the slots only grow.
+    // Keyed by accept serial, in accept order; a retired session's key
+    // is never handed out again.
+    let mut sessions: BTreeMap<SessionId, TcpSession> = BTreeMap::new();
+    // The next accept's serial; `None` once all 2³² are spent.
+    let mut next_sid: Option<SessionId> = Some(0);
+    // The wait's entries: one a live session, in `sessions`' order,
+    // then the listener's while it is open and accepting has not
+    // failed.
     let mut ready: Vec<Readiness> = Vec::new();
-    let mut polled: Vec<SessionId> = Vec::new();
     let mut idle = false;
     // Set when an accept failed (e.g. out of descriptors): the listener
     // stays readable, so the next wait leaves it out — or an idle
     // daemon would spin on it — and the pass after it accepts blind.
+    // Spent serials set it for good.
     let mut accept_failed = false;
 
     loop {
         // 0. Wait until a socket is ready: not at all after a pass that
         //    did work, at most `IDLE_WAIT` after one that did not.
         ready.clear();
-        polled.clear();
-        for (sid, session) in sessions.iter().enumerate() {
-            if let Some(session) = session {
-                ready.push(session.lock().expect("session lock").readiness());
-                polled.push(sid as SessionId);
-            }
-        }
+        ready.extend(sessions.values().map(TcpSession::readiness));
         let listener_entry = listener
             .as_ref()
             .filter(|_| !accept_failed)
@@ -152,10 +139,9 @@ pub fn serve_blocking<P: Policy>(
         let mut worked = false;
         let draining = listener.is_none();
 
-        // 1. Adopt what the kernel has accepted, until `WouldBlock` or
-        //    an accept fails.
-        let first_new = sessions.len();
-        accept_failed = false;
+        // 1. Adopt what the kernel has accepted, until `WouldBlock`, an
+        //    accept fails, or the serials run out.
+        accept_failed = next_sid.is_none();
         while let Some(accept) = listener
             .as_ref()
             .filter(|_| incoming && !accept_failed)
@@ -163,9 +149,10 @@ pub fn serve_blocking<P: Policy>(
         {
             match accept {
                 Ok((stream, _)) => {
-                    if let Ok(session) = TcpSession::new(stream) {
-                        sessions.push(Some(Arc::new(Mutex::new(session))));
-                        accepted += 1;
+                    if let (Some(sid), Ok(session)) = (next_sid, TcpSession::new(stream)) {
+                        sessions.insert(sid, session);
+                        next_sid = sid.checked_add(1);
+                        accept_failed = next_sid.is_none();
                         worked = true;
                     }
                 }
@@ -174,119 +161,62 @@ pub fn serve_blocking<P: Policy>(
             }
         }
 
-        // 2. Fan socket reads + frame decode out over the pool: the
-        //    sessions the wait found readable, and those accepted in
-        //    this pass, which it has not seen.
-        let readable = polled
-            .iter()
-            .zip(&ready)
-            .filter(|(_, entry)| entry.readable())
-            .map(|(sid, _)| *sid as usize);
-        let live: Vec<(SessionId, Arc<Mutex<TcpSession>>)> = readable
-            .chain(first_new..sessions.len())
-            .filter_map(|i| {
-                sessions[i]
-                    .as_ref()
-                    .map(|arc| (i as SessionId, Arc::clone(arc)))
-            })
-            .collect();
-        let reads: Vec<ReadResult> = pool.map(live, |(sid, session)| {
-            let mut s = session.lock().expect("session lock");
-            let (frames, err, status) = s.read_frames();
-            ReadResult {
-                sid: *sid,
-                frames,
-                malformed: err.is_some(),
-                closed: status != ReadStatus::Open,
+        // 2. Read the sessions the wait found readable, and those
+        //    accepted in this pass, which it has not seen (they sort
+        //    last, past the wait's entries). Their frames go to the
+        //    core in session order, and each answer straight into the
+        //    session's outbox.
+        let mut polled = ready.iter();
+        for (&sid, session) in sessions.iter_mut() {
+            if polled.next().is_some_and(|entry| !entry.readable()) {
+                continue;
             }
-        });
-
-        // 3. Serial core pass, in session order: the single place
-        //    shared state mutates, so worker count cannot reorder it.
-        //    Responses collect per session, indexed by session id;
-        //    `due` marks the sessions step 5 visits with or without new
-        //    frames — those that owe bytes, and those whose peer closed
-        //    (to be retired once nothing is left to send; a malformed
-        //    stream always has its reject to send).
-        let mut outgoing: Vec<Vec<Frame>> = vec![Vec::new(); sessions.len()];
-        let mut due: Vec<bool> = vec![false; sessions.len()];
-        for (sid, entry) in polled.iter().zip(&ready) {
-            due[*sid as usize] = entry.wants_write();
-        }
-        for read in reads {
-            let to_session = &mut outgoing[read.sid as usize];
-            for frame in read.frames {
+            let (frames, err, _) = session.read_frames();
+            for frame in frames {
                 worked = true;
                 if !draining {
-                    to_session.extend(core.on_frame(read.sid, frame));
+                    if let Some(response) = core.on_frame(sid, frame) {
+                        session.queue(&response);
+                    }
                 } else if let Frame::Get { req_id, tenant, .. }
                 | Frame::Put { req_id, tenant, .. } = frame
                 {
                     // Past shutdown: every new request is turned away.
-                    to_session.push(core.reject(tenant, req_id, RejectCause::Shutdown));
+                    session.queue(&core.reject(tenant, req_id, RejectCause::Shutdown));
                 }
             }
-            if read.malformed {
-                to_session.push(core.reject(0, 0, RejectCause::Malformed));
+            if err.is_some() {
+                session.queue(&core.reject(0, 0, RejectCause::Malformed));
             }
-            due[read.sid as usize] |= read.closed;
         }
 
-        // 4. Advance the engine one tick and route its responses.
+        // 3. Advance the engine one tick and route its responses; one
+        //    for a session that has gone is dropped.
         if !core.drained() {
             worked = true;
             for (sid, frame) in core.tick() {
-                outgoing[sid as usize].push(frame);
-            }
-        }
-
-        // 5. Fan encode + socket writes back out over the pool, and say
-        //    which sessions are over: a write failed, or their input
-        //    ended and their outbox is flushed.
-        let writes: Vec<(SessionId, Arc<Mutex<TcpSession>>, Vec<Frame>)> = outgoing
-            .into_iter()
-            .zip(due)
-            .zip(&sessions)
-            .enumerate()
-            .filter_map(|(sid, ((frames, due), session))| match session {
-                Some(session) if due || !frames.is_empty() => {
-                    Some((sid as SessionId, Arc::clone(session), frames))
+                if let Some(session) = sessions.get_mut(&sid) {
+                    session.queue(&frame);
                 }
-                _ => None,
-            })
-            .collect();
-        let over: Vec<Option<SessionId>> = pool.map(writes, |(sid, session, frames)| {
-            let mut s = session.lock().expect("session lock");
-            for frame in frames {
-                s.queue(frame);
             }
-            let over = match s.flush() {
-                Ok(flushed) => s.finished(flushed),
-                Err(_) => true,
-            };
-            over.then_some(*sid)
-        });
-
-        // 6. Retire them.
-        for sid in over.into_iter().flatten() {
-            sessions[sid as usize] = None;
         }
 
-        // 7. Shutdown protocol: stop accepting, stop admitting, drain,
+        // 4. Flush every session that owes bytes or whose input ended,
+        //    and retire the ones that are over.
+        sessions.retain(|_, session| !session.flush_is_over());
+
+        // 5. Shutdown protocol: stop accepting, stop admitting, drain,
         //    flush, exit.
         let stop_requested = opts.shutdown.load(Ordering::Relaxed)
             || opts.max_requests.is_some_and(|n| core.responses() >= n);
         if stop_requested {
             listener = None;
         }
-        if listener.is_none() && core.drained() {
-            let all_flushed = sessions.iter().flatten().all(|arc| {
-                let mut s = arc.lock().expect("session lock");
-                s.flush().unwrap_or(true)
-            });
-            if all_flushed {
-                break;
-            }
+        if listener.is_none()
+            && core.drained()
+            && sessions.values_mut().all(|s| s.flush().unwrap_or(true))
+        {
+            break;
         }
 
         idle = !worked;
@@ -294,7 +224,7 @@ pub fn serve_blocking<P: Policy>(
 
     Ok(ServeOutcome {
         responses: core.responses(),
-        sessions: accepted,
+        sessions: next_sid.map_or(1 << 32, u64::from),
         summary: core.render_summary(),
     })
 }

@@ -62,11 +62,6 @@ impl Readiness {
     pub(crate) fn readable(&self) -> bool {
         self.revents & (POLLIN | POLLHUP | POLLERR | POLLNVAL) != 0
     }
-
-    /// The entry asked for output: its session had unsent bytes.
-    pub(crate) fn wants_write(&self) -> bool {
-        self.events & POLLOUT != 0
-    }
 }
 
 #[cfg(unix)]
@@ -276,11 +271,18 @@ impl TcpSession {
         Ok(true)
     }
 
-    /// Whether the session can be dropped, given whether the flush just
-    /// made emptied the outbox: its input is over (a decode error, or
-    /// EOF / a socket error with the outbox flushed), so nothing more
-    /// will come from it or reach it.
-    pub(crate) fn finished(&self, flushed: bool) -> bool {
-        self.poisoned || (self.input_ended && flushed)
+    /// Flushes a session that owes bytes or whose input has ended, and
+    /// says whether it can be dropped: a write failed, or its input is
+    /// over (a decode error, or EOF / a socket error with the outbox
+    /// flushed), so nothing more will come from it or reach it. A
+    /// session that owes nothing and still reads is left alone.
+    pub(crate) fn flush_is_over(&mut self) -> bool {
+        if self.sent == self.outbox.len() && !(self.input_ended || self.poisoned) {
+            return false;
+        }
+        match self.flush() {
+            Ok(flushed) => self.poisoned || (self.input_ended && flushed),
+            Err(_) => true,
+        }
     }
 }
