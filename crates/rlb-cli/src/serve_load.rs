@@ -12,7 +12,6 @@ use crate::flags::{parse_float, parse_positive, unknown, Flags};
 use rlb_core::policies::{with_policy, PolicyVisitor};
 use rlb_core::{Policy, SimConfig};
 use rlb_load::{co_simulate, run_live, Client, ClientConfig, LiveSpec, Mode, Popularity, SimSpec};
-use rlb_pool::Pool;
 use rlb_serve::{serve, ServeConfig, ServeOptions, ServeOutcome, ServerCore};
 
 /// Which subcommand a command line belongs to.
@@ -358,8 +357,7 @@ pub fn run_load(args: &[String]) -> Result<String, (String, i32)> {
         tick_micros: opts.tick_micros,
         max_seconds: opts.max_seconds,
     };
-    // One executor a client, so every client runs at once.
-    let results = run_live(opts.client_configs(), &spec, &Pool::new(opts.clients));
+    let results = run_live(opts.client_configs(), &spec);
     let report = rlb_load::aggregate(&results);
     let mut out = report.render("10us");
     let mut failed = 0;

@@ -34,7 +34,7 @@ impl Dsu {
 
     fn find(&mut self, x: u32) -> u32 {
         let mut root = x;
-        // DSU parent entries are < n by construction. lint:allow(panic-path)
+        // DSU parent entries are < n by construction.
         while self.parent[root as usize] != root {
             root = self.parent[root as usize];
         }

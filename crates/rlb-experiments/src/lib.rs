@@ -288,7 +288,7 @@ pub fn usage() -> String {
          \x20 --quick    reduced sizes/trials for a fast smoke run\n\
          \x20 --json     print results as a JSON array instead of text\n\
          \x20 --out-dir  additionally write per-experiment .txt and .json files\n\
-         \x20 --jobs     executor threads (default: RLB_JOBS or all cores; 1 = serial)\n"
+         \x20 --jobs     executor threads (default: all cores; 1 = serial)\n"
     )
 }
 

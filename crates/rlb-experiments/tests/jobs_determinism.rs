@@ -9,7 +9,6 @@ fn run_quick(extra_args: &[&str]) -> (Vec<u8>, bool) {
     let out = Command::new(env!("CARGO_BIN_EXE_experiments"))
         .args(["all", "--quick"])
         .args(extra_args)
-        .env_remove("RLB_JOBS")
         .output()
         .expect("run experiments binary");
     (out.stdout, out.status.success())
@@ -37,7 +36,6 @@ fn json_output_is_byte_identical_across_jobs() {
     let run = |jobs: &str| {
         let out = Command::new(env!("CARGO_BIN_EXE_experiments"))
             .args(["e6", "e11", "--quick", "--json", "--jobs", jobs])
-            .env_remove("RLB_JOBS")
             .output()
             .expect("run experiments binary");
         assert!(out.status.success(), "--jobs {jobs} json run failed");
@@ -61,7 +59,6 @@ fn bad_jobs_values_are_rejected() {
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_experiments"))
             .args(bad_args)
-            .env_remove("RLB_JOBS")
             .output()
             .expect("run experiments binary");
         assert_eq!(out.status.code(), Some(2), "args {bad_args:?} must exit 2");
@@ -84,7 +81,6 @@ fn unknown_flags_and_missing_values_are_rejected() {
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_experiments"))
             .args(bad_args)
-            .env_remove("RLB_JOBS")
             .output()
             .expect("run experiments binary");
         assert_eq!(out.status.code(), Some(2), "args {bad_args:?} must exit 2");

@@ -97,7 +97,7 @@ pub struct LintStats {
     pub lock_edges: usize,
     /// Tier 3: untrusted sources per crate (CI pins rlb-serve > 0).
     pub untrusted_sources_by_crate: std::collections::BTreeMap<String, usize>,
-    /// Tier 3: lock sites per crate (CI pins rlb-pool > 0).
+    /// Tier 3: lock sites per crate (CI pins rlb-serve's 2).
     pub lock_sites_by_crate: std::collections::BTreeMap<String, usize>,
 }
 

@@ -1,13 +1,9 @@
 //! Tier 3: static lock-order checking (`lock-order`).
 //!
 //! Builds an acquired-while-holding graph over every `.lock()` call
-//! site in the workspace (rlb-sync `Mutex` guards; `Condvar::wait`
-//! keeps its guard held, so wait sites need no special casing) and
-//! reports any cycle: two functions that acquire `a` then `b` and `b`
-//! then `a` can deadlock under the right interleaving, even when each
-//! function is individually correct. This complements rlb-check —
-//! the model checker proves deep properties of the protocols it is
-//! pointed at; this pass proves one shallow property everywhere.
+//! site in the workspace and reports any cycle: two functions that
+//! acquire `a` then `b` and `b` then `a` can deadlock under the right
+//! interleaving, even when each function is individually correct.
 //!
 //! How a site is read (lexically, per function — lock *holds* are a
 //! scope property, so no CFG is needed):
@@ -18,8 +14,8 @@
 //!   lock — a deliberate may-alias coarsening in both directions:
 //!   distinct locks sharing a field name merge (may false-positive),
 //!   and `slots[i]` vs `slots[j]` merge (hides real intra-array
-//!   ordering, which rlb-check owns). Unnamed receivers (`self.0
-//!   .lock()`) contribute a site but no edges.
+//!   ordering). Unnamed receivers (`self.0.lock()`) contribute a site
+//!   but no edges.
 //! - A `let`-bound guard is held to the end of its enclosing brace
 //!   scope, or until `drop(guard)`. A temporary guard is held to the
 //!   first `;` at its brace depth or shallower — so one taken in a
@@ -33,16 +29,8 @@
 //!   the callee's *transitive* acquire set (a call-graph fixpoint), so
 //!   the ordering discipline is checked across function boundaries.
 //!
-//! Scope: test fns and [`crate::rules::RAW_SYNC_ALLOW_CRATES`] are
-//! exempt (the shim layer and the model-check runtime are beneath the
-//! discipline), and calls *into* those crates are opaque — their
-//! internals model the primitives themselves (the rlb-check `Condvar`
-//! re-locks a `mutex` field, the model atomics shadow `load`/`store`
-//! by name), so letting them feed the transitive acquire sets would
-//! alias-collide with user lock names and fabricate cycles.
-//! Acquisitions still register at the caller's own `.lock()` sites.
-//! Unresolved calls draw no edges — the same documented
-//! false-negative boundary as the call graph itself.
+//! Scope: test fns are exempt. Unresolved calls draw no edges — the
+//! same documented false-negative boundary as the call graph itself.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -100,7 +88,7 @@ pub(crate) fn run(
     let mut held_calls: Vec<HeldCall> = Vec::new();
 
     for (n, node) in graph.nodes.iter().enumerate() {
-        if node.in_test || rules::RAW_SYNC_ALLOW_CRATES.contains(&node.krate.as_str()) {
+        if node.in_test {
             continue;
         }
         scan_fn(
@@ -121,7 +109,7 @@ pub(crate) fn run(
         let mut changed = false;
         for n in 0..graph.nodes.len() {
             for &c in &graph.edges[n] {
-                if graph.nodes[c].in_test || exempt_crate(graph, c) {
+                if graph.nodes[c].in_test {
                     continue;
                 }
                 let add: Vec<String> = trans[c].difference(&trans[n]).cloned().collect();
@@ -203,12 +191,6 @@ pub(crate) fn run(
             ),
         );
     }
-}
-
-/// Whether `n` lives in a crate whose sync internals are beneath the
-/// lock-order discipline (see the module docs).
-fn exempt_crate(graph: &CallGraph, n: usize) -> bool {
-    rules::RAW_SYNC_ALLOW_CRATES.contains(&graph.nodes[n].krate.as_str())
 }
 
 fn reaches(adj: &BTreeMap<&str, BTreeSet<&str>>, from: &str, to: &str) -> bool {
@@ -347,14 +329,13 @@ fn scan_fn(
             } else if callgraph::is_value_ident(t) && !held.is_empty() {
                 let prev = (c > lo).then(|| pf.text(c - 1));
                 let prev2 = (c > lo + 1).then(|| pf.text(c - 2));
-                match resolver.resolve(n, t, prev, prev2) {
-                    Resolution::One(callee) if !exempt_crate(graph, callee) => held_calls.push((
+                if let Resolution::One(callee) = resolver.resolve(n, t, prev, prev2) {
+                    held_calls.push((
                         held.iter().map(|h| (h.name.clone(), h.line)).collect(),
                         callee,
                         node.file,
                         pf.byte(c),
-                    )),
-                    _ => {}
+                    ));
                 }
             }
         }

@@ -376,15 +376,15 @@ mod tests {
             &[
                 (
                     "crates/rlb-serve/src/proto.rs",
-                    "fn decode(b: &[u8]) -> u32 { checker_hook(b) }\n",
+                    "fn decode(b: &[u8]) -> u32 { harness_hook(b) }\n",
                 ),
                 (
-                    "crates/rlb-check/src/rt.rs",
-                    "pub fn checker_hook(b: &[u8]) -> u32 { b.first().unwrap(); 0 }\n",
+                    "crates/rlb-harness/src/rt.rs",
+                    "pub fn harness_hook(b: &[u8]) -> u32 { b.first().unwrap(); 0 }\n",
                 ),
             ],
             "[[root]]\nfn = \"decode\"\nreason = \"wire\"\n\
-             [[exempt]]\ncrate = \"rlb-check\"\nreason = \"panics by design\"\n",
+             [[exempt]]\ncrate = \"rlb-harness\"\nreason = \"panics by design\"\n",
         );
         assert_eq!(stats.cone_fns, 1, "{f:?}");
         assert!(f.is_empty(), "{f:?}");

@@ -18,8 +18,8 @@
 //!
 //! # Cones stop at (never traverse into) an exempted crate:
 //! [[exempt]]
-//! crate = "rlb-check"
-//! reason = "model-checker runtime panics by design to report bugs"
+//! crate = "rlb-harness"
+//! reason = "test-harness runtime panics by design to report bugs"
 //! ```
 //!
 //! Each `[[root]]` table carries either `fn = "Owner::name"` (or a
@@ -185,7 +185,7 @@ mod tests {
     fn parses_fn_file_and_exempt_tables() {
         let text = "# heading\n\n[[root]]\nfn = \"QueueArray::enqueue\"\nreason = \"hot\"\n\n\
                     [[root]]\nfile = \"crates/rlb-serve/src/proto.rs\"\nreason = \"wire\"\n\n\
-                    [[exempt]]\ncrate = \"rlb-check\"\nreason = \"panics by design\"\n";
+                    [[exempt]]\ncrate = \"rlb-harness\"\nreason = \"panics by design\"\n";
         let m = parse_manifest(text).unwrap();
         assert_eq!(m.roots.len(), 2);
         assert_eq!(m.roots[0].fn_name.as_deref(), Some("QueueArray::enqueue"));
@@ -196,7 +196,7 @@ mod tests {
         );
         assert_eq!(m.roots[1].line, 7);
         assert_eq!(m.exempts.len(), 1);
-        assert_eq!(m.exempts[0].krate, "rlb-check");
+        assert_eq!(m.exempts[0].krate, "rlb-harness");
         assert_eq!(m.exempts[0].line, 11);
     }
 

@@ -98,15 +98,9 @@ pub(crate) const CATALOG: &[Rule] = &[
         |pf| in_lossy_cast_scope(&pf.rel_path),
         lossy_cast,
     ),
-    // `std::sync::*` (except `Arc`/`Weak` and the lock-result types)
-    // and `thread::spawn`/`scope`/`Builder` outside the shim layer —
-    // primitives come from `rlb_sync`, so the `model` feature can route
-    // them through the checker.
-    Rule::per_file(
-        "raw-sync",
-        |pf| !RAW_SYNC_ALLOW_CRATES.contains(&pf.crate_name()),
-        raw_sync,
-    ),
+    // `thread::spawn`/`scope`/`Builder` outside the executor: threads
+    // come from pool jobs, under the pool's one budget.
+    Rule::per_file("raw-sync", |pf| pf.crate_name() != "rlb-pool", raw_sync),
     // The transitive workspace passes: cones of the `lint-roots.toml`
     // roots and the pub surface (`passes`), taint flow (`dataflow`),
     // acquired-while-holding cycles (`locks`).
@@ -170,15 +164,6 @@ const PANIC_SCOPE: &[&str] = &[
 /// possibility: the rule is a no-op there until one exists, and then
 /// it is not.
 const TRACE_GUARD_CRATES: &[&str] = &["rlb-core", "rlb-kv", "rlb-serve", "rlb-load"];
-
-/// The sync-shim layer: the only crates allowed to touch
-/// `std::sync`/`std::thread` primitives directly. `rlb-sync` is the
-/// re-export switch every concurrent crate imports from, and
-/// `rlb-check`'s cooperative runtime is the trusted base beneath the
-/// shims. Everything else — including the executor — goes through
-/// `rlb_sync`, so building with `--features model` swaps its
-/// primitives for instrumented ones.
-pub(crate) const RAW_SYNC_ALLOW_CRATES: &[&str] = &["rlb-sync", "rlb-check"];
 
 fn in_lossy_cast_scope(rel_path: &str) -> bool {
     rel_path == "crates/rlb-core/src/stats.rs"
@@ -368,19 +353,9 @@ fn lossy_cast(pf: &ParsedFile, allow: &Suppressions, findings: &mut Vec<Finding>
 fn raw_sync(pf: &ParsedFile, allow: &Suppressions, findings: &mut Vec<Finding>) {
     // `thread::spawn` / `thread::scope` / `thread::Builder` catch both
     // `std::thread::` and `use std::thread; thread::` spellings — and,
-    // on purpose, `rlb_sync::thread::spawn` too: outside the shim layer
-    // threads come from pool jobs, not hand-rolled spawns. Benign
-    // `std::thread` reads (`sleep`, `available_parallelism`, `current`)
-    // stay legal.
+    // on purpose, `rlb_sync::thread::scope` too. Benign `std::thread`
+    // reads (`sleep`, `available_parallelism`, `current`) stay legal.
     const THREAD_FNS: &[&str] = &["spawn", "scope", "Builder"];
-    const TRANSPARENT: &[&str] = &[
-        "Arc",
-        "Weak",
-        "LockResult",
-        "PoisonError",
-        "TryLockError",
-        "TryLockResult",
-    ];
     for p in 0..pf.code.len() {
         if pf.at(p, "thread") && pf.at(p + 1, "::") {
             if let Some(f) = THREAD_FNS.iter().find(|f| pf.at(p + 2, f)) {
@@ -391,38 +366,11 @@ fn raw_sync(pf: &ParsedFile, allow: &Suppressions, findings: &mut Vec<Finding>) 
                     pf.byte(p),
                     "raw-sync",
                     format!(
-                        "`thread::{f}` outside the sync-shim layer: raw threads are invisible \
-                         to the model checker; submit jobs via rlb_pool, or spawn through \
-                         rlb_sync::thread inside the executor"
+                        "`thread::{f}` outside the executor: a raw thread escapes the pool's \
+                         thread budget; submit the work as rlb_pool jobs"
                     ),
                 );
             }
-        }
-        // Any `std::sync::` path except the sync-transparent re-exports
-        // must be imported from rlb_sync instead, or the `model`
-        // feature cannot swap it for the instrumented version.
-        if pf.at(p, "std") && pf.at(p + 1, "::") && pf.at(p + 2, "sync") && pf.at(p + 3, "::") {
-            let seg = (p + 4 < pf.code.len() && pf.kind(p + 4) == TokenKind::Ident)
-                .then(|| pf.text(p + 4).to_string());
-            if seg.as_deref().is_some_and(|g| TRANSPARENT.contains(&g)) {
-                continue;
-            }
-            let what = match &seg {
-                Some(g) => format!("`std::sync::{g}`"),
-                None => "a grouped `std::sync::{..}` import".to_string(),
-            };
-            emit_at(
-                findings,
-                pf,
-                allow,
-                pf.byte(p),
-                "raw-sync",
-                format!(
-                    "{what} outside the sync-shim layer: import the primitive from rlb_sync so \
-                     the `model` feature can route it through the checker (only `Arc` and the \
-                     lock-result types may come from std::sync directly)"
-                ),
-            );
         }
     }
 }
@@ -712,9 +660,8 @@ mod tests {
             lint_source("crates/rlb-metrics/src/histogram.rs", src).len(),
             1
         );
-        // The executor and the experiment suite joined the scope with
-        // the rlb-check PR: index/count plumbing there narrows via
-        // checked helpers, not bare `as`.
+        // The executor and the experiment suite: index/count plumbing
+        // there narrows via checked helpers, not bare `as`.
         assert_eq!(lint_source("crates/rlb-pool/src/lib.rs", src).len(), 1);
         assert_eq!(
             lint_source("crates/rlb-experiments/src/e01_greedy.rs", src).len(),
@@ -739,16 +686,12 @@ mod tests {
     }
 
     #[test]
-    fn raw_sync_fires_on_threads_and_primitives() {
+    fn raw_sync_fires_on_thread_spawns() {
         for bad in [
             "fn f() { std::thread::spawn(|| {}); }",
             "fn f() { thread::scope(|s| { s.spawn(|| {}); }); }",
+            "fn f() { rlb_sync::thread::scope(|s| { s.spawn(|| {}); }); }",
             "fn f() { std::thread::Builder::new(); }",
-            "use std::sync::Mutex;",
-            "use std::sync::{Mutex, Condvar};",
-            "fn f() { let x = std::sync::atomic::AtomicUsize::new(0); }",
-            "use std::sync::mpsc::channel;",
-            "use std::sync::OnceLock;",
         ] {
             let f = lint_source("crates/rlb-kv/src/directory.rs", bad);
             assert_eq!(f.len(), 1, "{bad}: {f:?}");
@@ -757,12 +700,10 @@ mod tests {
     }
 
     #[test]
-    fn raw_sync_exempts_shim_crates_tests_and_allows() {
-        let src = "use std::sync::{Mutex, Condvar};\nfn f() { std::thread::spawn(|| {}); }";
-        assert!(lint_source("crates/rlb-sync/src/lib.rs", src).is_empty());
-        assert!(lint_source("crates/rlb-check/src/rt.rs", src).is_empty());
-        // The executor is NOT exempt — it imports from rlb_sync now.
-        assert_eq!(lint_source("crates/rlb-pool/src/lib.rs", src).len(), 2);
+    fn raw_sync_exempts_the_executor_tests_and_allows() {
+        let src = "fn f() { std::thread::spawn(|| {}); thread::scope(|s| {}); }";
+        assert!(lint_source("crates/rlb-pool/src/lib.rs", src).is_empty());
+        assert_eq!(lint_source("crates/rlb-sync/src/lib.rs", src).len(), 2);
         let test_src = "#[cfg(test)]\nmod tests {\n    fn g() { std::thread::spawn(|| {}); }\n}";
         assert!(lint_source("crates/rlb-kv/src/directory.rs", test_src).is_empty());
         let allowed = "// justification here. lint:allow(raw-sync)\nfn f() { \
@@ -771,8 +712,8 @@ mod tests {
     }
 
     #[test]
-    fn raw_sync_permits_transparent_reexports_and_benign_thread_reads() {
-        let ok = "use std::sync::Arc;\nuse std::sync::PoisonError;\nfn f() { \
+    fn raw_sync_permits_sync_primitives_and_benign_thread_reads() {
+        let ok = "use std::sync::{Arc, Mutex};\nuse std::sync::atomic::AtomicUsize;\nfn f() { \
                   std::thread::sleep(d); let n = std::thread::available_parallelism(); \
                   let t = std::thread::current(); }";
         assert!(lint_source("crates/rlb-kv/src/directory.rs", ok).is_empty());

@@ -1,9 +1,10 @@
 //! Live TCP load driver.
 //!
-//! Each client runs as one rlb-pool job owning one blocking-connect,
-//! non-blocking-read TCP connection (reusing [`TcpSession`]'s framing
-//! and write buffering). A pass that moved nothing waits on that one
-//! socket through the daemon's own readiness wait ([`TcpSession::wait`]) —
+//! Every client runs at once, as one job of a pool sized to the
+//! clients, owning one blocking-connect, non-blocking-read TCP
+//! connection (reusing [`TcpSession`]'s framing and write buffering).
+//! A pass that moved nothing waits on that one socket through the
+//! daemon's own readiness wait ([`TcpSession::wait`]) —
 //! until data arrives in a closed loop, in an open one also until the
 //! whole milliseconds before the next tick have passed — instead of
 //! napping. Within a millisecond of its tick an open loop naps 50 µs at
@@ -85,15 +86,10 @@ impl WallClock {
     }
 }
 
-/// Runs every client against `spec.addr` concurrently (one pool job
-/// each) and aggregates their reports. The pool should have at least
-/// as many executors as there are clients, or tail clients run after
-/// earlier ones finish.
-pub fn run_live(configs: Vec<ClientConfig>, spec: &LiveSpec, pool: &Pool) -> Vec<LiveClientResult> {
-    let spec = spec.clone();
-    pool.map(configs, move |cfg: &ClientConfig| {
-        run_live_client(cfg.clone(), &spec)
-    })
+/// Runs every client against `spec.addr` at once, on a pool with one
+/// executor a client, and returns their results in client order.
+pub fn run_live(configs: Vec<ClientConfig>, spec: &LiveSpec) -> Vec<LiveClientResult> {
+    Pool::new(configs.len()).map(configs, |cfg| run_live_client(cfg.clone(), spec))
 }
 
 /// Aggregates live results into the standard report (latency unit:

@@ -36,7 +36,6 @@ use rlb_core::SimConfig;
 use rlb_load::{
     run_live, Client, ClientConfig, LiveClientResult, LiveSpec, LoadReport, Mode, Popularity,
 };
-use rlb_pool::Pool;
 use rlb_serve::proto::{MAX_VALUE_LEN, REJECT_CAUSES};
 use rlb_serve::{
     serve, Frame, FrameReader, ReadStatus, RejectCause, ServeConfig, ServeOptions, ServeOutcome,
@@ -146,8 +145,7 @@ fn serve_and_load(
         tick_micros: 200,
         max_seconds: 120,
     };
-    let pool = Pool::new(CLIENTS);
-    let results = run_live(client_configs(per_client), &spec, &pool);
+    let results = run_live(client_configs(per_client), &spec);
     (server.join().expect("server thread"), results)
 }
 
@@ -753,7 +751,7 @@ fn an_open_loop_issues_each_tick_when_it_falls_due() {
         tick_micros: TICK_MICROS,
         max_seconds: 30,
     };
-    let results = run_live(vec![cfg], &spec, &Pool::new(1));
+    let results = run_live(vec![cfg], &spec);
     assert_eq!(results[0].error, None);
     assert_eq!(results[0].client.sent(), REQUESTS);
     drop(results);

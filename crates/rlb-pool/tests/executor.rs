@@ -7,15 +7,10 @@
 //! `Vec` as the sequential loop, for every worker count — including
 //! worker counts far above the job count and far above this machine's
 //! core count.
-//!
-//! Std-path only: the `model` feature swaps the pool's primitives for
-//! rlb-check's cooperative scheduler, under which real-thread stress
-//! sweeps make no sense (tests/model.rs explores schedules instead).
-
-#![cfg(not(feature = "model"))]
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use rlb_hash::{Pcg64, Rng};
 use rlb_pool::Pool;
@@ -115,40 +110,103 @@ fn deep_nesting_completes() {
     assert_eq!(got, expect);
 }
 
-/// A batch is bounded by the pool's size and by nothing else: all `n`
-/// jobs of a batch on an `n`-executor pool are in flight at once,
-/// whatever the machine's core count. Job `i` returns only after every
-/// later index has, so completion order is the exact reverse of index
-/// order — and the result is index-ordered all the same. With fewer
-/// than `n` executors on the batch, job 0 never sees the others finish
-/// and the deadline fails the test.
-#[test]
-fn a_batch_fills_the_pool_and_finishes_in_any_order() {
-    let n = 8usize;
-    let unfinished = Arc::new(AtomicUsize::new(n));
-    let counter = Arc::clone(&unfinished);
-    let got = Pool::new(n).map_indexed(n, move |i| {
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
-        while counter.load(Ordering::SeqCst) != i + 1 {
-            assert!(
-                std::time::Instant::now() < deadline,
-                "job {i} still waits on later jobs: fewer than {n} executors ran the batch"
-            );
-            std::thread::yield_now();
-        }
-        counter.fetch_sub(1, Ordering::SeqCst);
+/// Spins until `done()` holds, failing with `what` after 20 s.
+fn spin_until(done: impl Fn() -> bool, what: impl Fn() -> String) {
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while !done() {
+        assert!(Instant::now() < deadline, "{}", what());
+        std::thread::yield_now();
+    }
+}
+
+/// Runs an `n`-wide batch on `pool` in which job `i` returns only after
+/// every later index has, so completion order is the exact reverse of
+/// index order — and checks the result is index-ordered all the same.
+/// With fewer than `n` executors on the batch, job 0 never sees the
+/// others finish and the deadline fails the test.
+fn assert_batch_fills(pool: &Pool, n: usize) {
+    let unfinished = AtomicUsize::new(n);
+    let got = pool.map_indexed(n, |i| {
+        spin_until(
+            || unfinished.load(Ordering::SeqCst) == i + 1,
+            || format!("job {i} still waits on later jobs: fewer than {n} executors ran the batch"),
+        );
+        unfinished.fetch_sub(1, Ordering::SeqCst);
         mix(0xf111, i)
     });
     assert_eq!(got, (0..n).map(|i| mix(0xf111, i)).collect::<Vec<_>>());
     assert_eq!(unfinished.load(Ordering::SeqCst), 0);
 }
 
-/// Regression for a lost-wakeup race in `Drop`: the shutdown store must
-/// be ordered against the workers' check-then-wait (via the queue
-/// mutex), or a worker that checked just before the store sleeps
-/// through the notify and `join` hangs forever. Rapid create/drop
-/// cycles — some with work in flight, some idle — make the window wide
-/// enough to catch a regression as a test timeout.
+/// A batch is bounded by the pool's size and by nothing else: all `n`
+/// jobs of a batch on an `n`-executor pool are in flight at once,
+/// whatever the machine's core count.
+#[test]
+fn a_batch_fills_the_pool_and_finishes_in_any_order() {
+    assert_batch_fills(&Pool::new(8), 8);
+}
+
+/// Nested batches share the pool's one budget. Through three levels on
+/// a 3-executor pool the leaf jobs in flight never exceed 3 — a pool
+/// whose every call recruited its own `jobs - 1` helpers would run up
+/// to 27 — and they do reach 3: each leaf holds on until the pool has
+/// been seen full, then a millisecond more, so leaves over the budget
+/// would overlap.
+#[test]
+fn nested_batches_share_one_budget() {
+    let pool = Pool::new(3);
+    let (in_flight, peak) = (AtomicUsize::new(0), AtomicUsize::new(0));
+    let got = pool.map_indexed(3, |a| {
+        let mids = pool.map_indexed(3, |b| {
+            let leaves = pool.map_indexed(4, |c| {
+                let now = in_flight.fetch_add(1, Ordering::SeqCst) + 1;
+                peak.fetch_max(now, Ordering::SeqCst);
+                spin_until(
+                    || peak.load(Ordering::SeqCst) >= 3,
+                    || "the leaves never filled a 3-executor pool".into(),
+                );
+                std::thread::sleep(Duration::from_millis(1));
+                in_flight.fetch_sub(1, Ordering::SeqCst);
+                a * 100 + b * 10 + c
+            });
+            leaves.iter().sum::<usize>()
+        });
+        mids.iter().sum::<usize>()
+    });
+    let expect: Vec<usize> = (0..3)
+        .map(|a| {
+            (0..3)
+                .map(|b| (0..4).map(|c| a * 100 + b * 10 + c).sum::<usize>())
+                .sum()
+        })
+        .collect();
+    assert_eq!(got, expect);
+    assert_eq!(
+        peak.load(Ordering::SeqCst),
+        3,
+        "leaf jobs in flight at the peak"
+    );
+}
+
+/// A panicked batch gives back every executor it recruited: a 4-wide
+/// batch on the same 4-executor pool still runs all four jobs at once.
+#[test]
+fn a_panicked_batch_returns_its_executors() {
+    let pool = Pool::new(4);
+    let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        pool.map_indexed(16, |i| {
+            if i % 3 == 1 {
+                panic!("job {i} exploded");
+            }
+            i
+        })
+    }));
+    assert!(caught.is_err(), "the batch's panic must propagate");
+    assert_batch_fills(&pool, 4);
+}
+
+/// Pools are cheap to build and drop, with work in between or without:
+/// a pool owns no thread, so there is nothing to shut down.
 #[test]
 fn rapid_create_drop_does_not_hang() {
     for round in 0..200 {
@@ -156,7 +214,6 @@ fn rapid_create_drop_does_not_hang() {
         if round % 2 == 0 {
             let _ = pool.map_indexed(3, |i| i);
         }
-        drop(pool);
     }
 }
 

@@ -1,56 +1,17 @@
-//! # rlb-sync — switchable sync primitives
+//! # rlb-sync — the sync primitives rlb-pool and rlb-serve import
 //!
-//! Every concurrent crate in this workspace imports its sync
-//! primitives from here instead of `std::sync`/`std::thread` (the
-//! `raw-sync` lint rule enforces it). The crate is a pure re-export
-//! switch:
-//!
-//! * **default**: re-exports the `std` types unchanged — zero wrapper
-//!   state, zero overhead, identical codegen (pinned by
-//!   `tests/std_parity.rs`);
-//! * **`model` feature**: re-exports `rlb_check::model`'s instrumented
-//!   primitives, whose every operation is a scheduling decision point
-//!   the rlb-check explorer enumerates.
-//!
-//! The surface is exactly what the workspace uses (`Mutex`, `Condvar`,
-//! `OnceLock`, `Arc`, `AtomicBool`/`AtomicUsize`, `Ordering`, thread
-//! spawn/join/`available_parallelism`) — grow it only together with the
-//! model side, so everything importable from here stays checkable.
-//!
-//! `Ordering` is always the real `std::sync::atomic::Ordering`: the
-//! model primitives accept it and record it in traces (while executing
-//! sequentially consistent — see `rlb_check::model`).
+//! A plain re-export of exactly the `std` types those two crates use:
+//! no wrapper, no state, no switch. It stays a crate of its own only
+//! because the benchmark's `Cargo.lock` records the edges
+//! `rlb-pool → rlb-sync` and `rlb-serve → rlb-sync`; once the benchmark
+//! stops naming the pool, the crate and both edges can go.
 
 #![forbid(unsafe_code)]
 
-/// Atomic memory-ordering re-export (same type on both paths).
-pub use std::sync::atomic::Ordering;
+pub use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+pub use std::sync::{Arc, Mutex, OnceLock};
 
-#[cfg(not(feature = "model"))]
-mod switch {
-    pub use std::sync::atomic::{AtomicBool, AtomicUsize};
-    // The entire point of this crate is wrapping std::sync — rlb-sync
-    // is a `raw-sync` allow crate, the sanctioned home of these paths.
-    pub use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
-
-    /// Thread spawn/join surface (std path).
-    pub mod thread {
-        pub use std::thread::{
-            available_parallelism, current, spawn, Builder, JoinHandle, Thread, ThreadId,
-        };
-    }
+/// Thread surface: the executor's scoped batches and its sizing.
+pub mod thread {
+    pub use std::thread::{available_parallelism, scope};
 }
-
-#[cfg(feature = "model")]
-mod switch {
-    pub use rlb_check::model::thread;
-    pub use rlb_check::model::{
-        Arc, AtomicBool, AtomicUsize, Condvar, Mutex, MutexGuard, OnceLock,
-    };
-}
-
-pub use switch::*;
-
-/// Lock-result re-exports (shared by both paths: the model `Mutex`
-/// reuses `std`'s `LockResult`/`PoisonError` types).
-pub use std::sync::{LockResult, PoisonError, TryLockError, TryLockResult};
