@@ -351,7 +351,7 @@ pub fn decode(k: u8, p: &[u8]) -> Option<Vec<u8>> {
 
 #[test]
 fn an_equality_test_against_a_literal_is_not_a_bound() {
-    // `FrameReader::next_frame` rejects `declared == 0` before it
+    // `proto.rs`'s `split_frame` rejects `declared == 0` before it
     // compares against `MAX_FRAME_LEN`; an allocation placed between
     // the two is sized by the peer. Only an ordering compare (or an
     // equality against a named cap or a `.len()`) bounds a length.

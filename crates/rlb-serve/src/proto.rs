@@ -457,17 +457,55 @@ impl Cursor<'_> {
     }
 }
 
+/// The first frame of a byte slice, as far as the slice goes.
+enum Split<'a> {
+    /// A whole frame: its body (tag + fields) and the bytes after it.
+    Whole(&'a [u8], &'a [u8]),
+    /// Not whole yet: the frame's length, prefix included, or 4 while
+    /// the prefix itself is short.
+    Short(usize),
+}
+
+/// Splits the first frame off `bytes`. The length prefix is checked as
+/// soon as its fourth byte is there, before any of the body is looked
+/// at, so a hostile prefix fails without the reader keeping its body.
+fn split_frame(bytes: &[u8]) -> Result<Split<'_>, DecodeError> {
+    let Some(prefix) = bytes.first_chunk::<4>() else {
+        return Ok(Split::Short(4));
+    };
+    let declared = u32::from_le_bytes(*prefix) as usize;
+    if declared == 0 {
+        return Err(DecodeError::EmptyFrame);
+    }
+    if declared > MAX_FRAME_LEN {
+        return Err(DecodeError::FrameTooLong { declared });
+    }
+    // declared <= MAX_FRAME_LEN, so the prefix+body total can't
+    // overflow usize.
+    let total = declared.saturating_add(4);
+    match (bytes.get(4..total), bytes.get(total..)) {
+        (Some(body), Some(rest)) => Ok(Split::Whole(body, rest)),
+        _ => Ok(Split::Short(total)),
+    }
+}
+
 /// Incremental frame reassembly over an arbitrary byte stream.
 ///
-/// Push bytes in whatever fragments the transport delivers; pull
-/// complete frames out. The reader never holds more than one frame of
-/// lookahead beyond the unconsumed tail, and compacts its buffer as
-/// frames complete.
+/// Push bytes in whatever fragments the transport delivers; drain the
+/// decoded frames. `push` decodes every whole frame straight from the
+/// pushed slice and copies only an incomplete trailing frame, so the
+/// reader never holds more than `3 + MAX_FRAME_LEN` undecoded bytes. A
+/// [`DecodeError`] is terminal for the stream: the reader makes no
+/// attempt to resynchronize (callers close the session), keeps no more
+/// input, and reports the same error on every later drain.
 #[derive(Debug, Default)]
 pub struct FrameReader {
-    buf: Vec<u8>,
-    /// Bytes of `buf` already consumed (compacted lazily).
-    consumed: usize,
+    /// The leading bytes of one incomplete frame, prefix first.
+    partial: Vec<u8>,
+    /// Frames decoded and not yet drained.
+    ready: Vec<Frame>,
+    /// The stream's decode error, once it has one.
+    error: Option<DecodeError>,
 }
 
 impl FrameReader {
@@ -476,64 +514,63 @@ impl FrameReader {
         Self::default()
     }
 
-    /// Appends raw bytes from the transport.
+    /// Feeds raw transport bytes: decodes every frame they complete and
+    /// keeps the bytes of the one they leave incomplete.
     pub fn push(&mut self, bytes: &[u8]) {
-        // Compact before growing: keeps the buffer bounded by one
-        // partial frame plus one read's worth of bytes.
-        if self.consumed > 0 {
-            self.buf.drain(..self.consumed);
-            self.consumed = 0;
+        if self.error.is_some() {
+            return;
         }
-        self.buf.extend_from_slice(bytes);
+        if let Err(e) = self.decode_from(bytes) {
+            self.error = Some(e);
+            self.partial.clear();
+        }
+    }
+
+    fn decode_from(&mut self, mut bytes: &[u8]) -> Result<(), DecodeError> {
+        // Top up a partial frame with only the bytes it still lacks:
+        // first its prefix, then the body that prefix declares.
+        while !self.partial.is_empty() {
+            match split_frame(&self.partial)? {
+                Split::Whole(body, _) => {
+                    self.ready.push(Frame::decode_body(body)?);
+                    self.partial.clear();
+                }
+                Split::Short(total) => {
+                    let missing = total.saturating_sub(self.partial.len());
+                    let Some((head, rest)) = bytes.split_at_checked(missing) else {
+                        self.partial.extend_from_slice(bytes);
+                        return Ok(());
+                    };
+                    self.partial.extend_from_slice(head);
+                    bytes = rest;
+                }
+            }
+        }
+        loop {
+            match split_frame(bytes)? {
+                Split::Whole(body, rest) => {
+                    self.ready.push(Frame::decode_body(body)?);
+                    bytes = rest;
+                }
+                Split::Short(_) => {
+                    self.partial.extend_from_slice(bytes);
+                    return Ok(());
+                }
+            }
+        }
     }
 
     /// Bytes buffered but not yet decoded into frames.
     pub fn pending(&self) -> usize {
-        self.buf.len().saturating_sub(self.consumed)
+        self.partial.len()
     }
 
-    /// Pulls the next complete frame, if one is buffered.
-    ///
-    /// `Ok(None)` means "need more bytes". A [`DecodeError`] is
-    /// terminal for the stream: the reader makes no attempt to
-    /// resynchronize (callers close the session).
-    pub fn next_frame(&mut self) -> Result<Option<Frame>, DecodeError> {
-        let avail = self.buf.get(self.consumed..).unwrap_or(&[]);
-        let Some(prefix) = avail.get(..4) else {
-            return Ok(None);
-        };
-        let prefix: [u8; 4] = prefix.try_into().unwrap_or([0; 4]);
-        let declared = u32::from_le_bytes(prefix) as usize;
-        if declared == 0 {
-            return Err(DecodeError::EmptyFrame);
-        }
-        if declared > MAX_FRAME_LEN {
-            return Err(DecodeError::FrameTooLong { declared });
-        }
-        // declared <= MAX_FRAME_LEN, so the prefix+body total can't
-        // overflow usize.
-        let total = declared.saturating_add(4);
-        let Some(body) = avail.get(4..total) else {
-            return Ok(None);
-        };
-        let frame = Frame::decode_body(body)?;
-        self.consumed = self.consumed.saturating_add(total);
-        Ok(Some(frame))
-    }
-
-    /// Drains every complete frame currently buffered.
+    /// Takes every frame decoded so far.
     ///
     /// On a decode error, returns the frames decoded before it together
-    /// with the error.
+    /// with the error, and the error alone on every call after that.
     pub fn drain(&mut self) -> (Vec<Frame>, Option<DecodeError>) {
-        let mut out = Vec::new();
-        loop {
-            match self.next_frame() {
-                Ok(Some(frame)) => out.push(frame),
-                Ok(None) => return (out, None),
-                Err(e) => return (out, Some(e)),
-            }
-        }
+        (std::mem::take(&mut self.ready), self.error.clone())
     }
 }
 
@@ -587,10 +624,9 @@ mod tests {
         let bytes = frame.to_bytes();
         let mut r = FrameReader::new();
         r.push(&bytes);
-        let back = r.next_frame().unwrap().unwrap();
-        assert_eq!(back, frame);
+        assert_eq!(r.drain(), (vec![frame], None));
         assert_eq!(r.pending(), 0);
-        assert!(r.next_frame().unwrap().is_none());
+        assert_eq!(r.drain(), (vec![], None));
     }
 
     #[test]
@@ -641,9 +677,9 @@ mod tests {
         let mut got = Vec::new();
         for b in &stream {
             r.push(std::slice::from_ref(b));
-            while let Some(f) = r.next_frame().unwrap() {
-                got.push(f);
-            }
+            let (mut frames, err) = r.drain();
+            assert_eq!(err, None);
+            got.append(&mut frames);
         }
         assert_eq!(got.as_slice(), &frames);
     }
@@ -653,18 +689,22 @@ mod tests {
         let mut r = FrameReader::new();
         r.push(&(u32::MAX).to_le_bytes());
         assert_eq!(
-            r.next_frame(),
-            Err(DecodeError::FrameTooLong {
-                declared: u32::MAX as usize
-            })
+            r.drain(),
+            (
+                vec![],
+                Some(DecodeError::FrameTooLong {
+                    declared: u32::MAX as usize
+                })
+            )
         );
+        assert_eq!(r.pending(), 0);
     }
 
     #[test]
     fn zero_length_frame_is_an_error() {
         let mut r = FrameReader::new();
         r.push(&0u32.to_le_bytes());
-        assert_eq!(r.next_frame(), Err(DecodeError::EmptyFrame));
+        assert_eq!(r.drain(), (vec![], Some(DecodeError::EmptyFrame)));
     }
 
     #[test]
@@ -709,8 +749,11 @@ mod tests {
         let mut r = FrameReader::new();
         r.push(&bytes);
         assert_eq!(
-            r.next_frame(),
-            Err(DecodeError::TrailingBytes { tag: 5, extra: 1 })
+            r.drain(),
+            (
+                vec![],
+                Some(DecodeError::TrailingBytes { tag: 5, extra: 1 })
+            )
         );
     }
 

@@ -1,8 +1,10 @@
 //! Non-blocking TCP session transport, and the one readiness wait.
 //!
 //! One [`TcpSession`] wraps one accepted connection. All socket I/O is
-//! non-blocking: reads drain whatever the kernel has buffered into the
-//! session's [`FrameReader`], writes push from a session-owned outbox
+//! non-blocking: a read takes everything the kernel has buffered into a
+//! session-owned inbox first, and the session's [`FrameReader`] then
+//! decodes it there, keeping only the bytes of a frame the read ended
+//! inside; writes push from a session-owned outbox
 //! and keep whatever did not fit for the next flush. The reactor loop
 //! in `server.rs` therefore never blocks on any single client — a slow
 //! or stalled peer just accumulates outbox bytes until it drains or is
@@ -149,6 +151,8 @@ pub enum ReadStatus {
 /// One accepted client connection with framing and write buffering.
 pub struct TcpSession {
     stream: TcpStream,
+    /// One read's bytes; emptied by every read, kept for its capacity.
+    inbox: Vec<u8>,
     reader: FrameReader,
     outbox: Vec<u8>,
     /// Prefix of `outbox` already written to the socket.
@@ -172,6 +176,7 @@ impl TcpSession {
         let _ = stream.set_nodelay(true);
         Ok(Self {
             stream,
+            inbox: Vec::new(),
             reader: FrameReader::new(),
             outbox: Vec::new(),
             sent: 0,
@@ -189,23 +194,17 @@ impl TcpSession {
         if self.poisoned {
             return (Vec::new(), None, ReadStatus::Open);
         }
-        let mut status = ReadStatus::Open;
-        let mut chunk = [0u8; 4096];
-        loop {
-            match self.stream.read(&mut chunk) {
-                Ok(0) => {
-                    status = ReadStatus::Eof;
-                    break;
-                }
-                Ok(n) => self.reader.push(&chunk[..n]),
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    status = ReadStatus::Broken;
-                    break;
-                }
-            }
-        }
+        // Drain the socket before decoding any of it: decoding between
+        // reads stretches the read over bytes the peer is still sending.
+        // `read_to_end` keeps what it read before `WouldBlock` or an
+        // error, and retries `Interrupted`.
+        let status = match self.stream.read_to_end(&mut self.inbox) {
+            Ok(_) => ReadStatus::Eof,
+            Err(e) if e.kind() == ErrorKind::WouldBlock => ReadStatus::Open,
+            Err(_) => ReadStatus::Broken,
+        };
+        self.reader.push(&self.inbox);
+        self.inbox.clear();
         self.input_ended |= status != ReadStatus::Open;
         let (frames, err) = self.reader.drain();
         if err.is_some() {

@@ -104,12 +104,134 @@ fn concatenated_streams_round_trip_under_arbitrary_slicing() {
             let take = (rng.gen_index(97) + 1).min(stream.len() - off);
             reader.push(&stream[off..off + take]);
             off += take;
+            // Whole frames are decoded on arrival: what stays buffered
+            // is at most one frame short of its last byte.
+            assert!(reader.pending() <= 3 + MAX_FRAME_LEN, "case {case}");
             let (mut frames, err) = reader.drain();
             assert_eq!(err, None, "case {case}");
             got.append(&mut frames);
         }
         assert_eq!(got, frames, "case {case}");
         assert_eq!(reader.pending(), 0, "case {case}");
+    }
+}
+
+#[test]
+fn the_error_does_not_depend_on_slicing() {
+    // Corrupt one frame of a multi-frame stream. Pushed whole or in
+    // random slices, the reader yields the same frames before the
+    // error and the same error, and repeats the error once poisoned.
+    let mut rng = Pcg64::new(0x0e44_0ce5, 6);
+    for case in 0..300u32 {
+        let frames: Vec<Frame> = (0..rng.gen_range(12) + 1)
+            .map(|_| arbitrary_frame(&mut rng))
+            .collect();
+        let victim = rng.gen_index(frames.len());
+        let mut stream = Vec::new();
+        let mut at = 0;
+        for (i, f) in frames.iter().enumerate() {
+            if i == victim {
+                at = stream.len();
+            }
+            f.encode(&mut stream);
+        }
+        let len = stream.len();
+        let kind = rng.gen_index(4);
+        match kind {
+            0 => stream[at..at + 4].fill(0),
+            1 => {
+                let hostile = MAX_FRAME_LEN as u32 + 1 + rng.gen_range(1 << 20) as u32;
+                stream[at..at + 4].copy_from_slice(&hostile.to_le_bytes());
+            }
+            2 => stream[at + 4] = 6 + rng.gen_index(250) as u8, // no such tag
+            _ => {
+                // Any byte of the body: the frame may still decode.
+                let body_len = frames[victim].to_bytes().len() - 4;
+                stream[at + 4 + rng.gen_index(body_len)] ^= (rng.next_u64() as u8) | 1;
+            }
+        }
+
+        let mut whole = FrameReader::new();
+        whole.push(&stream);
+        let (want, want_err) = whole.drain();
+        if kind < 3 {
+            assert!(want_err.is_some(), "case {case}: kind {kind} must fail");
+            assert_eq!(want, frames[..victim], "case {case}");
+        }
+        if want_err.is_some() {
+            assert_eq!(whole.drain(), (vec![], want_err.clone()), "case {case}");
+        }
+
+        let mut sliced = FrameReader::new();
+        let mut got = Vec::new();
+        let mut got_err = None;
+        let mut off = 0;
+        while off < len {
+            let take = (rng.gen_index(700) + 1).min(len - off);
+            sliced.push(&stream[off..off + take]);
+            off += take;
+            let (mut more, err) = sliced.drain();
+            if got_err.is_some() {
+                assert!(more.is_empty(), "case {case}: frames after the error");
+                assert_eq!(err, got_err, "case {case}: the error changed");
+                assert_eq!(sliced.pending(), 0, "case {case}");
+            }
+            got.append(&mut more);
+            got_err = err;
+        }
+        assert_eq!(got, want, "case {case}");
+        assert_eq!(got_err, want_err, "case {case}");
+    }
+}
+
+#[test]
+fn a_split_hostile_prefix_is_caught_on_its_fourth_byte() {
+    for (declared, want) in [
+        (
+            u32::MAX,
+            DecodeError::FrameTooLong {
+                declared: u32::MAX as usize,
+            },
+        ),
+        (0, DecodeError::EmptyFrame),
+    ] {
+        let prefix = declared.to_le_bytes();
+        for split in 1..4 {
+            let mut reader = FrameReader::new();
+            reader.push(&prefix[..split]);
+            assert_eq!(reader.drain(), (vec![], None), "{declared} at {split}");
+            assert_eq!(reader.pending(), split, "{declared} at {split}");
+            reader.push(&prefix[split..]);
+            assert_eq!(reader.drain(), (vec![], Some(want.clone())));
+            assert_eq!(reader.pending(), 0, "{declared} at {split}");
+        }
+    }
+}
+
+#[test]
+fn a_poisoned_reader_keeps_nothing() {
+    let mut reader = FrameReader::new();
+    let mut bytes = Frame::Ping { nonce: 3 }.to_bytes();
+    bytes.extend_from_slice(&0u32.to_le_bytes());
+    reader.push(&bytes);
+    let (frames, err) = reader.drain();
+    assert_eq!(frames, vec![Frame::Ping { nonce: 3 }]);
+    assert_eq!(err, Some(DecodeError::EmptyFrame));
+    let flat = reader.pending();
+    // 1 MiB more, in 4 KiB replies one byte short each: a live reader
+    // would keep their bytes.
+    let chunk = Frame::Reply {
+        req_id: 1,
+        latency: 1,
+        value: vec![7; MAX_VALUE_LEN],
+    }
+    .to_bytes();
+    let mut fed = 0;
+    while fed < 1 << 20 {
+        reader.push(&chunk[..chunk.len() - 1]);
+        fed += chunk.len() - 1;
+        assert_eq!(reader.pending(), flat);
+        assert_eq!(reader.drain(), (vec![], Some(DecodeError::EmptyFrame)));
     }
 }
 
