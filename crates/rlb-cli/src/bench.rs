@@ -1,5 +1,8 @@
-//! Mean-field solver benchmark: solver wall-time across `m`, plus the
-//! solver-vs-simulator speedup gate recorded in `BENCH_meanfield.json`.
+//! `rlb-sim bench --meanfield`: mean-field solver wall-time across `m`,
+//! plus the solver-vs-simulator speedup gate recorded in
+//! `BENCH_meanfield.json`. It sits on no request's path; engine and
+//! wire-path throughput are the stand-alone `benchmark/` package's job
+//! (`BENCHMARK.json`).
 //!
 //! Two row families:
 //!
@@ -27,10 +30,10 @@ const SOLVE_SIZES: [u64; 3] = [65536, 1 << 20, 100_000_000];
 
 /// The size of the gated solver-vs-engine comparison: the top of the
 /// engine's practical range (and of the cross-validation overlap).
-pub const SPEEDUP_M: u64 = 65536;
+pub(crate) const SPEEDUP_M: u64 = 65536;
 
 /// Minimum acceptable solver-vs-engine speedup at [`SPEEDUP_M`].
-pub const SPEEDUP_MIN_RATIO: f64 = 100.0;
+pub(crate) const SPEEDUP_MIN_RATIO: f64 = 100.0;
 
 /// Engine measurement window (steps) for the speedup row.
 const ENGINE_STEPS: u64 = 32;
@@ -42,24 +45,24 @@ const GATE_SAMPLES: usize = 3;
 /// One measured row of `BENCH_meanfield.json`. Solve-only rows carry
 /// zeros in the engine fields.
 #[derive(Debug, Clone)]
-pub struct MeanfieldBenchResult {
+pub(crate) struct MeanfieldBenchResult {
     /// `"solve/m<M>"` or `"speedup/m<M>"`.
-    pub name: String,
+    pub(crate) name: String,
     /// Cluster size the scenario models.
-    pub m: u64,
+    pub(crate) m: u64,
     /// Tail-vector depth (queue capacity) of the solved model.
-    pub depth: u32,
+    pub(crate) depth: u32,
     /// Fixed-point iterations of the reported solve.
-    pub iterations: u64,
+    pub(crate) iterations: u64,
     /// Solver wall-clock nanoseconds (fastest sample).
-    pub solver_nanos: u64,
+    pub(crate) solver_nanos: u64,
     /// Engine wall-clock nanoseconds over [`ENGINE_STEPS`] steps
     /// (fastest sample); zero for solve-only rows.
-    pub engine_nanos: u64,
+    pub(crate) engine_nanos: u64,
     /// Steps in the engine window; zero for solve-only rows.
-    pub engine_steps: u64,
+    pub(crate) engine_steps: u64,
     /// `engine_nanos / solver_nanos`; zero for solve-only rows.
-    pub speedup: f64,
+    pub(crate) speedup: f64,
 }
 
 rlb_json::json_struct!(MeanfieldBenchResult {
@@ -75,13 +78,13 @@ rlb_json::json_struct!(MeanfieldBenchResult {
 
 /// The full machine-readable report.
 #[derive(Debug, Clone)]
-pub struct MeanfieldBenchReport {
+pub(crate) struct MeanfieldBenchReport {
     /// One entry per row.
-    pub results: Vec<MeanfieldBenchResult>,
+    pub(crate) results: Vec<MeanfieldBenchResult>,
     /// The gated speedup (from the `speedup/` row).
-    pub speedup: f64,
+    pub(crate) speedup: f64,
     /// The floor the gate enforces.
-    pub gate_min_speedup: f64,
+    pub(crate) gate_min_speedup: f64,
 }
 
 rlb_json::json_struct!(MeanfieldBenchReport {
@@ -92,7 +95,7 @@ rlb_json::json_struct!(MeanfieldBenchReport {
 
 impl MeanfieldBenchReport {
     /// Whether the recorded speedup clears [`SPEEDUP_MIN_RATIO`].
-    pub fn gate_passes(&self) -> bool {
+    pub(crate) fn gate_passes(&self) -> bool {
         self.speedup >= self.gate_min_speedup
     }
 }
@@ -156,7 +159,7 @@ fn time_engine(cfg: &MfConfig) -> u64 {
 
 /// Runs the full benchmark: solve-only rows for `SOLVE_SIZES`, then
 /// the gated solver-vs-engine row at [`SPEEDUP_M`].
-pub fn run_gate() -> MeanfieldBenchReport {
+pub(crate) fn run_gate() -> MeanfieldBenchReport {
     let mut results = Vec::new();
     for &m in &SOLVE_SIZES {
         let cfg = scenario(m);

@@ -53,6 +53,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod bench;
 pub(crate) mod fastforward;
 mod flags;
 pub(crate) mod serve_load;
@@ -455,7 +456,7 @@ pub fn run_bench(args: &[String]) -> Result<(String, bool), String> {
 /// # Errors
 /// Returns a message on an unwritable output path.
 fn run_meanfield_bench(out_path: String) -> Result<(String, bool), String> {
-    let report = rlb_bench::meanfield::run_gate();
+    let report = bench::run_gate();
     let json = rlb_json::to_string_pretty(&report);
     std::fs::write(&out_path, &json).map_err(|e| format!("cannot write {out_path:?}: {e}"))?;
     use std::fmt::Write as _;
@@ -486,7 +487,7 @@ fn run_meanfield_bench(out_path: String) -> Result<(String, bool), String> {
         summary,
         "meanfield gate: {:.0}x solver-vs-engine at m={} vs floor {:.0}x -> {verdict}",
         report.speedup,
-        rlb_bench::meanfield::SPEEDUP_M,
+        bench::SPEEDUP_M,
         report.gate_min_speedup
     );
     let _ = writeln!(summary, "wrote {out_path}");
@@ -655,7 +656,7 @@ mod tests {
             "--root".to_string(),
             root.clone(),
             "--rule".to_string(),
-            "lock-order".to_string(),
+            "untrusted-input".to_string(),
         ])
         .unwrap();
         assert!(clean && !out.contains("dead-pub"), "{out}");
@@ -665,7 +666,7 @@ mod tests {
             "--root".to_string(),
             root,
             "--rule".to_string(),
-            "lock-order".to_string(),
+            "untrusted-input".to_string(),
             "--rule".to_string(),
             "dead-pub".to_string(),
         ])

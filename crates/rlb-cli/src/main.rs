@@ -87,7 +87,7 @@ const USAGE: &str = "rlb-sim: simulate a load-balanced distributed KV store\n\n\
      \x20                   crates/*/src (determinism, trace-guard, panic-discipline,\n\
      \x20                   lossy-cast, raw-sync; call-graph passes: panic-path,\n\
      \x20                   unchecked-arith, dead-pub, dead-suppression detection; flow\n\
-     \x20                   passes: untrusted-input, determinism-flow, lock-order);\n\
+     \x20                   passes: untrusted-input, determinism-flow);\n\
      \x20                   --json emits a machine-readable report (to stdout, or to\n\
      \x20                   PATH with the text summary kept on stdout); --rule keeps\n\
      \x20                   only findings of the named rule(s), repeatable;\n\

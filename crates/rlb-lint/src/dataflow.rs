@@ -12,7 +12,7 @@
 //!   allocation (`with_capacity`/`reserve`/`vec![_; n]`), a slice
 //!   index, or bare arithmetic.
 //! - `CLOCK` — a value derived from `Instant::now`/`SystemTime::now`/
-//!   `available_parallelism` outside rlb-bench/rlb-cli. It must not
+//!   `available_parallelism` outside rlb-cli. It must not
 //!   flow into engine state (`self.f = …` in rlb-core/rlb-kv), a
 //!   `…Report`/`…Stats` struct literal, or a trace emission
 //!   (`.on_event(…)`).
@@ -1115,7 +1115,7 @@ impl<'a> Engine<'a> {
                 "validate it first (compare against a MAX_* cap, `checked_*`, or return a \
                  DecodeError)"
             }
-            _ => "route the value through rlb-bench/rlb-cli or derive it from the seeded run",
+            _ => "route the value through rlb-cli or derive it from the seeded run",
         };
         rules::emit_at(
             out,

@@ -31,8 +31,8 @@
 //!    summaries (`dataflow`): `untrusted-input` (wire-decoded values
 //!    must be validated before allocation/indexing/arithmetic),
 //!    `determinism-flow` (clock-derived values must not reach engine
-//!    state, reports, or trace emissions), and `lock-order` (`locks`:
-//!    cycles in the workspace's acquired-while-holding graph).
+//!    state, reports, or trace emissions). The workspace takes no lock,
+//!    so no pass orders locks.
 //!
 //! * Suppress a benign finding with `// lint:allow(<rule>)` on the
 //!   same line or the line above — always with a justification comment.
@@ -52,7 +52,6 @@ pub mod callgraph;
 pub mod cfg;
 mod dataflow;
 pub mod items;
-mod locks;
 mod passes;
 pub mod roots;
 pub mod rules;
@@ -91,14 +90,8 @@ pub struct LintStats {
     pub untrusted_sources: usize,
     /// Tier 3: raw clock/parallelism sources outside the allow crates.
     pub clock_sources: usize,
-    /// Tier 3: `.lock()` sites in scope of the lock-order pass.
-    pub lock_sites: usize,
-    /// Tier 3: acquired-while-holding edges (deduped name pairs).
-    pub lock_edges: usize,
     /// Tier 3: untrusted sources per crate (CI pins rlb-serve > 0).
     pub untrusted_sources_by_crate: std::collections::BTreeMap<String, usize>,
-    /// Tier 3: lock sites per crate (CI pins rlb-serve's 2).
-    pub lock_sites_by_crate: std::collections::BTreeMap<String, usize>,
 }
 
 /// The outcome of a workspace scan.
@@ -153,13 +146,8 @@ impl LintReport {
         let _ = writeln!(
             out,
             "rlb-lint: flow: {} CFG block(s), {} edge(s); {} untrusted source(s), \
-             {} clock source(s); {} lock site(s), {} hold edge(s)",
-            s.cfg_blocks,
-            s.cfg_edges,
-            s.untrusted_sources,
-            s.clock_sources,
-            s.lock_sites,
-            s.lock_edges
+             {} clock source(s)",
+            s.cfg_blocks, s.cfg_edges, s.untrusted_sources, s.clock_sources
         );
         out
     }
@@ -197,9 +185,8 @@ impl LintReport {
             "  \"dead_suppressions\": {},\n  \"stats\": {{\"fns\": {}, \"edges\": {}, \
              \"root_fns\": {}, \"cone_fns\": {}, \"ambiguous_names\": {}, \
              \"pub_items\": {}, \"cfg_blocks\": {}, \"cfg_edges\": {}, \
-             \"untrusted_sources\": {}, \"clock_sources\": {}, \"lock_sites\": {}, \
-             \"lock_edges\": {}, \"untrusted_sources_by_crate\": {}, \
-             \"lock_sites_by_crate\": {}}},\n  \"clean\": {}\n}}\n",
+             \"untrusted_sources\": {}, \"clock_sources\": {}, \
+             \"untrusted_sources_by_crate\": {}}},\n  \"clean\": {}\n}}\n",
             self.dead_suppressions(),
             s.fns,
             s.edges,
@@ -211,10 +198,7 @@ impl LintReport {
             s.cfg_edges,
             s.untrusted_sources,
             s.clock_sources,
-            s.lock_sites,
-            s.lock_edges,
             json_count_map(&s.untrusted_sources_by_crate),
-            json_count_map(&s.lock_sites_by_crate),
             self.is_clean()
         );
         out
@@ -310,10 +294,9 @@ pub fn lint_files(
     passes::cone_passes(&linted, &allows, &g, &manifest, &mut findings, &mut stats);
     passes::dead_pub(&linted, &reference, &allows, &mut findings, &mut stats);
     // Phase 3: flow passes — CFG-based taint dataflow (untrusted-input,
-    // determinism-flow) and the interprocedural lock-order pass, on the
-    // resolver the graph's edges were drawn from.
+    // determinism-flow), on the resolver the graph's edges were drawn
+    // from.
     dataflow::run(&linted, &allows, &g, &resolver, &mut findings, &mut stats);
-    locks::run(&linted, &allows, &g, &resolver, &mut findings, &mut stats);
     // Unused-suppression audit runs last: every rule above has marked
     // the `lint:allow` entries it consumed.
     for (pf, allow) in linted.iter().zip(&allows) {

@@ -11,8 +11,8 @@
 //! [`CATALOG`] is the one list of rules: what each is called, whether
 //! a `lint:allow` may name it, and — for the per-file rules — where it
 //! applies and which function checks it. The workspace passes
-//! ([`crate::passes`], `dataflow`, `locks`) own the remaining rows and
-//! emit through the same [`emit`].
+//! ([`crate::passes`], `dataflow`) own the remaining rows and emit
+//! through the same [`emit`].
 
 use crate::items::ParsedFile;
 use crate::token::TokenKind;
@@ -102,14 +102,12 @@ pub(crate) const CATALOG: &[Rule] = &[
     // come from pool jobs, under the pool's one budget.
     Rule::per_file("raw-sync", |pf| pf.crate_name() != "rlb-pool", raw_sync),
     // The transitive workspace passes: cones of the `lint-roots.toml`
-    // roots and the pub surface (`passes`), taint flow (`dataflow`),
-    // acquired-while-holding cycles (`locks`).
+    // roots and the pub surface (`passes`), taint flow (`dataflow`).
     Rule::workspace("panic-path", true),
     Rule::workspace("unchecked-arith", true),
     Rule::workspace("dead-pub", true),
     Rule::workspace("untrusted-input", true),
     Rule::workspace("determinism-flow", true),
-    Rule::workspace("lock-order", true),
     // The meta rules. `unused-suppression` runs after everything else:
     // a `lint:allow` naming a suppressible rule that suppressed nothing
     // is itself a finding (stale excuses hide real ones).
@@ -141,9 +139,9 @@ pub fn all_rule_names() -> Vec<&'static str> {
     CATALOG.iter().map(|r| r.name).collect()
 }
 
-/// Crates whose code may read clocks / use ambient hashing: the bench
-/// harness measures wall time by design, and the CLI reports it.
-pub(crate) const DETERMINISM_ALLOW_CRATES: &[&str] = &["rlb-bench", "rlb-cli"];
+/// Crates whose code may read clocks / use ambient hashing: the CLI
+/// measures wall time by design (`rlb-sim bench`) and reports it.
+pub(crate) const DETERMINISM_ALLOW_CRATES: &[&str] = &["rlb-cli"];
 
 /// Files holding hot paths where a panic aborts a simulation mid-step
 /// (engine) or kills a serving connection on attacker-controlled bytes
@@ -554,7 +552,7 @@ mod tests {
     #[test]
     fn determinism_allowlists_bench_and_cli() {
         let src = "fn f() { let t = std::time::Instant::now(); }";
-        assert!(lint_source("crates/rlb-bench/src/meanfield.rs", src).is_empty());
+        assert!(lint_source("crates/rlb-cli/src/bench.rs", src).is_empty());
         assert!(lint_source("crates/rlb-cli/src/lib.rs", src).is_empty());
         assert_eq!(lint_source("crates/rlb-kv/src/directory.rs", src).len(), 1);
     }

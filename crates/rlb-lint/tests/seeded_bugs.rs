@@ -420,8 +420,8 @@ pub fn finish() -> RunReport {
 
 #[test]
 fn bench_scoped_clock_use_is_exempt_from_determinism_flow() {
-    // rlb-bench owns wall-clock measurement; the identical pattern
-    // there is not a finding.
+    // rlb-cli owns wall-clock measurement (`rlb-sim bench`); the
+    // identical pattern there is not a finding.
     let src = "\
 pub struct RunReport {
     pub elapsed_ms: u64,
@@ -433,147 +433,12 @@ pub fn finish() -> RunReport {
     RunReport { elapsed_ms: sample_ms() }
 }
 ";
-    let report = run(&[("crates/rlb-bench/src/lib.rs", src)], "");
+    let report = run(&[("crates/rlb-cli/src/bench.rs", src)], "");
     assert!(
         messages(&report, "determinism-flow").is_empty(),
         "bench-scoped clock flagged: {}",
         report.render()
     );
-}
-
-#[test]
-fn ab_ba_lock_cycle_is_reported_across_a_call_boundary() {
-    // `ab` takes `a` then acquires `b` transitively through a helper;
-    // `ba` takes `b` then `a` directly. That is a deadlock-capable
-    // cycle and both orientations must be reported with evidence.
-    let src = "\
-pub struct S {
-    a: Mutex<u32>,
-    b: Mutex<u32>,
-}
-impl S {
-    pub fn ab(&self) -> u32 {
-        let g = self.a.lock().unwrap();
-        let v = self.take_b();
-        *g + v
-    }
-    fn take_b(&self) -> u32 {
-        let h = self.b.lock().unwrap();
-        *h
-    }
-    pub fn ba(&self) -> u32 {
-        let h = self.b.lock().unwrap();
-        let g = self.a.lock().unwrap();
-        *g + *h
-    }
-}
-";
-    let report = run(&[("crates/seeded/src/lib.rs", src)], "");
-    let hits = messages(&report, "lock-order");
-    assert_eq!(hits.len(), 2, "findings: {}", report.render());
-    assert!(
-        hits.iter().any(|m| m.contains("cycle `a` -> `b`")
-            && m.contains("acquires `b` transitively")
-            && m.contains("`S::take_b`")),
-        "transitive edge missing: {hits:?}"
-    );
-    assert!(
-        hits.iter()
-            .any(|m| m.contains("cycle `b` -> `a`") && m.contains("while holding `b`")),
-        "direct reverse edge missing: {hits:?}"
-    );
-}
-
-#[test]
-fn consistently_ordered_nested_locks_are_clean() {
-    // Two fns both take `a` then `b`: a strict global order, no cycle.
-    let src = "\
-pub struct S {
-    a: Mutex<u32>,
-    b: Mutex<u32>,
-}
-impl S {
-    pub fn one(&self) -> u32 {
-        let g = self.a.lock().unwrap();
-        let h = self.b.lock().unwrap();
-        *g + *h
-    }
-    pub fn two(&self) -> u32 {
-        let g = self.a.lock().unwrap();
-        let h = self.b.lock().unwrap();
-        *g * *h
-    }
-}
-";
-    let report = run(&[("crates/seeded/src/lib.rs", src)], "");
-    assert!(
-        messages(&report, "lock-order").is_empty(),
-        "same-order nesting flagged: {}",
-        report.render()
-    );
-}
-
-/// A temporary guard dies at the first `;` at its brace depth or
-/// shallower: one taken in a match arm or a braced closure is gone by
-/// the end of the statement holding the match or the call, so `arm`
-/// and `closure` never hold `a` while taking `b`, and with `ba` they
-/// make no cycle. (The pass once released a temporary only at a `;` at
-/// exactly its own depth, so both held `a` to the end of the fn and the
-/// false edge `a -> b` closed a cycle with `ba`.) A temporary in an
-/// `if let` scrutinee is still held through the attached block, so
-/// `attached` does hold `c` while taking `d`, and `dc` closes that
-/// cycle.
-#[test]
-fn a_temporary_guard_in_a_match_arm_or_closure_ends_with_its_statement() {
-    let src = "\
-pub struct S {
-    a: Mutex<u32>,
-    b: Mutex<u32>,
-    c: Mutex<u32>,
-    d: Mutex<u32>,
-}
-impl S {
-    pub fn arm(&self, x: Option<u32>) -> u32 {
-        let v = match x {
-            Some(y) => self.a.lock().unwrap().wrapping_add(y),
-            None => 0,
-        };
-        v + *self.b.lock().unwrap()
-    }
-    pub fn closure(&self, xs: &[u32]) -> u32 {
-        let n = xs.iter().map(|x| { self.a.lock().unwrap().wrapping_add(*x) }).sum::<u32>();
-        n + *self.b.lock().unwrap()
-    }
-    pub fn ba(&self) -> u32 {
-        let h = self.b.lock().unwrap();
-        let g = self.a.lock().unwrap();
-        *g + *h
-    }
-    pub fn attached(&self) -> u32 {
-        if let Some(v) = self.c.lock().unwrap().checked_add(1) {
-            return v + *self.d.lock().unwrap();
-        }
-        0
-    }
-    pub fn dc(&self) -> u32 {
-        let h = self.d.lock().unwrap();
-        let g = self.c.lock().unwrap();
-        *g + *h
-    }
-}
-";
-    let report = run(&[("crates/seeded/src/lib.rs", src)], "");
-    let hits = messages(&report, "lock-order");
-    assert!(
-        !hits.iter().any(|m| m.contains("cycle `a` -> `b`")),
-        "false edge `a` -> `b`: {hits:?}"
-    );
-    assert_eq!(hits.len(), 2, "findings: {}", report.render());
-    assert!(
-        hits.iter().any(|m| m.contains("cycle `c` -> `d`")),
-        "attached-block hold lost: {hits:?}"
-    );
-    assert_eq!(report.stats.lock_edges, 3, "stats: {:?}", report.stats);
 }
 
 #[test]

@@ -76,11 +76,11 @@ fn call_graph_passes_are_live() {
 }
 
 /// Same vacuity guard for the tier-3 flow passes: a clean workspace
-/// only means something if the CFGs were built, the sources were seen,
-/// and the lock sites were scanned. The floors sit under the measured
-/// values (5348 blocks / 5 untrusted / 3 clock / 2 lock sites at time
-/// of writing) so routine growth doesn't touch them, but a plumbing
-/// regression that silently zeroes a pass fails loudly.
+/// only means something if the CFGs were built and the sources were
+/// seen. The floors sit under the measured values (5204 blocks / 5
+/// untrusted / 3 clock at time of writing) so routine growth doesn't
+/// touch them, but a plumbing regression that silently zeroes a pass
+/// fails loudly.
 #[test]
 fn flow_passes_are_live() {
     let s = &workspace_report().stats;
@@ -109,11 +109,5 @@ fn flow_passes_are_live() {
         s.clock_sources >= 2,
         "determinism-flow pass sees only {} clock sources",
         s.clock_sources
-    );
-    // rlb-serve's pipe lanes are the workspace's only locks.
-    assert!(
-        s.lock_sites_by_crate.get("rlb-serve").copied().unwrap_or(0) >= 2,
-        "lock-order pass misses rlb-serve's pipe lanes: {:?}",
-        s.lock_sites_by_crate
     );
 }

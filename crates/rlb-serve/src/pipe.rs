@@ -7,36 +7,37 @@
 //! is a deterministic function of its seeds: no socket timing, no
 //! scheduler, no wall clock.
 //!
-//! All access is from the one driver thread, so nothing here needs a
-//! lock; the lanes sit behind `rlb_sync` mutexes only because
-//! [`PipeEnd`] (its `&self` sends and takes included) is a type the
-//! repository's benchmark names and drives, so its shape is kept.
+//! Both ends live on the one driver thread, so a lane is a plain
+//! [`Cell`]: a send takes the lane's bytes out, appends, and puts them
+//! back, and a take leaves an empty lane behind. There is no lock to
+//! take or poison, and a [`PipeEnd`] is not `Send`.
 
-use rlb_sync::{Arc, Mutex};
+use std::cell::Cell;
+use std::rc::Rc;
 
 struct Duplex {
     /// Bytes flowing a → b.
-    ab: Mutex<Vec<u8>>,
+    ab: Cell<Vec<u8>>,
     /// Bytes flowing b → a.
-    ba: Mutex<Vec<u8>>,
+    ba: Cell<Vec<u8>>,
 }
 
 /// One endpoint of an in-memory duplex byte pipe.
 pub struct PipeEnd {
-    duplex: Arc<Duplex>,
+    duplex: Rc<Duplex>,
     /// True for the `a` side (writes into `ab`, reads from `ba`).
     is_a: bool,
 }
 
 /// Creates a connected endpoint pair.
 pub fn pipe() -> (PipeEnd, PipeEnd) {
-    let duplex = Arc::new(Duplex {
-        ab: Mutex::new(Vec::new()),
-        ba: Mutex::new(Vec::new()),
+    let duplex = Rc::new(Duplex {
+        ab: Cell::default(),
+        ba: Cell::default(),
     });
     (
         PipeEnd {
-            duplex: Arc::clone(&duplex),
+            duplex: Rc::clone(&duplex),
             is_a: true,
         },
         PipeEnd {
@@ -47,7 +48,7 @@ pub fn pipe() -> (PipeEnd, PipeEnd) {
 }
 
 impl PipeEnd {
-    fn tx(&self) -> &Mutex<Vec<u8>> {
+    fn tx(&self) -> &Cell<Vec<u8>> {
         if self.is_a {
             &self.duplex.ab
         } else {
@@ -55,7 +56,7 @@ impl PipeEnd {
         }
     }
 
-    fn rx(&self) -> &Mutex<Vec<u8>> {
+    fn rx(&self) -> &Cell<Vec<u8>> {
         if self.is_a {
             &self.duplex.ba
         } else {
@@ -66,15 +67,16 @@ impl PipeEnd {
     /// Appends pre-encoded frame bytes to the outgoing lane (the sim
     /// driver encodes a batch of frames, then moves its bytes at once).
     pub fn send_bytes(&self, bytes: &[u8]) {
-        let mut lane = self.tx().lock().expect("pipe lane lock");
-        lane.extend_from_slice(bytes);
+        let lane = self.tx();
+        let mut buf = lane.take();
+        buf.extend_from_slice(bytes);
+        lane.set(buf);
     }
 
     /// Drains the incoming lane's raw bytes without decoding (the sim
     /// driver decodes them as one batch).
     pub fn take_bytes(&self) -> Vec<u8> {
-        let mut lane = self.rx().lock().expect("pipe lane lock");
-        std::mem::take(&mut *lane)
+        self.rx().take()
     }
 }
 

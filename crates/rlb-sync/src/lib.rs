@@ -9,7 +9,7 @@
 #![forbid(unsafe_code)]
 
 pub use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-pub use std::sync::{Arc, Mutex, OnceLock};
+pub use std::sync::{Arc, OnceLock};
 
 /// Thread surface: the executor's scoped batches and its sizing.
 pub mod thread {
