@@ -480,6 +480,18 @@ mod tests {
     }
 
     #[test]
+    fn the_default_gate_admits_a_full_window_at_one_request_a_server() {
+        // 16 servers at rate 1 gate 64 requests: one closed-loop window
+        // of 64 is always admitted, and a smaller gate turns some away.
+        let out = run_serve(&args(
+            "--sim-clock --servers 16 --rate 1 --queue 16 --mode closed:64 \
+             --requests 5000 --ticks 400 --clients 1",
+        ))
+        .unwrap();
+        assert!(out.contains("server: replies=5000 rejects=0 "), "{out}");
+    }
+
+    #[test]
     fn dcr_requires_d2() {
         let err = run_serve(&args("--sim-clock --policy dcr --replication 3")).unwrap_err();
         assert!(err.contains("replication 2"), "{err}");

@@ -145,13 +145,18 @@ pub(crate) const DETERMINISM_ALLOW_CRATES: &[&str] = &["rlb-cli"];
 
 /// Files holding hot paths where a panic aborts a simulation mid-step
 /// (engine) or kills a serving connection on attacker-controlled bytes
-/// (serve/load, widened with the call-graph PR).
+/// (serve/load, widened with the call-graph PR). The server pass and
+/// its sessions and pipes run under the sim-clock co-simulation as well
+/// as in the daemon.
 const PANIC_SCOPE: &[&str] = &[
     "crates/rlb-core/src/sim.rs",
     "crates/rlb-core/src/queue.rs",
     "crates/rlb-kv/src/cluster.rs",
     "crates/rlb-serve/src/proto.rs",
     "crates/rlb-serve/src/core.rs",
+    "crates/rlb-serve/src/server.rs",
+    "crates/rlb-serve/src/wire.rs",
+    "crates/rlb-serve/src/pipe.rs",
     "crates/rlb-load/src/client.rs",
     "crates/rlb-load/src/sim_driver.rs",
     "crates/rlb-meanfield/src/solver.rs",
@@ -618,6 +623,12 @@ mod tests {
         // with the call-graph PR.
         assert_eq!(lint_source("crates/rlb-serve/src/proto.rs", src).len(), 1);
         assert_eq!(lint_source("crates/rlb-load/src/client.rs", src).len(), 1);
+        // The server pass and its transports joined when the sim-clock
+        // co-simulation began to run them.
+        for file in ["server.rs", "wire.rs", "pipe.rs"] {
+            let path = format!("crates/rlb-serve/src/{file}");
+            assert_eq!(lint_source(&path, src).len(), 1, "{path}");
+        }
         // The mean-field solver joined with the fastforward PR: a
         // panic there kills a solve the CLI already validated.
         assert_eq!(

@@ -8,7 +8,8 @@
 //! Two drivers share the same client state machines:
 //!
 //! * [`sim_driver`] — a deterministic virtual-time co-simulation over
-//!   framed pipes: same server code, no sockets, byte-identical
+//!   framed pipes: the daemon's own server pass and sessions
+//!   (`rlb_serve::pass`), no sockets, byte-identical
 //!   transcripts across runs (the committed golden in
 //!   `tests/sim_golden.rs` pins this);
 //! * [`live_driver`] — real TCP, one pool job per client, wall-clock

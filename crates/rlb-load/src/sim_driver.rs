@@ -1,25 +1,30 @@
 //! Virtual-time serve+load co-simulation over framed pipes.
 //!
 //! One driver thread owns the server core, every client, and a framed
-//! pipe per session. Each virtual tick runs a fixed phase order:
+//! pipe per session, with a [`Session`] on each end of it. Each virtual
+//! tick runs a fixed phase order:
 //!
-//! 1. **deliver** — move last tick's response bytes to each client,
-//!    decode, record latencies (client order);
-//! 2. **issue** — each client issues this tick's requests, which are
-//!    encoded and moved into its pipe (client order);
-//! 3. **serve** — each session's bytes are decoded and its frames fed
-//!    to [`ServerCore::on_frame`] (session order);
-//!    [`ServerCore::tick`] commits the engine step; every session's
-//!    responses are encoded and written back.
+//! 1. **deliver** — each client's session reads last tick's response
+//!    bytes; the client records their latencies (client order);
+//! 2. **issue** — each client issues this tick's requests, which its
+//!    session encodes and writes into its pipe (client order);
+//! 3. **serve** — the daemon's own server pass ([`pass`]) over the
+//!    server ends: each session's frames go to
+//!    [`ServerCore::on_frame`] (session order),
+//!    [`ServerCore::tick`] commits the engine step, and every session's
+//!    responses are encoded and flushed back. The pass ticks a drained
+//!    core too: a virtual tick passes whether or not work is queued.
 //!
 //! Every phase is a plain serial loop over a fixed order, so the
 //! transcript and report are a function of the seeds alone, which
 //! `tests/sim_golden.rs` pins against a committed golden.
 
+use std::collections::BTreeMap;
+
 use rlb_core::Policy;
 use rlb_serve::pipe::{pipe, PipeEnd};
-use rlb_serve::proto::{fmt_frame, Frame, FrameReader};
-use rlb_serve::ServerCore;
+use rlb_serve::proto::fmt_frame;
+use rlb_serve::{pass, ServerCore, Session};
 
 use crate::client::Client;
 use crate::report::LoadReport;
@@ -58,15 +63,24 @@ pub fn co_simulate<P: Policy>(
     mut clients: Vec<Client>,
     spec: &SimSpec,
 ) -> SimOutput {
-    let n = clients.len();
-    let (client_ends, server_ends): (Vec<PipeEnd>, Vec<PipeEnd>) = (0..n).map(|_| pipe()).unzip();
+    // Client `i` is session `i` on the server side.
+    let (mut ends, mut sessions): (Vec<Session<PipeEnd>>, BTreeMap<u32, Session<PipeEnd>>) =
+        (0u32..)
+            .zip(&clients)
+            .map(|(sid, _)| {
+                let (near, far) = pipe();
+                (Session::over(near), (sid, Session::over(far)))
+            })
+            .unzip();
 
     let mut text = String::new();
     let mut t: u64 = 0;
     loop {
         // Phase 1: deliver last tick's responses to the clients.
-        for (i, (client, end)) in clients.iter_mut().zip(&client_ends).enumerate() {
-            for frame in &decode_batch(&end.take_bytes()) {
+        for (i, (client, end)) in clients.iter_mut().zip(&mut ends).enumerate() {
+            let (frames, err, _) = end.read_frames();
+            debug_assert!(err.is_none(), "the server pass wrote a bad frame: {err:?}");
+            for frame in &frames {
                 if spec.transcript {
                     text.push_str(&format!("t={t} c{i} < {}\n", fmt_frame(frame)));
                 }
@@ -86,35 +100,27 @@ pub fn co_simulate<P: Policy>(
             break;
         }
 
-        // Phase 2: clients issue; bytes move in client order.
+        // Phase 2: clients issue; bytes move in client order. A pipe
+        // takes every byte it is given while its other end lives, so
+        // the flush empties the outbox.
         if issuing {
-            for (i, (client, end)) in clients.iter_mut().zip(&client_ends).enumerate() {
+            for (i, (client, end)) in clients.iter_mut().zip(&mut ends).enumerate() {
                 let mut frames = Vec::new();
                 client.on_tick(t, &mut frames);
-                if spec.transcript {
-                    for frame in &frames {
+                for frame in &frames {
+                    if spec.transcript {
                         text.push_str(&format!("t={t} c{i} > {}\n", fmt_frame(frame)));
                     }
+                    end.queue(frame);
                 }
-                end.send_bytes(&encode_batch(&frames));
+                let flushed = end.flush();
+                debug_assert!(matches!(flushed, Ok(true)), "{flushed:?}");
             }
         }
 
-        // Phase 3: server pass — the core takes each session's frames
-        // in session order, then ticks.
-        let mut responses: Vec<Vec<Frame>> = vec![Vec::new(); n];
-        for (i, end) in server_ends.iter().enumerate() {
-            let sid = u32::try_from(i).unwrap_or(u32::MAX);
-            for frame in decode_batch(&end.take_bytes()) {
-                responses[i].extend(core.on_frame(sid, frame));
-            }
-        }
-        for (sid, frame) in core.tick() {
-            responses[sid as usize].push(frame);
-        }
-        for (end, frames) in server_ends.iter().zip(&responses) {
-            end.send_bytes(&encode_batch(frames));
-        }
+        // Phase 3: the daemon's server pass over every session; the sim
+        // never drains, and ticks whether or not the core is drained.
+        pass(&mut sessions, &mut core, || true, false, true);
 
         t += 1;
     }
@@ -127,24 +133,4 @@ pub fn co_simulate<P: Policy>(
         report,
         ticks_run: t,
     }
-}
-
-/// Encodes a frame batch.
-fn encode_batch(frames: &[Frame]) -> Vec<u8> {
-    let mut out = Vec::new();
-    for f in frames {
-        f.encode(&mut out);
-    }
-    out
-}
-
-/// Decodes a byte batch that is known to hold whole frames (both ends
-/// of a sim pipe only ever write complete frames).
-fn decode_batch(bytes: &[u8]) -> Vec<Frame> {
-    let mut reader = FrameReader::new();
-    reader.push(bytes);
-    let (frames, err) = reader.drain();
-    debug_assert!(err.is_none(), "sim pipes carry whole valid frames: {err:?}");
-    debug_assert_eq!(reader.pending(), 0, "partial frame in a sim batch");
-    frames
 }

@@ -53,8 +53,9 @@ use rlb_kv::KvCluster;
 use crate::gate::BacklogGate;
 use crate::proto::{Frame, RejectCause, REJECT_CAUSES};
 
-/// Caller-assigned session identity (index into the transport's
-/// session table).
+/// Caller-assigned session identity: the key of the session in the
+/// transport's session map — the daemon's accept serial, never reused,
+/// or the co-simulation's client index.
 pub(crate) type SessionId = u32;
 
 /// One admitted request, written down once in `admit` and carried
@@ -515,6 +516,15 @@ mod tests {
             }
         }
         assert_eq!(value.as_deref(), Some(b"".as_slice()), "unset for tenant 2");
+    }
+
+    #[test]
+    fn the_default_gate_is_four_ticks_of_service_capacity() {
+        for (servers, rate) in [(16, 1), (64, 8), (3, 5)] {
+            let engine = SimConfig::explicit(servers, 2, rate, 16);
+            let want = servers as u64 * u64::from(rate) * 4;
+            assert_eq!(ServeConfig::for_engine(engine).gate_limit, want);
+        }
     }
 
     #[test]

@@ -15,9 +15,11 @@
 //! connections, owns every session outright, does all socket I/O and
 //! codec work itself and spawns nothing, so no protocol in this crate is
 //! shared between threads; the core, gate included, is single-owner
-//! state behind `&mut self`. The same core runs under `rlb-load`'s
-//! virtual-time driver over framed pipes, which is what lets CI pin
-//! byte-identical transcripts — see `ARCHITECTURE.md` § "Serving layer".
+//! state behind `&mut self`. The rest of each pass is
+//! [`server::pass`], which `rlb-load`'s virtual-time driver runs too,
+//! over [`wire::Session`]s on framed pipes: the byte-identical
+//! transcripts CI pins cover the core and the session code alike — see
+//! `ARCHITECTURE.md` § "Serving layer".
 //!
 //! The crate denies `unsafe` code; the one exemption is the `poll(2)`
 //! call inside `wait_ready`, whose `SAFETY:` comment says why it holds.
@@ -34,8 +36,8 @@ pub mod wire;
 pub use crate::core::{key_to_u64, ServeConfig, ServerCore};
 pub use crate::pipe::{pipe, PipeEnd};
 pub use crate::proto::{fmt_frame, DecodeError, Frame, FrameReader, RejectCause};
-pub use crate::server::{serve, ServeOptions, ServeOutcome};
-pub use crate::wire::{ReadStatus, TcpSession};
+pub use crate::server::{pass, serve, ServeOptions, ServeOutcome};
+pub use crate::wire::{ReadStatus, Session, TcpSession};
 
 /// [`serve`] under its former name, with the pool the daemon no longer
 /// uses; `_pool` is ignored.

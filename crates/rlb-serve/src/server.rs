@@ -1,4 +1,5 @@
-//! The live TCP server: one reactor loop, on the calling thread.
+//! The live TCP server — one reactor loop, on the calling thread — and
+//! the server pass it shares with the sim-clock co-simulation.
 //!
 //! Threading model:
 //!
@@ -21,14 +22,19 @@
 //! if the listener is readable (after a failed accept — out of
 //! descriptors, say — the next wait leaves the listener out and the
 //! pass after it accepts regardless, so an idle daemon out of
-//! descriptors retries once a millisecond instead of spinning); read
-//! the sessions found readable (and any accepted in this pass), feeding
-//! their frames to the core in session order and each response straight
-//! into its session's outbox; tick the engine and route its responses
-//! the same way; then flush every session that owes bytes or whose
-//! input ended, so a reader that fell behind is written to whenever its
-//! socket drains, whether or not it sends again, and retire the ones
-//! that are over.
+//! descriptors retries once a millisecond instead of spinning); then run
+//! [`pass`]: read the sessions found readable (and any accepted in this
+//! pass), feeding their frames to the core in session order and each
+//! response straight into its session's outbox; tick the engine and
+//! route its responses the same way; then flush every session that owes
+//! bytes or whose input ended, so a reader that fell behind is written
+//! to whenever its socket drains, whether or not it sends again, and
+//! retire the ones that are over.
+//!
+//! [`pass`] is generic over the session's stream: `rlb-load`'s
+//! `co_simulate` runs it over in-memory pipes, so the `--sim-clock`
+//! transcripts cover this session code too. The two callers differ in
+//! two arguments of [`pass`], not in a second body.
 //!
 //! Sessions live in one map keyed by their accept serial, which is
 //! never reused: the map iterates in accept order, and a reply the core
@@ -44,7 +50,7 @@
 //! or reject, then flush, then return.
 
 use std::collections::BTreeMap;
-use std::io::ErrorKind;
+use std::io::{ErrorKind, Read, Write};
 use std::net::TcpListener;
 use std::time::Duration;
 
@@ -53,7 +59,7 @@ use rlb_sync::{Arc, AtomicBool, Ordering};
 
 use crate::core::{ServerCore, SessionId};
 use crate::proto::{Frame, RejectCause};
-use crate::wire::{wait_ready, Readiness, TcpSession};
+use crate::wire::{wait_ready, Readiness, Session, TcpSession};
 
 /// The longest a pass that found nothing to do lets the next wait
 /// block: `poll`'s smallest non-zero timeout, and so the longest a
@@ -161,51 +167,15 @@ pub fn serve<P: Policy>(
             }
         }
 
-        // 2. Read the sessions the wait found readable, and those
-        //    accepted in this pass, which it has not seen (they sort
-        //    last, past the wait's entries). Their frames go to the
-        //    core in session order, and each answer straight into the
-        //    session's outbox.
+        // 2. The server pass, over the sessions the wait found readable
+        //    and those accepted in this pass, which it has not seen
+        //    (they sort last, past the wait's entries). A drained core
+        //    does not tick, or an idle daemon would never wait.
         let mut polled = ready.iter();
-        for (&sid, session) in sessions.iter_mut() {
-            if polled.next().is_some_and(|entry| !entry.readable()) {
-                continue;
-            }
-            let (frames, err, _) = session.read_frames();
-            for frame in frames {
-                worked = true;
-                if !draining {
-                    if let Some(response) = core.on_frame(sid, frame) {
-                        session.queue(&response);
-                    }
-                } else if let Frame::Get { req_id, tenant, .. }
-                | Frame::Put { req_id, tenant, .. } = frame
-                {
-                    // Past shutdown: every new request is turned away.
-                    session.queue(&core.reject(tenant, req_id, RejectCause::Shutdown));
-                }
-            }
-            if err.is_some() {
-                session.queue(&core.reject(0, 0, RejectCause::Malformed));
-            }
-        }
+        let readable = || polled.next().is_none_or(Readiness::readable);
+        worked |= pass(&mut sessions, &mut core, readable, draining, false);
 
-        // 3. Advance the engine one tick and route its responses; one
-        //    for a session that has gone is dropped.
-        if !core.drained() {
-            worked = true;
-            for (sid, frame) in core.tick() {
-                if let Some(session) = sessions.get_mut(&sid) {
-                    session.queue(&frame);
-                }
-            }
-        }
-
-        // 4. Flush every session that owes bytes or whose input ended,
-        //    and retire the ones that are over.
-        sessions.retain(|_, session| !session.flush_is_over());
-
-        // 5. Shutdown protocol: stop accepting, stop admitting, drain,
+        // 3. Shutdown protocol: stop accepting, stop admitting, drain,
         //    flush, exit.
         let stop_requested = opts.shutdown.load(Ordering::Relaxed)
             || opts.max_requests.is_some_and(|n| core.responses() >= n);
@@ -227,4 +197,61 @@ pub fn serve<P: Policy>(
         sessions: next_sid.map_or(1 << 32, u64::from),
         summary: core.render_summary(),
     })
+}
+
+/// One server pass over `sessions`, as [`serve`] and `rlb-load`'s
+/// co-simulation both run it. Says whether it read a frame or ticked.
+///
+/// 1. Read each session `readable` names (it is asked once a session,
+///    in key order); feed its frames to the core, each answer straight
+///    into its outbox, or while `draining` answer each request
+///    `Reject{Shutdown}`. A session whose bytes stop decoding gets one
+///    `Malformed` reject.
+/// 2. Tick the core, unless it is drained and `tick_drained` is false,
+///    and queue each response in its session's outbox; one for a
+///    session that has gone is dropped (the core has counted it).
+/// 3. Flush every session that owes bytes or whose input ended, and
+///    retire the ones that are over.
+pub fn pass<S: Read + Write, P: Policy>(
+    sessions: &mut BTreeMap<SessionId, Session<S>>,
+    core: &mut ServerCore<P>,
+    mut readable: impl FnMut() -> bool,
+    draining: bool,
+    tick_drained: bool,
+) -> bool {
+    let mut worked = false;
+    for (&sid, session) in sessions.iter_mut() {
+        if !readable() {
+            continue;
+        }
+        let (frames, err, _) = session.read_frames();
+        for frame in frames {
+            worked = true;
+            if !draining {
+                if let Some(response) = core.on_frame(sid, frame) {
+                    session.queue(&response);
+                }
+            } else if let Frame::Get { req_id, tenant, .. } | Frame::Put { req_id, tenant, .. } =
+                frame
+            {
+                // Past shutdown: every new request is turned away.
+                session.queue(&core.reject(tenant, req_id, RejectCause::Shutdown));
+            }
+        }
+        if err.is_some() {
+            session.queue(&core.reject(0, 0, RejectCause::Malformed));
+        }
+    }
+
+    if tick_drained || !core.drained() {
+        worked = true;
+        for (sid, frame) in core.tick() {
+            if let Some(session) = sessions.get_mut(&sid) {
+                session.queue(&frame);
+            }
+        }
+    }
+
+    sessions.retain(|_, session| !session.flush_is_over());
+    worked
 }

@@ -1,14 +1,16 @@
-//! Non-blocking TCP session transport, and the one readiness wait.
+//! Non-blocking session transport, and the one readiness wait.
 //!
-//! One [`TcpSession`] wraps one accepted connection. All socket I/O is
-//! non-blocking: a read takes everything the kernel has buffered into a
+//! One [`Session`] wraps one client connection over any non-blocking
+//! byte stream: a TCP socket in the daemon and its live clients
+//! ([`TcpSession`]), a [`PipeEnd`](crate::pipe::PipeEnd) under
+//! `--sim-clock`. A read takes everything the stream has buffered into a
 //! session-owned inbox first, and the session's [`FrameReader`] then
 //! decodes it there, keeping only the bytes of a frame the read ended
-//! inside; writes push from a session-owned outbox
-//! and keep whatever did not fit for the next flush. The reactor loop
-//! in `server.rs` therefore never blocks on any single client — a slow
-//! or stalled peer just accumulates outbox bytes until it drains or is
-//! dropped.
+//! inside; writes push from a session-owned outbox and keep whatever
+//! did not fit for the next flush. The server pass in `server.rs`
+//! therefore never blocks on any single client — a slow or stalled peer
+//! just accumulates outbox bytes until it drains or is dropped — and it
+//! runs the same session code on either transport.
 //!
 //! Where the reactor does block is `wait_ready`: one `poll(2)` over a
 //! slice of `Readiness` entries, each a socket asked for input, for
@@ -148,9 +150,11 @@ pub enum ReadStatus {
     Broken,
 }
 
-/// One accepted client connection with framing and write buffering.
-pub struct TcpSession {
-    stream: TcpStream,
+/// One client connection with framing and write buffering, over a
+/// stream whose reads and writes return `WouldBlock` instead of
+/// blocking.
+pub struct Session<S> {
+    stream: S,
     /// One read's bytes; emptied by every read, kept for its capacity.
     inbox: Vec<u8>,
     reader: FrameReader,
@@ -166,6 +170,9 @@ pub struct TcpSession {
     input_ended: bool,
 }
 
+/// A session over an accepted (or, for a client, connected) TCP stream.
+pub type TcpSession = Session<TcpStream>;
+
 impl TcpSession {
     /// Wraps an accepted stream, switching it to non-blocking mode.
     pub fn new(stream: TcpStream) -> std::io::Result<Self> {
@@ -174,43 +181,7 @@ impl TcpSession {
         // already batches per pass. Best effort — not all platforms
         // honor it.
         let _ = stream.set_nodelay(true);
-        Ok(Self {
-            stream,
-            inbox: Vec::new(),
-            reader: FrameReader::new(),
-            outbox: Vec::new(),
-            sent: 0,
-            poisoned: false,
-            input_ended: false,
-        })
-    }
-
-    /// Drains the socket's receive buffer and decodes complete frames.
-    ///
-    /// Returns the decoded frames, the first decode error if the stream
-    /// is corrupt (the session is poisoned and reads nothing further),
-    /// and the connection status.
-    pub fn read_frames(&mut self) -> (Vec<Frame>, Option<DecodeError>, ReadStatus) {
-        if self.poisoned {
-            return (Vec::new(), None, ReadStatus::Open);
-        }
-        // Drain the socket before decoding any of it: decoding between
-        // reads stretches the read over bytes the peer is still sending.
-        // `read_to_end` keeps what it read before `WouldBlock` or an
-        // error, and retries `Interrupted`.
-        let status = match self.stream.read_to_end(&mut self.inbox) {
-            Ok(_) => ReadStatus::Eof,
-            Err(e) if e.kind() == ErrorKind::WouldBlock => ReadStatus::Open,
-            Err(_) => ReadStatus::Broken,
-        };
-        self.reader.push(&self.inbox);
-        self.inbox.clear();
-        self.input_ended |= status != ReadStatus::Open;
-        let (frames, err) = self.reader.drain();
-        if err.is_some() {
-            self.poisoned = true;
-        }
-        (frames, err, status)
+        Ok(Self::over(stream))
     }
 
     /// Blocks until this session has input to read or room for its
@@ -239,15 +210,58 @@ impl TcpSession {
             revents: 0,
         }
     }
+}
 
-    /// Queues a frame for sending (no socket I/O until [`flush`]).
+impl<S: Read + Write> Session<S> {
+    /// Wraps a stream that is already non-blocking.
+    pub fn over(stream: S) -> Self {
+        Self {
+            stream,
+            inbox: Vec::new(),
+            reader: FrameReader::new(),
+            outbox: Vec::new(),
+            sent: 0,
+            poisoned: false,
+            input_ended: false,
+        }
+    }
+
+    /// Drains the stream's receive buffer and decodes complete frames.
     ///
-    /// [`flush`]: TcpSession::flush
+    /// Returns the decoded frames, the first decode error if the stream
+    /// is corrupt (the session is poisoned and reads nothing further),
+    /// and the connection status.
+    pub fn read_frames(&mut self) -> (Vec<Frame>, Option<DecodeError>, ReadStatus) {
+        if self.poisoned {
+            return (Vec::new(), None, ReadStatus::Open);
+        }
+        // Drain the socket before decoding any of it: decoding between
+        // reads stretches the read over bytes the peer is still sending.
+        // `read_to_end` keeps what it read before `WouldBlock` or an
+        // error, and retries `Interrupted`.
+        let status = match self.stream.read_to_end(&mut self.inbox) {
+            Ok(_) => ReadStatus::Eof,
+            Err(e) if e.kind() == ErrorKind::WouldBlock => ReadStatus::Open,
+            Err(_) => ReadStatus::Broken,
+        };
+        self.reader.push(&self.inbox);
+        self.inbox.clear();
+        self.input_ended |= status != ReadStatus::Open;
+        let (frames, err) = self.reader.drain();
+        if err.is_some() {
+            self.poisoned = true;
+        }
+        (frames, err, status)
+    }
+
+    /// Queues a frame for sending (no stream I/O until [`flush`]).
+    ///
+    /// [`flush`]: Session::flush
     pub fn queue(&mut self, frame: &Frame) {
         frame.encode(&mut self.outbox);
     }
 
-    /// Writes as much of the outbox as the socket will take without
+    /// Writes as much of the outbox as the stream will take without
     /// blocking. `Ok(true)` means fully drained; `Err` means the
     /// connection is dead.
     pub fn flush(&mut self) -> Result<bool, std::io::Error> {
