@@ -163,12 +163,32 @@ fn parse_popularity(spec: &str) -> Result<Popularity, String> {
             alpha: parse_float("--popularity", alpha, "finite and >= 0", |a| a >= 0.0)?,
             universe: parse_positive("--popularity", u)?,
         }),
-        ("phased", [w, k, t, u]) => Ok(Popularity::Phased {
-            sets: parse_positive("--popularity", w)?,
-            set_size: parse_positive("--popularity", k)?,
-            ticks_per_phase: parse_positive("--popularity", t)?,
-            universe: parse_positive("--popularity", u)?,
-        }),
+        ("phased", [w, k, t, u]) => {
+            let sets: usize = parse_positive("--popularity", w)?;
+            let set_size: usize = parse_positive("--popularity", k)?;
+            let ticks_per_phase = parse_positive("--popularity", t)?;
+            let universe: u64 = parse_positive("--popularity", u)?;
+            // Keys are drawn as u32 chunk ids.
+            if universe > 1 << 32 {
+                return Err(format!(
+                    "--popularity: universe must be at most 2^32 keys, got {spec:?}"
+                ));
+            }
+            if sets
+                .checked_mul(set_size)
+                .is_none_or(|n| n as u64 > universe)
+            {
+                return Err(format!(
+                    "--popularity: W * K must be at most the universe U, got {spec:?}"
+                ));
+            }
+            Ok(Popularity::Phased {
+                sets,
+                set_size,
+                ticks_per_phase,
+                universe,
+            })
+        }
         _ => Err(err()),
     }
 }
@@ -436,6 +456,14 @@ mod tests {
                 let line = format!("--sim-clock {bad}");
                 assert!(parse_serve_load_args(side, &args(&line)).is_err(), "{bad}");
             }
+        }
+        // The phased bounds are inclusive: W * K = U, and U = 2^32.
+        for good in ["phased:4,8,1,32", "phased:2,3,1,4294967296"] {
+            let line = format!("--sim-clock --popularity {good}");
+            assert!(
+                parse_serve_load_args(Side::Load, &args(&line)).is_ok(),
+                "{good}"
+            );
         }
     }
 

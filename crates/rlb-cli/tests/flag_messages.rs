@@ -50,6 +50,9 @@ const CASES: &[(Parser, &str, &str)] = &[
     (RUN, "--workload fresh:100 --chunks 64", "--workload: per_step must be at most the universe of 64 chunks, got \"100\""),
     (RUN, "--workload nope:1", "--workload: expected repeated:K | fresh:N | partial:P,N | zipf:ALPHA,N | phased:SETS,K,STEPS | burst:N,TROUGH,LEN,TROUGH_LEN, got \"nope:1\""),
     (SERVE, "--sim-clock --popularity zipf:-3,100", "--popularity: must be finite and >= 0, got \"-3\""),
+    (LOAD, "--sim-clock --popularity phased:4294967296,4294967296,1,10", "--popularity: W * K must be at most the universe U, got \"phased:4294967296,4294967296,1,10\""),
+    (LOAD, "--sim-clock --popularity phased:4,8,1,31", "--popularity: W * K must be at most the universe U, got \"phased:4,8,1,31\""),
+    (LOAD, "--sim-clock --popularity phased:2,3,1,10000000000", "--popularity: universe must be at most 2^32 keys, got \"phased:2,3,1,10000000000\""),
     // An argument no arm takes.
     (RUN, "--bogus", "unknown option \"--bogus\""),
     (TRACE, "--bogus", "unknown option \"--bogus\""),

@@ -1,5 +1,6 @@
 //! Sampling utilities shared by workload generators and experiments.
 
+use crate::mix::fmix64;
 use crate::Rng;
 
 /// In-place Fisher–Yates shuffle.
@@ -26,29 +27,89 @@ pub fn partial_shuffle<T, R: Rng>(rng: &mut R, items: &mut [T], k: usize) {
 /// Samples `k` distinct values uniformly from `[0, n)`.
 ///
 /// Uses Floyd's algorithm (O(k) expected, no O(n) allocation), so it is
-/// cheap even when `n` is huge (e.g. a chunk universe of `m^3`).
+/// cheap even when `n` is huge (e.g. a chunk universe of `m^3`). A caller
+/// that samples every step keeps a [`DistinctSet`] and calls
+/// [`DistinctSet::sample_into`] instead, which draws the same values.
 ///
 /// # Panics
 /// Panics if `k > n`.
 pub fn sample_k_distinct<R: Rng>(rng: &mut R, n: u64, k: usize) -> Vec<u64> {
-    assert!(k as u64 <= n, "cannot sample {k} distinct values from {n}");
-    // Floyd's algorithm: for j in n-k..n, pick t in [0, j]; insert t unless
-    // already present, else insert j.
-    let mut chosen: Vec<u64> = Vec::with_capacity(k);
-    // Membership-only (never iterated) over a universe that can reach
-    // m^3, so a dense stamp array is not an option; all draws come from
-    // the caller's seeded RNG. lint:allow(determinism)
-    let mut set = std::collections::HashSet::with_capacity(k * 2);
-    for j in (n - k as u64)..n {
-        let t = rng.gen_range(j + 1);
-        let v = if set.insert(t) { t } else { j };
-        if v != t {
-            set.insert(v);
-        }
-        chosen.push(v);
-    }
-    shuffle(rng, &mut chosen);
+    let mut chosen = Vec::with_capacity(k);
+    DistinctSet::default().sample_into(rng, n, k, &mut chosen);
     chosen
+}
+
+/// Marks an empty slot. No member equals it: every value a caller
+/// inserts is a draw below some `n ≤ u64::MAX`.
+const EMPTY: u64 = u64::MAX;
+
+/// A set of `u64`s below `u64::MAX`, for membership only: open
+/// addressing with linear probing on an `fmix64` hash, at most half
+/// full, reused across steps without reallocating.
+///
+/// It is never iterated, so its layout cannot reach an output. Its
+/// members are the caller's own seeded draws, never outside input, so
+/// no peer can pick values that collide under the fixed hash.
+#[derive(Debug, Clone, Default)]
+pub struct DistinctSet {
+    /// A power-of-two number of slots, [`EMPTY`] where unused.
+    slots: Vec<u64>,
+}
+
+impl DistinctSet {
+    /// Empties the set and sizes it for up to `k` members: at least
+    /// `2k` slots, so every probe meets an empty slot.
+    pub fn reset(&mut self, k: usize) {
+        self.slots.clear();
+        self.slots
+            .resize(k.saturating_mul(2).next_power_of_two(), EMPTY);
+    }
+
+    /// Adds `v`; `false` if it was already a member. At most `k` values
+    /// may be inserted after [`reset`](Self::reset)`(k)`, each
+    /// `< u64::MAX`.
+    pub fn insert(&mut self, v: u64) -> bool {
+        debug_assert!(v != EMPTY, "u64::MAX marks an empty slot");
+        let mask = self.slots.len().wrapping_sub(1);
+        let home = fmix64(v) as usize;
+        for probe in 0..self.slots.len() {
+            match self.slots.get_mut(home.wrapping_add(probe) & mask) {
+                Some(slot) if *slot == EMPTY => {
+                    *slot = v;
+                    return true;
+                }
+                Some(slot) if *slot == v => return false,
+                _ => {}
+            }
+        }
+        // A full table, which the sizing in `reset` rules out; answering
+        // rather than probing on keeps a broken caller from hanging.
+        false
+    }
+
+    /// Sets `out` to `k` distinct values drawn uniformly from `[0, n)`
+    /// by Floyd's algorithm, in uniform random order: the draws of
+    /// [`sample_k_distinct`], without allocating once the set and `out`
+    /// have grown to `k`.
+    ///
+    /// # Panics
+    /// Panics if `k > n`.
+    pub fn sample_into<R: Rng>(&mut self, rng: &mut R, n: u64, k: usize, out: &mut Vec<u64>) {
+        assert!(k as u64 <= n, "cannot sample {k} distinct values from {n}");
+        self.reset(k);
+        out.clear();
+        // For j in n-k..n, pick t in [0, j]; take t unless already
+        // present, else j (never present: every earlier pick is < j).
+        for j in (n - k as u64)..n {
+            let t = rng.gen_range(j + 1);
+            let v = if self.insert(t) { t } else { j };
+            if v != t {
+                self.insert(v);
+            }
+            out.push(v);
+        }
+        shuffle(rng, out);
+    }
 }
 
 /// A precomputed Zipf(α) sampler over `[0, n)` using the alias method,
@@ -170,6 +231,90 @@ mod tests {
             assert_eq!(set.len(), 100);
             assert!(s.iter().all(|&x| x < 1_000_000_000));
         }
+    }
+
+    /// Digests of three consecutive draws per `(n, k)`, seeded by the
+    /// case's index: `k` at 0, 1 and `n` where `n` is small, and `n` up
+    /// to `u64::MAX`. Captured from the `HashSet` version this set
+    /// replaced.
+    #[test]
+    fn sample_k_distinct_is_pinned() {
+        const CASES: [(u64, usize); 15] = [
+            (1, 0),
+            (1, 1),
+            (2, 1),
+            (2, 2),
+            (7, 0),
+            (7, 1),
+            (7, 7),
+            (64, 64),
+            (1000, 1),
+            (1000, 1000),
+            (1 << 40, 5000),
+            (u64::MAX - 1, 100),
+            (u64::MAX, 0),
+            (u64::MAX, 1),
+            (u64::MAX, 100),
+        ];
+        const PINNED: [u64; 15] = [
+            0xedf6aea79cfc2c5d,
+            0xdcfa27a12e4c4f18,
+            0xdcfa27a12e4c4f18,
+            0x4efa0a2c9263d636,
+            0xedf6aea79cfc2c5d,
+            0x1d0fb36f6f5c49b2,
+            0xe84ca93ce01ada40,
+            0x47df9fc77f2e7272,
+            0xf8edd9bab8712f5f,
+            0xf8c1812ff719dd91,
+            0x25cb982b28399e5d,
+            0xa9c0eeaa98218d3a,
+            0xedf6aea79cfc2c5d,
+            0xf59d63f1ab53c523,
+            0x0538e4b824c8ff56,
+        ];
+        let mut got = [0u64; 15];
+        for (i, (&(n, k), digest)) in CASES.iter().zip(&mut got).enumerate() {
+            let mut rng = Pcg64::new(i as u64, 0x5a);
+            for _ in 0..3 {
+                let s = sample_k_distinct(&mut rng, n, k);
+                assert_eq!(s.len(), k);
+                *digest = s.iter().fold(crate::mix::mix2(*digest, k as u64), |h, &v| {
+                    crate::mix::mix2(h, v)
+                });
+            }
+        }
+        assert_eq!(got, PINNED, "samples moved: {got:#x?}");
+    }
+
+    #[test]
+    fn distinct_set_is_at_most_half_full() {
+        let mut set = DistinctSet::default();
+        for k in [0, 1, 2, 3, 5, 64, 1000] {
+            set.reset(k);
+            assert!(set.slots.len() >= 2 * k && set.slots.len().is_power_of_two());
+            assert!(set.slots.iter().all(|&s| s == EMPTY), "k {k}: not emptied");
+        }
+    }
+
+    /// Three values that all hash to the last of 8 slots: the second and
+    /// third wrap to slots 0 and 1, and each is found again there.
+    #[test]
+    fn distinct_set_probe_wraps() {
+        let mut set = DistinctSet::default();
+        set.reset(4);
+        let last: Vec<u64> = (0..).filter(|&v| fmix64(v) & 7 == 7).take(3).collect();
+        for &v in &last {
+            assert!(set.insert(v), "{v} is new");
+        }
+        assert_eq!(
+            [set.slots[7], set.slots[0], set.slots[1]],
+            [last[0], last[1], last[2]]
+        );
+        for &v in &last {
+            assert!(!set.insert(v), "{v} is a member");
+        }
+        assert!(set.insert(u64::MAX - 1));
     }
 
     #[test]

@@ -9,6 +9,16 @@
 //! * **Phased** working sets via [`PhasedWorkingSets`] — the
 //!   reappearance-dependency stress shape: a rotating set of hot keys
 //!   whose chunks keep reappearing in consecutive steps.
+//!
+//! A Zipf alias table costs 12 bytes a key and is the same for every
+//! client of one shape, so clients share it: [`KeyPicker::new`] takes it
+//! from a per-thread memo of `(universe, α)` → `Weak<ZipfSampler>` and
+//! builds it only when no live picker on the thread holds one. The memo
+//! owns nothing, so a table lives exactly as long as its last picker.
+//! Each picker keeps its own `rng`, so sharing moves no key stream.
+
+use std::cell::Cell;
+use std::sync::{Arc, Weak};
 
 use rlb_core::Workload as _;
 use rlb_hash::sample::ZipfSampler;
@@ -48,12 +58,43 @@ enum PickerKind {
     Uniform {
         universe: u64,
     },
-    Zipf(ZipfSampler),
+    Zipf(Arc<ZipfSampler>),
     Phased {
         gen: PhasedWorkingSets,
         current: Vec<u32>,
         tick: Option<u64>,
     },
+}
+
+/// One memo entry: a table's universe, its α's bits, and the table if
+/// some picker still holds it. `Arc`, not `Rc`: the live driver hands
+/// its clients back across threads.
+type ZipfEntry = (usize, u64, Weak<ZipfSampler>);
+
+thread_local! {
+    static ZIPF_TABLES: Cell<Vec<ZipfEntry>> = const { Cell::new(Vec::new()) };
+}
+
+/// The Zipf(`alpha`) table over `[0, universe)`, shared with every live
+/// picker of the same shape built on this thread. Entries whose table
+/// is gone are pruned on each lookup.
+fn shared_zipf(universe: usize, alpha: f64) -> Arc<ZipfSampler> {
+    let key = (universe, alpha.to_bits());
+    ZIPF_TABLES.with(|memo| {
+        let mut tables = memo.take();
+        tables.retain(|(_, _, table)| table.strong_count() > 0);
+        let found = tables
+            .iter()
+            .find(|&&(u, a, _)| (u, a) == key)
+            .and_then(|(_, _, table)| table.upgrade());
+        let table = found.unwrap_or_else(|| {
+            let table = Arc::new(ZipfSampler::new(universe, alpha));
+            tables.push((key.0, key.1, Arc::downgrade(&table)));
+            table
+        });
+        memo.set(tables);
+        table
+    })
 }
 
 /// A seeded key source for one client.
@@ -71,7 +112,7 @@ impl KeyPicker {
                 universe: (*universe).max(1),
             },
             Popularity::Zipf { alpha, universe } => {
-                PickerKind::Zipf(ZipfSampler::new((*universe).max(1), *alpha))
+                PickerKind::Zipf(shared_zipf((*universe).max(1), *alpha))
             }
             Popularity::Phased {
                 sets,
@@ -80,7 +121,7 @@ impl KeyPicker {
                 universe,
             } => PickerKind::Phased {
                 gen: PhasedWorkingSets::random(
-                    (*universe).max((sets * set_size) as u64),
+                    (*universe).max(sets.saturating_mul(*set_size) as u64),
                     (*sets).max(1),
                     (*set_size).max(1),
                     (*ticks_per_phase).max(1),
@@ -161,6 +202,91 @@ mod tests {
         distinct.sort_unstable();
         distinct.dedup();
         assert!(distinct.len() <= 8, "phase leaked: {distinct:?}");
+    }
+
+    /// One digest over the first 10 000 picks of each shape × seed, two
+    /// picks a tick.
+    #[test]
+    fn key_streams_are_pinned() {
+        const PINNED: [[u64; 3]; 3] = [
+            [0xa5ee41d34e8f6207, 0x07f92f50556f66db, 0x577a1b6b8a377d8e],
+            [0x1d47ab5eddfa22dd, 0x481e5e58ce5de628, 0x6ad21765f9b6a77c],
+            [0xff2fe8e160ebac77, 0x7b76c0a68e8587ff, 0xd4fa3c2ec81a5298],
+        ];
+        let shapes = [
+            Popularity::Uniform {
+                universe: 1_000_003,
+            },
+            Popularity::Zipf {
+                alpha: 1.1,
+                universe: 100_000,
+            },
+            Popularity::Phased {
+                sets: 4,
+                set_size: 64,
+                ticks_per_phase: 5,
+                universe: 100_000,
+            },
+        ];
+        let mut got = [[0u64; 3]; 3];
+        for (shape, row) in shapes.iter().zip(&mut got) {
+            for (seed, digest) in [1u64, 7, 23].into_iter().zip(row.iter_mut()) {
+                let mut p = KeyPicker::new(shape, seed);
+                *digest = (0..10_000u64).fold(0, |h, i| rlb_hash::mix::mix2(h, p.pick(i / 2)));
+            }
+        }
+        assert_eq!(got, PINNED, "key streams moved: {got:#x?}");
+    }
+
+    fn table(p: &KeyPicker) -> &Arc<ZipfSampler> {
+        match &p.kind {
+            PickerKind::Zipf(table) => table,
+            _ => panic!("not a Zipf picker"),
+        }
+    }
+
+    fn zipf(alpha: f64, universe: usize) -> Popularity {
+        Popularity::Zipf { alpha, universe }
+    }
+
+    #[test]
+    fn pickers_of_one_shape_share_one_table() {
+        let pickers: Vec<KeyPicker> = (0..8)
+            .map(|s| KeyPicker::new(&zipf(1.1, 5000), s))
+            .collect();
+        for p in &pickers[1..] {
+            assert!(Arc::ptr_eq(table(&pickers[0]), table(p)));
+        }
+        assert_eq!(Arc::strong_count(table(&pickers[0])), 8);
+    }
+
+    #[test]
+    fn another_alpha_or_universe_gets_its_own_table() {
+        let base = KeyPicker::new(&zipf(1.1, 5000), 1);
+        for (alpha, universe) in [(0.9, 5000), (1.1, 5001)] {
+            let p = KeyPicker::new(&zipf(alpha, universe), 1);
+            assert!(!Arc::ptr_eq(table(&base), table(&p)), "{alpha} {universe}");
+            assert_eq!(table(&p).len(), universe);
+        }
+    }
+
+    #[test]
+    fn the_memo_keeps_no_table_alive() {
+        let pickers: Vec<KeyPicker> = (0..3).map(|s| KeyPicker::new(&zipf(1.3, 700), s)).collect();
+        let weak = Arc::downgrade(table(&pickers[0]));
+        drop(pickers);
+        assert!(weak.upgrade().is_none(), "a table outlived its pickers");
+        // The next picker of the shape builds afresh, and the dead entry
+        // is pruned rather than kept beside the new one.
+        let again = KeyPicker::new(&zipf(1.3, 700), 0);
+        assert_eq!(Arc::strong_count(table(&again)), 1);
+        let entries = ZIPF_TABLES.with(|memo| {
+            let tables = memo.take();
+            let n = tables.iter().filter(|&&(u, _, _)| u == 700).count();
+            memo.set(tables);
+            n
+        });
+        assert_eq!(entries, 1);
     }
 
     #[test]

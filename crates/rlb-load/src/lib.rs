@@ -14,6 +14,11 @@
 //!   `tests/sim_golden.rs` pins this);
 //! * [`live_driver`] — real TCP, one pool job per client, wall-clock
 //!   latency.
+//!
+//! Clients of one Zipf shape built on one thread share one alias table
+//! (the memo in [`keys`]), so the co-simulation's memory grows with the
+//! key universe, not with clients × universe. The live driver builds
+//! each client on its own pool executor, so its clients share nothing.
 
 #![forbid(unsafe_code)]
 

@@ -1,7 +1,8 @@
 //! Core workload generators.
 
 use rlb_core::Workload;
-use rlb_hash::{sample, Pcg64, Rng};
+use rlb_hash::sample::{self, DistinctSet};
+use rlb_hash::{Pcg64, Rng};
 
 /// The same fixed set of chunks requested on every step — the paper's
 /// canonical hard workload ("the same set S of m items is accessed on
@@ -70,6 +71,9 @@ pub struct FreshRandom {
     universe: u64,
     per_step: usize,
     rng: Pcg64,
+    /// Floyd's membership set and its draws, kept across steps.
+    set: DistinctSet,
+    drawn: Vec<u64>,
 }
 
 impl FreshRandom {
@@ -83,15 +87,17 @@ impl FreshRandom {
             universe,
             per_step,
             rng: Pcg64::new(seed, 0xf5e5),
+            set: DistinctSet::default(),
+            drawn: Vec::new(),
         }
     }
 }
 
 impl Workload for FreshRandom {
     fn next_step(&mut self, _step: u64, out: &mut Vec<u32>) {
-        for c in sample::sample_k_distinct(&mut self.rng, self.universe, self.per_step) {
-            out.push(c as u32);
-        }
+        self.set
+            .sample_into(&mut self.rng, self.universe, self.per_step, &mut self.drawn);
+        out.extend(self.drawn.iter().map(|&c| c as u32));
     }
 }
 
@@ -105,6 +111,8 @@ pub struct PartialRepeat {
     repeat_prob: f64,
     previous: Vec<u32>,
     rng: Pcg64,
+    /// This step's members, kept across steps.
+    present: DistinctSet,
 }
 
 impl PartialRepeat {
@@ -121,31 +129,28 @@ impl PartialRepeat {
             repeat_prob,
             previous: Vec::new(),
             rng: Pcg64::new(seed, 0xaa17),
+            present: DistinctSet::default(),
         }
     }
 }
 
 impl Workload for PartialRepeat {
     fn next_step(&mut self, _step: u64, out: &mut Vec<u32>) {
-        let mut kept: Vec<u32> = self
-            .previous
-            .iter()
-            .copied()
-            .filter(|_| self.rng.gen_bool(self.repeat_prob))
-            .collect();
-        // Membership-only (never iterated); the universe is caller-chosen
-        // and can be far larger than per_step, so no dense stamp array.
-        // lint:allow(determinism)
-        let mut present: std::collections::HashSet<u32> = kept.iter().copied().collect();
+        let (rng, p) = (&mut self.rng, self.repeat_prob);
+        let kept = &mut self.previous;
+        kept.retain(|_| rng.gen_bool(p));
+        self.present.reset(self.per_step);
+        for &c in kept.iter() {
+            self.present.insert(u64::from(c));
+        }
         while kept.len() < self.per_step {
-            let c = self.rng.gen_range(self.universe) as u32;
-            if present.insert(c) {
+            let c = rng.gen_range(self.universe) as u32;
+            if self.present.insert(u64::from(c)) {
                 kept.push(c);
             }
         }
-        sample::shuffle(&mut self.rng, &mut kept);
-        out.extend_from_slice(&kept);
-        self.previous = kept;
+        sample::shuffle(rng, kept);
+        out.extend_from_slice(kept);
     }
 }
 
@@ -167,7 +172,10 @@ impl PhasedWorkingSets {
     /// Panics if `w * k > n` or any parameter is zero.
     pub fn random(n: u64, w: usize, k: usize, steps_per_phase: u64, seed: u64) -> Self {
         assert!(w > 0 && k > 0 && steps_per_phase > 0, "zero parameter");
-        assert!((w * k) as u64 <= n, "working sets exceed universe");
+        assert!(
+            w.checked_mul(k).is_some_and(|total| total as u64 <= n),
+            "working sets exceed universe"
+        );
         let mut rng = Pcg64::new(seed, 0x9a5e);
         let all = sample::sample_k_distinct(&mut rng, n, w * k);
         let sets = all
@@ -332,6 +340,55 @@ mod tests {
         all.sort_unstable();
         all.dedup();
         assert_eq!(all.len(), n);
+    }
+
+    #[test]
+    fn fresh_random_is_one_distinct_sample_a_step() {
+        for (n, k) in [(1_000_000u64, 64usize), (64, 64), (300, 7)] {
+            let mut w = FreshRandom::new(n, k, 31);
+            let mut rng = w.rng.clone();
+            for step in 0..200 {
+                let want: Vec<u32> = sample::sample_k_distinct(&mut rng, n, k)
+                    .into_iter()
+                    .map(|c| c as u32)
+                    .collect();
+                assert_eq!(collect_step(&mut w, step), want, "n {n} k {k} step {step}");
+            }
+        }
+    }
+
+    /// Digests of 50 steps of `FreshRandom` and `PartialRepeat` at three
+    /// repeat probabilities.
+    #[test]
+    fn set_drawing_generators_are_pinned() {
+        const PINNED: [u64; 4] = [
+            0xd038d4595b14adc9,
+            0xadf24eb81cb176fa,
+            0x6fd95cd4168f6b1a,
+            0x0a813f5c4a731378,
+        ];
+        fn digest<W: Workload>(w: &mut W) -> u64 {
+            (0..50).fold(0u64, |h, step| {
+                collect_step(w, step)
+                    .iter()
+                    .fold(rlb_hash::mix::mix2(h, step), |h, &c| {
+                        rlb_hash::mix::mix2(h, u64::from(c))
+                    })
+            })
+        }
+        let got = [
+            digest(&mut FreshRandom::new(5_000, 700, 3)),
+            digest(&mut PartialRepeat::new(5_000, 700, 0.0, 3)),
+            digest(&mut PartialRepeat::new(5_000, 700, 0.5, 3)),
+            digest(&mut PartialRepeat::new(1 << 20, 64, 0.9, 3)),
+        ];
+        assert_eq!(got, PINNED, "streams moved: {got:#x?}");
+    }
+
+    #[test]
+    #[should_panic(expected = "working sets exceed universe")]
+    fn phased_sets_that_overflow_are_refused() {
+        let _ = PhasedWorkingSets::random(10, 1 << 32, 1 << 32, 1, 0);
     }
 
     #[test]
