@@ -112,6 +112,10 @@ fn time_solve(cfg: &MfConfig) -> (u64, u64) {
     let mut best_nanos = u64::MAX;
     let mut iterations = 0;
     for _ in 0..GATE_SAMPLES {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the speedup gate times the solver"
+        )]
         let start = Instant::now();
         let p = solve_fixpoint(cfg, &opts);
         let nanos = start.elapsed().as_nanos() as u64;
@@ -146,6 +150,10 @@ fn time_engine(cfg: &MfConfig) -> u64 {
             Box::new(FreshRandom::new(16 * m as u64, per_step, 7));
         let mut sim = Simulation::new(config.clone(), Greedy::new());
         sim.run(workload.as_mut(), 8); // warmup: reach working occupancy
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the speedup gate times the engine"
+        )]
         let start = Instant::now();
         sim.run(workload.as_mut(), ENGINE_STEPS);
         let nanos = start.elapsed().as_nanos() as u64;

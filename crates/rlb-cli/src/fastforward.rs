@@ -192,6 +192,10 @@ pub fn parse_fastforward_args(args: &[String]) -> Result<FastForwardOptions, Str
 /// Solves the parsed model, returning the prediction and the solver
 /// wall time in milliseconds.
 pub fn solve_fastforward(opts: &FastForwardOptions) -> (Prediction, f64) {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the solver's wall time is reported beside, never inside, the prediction"
+    )]
     let start = std::time::Instant::now();
     let prediction = if opts.mode == "ode" {
         solve_transient(&opts.config, &opts.solve, &opts.phases)

@@ -72,9 +72,10 @@ const CASES: &[(Parser, &str, &str)] = &[
     // A flag neither side reads any more: sim-clock is serial, the
     // daemon is one thread and the load generator runs a thread a client.
     (SERVE, "--jobs 2", "unknown serve/load option \"--jobs\""),
-    // A rule whose pass is gone: the workspace takes no lock, so no
-    // pass orders locks.
-    (LINT, "--rule lock-order", "unknown rule \"lock-order\"; known rules: determinism, trace-guard, panic-discipline, lossy-cast, raw-sync, panic-path, unchecked-arith, dead-pub, untrusted-input, determinism-flow, unused-suppression, lint-roots"),
+    // Rules whose pass is gone: the workspace takes no lock, so no
+    // pass orders locks; clippy checks determinism (clippy.toml).
+    (LINT, "--rule lock-order", "unknown rule \"lock-order\"; known rules: trace-guard, lossy-cast, panic-path, unchecked-arith, dead-pub, untrusted-input, unused-suppression, lint-roots"),
+    (LINT, "--rule determinism-flow", "unknown rule \"determinism-flow\"; known rules: trace-guard, lossy-cast, panic-path, unchecked-arith, dead-pub, untrusted-input, unused-suppression, lint-roots"),
     // A subcommand with nothing selected to run.
     (BENCH, "", "bench requires a mode: --meanfield"),
 ];

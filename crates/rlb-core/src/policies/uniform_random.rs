@@ -78,7 +78,7 @@ mod tests {
         );
         let view = ClusterView::new(&q);
         let mut p = UniformRandom::new(1);
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for _ in 0..200 {
             if let Decision::Route { server, .. } = p.route(
                 RouteCtx {

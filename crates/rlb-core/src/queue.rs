@@ -11,6 +11,15 @@
 //! the load row `loads` (aggregate backlog and its liveness-mirrored
 //! routing view per server). See ARCHITECTURE.md "SoA arena layout".
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 /// Specification of one queue class.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ClassSpec {
@@ -142,8 +151,10 @@ impl QueueArray {
         for &c in &caps {
             per_server = match per_server.checked_add(c) {
                 Some(v) => v,
-                // Constructor-time validation, never on the per-step
-                // hot path. lint:allow(panic-discipline)
+                #[expect(
+                    clippy::panic,
+                    reason = "constructor-time validation, never on the per-step hot path"
+                )]
                 None => panic!(
                     "QueueArray: class capacities overflow u32 ({per_server} + {c} per server)"
                 ),
@@ -160,8 +171,10 @@ impl QueueArray {
         // m * prefix with prefix <= per_server, hence in range.
         let arena = match num_servers.checked_mul(per_server as usize) {
             Some(v) => v,
-            // Constructor-time validation, never on the per-step
-            // hot path. lint:allow(panic-discipline)
+            #[expect(
+                clippy::panic,
+                reason = "constructor-time validation, never on the per-step hot path"
+            )]
             None => panic!(
                 "QueueArray: arena size overflows usize ({num_servers} servers x {per_server} capacity per server)"
             ),

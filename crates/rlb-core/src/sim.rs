@@ -11,6 +11,15 @@
 //! 4. optional periodic flush (voluntary rejection, the §3 reset);
 //! 5. metrics sampling (backlog snapshot + Definition 3.2 safety check).
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use crate::config::{DrainMode, SimConfig};
 use crate::outage::OutageSchedule;
 use crate::policy::{Decision, Policy, RejectReason, RouteCtx, StepOps};
@@ -166,10 +175,12 @@ impl<P: Policy> Simulation<P> {
     /// Panics if the config is invalid or the policy's queue classes are
     /// inconsistent with it.
     pub fn new(config: SimConfig, policy: P) -> Self {
+        #[expect(
+            clippy::panic,
+            reason = "constructor precondition, documented above; never on the per-step hot path"
+        )]
         config
             .validate()
-            // Constructor precondition, documented above; never on the
-            // per-step hot path. lint:allow(panic-discipline)
             .unwrap_or_else(|e| panic!("invalid config: {e}"));
         let placement = ReplicaPlacement::random(
             config.num_chunks,
@@ -186,10 +197,12 @@ impl<P: Policy> Simulation<P> {
     /// # Panics
     /// Panics on config/placement mismatch.
     pub fn with_placement(config: SimConfig, policy: P, placement: ReplicaPlacement) -> Self {
+        #[expect(
+            clippy::panic,
+            reason = "constructor precondition, documented above; never on the per-step hot path"
+        )]
         config
             .validate()
-            // Constructor precondition, documented above; never on the
-            // per-step hot path. lint:allow(panic-discipline)
             .unwrap_or_else(|e| panic!("invalid config: {e}"));
         assert_eq!(
             placement.num_chunks(),
@@ -395,9 +408,11 @@ impl<P: Policy> Engine<P> {
         }
         debug_assert!(
             {
-                // Membership-only duplicate probe inside a debug assert;
-                // iteration order never escapes, so determinism holds.
-                // lint:allow(determinism)
+                #[expect(
+                    clippy::disallowed_types,
+                    reason = "membership-only duplicate probe inside a debug assert; \
+                              iteration order never escapes"
+                )]
                 let mut set = std::collections::HashSet::new();
                 self.chunk_scratch.iter().all(|&c| set.insert(c))
             },
@@ -664,10 +679,12 @@ impl<P: Policy> Engine<P> {
     /// scratch after the step just executed and panics on any drift.
     /// Compiled out entirely without the feature.
     #[cfg(feature = "sanitize")]
+    #[expect(
+        clippy::panic,
+        reason = "aborting on invariant drift is this feature's purpose"
+    )]
     fn sanitize_step(&self, step: u64) {
         if let Err(e) = self.queues.sanitize_check() {
-            // Aborting on invariant drift is this feature's purpose.
-            // lint:allow(panic-discipline)
             panic!("sanitize failed after step {step}: {e}"); // deliberate fail-fast: sanitize violations must abort. lint:allow(panic-path)
         }
         // The queue array's liveness (what the routing sentinel, the
@@ -675,7 +692,6 @@ impl<P: Policy> Engine<P> {
         // schedule says for this step; with no schedule, all live.
         for server in 0..self.config.num_servers as u32 {
             if self.queues.is_live(server) != self.outages.is_up(server, step) {
-                // lint:allow(panic-discipline)
                 panic!(
                     "sanitize failed after step {step}: queue-owned liveness of server {server} \
                      drifted from the outage schedule"

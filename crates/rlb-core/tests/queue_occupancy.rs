@@ -9,7 +9,7 @@
 //! operation of random enqueue/dequeue/migrate/flush interleavings, and
 //! check the modulo-free ring rewrite against a reference FIFO model.
 
-use std::collections::{HashSet, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 
 use rlb_core::{ClassSpec, QueueArray};
 use rlb_hash::{Pcg64, Rng};
@@ -29,7 +29,7 @@ fn check_invariants(q: &QueueArray, context: &str) {
     let k = q.num_classes();
     for class in 0..k {
         let occ = q.occupied_servers(class);
-        let set: HashSet<u32> = occ.iter().copied().collect();
+        let set: BTreeSet<u32> = occ.iter().copied().collect();
         assert_eq!(
             set.len(),
             occ.len(),

@@ -82,8 +82,10 @@ fn main() {
             "running {id}: {title}{}",
             if quick { " (quick)" } else { "" }
         );
-        // Wall-clock progress display only; never feeds results.
-        // lint:allow(determinism)
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "wall-clock progress display only; never feeds results"
+        )]
         let started = std::time::Instant::now();
         let out = entry.run(quick);
         eprintln!("{id} finished in {:.1?}", started.elapsed());

@@ -59,7 +59,7 @@ mod tests {
 
     #[test]
     fn fmix64_is_injective_on_sample() {
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for x in 0..10_000u64 {
             assert!(seen.insert(fmix64(x)));
         }
@@ -67,7 +67,7 @@ mod tests {
 
     #[test]
     fn moremur_is_injective_on_sample() {
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for x in 0..10_000u64 {
             assert!(seen.insert(moremur(x)));
         }

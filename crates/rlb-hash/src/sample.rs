@@ -217,7 +217,7 @@ mod tests {
         let mut rng = Pcg64::new(2, 0);
         let mut v: Vec<u32> = (0..50).collect();
         partial_shuffle(&mut rng, &mut v, 10);
-        let prefix: std::collections::HashSet<u32> = v[..10].iter().copied().collect();
+        let prefix: std::collections::BTreeSet<u32> = v[..10].iter().copied().collect();
         assert_eq!(prefix.len(), 10);
         assert!(prefix.iter().all(|&x| x < 50));
     }
@@ -227,7 +227,7 @@ mod tests {
         let mut rng = Pcg64::new(3, 0);
         for _ in 0..20 {
             let s = sample_k_distinct(&mut rng, 1_000_000_000, 100);
-            let set: std::collections::HashSet<u64> = s.iter().copied().collect();
+            let set: std::collections::BTreeSet<u64> = s.iter().copied().collect();
             assert_eq!(set.len(), 100);
             assert!(s.iter().all(|&x| x < 1_000_000_000));
         }

@@ -7,6 +7,15 @@
 //! serves every key inside the chunk — this is also how the model's
 //! distinct-chunks-per-step constraint manifests in a real store).
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use crate::directory::ChunkDirectory;
 use rlb_core::{
     Decision, NoopSink, Observer, Policy, RunReport, SimConfig, Simulation, TraceEvent, TraceSink,
@@ -47,8 +56,8 @@ pub struct TenantStats {
 /// num_chunks`, so one entry per chunk with a generation stamp gives O(1)
 /// insert/lookup, an O(1) per-step clear (bump the generation), and —
 /// unlike a hash table — a deterministic memory layout with no
-/// iteration-order hazard (the workspace `determinism` lint forbids
-/// `HashMap`/`HashSet` in this crate).
+/// iteration-order hazard (the root `clippy.toml` disallows
+/// `HashMap`/`HashSet` in the workspace).
 struct PendingIndex {
     /// Generation at which each chunk was last inserted.
     stamp: Vec<u32>,

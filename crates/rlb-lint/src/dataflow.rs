@@ -1,7 +1,7 @@
 //! Tier 3, layer 2: worklist taint dataflow over the per-function
-//! CFGs, powering the `untrusted-input` and `determinism-flow` rules.
+//! CFGs, powering the `untrusted-input` rule.
 //!
-//! One engine carries both taints as bits in a small lattice:
+//! One engine carries the taint as bits in a small lattice:
 //!
 //! - `UNTRUSTED` — a value decoded from wire bytes in rlb-serve
 //!   (`from_le_bytes` on read buffers). It must pass a recognized
@@ -11,11 +11,6 @@
 //!   `.clamp(`, or a range-bounding `%`/`&`) before reaching an
 //!   allocation (`with_capacity`/`reserve`/`vec![_; n]`), a slice
 //!   index, or bare arithmetic.
-//! - `CLOCK` — a value derived from `Instant::now`/`SystemTime::now`/
-//!   `available_parallelism` outside rlb-cli. It must not
-//!   flow into engine state (`self.f = …` in rlb-core/rlb-kv), a
-//!   `…Report`/`…Stats` struct literal, or a trace emission
-//!   (`.on_event(…)`).
 //! - Eight per-parameter bits track pass-independent param-to-return
 //!   and param-to-sink flow, giving interprocedural summaries: each
 //!   function's [`Summary`] (which source/param bits its return value
@@ -49,8 +44,8 @@
 //!   adjacent to `+ - * <<` (or a tainted right-hand side of
 //!   `+= -= *= <<=`); composite operands hide behind parentheses.
 //!
-//! `tests/seeded_bugs.rs` pins one caught violation with full
-//! provenance per rule, plus clean negatives for each escape hatch.
+//! `tests/seeded_bugs.rs` pins caught violations with full provenance,
+//! plus clean negatives for each escape hatch.
 
 use std::collections::BTreeMap;
 
@@ -62,12 +57,9 @@ use crate::token::TokenKind;
 use crate::LintStats;
 
 /// Taint bit: decoded wire bytes (rlb-serve).
-pub(crate) const UNTRUSTED: u32 = 1;
-/// Taint bit: wall-clock / ambient-parallelism reads.
-pub(crate) const CLOCK: u32 = 2;
-const SRC_MASK: u32 = UNTRUSTED | CLOCK;
+const UNTRUSTED: u32 = 1;
 /// Parameter `i` (0-based, `i < MAX_PARAMS`) carries bit `PARAM0 << i`.
-const PARAM0: u32 = 4;
+const PARAM0: u32 = 2;
 const MAX_PARAMS: usize = 8;
 
 fn param_bit(i: usize) -> u32 {
@@ -76,9 +68,6 @@ fn param_bit(i: usize) -> u32 {
 
 /// Crates whose `from_le_bytes` results are untrusted wire input.
 const UNTRUSTED_SOURCE_CRATES: &[&str] = &["rlb-serve"];
-/// Crates whose `self.field = …` stores are engine state (the
-/// determinism contract's protected surface).
-const STATE_CRATES: &[&str] = &["rlb-core", "rlb-kv"];
 
 /// A variable's abstract value: taint bits plus how they got there.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -123,37 +112,14 @@ pub(crate) enum SinkKind {
     Index,
     /// Bare `+ - * <<` (or compound) on the tainted value.
     Arith,
-    /// A `…Report` / `…Stats` struct-literal field.
-    ReportField,
-    /// A `.on_event(…)` trace emission argument.
-    TraceEmit,
-    /// `self.field = …` in an engine-state crate.
-    EngineState,
 }
 
 impl SinkKind {
-    fn mask(self) -> u32 {
-        match self {
-            SinkKind::Alloc | SinkKind::Index | SinkKind::Arith => UNTRUSTED,
-            _ => CLOCK,
-        }
-    }
-
-    fn rule(self) -> &'static str {
-        match self {
-            SinkKind::Alloc | SinkKind::Index | SinkKind::Arith => "untrusted-input",
-            _ => "determinism-flow",
-        }
-    }
-
     fn what(self) -> &'static str {
         match self {
             SinkKind::Alloc => "an allocation size",
             SinkKind::Index => "a slice index",
             SinkKind::Arith => "bare arithmetic",
-            SinkKind::ReportField => "a report field",
-            SinkKind::TraceEmit => "a trace emission",
-            SinkKind::EngineState => "engine state",
         }
     }
 }
@@ -170,7 +136,7 @@ struct ParamSink {
 /// Interprocedural facts about one function.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 struct Summary {
-    /// Source bits (`UNTRUSTED`/`CLOCK`) the return value may carry.
+    /// Source bits (`UNTRUSTED`) the return value may carry.
     ret_src: u32,
     /// Param bits the return value may carry (param-to-return flow).
     ret_params: u32,
@@ -180,7 +146,7 @@ struct Summary {
     param_sinks: Vec<ParamSink>,
 }
 
-/// Runs CFG construction and both taint passes over the linted files.
+/// Runs CFG construction and the taint pass over the linted files.
 /// `allows` is parallel to `files`.
 pub(crate) fn run(
     files: &[ParsedFile],
@@ -271,28 +237,16 @@ pub(crate) fn run(
 fn count_sources(files: &[ParsedFile], stats: &mut LintStats) {
     for pf in files {
         let krate = pf.crate_name();
-        let untrusted_scope = UNTRUSTED_SOURCE_CRATES.contains(&krate);
-        let clock_scope = !rules::DETERMINISM_ALLOW_CRATES.contains(&krate);
+        if !UNTRUSTED_SOURCE_CRATES.contains(&krate) {
+            continue;
+        }
         for c in 0..pf.code.len() {
-            if pf.kind(c) != TokenKind::Ident || !pf.at(c + 1, "(") || pf.items.in_test(pf.byte(c))
-            {
-                continue;
-            }
-            let text = pf.text(c);
-            if untrusted_scope && text == "from_le_bytes" {
+            if pf.at(c, "from_le_bytes") && pf.at(c + 1, "(") && !pf.items.in_test(pf.byte(c)) {
                 stats.untrusted_sources += 1;
                 *stats
                     .untrusted_sources_by_crate
                     .entry(krate.to_string())
                     .or_default() += 1;
-            }
-            if clock_scope {
-                let prev2 = c.checked_sub(2).map_or("", |q| pf.text(q));
-                let clock_call = (text == "now" && (prev2 == "Instant" || prev2 == "SystemTime"))
-                    || text == "available_parallelism";
-                if clock_call {
-                    stats.clock_sources += 1;
-                }
             }
         }
     }
@@ -404,8 +358,6 @@ struct FnCtx<'a> {
     node: usize,
     file: usize,
     krate: String,
-    /// Determinism sinks are exempt in the allow crates.
-    det_exempt: bool,
 }
 
 impl FnCtx<'_> {
@@ -423,13 +375,11 @@ impl<'a> Engine<'a> {
         let (fi, ci) = self.cfg_of[&n];
         let pf = &self.files[fi];
         let cfg = &self.cfgs[fi].cfgs[ci].1;
-        let krate = pf.crate_name().to_string();
         let ctx = FnCtx {
             pf,
             node: n,
             file: fi,
-            krate: krate.clone(),
-            det_exempt: rules::DETERMINISM_ALLOW_CRATES.contains(&krate.as_str()),
+            krate: pf.crate_name().to_string(),
         };
         let mut summary = Summary::default();
         let mut in_states: Vec<Option<State>> = vec![None; cfg.blocks.len()];
@@ -487,8 +437,8 @@ impl<'a> Engine<'a> {
         // block's RET pseudo-variable.
         if let Some(exit) = &in_states[cfg.exit] {
             if let Some(r) = exit.get(RET) {
-                summary.ret_src = r.mask & SRC_MASK;
-                summary.ret_params = r.mask & !SRC_MASK;
+                summary.ret_src = r.mask & UNTRUSTED;
+                summary.ret_params = r.mask & !UNTRUSTED;
                 summary.ret_prov = r.prov.clone();
             }
         }
@@ -548,22 +498,6 @@ impl<'a> Engine<'a> {
 
         let val = self.eval(ctx, rhs.0, rhs.1, st, summary, out);
         self.scan_sinks(ctx, lo, hi, st, summary, out);
-
-        // `self.field = rhs` in an engine-state crate: a clock-tainted
-        // value is a finding; a param-tainted one also makes a summary
-        // fact so callers can judge their argument.
-        if pat.1 > pat.0 + 2
-            && ctx.pf.text(pat.0) == "self"
-            && ctx.pf.text(pat.0 + 1) == "."
-            && STATE_CRATES.contains(&ctx.krate.as_str())
-        {
-            if val.mask & CLOCK != 0 {
-                self.hit(ctx, pat.0, SinkKind::EngineState, &val.prov, None, out);
-            }
-            if val.mask & !SRC_MASK != 0 {
-                self.param_fact(ctx, pat.0, SinkKind::EngineState, &val, summary);
-            }
-        }
 
         // Binding application.
         let bound = self.pattern_vars(ctx, pat.0, pat.1);
@@ -666,7 +600,6 @@ impl<'a> Engine<'a> {
             let prev = (c > lo).then(|| ctx.pf.text(c - 1));
             // Opaque aggregate: `Camel { … }` construction.
             if k == TokenKind::Ident && callgraph::is_camel_type(t) && next == Some("{") {
-                self.report_struct_sink(ctx, t, c + 1, hi, st, summary, out);
                 c = ctx.pf.matching(c + 1, hi) + 1;
                 continue;
             }
@@ -683,12 +616,10 @@ impl<'a> Engine<'a> {
                     cleansed = true;
                 }
                 // Sources.
-                if let Some((m, p)) = self.source_at(ctx, c, hi) {
-                    if !self.source_suppressed(ctx, c, m) {
-                        mask |= m;
-                        if prov.is_empty() {
-                            prov = p;
-                        }
+                if let Some(p) = self.source_at(ctx, c, hi) {
+                    mask |= UNTRUSTED;
+                    if prov.is_empty() {
+                        prov = p;
                     }
                     c += 1;
                     continue;
@@ -724,21 +655,19 @@ impl<'a> Engine<'a> {
                                 let Some(at) = ats.get(ps.param) else {
                                     continue;
                                 };
-                                if at.mask & ps.kind.mask() != 0 {
+                                if at.mask & UNTRUSTED != 0 {
                                     // Source-tainted argument reaches a
                                     // sink inside the callee: finding
                                     // at this call site.
-                                    if !(ps.kind.rule() == "determinism-flow" && ctx.det_exempt) {
-                                        self.hit(
-                                            ctx,
-                                            c,
-                                            ps.kind,
-                                            &at.prov,
-                                            Some(&format!("passed to `{t}` -> {}", ps.site)),
-                                            out,
-                                        );
-                                    }
-                                } else if at.mask & !SRC_MASK != 0 {
+                                    self.hit(
+                                        ctx,
+                                        c,
+                                        ps.kind,
+                                        &at.prov,
+                                        Some(&format!("passed to `{t}` -> {}", ps.site)),
+                                        out,
+                                    );
+                                } else if at.mask != 0 {
                                     // Param-tainted argument: lift the
                                     // fact into this fn's summary.
                                     for (i, _) in self.params[ctx.node]
@@ -789,9 +718,9 @@ impl<'a> Engine<'a> {
         VarT { mask, prov }
     }
 
-    /// Flat taint scan for call arguments and aggregate contents:
-    /// variables, direct sources, and resolved-call *return* taint
-    /// (so `Report { f: helper() }` sees through the call). Param
+    /// Flat taint scan for call arguments: variables, direct sources,
+    /// and resolved-call *return* taint (so `f(helper())` sees through
+    /// the inner call). Param
     /// flows and sinks inside the scanned range are not re-applied
     /// here — that is [`Self::eval`]'s job; this scan only answers
     /// "may this range carry taint".
@@ -808,12 +737,10 @@ impl<'a> Engine<'a> {
                 continue;
             }
             if k == TokenKind::Ident {
-                if let Some((m, p)) = self.source_at(ctx, c, hi) {
-                    if !self.source_suppressed(ctx, c, m) {
-                        mask |= m;
-                        if prov.is_empty() {
-                            prov = p;
-                        }
+                if let Some(p) = self.source_at(ctx, c, hi) {
+                    mask |= UNTRUSTED;
+                    if prov.is_empty() {
+                        prov = p;
                     }
                 } else if next == Some("(") && callgraph::is_value_ident(t) {
                     let prev = (c > lo).then(|| ctx.pf.text(c - 1));
@@ -845,47 +772,20 @@ impl<'a> Engine<'a> {
         VarT { mask, prov }
     }
 
-    /// Is the ident at `c` a taint source? Returns its bit + origin.
-    fn source_at(&self, ctx: &FnCtx<'_>, c: usize, hi: usize) -> Option<(u32, String)> {
-        let t = ctx.pf.text(c);
-        let next_is_call = c + 1 < hi && ctx.pf.text(c + 1) == "(";
-        if !next_is_call {
-            return None;
-        }
-        if t == "from_le_bytes" && UNTRUSTED_SOURCE_CRATES.contains(&ctx.krate.as_str()) {
-            return Some((
-                UNTRUSTED,
-                format!("wire bytes (`from_le_bytes`, {})", ctx.site(c)),
-            ));
-        }
-        if ctx.det_exempt {
-            return None;
-        }
-        let prev2 = if c >= 2 { ctx.pf.text(c - 2) } else { "" };
-        if t == "now" && (prev2 == "Instant" || prev2 == "SystemTime") {
-            return Some((CLOCK, format!("clock (`{prev2}::now`, {})", ctx.site(c))));
-        }
-        if t == "available_parallelism" {
-            return Some((CLOCK, format!("`available_parallelism` ({})", ctx.site(c))));
-        }
-        None
-    }
-
-    /// A `lint:allow` on a source line suppresses the whole flow from
-    /// that source (the annotation names the rule the flow would hit).
-    fn source_suppressed(&self, ctx: &FnCtx<'_>, c: usize, mask: u32) -> bool {
-        let rule = if mask & UNTRUSTED != 0 {
-            "untrusted-input"
-        } else {
-            "determinism-flow"
-        };
-        self.allows[ctx.file].suppresses(ctx.pf.line(c), rule)
+    /// Is the ident at `c` a taint source? Returns its origin. A
+    /// `lint:allow` on a source line suppresses the whole flow from
+    /// that source, so a suppressed source is none.
+    fn source_at(&self, ctx: &FnCtx<'_>, c: usize, hi: usize) -> Option<String> {
+        let source = c + 1 < hi
+            && ctx.pf.text(c + 1) == "("
+            && ctx.pf.text(c) == "from_le_bytes"
+            && UNTRUSTED_SOURCE_CRATES.contains(&ctx.krate.as_str());
+        (source && !self.allows[ctx.file].suppresses(ctx.pf.line(c), "untrusted-input"))
+            .then(|| format!("wire bytes (`from_le_bytes`, {})", ctx.site(c)))
     }
 
     /// Sinks in the statement, checked against the pre-assignment
-    /// state: allocations, indexing, bare arithmetic (untrusted) and
-    /// trace emissions (clock). Struct-literal report fields are
-    /// handled inside [`Self::eval`]; `self.f = …` in the caller.
+    /// state: allocations, indexing and bare arithmetic.
     fn scan_sinks(
         &self,
         ctx: &FnCtx<'_>,
@@ -933,14 +833,6 @@ impl<'a> Engine<'a> {
                 let at = self.scan_taint(ctx, c + 1, close, st);
                 self.sink_hit(ctx, c, SinkKind::Index, &at, summary, out);
                 c += 1;
-                continue;
-            }
-            // Trace emission.
-            if k == TokenKind::Ident && t == "on_event" && next == Some("(") && prev == Some(".") {
-                let close = ctx.pf.matching(c + 1, hi);
-                let at = self.scan_taint(ctx, c + 2, close, st);
-                self.sink_hit(ctx, c, SinkKind::TraceEmit, &at, summary, out);
-                c = close + 1;
                 continue;
             }
             // Bare arithmetic on a tainted single-token operand.
@@ -1025,27 +917,6 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// `…Report { field: tainted }` / `…Stats { … }` struct-literal
-    /// sink, scanned when [`Self::eval`] skips an aggregate.
-    #[allow(clippy::too_many_arguments)]
-    fn report_struct_sink(
-        &self,
-        ctx: &FnCtx<'_>,
-        name: &str,
-        open: usize,
-        hi: usize,
-        st: &State,
-        summary: &mut Summary,
-        out: &mut Option<&mut Vec<Finding>>,
-    ) {
-        if !(name.ends_with("Report") || name.ends_with("Stats") || name.ends_with("Summary")) {
-            return;
-        }
-        let close = ctx.pf.matching(open, hi);
-        let at = self.scan_taint(ctx, open + 1, close, st);
-        self.sink_hit(ctx, open, SinkKind::ReportField, &at, summary, out);
-    }
-
     /// Dispatches a sink hit by the scanned taint: source bits emit a
     /// finding, param bits record a summary fact.
     fn sink_hit(
@@ -1057,12 +928,9 @@ impl<'a> Engine<'a> {
         summary: &mut Summary,
         out: &mut Option<&mut Vec<Finding>>,
     ) {
-        if kind.rule() == "determinism-flow" && ctx.det_exempt {
-            return;
-        }
-        if at.mask & kind.mask() != 0 {
+        if at.mask & UNTRUSTED != 0 {
             self.hit(ctx, c, kind, &at.prov, None, out);
-        } else if at.mask & !SRC_MASK != 0 {
+        } else if at.mask != 0 {
             self.param_fact(ctx, c, kind, at, summary);
         }
     }
@@ -1103,40 +971,25 @@ impl<'a> Engine<'a> {
         let Some(out) = out.as_deref_mut() else {
             // Non-reporting passes still consult the suppression table
             // so allows at sink lines register as used.
-            let _ = self.allows[ctx.file].suppresses(ctx.pf.line(c), kind.rule());
+            let _ = self.allows[ctx.file].suppresses(ctx.pf.line(c), "untrusted-input");
             return;
         };
         let flow = match via {
             Some(v) => format!("{prov} -> {v}"),
             None => prov.to_string(),
         };
-        let fix = match kind.rule() {
-            "untrusted-input" => {
-                "validate it first (compare against a MAX_* cap, `checked_*`, or return a \
-                 DecodeError)"
-            }
-            _ => "route the value through rlb-cli or derive it from the seeded run",
-        };
         rules::emit_at(
             out,
             ctx.pf,
             &self.allows[ctx.file],
             ctx.pf.byte(c),
-            kind.rule(),
+            "untrusted-input",
             format!(
-                "{} reaches {}: {flow}; {fix}",
-                taint_name(kind.mask()),
+                "untrusted wire input reaches {}: {flow}; validate it first (compare against \
+                 a MAX_* cap, `checked_*`, or return a DecodeError)",
                 kind.what()
             ),
         );
-    }
-}
-
-fn taint_name(mask: u32) -> &'static str {
-    if mask & UNTRUSTED != 0 {
-        "untrusted wire input"
-    } else {
-        "a wall-clock-derived value"
     }
 }
 

@@ -1,14 +1,16 @@
 //! # rlb-lint — self-hosted static analysis for the workspace
 //!
-//! The reproduction's validation story rests on two properties the
-//! compiler does not enforce: the engine is **deterministic per seed**
-//! (the E1–E14 theorem-shape experiments and the golden-trace suite
-//! depend on bit-identical reruns) and the tracing hot path is
-//! **zero-overhead when disabled** (every emission compiles out behind
-//! `if S::ENABLED`; the repo benchmark's `engine-*` workloads measure
-//! the result). One stray `HashMap` iteration, `Instant::now()` in
-//! accounting code, or an unguarded `sink.on_event(..)` silently
-//! breaks both. This crate guards them statically.
+//! The reproduction's validation story rests on properties the
+//! compiler does not enforce. The tracing hot path is **zero-overhead
+//! when disabled** (every emission compiles out behind `if
+//! S::ENABLED`; the repo benchmark's `engine-*` workloads measure the
+//! result), accounting never narrows a counter, nothing reachable from
+//! a request path panics, and wire-decoded lengths are validated
+//! before use. This crate guards them statically. **Determinism per
+//! seed** (no `HashMap`, clock read or raw thread) and the hot-path
+//! panic discipline are clippy's: the root `clippy.toml` disallows the
+//! types and methods, and the hot-path files `#![deny]` the panic
+//! lints.
 //!
 //! Every file is tokenized ([`token`]) and item-parsed ([`items`])
 //! once into a [`items::ParsedFile`], which owns the comment-free code
@@ -17,8 +19,7 @@
 //! type and the suppression machinery live in [`rules`]. The analysis
 //! has three tiers:
 //!
-//! 1. **Per-file rules** ([`rules`]) — determinism, trace-guard,
-//!    panic-discipline, lossy-cast, raw-sync.
+//! 1. **Per-file rules** ([`rules`]) — trace-guard, lossy-cast.
 //! 2. **Workspace passes** ([`passes`]) over a name-resolution-
 //!    approximate call graph ([`callgraph`], whose one resolver the
 //!    flow passes share): panic-reachability and unchecked arithmetic
@@ -29,14 +30,12 @@
 //! 3. **Flow passes** over per-function control-flow graphs ([`cfg`])
 //!    and a worklist taint dataflow with call-graph function
 //!    summaries (`dataflow`): `untrusted-input` (wire-decoded values
-//!    must be validated before allocation/indexing/arithmetic),
-//!    `determinism-flow` (clock-derived values must not reach engine
-//!    state, reports, or trace emissions). The workspace takes no lock,
-//!    so no pass orders locks.
+//!    must be validated before allocation/indexing/arithmetic). The
+//!    workspace takes no lock, so no pass orders locks.
 //!
 //! * Suppress a benign finding with `// lint:allow(<rule>)` on the
 //!   same line or the line above — always with a justification comment.
-//! * `#[cfg(test)]` modules are exempt (tests may unwrap and hash).
+//! * `#[cfg(test)]` modules are exempt.
 //! * Run it as `rlb-sim lint [--root PATH] [--json [PATH]]`; exits
 //!   nonzero on findings. `unused-suppression` and `lint-roots`
 //!   (manifest rot) findings are not themselves suppressible.
@@ -88,8 +87,6 @@ pub struct LintStats {
     pub cfg_edges: usize,
     /// Tier 3: raw (pre-suppression) untrusted wire-read sources.
     pub untrusted_sources: usize,
-    /// Tier 3: raw clock/parallelism sources outside the allow crates.
-    pub clock_sources: usize,
     /// Tier 3: untrusted sources per crate (CI pins rlb-serve > 0).
     pub untrusted_sources_by_crate: std::collections::BTreeMap<String, usize>,
 }
@@ -145,9 +142,8 @@ impl LintReport {
         );
         let _ = writeln!(
             out,
-            "rlb-lint: flow: {} CFG block(s), {} edge(s); {} untrusted source(s), \
-             {} clock source(s)",
-            s.cfg_blocks, s.cfg_edges, s.untrusted_sources, s.clock_sources
+            "rlb-lint: flow: {} CFG block(s), {} edge(s); {} untrusted source(s)",
+            s.cfg_blocks, s.cfg_edges, s.untrusted_sources
         );
         out
     }
@@ -185,8 +181,8 @@ impl LintReport {
             "  \"dead_suppressions\": {},\n  \"stats\": {{\"fns\": {}, \"edges\": {}, \
              \"root_fns\": {}, \"cone_fns\": {}, \"ambiguous_names\": {}, \
              \"pub_items\": {}, \"cfg_blocks\": {}, \"cfg_edges\": {}, \
-             \"untrusted_sources\": {}, \"clock_sources\": {}, \
-             \"untrusted_sources_by_crate\": {}}},\n  \"clean\": {}\n}}\n",
+             \"untrusted_sources\": {}, \"untrusted_sources_by_crate\": {}}},\n  \
+             \"clean\": {}\n}}\n",
             self.dead_suppressions(),
             s.fns,
             s.edges,
@@ -197,7 +193,6 @@ impl LintReport {
             s.cfg_blocks,
             s.cfg_edges,
             s.untrusted_sources,
-            s.clock_sources,
             json_count_map(&s.untrusted_sources_by_crate),
             self.is_clean()
         );
@@ -293,9 +288,8 @@ pub fn lint_files(
     };
     passes::cone_passes(&linted, &allows, &g, &manifest, &mut findings, &mut stats);
     passes::dead_pub(&linted, &reference, &allows, &mut findings, &mut stats);
-    // Phase 3: flow passes — CFG-based taint dataflow (untrusted-input,
-    // determinism-flow), on the resolver the graph's edges were drawn
-    // from.
+    // Phase 3: flow pass — CFG-based taint dataflow (untrusted-input),
+    // on the resolver the graph's edges were drawn from.
     dataflow::run(&linted, &allows, &g, &resolver, &mut findings, &mut stats);
     // Unused-suppression audit runs last: every rule above has marked
     // the `lint:allow` entries it consumed.
@@ -412,7 +406,7 @@ mod tests {
         std::fs::create_dir_all(&src).unwrap();
         std::fs::write(
             src.join("sim.rs"),
-            "fn f() { let m = std::collections::HashMap::new(); }\n",
+            "fn f(&mut self) { self.sink.on_event(&ev); }\n",
         )
         .unwrap();
         std::fs::write(src.join("clean.rs"), "fn g() -> u32 { 3 }\n").unwrap();
@@ -481,12 +475,12 @@ mod tests {
     fn json_report_shape_and_escaping() {
         let files = vec![(
             "crates/rlb-core/src/sim.rs".to_string(),
-            "fn f() { let m = std::collections::HashMap::new(); }\n".to_string(),
+            "fn f(&mut self) { self.sink.on_event(&ev); }\n".to_string(),
         )];
         let report = lint_files(&files, None).unwrap();
         let json = report.to_json();
         assert!(json.contains("\"files_scanned\": 1"), "{json}");
-        assert!(json.contains("\"rule\": \"determinism\""), "{json}");
+        assert!(json.contains("\"rule\": \"trace-guard\""), "{json}");
         assert!(json.contains("\"clean\": false"), "{json}");
         assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
     }

@@ -72,25 +72,11 @@ pub(crate) struct Rule {
 /// Every rule a finding can carry, in the order `rlb-sim lint --rule`
 /// lists them.
 pub(crate) const CATALOG: &[Rule] = &[
-    // `HashMap`/`HashSet`, `Instant::now`/`SystemTime`, `thread_rng`/
-    // `rand::` — everywhere but the crates that read clocks by design.
-    Rule::per_file(
-        "determinism",
-        |pf| !DETERMINISM_ALLOW_CRATES.contains(&pf.crate_name()),
-        determinism,
-    ),
     // `.on_event(` outside `if S::ENABLED { … }` (sink impls exempt).
     Rule::per_file(
         "trace-guard",
         |pf| TRACE_GUARD_CRATES.contains(&pf.crate_name()),
         trace_guard,
-    ),
-    // `.unwrap()`, `.expect(`, `panic!`, `unreachable!`, `todo!`,
-    // `unimplemented!` in the engine and serve/load hot-path files.
-    Rule::per_file(
-        "panic-discipline",
-        |pf| PANIC_SCOPE.contains(&pf.rel_path.as_str()),
-        panic_discipline,
     ),
     // Narrowing `as u8` / `as u16` / `as u32` in accounting code.
     Rule::per_file(
@@ -98,16 +84,12 @@ pub(crate) const CATALOG: &[Rule] = &[
         |pf| in_lossy_cast_scope(&pf.rel_path),
         lossy_cast,
     ),
-    // `thread::spawn`/`scope`/`Builder` outside the executor: threads
-    // come from pool jobs, under the pool's one budget.
-    Rule::per_file("raw-sync", |pf| pf.crate_name() != "rlb-pool", raw_sync),
     // The transitive workspace passes: cones of the `lint-roots.toml`
     // roots and the pub surface (`passes`), taint flow (`dataflow`).
     Rule::workspace("panic-path", true),
     Rule::workspace("unchecked-arith", true),
     Rule::workspace("dead-pub", true),
     Rule::workspace("untrusted-input", true),
-    Rule::workspace("determinism-flow", true),
     // The meta rules. `unused-suppression` runs after everything else:
     // a `lint:allow` naming a suppressible rule that suppressed nothing
     // is itself a finding (stale excuses hide real ones).
@@ -138,29 +120,6 @@ impl Rule {
 pub fn all_rule_names() -> Vec<&'static str> {
     CATALOG.iter().map(|r| r.name).collect()
 }
-
-/// Crates whose code may read clocks / use ambient hashing: the CLI
-/// measures wall time by design (`rlb-sim bench`) and reports it.
-pub(crate) const DETERMINISM_ALLOW_CRATES: &[&str] = &["rlb-cli"];
-
-/// Files holding hot paths where a panic aborts a simulation mid-step
-/// (engine) or kills a serving connection on attacker-controlled bytes
-/// (serve/load, widened with the call-graph PR). The server pass and
-/// its sessions and pipes run under the sim-clock co-simulation as well
-/// as in the daemon.
-const PANIC_SCOPE: &[&str] = &[
-    "crates/rlb-core/src/sim.rs",
-    "crates/rlb-core/src/queue.rs",
-    "crates/rlb-kv/src/cluster.rs",
-    "crates/rlb-serve/src/proto.rs",
-    "crates/rlb-serve/src/core.rs",
-    "crates/rlb-serve/src/server.rs",
-    "crates/rlb-serve/src/wire.rs",
-    "crates/rlb-serve/src/pipe.rs",
-    "crates/rlb-load/src/client.rs",
-    "crates/rlb-load/src/sim_driver.rs",
-    "crates/rlb-meanfield/src/solver.rs",
-];
 
 /// Crates whose emission sites must be behind `if S::ENABLED`. The
 /// serve/load layer joined when its hot paths gained trace hooks as a
@@ -207,63 +166,6 @@ pub(crate) fn file_rules(pf: &ParsedFile, allow: &Suppressions, findings: &mut V
 
 // ---------------------------------------------------------------- rules
 
-fn determinism(pf: &ParsedFile, allow: &Suppressions, findings: &mut Vec<Finding>) {
-    const IDENTS: &[(&str, &str)] = &[
-        (
-            "HashMap",
-            "iteration order and hasher seeding are nondeterministic; use a Vec / stamp array / BTreeMap",
-        ),
-        (
-            "HashSet",
-            "iteration order and hasher seeding are nondeterministic; use a Vec / stamp array / BTreeSet",
-        ),
-        ("SystemTime", "wall-clock reads make runs irreproducible"),
-        (
-            "thread_rng",
-            "ambient RNG breaks per-seed determinism; thread rlb_hash::Pcg64 from the config seed",
-        ),
-    ];
-    for p in 0..pf.code.len() {
-        if pf.kind(p) != TokenKind::Ident {
-            continue;
-        }
-        let t = pf.text(p);
-        if let Some(&(token, why)) = IDENTS.iter().find(|(i, _)| *i == t) {
-            emit_at(
-                findings,
-                pf,
-                allow,
-                pf.byte(p),
-                "determinism",
-                format!("`{token}`: {why}"),
-            );
-            continue;
-        }
-        if t == "Instant" && pf.at(p + 1, "::") && pf.at(p + 2, "now") {
-            emit_at(
-                findings,
-                pf,
-                allow,
-                pf.byte(p),
-                "determinism",
-                "`Instant::now`: wall-clock reads make runs irreproducible".to_string(),
-            );
-        }
-        if t == "rand" && pf.at(p + 1, "::") {
-            emit_at(
-                findings,
-                pf,
-                allow,
-                pf.byte(p),
-                "determinism",
-                "`rand::`: ambient RNG breaks per-seed determinism; thread rlb_hash::Pcg64 \
-                 from the config seed"
-                    .to_string(),
-            );
-        }
-    }
-}
-
 fn trace_guard(pf: &ParsedFile, allow: &Suppressions, findings: &mut Vec<Finding>) {
     for p in 0..pf.code.len() {
         if !(pf.at(p, "on_event") && p > 0 && pf.at(p - 1, ".") && pf.at(p + 1, "(")) {
@@ -288,49 +190,6 @@ fn trace_guard(pf: &ParsedFile, allow: &Suppressions, findings: &mut Vec<Finding
     }
 }
 
-fn panic_discipline(pf: &ParsedFile, allow: &Suppressions, findings: &mut Vec<Finding>) {
-    const MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"];
-    for p in 0..pf.code.len() {
-        if pf.kind(p) != TokenKind::Ident {
-            continue;
-        }
-        let t = pf.text(p);
-        let (byte, shown) = if (t == "unwrap" || t == "expect")
-            && p > 0
-            && pf.at(p - 1, ".")
-            && pf.at(p + 1, "(")
-        {
-            let shown = if t == "unwrap" {
-                ".unwrap()"
-            } else {
-                ".expect("
-            };
-            (pf.byte(p - 1), shown)
-        } else if MACROS.contains(&t) && pf.at(p + 1, "!") {
-            let shown = match t {
-                "panic" => "panic!",
-                "unreachable" => "unreachable!",
-                "todo" => "todo!",
-                _ => "unimplemented!",
-            };
-            (pf.byte(p), shown)
-        } else {
-            continue;
-        };
-        emit_at(
-            findings,
-            pf,
-            allow,
-            byte,
-            "panic-discipline",
-            format!(
-                "`{shown}` in engine hot-path code: convert to a debug-asserted infallible \
-                 path or propagate an error"
-            ),
-        );
-    }
-}
-
 fn lossy_cast(pf: &ParsedFile, allow: &Suppressions, findings: &mut Vec<Finding>) {
     for p in 0..pf.code.len() {
         if !pf.at(p, "as") || pf.kind(p) != TokenKind::Ident {
@@ -350,31 +209,6 @@ fn lossy_cast(pf: &ParsedFile, allow: &Suppressions, findings: &mut Vec<Finding>
                  widen the destination"
             ),
         );
-    }
-}
-
-fn raw_sync(pf: &ParsedFile, allow: &Suppressions, findings: &mut Vec<Finding>) {
-    // `thread::spawn` / `thread::scope` / `thread::Builder` catch both
-    // `std::thread::` and `use std::thread; thread::` spellings — and,
-    // on purpose, `rlb_sync::thread::scope` too. Benign `std::thread`
-    // reads (`sleep`, `available_parallelism`, `current`) stay legal.
-    const THREAD_FNS: &[&str] = &["spawn", "scope", "Builder"];
-    for p in 0..pf.code.len() {
-        if pf.at(p, "thread") && pf.at(p + 1, "::") {
-            if let Some(f) = THREAD_FNS.iter().find(|f| pf.at(p + 2, f)) {
-                emit_at(
-                    findings,
-                    pf,
-                    allow,
-                    pf.byte(p),
-                    "raw-sync",
-                    format!(
-                        "`thread::{f}` outside the executor: a raw thread escapes the pool's \
-                         thread budget; submit the work as rlb_pool jobs"
-                    ),
-                );
-            }
-        }
     }
 }
 
@@ -518,55 +352,28 @@ mod tests {
         lint_source("crates/rlb-core/src/sim.rs", src)
     }
 
-    #[test]
-    fn determinism_fires_on_hash_collections() {
-        let f = lint_core("fn f() { let m = std::collections::HashMap::new(); }");
-        assert_eq!(f.len(), 1);
-        assert_eq!(f[0].rule, "determinism");
-        assert_eq!(f[0].line, 1);
-        assert!(f[0].col > 1, "col is exact: {}", f[0].col);
-    }
+    /// An unguarded emission: one `trace-guard` finding in rlb-core.
+    const UNGUARDED: &str = "fn f(&mut self) { self.sink.on_event(&ev); }";
 
     #[test]
-    fn determinism_ignores_comments_strings_and_lookalikes() {
-        let f = lint_core(
-            "// HashMap in a comment\nfn f() { let s = \"HashMap\"; let my_hash_map = 1; \
-             struct MyHashMapLike; }",
-        );
-        assert!(f.is_empty(), "{f:?}");
-    }
-
-    #[test]
-    fn determinism_is_suppressed_by_allow() {
-        let above = "// membership only, never iterated. lint:allow(determinism)\n\
-                     fn f() { let s = std::collections::HashSet::new(); }";
-        assert!(lint_core(above).is_empty());
-        let same =
-            "fn f() { let s = std::collections::HashSet::new(); } // lint:allow(determinism)";
-        assert!(lint_core(same).is_empty());
+    fn a_finding_is_suppressed_by_allow() {
+        let above = format!("// a forwarder. lint:allow(trace-guard)\n{UNGUARDED}");
+        assert!(lint_core(&above).is_empty());
+        let same = format!("{UNGUARDED} // lint:allow(trace-guard)");
+        assert!(lint_core(&same).is_empty());
         // The wrong rule name does not suppress — and, being dead, is
         // itself reported.
-        let wrong =
-            "fn f() { let s = std::collections::HashSet::new(); } // lint:allow(lossy-cast)";
-        let f = lint_core(wrong);
+        let wrong = format!("{UNGUARDED} // lint:allow(lossy-cast)");
+        let f = lint_core(&wrong);
         assert_eq!(f.len(), 2, "{f:?}");
-        assert!(f.iter().any(|x| x.rule == "determinism"));
+        assert!(f.iter().any(|x| x.rule == "trace-guard"));
         assert!(f.iter().any(|x| x.rule == "unused-suppression"));
     }
 
     #[test]
-    fn determinism_allowlists_bench_and_cli() {
-        let src = "fn f() { let t = std::time::Instant::now(); }";
-        assert!(lint_source("crates/rlb-cli/src/bench.rs", src).is_empty());
-        assert!(lint_source("crates/rlb-cli/src/lib.rs", src).is_empty());
-        assert_eq!(lint_source("crates/rlb-kv/src/directory.rs", src).len(), 1);
-    }
-
-    #[test]
     fn test_modules_are_exempt() {
-        let src = "fn f() {}\n#[cfg(test)]\nmod tests {\n    fn g() { let t = \
-                   std::time::Instant::now(); }\n}";
-        assert!(lint_core(src).is_empty());
+        let src = format!("fn g() {{}}\n#[cfg(test)]\nmod tests {{\n    {UNGUARDED}\n}}");
+        assert!(lint_core(&src).is_empty());
     }
 
     #[test]
@@ -615,53 +422,6 @@ mod tests {
     }
 
     #[test]
-    fn panic_discipline_fires_in_hot_path_files() {
-        let src = "fn f(x: Option<u32>) { x.unwrap(); }";
-        assert_eq!(lint_source("crates/rlb-core/src/queue.rs", src).len(), 1);
-        assert_eq!(lint_source("crates/rlb-kv/src/cluster.rs", src).len(), 1);
-        // The serve decode surface and load client joined the scope
-        // with the call-graph PR.
-        assert_eq!(lint_source("crates/rlb-serve/src/proto.rs", src).len(), 1);
-        assert_eq!(lint_source("crates/rlb-load/src/client.rs", src).len(), 1);
-        // The server pass and its transports joined when the sim-clock
-        // co-simulation began to run them.
-        for file in ["server.rs", "wire.rs", "pipe.rs"] {
-            let path = format!("crates/rlb-serve/src/{file}");
-            assert_eq!(lint_source(&path, src).len(), 1, "{path}");
-        }
-        // The mean-field solver joined with the fastforward PR: a
-        // panic there kills a solve the CLI already validated.
-        assert_eq!(
-            lint_source("crates/rlb-meanfield/src/solver.rs", src).len(),
-            1
-        );
-        // Not a hot-path file: no rule.
-        assert!(lint_source("crates/rlb-core/src/config.rs", src).is_empty());
-    }
-
-    #[test]
-    fn panic_discipline_catches_each_macro() {
-        for bad in [
-            "x.unwrap();",
-            "x.expect(\"m\");",
-            "panic!(\"m\");",
-            "unreachable!();",
-            "todo!();",
-            "unimplemented!();",
-        ] {
-            let src = format!("fn f(x: Option<u32>) {{ {bad} }}");
-            assert_eq!(
-                lint_source("crates/rlb-core/src/sim.rs", &src).len(),
-                1,
-                "{bad}"
-            );
-        }
-        // `unwrap_or_else` and `#[should_panic]` are fine.
-        let ok = "fn f(x: Option<u32>) { x.unwrap_or_else(|| 3); }";
-        assert!(lint_source("crates/rlb-core/src/sim.rs", ok).is_empty());
-    }
-
-    #[test]
     fn lossy_cast_fires_only_in_accounting_scope() {
         let src = "fn f(x: u64) -> u32 { x as u32 }";
         assert_eq!(lint_source("crates/rlb-core/src/stats.rs", src).len(), 1);
@@ -695,60 +455,25 @@ mod tests {
     }
 
     #[test]
-    fn raw_sync_fires_on_thread_spawns() {
-        for bad in [
-            "fn f() { std::thread::spawn(|| {}); }",
-            "fn f() { thread::scope(|s| { s.spawn(|| {}); }); }",
-            "fn f() { rlb_sync::thread::scope(|s| { s.spawn(|| {}); }); }",
-            "fn f() { std::thread::Builder::new(); }",
-        ] {
-            let f = lint_source("crates/rlb-kv/src/directory.rs", bad);
-            assert_eq!(f.len(), 1, "{bad}: {f:?}");
-            assert_eq!(f[0].rule, "raw-sync");
-        }
-    }
-
-    #[test]
-    fn raw_sync_exempts_the_executor_tests_and_allows() {
-        let src = "fn f() { std::thread::spawn(|| {}); thread::scope(|s| {}); }";
-        assert!(lint_source("crates/rlb-pool/src/lib.rs", src).is_empty());
-        assert_eq!(lint_source("crates/rlb-sync/src/lib.rs", src).len(), 2);
-        let test_src = "#[cfg(test)]\nmod tests {\n    fn g() { std::thread::spawn(|| {}); }\n}";
-        assert!(lint_source("crates/rlb-kv/src/directory.rs", test_src).is_empty());
-        let allowed = "// justification here. lint:allow(raw-sync)\nfn f() { \
-                       std::thread::spawn(|| {}); }";
-        assert!(lint_source("crates/rlb-kv/src/directory.rs", allowed).is_empty());
-    }
-
-    #[test]
-    fn raw_sync_permits_sync_primitives_and_benign_thread_reads() {
-        let ok = "use std::sync::{Arc, Mutex};\nuse std::sync::atomic::AtomicUsize;\nfn f() { \
-                  std::thread::sleep(d); let n = std::thread::available_parallelism(); \
-                  let t = std::thread::current(); }";
-        assert!(lint_source("crates/rlb-kv/src/directory.rs", ok).is_empty());
-    }
-
-    #[test]
     fn unused_suppression_is_reported() {
-        let f = lint_core("// lint:allow(determinism)\nfn f() { let x = 3; }");
+        let f = lint_core("// lint:allow(trace-guard)\nfn f() { let x = 3; }");
         assert_eq!(f.len(), 1, "{f:?}");
         assert_eq!(f[0].rule, "unused-suppression");
         assert_eq!(f[0].line, 1);
-        assert!(f[0].message.contains("determinism"), "{}", f[0].message);
+        assert!(f[0].message.contains("trace-guard"), "{}", f[0].message);
     }
 
     #[test]
     fn used_suppression_is_not_reported() {
-        let f = lint_core(
-            "// membership only. lint:allow(determinism)\nfn f() { let s = \
-             std::collections::HashSet::new(); }",
-        );
+        let f = lint_core(&format!(
+            "// a forwarder. lint:allow(trace-guard)\n{UNGUARDED}"
+        ));
         assert!(f.is_empty(), "{f:?}");
     }
 
     #[test]
     fn unused_suppression_skips_test_regions_and_unknown_names() {
-        let in_test = "#[cfg(test)]\nmod tests {\n    // lint:allow(determinism)\n    fn g() {}\n}";
+        let in_test = "#[cfg(test)]\nmod tests {\n    // lint:allow(trace-guard)\n    fn g() {}\n}";
         assert!(lint_core(in_test).is_empty());
         // Prose naming no catalog rule (docs say `lint:allow(<rule>)`).
         let prose = "// suppress with lint:allow(some-rule)\nfn f() {}";
@@ -760,12 +485,14 @@ mod tests {
 
     #[test]
     fn findings_are_ordered_and_displayable() {
-        let src = "fn f(x: Option<u32>) { x.unwrap(); }\nfn g() { let m = \
-                   std::collections::HashMap::new(); }";
-        let f = lint_source("crates/rlb-core/src/sim.rs", src);
-        assert_eq!(f.len(), 2);
-        assert!(f[0].line <= f[1].line);
+        // stats.rs is in both per-file rules' scope.
+        let src = format!("fn f(x: u64) -> u32 {{ x as u32 }}\n{UNGUARDED}");
+        let f = lint_source("crates/rlb-core/src/stats.rs", &src);
+        assert_eq!(f.len(), 2, "{f:?}");
+        assert_eq!((f[0].rule, f[1].rule), ("lossy-cast", "trace-guard"));
+        assert!(f[0].line < f[1].line);
+        assert!(f[0].col > 1, "col is exact: {}", f[0].col);
         let shown = f[0].to_string();
-        assert!(shown.contains("crates/rlb-core/src/sim.rs:1"), "{shown}");
+        assert!(shown.contains("crates/rlb-core/src/stats.rs:1"), "{shown}");
     }
 }

@@ -380,68 +380,6 @@ pub fn next_frame(buf: &mut Vec<u8>, p: &[u8]) -> Option<usize> {
 }
 
 #[test]
-fn clock_laundered_through_helpers_into_a_report_field_is_reported() {
-    // `Instant::now` passes through two helpers before landing in a
-    // `…Report` struct literal; the finding must name both hops.
-    let src = "\
-pub struct RunReport {
-    pub elapsed_ms: u64,
-}
-fn sample_ms() -> u64 {
-    let t = std::time::Instant::now().elapsed().as_millis() as u64; // seeded. lint:allow(determinism)
-    t
-}
-fn laundered() -> u64 {
-    sample_ms()
-}
-pub fn finish() -> RunReport {
-    RunReport { elapsed_ms: laundered() }
-}
-";
-    let report = run(&[("crates/seeded/src/lib.rs", src)], "");
-    let hits = messages(&report, "determinism-flow");
-    assert_eq!(hits.len(), 1, "findings: {}", report.render());
-    assert!(
-        hits[0].contains("reaches a report field"),
-        "sink kind missing: {}",
-        hits[0]
-    );
-    assert!(
-        hits[0].contains("clock (`Instant::now`"),
-        "source missing: {}",
-        hits[0]
-    );
-    assert!(
-        hits[0].contains("returned by `sample_ms`") && hits[0].contains("returned by `laundered`"),
-        "hop chain missing: {}",
-        hits[0]
-    );
-}
-
-#[test]
-fn bench_scoped_clock_use_is_exempt_from_determinism_flow() {
-    // rlb-cli owns wall-clock measurement (`rlb-sim bench`); the
-    // identical pattern there is not a finding.
-    let src = "\
-pub struct RunReport {
-    pub elapsed_ms: u64,
-}
-fn sample_ms() -> u64 {
-    std::time::Instant::now().elapsed().as_millis() as u64
-}
-pub fn finish() -> RunReport {
-    RunReport { elapsed_ms: sample_ms() }
-}
-";
-    let report = run(&[("crates/rlb-cli/src/bench.rs", src)], "");
-    assert!(
-        messages(&report, "determinism-flow").is_empty(),
-        "bench-scoped clock flagged: {}",
-        report.render()
-    );
-}
-
-#[test]
 fn suppressed_seeded_bug_counts_as_a_used_suppression() {
     let src = "\
 pub fn entry(x: Option<u32>) -> u32 {

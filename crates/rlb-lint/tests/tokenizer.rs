@@ -216,21 +216,21 @@ fn tokens_after_multi_line_literals_keep_their_lines() {
 #[test]
 fn suppressions_attach_to_the_line_their_comment_text_is_on() {
     let rules_fired = |above: &str| -> Vec<&str> {
-        let hash_map = "let m = std::collections::HashMap::<u8, u8>::new();";
-        let source = format!("fn f() {{\n{above}\n{hash_map}\n}}\n");
+        let emit = "self.sink.on_event(&ev);";
+        let source = format!("fn f(&mut self) {{\n{above}\n{emit}\n}}\n");
         let findings = rlb_lint::lint_source("crates/rlb-core/src/sim.rs", &source);
         findings.iter().map(|f| f.rule).collect()
     };
     for above in [
-        "let s = \"one\\\n  two\";\n// keyed lookups only. lint:allow(determinism)",
-        "/* keyed lookups only:\n   lint:allow(determinism) */",
+        "let s = \"one\\\n  two\";\n// a forwarder. lint:allow(trace-guard)",
+        "/* a forwarder:\n   lint:allow(trace-guard) */",
     ] {
         assert!(rules_fired(above).is_empty(), "{above:?}");
     }
     // One line further up, the same text suppresses nothing and is dead.
     assert_eq!(
-        rules_fired("/* lint:allow(determinism)\n   keyed lookups only */"),
-        ["unused-suppression", "determinism"]
+        rules_fired("/* lint:allow(trace-guard)\n   a forwarder */"),
+        ["unused-suppression", "trace-guard"]
     );
 }
 

@@ -15,6 +15,15 @@
 //! request again by position ([`Outstanding`]) — no search, no hashing,
 //! one allocation that is reused for the whole run.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use std::collections::VecDeque;
 
 use rlb_metrics::Histogram;
@@ -63,7 +72,7 @@ pub struct ClientConfig {
 /// from the oldest unanswered request to the newest issued one. Same
 /// idiom as `rlb-kv`'s `PendingIndex`: a dense array instead of a map,
 /// O(1) issue and retire, no hashing and no iteration order, so it
-/// stays inside the workspace `determinism` lint.
+/// needs none of the hash types `clippy.toml` disallows.
 ///
 /// **Memory bound:** one slot per request issued since the oldest
 /// unanswered one — where a map would hold only the unanswered. The two

@@ -65,11 +65,13 @@ struct WallClock {
 }
 
 impl WallClock {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a live benchmark measures real elapsed time by design; \
+                  every deterministic path uses virtual ticks instead"
+    )]
     fn start() -> Self {
         Self {
-            // A live benchmark measures real elapsed time by design;
-            // every deterministic path uses virtual ticks instead.
-            // lint:allow(determinism)
             start: std::time::Instant::now(),
         }
     }

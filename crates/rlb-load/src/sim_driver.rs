@@ -19,6 +19,15 @@
 //! transcript and report are a function of the seeds alone, which
 //! `tests/sim_golden.rs` pins against a committed golden.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use std::collections::BTreeMap;
 
 use rlb_core::Policy;

@@ -18,6 +18,15 @@
 //! iteration; the transient response to phased workloads is `T` applied
 //! step by step. Both report through [`Prediction`].
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use crate::model::{MfConfig, MfPolicy, Phase, SolveOptions};
 use rlb_metrics::{linf_distance, Histogram, TailValue};
 

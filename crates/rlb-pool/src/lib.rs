@@ -156,6 +156,10 @@ impl Pool {
         }
         let next = AtomicUsize::new(0);
         let (next, f) = (&next, &f);
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the executor is where the workspace's threads come from"
+        )]
         let mut shares = thread::scope(|scope| {
             let mut helpers = Vec::new();
             let mut mine = Share::new();
@@ -212,6 +216,10 @@ static GLOBAL: OnceLock<Pool> = OnceLock::new();
 
 /// The process-wide pool, created on first use with [`default_jobs`]
 /// executors.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the pool's size is the one place the machine's size is read"
+)]
 pub fn global() -> &'static Pool {
     GLOBAL.get_or_init(|| Pool::new(default_jobs()))
 }
@@ -225,6 +233,10 @@ pub fn set_global_jobs(jobs: usize) -> bool {
 }
 
 /// Default executor count: the machine's available parallelism.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the pool's size is the one place the machine's size is read"
+)]
 pub fn default_jobs() -> usize {
     thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
@@ -268,6 +280,7 @@ mod tests {
     }
 
     #[test]
+    #[expect(clippy::disallowed_methods, reason = "checks the default itself")]
     fn default_jobs_is_positive() {
         assert!(default_jobs() >= 1);
     }

@@ -8,6 +8,11 @@
 //! worker counts far above the job count and far above this machine's
 //! core count.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "the executor's tests bound their waits with wall-clock deadlines"
+)]
+
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};

@@ -45,6 +45,15 @@
 //! by [`ServerCore::reject`], which is what makes the per-tenant,
 //! per-cause counts complete.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use std::collections::{BTreeMap, VecDeque};
 
 use rlb_core::{Decision, Policy, SimConfig};
@@ -125,9 +134,9 @@ impl ServeConfig {
 pub struct ServerCore<P: Policy> {
     kv: KvCluster<P>,
     gate: BacklogGate,
-    /// The value store. `BTreeMap` (not `HashMap`): deterministic
-    /// iteration keeps this crate inside the workspace determinism
-    /// lint, and the key space is tenant-scoped. The request's fold
+    /// The value store. `BTreeMap` (not `HashMap`, which `clippy.toml`
+    /// disallows): deterministic iteration, and the key space is
+    /// tenant-scoped. The request's fold
     /// leads the key so a lookup compares inline words down the tree and
     /// dereferences key bytes only where the fold ties — on the hit, or
     /// on a 64-bit collision, which `(tenant, key)` then tells apart.
@@ -886,7 +895,7 @@ mod tests {
                             reads += 1;
                             hits += usize::from(!want.is_empty());
                         }
-                        other => unreachable!("{other:?} was never asked"),
+                        other => panic!("{other:?} was never asked"),
                     }
                 }
             }
@@ -926,7 +935,7 @@ mod tests {
             }
             keys.push(key);
         }
-        unreachable!("the candidates never run out")
+        panic!("the candidates never run out")
     }
 
     fn get(req_id: u32, key: &[u8]) -> Frame {

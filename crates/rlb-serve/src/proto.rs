@@ -28,6 +28,15 @@
 //! and never an out-of-bounds read (`tests/proto_roundtrip.rs` sweeps
 //! truncations and corruptions of every frame type to pin this).
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 /// Hard cap on a key, in bytes.
 pub const MAX_KEY_LEN: usize = 128;
 

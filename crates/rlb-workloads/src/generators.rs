@@ -230,7 +230,7 @@ mod tests {
     }
 
     fn assert_distinct(v: &[u32]) {
-        let set: std::collections::HashSet<u32> = v.iter().copied().collect();
+        let set: std::collections::BTreeSet<u32> = v.iter().copied().collect();
         assert_eq!(set.len(), v.len(), "duplicates in step: {v:?}");
     }
 
@@ -483,7 +483,7 @@ mod burst_tests {
             w.next_step(step, &mut out);
             let expected = if step % 5 < 3 { 80 } else { 10 };
             assert_eq!(out.len(), expected, "step {step}");
-            let set: std::collections::HashSet<u32> = out.iter().copied().collect();
+            let set: std::collections::BTreeSet<u32> = out.iter().copied().collect();
             assert_eq!(set.len(), out.len(), "step {step} duplicates");
         }
     }

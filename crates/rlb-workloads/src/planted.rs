@@ -68,10 +68,12 @@ pub fn collision_probability_estimate(
     let mut rng = Pcg64::new(seed, 0xc011);
     let mut hits = 0usize;
     let mut scratch = vec![0u32; d];
-    // Keyed by sorted replica sets (entry/lookup only, never iterated),
-    // so hasher seeding cannot leak into results. lint:allow(determinism)
+    #[expect(
+        clippy::disallowed_types,
+        reason = "keyed by sorted replica sets (entry/lookup only, never iterated), \
+                  so hasher seeding cannot leak into results"
+    )]
     let mut counts: std::collections::HashMap<Vec<u32>, usize> =
-        // lint:allow(determinism)
         std::collections::HashMap::with_capacity(k);
     for _ in 0..trials {
         counts.clear();

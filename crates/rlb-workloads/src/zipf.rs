@@ -9,7 +9,8 @@
 //! reappearance dependencies between (not within) steps.
 
 use rlb_core::Workload;
-use rlb_hash::{sample::ZipfSampler, Pcg64};
+use rlb_hash::sample::{DistinctSet, ZipfSampler};
+use rlb_hash::Pcg64;
 
 /// Zipf(α) popularity over `[0, universe)`, `per_step` distinct chunks
 /// per step.
@@ -18,16 +19,9 @@ pub struct ZipfDistinct {
     sampler: ZipfSampler,
     per_step: usize,
     rng: Pcg64,
-    /// Per-step dedup over the chunk universe: a stamped dense array
-    /// (one slot per chunk, generation counter) rather than a
-    /// `HashSet` — O(1) membership, O(1) per-step clear via a
-    /// generation bump, and a deterministic layout (the workspace
-    /// `determinism` lint forbids hash collections here).
-    seen_stamp: Vec<u32>,
-    /// Current step's generation; slots matching it are "seen".
-    seen_gen: u32,
-    /// Distinct chunks accepted so far this step.
-    seen_count: usize,
+    /// This step's chunks, kept across steps: O(per_step) memory
+    /// whatever the universe.
+    seen: DistinctSet,
 }
 
 impl ZipfDistinct {
@@ -41,60 +35,37 @@ impl ZipfDistinct {
             sampler: ZipfSampler::new(universe, alpha),
             per_step,
             rng: Pcg64::new(seed, 0x21bf),
-            seen_stamp: vec![0; universe],
-            seen_gen: 0,
-            seen_count: 0,
+            seen: DistinctSet::default(),
         }
-    }
-
-    /// Starts a fresh step's dedup generation. On the (practically
-    /// unreachable) u32 wrap, resets the stamps so generations never
-    /// alias.
-    fn seen_reset(&mut self) {
-        if self.seen_gen == u32::MAX {
-            self.seen_stamp.fill(0);
-            self.seen_gen = 0;
-        }
-        self.seen_gen += 1;
-        self.seen_count = 0;
-    }
-
-    /// Marks `chunk` seen this step; `true` if it was new.
-    fn seen_insert(&mut self, chunk: u32) -> bool {
-        let slot = &mut self.seen_stamp[chunk as usize];
-        if *slot == self.seen_gen {
-            return false;
-        }
-        *slot = self.seen_gen;
-        self.seen_count += 1;
-        true
     }
 }
 
 impl Workload for ZipfDistinct {
     fn next_step(&mut self, _step: u64, out: &mut Vec<u32>) {
-        self.seen_reset();
+        // At most `per_step` chunks are accepted, the set's capacity.
+        self.seen.reset(self.per_step);
+        let mut accepted = 0usize;
         // Rejection sampling over the skewed distribution; when the
         // remaining tail gets thin (can happen with per_step close to
         // universe and large alpha), fall back to a uniform sweep so the
         // step always completes.
         let mut attempts = 0usize;
         let budget = self.per_step * 64;
-        while self.seen_count < self.per_step && attempts < budget {
+        while accepted < self.per_step && attempts < budget {
             attempts += 1;
             let c = self.sampler.sample(&mut self.rng) as u32;
-            if self.seen_insert(c) {
+            if self.seen.insert(u64::from(c)) {
                 out.push(c);
+                accepted += 1;
             }
         }
-        if self.seen_count < self.per_step {
-            for c in 0..self.sampler.len() as u32 {
-                if self.seen_count >= self.per_step {
-                    break;
-                }
-                if self.seen_insert(c) {
-                    out.push(c);
-                }
+        for c in 0..self.sampler.len() as u32 {
+            if accepted >= self.per_step {
+                break;
+            }
+            if self.seen.insert(u64::from(c)) {
+                out.push(c);
+                accepted += 1;
             }
         }
     }
@@ -116,7 +87,7 @@ mod tests {
         for step in 0..10 {
             let s = collect_step(&mut w, step);
             assert_eq!(s.len(), 100);
-            let set: std::collections::HashSet<u32> = s.iter().copied().collect();
+            let set: std::collections::BTreeSet<u32> = s.iter().copied().collect();
             assert_eq!(set.len(), 100);
         }
     }

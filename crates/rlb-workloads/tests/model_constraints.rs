@@ -17,7 +17,7 @@ fn check_steps(workload: &mut dyn Workload, universe: u64, steps: u64) {
     for step in 0..steps {
         out.clear();
         workload.next_step(step, &mut out);
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for &c in &out {
             assert!((c as u64) < universe, "step {step}: chunk {c} out of range");
             assert!(seen.insert(c), "step {step}: duplicate chunk {c}");
@@ -99,7 +99,7 @@ fn partial_repeat_overlap_tracks_p() {
         let universe = 100_000u64;
         let per_step = 2000usize;
         let mut w = PartialRepeat::new(universe, per_step, p, 7);
-        let mut prev: std::collections::HashSet<u32> = std::collections::HashSet::new();
+        let mut prev: std::collections::BTreeSet<u32> = std::collections::BTreeSet::new();
         let mut total_overlap = 0usize;
         let mut out = Vec::new();
         let rounds = 10;
