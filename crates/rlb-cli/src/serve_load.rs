@@ -153,27 +153,34 @@ fn parse_popularity(spec: &str) -> Result<Popularity, String> {
     let err = || {
         format!("--popularity: expected uniform:U | zipf:ALPHA,U | phased:W,K,T,U, got {spec:?}")
     };
+    // Zipf aliases and phased working sets hold keys as u32s.
+    let at_most_u32 = |universe: u64| {
+        if universe > 1 << 32 {
+            Err(format!(
+                "--popularity: universe must be at most 2^32 keys, got {spec:?}"
+            ))
+        } else {
+            Ok(())
+        }
+    };
     let (kind, args) = spec.split_once(':').ok_or_else(err)?;
     let parts: Vec<&str> = args.split(',').collect();
     match (kind, parts.as_slice()) {
         ("uniform", [u]) => Ok(Popularity::Uniform {
             universe: parse_positive("--popularity", u)?,
         }),
-        ("zipf", [alpha, u]) => Ok(Popularity::Zipf {
-            alpha: parse_float("--popularity", alpha, "finite and >= 0", |a| a >= 0.0)?,
-            universe: parse_positive("--popularity", u)?,
-        }),
+        ("zipf", [alpha, u]) => {
+            let alpha = parse_float("--popularity", alpha, "finite and >= 0", |a| a >= 0.0)?;
+            let universe: usize = parse_positive("--popularity", u)?;
+            at_most_u32(universe as u64)?;
+            Ok(Popularity::Zipf { alpha, universe })
+        }
         ("phased", [w, k, t, u]) => {
             let sets: usize = parse_positive("--popularity", w)?;
             let set_size: usize = parse_positive("--popularity", k)?;
             let ticks_per_phase = parse_positive("--popularity", t)?;
             let universe: u64 = parse_positive("--popularity", u)?;
-            // Keys are drawn as u32 chunk ids.
-            if universe > 1 << 32 {
-                return Err(format!(
-                    "--popularity: universe must be at most 2^32 keys, got {spec:?}"
-                ));
-            }
+            at_most_u32(universe)?;
             if sets
                 .checked_mul(set_size)
                 .is_none_or(|n| n as u64 > universe)
@@ -457,8 +464,12 @@ mod tests {
                 assert!(parse_serve_load_args(side, &args(&line)).is_err(), "{bad}");
             }
         }
-        // The phased bounds are inclusive: W * K = U, and U = 2^32.
-        for good in ["phased:4,8,1,32", "phased:2,3,1,4294967296"] {
+        // The bounds are inclusive: W * K = U, and U = 2^32.
+        for good in [
+            "phased:4,8,1,32",
+            "phased:2,3,1,4294967296",
+            "zipf:1.1,4294967296",
+        ] {
             let line = format!("--sim-clock --popularity {good}");
             assert!(
                 parse_serve_load_args(Side::Load, &args(&line)).is_ok(),

@@ -53,6 +53,7 @@ const CASES: &[(Parser, &str, &str)] = &[
     (LOAD, "--sim-clock --popularity phased:4294967296,4294967296,1,10", "--popularity: W * K must be at most the universe U, got \"phased:4294967296,4294967296,1,10\""),
     (LOAD, "--sim-clock --popularity phased:4,8,1,31", "--popularity: W * K must be at most the universe U, got \"phased:4,8,1,31\""),
     (LOAD, "--sim-clock --popularity phased:2,3,1,10000000000", "--popularity: universe must be at most 2^32 keys, got \"phased:2,3,1,10000000000\""),
+    (SERVE, "--sim-clock --popularity zipf:1.1,4294967297", "--popularity: universe must be at most 2^32 keys, got \"zipf:1.1,4294967297\""),
     // An argument no arm takes.
     (RUN, "--bogus", "unknown option \"--bogus\""),
     (TRACE, "--bogus", "unknown option \"--bogus\""),

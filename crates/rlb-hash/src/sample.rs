@@ -1,4 +1,10 @@
 //! Sampling utilities shared by workload generators and experiments.
+//!
+//! [`ZipfSampler`] is an alias table, 12 bytes a key, built in 16 bytes
+//! a key and read either one draw at a time ([`ZipfSampler::sample`]) or
+//! a block of draws at a time ([`ZipfSampler::sample_into`]), which
+//! returns the same keys from the same rng draws. `zipf_tables_are_pinned`
+//! pins the tables bit for bit.
 
 use crate::mix::fmix64;
 use crate::Rng;
@@ -112,8 +118,20 @@ impl DistinctSet {
     }
 }
 
+/// Most keys a [`ZipfSampler`] can hold: its aliases are `u32`s.
+const MAX_KEYS: u64 = 1 << 32;
+
+/// Draws [`ZipfSampler::sample_into`] makes before it reads the table.
+const BLOCK: usize = 32;
+
 /// A precomputed Zipf(α) sampler over `[0, n)` using the alias method,
 /// giving O(1) sampling after O(n) setup.
+///
+/// The table is 12 bytes a key (`prob` + `alias`), and building it takes
+/// 16: the weights are computed straight into `prob` and scaled there,
+/// and Vose's small and large worklists share one `u32` vector, small
+/// growing from the front and large from the back. An index is on at
+/// most one list at a time, so the two never meet.
 #[derive(Debug, Clone)]
 pub struct ZipfSampler {
     prob: Vec<f64>,
@@ -124,50 +142,70 @@ impl ZipfSampler {
     /// Builds a sampler with `P(i) ∝ 1/(i+1)^alpha` over `[0, n)`.
     ///
     /// # Panics
-    /// Panics if `n == 0` or `alpha` is negative/non-finite.
+    /// Panics if `n == 0`, `n > 2^32`, or `alpha` is negative/non-finite.
     pub fn new(n: usize, alpha: f64) -> Self {
         assert!(n > 0, "Zipf domain must be non-empty");
+        assert!(
+            n as u64 <= MAX_KEYS,
+            "Zipf domain must be at most 2^32 keys, got {n}"
+        );
         assert!(alpha >= 0.0 && alpha.is_finite(), "alpha must be >= 0");
-        let weights: Vec<f64> = (0..n).map(|i| 1.0 / ((i + 1) as f64).powf(alpha)).collect();
-        Self::from_weights(&weights)
+        Self::build((0..n).map(|i| 1.0 / ((i + 1) as f64).powf(alpha)).collect())
     }
 
     /// Builds an alias table from arbitrary non-negative weights.
     ///
     /// # Panics
-    /// Panics if weights are empty, contain negatives/NaN, or sum to zero.
+    /// Panics if weights are empty, more than 2^32, contain
+    /// negatives/NaN, or sum to zero.
     pub fn from_weights(weights: &[f64]) -> Self {
         assert!(!weights.is_empty());
-        let total: f64 = weights.iter().sum();
+        Self::build(weights.to_vec())
+    }
+
+    /// Vose's alias method over `prob`, which holds the weights on entry
+    /// and is scaled in place to mean 1.
+    fn build(mut prob: Vec<f64>) -> Self {
+        let n = prob.len();
         assert!(
-            total > 0.0 && weights.iter().all(|&w| w >= 0.0 && w.is_finite()),
+            n as u64 <= MAX_KEYS,
+            "Zipf domain must be at most 2^32 keys, got {n}"
+        );
+        let total: f64 = prob.iter().sum();
+        assert!(
+            total > 0.0 && prob.iter().all(|&w| w >= 0.0 && w.is_finite()),
             "weights must be non-negative, finite, and not all zero"
         );
-        let n = weights.len();
-        let mut prob = vec![0.0f64; n];
-        let mut alias = vec![0u32; n];
         let scale = n as f64 / total;
-        let mut scaled: Vec<f64> = weights.iter().map(|&w| w * scale).collect();
-        let mut small: Vec<u32> = Vec::with_capacity(n);
-        let mut large: Vec<u32> = Vec::with_capacity(n);
-        for (i, &s) in scaled.iter().enumerate() {
-            if s < 1.0 {
-                small.push(i as u32);
+        let mut alias = vec![0u32; n];
+        // Small is `work[..small]`, top at `small - 1`; large is
+        // `work[large..]`, top at `large`. Each pops LIFO.
+        let mut work = vec![0u32; n];
+        let (mut small, mut large) = (0, n);
+        for (i, p) in prob.iter_mut().enumerate() {
+            *p *= scale;
+            if *p < 1.0 {
+                work[small] = i as u32;
+                small += 1;
             } else {
-                large.push(i as u32);
+                large -= 1;
+                work[large] = i as u32;
             }
         }
-        while let (Some(&s), Some(&l)) = (small.last(), large.last()) {
-            small.pop();
-            prob[s as usize] = scaled[s as usize];
-            alias[s as usize] = l;
-            scaled[l as usize] = (scaled[l as usize] + scaled[s as usize]) - 1.0;
-            if scaled[l as usize] < 1.0 {
-                large.pop();
-                small.push(l);
+        while small > 0 && large < n {
+            small -= 1;
+            let s = work[small] as usize;
+            let l = work[large];
+            alias[s] = l;
+            let rest = (prob[l as usize] + prob[s]) - 1.0;
+            prob[l as usize] = rest;
+            if rest < 1.0 {
+                large += 1;
+                work[small] = l;
+                small += 1;
             }
         }
-        for &i in small.iter().chain(large.iter()) {
+        for &i in work[..small].iter().chain(&work[large..]) {
             prob[i as usize] = 1.0;
         }
         Self { prob, alias }
@@ -181,6 +219,31 @@ impl ZipfSampler {
             i as u64
         } else {
             self.alias[i] as u64
+        }
+    }
+
+    /// Fills `out` with what `out.len()` calls of [`sample`](Self::sample)
+    /// return, leaving `rng` where they would.
+    ///
+    /// The draws are made in the same order, a block of 32 at a time, and
+    /// only then is the block looked up, with a select in place of
+    /// `sample`'s branch: the table reads of a block are independent, so
+    /// their cache misses overlap instead of each waiting behind a
+    /// mispredicted branch.
+    pub fn sample_into<R: Rng>(&self, rng: &mut R, out: &mut [u64]) {
+        let n = self.prob.len();
+        let mut u = [0.0f64; BLOCK];
+        for block in out.chunks_mut(BLOCK) {
+            for (slot, u) in block.iter_mut().zip(&mut u) {
+                *slot = rng.gen_index(n) as u64;
+                *u = rng.gen_f64();
+            }
+            for (slot, &u) in block.iter_mut().zip(&u) {
+                let i = *slot as usize;
+                let alias = u64::from(self.alias[i]);
+                let keep = u64::from(u < self.prob[i]).wrapping_neg();
+                *slot = alias ^ ((alias ^ *slot) & keep);
+            }
         }
     }
 
@@ -385,6 +448,122 @@ mod tests {
         }
         let frac = ones as f64 / n as f64;
         assert!((0.72..0.78).contains(&frac), "frac = {frac}");
+    }
+
+    /// `sample_into` against one `sample` a slot: the same keys, and the
+    /// rng left in the same state, at lengths either side of a block and
+    /// over one key, a flat table, a skewed one and zero weights.
+    #[test]
+    fn sample_into_is_repeated_sample() {
+        let tables = [
+            ZipfSampler::new(1, 1.1),
+            ZipfSampler::new(1000, 0.0),
+            ZipfSampler::new(1000, 1.1),
+            ZipfSampler::from_weights(&[0.0, 2.0, 0.0, 1.0, 5.0, 0.0]),
+        ];
+        for (t, z) in tables.iter().enumerate() {
+            for len in [0, 1, 31, 32, 33, 100] {
+                let mut batch = Pcg64::new(t as u64, len as u64);
+                let mut one = batch.clone();
+                let mut out = vec![u64::MAX; len];
+                z.sample_into(&mut batch, &mut out);
+                let want: Vec<u64> = (0..len).map(|_| z.sample(&mut one)).collect();
+                assert_eq!(out, want, "table {t}, length {len}");
+                assert_eq!(batch, one, "table {t}, length {len}: rng state");
+            }
+        }
+    }
+
+    /// Every draw is 0: index 0, then u = 0.0.
+    struct Zeros;
+
+    impl Rng for Zeros {
+        fn next_u64(&mut self) -> u64 {
+            0
+        }
+    }
+
+    /// A zero-weight key keeps probability 0.0, so it is never drawn,
+    /// not even at u = 0.0, where `u < prob` and `u <= prob` part.
+    #[test]
+    fn a_zero_weight_key_is_never_drawn() {
+        let z = ZipfSampler::from_weights(&[0.0, 1.0]);
+        assert_eq!(z.sample(&mut Zeros), 1);
+        let mut out = [u64::MAX; 3];
+        z.sample_into(&mut Zeros, &mut out);
+        assert_eq!(out, [1; 3]);
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    #[should_panic(expected = "at most 2^32 keys")]
+    fn zipf_refuses_a_domain_past_u32() {
+        let _ = ZipfSampler::new((1 << 32) + 1, 1.1);
+    }
+
+    /// A table's every `prob` bit pattern and `alias` entry, in order.
+    fn table_digest(z: &ZipfSampler) -> u64 {
+        let mix2 = crate::mix::mix2;
+        z.prob
+            .iter()
+            .zip(&z.alias)
+            .fold(z.len() as u64, |h, (p, &a)| {
+                mix2(mix2(h, p.to_bits()), u64::from(a))
+            })
+    }
+
+    /// The alias tables themselves, bit for bit: n × α through `new`,
+    /// then `from_weights` with zero weights between others and with
+    /// every weight equal (each scales to exactly 1.0, so no key is
+    /// small). Captured from the build that kept its weights, scaled
+    /// copy and two worklists in separate vectors.
+    #[test]
+    fn zipf_tables_are_pinned() {
+        const NS: [usize; 5] = [1, 2, 7, 1_000, 100_000];
+        const ALPHAS: [f64; 4] = [0.0, 0.5, 1.1, 2.0];
+        const PINNED: [[u64; 4]; 5] = [
+            [0x323c7766e7664776; 4],
+            [
+                0xbc02f4a7d64f8c4e,
+                0xa8caa581fa2ae535,
+                0xf2d84ec46cc324b4,
+                0xdea175b3a323053b,
+            ],
+            [
+                0x888df63e43330c62,
+                0xd34bb8080d6b9788,
+                0x2b468354fcf1cf6c,
+                0x8475c6da95f86530,
+            ],
+            [
+                0xa00440620d0a836c,
+                0xf22ed51fc13df9ff,
+                0xedb4202269e3158d,
+                0xbd2403e1c2ceaf64,
+            ],
+            [
+                0x4af554cf45c05ed3,
+                0xab67ba9c4a06bae1,
+                0x4ff0880c3203be04,
+                0xc58efb21fc97cd7f,
+            ],
+        ];
+        const WEIGHTS_PINNED: [u64; 2] = [0x15f24a2dcff4332e, 0xdef7af73e9a88d07];
+        let mut got = [[0u64; 4]; 5];
+        for (&n, row) in NS.iter().zip(&mut got) {
+            for (&alpha, digest) in ALPHAS.iter().zip(row.iter_mut()) {
+                *digest = table_digest(&ZipfSampler::new(n, alpha));
+            }
+        }
+        let weights = [
+            table_digest(&ZipfSampler::from_weights(&[0.0, 2.0, 0.0, 1.0, 5.0, 0.0])),
+            table_digest(&ZipfSampler::from_weights(&[3.0; 9])),
+        ];
+        assert_eq!(
+            (got, weights),
+            (PINNED, WEIGHTS_PINNED),
+            "tables moved: {got:#x?} {weights:#x?}"
+        );
     }
 
     #[test]

@@ -14,6 +14,11 @@
 //! A client issues its `req_id`s itself, consecutively, so it finds a
 //! request again by position ([`Outstanding`]) — no search, no hashing,
 //! one allocation that is reused for the whole run.
+//!
+//! [`Client::on_tick`] draws all of a tick's keys into a reused buffer
+//! before it issues the first request. The key picker's rng is its own,
+//! apart from the op choice and the arrivals, so the frames are the
+//! ones a key drawn per request gave (`on_tick_frames_are_pinned`).
 
 #![deny(
     clippy::unwrap_used,
@@ -147,6 +152,8 @@ pub struct Client {
     cfg: ClientConfig,
     arrivals: Option<PoissonArrivals>,
     picker: KeyPicker,
+    /// A tick's keys, drawn before its requests are issued; reused.
+    keys: Vec<u64>,
     op_rng: rlb_hash::Pcg64,
     outstanding: Outstanding,
     /// Outstanding high-water mark.
@@ -173,6 +180,7 @@ impl Client {
             cfg,
             arrivals,
             picker,
+            keys: Vec::new(),
             op_rng,
             outstanding: Outstanding::starting_at(1),
             hwm: 0,
@@ -240,16 +248,21 @@ impl Client {
             }
         };
         let want = want.min(self.cfg.total_requests.saturating_sub(self.sent));
-        out.reserve(usize::try_from(want).unwrap_or(0));
-        for _ in 0..want {
-            out.push(self.issue(now));
+        // `want` is at most the window or one tick's arrivals, both u32.
+        let want = usize::try_from(want).unwrap_or(0);
+        let mut keys = std::mem::take(&mut self.keys);
+        keys.resize(want, 0);
+        self.picker.pick_into(now, &mut keys);
+        out.reserve(want);
+        for &key_id in &keys {
+            out.push(self.issue(now, key_id));
         }
+        self.keys = keys;
     }
 
-    fn issue(&mut self, now: u64) -> Frame {
+    fn issue(&mut self, now: u64, key_id: u64) -> Frame {
         use rlb_hash::Rng as _;
         let req_id = self.outstanding.issue(now);
-        let key_id = self.picker.pick(now);
         let key = key_id.to_le_bytes().to_vec();
         self.hwm = self.hwm.max(self.outstanding.live);
         self.sent += 1;
@@ -654,6 +667,62 @@ mod tests {
         assert_eq!(c.latency, model.latency);
         assert_eq!(c.sent(), total);
         assert_eq!(c.responses(), total);
+    }
+
+    /// A digest of every frame `on_tick` issues and the tick it issues
+    /// it at, open and closed loop, over Zipf and phased keys, each
+    /// tick's requests answered at the next tick. Captured when each
+    /// request drew its key as it was issued.
+    #[test]
+    fn on_tick_frames_are_pinned() {
+        const PINNED: [[u64; 2]; 2] = [
+            [0xfb6e3a8949402c55, 0x0637b52d098581de],
+            [0x3b2710ed978a70bf, 0xbb75e254f0002c1d],
+        ];
+        let modes = [Mode::Open { rate: 3.5 }, Mode::Closed { concurrency: 40 }];
+        let shapes = [
+            Popularity::Zipf {
+                alpha: 1.1,
+                universe: 100_000,
+            },
+            Popularity::Phased {
+                sets: 4,
+                set_size: 64,
+                ticks_per_phase: 5,
+                universe: 100_000,
+            },
+        ];
+        let mut got = [[0u64; 2]; 2];
+        for (mode, row) in modes.iter().zip(&mut got) {
+            for (shape, digest) in shapes.iter().zip(row.iter_mut()) {
+                let mut c = Client::new(ClientConfig {
+                    tenant: 3,
+                    mode: mode.clone(),
+                    popularity: shape.clone(),
+                    put_ratio: 0.3,
+                    total_requests: 2_000,
+                    seed: 7,
+                });
+                let mut out = Vec::new();
+                let mut now = 0;
+                while !c.done() {
+                    for req_id in ids(&out) {
+                        assert!(c.on_frame(now, &reply(req_id)));
+                    }
+                    out.clear();
+                    c.on_tick(now, &mut out);
+                    for frame in &out {
+                        let at = rlb_hash::mix::mix2(*digest, now);
+                        *digest = frame
+                            .to_bytes()
+                            .iter()
+                            .fold(at, |h, &b| rlb_hash::mix::mix2(h, u64::from(b)));
+                    }
+                    now += 1;
+                }
+            }
+        }
+        assert_eq!(got, PINNED, "frames moved: {got:#x?}");
     }
 
     #[test]

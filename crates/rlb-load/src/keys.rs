@@ -16,6 +16,12 @@
 //! builds it only when no live picker on the thread holds one. The memo
 //! owns nothing, so a table lives exactly as long as its last picker.
 //! Each picker keeps its own `rng`, so sharing moves no key stream.
+//!
+//! A client draws a tick's keys in one call: the crate-private
+//! `KeyPicker::pick_into` hands a Zipf picker's whole batch to
+//! [`ZipfSampler::sample_into`], whose table reads overlap, and picks
+//! the other shapes one by one. It returns exactly what as many
+//! [`KeyPicker::pick`] calls would.
 
 use std::cell::Cell;
 use std::sync::{Arc, Weak};
@@ -156,6 +162,20 @@ impl KeyPicker {
             }
         }
     }
+
+    /// Fills `out` with the keys of `out.len()` requests issued at `tick`:
+    /// what as many [`pick`](Self::pick) calls return. A Zipf picker draws
+    /// them in one [`ZipfSampler::sample_into`]; the other shapes pick
+    /// one by one.
+    pub(crate) fn pick_into(&mut self, tick: u64, out: &mut [u64]) {
+        if let PickerKind::Zipf(sampler) = &self.kind {
+            sampler.sample_into(&mut self.rng, out);
+        } else {
+            for slot in out {
+                *slot = self.pick(tick);
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -236,6 +256,37 @@ mod tests {
             }
         }
         assert_eq!(got, PINNED, "key streams moved: {got:#x?}");
+    }
+
+    /// The batch form against `pick`, for every shape: the same keys over
+    /// lengths either side of a sampler block, on ticks that move the
+    /// phased working set with the batch the first to draw on the new
+    /// tick, and pickers left in step.
+    #[test]
+    fn pick_into_is_repeated_pick() {
+        let shapes = [
+            Popularity::Uniform { universe: 1000 },
+            zipf(1.1, 5000),
+            Popularity::Phased {
+                sets: 3,
+                set_size: 16,
+                ticks_per_phase: 1,
+                universe: 1000,
+            },
+        ];
+        for shape in &shapes {
+            let mut batch = KeyPicker::new(shape, 9);
+            let mut one = KeyPicker::new(shape, 9);
+            for (tick, len) in [(0, 5), (0, 40), (1, 33), (2, 0), (2, 1), (3, 64), (7, 100)] {
+                let mut out = vec![u64::MAX; len];
+                batch.pick_into(tick, &mut out);
+                let want: Vec<u64> = (0..len).map(|_| one.pick(tick)).collect();
+                assert_eq!(out, want, "{shape:?} at tick {tick}");
+            }
+            for tick in 8..40 {
+                assert_eq!(batch.pick(tick), one.pick(tick), "{shape:?} at tick {tick}");
+            }
+        }
     }
 
     fn table(p: &KeyPicker) -> &Arc<ZipfSampler> {
