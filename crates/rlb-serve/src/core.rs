@@ -33,7 +33,12 @@
 //! Values live in one ordered map keyed `(fold, tenant, key)`, where
 //! `fold` is the `key_to_u64` the request already carries for the chunk
 //! directory: a lookup is decided by one inline word at almost every
-//! node and reads key bytes only where folds tie.
+//! node and reads key bytes only where folds tie. Puts apply and gets
+//! read in reply order, at the tick the reply leaves. The buffer a put
+//! replaces is not freed there: a later get of the same tick copies its
+//! reply into it, so a tick that writes and reads values moves bytes
+//! between buffers it already holds. What no get took is dropped when
+//! the tick ends, so no value outlives the tick that replaced it.
 //!
 //! ## Admission and rejects
 //!
@@ -141,6 +146,8 @@ pub struct ServerCore<P: Policy> {
     /// dereferences key bytes only where the fold ties — on the hit, or
     /// on a 64-bit collision, which `(tenant, key)` then tells apart.
     /// Nothing iterates the store, so its order is nobody's output.
+    /// A put hands the value it replaces to `replaced`, not to the
+    /// allocator.
     store: BTreeMap<(u64, u16, Vec<u8>), Vec<u8>>,
     /// Admitted since the last tick, already handed to `kv`.
     staged: Vec<Request>,
@@ -153,6 +160,11 @@ pub struct ServerCore<P: Policy> {
     /// growth: ring + spares never hold more buckets than the ring's
     /// longest extent, and a steady run allocates none.
     spare: Vec<Vec<Request>>,
+    /// Values a put in this tick's replies took out of the store: the
+    /// gets after it copy their replies into these buffers instead of
+    /// new ones. Emptied at the end of every tick, so no buffer
+    /// outlives the tick that replaced it.
+    replaced: Vec<Vec<u8>>,
     tick: u64,
     tenants: Vec<TenantServeStats>,
     pings: u64,
@@ -174,6 +186,7 @@ impl<P: Policy> ServerCore<P> {
             staged: Vec::new(),
             scheduled: VecDeque::new(),
             spare: Vec::new(),
+            replaced: Vec::new(),
             tick: 0,
             tenants: Vec::new(),
             pings: 0,
@@ -332,9 +345,19 @@ impl<P: Policy> ServerCore<P> {
         for req in bucket.drain(..) {
             let key = (req.fold, req.tenant, req.key);
             let value = match req.value {
-                None => self.store.get(&key).cloned().unwrap_or_default(),
+                None => match self.store.get(&key) {
+                    Some(stored) => {
+                        let mut reply = self.replaced.pop().unwrap_or_default();
+                        reply.clear();
+                        reply.extend_from_slice(stored);
+                        reply
+                    }
+                    None => Vec::new(),
+                },
                 Some(value) => {
-                    self.store.insert(key, value);
+                    if let Some(old) = self.store.insert(key, value) {
+                        self.replaced.push(old);
+                    }
                     Vec::new()
                 }
             };
@@ -350,6 +373,7 @@ impl<P: Policy> ServerCore<P> {
             ));
         }
         self.spare.push(bucket);
+        self.replaced.clear();
         out
     }
 
@@ -901,6 +925,146 @@ mod tests {
             }
             assert!(reads > 500 && hits > 250, "{reads} reads, {hits} non-empty");
             assert_eq!(c.store.len(), model.len());
+        }
+    }
+
+    /// Admits `frames` in one tick, then ticks until replies come out,
+    /// and returns them with the frames they answer, in reply order.
+    fn one_batch(c: &mut ServerCore<Greedy>, frames: Vec<Frame>) -> Vec<(Frame, Vec<u8>)> {
+        let mut asked = BTreeMap::new();
+        for frame in frames {
+            let req_id = match &frame {
+                Frame::Get { req_id, .. } | Frame::Put { req_id, .. } => *req_id,
+                other => panic!("{other:?} is not a request"),
+            };
+            asked.insert(req_id, frame.clone());
+            assert_eq!(c.on_frame(0, frame), None);
+        }
+        let mut out = Vec::new();
+        while out.is_empty() {
+            out = c.tick();
+            assert!(c.replaced.is_empty(), "a replaced value outlived its tick");
+        }
+        assert_eq!(out.len(), asked.len(), "one key's batch is one bucket");
+        out.into_iter()
+            .map(|(_, frame)| match frame {
+                Frame::Reply { req_id, value, .. } => {
+                    (asked.remove(&req_id).expect("asked once"), value)
+                }
+                other => panic!("expected a reply, got {other:?}"),
+            })
+            .collect()
+    }
+
+    /// Overwrites and reads of one key, admitted together so that they
+    /// share a bucket, with values empty, a byte, either side of 8 bytes
+    /// and at the wire's 4 KiB limit: every get's reply holds exactly
+    /// what a plain map holds at that point of the bucket, whichever
+    /// buffer it was built in. A put's bytes differ from those of the
+    /// puts just before it, so a reply that kept a recycled buffer's old
+    /// bytes, or a get answered after a put that followed it, reads
+    /// wrong.
+    #[test]
+    fn replies_built_in_recycled_buffers_are_exactly_the_stored_values() {
+        use rlb_hash::{Pcg64, Rng};
+
+        const LENS: [usize; 6] = [0, 1, 8, 9, 4095, 4096];
+        let key = b"one key".to_vec();
+        let mut rng = Pcg64::new(1, 0x7265_6379_636c_6564);
+        let mut c = core();
+        let mut model: BTreeMap<(u16, Vec<u8>), Vec<u8>> = BTreeMap::new();
+        let (mut req_id, mut puts) = (0u32, 0u8);
+        // Gets answered after a put in their bucket replaced a non-empty
+        // value, and gets whose reply came in a buffer longer than it.
+        let (mut after_a_replace, mut in_a_spare) = (0, 0);
+        for _ in 0..300 {
+            let mut frames = Vec::new();
+            for _ in 0..1 + rng.gen_range(12) {
+                req_id += 1;
+                frames.push(if rng.gen_range(2) == 0 {
+                    puts = puts.wrapping_add(1);
+                    let len = LENS[rng.gen_index(LENS.len())];
+                    Frame::Put {
+                        req_id,
+                        tenant: 0,
+                        key: key.clone(),
+                        value: (0..len).map(|i| puts ^ (i as u8)).collect(),
+                    }
+                } else {
+                    get(req_id, &key)
+                });
+            }
+            let mut replaced = false;
+            for (asked, value) in one_batch(&mut c, frames) {
+                match asked {
+                    Frame::Put {
+                        tenant,
+                        key,
+                        value: put,
+                        ..
+                    } => {
+                        assert!(value.is_empty());
+                        let old = model.insert((tenant, key), put);
+                        replaced |= old.is_some_and(|old| !old.is_empty());
+                    }
+                    Frame::Get { tenant, key, .. } => {
+                        let want = model.get(&(tenant, key)).cloned().unwrap_or_default();
+                        assert_eq!(value, want, "req {req_id}");
+                        after_a_replace += usize::from(replaced);
+                        in_a_spare += usize::from(value.capacity() >= 4095 && value.len() < 4095);
+                    }
+                    other => panic!("{other:?} was never asked"),
+                }
+            }
+        }
+        assert!(
+            after_a_replace > 200,
+            "{after_a_replace} gets after a replace"
+        );
+        assert!(in_a_spare > 50, "{in_a_spare} replies in a replaced buffer");
+        assert_eq!(c.store.len(), 1);
+    }
+
+    /// The buffers a tick's puts replace are gone when the tick ends,
+    /// whether the tick only writes, only reads or does both: the store
+    /// holds no more values than the parent's did.
+    #[test]
+    fn no_value_buffer_outlives_its_tick() {
+        let keys: Vec<Vec<u8>> = (0..4u8).map(|k| vec![k; 8]).collect();
+        let put = |req_id: u32, key: &[u8]| Frame::Put {
+            req_id,
+            tenant: 0,
+            key: key.to_vec(),
+            value: vec![req_id as u8; 4096],
+        };
+        let only_puts = |_: u32| true;
+        let only_gets = |_: u32| false;
+        let mixed = |req_id: u32| req_id % 3 != 2;
+        for is_put in [only_puts as fn(u32) -> bool, only_gets, mixed] {
+            let mut c = core();
+            let mut req_id = 0;
+            for _ in 0..64 {
+                for key in &keys {
+                    for _ in 0..3 {
+                        req_id += 1;
+                        let frame = if is_put(req_id) {
+                            put(req_id, key)
+                        } else {
+                            get(req_id, key)
+                        };
+                        assert_eq!(c.on_frame(0, frame), None);
+                    }
+                }
+                c.tick();
+                assert!(c.replaced.is_empty(), "a replaced value outlived its tick");
+            }
+            for _ in 0..64 {
+                c.tick();
+                assert!(c.replaced.is_empty());
+            }
+            assert!(c.drained());
+            let stored = if is_put(1) { keys.len() } else { 0 };
+            assert_eq!(c.store.len(), stored);
         }
     }
 

@@ -16,7 +16,7 @@ use std::io::{ErrorKind, Read, Write};
 
 use rlb_core::policies::Greedy;
 use rlb_core::SimConfig;
-use rlb_serve::proto::{Frame, FrameReader, RejectCause};
+use rlb_serve::proto::{Frame, FrameReader, RejectCause, MAX_VALUE_LEN};
 use rlb_serve::{pass, pipe, PipeEnd, ServeConfig, ServerCore, Session};
 
 /// A pipe end that moves one byte a call and refuses every other call,
@@ -253,6 +253,80 @@ fn one_byte_reads_and_writes_change_no_response_and_no_count() {
     };
     assert_eq!(count(turned_away), 12 - GATE as usize);
     assert!(whole.retired.is_empty());
+}
+
+#[test]
+fn values_at_the_wire_limit_read_back_as_a_map_holds_them() {
+    // Two sessions, a tenant each, send a step's four requests at once:
+    // a key is read, overwritten and read again in one tick, so the
+    // second read is built in the buffer the put replaced, and the
+    // other key is read after it.
+    let keys = ["alpha", "beta"];
+    let mut script = Vec::new();
+    for step in 0..16u32 {
+        let (key, other) = (keys[step as usize % 2], keys[1 - step as usize % 2]);
+        let acts = (0..2u32).map(|sid| {
+            let tenant = sid as u16;
+            let fill = (step * 2 + sid) as u8;
+            let put = Frame::Put {
+                req_id: step * 4 + 1,
+                tenant,
+                key: key.as_bytes().to_vec(),
+                value: (0..MAX_VALUE_LEN).map(|b| fill ^ b as u8).collect(),
+            };
+            let first = step * 4;
+            send(
+                sid,
+                &[
+                    get(first, tenant, key),
+                    put,
+                    get(first + 2, tenant, key),
+                    get(first + 3, tenant, other),
+                ],
+            )
+        });
+        script.push(acts.collect());
+    }
+    let r = run(plain, &script);
+
+    // Each session's replies, in the order it read them, against a map
+    // of its own tenant's keys; the script is decoded back from the
+    // bytes each session sent.
+    let mut read_back = 0;
+    for (sid, bytes) in r.received {
+        let sent = script.iter().flatten().filter(|act| act.sid == sid);
+        let asked = frames(&sent.flat_map(|act| act.bytes.clone()).collect::<Vec<u8>>());
+        let replies = frames(&bytes);
+        assert_eq!(replies.len(), asked.len(), "session {sid}");
+        let mut model: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
+        for (asked, reply) in asked.into_iter().zip(replies) {
+            let Frame::Reply { req_id, value, .. } = reply else {
+                panic!("session {sid}: {reply:?}");
+            };
+            match asked {
+                Frame::Put {
+                    req_id: id,
+                    key,
+                    value: v,
+                    ..
+                } => {
+                    assert_eq!((id, value.len()), (req_id, 0));
+                    model.insert(key, v);
+                }
+                Frame::Get {
+                    req_id: id, key, ..
+                } => {
+                    assert_eq!(id, req_id, "session {sid}: replies in request order");
+                    let want = model.get(&key).cloned().unwrap_or_default();
+                    assert!(value == want, "session {sid} req {req_id}: wrong bytes");
+                    read_back += usize::from(value.len() == MAX_VALUE_LEN);
+                }
+                other => panic!("{other:?} was never asked"),
+            }
+        }
+    }
+    // Per session: one read in step 0, two in step 1, three a step on.
+    assert_eq!(read_back, 2 * (1 + 2 + 3 * 14));
 }
 
 /// Session 1 sends two gets and, when `hang_up`, half of a third before
