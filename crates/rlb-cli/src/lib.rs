@@ -656,7 +656,7 @@ mod tests {
             "--root".to_string(),
             root.clone(),
             "--rule".to_string(),
-            "untrusted-input".to_string(),
+            "lossy-cast".to_string(),
         ])
         .unwrap();
         assert!(clean && !out.contains("dead-pub"), "{out}");
@@ -666,7 +666,7 @@ mod tests {
             "--root".to_string(),
             root,
             "--rule".to_string(),
-            "untrusted-input".to_string(),
+            "lossy-cast".to_string(),
             "--rule".to_string(),
             "dead-pub".to_string(),
         ])

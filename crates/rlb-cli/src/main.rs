@@ -86,8 +86,8 @@ const USAGE: &str = "rlb-sim: simulate a load-balanced distributed KV store\n\n\
      \x20                   run the workspace's static-analysis pass (rlb-lint) over\n\
      \x20                   crates/*/src (trace-guard, lossy-cast; call-graph passes:\n\
      \x20                   panic-path, unchecked-arith, dead-pub, dead-suppression\n\
-     \x20                   detection; flow pass: untrusted-input; determinism and\n\
-     \x20                   hot-path panics are clippy's, see clippy.toml);\n\
+     \x20                   detection; determinism and hot-path panics are clippy's,\n\
+     \x20                   see clippy.toml);\n\
      \x20                   --json emits a machine-readable report (to stdout, or to\n\
      \x20                   PATH with the text summary kept on stdout); --rule keeps\n\
      \x20                   only findings of the named rule(s), repeatable;\n\

@@ -6,9 +6,9 @@
 //! macros/indexing/slice patterns/`/`-`%`) and bare-arithmetic sites
 //! (`+ - * <<` and their compound assignments).
 //!
-//! Resolution (one [`Resolver`], shared with the tier-3 passes) is
-//! deliberately approximate, erring toward *fewer* edges, with the
-//! boundaries documented here and in ARCHITECTURE.md:
+//! Resolution (one `Resolver`) is deliberately approximate, erring
+//! toward *fewer* edges, with the boundaries documented here and in
+//! ARCHITECTURE.md:
 //!
 //! * `Type::name(..)` and `Self::name(..)` resolve through the
 //!   (owner, name) table; `module::name(..)` falls back to free
@@ -161,9 +161,8 @@ impl CallGraph {
 
 /// What a call site resolved to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Resolution<'r> {
-    /// Exactly one workspace function: the graph draws an edge, and
-    /// the tier-3 passes apply the callee's summary.
+enum Resolution<'r> {
+    /// Exactly one workspace function: the graph draws an edge.
     One(usize),
     /// Several candidates share the name. No edge is drawn (the
     /// documented false-negative boundary); the candidates go to
@@ -174,10 +173,8 @@ pub(crate) enum Resolution<'r> {
 }
 
 /// The one place a call site is resolved to a callee: [`build`] draws
-/// its edges from it and the tier-3 passes ask it for callee
-/// *identity* (to apply a function summary), so they resolve exactly
-/// the calls the graph drew. Test fns are in none of the tables.
-pub(crate) struct Resolver<'a> {
+/// its edges from it. Test fns are in none of the tables.
+struct Resolver<'a> {
     /// owner → name → ids: every fn declared in an `impl`/`trait`.
     by_owner_name: BTreeMap<&'a str, BTreeMap<&'a str, Vec<usize>>>,
     /// The `self`-taking subset of the above, by name alone.
@@ -219,7 +216,7 @@ impl<'a> Resolver<'a> {
 
     /// Resolves a call to `name` preceded by `prev`/`prev2` (the two
     /// code tokens before the name), made from inside node `caller`.
-    pub(crate) fn resolve(
+    fn resolve(
         &self,
         caller: usize,
         name: &str,
@@ -283,21 +280,20 @@ const NON_VALUE_KEYWORDS: &[&str] = &[
     "while", "yield",
 ];
 
-pub(crate) fn is_value_ident(text: &str) -> bool {
+fn is_value_ident(text: &str) -> bool {
     !NON_VALUE_KEYWORDS.contains(&text)
 }
 
 /// `Send`, `FnOnce`, `Iterator` … — CamelCase identifiers next to a
 /// `+` are trait bounds (`dyn Fn() + Send`), not arithmetic.
 /// ALL-CAPS constants (`MAX_FRAME_LEN`) stay arithmetic operands.
-pub(crate) fn is_camel_type(text: &str) -> bool {
+fn is_camel_type(text: &str) -> bool {
     text.starts_with(|c: char| c.is_ascii_uppercase())
         && text.chars().any(|c| c.is_ascii_lowercase())
 }
 
-/// Builds the graph over every parsed file, and hands back the
-/// resolver its edges were drawn from.
-pub(crate) fn build(files: &[ParsedFile]) -> (CallGraph, Resolver<'_>) {
+/// Builds the graph over every parsed file.
+pub(crate) fn build(files: &[ParsedFile]) -> CallGraph {
     let mut g = CallGraph::default();
     // node id lookup for (file, item)
     let mut node_of: BTreeMap<(usize, usize), usize> = BTreeMap::new();
@@ -421,7 +417,7 @@ pub(crate) fn build(files: &[ParsedFile]) -> (CallGraph, Resolver<'_>) {
         e.sort_unstable();
         e.dedup();
     }
-    (g, resolver)
+    g
 }
 
 /// Operand-level exemptions for the arithmetic pass: float-adjacent
@@ -483,7 +479,7 @@ mod tests {
 
     fn graph_of(files: &[(&str, &str)]) -> (Vec<ParsedFile>, CallGraph) {
         let parsed = parse(files);
-        let g = build(&parsed).0;
+        let g = build(&parsed);
         (parsed, g)
     }
 
@@ -544,7 +540,8 @@ mod tests {
             "fn f(x: &T) { x.probe(); }\n\
              #[cfg(test)]\nmod tests { impl Fake { fn probe(&self) { panic!() } } }",
         )]);
-        let (g, resolver) = build(&files);
+        let g = build(&files);
+        let resolver = Resolver::new(&files, &g.nodes);
         let f = node(&g, "f");
         assert!(g.edges[f].is_empty());
         assert_eq!(
@@ -570,7 +567,8 @@ mod tests {
             ),
             ("crates/c/src/lib.rs", "fn from_c() {}"),
         ]);
-        let (g, resolver) = build(&files);
+        let g = build(&files);
+        let resolver = Resolver::new(&files, &g.nodes);
         // Node id of the fn `qname` declared in crate `krate`.
         let id = |krate: &str, qname: &str| {
             let found = g

@@ -81,23 +81,9 @@ impl ParsedFile {
         self.tok(c).lo
     }
 
-    /// 1-based line of the token at code position `c`.
-    pub(crate) fn line(&self, c: usize) -> usize {
-        self.tokens.line_of(self.byte(c))
-    }
-
     /// Is there a token at code position `c`, and is it exactly `s`?
     pub(crate) fn at(&self, c: usize, s: &str) -> bool {
         c < self.code.len() && self.text(c) == s
-    }
-
-    /// The code-position range of a token-index range (a fn item's
-    /// `body_toks`).
-    pub(crate) fn code_range(&self, toks: (usize, usize)) -> (usize, usize) {
-        (
-            self.code.partition_point(|&ti| ti < toks.0),
-            self.code.partition_point(|&ti| ti < toks.1),
-        )
     }
 
     /// Code position of the bracket closing the opener at `open`,
@@ -119,24 +105,6 @@ impl ParsedFile {
             }
         }
         hi.saturating_sub(1).max(open)
-    }
-
-    /// First position in `[lo, hi)` at bracket depth 0 whose text
-    /// satisfies `is`.
-    pub(crate) fn depth0(&self, lo: usize, hi: usize, is: impl Fn(&str) -> bool) -> Option<usize> {
-        let mut depth = 0usize;
-        for c in lo..hi {
-            let t = self.text(c);
-            if depth == 0 && is(t) {
-                return Some(c);
-            }
-            match t {
-                "(" | "[" | "{" => depth += 1,
-                ")" | "]" | "}" => depth = depth.saturating_sub(1),
-                _ => {}
-            }
-        }
-        None
     }
 }
 
@@ -810,7 +778,7 @@ mod tests {
     }
 
     #[test]
-    fn bracket_matcher_nests_clamps_and_skips_for_the_depth0_finder() {
+    fn bracket_matcher_nests_and_clamps() {
         // 0 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15
         // f ( a [ 1 ] , { ( b )  }  )  +  g  (
         let pf = ParsedFile::new("crates/x/src/lib.rs", "f(a[1], { (b) }) + g(");
@@ -825,10 +793,6 @@ mod tests {
         // An opener at `hi - 1` (here also the unclosed `g(`): itself.
         assert_eq!(pf.matching(15, n), 15);
         assert_eq!(pf.matching(1, 2), 1);
-        // The depth-0 finder sees the `,` only from inside the call.
-        assert_eq!(pf.depth0(0, n, |t| t == ","), None);
-        assert_eq!(pf.depth0(2, 12, |t| t == ","), Some(6));
-        assert_eq!(pf.depth0(0, n, |t| t == "+"), Some(13));
     }
 
     #[test]

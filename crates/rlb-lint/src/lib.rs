@@ -4,9 +4,8 @@
 //! compiler does not enforce. The tracing hot path is **zero-overhead
 //! when disabled** (every emission compiles out behind `if
 //! S::ENABLED`; the repo benchmark's `engine-*` workloads measure the
-//! result), accounting never narrows a counter, nothing reachable from
-//! a request path panics, and wire-decoded lengths are validated
-//! before use. This crate guards them statically. **Determinism per
+//! result), accounting never narrows a counter, and nothing reachable
+//! from a request path panics. This crate guards them statically. **Determinism per
 //! seed** (no `HashMap`, clock read or raw thread) and the hot-path
 //! panic discipline are clippy's: the root `clippy.toml` disallows the
 //! types and methods, and the hot-path files `#![deny]` the panic
@@ -17,21 +16,20 @@
 //! view and the one cursor (token text/kind/position, bracket
 //! matching) all passes walk it with. The rule catalog, the finding
 //! type and the suppression machinery live in [`rules`]. The analysis
-//! has three tiers:
+//! has two tiers:
 //!
 //! 1. **Per-file rules** ([`rules`]) — trace-guard, lossy-cast.
 //! 2. **Workspace passes** ([`passes`]) over a name-resolution-
-//!    approximate call graph ([`callgraph`], whose one resolver the
-//!    flow passes share): panic-reachability and unchecked arithmetic
-//!    inside the cones of the roots declared in `lint-roots.toml`
-//!    ([`roots`]), plus a dead-pub-surface sweep that counts
-//!    references from every crate, test, example, and binary in the
-//!    workspace, the root package's included.
-//! 3. **Flow passes** over per-function control-flow graphs ([`cfg`])
-//!    and a worklist taint dataflow with call-graph function
-//!    summaries (`dataflow`): `untrusted-input` (wire-decoded values
-//!    must be validated before allocation/indexing/arithmetic). The
-//!    workspace takes no lock, so no pass orders locks.
+//!    approximate call graph ([`callgraph`]): panic-reachability and
+//!    unchecked arithmetic inside the cones of the roots declared in
+//!    `lint-roots.toml` ([`roots`]), plus a dead-pub-surface sweep that
+//!    counts references from every crate, test, example, and binary in
+//!    the workspace, the root package's included.
+//!
+//! No pass follows values: wire lengths are capped by construction
+//! (`rlb-serve`'s `proto.rs` reads each one through a cursor call that
+//! checks its cap first), and the workspace takes no lock, so no pass
+//! orders locks.
 //!
 //! * Suppress a benign finding with `// lint:allow(<rule>)` on the
 //!   same line or the line above — always with a justification comment.
@@ -48,8 +46,6 @@
 #![warn(missing_docs)]
 
 pub mod callgraph;
-pub mod cfg;
-mod dataflow;
 pub mod items;
 mod passes;
 pub mod roots;
@@ -81,14 +77,6 @@ pub struct LintStats {
     pub ambiguous_names: usize,
     /// `pub` items checked by the dead-pub-surface pass.
     pub pub_items: usize,
-    /// Tier 3: basic blocks across all per-function CFGs.
-    pub cfg_blocks: usize,
-    /// Tier 3: CFG successor edges.
-    pub cfg_edges: usize,
-    /// Tier 3: raw (pre-suppression) untrusted wire-read sources.
-    pub untrusted_sources: usize,
-    /// Tier 3: untrusted sources per crate (CI pins rlb-serve > 0).
-    pub untrusted_sources_by_crate: std::collections::BTreeMap<String, usize>,
 }
 
 /// The outcome of a workspace scan.
@@ -140,11 +128,6 @@ impl LintReport {
              {} ambiguous name(s); {} pub item(s) checked",
             s.fns, s.edges, s.root_fns, s.cone_fns, s.ambiguous_names, s.pub_items
         );
-        let _ = writeln!(
-            out,
-            "rlb-lint: flow: {} CFG block(s), {} edge(s); {} untrusted source(s)",
-            s.cfg_blocks, s.cfg_edges, s.untrusted_sources
-        );
         out
     }
 
@@ -180,9 +163,7 @@ impl LintReport {
             out,
             "  \"dead_suppressions\": {},\n  \"stats\": {{\"fns\": {}, \"edges\": {}, \
              \"root_fns\": {}, \"cone_fns\": {}, \"ambiguous_names\": {}, \
-             \"pub_items\": {}, \"cfg_blocks\": {}, \"cfg_edges\": {}, \
-             \"untrusted_sources\": {}, \"untrusted_sources_by_crate\": {}}},\n  \
-             \"clean\": {}\n}}\n",
+             \"pub_items\": {}}},\n  \"clean\": {}\n}}\n",
             self.dead_suppressions(),
             s.fns,
             s.edges,
@@ -190,24 +171,10 @@ impl LintReport {
             s.cone_fns,
             s.ambiguous_names,
             s.pub_items,
-            s.cfg_blocks,
-            s.cfg_edges,
-            s.untrusted_sources,
-            json_count_map(&s.untrusted_sources_by_crate),
             self.is_clean()
         );
         out
     }
-}
-
-/// Renders a `name -> count` map as a one-line JSON object (sorted by
-/// key, so CI can grep for `"rlb-serve": <n>` deterministically).
-fn json_count_map(map: &std::collections::BTreeMap<String, usize>) -> String {
-    let body: Vec<String> = map
-        .iter()
-        .map(|(k, v)| format!("\"{}\": {v}", json_escape(k)))
-        .collect();
-    format!("{{{}}}", body.join(", "))
 }
 
 /// Escapes a string for embedding in a JSON string literal.
@@ -279,7 +246,7 @@ pub fn lint_files(
         rules::file_rules(pf, allow, &mut findings);
     }
     // Phase 2: workspace passes over the call graph.
-    let (g, resolver) = callgraph::build(&linted);
+    let g = callgraph::build(&linted);
     let mut stats = LintStats {
         fns: g.nodes.len(),
         edges: g.edges.iter().map(Vec::len).sum(),
@@ -288,9 +255,6 @@ pub fn lint_files(
     };
     passes::cone_passes(&linted, &allows, &g, &manifest, &mut findings, &mut stats);
     passes::dead_pub(&linted, &reference, &allows, &mut findings, &mut stats);
-    // Phase 3: flow pass — CFG-based taint dataflow (untrusted-input),
-    // on the resolver the graph's edges were drawn from.
-    dataflow::run(&linted, &allows, &g, &resolver, &mut findings, &mut stats);
     // Unused-suppression audit runs last: every rule above has marked
     // the `lint:allow` entries it consumed.
     for (pf, allow) in linted.iter().zip(&allows) {

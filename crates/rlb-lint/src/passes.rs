@@ -293,7 +293,7 @@ mod tests {
     fn run(files: &[(&str, &str)], roots: &str) -> (Vec<Finding>, LintStats) {
         let parsed: Vec<ParsedFile> = files.iter().map(|(p, s)| ParsedFile::new(p, s)).collect();
         let allows: Vec<Suppressions> = parsed.iter().map(|p| allow_by_line(&p.comments)).collect();
-        let (g, _) = build(&parsed);
+        let g = build(&parsed);
         let manifest = parse_manifest(roots).expect("roots parse");
         let (mut findings, mut stats) = (Vec::new(), LintStats::default());
         cone_passes(&parsed, &allows, &g, &manifest, &mut findings, &mut stats);

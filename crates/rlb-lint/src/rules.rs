@@ -11,8 +11,8 @@
 //! [`CATALOG`] is the one list of rules: what each is called, whether
 //! a `lint:allow` may name it, and — for the per-file rules — where it
 //! applies and which function checks it. The workspace passes
-//! ([`crate::passes`], `dataflow`) own the remaining rows and emit
-//! through the same [`emit`].
+//! ([`crate::passes`]) own the remaining rows and emit through the
+//! same [`emit`].
 
 use crate::items::ParsedFile;
 use crate::token::TokenKind;
@@ -84,12 +84,11 @@ pub(crate) const CATALOG: &[Rule] = &[
         |pf| in_lossy_cast_scope(&pf.rel_path),
         lossy_cast,
     ),
-    // The transitive workspace passes: cones of the `lint-roots.toml`
-    // roots and the pub surface (`passes`), taint flow (`dataflow`).
+    // The transitive workspace passes (`passes`): cones of the
+    // `lint-roots.toml` roots and the pub surface.
     Rule::workspace("panic-path", true),
     Rule::workspace("unchecked-arith", true),
     Rule::workspace("dead-pub", true),
-    Rule::workspace("untrusted-input", true),
     // The meta rules. `unused-suppression` runs after everything else:
     // a `lint:allow` naming a suppressible rule that suppressed nothing
     // is itself a finding (stale excuses hide real ones).

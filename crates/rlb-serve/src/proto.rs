@@ -27,6 +27,14 @@
 //! "need more bytes" signal, or a typed [`DecodeError`] — never a panic
 //! and never an out-of-bounds read (`tests/proto_roundtrip.rs` sweeps
 //! truncations and corruptions of every frame type to pin this).
+//!
+//! Every length on the wire is read by one private cursor call that
+//! checks it against its cap before anything is sliced or allocated by
+//! it, and returns only what passed: the capped bytes of a key or
+//! value, or a frame's capped length. No raw wire length leaves the
+//! cursor, so no caller can size an allocation or a slice by one.
+//! `proto_roundtrip` runs under a 64 MiB address-space limit in CI,
+//! where a buffer sized by an unchecked length aborts the run.
 
 #![deny(
     clippy::unwrap_used,
@@ -339,54 +347,22 @@ impl Frame {
         let mut cur = Cursor { buf: body, at: 0 };
         let tag = cur.u8(0)?;
         let frame = match tag {
-            1 => {
-                let req_id = cur.u32(tag)?;
-                let tenant = cur.u16(tag)?;
-                let key_len = cur.u16(tag)? as usize;
-                if key_len > MAX_KEY_LEN {
-                    return Err(DecodeError::KeyTooLong(key_len));
-                }
-                let key = cur.bytes(tag, key_len)?.to_vec();
-                Frame::Get {
-                    req_id,
-                    tenant,
-                    key,
-                }
-            }
-            2 => {
-                let req_id = cur.u32(tag)?;
-                let tenant = cur.u16(tag)?;
-                let key_len = cur.u16(tag)? as usize;
-                if key_len > MAX_KEY_LEN {
-                    return Err(DecodeError::KeyTooLong(key_len));
-                }
-                let key = cur.bytes(tag, key_len)?.to_vec();
-                let value_len = cur.u32(tag)? as usize;
-                if value_len > MAX_VALUE_LEN {
-                    return Err(DecodeError::ValueTooLong(value_len));
-                }
-                let value = cur.bytes(tag, value_len)?.to_vec();
-                Frame::Put {
-                    req_id,
-                    tenant,
-                    key,
-                    value,
-                }
-            }
-            3 => {
-                let req_id = cur.u32(tag)?;
-                let latency = cur.u32(tag)?;
-                let value_len = cur.u32(tag)? as usize;
-                if value_len > MAX_VALUE_LEN {
-                    return Err(DecodeError::ValueTooLong(value_len));
-                }
-                let value = cur.bytes(tag, value_len)?.to_vec();
-                Frame::Reply {
-                    req_id,
-                    latency,
-                    value,
-                }
-            }
+            1 => Frame::Get {
+                req_id: cur.u32(tag)?,
+                tenant: cur.u16(tag)?,
+                key: cur.key(tag)?,
+            },
+            2 => Frame::Put {
+                req_id: cur.u32(tag)?,
+                tenant: cur.u16(tag)?,
+                key: cur.key(tag)?,
+                value: cur.value(tag)?,
+            },
+            3 => Frame::Reply {
+                req_id: cur.u32(tag)?,
+                latency: cur.u32(tag)?,
+                value: cur.value(tag)?,
+            },
             4 => {
                 let req_id = cur.u32(tag)?;
                 let cause_byte = cur.u8(tag)?;
@@ -424,7 +400,9 @@ fn len_u32(bytes: &[u8]) -> u32 {
 
 /// Bounds-checked field reader over a frame body. Every accessor is
 /// total: the cursor never indexes, slices, or does bare arithmetic on
-/// attacker-controlled lengths.
+/// attacker-controlled lengths. A length prefix is read only by
+/// [`Cursor::key`], [`Cursor::value`] and [`Cursor::frame_len`], which
+/// check it against its cap before they act on it.
 struct Cursor<'a> {
     buf: &'a [u8],
     at: usize,
@@ -464,6 +442,48 @@ impl Cursor<'_> {
         let b: [u8; 8] = self.bytes(tag, 8)?.try_into().unwrap_or([0; 8]);
         Ok(u64::from_le_bytes(b))
     }
+
+    /// A key: a `u16` length, then the bytes it counts.
+    fn key(&mut self, tag: u8) -> Result<Vec<u8>, DecodeError> {
+        let prefix = |c: &mut Self| c.u16(tag).map(u32::from);
+        self.counted(tag, prefix, MAX_KEY_LEN, DecodeError::KeyTooLong)
+    }
+
+    /// A value: a `u32` length, then the bytes it counts.
+    fn value(&mut self, tag: u8) -> Result<Vec<u8>, DecodeError> {
+        let prefix = |c: &mut Self| c.u32(tag);
+        self.counted(tag, prefix, MAX_VALUE_LEN, DecodeError::ValueTooLong)
+    }
+
+    /// Reads a field's length with `prefix`, then the bytes it counts,
+    /// taken only once the length is within `cap`. The one place a key
+    /// or value length is held before its cap is checked.
+    fn counted(
+        &mut self,
+        tag: u8,
+        prefix: impl FnOnce(&mut Self) -> Result<u32, DecodeError>,
+        cap: usize,
+        too_long: fn(usize) -> DecodeError,
+    ) -> Result<Vec<u8>, DecodeError> {
+        let n = usize::try_from(prefix(self)?).unwrap_or(usize::MAX);
+        if n > cap {
+            return Err(too_long(n));
+        }
+        Ok(self.bytes(tag, n)?.to_vec())
+    }
+
+    /// A frame's length prefix, once it is neither 0 nor past
+    /// [`MAX_FRAME_LEN`].
+    fn frame_len(&mut self) -> Result<usize, DecodeError> {
+        let declared = usize::try_from(self.u32(0)?).unwrap_or(usize::MAX);
+        if declared == 0 {
+            return Err(DecodeError::EmptyFrame);
+        }
+        if declared > MAX_FRAME_LEN {
+            return Err(DecodeError::FrameTooLong { declared });
+        }
+        Ok(declared)
+    }
 }
 
 /// The first frame of a byte slice, as far as the slice goes.
@@ -482,16 +502,10 @@ fn split_frame(bytes: &[u8]) -> Result<Split<'_>, DecodeError> {
     let Some(prefix) = bytes.first_chunk::<4>() else {
         return Ok(Split::Short(4));
     };
-    let declared = u32::from_le_bytes(*prefix) as usize;
-    if declared == 0 {
-        return Err(DecodeError::EmptyFrame);
-    }
-    if declared > MAX_FRAME_LEN {
-        return Err(DecodeError::FrameTooLong { declared });
-    }
-    // declared <= MAX_FRAME_LEN, so the prefix+body total can't
-    // overflow usize.
-    let total = declared.saturating_add(4);
+    let len = Cursor { buf: prefix, at: 0 }.frame_len()?;
+    // len <= MAX_FRAME_LEN, so the prefix+body total can't overflow
+    // usize.
+    let total = len.saturating_add(4);
     match (bytes.get(4..total), bytes.get(total..)) {
         (Some(body), Some(rest)) => Ok(Split::Whole(body, rest)),
         _ => Ok(Split::Short(total)),
