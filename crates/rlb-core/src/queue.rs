@@ -5,11 +5,11 @@
 //! request arrival steps. The structure is data-oriented: all ring
 //! payloads are carved out of one arena (`buf`) laid out **class-major**
 //! — class `c`'s rings for servers `0..m` are adjacent — and the scalar
-//! state lives in two flat rows sized so that everything one routing or
-//! queue operation touches shares a cache line: the packed ring-control
-//! row `ctrl` (head, length, occupancy slot per `(class, server)`) and
-//! the load row `loads` (aggregate backlog and its liveness-mirrored
-//! routing view per server). See ARCHITECTURE.md "SoA arena layout".
+//! state lives in one packed ring-control row `ctrl` (head, length,
+//! occupancy slot per `(class, server)`), whose class-0 entries carry
+//! each server's routing word as well: its total backlog while live,
+//! `DOWN` while not. A routing decision and the enqueue behind it read
+//! one 16-byte entry per server. See ARCHITECTURE.md "SoA arena layout".
 
 #![deny(
     clippy::unwrap_used,
@@ -36,16 +36,16 @@ pub struct QueueFull;
 /// Sentinel in the occupancy-slot word for "this queue is empty".
 const NOT_OCCUPIED: u32 = u32::MAX;
 
-/// Sentinel in the routing-backlog word for a down server. Live
-/// backlogs can never reach it: the constructor rejects a per-server
-/// capacity of `u32::MAX`.
+/// The routing word of a down server. Live backlogs can never reach
+/// it: the constructor rejects a per-server capacity of `u32::MAX`.
 const DOWN: u32 = u32::MAX;
 
 /// Words per `(class, server)` entry in the packed ring-control row
-/// `ctrl`: head, length, occupancy slot, plus one pad word so entries
-/// are 16 bytes and never span more than one cache line. One load pulls
-/// in every control word an enqueue or dequeue touches — with separate
-/// parallel arrays the same operation missed three distinct lines.
+/// `ctrl`: head, length, occupancy slot and the routing word, so
+/// entries are 16 bytes and never span more than one cache line. One
+/// load pulls in every control word an enqueue or dequeue touches —
+/// with separate parallel arrays the same operation missed three
+/// distinct lines.
 const CTRL_WORDS: usize = 4;
 /// Offset of the ring head within a `ctrl` entry.
 const CTRL_HEAD: usize = 0;
@@ -53,16 +53,25 @@ const CTRL_HEAD: usize = 0;
 const CTRL_LEN: usize = 1;
 /// Offset of the occupancy-slot back-pointer within a `ctrl` entry.
 const CTRL_SLOT: usize = 2;
+/// Offset of the routing word within a class-0 `ctrl` entry: the
+/// server's total backlog over all classes while it is live, `DOWN`
+/// while it is not. The word is 0 in every other class's entry.
+const CTRL_ROUTE: usize = 3;
 
-/// Words per server in the load row `loads`: the aggregate backlog and
-/// its routing view, adjacent so the routing read warms the line the
-/// accept path then updates.
-const LOAD_WORDS: usize = 2;
-/// Offset of the aggregate backlog within a `loads` entry.
-const LOAD_BACKLOG: usize = 0;
-/// Offset of the routing (liveness-mirrored) backlog within a `loads`
-/// entry.
-const LOAD_ROUTE: usize = 1;
+/// The slot `len` entries past `head` in a ring of `cap` slots: where
+/// the next entry goes. Requires `head < cap` and `len <= cap`; since
+/// `head >= cap - len` iff `head + len >= cap`, every intermediate value
+/// stays in range even for caps near `u32::MAX`, where `head + len`
+/// would wrap.
+#[inline]
+fn tail(head: u32, len: u32, cap: u32) -> u32 {
+    // head < cap and len <= cap: no value leaves 0..cap. lint:allow(unchecked-arith)
+    if head >= cap - len {
+        head - (cap - len)
+    } else {
+        head + len
+    }
+}
 
 /// Flat storage of all (server × class) bounded FIFO queues.
 ///
@@ -73,21 +82,20 @@ const LOAD_ROUTE: usize = 1;
 ///   it, server `s`'s ring occupies `[class_base[c] + s*caps[c] ..)[..caps[c]]`.
 ///   All offsets are computed with checked arithmetic at construction,
 ///   so blocks can neither alias nor overrun.
-/// * `ctrl` packs `(head, len, occ_slot)` per `(class, server)` into
-///   16-byte entries, indexed `(class * m + server) * CTRL_WORDS` —
+/// * `ctrl` packs `(head, len, occ_slot, route)` per `(class, server)`
+///   into 16-byte entries, indexed `(class * m + server) * CTRL_WORDS` —
 ///   class-major, so a per-class sweep is one contiguous scan, and a
 ///   random-server enqueue costs one cache line of control state
-///   instead of three.
-/// * `loads` packs `(backlog, route_backlog)` per server into 8-byte
-///   pairs, indexed `server * LOAD_WORDS`.
+///   instead of three. `route` is used in class 0's entries only.
 ///
 /// # Liveness
 ///
-/// The array owns server liveness. The routing word of `loads` mirrors
-/// the backlog word while server `s` is live and pins to `u32::MAX`
-/// while it is down, so routing policies can min-select over candidates
-/// with a single load and no liveness branch (a down server simply
-/// never wins).
+/// The array owns server liveness, and keeps it in one word: class 0's
+/// `route` is server `s`'s total backlog while `s` is live and
+/// `u32::MAX` while it is down, so routing policies can min-select over
+/// candidates with a single load and no liveness branch (a down server
+/// simply never wins). A down server's backlog is the sum of its class
+/// lengths, read only while it is down.
 ///
 /// # Occupancy index
 ///
@@ -102,14 +110,9 @@ const LOAD_ROUTE: usize = 1;
 pub struct QueueArray {
     /// Arena of entry payloads (arrival steps), class-major.
     buf: Vec<u32>,
-    /// Packed ring control (head, len, occupancy slot, pad), indexed by
-    /// `(class * num_servers + server) * CTRL_WORDS`.
+    /// Packed ring control (head, len, occupancy slot, routing word),
+    /// indexed by `(class * num_servers + server) * CTRL_WORDS`.
     ctrl: Vec<u32>,
-    /// Packed per-server loads (backlog, routing backlog), indexed by
-    /// `server * LOAD_WORDS`.
-    loads: Vec<u32>,
-    /// Per-server liveness.
-    live: Vec<bool>,
     /// Per-class capacity.
     caps: Vec<u32>,
     /// Arena offset of class `c`'s block (`m * prefix_sum(caps[..c])`).
@@ -127,10 +130,9 @@ pub struct QueueArray {
 }
 
 impl QueueArray {
-    /// Bytes per server of the rows a routing decision reads: the load
-    /// pair and class 0's control entry.
-    pub(crate) const ROUTE_ROW_BYTES: usize =
-        (LOAD_WORDS + CTRL_WORDS) * std::mem::size_of::<u32>();
+    /// Bytes per server of the rows a routing decision reads: class 0's
+    /// control entry.
+    pub(crate) const ROUTE_ROW_BYTES: usize = CTRL_WORDS * std::mem::size_of::<u32>();
 
     /// Creates queues for `num_servers` servers with the given classes.
     /// Every server starts live.
@@ -193,8 +195,6 @@ impl QueueArray {
         Self {
             buf: vec![0; arena],
             ctrl,
-            loads: vec![0; LOAD_WORDS * num_servers],
-            live: vec![true; num_servers],
             caps,
             class_base,
             occupied: vec![Vec::new(); k],
@@ -208,6 +208,13 @@ impl QueueArray {
     #[inline]
     fn ctrl_ix(&self, server: u32, class: usize) -> usize {
         (class * self.num_servers + server as usize) * CTRL_WORDS // ctrl_ix bound: class < k, server < m, checked at build. lint:allow(unchecked-arith)
+    }
+
+    /// Index of `server`'s routing word: the last word of its class-0
+    /// `ctrl` entry.
+    #[inline]
+    fn route_ix(server: u32) -> usize {
+        server as usize * CTRL_WORDS + CTRL_ROUTE // server < m: the class-0 block spans m entries. lint:allow(unchecked-arith)
     }
 
     /// Base index of `(server, class)`'s ring in the arena.
@@ -265,10 +272,16 @@ impl QueueArray {
         self.caps[class]
     }
 
-    /// Total backlog (all classes) of `server`.
+    /// Total backlog (all classes) of `server`: its routing word while
+    /// live, the sum of its class lengths while down.
     #[inline]
     pub fn backlog(&self, server: u32) -> u32 {
-        self.loads[server as usize * LOAD_WORDS + LOAD_BACKLOG]
+        match self.route_backlog(server) {
+            DOWN => (0..self.num_classes())
+                .map(|class| self.class_backlog(server, class))
+                .sum(),
+            route => route,
+        }
     }
 
     /// The routing view of `server`'s backlog: its total backlog while
@@ -276,13 +289,13 @@ impl QueueArray {
     /// liveness check into the comparison (a down server never wins).
     #[inline]
     pub fn route_backlog(&self, server: u32) -> u32 {
-        self.loads[server as usize * LOAD_WORDS + LOAD_ROUTE]
+        self.ctrl[Self::route_ix(server)] // server < m: enforced by the public API asserts. lint:allow(panic-path)
     }
 
     /// Whether `server` is live.
     #[inline]
     pub fn is_live(&self, server: u32) -> bool {
-        self.live[server as usize] // server < m: enforced by the public API asserts. lint:allow(panic-path)
+        self.route_backlog(server) != DOWN
     }
 
     /// Sets one server's liveness. A downed server keeps its queued
@@ -290,13 +303,8 @@ impl QueueArray {
     /// routing backlog and is skipped by [`QueueArray::drain_class`].
     #[inline]
     pub fn set_live(&mut self, server: u32, live: bool) {
-        let l = server as usize * LOAD_WORDS; // server < m: rows sized to the cluster at build. lint:allow(unchecked-arith)
-        self.live[server as usize] = live; // server < m: enforced by the public API asserts. lint:allow(panic-path)
-        self.loads[l + LOAD_ROUTE] = if live {
-            self.loads[l + LOAD_BACKLOG]
-        } else {
-            DOWN
-        };
+        let route = if live { self.backlog(server) } else { DOWN };
+        self.ctrl[Self::route_ix(server)] = route; // server < m: enforced by the public API asserts. lint:allow(panic-path)
     }
 
     /// Sets every server's liveness from a mask (`up.len()` must equal
@@ -347,23 +355,13 @@ impl QueueArray {
             return Err(QueueFull);
         }
         let base = self.base(server, class);
-        // Wrap-free tail position: head < cap and len < cap, and
-        // `head >= cap - len` iff `head + len >= cap`, so every
-        // intermediate value stays in range even for caps near u32::MAX
-        // (the old `head + len` form wrapped there).
-        let head = self.ctrl[idx + CTRL_HEAD];
-        let pos = if head >= cap - len {
-            head - (cap - len)
-        } else {
-            head + len
-        };
+        let pos = tail(self.ctrl[idx + CTRL_HEAD], len, cap);
         self.buf[base + pos as usize] = arrival_step;
         self.ctrl[idx + CTRL_LEN] = len + 1;
-        let l = server as usize * LOAD_WORDS;
-        self.loads[l + LOAD_BACKLOG] += 1;
-        // Branchless liveness mirror: saturates at the DOWN sentinel
-        // (live values cannot reach it — per_server < u32::MAX).
-        self.loads[l + LOAD_ROUTE] = self.loads[l + LOAD_ROUTE].saturating_add(1);
+        // Branchless: a down server's word saturates at DOWN, and a live
+        // one cannot reach it (per_server < u32::MAX).
+        let r = Self::route_ix(server);
+        self.ctrl[r] = self.ctrl[r].saturating_add(1);
         self.total += 1;
         if len == 0 {
             self.occ_insert(server, class);
@@ -373,7 +371,7 @@ impl QueueArray {
 
     /// Pops the `n` oldest entries of `server`'s ring in one class,
     /// oldest first, into `f` and returns how many stay queued: the one
-    /// ring walk, and the one update of the per-server words, under
+    /// ring walk, and the one update of the routing word, under
     /// every dequeue, sweep, migration drop and flush. The ring is named
     /// by its `ctrl` index, arena base and capacity, which the bulk
     /// callers hoist out of their per-server loops. `total` and the
@@ -400,13 +398,12 @@ impl QueueArray {
         self.ctrl[idx + CTRL_HEAD] = h;
         let rem = self.ctrl[idx + CTRL_LEN] - n;
         self.ctrl[idx + CTRL_LEN] = rem;
-        let l = server as usize * LOAD_WORDS;
-        self.loads[l + LOAD_BACKLOG] -= n;
-        // A down server's routing word stays pinned at the sentinel
-        // (which no live value reaches), so the word itself says whether
-        // it follows the backlog.
-        if self.loads[l + LOAD_ROUTE] != DOWN {
-            self.loads[l + LOAD_ROUTE] -= n;
+        // A down server's routing word stays pinned at DOWN (which no
+        // live value reaches), so the word itself says whether it
+        // follows the backlog.
+        let r = Self::route_ix(server);
+        if self.ctrl[r] != DOWN {
+            self.ctrl[r] -= n;
         }
         rem
     }
@@ -505,7 +502,7 @@ impl QueueArray {
             if rem == 0 {
                 continue;
             }
-            if self.live[server as usize] {
+            if self.is_live(server) {
                 let n = take.min(rem);
                 let base = cbase + server as usize * cap as usize;
                 rem = self.pop(server, idx, base, cap, n, |arrival| {
@@ -578,13 +575,7 @@ impl QueueArray {
             let to_cap = self.caps[to];
             let to_base = self.base(server, to);
             let mut from_h = self.ctrl[from_idx + CTRL_HEAD];
-            let to_head = self.ctrl[to_idx + CTRL_HEAD];
-            // Same wrap-free tail position as `enqueue`.
-            let mut to_pos = if to_head >= to_cap - to_len {
-                to_head - (to_cap - to_len)
-            } else {
-                to_head + to_len
-            };
+            let mut to_pos = tail(self.ctrl[to_idx + CTRL_HEAD], to_len, to_cap);
             for _ in 0..moved {
                 self.buf[to_base + to_pos as usize] = self.buf[from_base + from_h as usize];
                 from_h += 1;
@@ -642,9 +633,7 @@ impl QueueArray {
     /// Per-server total backlogs, in server-id order (length
     /// `num_servers`).
     pub fn backlogs(&self) -> impl Iterator<Item = u32> + '_ {
-        self.loads
-            .chunks_exact(LOAD_WORDS)
-            .map(|pair| pair[LOAD_BACKLOG])
+        (0..self.num_servers as u32).map(|server| self.backlog(server))
     }
 
     /// Total requests queued across the cluster. O(1); maintained
@@ -664,12 +653,11 @@ impl QueueArray {
     /// Re-derives every structural invariant from scratch and reports
     /// the first violation: arena geometry (offset monotonicity, block
     /// sizes that tile `buf` exactly — hence no ring aliasing), ring
-    /// `head`/`len` bounds, per-server backlog vs. the sum of class
-    /// lengths, the liveness mirror (the routing word equals the backlog
-    /// word when live, the down sentinel when not), the incremental
-    /// `total` vs. a full recount, and the occupancy index against
-    /// actual queue membership (both directions, including back-pointer
-    /// integrity and list lengths).
+    /// `head`/`len` bounds, the routing word (class 0's equals the sum
+    /// of the server's class lengths or is `DOWN`; every other class's
+    /// is 0), the incremental `total` vs. a full recount, and the
+    /// occupancy index against actual queue membership (both
+    /// directions, including back-pointer integrity and list lengths).
     ///
     /// # Errors
     /// A human-readable description of the first invariant violated.
@@ -677,8 +665,6 @@ impl QueueArray {
         let k = self.caps.len();
         let m = self.num_servers;
         if self.ctrl.len() != CTRL_WORDS * m * k // sanitizer recomputes sizes it is checking. lint:allow(unchecked-arith)
-            || self.loads.len() != LOAD_WORDS * m
-            || self.live.len() != m
             || self.occupied.len() != k
             || self.class_base.len() != k
         {
@@ -750,26 +736,18 @@ impl QueueArray {
                         "sanitize: empty queue still in occupancy index (server {server}, class {class})"
                     ));
                 }
+                if class > 0 && self.ctrl[idx + CTRL_ROUTE] != 0 {
+                    return Err(format!(
+                        "sanitize: pad word {} of class {class}'s entry is not 0 at server {server}",
+                        self.ctrl[idx + CTRL_ROUTE]
+                    ));
+                }
             }
-            let l = server * LOAD_WORDS;
-            if self.loads[l + LOAD_BACKLOG] as u64 != server_sum {
+            let route = self.ctrl[server * CTRL_WORDS + CTRL_ROUTE];
+            if route != DOWN && route as u64 != server_sum {
                 return Err(format!(
-                    "sanitize: per-server backlog {} != class-length sum {server_sum} at server {server}",
-                    self.loads[l + LOAD_BACKLOG]
-                ));
-            }
-            let expected_route = if self.live[server] {
-                self.loads[l + LOAD_BACKLOG]
-            } else {
-                DOWN
-            };
-            if self.loads[l + LOAD_ROUTE] != expected_route {
-                return Err(format!(
-                    "sanitize: routing backlog {} desynced from liveness mirror \
-                     (server {server}, live {}, backlog {})",
-                    self.loads[l + LOAD_ROUTE],
-                    self.live[server],
-                    self.loads[l + LOAD_BACKLOG]
+                    "sanitize: routing backlog {route} != class-length sum {server_sum} \
+                     at live server {server}"
                 ));
             }
             total += server_sum;
@@ -814,12 +792,22 @@ impl QueueArray {
         self.total = self.total.wrapping_add(1);
     }
 
-    /// Test hook: desynchronizes the routing-backlog liveness mirror
-    /// from the true per-server backlog.
+    /// Test hook: desynchronizes server 0's routing word from its class
+    /// lengths.
     #[doc(hidden)]
     pub fn sanitize_corrupt_route_backlog(&mut self) {
-        if self.loads.len() >= LOAD_WORDS {
-            self.loads[LOAD_ROUTE] = self.loads[LOAD_ROUTE].wrapping_add(1);
+        if self.ctrl.len() >= CTRL_WORDS {
+            self.ctrl[CTRL_ROUTE] = self.ctrl[CTRL_ROUTE].wrapping_add(1);
+        }
+    }
+
+    /// Test hook: writes a non-zero pad word into server 0's class-1
+    /// entry, where only class 0 carries a routing word.
+    #[doc(hidden)]
+    pub fn sanitize_corrupt_class_pad(&mut self) {
+        let idx = self.ctrl_ix(0, 1);
+        if self.ctrl.len() > idx + CTRL_ROUTE {
+            self.ctrl[idx + CTRL_ROUTE] = 1;
         }
     }
 }

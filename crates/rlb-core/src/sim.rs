@@ -43,17 +43,17 @@ const PREFETCH_BLOCK: usize = 32;
 /// it only evicts what the policy does read.
 ///
 /// Two points are measured (`benchmark/`, ARCHITECTURE.md "What a table
-/// built one group at a time cost"): 0.9 MiB of rows (m = 16 384,
+/// built one group at a time cost"): 0.75 MiB of rows (m = 16 384,
 /// n = 4m, d = 2), where the pass costs `engine-dcr` 9–11 % and is worth
-/// 2–3 % to `engine-dense`, and 14 MiB (m = 262 144), where it pays
-/// `engine-sparse` 8–14 %. Where between 1 and 14 MiB the pass starts
+/// 2–3 % to `engine-dense`, and 12 MiB (m = 262 144), where it pays
+/// `engine-sparse` 8–14 %. Where between 1 and 12 MiB the pass starts
 /// to pay is unmeasured until the benchmark has a row there (ROADMAP
 /// 1(iii)).
 const ROUTE_CACHE_BYTES: usize = 2 << 20;
 
 /// Bytes of the rows a routing pass reads at random: every chunk's
-/// replica row, and per server the load pair and class 0's control
-/// entry.
+/// replica row, and per server class 0's control entry, which holds
+/// the routing word.
 fn routed_row_bytes(config: &SimConfig) -> usize {
     let placement = config
         .num_chunks
@@ -517,8 +517,8 @@ impl<P: Policy> Engine<P> {
         self.stats.arrived += (hi - lo) as u64; // hi >= lo by the substep partition. lint:allow(unchecked-arith)
 
         // When the routed rows outgrow the cache (`warm_blocks`), each
-        // request's replica-table row and each candidate's packed
-        // control/load words sit on random cold cache lines, and the
+        // request's replica-table row and each candidate's class-0
+        // control entry sit on random cold cache lines, and the
         // serial routing loop eats one miss latency after another.
         // Walking the requests in blocks with a read-only warm pass
         // ahead of the routing pass lets those misses overlap: the warm
@@ -534,9 +534,7 @@ impl<P: Policy> Engine<P> {
                 let mut warm = 0u32;
                 for &chunk in block {
                     for &server in self.placement.replicas(chunk) {
-                        warm = warm
-                            .wrapping_add(self.queues.route_backlog(server))
-                            .wrapping_add(self.queues.class_backlog(server, 0));
+                        warm = warm.wrapping_add(self.queues.route_backlog(server));
                     }
                 }
                 std::hint::black_box(warm);
@@ -1157,16 +1155,16 @@ mod tests {
     fn warm_pass_is_selected_by_bytes_and_changes_no_report() {
         // The two measured points, both n = 4m, d = 2. m = 16 384 (the
         // benchmark's `engine-dense` / `engine-dcr`): 512 KiB of replica
-        // rows + 128 KiB of load pairs + 256 KiB of class-0 control rows
-        // fit the estimate, no warm pass. m = 262 144 (`engine-sparse`):
-        // 14 MiB do not, and its warm pass must stay on.
+        // rows + 256 KiB of class-0 control entries fit the estimate, no
+        // warm pass. m = 262 144 (`engine-sparse`): 12 MiB do not, and
+        // its warm pass must stay on.
         let engine =
             |m: usize| Simulation::new(SimConfig::explicit(m, 2, 1, 1), Greedy::new()).engine;
         let small = engine(16_384);
-        assert_eq!(routed_row_bytes(&small.config), 896 << 10);
+        assert_eq!(routed_row_bytes(&small.config), 768 << 10);
         assert!(!small.warm_blocks);
         let large = engine(262_144);
-        assert_eq!(routed_row_bytes(&large.config), 14 << 20);
+        assert_eq!(routed_row_bytes(&large.config), 12 << 20);
         assert!(large.warm_blocks);
 
         // The pass only reads: the same run, warmed or not, reports the

@@ -4,11 +4,13 @@
 //!
 //! `queue_occupancy.rs` pins the occupancy index and the plain ring
 //! FIFOs. This file pins the surfaces the data-oriented rewrite added
-//! on top: the packed control row and interleaved load pairs behind
-//! `backlog`/`route_backlog`, the liveness sentinel mirror, and
+//! on top: the packed control row, whose class-0 routing word is behind
+//! `backlog`/`route_backlog`/`is_live`, the down-server sentinel, and
 //! `drain_class`'s dense and sparse sweeps — each checked against a
 //! naive per-queue reference model under liveness churn, near-capacity
-//! pressure, and post-flush reuse.
+//! pressure, and post-flush reuse. Its generator draws k <= 3 classes;
+//! `queue_down_server.rs` covers a down server with all four of delayed
+//! cuckoo routing's classes queued.
 
 use std::collections::VecDeque;
 

@@ -5,8 +5,8 @@
 
 #![cfg(feature = "sanitize")]
 
-use rlb_core::policies::Greedy;
-use rlb_core::{DrainMode, SimConfig, Simulation, Workload};
+use rlb_core::policies::{DelayedCuckoo, Greedy};
+use rlb_core::{DrainMode, Policy, SimConfig, Simulation, Workload};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 fn config() -> SimConfig {
@@ -28,7 +28,7 @@ fn workload() -> impl Workload {
 }
 
 /// Runs one more step and returns the panic payload, if any.
-fn step_panic_message(sim: &mut Simulation<Greedy>) -> Option<String> {
+fn step_panic_message<P: Policy>(sim: &mut Simulation<P>) -> Option<String> {
     let result = catch_unwind(AssertUnwindSafe(|| {
         sim.run(&mut workload(), 1);
     }));
@@ -107,6 +107,24 @@ fn corrupted_route_backlog_is_caught() {
     let msg = step_panic_message(&mut sim).expect("sanitizer must panic");
     assert!(
         msg.contains("routing backlog"),
+        "panic should name the broken invariant: {msg}"
+    );
+}
+
+#[test]
+fn corrupted_class_pad_word_is_caught() {
+    // Only class 0's entry carries a routing word; delayed cuckoo
+    // routing's four classes give the other entries a pad word that
+    // must stay 0.
+    let mut cfg = config();
+    cfg.flush_interval = None;
+    let policy = DelayedCuckoo::new(&cfg);
+    let mut sim = Simulation::new(cfg, policy);
+    sim.run(&mut workload(), 5);
+    sim.sanitize_queues_mut().sanitize_corrupt_class_pad();
+    let msg = step_panic_message(&mut sim).expect("sanitizer must panic");
+    assert!(
+        msg.contains("pad word"),
         "panic should name the broken invariant: {msg}"
     );
 }
