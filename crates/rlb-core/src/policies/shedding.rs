@@ -8,7 +8,9 @@
 //! replica already has backlog above a shedding threshold `t ≤ q`,
 //! capping the latency of every *accepted* request at `≈ t/g` steps at
 //! the cost of a higher rejection rate — the knob SLO-driven systems
-//! actually turn. Experiment E22 traces the trade.
+//! actually turn. Experiment E22 traces the trade. The select is plain
+//! greedy's (`ClusterView`'s `least_loaded` fold); only the bar moves,
+//! from the capacity to `min(capacity, t)`.
 
 use crate::config::SimConfig;
 use crate::policy::{Decision, Policy, RejectReason, RouteCtx};
@@ -47,22 +49,12 @@ impl Policy for GreedyShedding {
     }
 
     fn route(&mut self, ctx: RouteCtx<'_>, view: &ClusterView<'_>) -> Decision {
-        let mut best: Option<u32> = None;
-        let mut best_backlog = u32::MAX;
-        for &server in ctx.replicas {
-            if !view.is_available(server, 0) {
-                continue;
-            }
-            let b = view.backlog(server);
-            if b < best_backlog {
-                best = Some(server);
-                best_backlog = b;
-            }
-        }
-        match best {
-            Some(server) if best_backlog < self.threshold => Decision::Route { server, class: 0 },
-            // Voluntary shed (third knob) or all replicas unavailable.
-            _ => Decision::Reject(RejectReason::Policy),
+        // Voluntary shed (third knob), or every replica full or down.
+        let (server, backlog) = view.least_loaded(ctx.replicas);
+        if backlog < view.capacity(0).min(self.threshold) {
+            Decision::Route { server, class: 0 }
+        } else {
+            Decision::Reject(RejectReason::Policy)
         }
     }
 }

@@ -94,8 +94,10 @@ fn tail(head: u32, len: u32, cap: u32) -> u32 {
 /// `route` is server `s`'s total backlog while `s` is live and
 /// `u32::MAX` while it is down, so routing policies can min-select over
 /// candidates with a single load and no liveness branch (a down server
-/// simply never wins). A down server's backlog is the sum of its class
-/// lengths, read only while it is down.
+/// simply never wins; `ClusterView`'s `least_loaded` is that select, and
+/// with one class the word also says whether the queue is full). A down
+/// server's backlog is the sum of its class lengths, read only while it
+/// is down.
 ///
 /// # Occupancy index
 ///
@@ -286,7 +288,8 @@ impl QueueArray {
 
     /// The routing view of `server`'s backlog: its total backlog while
     /// live, `u32::MAX` while down. Lets min-selection loops fold the
-    /// liveness check into the comparison (a down server never wins).
+    /// liveness check into the comparison (a down server never wins), as
+    /// `ClusterView`'s `least_loaded` fold does for the greedy policies.
     #[inline]
     pub fn route_backlog(&self, server: u32) -> u32 {
         self.ctrl[Self::route_ix(server)] // server < m: enforced by the public API asserts. lint:allow(panic-path)

@@ -43,10 +43,30 @@ impl<'a> ClusterView<'a> {
     /// The routing view of `server`'s backlog: its total backlog while
     /// up, `u32::MAX` while down. Min-selection loops can compare this
     /// directly — a down server never wins — instead of branching on
-    /// [`ClusterView::is_up`] per candidate.
+    /// [`ClusterView::is_up`] per candidate; `least_loaded` is that
+    /// select, shared by the greedy policies.
     #[inline]
     pub fn route_backlog(&self, server: u32) -> u32 {
         self.queues.route_backlog(server)
+    }
+
+    /// The first of `candidates` holding the least routing word, and
+    /// that word. One fold with no early exit: each step keeps the
+    /// candidate only if its word is strictly smaller, so ties keep the
+    /// earlier one and the compare compiles to selects, not a branch.
+    /// If every candidate is down the word stays `u32::MAX`. For a
+    /// one-class policy a live word is the class-0 length, so the pick
+    /// is available iff the word is below `capacity(0)`.
+    #[inline]
+    pub(crate) fn least_loaded(&self, candidates: &[u32]) -> (u32, u32) {
+        let (mut server, mut best) = (u32::MAX, u32::MAX);
+        for &s in candidates {
+            let b = self.route_backlog(s);
+            let better = b < best;
+            server = if better { s } else { server };
+            best = if better { b } else { best };
+        }
+        (server, best)
     }
 
     /// Backlog of one queue class of `server`.
