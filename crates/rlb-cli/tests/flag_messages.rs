@@ -75,10 +75,13 @@ const CASES: &[(Parser, &str, &str)] = &[
     (SERVE, "--jobs 2", "unknown serve/load option \"--jobs\""),
     // Rules whose pass is gone: the workspace takes no lock, so no
     // pass orders locks; clippy checks determinism (clippy.toml); wire
-    // lengths are capped inside proto.rs's cursor, so no pass taints them.
-    (LINT, "--rule lock-order", "unknown rule \"lock-order\"; known rules: trace-guard, lossy-cast, panic-path, unchecked-arith, dead-pub, unused-suppression, lint-roots"),
-    (LINT, "--rule determinism-flow", "unknown rule \"determinism-flow\"; known rules: trace-guard, lossy-cast, panic-path, unchecked-arith, dead-pub, unused-suppression, lint-roots"),
-    (LINT, "--rule untrusted-input", "unknown rule \"untrusted-input\"; known rules: trace-guard, lossy-cast, panic-path, unchecked-arith, dead-pub, unused-suppression, lint-roots"),
+    // lengths are capped inside proto.rs's cursor, so no pass taints
+    // them; trace events are built inside `TraceSink::emit` alone, so
+    // no rule checks their guards.
+    (LINT, "--rule lock-order", "unknown rule \"lock-order\"; known rules: lossy-cast, panic-path, unchecked-arith, dead-pub, unused-suppression, lint-roots"),
+    (LINT, "--rule determinism-flow", "unknown rule \"determinism-flow\"; known rules: lossy-cast, panic-path, unchecked-arith, dead-pub, unused-suppression, lint-roots"),
+    (LINT, "--rule untrusted-input", "unknown rule \"untrusted-input\"; known rules: lossy-cast, panic-path, unchecked-arith, dead-pub, unused-suppression, lint-roots"),
+    (LINT, "--rule trace-guard", "unknown rule \"trace-guard\"; known rules: lossy-cast, panic-path, unchecked-arith, dead-pub, unused-suppression, lint-roots"),
     // A subcommand with nothing selected to run.
     (BENCH, "", "bench requires a mode: --meanfield"),
 ];

@@ -114,14 +114,13 @@ impl<S: TraceSink> StepOps for OpsAdapter<'_, S> {
         let dropped = self
             .queues
             .migrate_class(from, to, |_| stats.record_reject(RejectReason::Flush));
-        if S::ENABLED {
-            self.sink.on_event(&TraceEvent::PhaseRoll {
-                step: self.step,
-                from: from as u8,
-                to: to as u8,
-                dropped,
-            });
-        }
+        let step = self.step;
+        self.sink.emit(|| TraceEvent::PhaseRoll {
+            step,
+            from: from as u8,
+            to: to as u8,
+            dropped,
+        });
     }
 }
 
@@ -397,13 +396,13 @@ impl<P: Policy> Engine<P> {
             // The queue array owns the liveness that routing, the
             // accept path and the drain consult.
             self.queues.set_liveness(&self.up_mask, |server, live| {
-                if S::ENABLED {
-                    sink.on_event(&if live {
+                sink.emit(|| {
+                    if live {
                         TraceEvent::OutageEnd { step, server }
                     } else {
                         TraceEvent::OutageBegin { step, server }
-                    });
-                }
+                    }
+                })
             });
         }
         debug_assert!(
@@ -462,9 +461,7 @@ impl<P: Policy> Engine<P> {
                 let dropped = self.queues.flush_all(|_| {
                     stats.record_reject(RejectReason::Flush);
                 });
-                if S::ENABLED {
-                    sink.on_event(&TraceEvent::Flush { step, dropped });
-                }
+                sink.emit(|| TraceEvent::Flush { step, dropped });
             }
         }
 
@@ -554,29 +551,22 @@ impl<P: Policy> Engine<P> {
                             replicas.contains(&server),
                             "policy routed chunk {chunk} to non-replica server {server}"
                         );
-                        if S::ENABLED {
-                            sink.on_event(&TraceEvent::Route {
-                                step,
-                                chunk,
-                                server,
-                                class,
-                                candidates: replicas.to_vec(),
-                                backlogs: replicas
-                                    .iter()
-                                    .map(|&r| self.queues.backlog(r))
-                                    .collect(),
-                            });
-                        }
+                        sink.emit(|| TraceEvent::Route {
+                            step,
+                            chunk,
+                            server,
+                            class,
+                            candidates: replicas.to_vec(),
+                            backlogs: replicas.iter().map(|&r| self.queues.backlog(r)).collect(),
+                        });
                         if !self.queues.is_live(server) {
                             decision = Decision::Reject(RejectReason::ServerDown);
                             self.stats.record_reject(RejectReason::ServerDown);
-                            if S::ENABLED {
-                                sink.on_event(&TraceEvent::Reject {
-                                    step,
-                                    chunk,
-                                    cause: TraceCause::Outage,
-                                });
-                            }
+                            sink.emit(|| TraceEvent::Reject {
+                                step,
+                                chunk,
+                                cause: TraceCause::Outage,
+                            });
                             observer.on_route(step, chunk, decision);
                             continue;
                         }
@@ -585,37 +575,31 @@ impl<P: Policy> Engine<P> {
                                 self.stats.accepted += 1;
                                 let backlog = self.queues.backlog(server);
                                 self.stats.record_enqueue_backlog(backlog);
-                                if S::ENABLED {
-                                    sink.on_event(&TraceEvent::Enqueue {
-                                        step,
-                                        server,
-                                        class,
-                                        backlog,
-                                    });
-                                }
+                                sink.emit(|| TraceEvent::Enqueue {
+                                    step,
+                                    server,
+                                    class,
+                                    backlog,
+                                });
                             }
                             Err(_) => {
                                 decision = Decision::Reject(RejectReason::Overflow);
                                 self.stats.record_reject(RejectReason::Overflow);
-                                if S::ENABLED {
-                                    sink.on_event(&TraceEvent::Reject {
-                                        step,
-                                        chunk,
-                                        cause: TraceCause::Overflow,
-                                    });
-                                }
+                                sink.emit(|| TraceEvent::Reject {
+                                    step,
+                                    chunk,
+                                    cause: TraceCause::Overflow,
+                                });
                             }
                         }
                     }
                     Decision::Reject(reason) => {
                         self.stats.record_reject(reason);
-                        if S::ENABLED {
-                            sink.on_event(&TraceEvent::Reject {
-                                step,
-                                chunk,
-                                cause: TraceCause::from_reason(reason),
-                            });
-                        }
+                        sink.emit(|| TraceEvent::Reject {
+                            step,
+                            chunk,
+                            cause: TraceCause::from_reason(reason),
+                        });
                     }
                 }
                 observer.on_route(step, chunk, decision);
@@ -709,8 +693,8 @@ fn emit_drain<S: TraceSink>(
     class: usize,
     arrivals: &mut Vec<u32>,
 ) {
-    if S::ENABLED && !arrivals.is_empty() {
-        sink.on_event(&TraceEvent::Drain {
+    if !arrivals.is_empty() {
+        sink.emit(|| TraceEvent::Drain {
             step,
             server,
             class: class as u8,

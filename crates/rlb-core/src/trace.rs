@@ -6,8 +6,9 @@
 //! a typed [`TraceEvent`] to a [`TraceSink`] chosen at compile time:
 //!
 //! * [`NoopSink`] (the default) — [`TraceSink::ENABLED`] is `false`, so
-//!   every emission site, including the event construction and its
-//!   allocations, is erased by monomorphization. A traced-off run is
+//!   [`TraceSink::emit`], the one emission path, never calls the closure
+//!   that builds an event, and monomorphization erases every emission
+//!   with its event construction and allocations. A traced-off run is
 //!   bit-identical to (and as fast as) an untraced one; the
 //!   `engine_equivalence` golden suite and the `rlb-sim bench` gate pin
 //!   this down.
@@ -379,16 +380,28 @@ impl rlb_json::FromJson for TraceEvent {
 /// A consumer of engine events.
 ///
 /// The engine is generic over its sink ([`crate::Simulation`] defaults
-/// to [`NoopSink`]); every emission site is guarded by
-/// `if S::ENABLED { ... }`, so a disabled sink costs nothing — not even
-/// the event construction.
+/// to [`NoopSink`]) and hands it every event through
+/// [`TraceSink::emit`], which builds the event only when
+/// [`TraceSink::ENABLED`]: a disabled sink costs nothing — not even the
+/// event construction.
 pub trait TraceSink {
-    /// Whether this sink receives events. Emission sites (including
-    /// event construction) are compiled out when `false`.
+    /// Whether this sink receives events. [`TraceSink::emit`] (including
+    /// the event construction) compiles out when `false`.
     const ENABLED: bool = true;
 
     /// Receives one event. Called in deterministic engine order.
     fn on_event(&mut self, event: &TraceEvent);
+
+    /// The one way an event is emitted: `make` builds it, and runs only
+    /// when the sink is enabled. Under a disabled sink the branch is
+    /// constant-false, so monomorphization deletes the closure, the
+    /// event and its allocations.
+    #[inline(always)]
+    fn emit(&mut self, make: impl FnOnce() -> TraceEvent) {
+        if Self::ENABLED {
+            self.on_event(&make())
+        }
+    }
 }
 
 /// The disabled sink: receives nothing, costs nothing.
@@ -504,6 +517,39 @@ mod tests {
     #[test]
     fn unknown_kind_is_an_error() {
         assert!(from_str::<TraceEvent>(r#"{"ev":"warp","step":1}"#).is_err());
+    }
+
+    /// Collects what it receives.
+    #[derive(Default)]
+    struct VecSink(Vec<TraceEvent>);
+
+    impl TraceSink for VecSink {
+        fn on_event(&mut self, event: &TraceEvent) {
+            self.0.push(event.clone());
+        }
+    }
+
+    /// Emits through `S`'s own `emit`, as the engine does with its
+    /// generic sink (here `S` is `&mut T`).
+    fn emit_via<S: TraceSink>(mut sink: S, make: impl FnOnce() -> TraceEvent) {
+        sink.emit(make)
+    }
+
+    #[test]
+    fn emit_builds_the_event_only_for_an_enabled_sink() {
+        let never = || -> TraceEvent { panic!("a disabled sink built an event") };
+        NoopSink.emit(never);
+        emit_via(&mut NoopSink, never);
+        let ev = || TraceEvent::OutageBegin { step: 4, server: 1 };
+        let mut sink = VecSink::default();
+        let mut built = 0;
+        sink.emit(|| {
+            built += 1;
+            ev()
+        });
+        emit_via(&mut sink, ev);
+        assert_eq!(built, 1);
+        assert_eq!(sink.0, [ev(), ev()]);
     }
 
     #[test]

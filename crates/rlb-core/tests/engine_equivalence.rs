@@ -19,6 +19,7 @@
 
 use rlb_core::policies::{DelayedCuckoo, Greedy};
 use rlb_core::{DrainMode, NoopSink, RunReport, SimConfig, Simulation, TraceEvent, TraceSink};
+use rlb_hash::mix::fmix64;
 use rlb_hash::{sample, Pcg64};
 
 const GOLDEN_PATH: &str = concat!(
@@ -144,12 +145,13 @@ fn scenarios_are_deterministic() {
 }
 
 /// A live (enabled) sink that observes every event without storing the
-/// stream — enough to prove the emission path ran.
+/// stream: it counts them and folds each one's JSON into a digest.
 #[derive(Default)]
 struct TailSink {
     events: u64,
     drains: u64,
     last_step: u64,
+    digest: u64,
 }
 
 impl TraceSink for TailSink {
@@ -159,16 +161,33 @@ impl TraceSink for TailSink {
         if matches!(event, TraceEvent::Drain { .. }) {
             self.drains += 1;
         }
+        let json = rlb_json::to_string(event);
+        self.digest = json.bytes().fold(self.digest ^ json.len() as u64, |h, b| {
+            fmix64(h ^ u64::from(b))
+        });
     }
 }
+
+/// The digest of each scenario's whole event stream (every event, in
+/// engine order), captured from commit 7c46991. The scenarios overflow,
+/// flush every 50 steps and, under DCR, roll phases, so every engine
+/// event kind but the outage pair is in them. The two DCR streams
+/// coincide, as their goldens do.
+const STREAM_DIGESTS: [(&str, u64); 4] = [
+    ("greedy_end_of_step", 0xa47ec128055b95d7),
+    ("greedy_interleaved", 0xd43ba025bb48e639),
+    ("dcr_end_of_step", 0xc6a372cb95947164),
+    ("dcr_interleaved", 0xc6a372cb95947164),
+];
 
 /// Attaching a live sink must not change a single observable number:
 /// the traced report is byte-identical to the untraced one (which the
 /// golden test above pins to the pre-trace engine), in every scenario
-/// and drain mode.
+/// and drain mode. The stream itself is pinned by its digest.
 #[test]
 fn traced_runs_do_not_perturb_reports() {
-    for name in SCENARIOS {
+    assert_eq!(STREAM_DIGESTS.map(|(name, _)| name), SCENARIOS);
+    for (name, digest) in STREAM_DIGESTS {
         let untraced = run_scenario(name);
         let (traced, sink) = run_scenario_traced(name, TailSink::default());
         assert_eq!(
@@ -181,6 +200,11 @@ fn traced_runs_do_not_perturb_reports() {
             sink.last_step,
             400 - 1,
             "scenario {name}: stream ended early"
+        );
+        assert_eq!(
+            sink.digest, digest,
+            "scenario {name}: event stream {:#018x} moved",
+            sink.digest
         );
     }
 }

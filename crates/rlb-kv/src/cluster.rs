@@ -271,16 +271,14 @@ impl<P: Policy, S: TraceSink> KvCluster<P, S> {
             self.keys.coalesced_this_step += 1;
             self.keys.tenant_stats[tenant as usize].coalesced += 1;
         }
-        if S::ENABLED {
-            let step = self.sim.step_count();
-            self.sim.sink_mut().on_event(&TraceEvent::TenantOp {
-                step,
-                tenant,
-                key,
-                chunk,
-                coalesced: !created,
-            });
-        }
+        let step = self.sim.step_count();
+        self.sim.sink_mut().emit(|| TraceEvent::TenantOp {
+            step,
+            tenant,
+            key,
+            chunk,
+            coalesced: !created,
+        });
         slot
     }
 

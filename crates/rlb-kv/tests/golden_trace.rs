@@ -5,6 +5,7 @@
 
 use rlb_core::policies::Greedy;
 use rlb_core::{SimConfig, TraceEvent};
+use rlb_hash::mix::fmix64;
 use rlb_kv::KvCluster;
 use rlb_pool::Pool;
 use rlb_trace::{parse_jsonl, JsonlSink};
@@ -29,6 +30,15 @@ fn traced_trial(index: usize) -> ((u64, u64, u64), String) {
     )
 }
 
+/// The digest of the six-trial JSONL document, captured from commit
+/// 7c46991: it pins every `TenantOp` and engine event byte for byte.
+const BASELINE_DIGEST: u64 = 0xfff117857a2c26ac;
+
+fn digest(text: &str) -> u64 {
+    text.bytes()
+        .fold(text.len() as u64, |h, b| fmix64(h ^ u64::from(b)))
+}
+
 /// Runs the traced trials on a private pool of `threads` executors (so
 /// they exist whatever the machine) and splices the streams in trial
 /// order; each stream is self-terminated (`JsonlSink` ends lines in
@@ -45,6 +55,12 @@ fn golden_trace_is_byte_identical_across_thread_counts() {
     let trials = 6;
     let (baseline_values, baseline_jsonl) = traced_trials(trials, 1);
     assert_eq!(baseline_values.len(), trials);
+    assert_eq!(
+        digest(&baseline_jsonl),
+        BASELINE_DIGEST,
+        "trace document {:#018x} moved",
+        digest(&baseline_jsonl)
+    );
     for threads in [2, 8] {
         let (values, jsonl) = traced_trials(trials, threads);
         assert_eq!(

@@ -4,8 +4,7 @@
 //! recovers just enough structure for the rule passes and the call
 //! graph: function items (name, enclosing `impl`/`trait` owner,
 //! `self`-ness, visibility, body token range), `#[cfg(test)]` regions,
-//! `if S::ENABLED { .. }` guard bodies, `fn on_event` bodies (sink
-//! impls), and the module-level `pub` surface (for the dead-pub pass).
+//! and the module-level `pub` surface (for the dead-pub pass).
 //!
 //! Like the tokenizer, this is an *approximation with documented
 //! boundaries*, not a Rust parser: each `{` is classified by its
@@ -163,10 +162,6 @@ pub struct PubItem {
 pub struct FileItems {
     /// `#[cfg(test)]` byte ranges (brace to matching brace).
     pub test_ranges: Vec<(usize, usize)>,
-    /// Bodies of non-negated `if <path>::ENABLED { .. }` blocks.
-    pub guard_ranges: Vec<(usize, usize)>,
-    /// Bodies of `fn on_event` items (sink impls and forwarders).
-    pub on_event_fn_ranges: Vec<(usize, usize)>,
     /// All function items, in declaration order.
     pub fns: Vec<FnItem>,
     /// Module-level pub surface (not inside fn bodies or test regions).
@@ -177,20 +172,6 @@ impl FileItems {
     /// Is byte offset `pos` inside a `#[cfg(test)]` region?
     pub fn in_test(&self, pos: usize) -> bool {
         self.test_ranges
-            .iter()
-            .any(|&(lo, hi)| lo <= pos && pos < hi)
-    }
-
-    /// Is byte offset `pos` inside an ENABLED-guard body?
-    pub(crate) fn in_guard(&self, pos: usize) -> bool {
-        self.guard_ranges
-            .iter()
-            .any(|&(lo, hi)| lo <= pos && pos < hi)
-    }
-
-    /// Is byte offset `pos` inside a `fn on_event` body?
-    pub(crate) fn in_on_event_fn(&self, pos: usize) -> bool {
-        self.on_event_fn_ranges
             .iter()
             .any(|&(lo, hi)| lo <= pos && pos < hi)
     }
@@ -216,8 +197,6 @@ impl FileItems {
 struct Region {
     byte_start: usize,
     test: bool,
-    guard: bool,
-    fn_on_event: bool,
     /// A pending fn item: finalized with its body range at the `}`.
     pending_fn: Option<FnItem>,
     /// `impl Type` / `trait Type` owner for fns declared inside.
@@ -287,8 +266,6 @@ pub fn parse(source: &str, tokens: &Tokens) -> FileItems {
                 stack.push(Region {
                     byte_start: t.lo,
                     test: in_test_now,
-                    guard: header_is_enabled_guard(source, toks, &header),
-                    fn_on_event: pending_fn.as_ref().is_some_and(|f| f.name == "on_event"),
                     pending_fn,
                     owner,
                 });
@@ -298,12 +275,6 @@ pub fn parse(source: &str, tokens: &Tokens) -> FileItems {
                 if let Some(r) = stack.pop() {
                     if r.test && !stack.iter().any(|x| x.test) {
                         out.test_ranges.push((r.byte_start, t.lo));
-                    }
-                    if r.guard {
-                        out.guard_ranges.push((r.byte_start, t.lo));
-                    }
-                    if r.fn_on_event {
-                        out.on_event_fn_ranges.push((r.byte_start, t.lo));
                     }
                     if r.pending_fn.is_some() {
                         if let Some(fi) = fn_stack.pop() {
@@ -340,12 +311,6 @@ pub fn parse(source: &str, tokens: &Tokens) -> FileItems {
     for r in stack {
         if r.test {
             out.test_ranges.push((r.byte_start, len));
-        }
-        if r.guard {
-            out.guard_ranges.push((r.byte_start, len));
-        }
-        if r.fn_on_event {
-            out.on_event_fn_ranges.push((r.byte_start, len));
         }
     }
     for fi in fn_stack {
@@ -385,38 +350,6 @@ fn header_is_cfg_test(source: &str, toks: &[Token], header: &[usize]) -> bool {
         if t(1) == "(" && (t(2) == "test" || (t(2) == "all" && t(3) == "(" && t(4) == "test")) {
             return true;
         }
-    }
-    false
-}
-
-/// Non-negated `if <path>::ENABLED` (possibly `&&`-extended) header?
-fn header_is_enabled_guard(source: &str, toks: &[Token], header: &[usize]) -> bool {
-    let has_if = header.iter().any(|&j| toks[j].text(source) == "if");
-    if !has_if {
-        return false;
-    }
-    for (k, &hi) in header.iter().enumerate() {
-        if toks[hi].text(source) != "ENABLED" || k == 0 {
-            continue;
-        }
-        if toks[header[k - 1]].text(source) != "::" {
-            continue;
-        }
-        // Walk back over the type path (`S`, `Self`, `trace::Sink`).
-        let mut j = k - 1;
-        while j > 0 {
-            let s = toks[header[j - 1]].text(source);
-            if s == "::" || toks[header[j - 1]].kind == TokenKind::Ident {
-                j -= 1;
-            } else {
-                break;
-            }
-        }
-        // `if !S::ENABLED { .. }` does not protect the body.
-        if j > 0 && toks[header[j - 1]].text(source) == "!" {
-            continue;
-        }
-        return true;
     }
     false
 }
@@ -719,26 +652,6 @@ mod tests {
         assert!(!items.fns[0].in_test);
         assert!(items.fns[1].in_test);
         assert_eq!(items.test_ranges.len(), 1);
-    }
-
-    #[test]
-    fn enabled_guard_regions_match_rules_semantics() {
-        let ok = "fn r(&mut self) { if S::ENABLED { sink.on_event(&ev); } }";
-        assert_eq!(parse_src(ok).guard_ranges.len(), 1);
-        let negated = "fn r(&mut self) { if !S::ENABLED { sink.on_event(&ev); } }";
-        assert!(parse_src(negated).guard_ranges.is_empty());
-        let with_and = "fn r(&mut self) { if Self::ENABLED && !s.is_empty() { x(); } }";
-        assert_eq!(parse_src(with_and).guard_ranges.len(), 1);
-        let no_if = "fn r(&mut self) { let e = S::ENABLED; }";
-        assert!(parse_src(no_if).guard_ranges.is_empty());
-    }
-
-    #[test]
-    fn on_event_fn_bodies_are_regions() {
-        let src = "impl TraceSink for Tee { fn on_event(&mut self, ev: &E) { \
-                   self.a.on_event(ev); } }";
-        let items = parse_src(src);
-        assert_eq!(items.on_event_fn_ranges.len(), 1);
     }
 
     #[test]

@@ -72,12 +72,6 @@ pub(crate) struct Rule {
 /// Every rule a finding can carry, in the order `rlb-sim lint --rule`
 /// lists them.
 pub(crate) const CATALOG: &[Rule] = &[
-    // `.on_event(` outside `if S::ENABLED { … }` (sink impls exempt).
-    Rule::per_file(
-        "trace-guard",
-        |pf| TRACE_GUARD_CRATES.contains(&pf.crate_name()),
-        trace_guard,
-    ),
     // Narrowing `as u8` / `as u16` / `as u32` in accounting code.
     Rule::per_file(
         "lossy-cast",
@@ -120,12 +114,6 @@ pub fn all_rule_names() -> Vec<&'static str> {
     CATALOG.iter().map(|r| r.name).collect()
 }
 
-/// Crates whose emission sites must be behind `if S::ENABLED`. The
-/// serve/load layer joined when its hot paths gained trace hooks as a
-/// possibility: the rule is a no-op there until one exists, and then
-/// it is not.
-const TRACE_GUARD_CRATES: &[&str] = &["rlb-core", "rlb-kv", "rlb-serve", "rlb-load"];
-
 fn in_lossy_cast_scope(rel_path: &str) -> bool {
     rel_path == "crates/rlb-core/src/stats.rs"
         || rel_path.starts_with("crates/rlb-metrics/src/")
@@ -164,30 +152,6 @@ pub(crate) fn file_rules(pf: &ParsedFile, allow: &Suppressions, findings: &mut V
 }
 
 // ---------------------------------------------------------------- rules
-
-fn trace_guard(pf: &ParsedFile, allow: &Suppressions, findings: &mut Vec<Finding>) {
-    for p in 0..pf.code.len() {
-        if !(pf.at(p, "on_event") && p > 0 && pf.at(p - 1, ".") && pf.at(p + 1, "(")) {
-            continue;
-        }
-        let byte = pf.byte(p - 1);
-        // Sink implementations (and forwarders) live inside
-        // `fn on_event` bodies; those are receivers, not emitters.
-        if pf.items.in_guard(byte) || pf.items.in_on_event_fn(byte) {
-            continue;
-        }
-        emit_at(
-            findings,
-            pf,
-            allow,
-            byte,
-            "trace-guard",
-            "`.on_event(..)` outside an `if S::ENABLED { .. }` guard: the emission (and its \
-             argument construction) must compile out when the sink is disabled"
-                .to_string(),
-        );
-    }
-}
 
 fn lossy_cast(pf: &ParsedFile, allow: &Suppressions, findings: &mut Vec<Finding>) {
     for p in 0..pf.code.len() {
@@ -347,77 +311,30 @@ pub(crate) fn allow_by_line(comments: &[String]) -> Suppressions {
 mod tests {
     use super::*;
 
-    fn lint_core(src: &str) -> Vec<Finding> {
-        lint_source("crates/rlb-core/src/sim.rs", src)
+    fn lint_stats(src: &str) -> Vec<Finding> {
+        lint_source("crates/rlb-core/src/stats.rs", src)
     }
 
-    /// An unguarded emission: one `trace-guard` finding in rlb-core.
-    const UNGUARDED: &str = "fn f(&mut self) { self.sink.on_event(&ev); }";
+    /// A narrowing cast in accounting code: one `lossy-cast` finding.
+    const NARROWING: &str = "fn f(x: u64) -> u32 { x as u32 }";
 
     #[test]
     fn a_finding_is_suppressed_by_allow() {
-        let above = format!("// a forwarder. lint:allow(trace-guard)\n{UNGUARDED}");
-        assert!(lint_core(&above).is_empty());
-        let same = format!("{UNGUARDED} // lint:allow(trace-guard)");
-        assert!(lint_core(&same).is_empty());
-        // The wrong rule name does not suppress — and, being dead, is
-        // itself reported.
-        let wrong = format!("{UNGUARDED} // lint:allow(lossy-cast)");
-        let f = lint_core(&wrong);
-        assert_eq!(f.len(), 2, "{f:?}");
-        assert!(f.iter().any(|x| x.rule == "trace-guard"));
-        assert!(f.iter().any(|x| x.rule == "unused-suppression"));
+        let above = format!("// bounded by the caller. lint:allow(lossy-cast)\n{NARROWING}");
+        assert!(lint_stats(&above).is_empty());
+        let same = format!("{NARROWING} // lint:allow(lossy-cast)");
+        assert!(lint_stats(&same).is_empty());
+        // Another rule's name does not suppress it.
+        let wrong = format!("{NARROWING} // lint:allow(panic-path)");
+        let f = lint_stats(&wrong);
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert_eq!(f[0].rule, "lossy-cast");
     }
 
     #[test]
     fn test_modules_are_exempt() {
-        let src = format!("fn g() {{}}\n#[cfg(test)]\nmod tests {{\n    {UNGUARDED}\n}}");
-        assert!(lint_core(&src).is_empty());
-    }
-
-    #[test]
-    fn trace_guard_fires_on_unguarded_emission() {
-        let src = "fn route(&mut self) { self.sink.on_event(&ev); }";
-        let f = lint_core(src);
-        assert_eq!(f.len(), 1);
-        assert_eq!(f[0].rule, "trace-guard");
-    }
-
-    #[test]
-    fn trace_guard_accepts_enabled_guard() {
-        for src in [
-            "fn route(&mut self) { if S::ENABLED { self.sink.on_event(&ev); } }",
-            "fn route(&mut self) { if S::ENABLED && !scratch.is_empty() { sink.on_event(&ev); } }",
-            "fn route(&mut self) { if Self::ENABLED { self.sink.on_event(&ev); } }",
-        ] {
-            assert!(lint_core(src).is_empty(), "{src}");
-        }
-    }
-
-    #[test]
-    fn trace_guard_rejects_negated_guard_and_else() {
-        let f = lint_core("fn r(&mut self) { if !S::ENABLED { self.sink.on_event(&ev); } }");
-        assert_eq!(f.len(), 1, "negated guard must not count");
-        let f = lint_core(
-            "fn r(&mut self) { if S::ENABLED { x(); } else { self.sink.on_event(&ev); } }",
-        );
-        assert_eq!(f.len(), 1, "else branch is unguarded");
-    }
-
-    #[test]
-    fn trace_guard_exempts_sink_impls() {
-        let src = "impl TraceSink for Tee { fn on_event(&mut self, ev: &TraceEvent) { \
-                   self.a.on_event(ev); self.b.on_event(ev); } }";
-        assert!(lint_core(src).is_empty());
-    }
-
-    #[test]
-    fn trace_guard_covers_serve_and_load_now() {
-        let src = "fn f(&mut self) { self.inner.on_event(&ev); }";
-        assert!(lint_source("crates/rlb-trace/src/recorder.rs", src).is_empty());
-        assert_eq!(lint_source("crates/rlb-kv/src/cluster.rs", src).len(), 1);
-        assert_eq!(lint_source("crates/rlb-serve/src/server.rs", src).len(), 1);
-        assert_eq!(lint_source("crates/rlb-load/src/client.rs", src).len(), 1);
+        let src = format!("fn g() {{}}\n#[cfg(test)]\nmod tests {{\n    {NARROWING}\n}}");
+        assert!(lint_stats(&src).is_empty());
     }
 
     #[test]
@@ -455,43 +372,43 @@ mod tests {
 
     #[test]
     fn unused_suppression_is_reported() {
-        let f = lint_core("// lint:allow(trace-guard)\nfn f() { let x = 3; }");
+        let f = lint_stats("// lint:allow(lossy-cast)\nfn f() { let x = 3; }");
         assert_eq!(f.len(), 1, "{f:?}");
         assert_eq!(f[0].rule, "unused-suppression");
         assert_eq!(f[0].line, 1);
-        assert!(f[0].message.contains("trace-guard"), "{}", f[0].message);
+        assert!(f[0].message.contains("lossy-cast"), "{}", f[0].message);
     }
 
     #[test]
     fn used_suppression_is_not_reported() {
-        let f = lint_core(&format!(
-            "// a forwarder. lint:allow(trace-guard)\n{UNGUARDED}"
+        let f = lint_stats(&format!(
+            "// bounded by the caller. lint:allow(lossy-cast)\n{NARROWING}"
         ));
         assert!(f.is_empty(), "{f:?}");
     }
 
     #[test]
     fn unused_suppression_skips_test_regions_and_unknown_names() {
-        let in_test = "#[cfg(test)]\nmod tests {\n    // lint:allow(trace-guard)\n    fn g() {}\n}";
-        assert!(lint_core(in_test).is_empty());
+        let in_test = "#[cfg(test)]\nmod tests {\n    // lint:allow(lossy-cast)\n    fn g() {}\n}";
+        assert!(lint_stats(in_test).is_empty());
         // Prose naming no catalog rule (docs say `lint:allow(<rule>)`).
         let prose = "// suppress with lint:allow(some-rule)\nfn f() {}";
-        assert!(lint_core(prose).is_empty());
+        assert!(lint_stats(prose).is_empty());
         // A workspace-pass rule is not judged by the per-file path.
         let wsp = "// justified elsewhere. lint:allow(panic-path)\nfn f() {}";
-        assert!(lint_core(wsp).is_empty());
+        assert!(lint_stats(wsp).is_empty());
     }
 
     #[test]
     fn findings_are_ordered_and_displayable() {
-        // stats.rs is in both per-file rules' scope.
-        let src = format!("fn f(x: u64) -> u32 {{ x as u32 }}\n{UNGUARDED}");
-        let f = lint_source("crates/rlb-core/src/stats.rs", &src);
+        // The dead allow on line 1 is found after the cast on line 3.
+        let src = format!("// lint:allow(lossy-cast)\nfn g() {{}}\n{NARROWING}");
+        let f = lint_stats(&src);
         assert_eq!(f.len(), 2, "{f:?}");
-        assert_eq!((f[0].rule, f[1].rule), ("lossy-cast", "trace-guard"));
-        assert!(f[0].line < f[1].line);
-        assert!(f[0].col > 1, "col is exact: {}", f[0].col);
-        let shown = f[0].to_string();
-        assert!(shown.contains("crates/rlb-core/src/stats.rs:1"), "{shown}");
+        assert_eq!((f[0].rule, f[1].rule), ("unused-suppression", "lossy-cast"));
+        assert_eq!((f[0].line, f[1].line), (1, 3));
+        assert!(f[1].col > 1, "col is exact: {}", f[1].col);
+        let shown = f[1].to_string();
+        assert!(shown.contains("crates/rlb-core/src/stats.rs:3"), "{shown}");
     }
 }

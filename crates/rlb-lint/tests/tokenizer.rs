@@ -216,21 +216,21 @@ fn tokens_after_multi_line_literals_keep_their_lines() {
 #[test]
 fn suppressions_attach_to_the_line_their_comment_text_is_on() {
     let rules_fired = |above: &str| -> Vec<&str> {
-        let emit = "self.sink.on_event(&ev);";
-        let source = format!("fn f(&mut self) {{\n{above}\n{emit}\n}}\n");
-        let findings = rlb_lint::lint_source("crates/rlb-core/src/sim.rs", &source);
+        let cast = "let n = x as u32;";
+        let source = format!("fn f(x: u64) {{\n{above}\n{cast}\n}}\n");
+        let findings = rlb_lint::lint_source("crates/rlb-core/src/stats.rs", &source);
         findings.iter().map(|f| f.rule).collect()
     };
     for above in [
-        "let s = \"one\\\n  two\";\n// a forwarder. lint:allow(trace-guard)",
-        "/* a forwarder:\n   lint:allow(trace-guard) */",
+        "let s = \"one\\\n  two\";\n// bounded above. lint:allow(lossy-cast)",
+        "/* bounded above:\n   lint:allow(lossy-cast) */",
     ] {
         assert!(rules_fired(above).is_empty(), "{above:?}");
     }
     // One line further up, the same text suppresses nothing and is dead.
     assert_eq!(
-        rules_fired("/* lint:allow(trace-guard)\n   a forwarder */"),
-        ["unused-suppression", "trace-guard"]
+        rules_fired("/* lint:allow(lossy-cast)\n   bounded above */"),
+        ["unused-suppression", "lossy-cast"]
     );
 }
 
