@@ -2,14 +2,16 @@
 //!
 //! Each server owns `K` queue *classes* (greedy uses one; delayed cuckoo
 //! routing uses four: `Q`, `P`, `Q'`, `P'`), each a bounded ring buffer of
-//! request arrival steps. The structure is data-oriented: all ring
-//! payloads are carved out of one arena (`buf`) laid out **class-major**
-//! — class `c`'s rings for servers `0..m` are adjacent — and the scalar
-//! state lives in one packed ring-control row `ctrl` (head, length,
-//! occupancy slot per `(class, server)`), whose class-0 entries carry
-//! each server's routing word as well: its total backlog while live,
-//! `DOWN` while not. A routing decision and the enqueue behind it read
-//! one 16-byte entry per server. See ARCHITECTURE.md "SoA arena layout".
+//! request arrival steps. The structure is data-oriented: the scalar
+//! state lives in one packed ring-control row `ctrl` (head, length and
+//! the queue's oldest arrival step per `(class, server)`), whose class-0
+//! entries carry each server's routing word as well: its total backlog
+//! while live, `DOWN` while not. The rest of a queue — every entry but
+//! the oldest — sits in a ring carved out of one arena (`buf`) laid out
+//! **class-major**: class `c`'s rings for servers `0..m` are adjacent. A
+//! routing decision and the enqueue behind it read one 16-byte entry per
+//! server, and a queue that holds at most one request never touches the
+//! arena. See ARCHITECTURE.md "SoA arena layout".
 
 #![deny(
     clippy::unwrap_used,
@@ -33,26 +35,23 @@ pub struct ClassSpec {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QueueFull;
 
-/// Sentinel in the occupancy-slot word for "this queue is empty".
-const NOT_OCCUPIED: u32 = u32::MAX;
-
 /// The routing word of a down server. Live backlogs can never reach
 /// it: the constructor rejects a per-server capacity of `u32::MAX`.
 const DOWN: u32 = u32::MAX;
 
 /// Words per `(class, server)` entry in the packed ring-control row
-/// `ctrl`: head, length, occupancy slot and the routing word, so
-/// entries are 16 bytes and never span more than one cache line. One
-/// load pulls in every control word an enqueue or dequeue touches —
-/// with separate parallel arrays the same operation missed three
-/// distinct lines.
+/// `ctrl`: head, length, oldest entry and the routing word, so entries
+/// are 16 bytes and never span more than one cache line. One load pulls
+/// in every control word an enqueue or dequeue touches — with separate
+/// parallel arrays the same operation missed three distinct lines.
 const CTRL_WORDS: usize = 4;
 /// Offset of the ring head within a `ctrl` entry.
 const CTRL_HEAD: usize = 0;
 /// Offset of the ring length within a `ctrl` entry.
 const CTRL_LEN: usize = 1;
-/// Offset of the occupancy-slot back-pointer within a `ctrl` entry.
-const CTRL_SLOT: usize = 2;
+/// Offset of the queue's oldest arrival step within a `ctrl` entry;
+/// meaningful while the length is non-zero.
+const CTRL_FIRST: usize = 2;
 /// Offset of the routing word within a class-0 `ctrl` entry: the
 /// server's total backlog over all classes while it is live, `DOWN`
 /// while it is not. The word is 0 in every other class's entry.
@@ -73,20 +72,95 @@ fn tail(head: u32, len: u32, cap: u32) -> u32 {
     }
 }
 
+/// One queue's control words, copied out of its `ctrl` entry so that a
+/// walk keeps them in registers, with the arena ring they name. The
+/// oldest entry is `first`; the other `len - 1` sit in the ring from
+/// `head` on. [`Ring::push_back`] and [`Ring::pop_front_n`] are the only
+/// ring arithmetic: enqueues, drains, flushes and migrations all move
+/// entries through them.
+struct Ring {
+    idx: usize,
+    base: usize,
+    cap: u32,
+    head: u32,
+    len: u32,
+    first: u32,
+}
+
+impl Ring {
+    /// Appends `v`: into `first` when the queue is empty, so a queue that
+    /// never holds two never writes the arena; behind the ring's
+    /// `len - 1` entries otherwise. Requires `len < cap`.
+    #[inline]
+    fn push_back(&mut self, buf: &mut [u32], v: u32) {
+        if self.len == 0 {
+            self.first = v;
+        } else {
+            // 0 < len < cap: the ring's len - 1 entries leave its tail slot free. lint:allow(panic-path, unchecked-arith)
+            buf[self.base + tail(self.head, self.len - 1, self.cap) as usize] = v;
+        }
+        self.len += 1;
+    }
+
+    /// Pops the `n` oldest entries into `f`, oldest first: `first`, then
+    /// `n - 1` ring entries; the next ring entry, if any remain, refills
+    /// `first`. Each argument of `f` is its own load, so the calls do not
+    /// wait on one another. Requires `n <= len`.
+    #[inline]
+    fn pop_front_n(&mut self, buf: &[u32], n: u32, mut f: impl FnMut(u32)) {
+        // `migrate_class` pops its drops, often none, from a queue it
+        // may just have emptied, where `first` is stale.
+        if n == 0 {
+            return;
+        }
+        f(self.first);
+        let mut h = self.head;
+        for _ in 1..n {
+            f(buf[self.base + h as usize]); // head < cap: a slot of this ring. lint:allow(panic-path, unchecked-arith)
+            h += 1;
+            if h == self.cap {
+                h = 0;
+            }
+        }
+        self.len -= n;
+        if self.len > 0 {
+            self.first = buf[self.base + h as usize];
+            h += 1;
+            if h == self.cap {
+                h = 0;
+            }
+        }
+        self.head = h;
+    }
+
+    /// Pops the oldest entry. Requires `len > 0`.
+    #[inline]
+    fn pop_front(&mut self, buf: &[u32]) -> u32 {
+        let mut oldest = 0;
+        self.pop_front_n(buf, 1, |v| oldest = v);
+        oldest
+    }
+}
+
 /// Flat storage of all (server × class) bounded FIFO queues.
 ///
 /// # Layout
 ///
-/// * `buf` is one arena holding every ring payload. Class `c`'s block
-///   starts at `class_base[c] = m * (caps[0] + … + caps[c-1])`; inside
-///   it, server `s`'s ring occupies `[class_base[c] + s*caps[c] ..)[..caps[c]]`.
-///   All offsets are computed with checked arithmetic at construction,
-///   so blocks can neither alias nor overrun.
-/// * `ctrl` packs `(head, len, occ_slot, route)` per `(class, server)`
+/// * `ctrl` packs `(head, len, first, route)` per `(class, server)`
 ///   into 16-byte entries, indexed `(class * m + server) * CTRL_WORDS` —
 ///   class-major, so a per-class sweep is one contiguous scan, and a
 ///   random-server enqueue costs one cache line of control state
-///   instead of three. `route` is used in class 0's entries only.
+///   instead of three. `first` is the queue's oldest arrival step while
+///   `len > 0`; `route` is used in class 0's entries only.
+/// * `buf` is one arena holding every ring payload: the queue's other
+///   `len - 1` entries, oldest first from `head`. A drain refills
+///   `first` from the ring while entries remain. Class `c`'s block
+///   starts at `class_base[c] = m * (caps[0] + … + caps[c-1])`; inside
+///   it, server `s`'s ring occupies `[class_base[c] + s*caps[c] ..)[..caps[c]]`
+///   (one slot more than a full queue's ring needs, so a 16-slot ring
+///   stays one aligned 64-byte line). All offsets are computed with
+///   checked arithmetic at construction, so blocks can neither alias
+///   nor overrun.
 ///
 /// # Liveness
 ///
@@ -102,17 +176,19 @@ fn tail(head: u32, len: u32, cap: u32) -> u32 {
 /// # Occupancy index
 ///
 /// For every class, an unordered list of the servers whose queue in
-/// that class is non-empty, with a per-(server, class) slot back-pointer
-/// so membership updates are O(1) swap-removes. Bulk operations
+/// that class is non-empty. An enqueue into an empty queue appends; the
+/// bulk walks compact the list in place behind them, and
+/// [`QueueArray::dequeue_up_to`], the one per-server drain, finds the
+/// server it empties by a scan. Bulk operations
 /// ([`QueueArray::drain_class`], [`QueueArray::migrate_class`],
 /// [`QueueArray::flush_all`]) visit only occupied servers when occupancy
 /// is sparse, so their cost scales with the number of servers holding
 /// work rather than with cluster size.
 #[derive(Debug, Clone)]
 pub struct QueueArray {
-    /// Arena of entry payloads (arrival steps), class-major.
+    /// Arena of ring payloads (arrival steps), class-major.
     buf: Vec<u32>,
-    /// Packed ring control (head, len, occupancy slot, routing word),
+    /// Packed ring control (head, len, oldest entry, routing word),
     /// indexed by `(class * num_servers + server) * CTRL_WORDS`.
     ctrl: Vec<u32>,
     /// Per-class capacity.
@@ -120,7 +196,7 @@ pub struct QueueArray {
     /// Arena offset of class `c`'s block (`m * prefix_sum(caps[..c])`).
     class_base: Vec<usize>,
     /// Per class: servers with a non-empty queue in that class
-    /// (unordered; membership maintained by swap-remove).
+    /// (unordered).
     occupied: Vec<Vec<u32>>,
     /// Cluster-wide queued total, maintained incrementally.
     total: u64,
@@ -190,13 +266,9 @@ impl QueueArray {
             prefix += c as usize;
         }
         debug_assert_eq!(num_servers * prefix, arena);
-        let mut ctrl = vec![0u32; CTRL_WORDS * k * num_servers];
-        for entry in ctrl.chunks_exact_mut(CTRL_WORDS) {
-            entry[CTRL_SLOT] = NOT_OCCUPIED;
-        }
         Self {
             buf: vec![0; arena],
-            ctrl,
+            ctrl: vec![0; CTRL_WORDS * k * num_servers],
             caps,
             class_base,
             occupied: vec![Vec::new(); k],
@@ -225,35 +297,34 @@ impl QueueArray {
         self.class_base[class] + server as usize * self.caps[class] as usize // slot base: class/server/caps validated at build. lint:allow(panic-path, unchecked-arith)
     }
 
-    /// Marks `(server, class)` occupied (its queue just became
-    /// non-empty).
+    /// `(server, class)`'s queue, named by its `ctrl` index, arena base
+    /// and capacity, which the bulk walks hoist out of their per-server
+    /// loops.
     #[inline]
-    fn occ_insert(&mut self, server: u32, class: usize) {
-        let idx = self.ctrl_ix(server, class);
-        debug_assert_eq!(self.ctrl[idx + CTRL_SLOT], NOT_OCCUPIED); // idx from ctrl_ix: in bounds by construction. lint:allow(panic-path)
-        self.ctrl[idx + CTRL_SLOT] = self.occupied[class].len() as u32; // slot offsets stay within the class region. lint:allow(unchecked-arith)
-        self.occupied[class].push(server);
+    fn ring_at(&self, idx: usize, base: usize, cap: u32) -> Ring {
+        Ring {
+            idx,
+            base,
+            cap,
+            head: self.ctrl[idx + CTRL_HEAD], // idx names a built ring's entry. lint:allow(panic-path, unchecked-arith)
+            len: self.ctrl[idx + CTRL_LEN],
+            first: self.ctrl[idx + CTRL_FIRST],
+        }
     }
 
-    /// Marks `(server, class)` unoccupied (its queue just emptied); the
-    /// last list entry swaps into the vacated slot.
+    /// `(server, class)`'s queue.
     #[inline]
-    fn occ_remove(&mut self, server: u32, class: usize) {
-        let idx = self.ctrl_ix(server, class);
-        let slot = self.ctrl[idx + CTRL_SLOT] as usize;
-        debug_assert_ne!(slot as u32, NOT_OCCUPIED);
-        self.ctrl[idx + CTRL_SLOT] = NOT_OCCUPIED;
-        let m = self.num_servers;
-        let list = &mut self.occupied[class];
-        // The slot back-pointer guarantees membership, so the list is
-        // non-empty here; an infallible pop needs no panic branch.
-        debug_assert!(slot < list.len(), "occupancy slot points into list");
-        if let Some(last) = list.pop() {
-            if last != server {
-                list[slot] = last;
-                self.ctrl[(class * m + last as usize) * CTRL_WORDS + CTRL_SLOT] = slot as u32;
-            }
-        }
+    fn ring(&self, server: u32, class: usize) -> Ring {
+        let cap = self.caps[class]; // class validated by the public entry points. lint:allow(panic-path)
+        self.ring_at(self.ctrl_ix(server, class), self.base(server, class), cap)
+    }
+
+    /// Writes a queue's control words back to its `ctrl` entry.
+    #[inline]
+    fn store(&mut self, ring: &Ring) {
+        self.ctrl[ring.idx + CTRL_HEAD] = ring.head; // idx names a built ring's entry. lint:allow(panic-path, unchecked-arith)
+        self.ctrl[ring.idx + CTRL_LEN] = ring.len;
+        self.ctrl[ring.idx + CTRL_FIRST] = ring.first;
     }
 
     /// Number of queue classes per server.
@@ -351,64 +422,42 @@ impl QueueArray {
         class: usize,
         arrival_step: u32,
     ) -> Result<(), QueueFull> {
-        let idx = self.ctrl_ix(server, class);
-        let cap = self.caps[class]; // class/server validated by the enqueue entry asserts. lint:allow(panic-path)
-        let len = self.ctrl[idx + CTRL_LEN]; // offsets bounded: cap * m slots reserved per class. lint:allow(unchecked-arith)
-        if len >= cap {
+        let mut ring = self.ring(server, class);
+        if ring.len >= ring.cap {
             return Err(QueueFull);
         }
-        let base = self.base(server, class);
-        let pos = tail(self.ctrl[idx + CTRL_HEAD], len, cap);
-        self.buf[base + pos as usize] = arrival_step;
-        self.ctrl[idx + CTRL_LEN] = len + 1;
+        ring.push_back(&mut self.buf, arrival_step);
+        self.store(&ring);
         // Branchless: a down server's word saturates at DOWN, and a live
         // one cannot reach it (per_server < u32::MAX).
         let r = Self::route_ix(server);
-        self.ctrl[r] = self.ctrl[r].saturating_add(1);
-        self.total += 1;
-        if len == 0 {
-            self.occ_insert(server, class);
+        self.ctrl[r] = self.ctrl[r].saturating_add(1); // server < m: enforced by the public API asserts. lint:allow(panic-path)
+        self.total += 1; // at most m * per_server entries are ever queued. lint:allow(unchecked-arith)
+        if ring.len == 1 {
+            self.occupied[class].push(server);
         }
         Ok(())
     }
 
-    /// Pops the `n` oldest entries of `server`'s ring in one class,
-    /// oldest first, into `f` and returns how many stay queued: the one
-    /// ring walk, and the one update of the routing word, under
-    /// every dequeue, sweep, migration drop and flush. The ring is named
-    /// by its `ctrl` index, arena base and capacity, which the bulk
-    /// callers hoist out of their per-server loops. `total` and the
-    /// occupancy index are left to the caller, which batches both.
+    /// Pops the `n` oldest entries of `server`'s queue `ring`, oldest
+    /// first, into `f`, stores the ring back and returns how many stay
+    /// queued: the one drain, and the one update of the routing word,
+    /// under every dequeue, sweep, migration drop and flush. `total` and
+    /// the occupancy index are left to the caller, which batches both.
     /// Requires `n <= len`.
     #[inline]
-    fn pop(
-        &mut self,
-        server: u32,
-        idx: usize,
-        base: usize,
-        cap: u32,
-        n: u32,
-        mut f: impl FnMut(u32),
-    ) -> u32 {
-        let mut h = self.ctrl[idx + CTRL_HEAD]; // idx/base name a built ring; head and len stay within cap: sanitize_check invariant. lint:allow(panic-path, unchecked-arith)
-        for _ in 0..n {
-            f(self.buf[base + h as usize]);
-            h += 1;
-            if h == cap {
-                h = 0;
-            }
-        }
-        self.ctrl[idx + CTRL_HEAD] = h;
-        let rem = self.ctrl[idx + CTRL_LEN] - n;
-        self.ctrl[idx + CTRL_LEN] = rem;
+    fn pop(&mut self, server: u32, mut ring: Ring, n: u32, f: impl FnMut(u32)) -> u32 {
+        ring.pop_front_n(&self.buf, n, f);
+        self.store(&ring);
         // A down server's routing word stays pinned at DOWN (which no
         // live value reaches), so the word itself says whether it
         // follows the backlog.
         let r = Self::route_ix(server);
+        // r names a built class-0 entry. lint:allow(panic-path)
         if self.ctrl[r] != DOWN {
-            self.ctrl[r] -= n;
+            self.ctrl[r] -= n; // a live word counts the n popped. lint:allow(unchecked-arith)
         }
-        rem
+        ring.len
     }
 
     /// Dequeues up to `count` requests from `(server, class)` in FIFO
@@ -428,10 +477,12 @@ impl QueueArray {
         if n == 0 {
             return 0;
         }
-        let idx = self.ctrl_ix(server, class);
-        let (base, cap) = (self.base(server, class), self.caps[class]);
-        if self.pop(server, idx, base, cap, n, on_complete) == 0 {
-            self.occ_remove(server, class);
+        let ring = self.ring(server, class);
+        if self.pop(server, ring, n, on_complete) == 0 {
+            let list = &mut self.occupied[class];
+            if let Some(at) = list.iter().position(|&s| s == server) {
+                list.swap_remove(at);
+            }
         }
         self.total -= n as u64;
         n
@@ -507,18 +558,13 @@ impl QueueArray {
             }
             if self.is_live(server) {
                 let n = take.min(rem);
-                let base = cbase + server as usize * cap as usize;
-                rem = self.pop(server, idx, base, cap, n, |arrival| {
-                    on_complete(server, arrival)
-                });
+                let ring = self.ring_at(idx, cbase + server as usize * cap as usize, cap);
+                rem = self.pop(server, ring, n, |arrival| on_complete(server, arrival));
                 drained += n as u64;
             }
             if rem > 0 {
-                self.ctrl[idx + CTRL_SLOT] = kept as u32;
                 list[kept] = server;
                 kept += 1;
-            } else {
-                self.ctrl[idx + CTRL_SLOT] = NOT_OCCUPIED;
             }
         }
         list.truncate(kept);
@@ -566,41 +612,25 @@ impl QueueArray {
         // wholesale and its allocation reused.
         let mut movers = std::mem::take(&mut self.occupied[from]); // from/to classes validated by the migrate entry asserts. lint:allow(panic-path)
         for &server in &movers {
-            let from_idx = self.ctrl_ix(server, from);
-            let pending = self.ctrl[from_idx + CTRL_LEN]; // slot math bounded by both class capacities. lint:allow(unchecked-arith)
-            debug_assert!(pending > 0, "occupancy lists only hold non-empty queues");
-            let to_idx = self.ctrl_ix(server, to);
-            let to_len = self.ctrl[to_idx + CTRL_LEN];
-            let room = self.caps[to] - to_len;
-            let moved = pending.min(room);
-            let from_cap = self.caps[from];
-            let from_base = self.base(server, from);
-            let to_cap = self.caps[to];
-            let to_base = self.base(server, to);
-            let mut from_h = self.ctrl[from_idx + CTRL_HEAD];
-            let mut to_pos = tail(self.ctrl[to_idx + CTRL_HEAD], to_len, to_cap);
-            for _ in 0..moved {
-                self.buf[to_base + to_pos as usize] = self.buf[from_base + from_h as usize];
-                from_h += 1;
-                if from_h == from_cap {
-                    from_h = 0;
-                }
-                to_pos += 1;
-                if to_pos == to_cap {
-                    to_pos = 0;
-                }
+            let mut src = self.ring(server, from);
+            debug_assert!(src.len > 0, "occupancy lists only hold non-empty queues");
+            let mut dst = self.ring(server, to);
+            if dst.len == 0 {
+                // src holds work and dst has room for all of cap: something moves.
+                self.occupied[to].push(server);
             }
-            self.ctrl[from_idx + CTRL_HEAD] = from_h;
-            self.ctrl[from_idx + CTRL_LEN] = pending - moved; // the dropped tail, popped below
-            self.ctrl[from_idx + CTRL_SLOT] = NOT_OCCUPIED;
-            self.ctrl[to_idx + CTRL_LEN] = to_len + moved;
-            if to_len == 0 && moved > 0 {
-                self.occ_insert(server, to);
+            // What fits moves oldest first, through the same front and
+            // push as every drain and enqueue.
+            // dst.len <= dst.cap; dropped never passes total. lint:allow(unchecked-arith)
+            for _ in 0..src.len.min(dst.cap - dst.len) {
+                let arrival = src.pop_front(&self.buf);
+                dst.push_back(&mut self.buf, arrival);
             }
+            self.store(&dst);
             // What found no room leaves the server: the only entries
             // whose departure changes its backlog.
-            let lost = pending - moved;
-            self.pop(server, from_idx, from_base, from_cap, lost, &mut on_drop);
+            let lost = src.len;
+            self.pop(server, src, lost, &mut on_drop);
             dropped += lost as u64;
         }
         self.total -= dropped;
@@ -619,12 +649,10 @@ impl QueueArray {
         for class in 0..k {
             let mut servers = std::mem::take(&mut self.occupied[class]); // flush walks only built classes. lint:allow(panic-path)
             for &server in &servers {
-                let n = self.class_backlog(server, class);
-                let idx = self.ctrl_ix(server, class);
-                let (base, cap) = (self.base(server, class), self.caps[class]);
-                self.pop(server, idx, base, cap, n, &mut on_drop);
-                self.ctrl[idx + CTRL_SLOT] = NOT_OCCUPIED; // idx from ctrl_ix: in bounds by construction. lint:allow(unchecked-arith)
-                dropped += n as u64;
+                let ring = self.ring(server, class);
+                let n = ring.len;
+                self.pop(server, ring, n, &mut on_drop);
+                dropped += n as u64; // dropped never passes total. lint:allow(unchecked-arith)
             }
             servers.clear();
             self.occupied[class] = servers;
@@ -659,8 +687,8 @@ impl QueueArray {
     /// `head`/`len` bounds, the routing word (class 0's equals the sum
     /// of the server's class lengths or is `DOWN`; every other class's
     /// is 0), the incremental `total` vs. a full recount, and the
-    /// occupancy index against actual queue membership (both
-    /// directions, including back-pointer integrity and list lengths).
+    /// occupancy index against actual queue membership: each class's
+    /// list files every non-empty queue exactly once and nothing else.
     ///
     /// # Errors
     /// A human-readable description of the first invariant violated.
@@ -721,24 +749,6 @@ impl QueueArray {
                     ));
                 }
                 server_sum += self.ctrl[idx + CTRL_LEN] as u64;
-                let slot = self.ctrl[idx + CTRL_SLOT];
-                if self.ctrl[idx + CTRL_LEN] > 0 {
-                    if slot == NOT_OCCUPIED {
-                        return Err(format!(
-                            "sanitize: occupancy index lost non-empty queue (server {server}, class {class})"
-                        ));
-                    }
-                    let list = &self.occupied[class];
-                    if slot as usize >= list.len() || list[slot as usize] != server as u32 {
-                        return Err(format!(
-                            "sanitize: occupancy back-pointer broken (server {server}, class {class}, slot {slot})"
-                        ));
-                    }
-                } else if slot != NOT_OCCUPIED {
-                    return Err(format!(
-                        "sanitize: empty queue still in occupancy index (server {server}, class {class})"
-                    ));
-                }
                 if class > 0 && self.ctrl[idx + CTRL_ROUTE] != 0 {
                     return Err(format!(
                         "sanitize: pad word {} of class {class}'s entry is not 0 at server {server}",
@@ -761,10 +771,28 @@ impl QueueArray {
                 self.total
             ));
         }
+        let mut filed = vec![false; m];
         for (class, list) in self.occupied.iter().enumerate() {
-            let nonempty = (0..m)
-                .filter(|&s| self.ctrl[(class * m + s) * CTRL_WORDS + CTRL_LEN] > 0)
-                .count();
+            let len = |s: usize| self.ctrl[(class * m + s) * CTRL_WORDS + CTRL_LEN];
+            filed.fill(false);
+            for &server in list {
+                let s = server as usize;
+                if s >= m || len(s) == 0 {
+                    return Err(format!(
+                        "sanitize: occupancy list for class {class} files server {server}, \
+                         whose queue is empty or does not exist"
+                    ));
+                }
+                if filed[s] {
+                    return Err(format!(
+                        "sanitize: occupancy list for class {class} files server {server} twice"
+                    ));
+                }
+                filed[s] = true;
+            }
+            // Every entry is a distinct non-empty queue, so equal counts
+            // mean no non-empty queue is missing.
+            let nonempty = (0..m).filter(|&s| len(s) > 0).count();
             if list.len() != nonempty {
                 return Err(format!(
                     "sanitize: occupancy list for class {class} holds {} entries, {nonempty} queues are non-empty",
@@ -783,8 +811,14 @@ impl QueueArray {
         for list in &mut self.occupied {
             list.clear();
         }
-        for entry in self.ctrl.chunks_exact_mut(CTRL_WORDS) {
-            entry[CTRL_SLOT] = NOT_OCCUPIED;
+    }
+
+    /// Test hook: files the first server of the first non-empty
+    /// occupancy list a second time.
+    #[doc(hidden)]
+    pub fn sanitize_duplicate_occupancy(&mut self) {
+        if let Some(list) = self.occupied.iter_mut().find(|list| !list.is_empty()) {
+            list.push(list[0]);
         }
     }
 
@@ -1115,6 +1149,53 @@ mod tests {
             // Down server kept its work and its membership.
             assert_eq!(bulk.class_backlog(1, class), 3);
         }
+    }
+
+    #[test]
+    fn queues_that_never_hold_two_never_touch_the_arena() {
+        // Every queue here holds at most one request at a time, so each
+        // entry lives in its control entry's `first` word: whatever
+        // enqueue, sweep, migration, flush or dequeue traffic runs, the
+        // arena stays all zeros and no ring head moves. Arrival steps
+        // start at 1, so any entry written to the arena shows.
+        let spec = |capacity| ClassSpec {
+            capacity,
+            drain_per_step: 1,
+        };
+        let mut q = QueueArray::new(8, &[spec(1), spec(2), spec(4)]);
+        let mut arrival = 1u32;
+        let mut completed = 0u32;
+        for round in 0..48u32 {
+            for s in (0..8u32).filter(|s| (s + round) % 3 != 0) {
+                q.enqueue(s, 0, arrival).unwrap();
+                arrival += 1;
+            }
+            match round % 4 {
+                0 => completed += q.sweep_class(0, 1, |_, _| {}) as u32,
+                1 => {
+                    // Into empty destinations only: nothing drops.
+                    assert_eq!(q.migrate_class(0, 1, |_| panic!("dropped")), 0);
+                    assert_eq!(q.migrate_class(1, 2, |_| panic!("dropped")), 0);
+                    completed += q.drain_class(2, 1, |_| {}) as u32;
+                }
+                2 => completed += q.flush_all(|_| {}) as u32,
+                _ => {
+                    for s in 0..8u32 {
+                        completed += q.dequeue_up_to(s, 0, 1, |_| {});
+                    }
+                }
+            }
+            assert_eq!(q.total_backlog(), 0, "round {round}");
+            assert!(
+                q.buf.iter().all(|&w| w == 0),
+                "round {round}: arena written"
+            );
+            assert!(
+                q.ctrl.chunks_exact(CTRL_WORDS).all(|e| e[CTRL_HEAD] == 0),
+                "round {round}: a ring head moved"
+            );
+        }
+        assert_eq!(completed, arrival - 1);
     }
 
     #[test]

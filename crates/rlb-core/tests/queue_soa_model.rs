@@ -10,7 +10,9 @@
 //! naive per-queue reference model under liveness churn, near-capacity
 //! pressure, and post-flush reuse. Its generator draws k <= 3 classes;
 //! `queue_down_server.rs` covers a down server with all four of delayed
-//! cuckoo routing's classes queued.
+//! cuckoo routing's classes queued. A queue keeps its oldest entry in
+//! its control entry and the rest in an arena ring, so the last sweep
+//! reads every queue back whole, in order, on rings of 1 to 3 slots.
 
 use std::collections::VecDeque;
 
@@ -69,6 +71,25 @@ impl Model {
             }
         }
         out
+    }
+
+    /// What `migrate_class` must do: per server, move `from`'s entries
+    /// oldest first into `to` while it has room, and return the rest,
+    /// which drop.
+    fn migrate(&mut self, from: usize, to: usize, to_cap: usize) -> Vec<u32> {
+        let mut drops = Vec::new();
+        for s in 0..self.live.len() as u32 {
+            let room = to_cap - self.q(s, to).len();
+            let pending = std::mem::take(self.q(s, from));
+            for (i, v) in pending.into_iter().enumerate() {
+                if i < room {
+                    self.q(s, to).push_back(v);
+                } else {
+                    drops.push(v);
+                }
+            }
+        }
+        drops
     }
 }
 
@@ -204,18 +225,8 @@ fn soa_engine_matches_naive_model_under_liveness_churn() {
                         let to = (class + 1) % k;
                         let mut dropped = Vec::new();
                         q.migrate_class(class, to, |v| dropped.push(v));
-                        let mut expected_drops = Vec::new();
-                        for s in 0..m as u32 {
-                            let room = classes[to].capacity as usize - model.q(s, to).len();
-                            let pending = std::mem::take(model.q(s, class));
-                            for (i, v) in pending.into_iter().enumerate() {
-                                if i < room {
-                                    model.q(s, to).push_back(v);
-                                } else {
-                                    expected_drops.push(v);
-                                }
-                            }
-                        }
+                        let mut expected_drops =
+                            model.migrate(class, to, classes[to].capacity as usize);
                         dropped.sort_unstable();
                         expected_drops.sort_unstable();
                         assert_eq!(dropped, expected_drops, "{}: migrate drops", ctx());
@@ -325,4 +336,128 @@ fn near_capacity_wrap_cycles_stay_fifo() {
             assert_eq!(seen, expected, "case {case} cycle {cycle}: FIFO drift");
         }
     }
+}
+
+/// Reads every queue of `q` back whole, by draining a clone through the
+/// per-server reference path, and compares it entry by entry, in order,
+/// with the model.
+fn check_contents(q: &QueueArray, model: &Model, context: &str) {
+    let mut copy = q.clone();
+    for server in 0..q.num_servers() as u32 {
+        for class in 0..q.num_classes() {
+            let mut seen = Vec::new();
+            copy.dequeue_up_to(server, class, u32::MAX, |v| seen.push(v));
+            let expected: Vec<u32> = model.queues[server as usize * model.k + class]
+                .iter()
+                .copied()
+                .collect();
+            assert_eq!(
+                seen, expected,
+                "{context}: contents of server {server} class {class}"
+            );
+        }
+    }
+}
+
+/// Rings of one to three slots, where a queue's oldest entry in its
+/// control entry and the rest in the arena ring meet at every boundary:
+/// heads wrap every few operations, migrations land in empty and
+/// non-empty destinations and drop on full ones, sweeps take part of a
+/// queue and refill its front from the ring, and flushes empty
+/// everything mid-wrap. Every queue's whole contents are compared with
+/// the model after every operation.
+#[test]
+fn small_rings_keep_fifo_through_wrap_migrate_and_flush() {
+    // Servers migrated into an empty, a partly filled and a full
+    // destination, over the whole sweep.
+    let mut migrations = [0u32; 3];
+    for case in 0..CASES {
+        let mut rng = case_rng(4, case);
+        let m = 1 + rng.gen_index(4);
+        let k = 2 + rng.gen_index(2);
+        let classes: Vec<ClassSpec> = (0..k)
+            .map(|_| ClassSpec {
+                capacity: 1 + rng.gen_range(3) as u32,
+                drain_per_step: 1,
+            })
+            .collect();
+        let mut q = QueueArray::new(m, &classes);
+        let mut model = Model::new(m, k);
+        for op in 0..300u32 {
+            let server = rng.gen_index(m) as u32;
+            let class = rng.gen_index(k);
+            let ctx = format!("case {case} op {op}");
+            match rng.gen_range(12) {
+                0..=5 => {
+                    let fits = model.q(server, class).len() < classes[class].capacity as usize;
+                    assert_eq!(
+                        q.enqueue(server, class, op).is_ok(),
+                        fits,
+                        "{ctx}: acceptance"
+                    );
+                    if fits {
+                        model.q(server, class).push_back(op);
+                    }
+                }
+                6 => {
+                    let count = 1 + rng.gen_range(3) as u32;
+                    let mut seen = Vec::new();
+                    q.dequeue_up_to(server, class, count, |v| seen.push(v));
+                    let expected: Vec<u32> = (0..count)
+                        .filter_map(|_| model.q(server, class).pop_front())
+                        .collect();
+                    assert_eq!(seen, expected, "{ctx}: dequeue order");
+                }
+                7..=8 => {
+                    // Each server's completions, in the order they came.
+                    let take = 1 + rng.gen_range(2) as u32;
+                    let mut runs = vec![Vec::new(); m];
+                    q.sweep_class(class, take, |s, v| runs[s as usize].push(v));
+                    for (s, run) in runs.iter().enumerate() {
+                        let expected: Vec<u32> = (0..take)
+                            .filter_map(|_| model.q(s as u32, class).pop_front())
+                            .collect();
+                        assert_eq!(run, &expected, "{ctx}: sweep order at server {s}");
+                    }
+                }
+                9..=10 => {
+                    let to = (class + 1 + rng.gen_index(k - 1)) % k;
+                    for s in 0..m as u32 {
+                        let (pending, held) = (model.q(s, class).len(), model.q(s, to).len());
+                        if pending > 0 {
+                            let full = held == classes[to].capacity as usize;
+                            migrations[if held == 0 {
+                                0
+                            } else if full {
+                                2
+                            } else {
+                                1
+                            }] += 1;
+                        }
+                    }
+                    let mut dropped = Vec::new();
+                    q.migrate_class(class, to, |v| dropped.push(v));
+                    let mut expected = model.migrate(class, to, classes[to].capacity as usize);
+                    dropped.sort_unstable();
+                    expected.sort_unstable();
+                    assert_eq!(dropped, expected, "{ctx}: migrate drops");
+                }
+                _ => {
+                    if rng.gen_range(4) == 0 {
+                        let mut dropped = 0u64;
+                        q.flush_all(|_| dropped += 1);
+                        let expected: u64 = model
+                            .queues
+                            .iter_mut()
+                            .map(|q| std::mem::take(q).len() as u64)
+                            .sum();
+                        assert_eq!(dropped, expected, "{ctx}: flush count");
+                    }
+                }
+            }
+            check_against_model(&q, &model, &classes, &ctx);
+            check_contents(&q, &model, &ctx);
+        }
+    }
+    assert!(migrations.iter().all(|&n| n > 0), "{migrations:?}");
 }

@@ -29,8 +29,16 @@ fn workload() -> impl Workload {
 
 /// Runs one more step and returns the panic payload, if any.
 fn step_panic_message<P: Policy>(sim: &mut Simulation<P>) -> Option<String> {
+    step_panic_message_under(sim, &mut workload())
+}
+
+/// [`step_panic_message`] with the step's requests drawn from `load`.
+fn step_panic_message_under<P: Policy>(
+    sim: &mut Simulation<P>,
+    load: &mut impl Workload,
+) -> Option<String> {
     let result = catch_unwind(AssertUnwindSafe(|| {
-        sim.run(&mut workload(), 1);
+        sim.run(load, 1);
     }));
     result.err().map(|payload| {
         payload
@@ -83,6 +91,33 @@ fn corrupted_occupancy_index_is_caught() {
     );
     assert!(
         msg.contains("occupancy"),
+        "panic should name the broken invariant: {msg}"
+    );
+}
+
+#[test]
+fn server_filed_twice_in_occupancy_is_caught() {
+    // A dense sweep rebuilds the list from the queues, and a sparse one
+    // refiles a server only while it holds work, so the duplicate must
+    // sit on a sparse list and hold work through both visits. Server 3
+    // queues work and goes down at step 5; with no arrivals after that
+    // the live servers drain empty, and the down server, filed alone,
+    // keeps its work.
+    use rlb_core::OutageSchedule;
+    let mut cfg = config();
+    cfg.flush_interval = None;
+    let mut schedule = OutageSchedule::none();
+    schedule.push(3, 5, 40);
+    let mut sim = Simulation::new(cfg, Greedy::new()).with_outages(schedule);
+    sim.run(&mut workload(), 5);
+    let mut idle = |_step: u64, _out: &mut Vec<u32>| {};
+    sim.run(&mut idle, 10);
+    assert_eq!(sim.view().backlogs().filter(|&b| b > 0).count(), 1);
+    assert!(sim.view().backlog(3) > 0);
+    sim.sanitize_queues_mut().sanitize_duplicate_occupancy();
+    let msg = step_panic_message_under(&mut sim, &mut idle).expect("sanitizer must panic");
+    assert!(
+        msg.contains("occupancy") && msg.contains("twice"),
         "panic should name the broken invariant: {msg}"
     );
 }
