@@ -53,6 +53,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub(crate) mod aggregate;
 mod bench;
 pub(crate) mod fastforward;
 mod flags;
@@ -65,6 +66,7 @@ pub use serve_load::{parse_serve_load_args, run_load, run_serve, ServeLoadOption
 
 use flags::{unknown, Flags};
 use rlb_core::policies::{with_policy, PolicyVisitor};
+use rlb_core::trace::{parse_jsonl, JsonlSink};
 use rlb_core::{DrainMode, NoopSink, Policy, RunReport, SimConfig, Simulation, TraceSink};
 use rlb_workloads::{Trace, WorkloadSpec};
 
@@ -270,15 +272,15 @@ pub fn run_trace(args: &[String]) -> Result<String, String> {
         }
     }
     let opts = parse_args(&run_args)?;
-    let (report, sink) = run_with_sink(&opts, rlb_trace::JsonlSink::new())?;
+    let (report, sink) = run_with_sink(&opts, JsonlSink::new())?;
     std::fs::write(&out_path, sink.as_str())
         .map_err(|e| format!("cannot write {out_path:?}: {e}"))?;
 
     let persisted = std::fs::read_to_string(&out_path)
         .map_err(|e| format!("cannot re-read {out_path:?}: {e}"))?;
-    let events = rlb_trace::parse_jsonl(&persisted)
-        .map_err(|e| format!("persisted trace does not re-parse: {e}"))?;
-    let mut agg = rlb_trace::Aggregator::new();
+    let events =
+        parse_jsonl(&persisted).map_err(|e| format!("persisted trace does not re-parse: {e}"))?;
+    let mut agg = aggregate::Aggregator::default();
     for ev in &events {
         agg.ingest(ev);
     }
@@ -352,9 +354,9 @@ pub fn render_text(opts: &CliOptions, report: &RunReport) -> String {
 
 /// Runs the `lint` subcommand: the workspace's self-hosted static
 /// analysis (`rlb-lint`) over every `crates/*/src` file, with
-/// `crates/*/{tests,examples}` and the root package's
-/// `{src,tests,examples}` as reference material and `lint-roots.toml`
-/// as the panic-reachability manifest. Returns the rendered report and whether the workspace is
+/// `crates/*/{tests,examples}`, the root package's
+/// `{src,tests,examples}` and `benchmark/src` as reference material and
+/// `lint-roots.toml` as the panic-reachability manifest. Returns the rendered report and whether the workspace is
 /// clean; the binary exits nonzero on any finding.
 ///
 /// Arguments (after the `lint` subcommand): `--root PATH` (default
@@ -785,7 +787,7 @@ mod trace_tests {
         assert!(summary.contains("rejection rate"), "{summary}");
         assert!(summary.contains(&path_str), "{summary}");
         let persisted = std::fs::read_to_string(&path).unwrap();
-        let events = rlb_trace::parse_jsonl(&persisted).unwrap();
+        let events = parse_jsonl(&persisted).unwrap();
         assert!(!events.is_empty());
         let _ = std::fs::remove_file(&path);
     }
@@ -800,7 +802,7 @@ mod trace_tests {
         )
         .unwrap();
         let untraced = run(&opts).unwrap();
-        let (traced, sink) = run_with_sink(&opts, rlb_trace::JsonlSink::new()).unwrap();
+        let (traced, sink) = run_with_sink(&opts, JsonlSink::new()).unwrap();
         assert_eq!(
             rlb_json::to_string(&traced),
             rlb_json::to_string(&untraced),

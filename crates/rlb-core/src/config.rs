@@ -122,12 +122,6 @@ impl SimConfig {
         self
     }
 
-    /// Sets the chunk-universe size (builder style).
-    pub fn with_chunks(mut self, n: usize) -> Self {
-        self.num_chunks = n;
-        self
-    }
-
     /// Validates internal consistency.
     ///
     /// # Errors
@@ -241,9 +235,8 @@ mod tests {
 
     #[test]
     fn builders_apply() {
-        let c = SimConfig::baseline(8).with_seed(7).with_chunks(99);
+        let c = SimConfig::baseline(8).with_seed(7);
         assert_eq!(c.seed, 7);
-        assert_eq!(c.num_chunks, 99);
     }
 }
 

@@ -868,8 +868,8 @@ mod tests {
         assert_eq!(obs.steps, 10);
     }
 
-    /// A sink that keeps every event (test-only; the production
-    /// bounded recorder lives in `rlb-trace`).
+    /// A sink that keeps every event (test-only; the production sink
+    /// is `trace::JsonlSink`).
     struct VecSink(Vec<TraceEvent>);
 
     impl TraceSink for VecSink {

@@ -12,9 +12,10 @@
 //!   bit-identical to (and as fast as) an untraced one; the
 //!   `engine_equivalence` golden suite and the `rlb-sim bench` gate pin
 //!   this down.
-//! * the sinks in the `rlb-trace` crate — a bounded ring-buffer
-//!   recorder for post-mortems, a JSONL exporter, and an aggregator
-//!   that folds the stream back into `rlb-metrics` histograms.
+//! * [`JsonlSink`] — streams every event as one compact JSON line, and
+//!   [`parse_jsonl`] reads such a stream back. `rlb-sim trace` writes
+//!   the stream to a file, re-parses it and folds it into per-class
+//!   latency histograms (its aggregator lives in `rlb-cli`).
 //!
 //! Events serialize as single-line JSON objects tagged by an `"ev"`
 //! field (one per line = JSONL), via the workspace's `rlb-json`. The
@@ -424,6 +425,87 @@ impl<T: TraceSink> TraceSink for &mut T {
     }
 }
 
+/// Serializes every event as one compact JSON line.
+///
+/// The engine emits events in deterministic order for a given seed, and
+/// `rlb-json` writes object fields in declaration order, so the same
+/// run always produces a byte-identical stream — the golden-trace
+/// determinism test in `rlb-kv` relies on this.
+///
+/// Serialize, persist, parse is the route `rlb-sim trace` takes through
+/// a file on every invocation:
+///
+/// ```
+/// use rlb_core::trace::{parse_jsonl, JsonlSink, TraceEvent};
+/// use rlb_core::{policies::Greedy, SimConfig, Simulation};
+///
+/// let config = SimConfig::baseline(16).with_seed(3);
+/// let mut sim = Simulation::new(config, Greedy::new()).with_sink(JsonlSink::new());
+/// let mut workload = |_s: u64, out: &mut Vec<u32>| out.extend(0..16u32);
+/// sim.run(&mut workload, 10);
+/// let (report, jsonl) = sim.finish_traced();
+/// let events = parse_jsonl(jsonl.as_str()).unwrap();
+/// assert_eq!(events.len() as u64, jsonl.lines());
+/// let drained: usize = events
+///     .iter()
+///     .map(|event| match event {
+///         TraceEvent::Drain { arrivals, .. } => arrivals.len(),
+///         _ => 0,
+///     })
+///     .sum();
+/// assert_eq!(drained as u64, report.completed);
+/// ```
+#[derive(Debug, Clone, Default)]
+pub struct JsonlSink {
+    out: String,
+    lines: u64,
+}
+
+impl JsonlSink {
+    /// Creates an empty sink.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Number of lines (= events) written.
+    pub fn lines(&self) -> u64 {
+        self.lines
+    }
+
+    /// The stream so far: `lines()` lines, each `\n`-terminated.
+    pub fn as_str(&self) -> &str {
+        &self.out
+    }
+
+    /// Consumes the sink, yielding the stream.
+    pub fn into_string(self) -> String {
+        self.out
+    }
+}
+
+impl TraceSink for JsonlSink {
+    fn on_event(&mut self, event: &TraceEvent) {
+        self.out.push_str(&rlb_json::to_string(event));
+        self.out.push('\n');
+        self.lines += 1;
+    }
+}
+
+/// Parses a JSONL trace back into events. Blank lines are skipped;
+/// errors carry the 1-based line number.
+pub fn parse_jsonl(s: &str) -> Result<Vec<TraceEvent>, String> {
+    let mut events = Vec::new();
+    for (i, line) in s.lines().enumerate() {
+        if line.trim().is_empty() {
+            continue;
+        }
+        let ev: TraceEvent =
+            rlb_json::from_str(line).map_err(|e| format!("line {}: {e}", i + 1))?;
+        events.push(ev);
+    }
+    Ok(events)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -558,5 +640,39 @@ mod tests {
         // re-enable what the base sink disables.
         const { assert!(!NoopSink::ENABLED) }
         const { assert!(!<&mut NoopSink as TraceSink>::ENABLED) }
+    }
+
+    #[test]
+    fn one_line_per_event_and_round_trip() {
+        let mut sink = JsonlSink::new();
+        for ev in samples() {
+            sink.on_event(&ev);
+        }
+        let n = samples().len();
+        assert_eq!(sink.lines(), n as u64);
+        assert_eq!(sink.as_str().lines().count(), n);
+        assert!(sink.as_str().ends_with('\n'));
+        let back = parse_jsonl(sink.as_str()).unwrap();
+        assert_eq!(back, samples());
+    }
+
+    #[test]
+    fn blank_lines_are_skipped() {
+        let mut sink = JsonlSink::new();
+        sink.on_event(&TraceEvent::Flush {
+            step: 7,
+            dropped: 0,
+        });
+        let padded = format!("\n{}\n\n", sink.as_str());
+        let back = parse_jsonl(&padded).unwrap();
+        assert_eq!(back.len(), 1);
+        assert_eq!(back[0].step(), 7);
+    }
+
+    #[test]
+    fn parse_errors_name_the_line() {
+        let err =
+            parse_jsonl("{\"ev\":\"flush\",\"step\":1,\"dropped\":0}\nnot json\n").unwrap_err();
+        assert!(err.starts_with("line 2:"), "{err}");
     }
 }

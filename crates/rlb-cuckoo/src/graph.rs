@@ -159,11 +159,6 @@ impl CuckooGraph {
             .map(|s| s.excess() as usize)
             .sum()
     }
-
-    /// Whether all items can be placed with **no** stash.
-    pub fn is_fully_placeable(&self) -> bool {
-        self.optimal_stash_size() == 0
-    }
 }
 
 #[cfg(test)]
@@ -184,7 +179,6 @@ mod tests {
     fn empty_graph_is_placeable() {
         let graph = CuckooGraph::new(5);
         assert_eq!(graph.optimal_stash_size(), 0);
-        assert!(graph.is_fully_placeable());
         assert!(graph.component_stats().is_empty());
     }
 
@@ -201,7 +195,7 @@ mod tests {
                 edges: 3
             }
         );
-        assert!(graph.is_fully_placeable());
+        assert_eq!(graph.optimal_stash_size(), 0);
     }
 
     #[test]

@@ -11,9 +11,9 @@
 //! * greedy-2 / greedy-4 / always-go-left hug `log log m` (extremely
 //!   slow — the floor no strategy can beat).
 
+use crate::ballsbins::{single_round_max_load, AlwaysGoLeft, GreedyD, OneChoice};
 use crate::common;
 use crate::{Check, Findings};
-use rlb_ballsbins::{single_round_max_load, AlwaysGoLeft, GreedyD, OneChoice};
 use rlb_hash::Pcg64;
 use rlb_metrics::table::{fmt_f, fmt_u};
 use rlb_metrics::Table;

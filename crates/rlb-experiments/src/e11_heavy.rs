@@ -8,8 +8,8 @@
 //! is what lets the DCR analysis bound `Q`-queue occupancy phase after
 //! phase.
 
+use crate::ballsbins::{heavily_loaded_gap, GreedyD, OneChoice};
 use crate::{Check, Findings};
-use rlb_ballsbins::{heavily_loaded_gap, GreedyD, OneChoice};
 use rlb_hash::Pcg64;
 use rlb_metrics::table::{fmt_f, fmt_u};
 use rlb_metrics::Table;

@@ -10,8 +10,8 @@
 //! that the engine's strictly-online routing (the model's requirement)
 //! is also the information-optimal point.
 
+use crate::ballsbins::{batched_gap, GreedyD, OneChoice};
 use crate::{Check, Findings};
-use rlb_ballsbins::{batched_gap, GreedyD, OneChoice};
 use rlb_hash::Pcg64;
 use rlb_metrics::table::{fmt_f, fmt_u};
 use rlb_metrics::Table;

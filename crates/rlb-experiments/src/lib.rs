@@ -38,6 +38,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub(crate) mod ballsbins;
 pub(crate) mod common;
 pub(crate) mod e01_greedy;
 pub(crate) mod e02_safety;

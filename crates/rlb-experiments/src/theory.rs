@@ -6,8 +6,7 @@
 //! * one-choice max load of `m` balls in `m` bins — the smallest `k`
 //!   with `m · Pr[Poisson(1) ≥ k] ≤ 1`, asymptotically
 //!   `ln m / ln ln m · (1 + o(1))`;
-//! * two-choice max load — `ln ln m / ln 2 + Θ(1)` (Azar et al.);
-//! * binomial tails (for sanity-checking rejection-rate magnitudes).
+//! * two-choice max load — `ln ln m / ln 2 + Θ(1)` (Azar et al.).
 
 /// `Pr[Poisson(1) = k] = e^{-1} / k!`.
 fn poisson1_pmf(k: u32) -> f64 {
@@ -44,36 +43,6 @@ pub fn predicted_two_choice_max(m: usize) -> f64 {
     (m as f64).ln().ln() / std::f64::consts::LN_2
 }
 
-/// Exact binomial tail `Pr[Bin(n, p) >= k]` for modest `n` (used by the
-/// lower-bound experiments at small scale).
-///
-/// # Panics
-/// Panics if `p` is outside `[0, 1]`.
-#[cfg_attr(not(test), allow(dead_code))]
-pub fn binomial_tail(n: u32, p: f64, k: u32) -> f64 {
-    assert!((0.0..=1.0).contains(&p), "p must be a probability");
-    if k == 0 {
-        return 1.0;
-    }
-    if k > n {
-        return 0.0;
-    }
-    // Iterate pmf via the multiplicative recurrence to avoid factorials.
-    let q = 1.0 - p;
-    let mut pmf = q.powi(n as i32); // Pr[X = 0]
-    let mut cdf_below_k = 0.0;
-    for i in 0..k {
-        cdf_below_k += pmf;
-        // pmf(i+1) = pmf(i) * (n - i) / (i + 1) * p / q
-        if q == 0.0 {
-            pmf = 0.0;
-        } else {
-            pmf *= (n - i) as f64 / (i + 1) as f64 * (p / q);
-        }
-    }
-    (1.0 - cdf_below_k).clamp(0.0, 1.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -105,26 +74,5 @@ mod tests {
         let v = predicted_two_choice_max(1 << 16);
         // ln ln 65536 / ln 2 ≈ 3.47.
         assert!((v - 3.47).abs() < 0.05, "{v}");
-    }
-
-    #[test]
-    fn binomial_tail_matches_known_values() {
-        // Bin(4, 0.5): Pr[X >= 2] = 11/16.
-        assert!((binomial_tail(4, 0.5, 2) - 11.0 / 16.0).abs() < 1e-12);
-        // Degenerate cases.
-        assert_eq!(binomial_tail(10, 0.3, 0), 1.0);
-        assert_eq!(binomial_tail(10, 0.3, 11), 0.0);
-        assert!((binomial_tail(5, 1.0, 5) - 1.0).abs() < 1e-12);
-        assert!(binomial_tail(5, 0.0, 1) < 1e-12);
-    }
-
-    #[test]
-    fn binomial_tail_is_monotone_in_k() {
-        let mut prev = 1.0;
-        for k in 0..=20 {
-            let t = binomial_tail(20, 0.4, k);
-            assert!(t <= prev + 1e-12);
-            prev = t;
-        }
     }
 }

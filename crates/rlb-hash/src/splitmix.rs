@@ -33,13 +33,6 @@ impl SplitMix64 {
         z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
         z ^ (z >> 31)
     }
-
-    /// Derives a fresh seed suitable for another generator, advancing the
-    /// state. Use this to fan one master seed out to many components.
-    #[inline]
-    pub fn derive_seed(&mut self) -> u64 {
-        self.mix_next()
-    }
 }
 
 impl Rng for SplitMix64 {
@@ -78,14 +71,6 @@ mod tests {
         assert_eq!(rng.next_u64(), 0xe220a8397b1dcdaf);
         assert_eq!(rng.next_u64(), 0x6e789e6aa1b965f4);
         assert_eq!(rng.next_u64(), 0x06c45d188009454f);
-    }
-
-    #[test]
-    fn derive_seed_advances() {
-        let mut rng = SplitMix64::new(5);
-        let s1 = rng.derive_seed();
-        let s2 = rng.derive_seed();
-        assert_ne!(s1, s2);
     }
 
     #[test]

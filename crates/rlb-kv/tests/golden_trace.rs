@@ -4,11 +4,11 @@
 //! threads ran the trials.
 
 use rlb_core::policies::Greedy;
+use rlb_core::trace::{parse_jsonl, JsonlSink};
 use rlb_core::{SimConfig, TraceEvent};
 use rlb_hash::mix::fmix64;
 use rlb_kv::KvCluster;
 use rlb_pool::Pool;
-use rlb_trace::{parse_jsonl, JsonlSink};
 
 /// One traced trial: a multi-tenant key workload on a greedy cluster,
 /// fully drained, returning summary counters plus the JSONL stream.

@@ -24,7 +24,7 @@
 //!    unchecked arithmetic inside the cones of the roots declared in
 //!    `lint-roots.toml` ([`roots`]), plus a dead-pub-surface sweep that
 //!    counts references from every crate, test, example, and binary in
-//!    the workspace, the root package's included.
+//!    the workspace, the root package's and `benchmark/src` included.
 //!
 //! No pass follows values: wire lengths are capped by construction
 //! (`rlb-serve`'s `proto.rs` reads each one through a cursor call that
@@ -198,8 +198,8 @@ fn json_escape(s: &str) -> String {
 
 /// Whether a workspace-relative path is *linted* (subject to rules and
 /// passes) as opposed to reference-only (scanned for identifiers by the
-/// dead-pub pass: crate `tests/`/`examples/`, and the root package's
-/// `src/`, `tests/` and `examples/`).
+/// dead-pub pass: crate `tests/`/`examples/`, the root package's
+/// `src/`, `tests/` and `examples/`, and `benchmark/src/`).
 fn is_linted_path(rel_path: &str) -> bool {
     match rel_path.strip_prefix("crates/") {
         Some(rest) => rest
@@ -270,10 +270,12 @@ pub fn lint_files(
 }
 
 /// Lints every `.rs` file under `crates/*/src` of the workspace at
-/// `root`, using `crates/*/{tests,examples}` and the root package's
+/// `root`, using `crates/*/{tests,examples}`, the root package's
 /// `{src,tests,examples}` (the facade, its integration tests and the
-/// worked examples) as reference material and `lint-roots.toml` (if
-/// present) as the panic-reachability root manifest.
+/// worked examples) and `benchmark/src` (the repo benchmark, a package
+/// outside the workspace that calls product API) as reference material
+/// and `lint-roots.toml` (if present) as the panic-reachability root
+/// manifest.
 ///
 /// # Errors
 /// Returns a message when `root` has no `crates/` directory, a file
@@ -298,11 +300,12 @@ pub fn lint_workspace(root: &Path) -> Result<LintReport, String> {
         collect_rs_files(&dir.join("src"), &mut paths)?;
     }
     // Reference-only material: each crate's tests and examples, then
-    // the root package's facade, integration tests and examples.
+    // the root package's facade, integration tests and examples, and
+    // the benchmark's sources.
     let reference_dirs = crate_dirs
         .iter()
         .flat_map(|dir| ["tests", "examples"].map(|aux| dir.join(aux)))
-        .chain(["src", "tests", "examples"].map(|aux| root.join(aux)));
+        .chain(["src", "tests", "examples", "benchmark/src"].map(|aux| root.join(aux)));
     for dir in reference_dirs.filter(|dir| dir.is_dir()) {
         collect_rs_files(&dir, &mut paths)?;
     }
@@ -389,14 +392,16 @@ mod tests {
         std::fs::create_dir_all(&src).unwrap();
         std::fs::create_dir_all(root.join("crates/rlb-core/tests")).unwrap();
         std::fs::create_dir_all(root.join("examples")).unwrap();
+        std::fs::create_dir_all(root.join("benchmark/src")).unwrap();
         std::fs::write(
             src.join("sim.rs"),
             "pub fn run(x: Option<u32>) -> u32 { x.unwrap() }\npub fn spare() {}\n\
-             pub fn shown() {}\n",
+             pub fn shown() {}\npub fn timed() {}\n",
         )
         .unwrap();
         // The crate's own tests/ keep `spare` alive, a root example
-        // keeps `shown` alive; `run` panics.
+        // keeps `shown` alive, the benchmark keeps `timed` alive; `run`
+        // panics.
         std::fs::write(
             root.join("crates/rlb-core/tests/api.rs"),
             "fn t() { rlb_core::spare(); rlb_core::run(None); }\n",
@@ -405,6 +410,11 @@ mod tests {
         std::fs::write(
             root.join("examples/x.rs"),
             "fn main() { rlb_core::shown(); }\n",
+        )
+        .unwrap();
+        std::fs::write(
+            root.join("benchmark/src/main.rs"),
+            "fn main() { rlb_core::timed(); }\n",
         )
         .unwrap();
         std::fs::write(

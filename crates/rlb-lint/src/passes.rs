@@ -178,9 +178,9 @@ fn lines_of(lines: impl Iterator<Item = usize>) -> String {
 /// Dead-pub-surface: a `pub` item in a library crate's `src/` that no
 /// *other* compilation unit of the workspace mentions — sibling
 /// crates, the defining crate's own `tests/`/`examples/` and in-file
-/// `#[cfg(test)]` modules, its binaries (`main.rs`, `src/bin/`), and
-/// the root package's facade, `tests/` and `examples/` all count as
-/// usage. Mentioned only inside its own lib: that is exactly the
+/// `#[cfg(test)]` modules, its binaries (`main.rs`, `src/bin/`), the
+/// root package's facade, `tests/` and `examples/`, and `benchmark/src`
+/// all count as usage. Mentioned only inside its own lib: that is exactly the
 /// "demote to `pub(crate)`" case; mentioned nowhere: delete it.
 ///
 /// Re-export leaves (`pub use` names) are reference sources but not
@@ -264,7 +264,7 @@ pub(crate) fn dead_pub(
 /// The compilation unit a file belongs to, for reference counting:
 /// `rlb-core` (the lib), `rlb-cli/bin` (its binaries), `rlb-core/aux`
 /// (tests/examples), `root/aux` (the root package: facade, tests,
-/// examples).
+/// examples; and `benchmark/src`).
 fn unit_of(rel_path: &str) -> String {
     let Some(krate) = crate_of(rel_path) else {
         return "root/aux".to_string();

@@ -117,7 +117,7 @@ pub fn all_rule_names() -> Vec<&'static str> {
 fn in_lossy_cast_scope(rel_path: &str) -> bool {
     rel_path == "crates/rlb-core/src/stats.rs"
         || rel_path.starts_with("crates/rlb-metrics/src/")
-        || rel_path == "crates/rlb-trace/src/aggregate.rs"
+        || rel_path == "crates/rlb-cli/src/aggregate.rs"
         || rel_path.starts_with("crates/rlb-pool/src/")
         || rel_path.starts_with("crates/rlb-experiments/src/")
         || rel_path.starts_with("crates/rlb-serve/src/")

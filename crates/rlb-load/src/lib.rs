@@ -39,7 +39,6 @@ pub use sim_driver::{co_simulate, SimOutput, SimSpec};
 /// [`co_simulate`] under its former name, with the pool the driver no
 /// longer uses; `_pool` is ignored.
 #[doc(hidden)]
-// benchmark/'s pipe-driver gate is the caller. lint:allow(dead-pub)
 pub fn run_sim<P: rlb_core::Policy>(
     core: rlb_serve::ServerCore<P>,
     clients: Vec<Client>,

@@ -674,7 +674,10 @@ mod tests {
     /// distinct chunks evenly, so every post-step backlog is known.
     fn two_servers(rate: u32, queue: u32) -> ServerCore<Greedy> {
         let cfg = ServeConfig {
-            engine: SimConfig::explicit(2, 2, rate, queue).with_chunks(256),
+            engine: SimConfig {
+                num_chunks: 256,
+                ..SimConfig::explicit(2, 2, rate, queue)
+            },
             gate_limit: 1 << 20,
         };
         ServerCore::new(cfg, Greedy::new())

@@ -45,7 +45,6 @@ pub use crate::wire::{ReadStatus, Session, TcpSession};
 /// # Errors
 /// As [`serve`].
 #[doc(hidden)]
-// benchmark/'s serve-tcp rig is the caller. lint:allow(dead-pub)
 pub fn serve_blocking<P: rlb_core::Policy>(
     listener: std::net::TcpListener,
     core: ServerCore<P>,

@@ -16,8 +16,6 @@
 //!   optimal `Θ(log log m)` queues), plus baselines.
 //! * [`cuckoo`] — cuckoo hashing with a stash (Theorem 4.1) and the
 //!   tripartite request assignment (Lemma 4.2).
-//! * [`ballsbins`] — classical balls-and-bins strategies and the
-//!   lower-bound experiments of §5.
 //! * [`workloads`] — oblivious-adversary request generators and traces.
 //! * [`kv`] — a key-value-store façade.
 //! * [`pool`] — the deterministic job executor independent trials run on.
@@ -46,7 +44,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub use rlb_ballsbins as ballsbins;
 pub use rlb_core as core;
 pub use rlb_cuckoo as cuckoo;
 pub use rlb_hash as hash;
