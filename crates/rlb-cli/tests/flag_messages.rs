@@ -54,6 +54,10 @@ const CASES: &[(Parser, &str, &str)] = &[
     (LOAD, "--sim-clock --popularity phased:4,8,1,31", "--popularity: W * K must be at most the universe U, got \"phased:4,8,1,31\""),
     (LOAD, "--sim-clock --popularity phased:2,3,1,10000000000", "--popularity: universe must be at most 2^32 keys, got \"phased:2,3,1,10000000000\""),
     (SERVE, "--sim-clock --popularity zipf:1.1,4294967297", "--popularity: universe must be at most 2^32 keys, got \"zipf:1.1,4294967297\""),
+    // A universe whose chunk ids do not fit the engine's u32, refused
+    // before anything is built.
+    (RUN, "--chunks 4294967297", "num_chunks must be at most 2^32 (chunk ids are u32), got 4294967297"),
+    (SERVE, "--sim-clock --chunks 4294967297", "num_chunks must be at most 2^32 (chunk ids are u32), got 4294967297"),
     // An argument no arm takes.
     (RUN, "--bogus", "unknown option \"--bogus\""),
     (TRACE, "--bogus", "unknown option \"--bogus\""),

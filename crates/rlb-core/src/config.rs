@@ -134,6 +134,12 @@ impl SimConfig {
         if self.num_chunks == 0 {
             return Err("num_chunks must be positive".into());
         }
+        if self.num_chunks as u64 > 1 << 32 {
+            return Err(format!(
+                "num_chunks must be at most 2^32 (chunk ids are u32), got {}",
+                self.num_chunks
+            ));
+        }
         if self.replication == 0 {
             return Err("replication must be positive".into());
         }
@@ -230,6 +236,11 @@ mod tests {
         assert!(c.validate().is_err());
         let mut c = SimConfig::baseline(8);
         c.num_chunks = 0;
+        assert!(c.validate().is_err());
+        let mut c = SimConfig::baseline(8);
+        c.num_chunks = 1 << 32;
+        assert!(c.validate().is_ok());
+        c.num_chunks += 1;
         assert!(c.validate().is_err());
     }
 

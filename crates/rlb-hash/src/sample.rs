@@ -1,5 +1,11 @@
 //! Sampling utilities shared by workload generators and experiments.
 //!
+//! Floyd's algorithm is written once, in [`sample_distinct_into`],
+//! which takes its membership test from the caller:
+//! [`sample_k_distinct`] passes a hash set that takes any `n`, and a
+//! workload generator drawing every step from a small universe passes
+//! its own bitmap.
+//!
 //! [`ZipfSampler`] is an alias table, 12 bytes a key, built in 16 bytes
 //! a key and read either one draw at a time ([`ZipfSampler::sample`]) or
 //! a block of draws at a time ([`ZipfSampler::sample_into`]), which
@@ -30,51 +36,87 @@ pub fn partial_shuffle<T, R: Rng>(rng: &mut R, items: &mut [T], k: usize) {
     }
 }
 
-/// Samples `k` distinct values uniformly from `[0, n)`.
+/// Samples `k` distinct values uniformly from `[0, n)`, in uniform
+/// random order.
 ///
 /// Uses Floyd's algorithm (O(k) expected, no O(n) allocation), so it is
-/// cheap even when `n` is huge (e.g. a chunk universe of `m^3`). A caller
-/// that samples every step keeps a [`DistinctSet`] and calls
-/// [`DistinctSet::sample_into`] instead, which draws the same values.
+/// cheap even when `n` is huge (e.g. a chunk universe of `m^3`).
 ///
 /// # Panics
 /// Panics if `k > n`.
 pub fn sample_k_distinct<R: Rng>(rng: &mut R, n: u64, k: usize) -> Vec<u64> {
-    let mut chosen = Vec::with_capacity(k);
-    DistinctSet::default().sample_into(rng, n, k, &mut chosen);
+    let mut chosen = vec![0; k];
+    let mut set = DistinctSet::new(k);
+    sample_distinct_into(rng, n, &mut chosen, |v| set.insert(v), |v| v);
     chosen
+}
+
+/// Fills `out` with `out.len()` distinct values drawn uniformly from
+/// `[0, n)`, in uniform random order: Floyd's algorithm, then a
+/// shuffle. [`sample_k_distinct`] is this with a hash set; a caller
+/// with a small `n` passes a denser membership test and draws the same
+/// values.
+///
+/// `insert` is that test: it adds a value to a set that is empty on
+/// entry and says whether the value was new. Every value the set holds
+/// on return is in `out`, through `narrow`, so a caller can clear its
+/// set from `out`.
+///
+/// # Panics
+/// Panics if `out.len() > n`.
+pub fn sample_distinct_into<T, R: Rng>(
+    rng: &mut R,
+    n: u64,
+    out: &mut [T],
+    mut insert: impl FnMut(u64) -> bool,
+    narrow: impl Fn(u64) -> T,
+) {
+    let k = out.len();
+    assert!(k as u64 <= n, "cannot sample {k} distinct values from {n}");
+    // For j in n-k..n, pick t in [0, j]; take t unless already present,
+    // else j (never present: every earlier pick is < j).
+    for (j, slot) in ((n - k as u64)..n).zip(out.iter_mut()) {
+        let t = rng.gen_range(j + 1);
+        let v = if insert(t) {
+            t
+        } else {
+            insert(j);
+            j
+        };
+        *slot = narrow(v);
+    }
+    shuffle(rng, out);
 }
 
 /// Marks an empty slot. No member equals it: every value a caller
 /// inserts is a draw below some `n ≤ u64::MAX`.
 const EMPTY: u64 = u64::MAX;
 
-/// A set of `u64`s below `u64::MAX`, for membership only: open
-/// addressing with linear probing on an `fmix64` hash, at most half
-/// full, reused across steps without reallocating.
+/// [`sample_k_distinct`]'s membership set, for any `n ≤ u64::MAX`:
+/// open addressing with linear probing on an `fmix64` hash, at most
+/// half full.
 ///
 /// It is never iterated, so its layout cannot reach an output. Its
 /// members are the caller's own seeded draws, never outside input, so
 /// no peer can pick values that collide under the fixed hash.
-#[derive(Debug, Clone, Default)]
-pub struct DistinctSet {
+#[derive(Debug)]
+struct DistinctSet {
     /// A power-of-two number of slots, [`EMPTY`] where unused.
     slots: Vec<u64>,
 }
 
 impl DistinctSet {
-    /// Empties the set and sizes it for up to `k` members: at least
-    /// `2k` slots, so every probe meets an empty slot.
-    pub fn reset(&mut self, k: usize) {
-        self.slots.clear();
-        self.slots
-            .resize(k.saturating_mul(2).next_power_of_two(), EMPTY);
+    /// An empty set sized for up to `k` members: at least `2k` slots,
+    /// so every probe meets an empty slot.
+    fn new(k: usize) -> Self {
+        Self {
+            slots: vec![EMPTY; k.saturating_mul(2).next_power_of_two()],
+        }
     }
 
     /// Adds `v`; `false` if it was already a member. At most `k` values
-    /// may be inserted after [`reset`](Self::reset)`(k)`, each
-    /// `< u64::MAX`.
-    pub fn insert(&mut self, v: u64) -> bool {
+    /// may be inserted into [`new`](Self::new)`(k)`, each `< u64::MAX`.
+    fn insert(&mut self, v: u64) -> bool {
         debug_assert!(v != EMPTY, "u64::MAX marks an empty slot");
         let mask = self.slots.len().wrapping_sub(1);
         let home = fmix64(v) as usize;
@@ -88,33 +130,9 @@ impl DistinctSet {
                 _ => {}
             }
         }
-        // A full table, which the sizing in `reset` rules out; answering
+        // A full table, which the sizing in `new` rules out; answering
         // rather than probing on keeps a broken caller from hanging.
         false
-    }
-
-    /// Sets `out` to `k` distinct values drawn uniformly from `[0, n)`
-    /// by Floyd's algorithm, in uniform random order: the draws of
-    /// [`sample_k_distinct`], without allocating once the set and `out`
-    /// have grown to `k`.
-    ///
-    /// # Panics
-    /// Panics if `k > n`.
-    pub fn sample_into<R: Rng>(&mut self, rng: &mut R, n: u64, k: usize, out: &mut Vec<u64>) {
-        assert!(k as u64 <= n, "cannot sample {k} distinct values from {n}");
-        self.reset(k);
-        out.clear();
-        // For j in n-k..n, pick t in [0, j]; take t unless already
-        // present, else j (never present: every earlier pick is < j).
-        for j in (n - k as u64)..n {
-            let t = rng.gen_range(j + 1);
-            let v = if self.insert(t) { t } else { j };
-            if v != t {
-                self.insert(v);
-            }
-            out.push(v);
-        }
-        shuffle(rng, out);
     }
 }
 
@@ -352,11 +370,10 @@ mod tests {
 
     #[test]
     fn distinct_set_is_at_most_half_full() {
-        let mut set = DistinctSet::default();
         for k in [0, 1, 2, 3, 5, 64, 1000] {
-            set.reset(k);
+            let set = DistinctSet::new(k);
             assert!(set.slots.len() >= 2 * k && set.slots.len().is_power_of_two());
-            assert!(set.slots.iter().all(|&s| s == EMPTY), "k {k}: not emptied");
+            assert!(set.slots.iter().all(|&s| s == EMPTY), "k {k}: not empty");
         }
     }
 
@@ -364,8 +381,7 @@ mod tests {
     /// third wrap to slots 0 and 1, and each is found again there.
     #[test]
     fn distinct_set_probe_wraps() {
-        let mut set = DistinctSet::default();
-        set.reset(4);
+        let mut set = DistinctSet::new(4);
         let last: Vec<u64> = (0..).filter(|&v| fmix64(v) & 7 == 7).take(3).collect();
         for &v in &last {
             assert!(set.insert(v), "{v} is new");

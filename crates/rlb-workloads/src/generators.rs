@@ -1,7 +1,8 @@
 //! Core workload generators.
 
+use crate::bitmap::{assert_chunk_universe, ChunkBitmap};
 use rlb_core::Workload;
-use rlb_hash::sample::{self, DistinctSet};
+use rlb_hash::sample;
 use rlb_hash::{Pcg64, Rng};
 
 /// The same fixed set of chunks requested on every step — the paper's
@@ -38,7 +39,11 @@ impl RepeatedSet {
     }
 
     /// Draws a random `k`-subset of a universe of `n` chunks.
+    ///
+    /// # Panics
+    /// Panics if `k > n` or `n > 2^32`.
     pub fn random_subset(n: u64, k: usize, seed: u64) -> Self {
+        assert_chunk_universe(n);
         let mut rng = Pcg64::new(seed, 0x5e8);
         let chunks = sample::sample_k_distinct(&mut rng, n, k)
             .into_iter()
@@ -71,33 +76,39 @@ pub struct FreshRandom {
     universe: u64,
     per_step: usize,
     rng: Pcg64,
-    /// Floyd's membership set and its draws, kept across steps.
-    set: DistinctSet,
-    drawn: Vec<u64>,
+    /// Floyd's membership test, clear between steps.
+    marked: ChunkBitmap,
 }
 
 impl FreshRandom {
     /// Draws `per_step` distinct chunks from `[0, universe)` each step.
     ///
     /// # Panics
-    /// Panics if `per_step > universe`.
+    /// Panics if `per_step > universe` or `universe > 2^32`.
     pub fn new(universe: u64, per_step: usize, seed: u64) -> Self {
         assert!(per_step as u64 <= universe, "per_step exceeds universe");
         Self {
             universe,
             per_step,
             rng: Pcg64::new(seed, 0xf5e5),
-            set: DistinctSet::default(),
-            drawn: Vec::new(),
+            marked: ChunkBitmap::new(universe),
         }
     }
 }
 
 impl Workload for FreshRandom {
     fn next_step(&mut self, _step: u64, out: &mut Vec<u32>) {
-        self.set
-            .sample_into(&mut self.rng, self.universe, self.per_step, &mut self.drawn);
-        out.extend(self.drawn.iter().map(|&c| c as u32));
+        let start = out.len();
+        out.resize(start + self.per_step, 0);
+        let (drawn, marked) = (&mut out[start..], &mut self.marked);
+        sample::sample_distinct_into(
+            &mut self.rng,
+            self.universe,
+            drawn,
+            |c| marked.insert(c as u32),
+            |c| c as u32,
+        );
+        marked.clear(drawn);
     }
 }
 
@@ -111,15 +122,16 @@ pub struct PartialRepeat {
     repeat_prob: f64,
     previous: Vec<u32>,
     rng: Pcg64,
-    /// This step's members, kept across steps.
-    present: DistinctSet,
+    /// This step's members, clear between steps.
+    present: ChunkBitmap,
 }
 
 impl PartialRepeat {
     /// Creates the generator.
     ///
     /// # Panics
-    /// Panics if `repeat_prob ∉ [0, 1]` or `per_step > universe`.
+    /// Panics if `repeat_prob ∉ [0, 1]`, `per_step > universe` or
+    /// `universe > 2^32`.
     pub fn new(universe: u64, per_step: usize, repeat_prob: f64, seed: u64) -> Self {
         assert!((0.0..=1.0).contains(&repeat_prob), "repeat_prob in [0,1]");
         assert!(per_step as u64 <= universe, "per_step exceeds universe");
@@ -129,7 +141,7 @@ impl PartialRepeat {
             repeat_prob,
             previous: Vec::new(),
             rng: Pcg64::new(seed, 0xaa17),
-            present: DistinctSet::default(),
+            present: ChunkBitmap::new(universe),
         }
     }
 }
@@ -139,16 +151,16 @@ impl Workload for PartialRepeat {
         let (rng, p) = (&mut self.rng, self.repeat_prob);
         let kept = &mut self.previous;
         kept.retain(|_| rng.gen_bool(p));
-        self.present.reset(self.per_step);
         for &c in kept.iter() {
-            self.present.insert(u64::from(c));
+            self.present.insert(c);
         }
         while kept.len() < self.per_step {
             let c = rng.gen_range(self.universe) as u32;
-            if self.present.insert(u64::from(c)) {
+            if self.present.insert(c) {
                 kept.push(c);
             }
         }
+        self.present.clear(kept);
         sample::shuffle(rng, kept);
         out.extend_from_slice(kept);
     }
@@ -169,9 +181,10 @@ impl PhasedWorkingSets {
     /// a universe of `n`, switching every `steps_per_phase` steps.
     ///
     /// # Panics
-    /// Panics if `w * k > n` or any parameter is zero.
+    /// Panics if `w * k > n`, `n > 2^32` or any parameter is zero.
     pub fn random(n: u64, w: usize, k: usize, steps_per_phase: u64, seed: u64) -> Self {
         assert!(w > 0 && k > 0 && steps_per_phase > 0, "zero parameter");
+        assert_chunk_universe(n);
         assert!(
             w.checked_mul(k).is_some_and(|total| total as u64 <= n),
             "working sets exceed universe"
@@ -383,6 +396,113 @@ mod tests {
             digest(&mut PartialRepeat::new(1 << 20, 64, 0.9, 3)),
         ];
         assert_eq!(got, PINNED, "streams moved: {got:#x?}");
+    }
+
+    /// Universes either side of a multiple of 64, universe 1, and
+    /// `per_step == universe`, where every step takes the whole domain
+    /// and Floyd's `j` fallback fires.
+    const BITMAP_CASES: [(u64, usize); 9] = [
+        (1, 1),
+        (1, 0),
+        (63, 63),
+        (64, 64),
+        (65, 65),
+        (65, 7),
+        (130, 129),
+        (1000, 1000),
+        (1000, 37),
+    ];
+
+    /// Each step marks its chunks in the bitmap, and the step's own
+    /// output clears it again: after every step it is all zeros.
+    #[test]
+    fn fresh_random_leaves_its_bitmap_clear() {
+        for (n, k) in BITMAP_CASES {
+            let mut w = FreshRandom::new(n, k, 11);
+            for step in 0..50 {
+                let s = collect_step(&mut w, step);
+                assert_eq!(s.len(), k);
+                assert_distinct(&s);
+                assert!(s.iter().all(|&c| u64::from(c) < n));
+                assert!(w.marked.is_clear(), "n {n} k {k} step {step}");
+            }
+        }
+    }
+
+    /// The same for `PartialRepeat`, whose kept chunks are marked
+    /// before its fresh ones, at p = 1.0 (every step keeps them all),
+    /// 0.5 and 0.0.
+    #[test]
+    fn partial_repeat_leaves_its_bitmap_clear() {
+        for (n, k) in BITMAP_CASES {
+            for p in [1.0, 0.5, 0.0] {
+                let mut w = PartialRepeat::new(n, k, p, 12);
+                for step in 0..50 {
+                    let s = collect_step(&mut w, step);
+                    assert_eq!(s.len(), k);
+                    assert_distinct(&s);
+                    assert!(s.iter().all(|&c| u64::from(c) < n));
+                    assert!(w.present.is_clear(), "n {n} k {k} p {p} step {step}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "chunk universe must be at most 2^32, got 4294967297")]
+    fn fresh_random_refuses_a_universe_past_u32() {
+        let _ = FreshRandom::new((1 << 32) + 1, 1, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "chunk universe must be at most 2^32, got 4294967297")]
+    fn partial_repeat_refuses_a_universe_past_u32() {
+        let _ = PartialRepeat::new((1 << 32) + 1, 1, 0.5, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "chunk universe must be at most 2^32, got 4294967297")]
+    fn random_subset_refuses_a_universe_past_u32() {
+        let _ = RepeatedSet::random_subset((1 << 32) + 1, 1, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "chunk universe must be at most 2^32, got 4294967297")]
+    fn phased_random_refuses_a_universe_past_u32() {
+        let _ = PhasedWorkingSets::random((1 << 32) + 1, 1, 1, 1, 0);
+    }
+
+    /// 2^32 chunks is the largest universe whose ids all fit a `u32`,
+    /// and it is taken.
+    #[test]
+    fn a_universe_of_exactly_2_pow_32_is_taken() {
+        let n = 1 << 32;
+        let mut w = RepeatedSet::random_subset(n, 64, 1);
+        assert_distinct(&collect_step(&mut w, 0));
+        let mut w = PhasedWorkingSets::random(n, 2, 32, 1, 1);
+        assert_distinct(&collect_step(&mut w, 0));
+    }
+
+    /// A step appends to what `out` already holds and leaves that as it
+    /// was: each generator draws, shuffles and clears only its own part.
+    #[test]
+    fn steps_append_after_what_out_holds() {
+        fn check<W: Workload + Clone>(w: W) {
+            let (mut fresh, mut appended) = (w.clone(), w);
+            for step in 0..20 {
+                let want = collect_step(&mut fresh, step);
+                let mut out = vec![u32::MAX; 5];
+                appended.next_step(step, &mut out);
+                assert_eq!((&out[..5], &out[5..]), (&[u32::MAX; 5][..], &want[..]));
+            }
+        }
+        check(FreshRandom::new(1000, 64, 3));
+        check(FreshRandom::new(64, 64, 3));
+        check(PartialRepeat::new(1000, 64, 0.5, 3));
+        check(crate::ZipfDistinct::new(100, 64, 1.1, 3));
+        check(RepeatedSet::first_k(50, 3));
+        check(PhasedWorkingSets::random(1000, 3, 16, 2, 3));
+        check(OnOffBurst::new(100, 80, 10, 3, 2, 3));
     }
 
     #[test]

@@ -24,6 +24,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod bitmap;
 pub mod generators;
 pub mod planted;
 pub mod spec;

@@ -8,8 +8,9 @@
 //! therefore appear in almost every step — a natural, smooth source of
 //! reappearance dependencies between (not within) steps.
 
+use crate::bitmap::ChunkBitmap;
 use rlb_core::Workload;
-use rlb_hash::sample::{DistinctSet, ZipfSampler};
+use rlb_hash::sample::ZipfSampler;
 use rlb_hash::Pcg64;
 
 /// Zipf(α) popularity over `[0, universe)`, `per_step` distinct chunks
@@ -19,9 +20,9 @@ pub struct ZipfDistinct {
     sampler: ZipfSampler,
     per_step: usize,
     rng: Pcg64,
-    /// This step's chunks, kept across steps: O(per_step) memory
-    /// whatever the universe.
-    seen: DistinctSet,
+    /// This step's chunks, clear between steps: one bit a key, beside
+    /// the sampler's twelve bytes.
+    seen: ChunkBitmap,
 }
 
 impl ZipfDistinct {
@@ -35,15 +36,14 @@ impl ZipfDistinct {
             sampler: ZipfSampler::new(universe, alpha),
             per_step,
             rng: Pcg64::new(seed, 0x21bf),
-            seen: DistinctSet::default(),
+            seen: ChunkBitmap::new(universe as u64),
         }
     }
 }
 
 impl Workload for ZipfDistinct {
     fn next_step(&mut self, _step: u64, out: &mut Vec<u32>) {
-        // At most `per_step` chunks are accepted, the set's capacity.
-        self.seen.reset(self.per_step);
+        let start = out.len();
         let mut accepted = 0usize;
         // Rejection sampling over the skewed distribution; when the
         // remaining tail gets thin (can happen with per_step close to
@@ -54,20 +54,22 @@ impl Workload for ZipfDistinct {
         while accepted < self.per_step && attempts < budget {
             attempts += 1;
             let c = self.sampler.sample(&mut self.rng) as u32;
-            if self.seen.insert(u64::from(c)) {
+            if self.seen.insert(c) {
                 out.push(c);
                 accepted += 1;
             }
         }
-        for c in 0..self.sampler.len() as u32 {
+        // Keys are below 2^32 (the sampler's bound), so each fits a u32.
+        for c in (0..self.sampler.len()).map(|c| c as u32) {
             if accepted >= self.per_step {
                 break;
             }
-            if self.seen.insert(u64::from(c)) {
+            if self.seen.insert(c) {
                 out.push(c);
                 accepted += 1;
             }
         }
+        self.seen.clear(&out[start..]);
     }
 }
 
@@ -119,6 +121,32 @@ mod tests {
         let mut w = ZipfDistinct::new(32, 32, 3.0, 3);
         let s = collect_step(&mut w, 0);
         assert_eq!(s.len(), 32);
+    }
+
+    /// After every step the bitmap is all zeros: universes either side
+    /// of a multiple of 64, universe 1, and `per_step == universe` at a
+    /// skew that leaves the tail to the fallback sweep.
+    #[test]
+    fn zipf_distinct_leaves_its_bitmap_clear() {
+        for (n, k, alpha) in [
+            (1, 1, 1.0),
+            (63, 63, 3.0),
+            (64, 64, 0.0),
+            (65, 65, 3.0),
+            (65, 7, 1.1),
+            (130, 129, 2.0),
+            (1000, 37, 0.9),
+        ] {
+            let mut w = ZipfDistinct::new(n, k, alpha, 9);
+            for step in 0..50 {
+                let s = collect_step(&mut w, step);
+                assert_eq!(s.len(), k);
+                let set: std::collections::BTreeSet<u32> = s.iter().copied().collect();
+                assert_eq!(set.len(), k);
+                assert!(s.iter().all(|&c| (c as usize) < n));
+                assert!(w.seen.is_clear(), "n {n} k {k} step {step}");
+            }
+        }
     }
 
     #[test]
