@@ -355,9 +355,10 @@ pub fn render_text(opts: &CliOptions, report: &RunReport) -> String {
 /// Runs the `lint` subcommand: the workspace's self-hosted static
 /// analysis (`rlb-lint`) over every `crates/*/src` file, with
 /// `crates/*/{tests,examples}`, the root package's
-/// `{src,tests,examples}` and `benchmark/src` as reference material and
-/// `lint-roots.toml` as the panic-reachability manifest. Returns the rendered report and whether the workspace is
-/// clean; the binary exits nonzero on any finding.
+/// `{src,tests,examples}` and `benchmark/src` as reference material.
+/// Each per-file rule covers the file list in its catalog row. Returns
+/// the rendered report and whether the workspace is clean; the binary
+/// exits nonzero on any finding.
 ///
 /// Arguments (after the `lint` subcommand): `--root PATH` (default
 /// `.`), the workspace root containing `crates/`; `--json [PATH]`
@@ -368,9 +369,9 @@ pub fn render_text(opts: &CliOptions, report: &RunReport) -> String {
 ///
 /// # Errors
 /// Returns a message on malformed arguments, an unknown `--rule` name
-/// (listing the known rules), an unreadable tree, a malformed
-/// `lint-roots.toml`, or an unwritable `--json` path (findings are
-/// reported in the summary, not as errors).
+/// (listing the known rules), an unreadable tree, or an unwritable
+/// `--json` path (findings are reported in the summary, not as
+/// errors).
 pub fn run_lint(args: &[String]) -> Result<(String, bool), String> {
     let mut root = ".".to_string();
     let mut json: Option<Option<String>> = None;

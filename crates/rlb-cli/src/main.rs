@@ -84,8 +84,8 @@ const USAGE: &str = "rlb-sim: simulate a load-balanced distributed KV store\n\n\
      \x20                   with --sim-clock run the same co-simulation as serve\n\
      \x20 lint [--root PATH] [--json [PATH]] [--rule NAME]...\n\
      \x20                   run the workspace's static-analysis pass (rlb-lint) over\n\
-     \x20                   crates/*/src (lossy-cast; call-graph passes: panic-path,\n\
-     \x20                   unchecked-arith, dead-pub, dead-suppression detection;\n\
+     \x20                   crates/*/src (per-file rules: lossy-cast, panic-path,\n\
+     \x20                   unchecked-arith; dead-pub, dead-suppression detection;\n\
      \x20                   determinism and hot-path panics are clippy's, see\n\
      \x20                   clippy.toml);\n\
      \x20                   --json emits a machine-readable report (to stdout, or to\n\

@@ -235,6 +235,7 @@ impl QueueArray {
                     clippy::panic,
                     reason = "constructor-time validation, never on the per-step hot path"
                 )]
+                // Constructor-time validation, as the expect above says. lint:allow(panic-path)
                 None => panic!(
                     "QueueArray: class capacities overflow u32 ({per_server} + {c} per server)"
                 ),
@@ -262,6 +263,8 @@ impl QueueArray {
         let mut class_base = Vec::with_capacity(k);
         let mut prefix = 0usize;
         for &c in &caps {
+            // Every product is at most the checked arena size (prefix <=
+            // per_server, k <= per_server). lint:allow(unchecked-arith)
             class_base.push(num_servers * prefix);
             prefix += c as usize;
         }
@@ -342,7 +345,7 @@ impl QueueArray {
     /// Capacity of class `class`.
     #[inline]
     pub fn capacity(&self, class: usize) -> u32 {
-        self.caps[class]
+        self.caps[class] // class validated by the public entry points. lint:allow(panic-path)
     }
 
     /// Total backlog (all classes) of `server`: its routing word while
@@ -407,7 +410,7 @@ impl QueueArray {
     /// Whether `class` at `server` is full.
     #[inline]
     pub fn is_full(&self, server: u32, class: usize) -> bool {
-        self.class_backlog(server, class) >= self.caps[class]
+        self.class_backlog(server, class) >= self.caps[class] // class < k, as for class_backlog. lint:allow(panic-path)
     }
 
     /// Enqueues a request (by arrival step) into `(server, class)`.
@@ -479,12 +482,12 @@ impl QueueArray {
         }
         let ring = self.ring(server, class);
         if self.pop(server, ring, n, on_complete) == 0 {
-            let list = &mut self.occupied[class];
+            let list = &mut self.occupied[class]; // class < k, as for the ring. lint:allow(panic-path)
             if let Some(at) = list.iter().position(|&s| s == server) {
                 list.swap_remove(at);
             }
         }
-        self.total -= n as u64;
+        self.total -= n as u64; // n <= this queue's length, counted in total. lint:allow(unchecked-arith)
         n
     }
 
@@ -588,7 +591,7 @@ impl QueueArray {
     /// occupancy property sweep in `tests/queue_occupancy.rs`.
     #[inline]
     pub fn occupied_servers(&self, class: usize) -> &[u32] {
-        &self.occupied[class]
+        &self.occupied[class] // class validated by the caller, as for capacity. lint:allow(panic-path)
     }
 
     /// Moves the entire contents of class `from` into class `to` for
@@ -818,7 +821,7 @@ impl QueueArray {
     #[doc(hidden)]
     pub fn sanitize_duplicate_occupancy(&mut self) {
         if let Some(list) = self.occupied.iter_mut().find(|list| !list.is_empty()) {
-            list.push(list[0]);
+            list.extend_from_within(..1);
         }
     }
 
@@ -833,8 +836,8 @@ impl QueueArray {
     /// lengths.
     #[doc(hidden)]
     pub fn sanitize_corrupt_route_backlog(&mut self) {
-        if self.ctrl.len() >= CTRL_WORDS {
-            self.ctrl[CTRL_ROUTE] = self.ctrl[CTRL_ROUTE].wrapping_add(1);
+        if let Some(route) = self.ctrl.get_mut(CTRL_ROUTE) {
+            *route = route.wrapping_add(1);
         }
     }
 
@@ -843,8 +846,8 @@ impl QueueArray {
     #[doc(hidden)]
     pub fn sanitize_corrupt_class_pad(&mut self) {
         let idx = self.ctrl_ix(0, 1);
-        if self.ctrl.len() > idx + CTRL_ROUTE {
-            self.ctrl[idx + CTRL_ROUTE] = 1;
+        if let Some(pad) = self.ctrl.get_mut(idx.saturating_add(CTRL_ROUTE)) {
+            *pad = 1;
         }
     }
 }

@@ -180,6 +180,7 @@ impl<P: Policy> Simulation<P> {
         )]
         config
             .validate()
+            // Constructor precondition, as the expect above says. lint:allow(panic-path)
             .unwrap_or_else(|e| panic!("invalid config: {e}"));
         let placement = ReplicaPlacement::random(
             config.num_chunks,
@@ -202,6 +203,7 @@ impl<P: Policy> Simulation<P> {
         )]
         config
             .validate()
+            // Constructor precondition, as the expect above says. lint:allow(panic-path)
             .unwrap_or_else(|e| panic!("invalid config: {e}"));
         assert_eq!(
             placement.num_chunks(),

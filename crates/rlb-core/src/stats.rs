@@ -159,6 +159,7 @@ impl RunStats {
             steps,
             arrived: self.arrived,
             accepted: self.accepted,
+            // One slot per RejectReason. lint:allow(panic-path)
             rejected_policy: self.rejected[RejectReason::Policy as usize],
             rejected_table: self.rejected[RejectReason::TableFailed as usize],
             rejected_overflow: self.rejected[RejectReason::Overflow as usize],
@@ -190,6 +191,7 @@ impl RunStats {
                     tail.extend(
                         self.tail_sums
                             .iter()
+                            // Float division: n is f64. lint:allow(panic-path)
                             .map(|s| (s.value() / n).clamp(0.0, 1.0)),
                     );
                     tail
@@ -272,6 +274,7 @@ impl RunReport {
     /// Returns an error naming the broken identity.
     pub fn check_conservation(&self) -> Result<(), String> {
         let routing_rejections = self.rejected_policy
+            // Request counts: no sum passes twice the arrivals. lint:allow(unchecked-arith)
             + self.rejected_table
             + self.rejected_overflow
             + self.rejected_down;

@@ -214,7 +214,7 @@ pub fn latency_steps(step: u64, arrival: u32) -> u64 {
 }
 
 fn obj(kind: &str, step: u64, rest: Vec<(String, Json)>) -> Json {
-    let mut fields = Vec::with_capacity(rest.len() + 2);
+    let mut fields = Vec::with_capacity(rest.len() + 2); // a handful of fields. lint:allow(unchecked-arith)
     fields.push(("ev".to_string(), Json::Str(kind.to_string())));
     fields.push(("step".to_string(), Json::UInt(step as u128)));
     fields.extend(rest);
@@ -487,7 +487,7 @@ impl TraceSink for JsonlSink {
     fn on_event(&mut self, event: &TraceEvent) {
         self.out.push_str(&rlb_json::to_string(event));
         self.out.push('\n');
-        self.lines += 1;
+        self.lines += 1; // one per written event: a u64 never wraps. lint:allow(unchecked-arith)
     }
 }
 
@@ -495,12 +495,11 @@ impl TraceSink for JsonlSink {
 /// errors carry the 1-based line number.
 pub fn parse_jsonl(s: &str) -> Result<Vec<TraceEvent>, String> {
     let mut events = Vec::new();
-    for (i, line) in s.lines().enumerate() {
+    for (number, line) in (1usize..).zip(s.lines()) {
         if line.trim().is_empty() {
             continue;
         }
-        let ev: TraceEvent =
-            rlb_json::from_str(line).map_err(|e| format!("line {}: {e}", i + 1))?;
+        let ev: TraceEvent = rlb_json::from_str(line).map_err(|e| format!("line {number}: {e}"))?;
         events.push(ev);
     }
     Ok(events)

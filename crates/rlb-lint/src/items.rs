@@ -1,10 +1,10 @@
 //! A lightweight item parser over the token stream.
 //!
 //! One brace-tracking pass over a file's [`crate::token::Tokens`]
-//! recovers just enough structure for the rule passes and the call
-//! graph: function items (name, enclosing `impl`/`trait` owner,
-//! `self`-ness, visibility, body token range), `#[cfg(test)]` regions,
-//! and the module-level `pub` surface (for the dead-pub pass).
+//! recovers just enough structure for the rule passes: function items
+//! (name, enclosing `impl`/`trait` owner, visibility, body token
+//! range), `#[cfg(test)]` regions, and the module-level `pub` surface
+//! (for the dead-pub pass).
 //!
 //! Like the tokenizer, this is an *approximation with documented
 //! boundaries*, not a Rust parser: each `{` is classified by its
@@ -17,8 +17,7 @@
 
 use crate::token::{comments_by_line, tokenize, Token, TokenKind, Tokens};
 
-/// A fully parsed file: the unit the rule passes and the call graph
-/// consume. Parsing happens once per file; every pass reads from this.
+/// A fully parsed file: the unit the rule passes consume. Parsing happens once per file; every pass reads from this.
 #[derive(Debug, Clone)]
 pub struct ParsedFile {
     /// Workspace-relative path, forward slashes.
@@ -53,11 +52,6 @@ impl ParsedFile {
             comments,
             code,
         }
-    }
-
-    /// The crate name of `crates/<name>/src/...` paths.
-    pub(crate) fn crate_name(&self) -> &str {
-        crate_of(&self.rel_path).unwrap_or("")
     }
 
     /// The token at code position `c`.
@@ -122,8 +116,6 @@ pub struct FnItem {
     /// Enclosing `impl`/`trait` type name, if any (`QueueArray` for
     /// `impl QueueArray { fn enqueue … }`).
     pub owner: Option<String>,
-    /// Whether the parameter list starts with a `self` receiver.
-    pub has_self: bool,
     /// `pub` (externally visible; `pub(crate)`/`pub(super)` are not).
     pub is_pub: bool,
     /// Token index range of the body (between the braces, exclusive).
@@ -133,8 +125,7 @@ pub struct FnItem {
 }
 
 impl FnItem {
-    /// `Owner::name` or `name` — the key the root manifest and the
-    /// call-graph resolution use.
+    /// `Owner::name` or `name` — how findings name the fn.
     pub fn qname(&self) -> String {
         match &self.owner {
             Some(o) => format!("{o}::{}", self.name),
@@ -286,8 +277,8 @@ pub fn parse(source: &str, tokens: &Tokens) -> FileItems {
             }
             // A `;` inside `[` `]` belongs to an array type or a repeat
             // expression (`-> [usize; 3]`, `[0u8; 4]`): ending the header
-            // there dropped every `fn` with an array in its signature
-            // from the call graph.
+            // there dropped every `fn` with an array in its signature,
+            // and the sites in its body went unchecked.
             ";" if header_has_open_square(source, toks, &header) => header.push(i),
             ";" => {
                 let in_test_now = stack.iter().any(|r| r.test);
@@ -381,26 +372,9 @@ fn header_fn_item(source: &str, toks: &[Token], header: &[usize]) -> Option<FnIt
     if header.get(k).is_none_or(|&j| toks[j].text(source) != "(") {
         return None;
     }
-    // `self` receiver: `(self`, `(&self`, `(&'a self`, `(&mut self`,
-    // `(mut self`.
-    let mut has_self = false;
-    let mut m = k + 1;
-    while m < header.len() && m < k + 5 {
-        let s = toks[header[m]].text(source);
-        if s == "self" {
-            has_self = true;
-            break;
-        }
-        if s == "&" || s == "mut" || toks[header[m]].kind == TokenKind::Lifetime {
-            m += 1;
-            continue;
-        }
-        break;
-    }
     Some(FnItem {
         name,
         owner: None,
-        has_self,
         is_pub: header_is_pub(source, toks, &header[..fn_at]),
         body_toks: (0, 0),
         in_test: false,
@@ -605,10 +579,8 @@ mod tests {
                 "Frame::fmt"
             ]
         );
-        assert!(items.fns[0].is_pub && !items.fns[0].has_self);
-        assert!(items.fns[1].is_pub && items.fns[1].has_self);
-        assert!(!items.fns[2].is_pub && !items.fns[2].has_self);
-        assert!(items.fns[3].has_self);
+        assert!(items.fns[0].is_pub && items.fns[1].is_pub);
+        assert!(!items.fns[2].is_pub && !items.fns[3].is_pub);
     }
 
     #[test]

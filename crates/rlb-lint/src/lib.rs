@@ -18,25 +18,27 @@
 //! type and the suppression machinery live in [`rules`]. The analysis
 //! has two tiers:
 //!
-//! 1. **Per-file rules** ([`rules`]) — lossy-cast.
-//! 2. **Workspace passes** ([`passes`]) over a name-resolution-
-//!    approximate call graph ([`callgraph`]): panic-reachability and
-//!    unchecked arithmetic inside the cones of the roots declared in
-//!    `lint-roots.toml` ([`roots`]), plus a dead-pub-surface sweep that
+//! 1. **Per-file rules** ([`rules`]), each over a list of files:
+//!    lossy-cast in accounting code, and panic sites and unchecked
+//!    arithmetic ([`sites`]) in every fn of the engine-path files
+//!    (`rules::ENGINE_PATH`: the simulation step, its queues,
+//!    accounting and placement lookups, the pool, the wire decoder).
+//! 2. **A workspace pass** ([`passes`]): a dead-pub-surface sweep that
 //!    counts references from every crate, test, example, and binary in
 //!    the workspace, the root package's and `benchmark/src` included.
 //!
-//! No pass follows values: wire lengths are capped by construction
-//! (`rlb-serve`'s `proto.rs` reads each one through a cursor call that
-//! checks its cap first), and the workspace takes no lock, so no pass
-//! orders locks.
+//! No pass follows calls or values: the engine-path rules check every
+//! fn of their files where it is defined, wire lengths are capped by
+//! construction (`rlb-serve`'s `proto.rs` reads each one through a
+//! cursor call that checks its cap first), and the workspace takes no
+//! lock, so no pass orders locks.
 //!
 //! * Suppress a benign finding with `// lint:allow(<rule>)` on the
 //!   same line or the line above — always with a justification comment.
 //! * `#[cfg(test)]` modules are exempt.
 //! * Run it as `rlb-sim lint [--root PATH] [--json [PATH]]`; exits
-//!   nonzero on findings. `unused-suppression` and `lint-roots`
-//!   (manifest rot) findings are not themselves suppressible.
+//!   nonzero on findings. `unused-suppression` findings are not
+//!   themselves suppressible.
 //!
 //! No external dependencies, consistent with the workspace's in-repo
 //! serde/proptest replacements; the linter lints itself (it is part of
@@ -45,11 +47,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod callgraph;
 pub mod items;
 mod passes;
-pub mod roots;
 pub mod rules;
+mod sites;
 pub mod token;
 
 pub use rules::{lint_source, Finding};
@@ -58,23 +59,13 @@ use items::ParsedFile;
 use rules::Suppressions;
 use std::path::{Path, PathBuf};
 
-/// Counters from the workspace analysis, for the report footer and the
-/// JSON artifact — they make a "0 findings" run auditable (a lint that
-/// resolved 0 roots or built 0 edges is vacuously green, not clean).
+/// Counters from the analysis, for the report footer and the JSON
+/// artifact — they make a "0 findings" run auditable (a lint that
+/// checked 0 fns is vacuously green, not clean).
 #[derive(Debug, Clone, Default)]
 pub struct LintStats {
-    /// Non-test functions in the call graph.
-    pub fns: usize,
-    /// Resolved call edges between them.
-    pub edges: usize,
-    /// Root functions resolved from `lint-roots.toml`.
-    pub root_fns: usize,
-    /// Functions reachable from any root (roots included).
-    pub cone_fns: usize,
-    /// Method/free-fn names left unresolved because several candidates
-    /// share the name (documented false-negative surface: no edge is
-    /// drawn for these).
-    pub ambiguous_names: usize,
+    /// Non-test functions `panic-path` and `unchecked-arith` checked.
+    pub scoped_fns: usize,
     /// `pub` items checked by the dead-pub-surface pass.
     pub pub_items: usize,
 }
@@ -82,8 +73,9 @@ pub struct LintStats {
 /// The outcome of a workspace scan.
 #[derive(Debug, Clone)]
 pub struct LintReport {
-    /// Files scanned (linted, not counting reference-only files).
-    pub files_scanned: usize,
+    /// The files linted (workspace-relative; reference-only files not
+    /// counted), in walk order.
+    pub files: Vec<String>,
     /// All unsuppressed findings, sorted by file, line, column, rule.
     pub findings: Vec<Finding>,
     /// Analysis counters.
@@ -117,16 +109,15 @@ impl LintReport {
         let _ = writeln!(
             out,
             "rlb-lint: {} file(s) scanned, {} finding(s), {} dead suppression(s)",
-            self.files_scanned,
+            self.files.len(),
             self.findings.len() - dead,
             dead
         );
         let s = &self.stats;
         let _ = writeln!(
             out,
-            "rlb-lint: call graph: {} fn(s), {} edge(s), {} root(s) -> {} reachable, \
-             {} ambiguous name(s); {} pub item(s) checked",
-            s.fns, s.edges, s.root_fns, s.cone_fns, s.ambiguous_names, s.pub_items
+            "rlb-lint: {} engine-path fn(s) checked; {} pub item(s) checked",
+            s.scoped_fns, s.pub_items
         );
         out
     }
@@ -137,7 +128,7 @@ impl LintReport {
         use std::fmt::Write as _;
         let mut out = String::new();
         out.push_str("{\n  \"files_scanned\": ");
-        let _ = write!(out, "{}", self.files_scanned);
+        let _ = write!(out, "{}", self.files.len());
         out.push_str(",\n  \"findings\": [");
         for (i, f) in self.findings.iter().enumerate() {
             if i > 0 {
@@ -161,15 +152,10 @@ impl LintReport {
         let s = &self.stats;
         let _ = write!(
             out,
-            "  \"dead_suppressions\": {},\n  \"stats\": {{\"fns\": {}, \"edges\": {}, \
-             \"root_fns\": {}, \"cone_fns\": {}, \"ambiguous_names\": {}, \
+            "  \"dead_suppressions\": {},\n  \"stats\": {{\"scoped_fns\": {}, \
              \"pub_items\": {}}},\n  \"clean\": {}\n}}\n",
             self.dead_suppressions(),
-            s.fns,
-            s.edges,
-            s.root_fns,
-            s.cone_fns,
-            s.ambiguous_names,
+            s.scoped_fns,
             s.pub_items,
             self.is_clean()
         );
@@ -210,21 +196,9 @@ fn is_linted_path(rel_path: &str) -> bool {
 }
 
 /// Pure in-memory entry point: lints `files` (workspace-relative path,
-/// source text) with the optional `lint-roots.toml` text. Files under
-/// `crates/*/src/` are linted; everything else participates only as
-/// reference material for the dead-pub pass.
-///
-/// # Errors
-/// Returns a message when the roots manifest is malformed (findings are
-/// diagnostics, not errors; a broken manifest is an error).
-pub fn lint_files(
-    files: &[(String, String)],
-    roots_toml: Option<&str>,
-) -> Result<LintReport, String> {
-    let manifest = match roots_toml {
-        Some(text) => roots::parse_manifest(text).map_err(|e| format!("lint-roots.toml: {e}"))?,
-        None => roots::Manifest::default(),
-    };
+/// source text). Files under `crates/*/src/` are linted; everything
+/// else participates only as reference material for the dead-pub pass.
+pub fn lint_files(files: &[(String, String)]) -> LintReport {
     let mut linted: Vec<ParsedFile> = Vec::new();
     let mut reference: Vec<ParsedFile> = Vec::new();
     for (path, source) in files {
@@ -245,15 +219,15 @@ pub fn lint_files(
     for (pf, allow) in linted.iter().zip(&allows) {
         rules::file_rules(pf, allow, &mut findings);
     }
-    // Phase 2: workspace passes over the call graph.
-    let g = callgraph::build(&linted);
     let mut stats = LintStats {
-        fns: g.nodes.len(),
-        edges: g.edges.iter().map(Vec::len).sum(),
-        ambiguous_names: g.ambiguities.len(),
+        scoped_fns: linted
+            .iter()
+            .filter(|pf| rules::in_scope(rules::ENGINE_PATH, &pf.rel_path))
+            .map(|pf| pf.items.fns.iter().filter(|f| !f.in_test).count())
+            .sum(),
         ..LintStats::default()
     };
-    passes::cone_passes(&linted, &allows, &g, &manifest, &mut findings, &mut stats);
+    // Phase 2: the workspace pass.
     passes::dead_pub(&linted, &reference, &allows, &mut findings, &mut stats);
     // Unused-suppression audit runs last: every rule above has marked
     // the `lint:allow` entries it consumed.
@@ -262,25 +236,22 @@ pub fn lint_files(
     }
     findings
         .sort_by(|a, b| (&a.file, a.line, a.col, a.rule).cmp(&(&b.file, b.line, b.col, b.rule)));
-    Ok(LintReport {
-        files_scanned: linted.len(),
+    LintReport {
+        files: linted.into_iter().map(|pf| pf.rel_path).collect(),
         findings,
         stats,
-    })
+    }
 }
 
 /// Lints every `.rs` file under `crates/*/src` of the workspace at
 /// `root`, using `crates/*/{tests,examples}`, the root package's
 /// `{src,tests,examples}` (the facade, its integration tests and the
 /// worked examples) and `benchmark/src` (the repo benchmark, a package
-/// outside the workspace that calls product API) as reference material
-/// and `lint-roots.toml` (if present) as the panic-reachability root
-/// manifest.
+/// outside the workspace that calls product API) as reference material.
 ///
 /// # Errors
-/// Returns a message when `root` has no `crates/` directory, a file
-/// cannot be read, or the roots manifest is malformed (findings are
-/// diagnostics, not errors).
+/// Returns a message when `root` has no `crates/` directory or a file
+/// cannot be read (findings are diagnostics, not errors).
 pub fn lint_workspace(root: &Path) -> Result<LintReport, String> {
     let crates_dir = root.join("crates");
     if !crates_dir.is_dir() {
@@ -315,16 +286,7 @@ pub fn lint_workspace(root: &Path) -> Result<LintReport, String> {
             .map_err(|e| format!("cannot read {}: {e}", file.display()))?;
         files.push((rel_path(root, file), source));
     }
-    let manifest_path = root.join("lint-roots.toml");
-    let roots_toml = if manifest_path.is_file() {
-        Some(
-            std::fs::read_to_string(&manifest_path)
-                .map_err(|e| format!("cannot read {}: {e}", manifest_path.display()))?,
-        )
-    } else {
-        None
-    };
-    lint_files(&files, roots_toml.as_deref())
+    Ok(lint_files(&files))
 }
 
 /// Recursively collects `.rs` files, sorted for deterministic output.
@@ -374,19 +336,19 @@ mod tests {
         std::fs::write(src.join("stats.rs"), "fn f(x: u64) -> u32 { x as u32 }\n").unwrap();
         std::fs::write(src.join("clean.rs"), "fn g() -> u32 { 3 }\n").unwrap();
         let report = lint_workspace(&root).unwrap();
-        assert_eq!(report.files_scanned, 2);
+        assert_eq!(report.files.len(), 2);
         assert_eq!(report.findings.len(), 1);
         assert!(!report.is_clean());
         assert_eq!(report.findings[0].file, "crates/rlb-core/src/stats.rs");
         let text = report.render();
         assert!(text.contains("2 file(s) scanned, 1 finding(s)"), "{text}");
-        assert!(text.contains("call graph:"), "{text}");
+        assert!(text.contains("engine-path fn(s) checked"), "{text}");
         let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]
-    fn walker_reads_roots_manifest_and_reference_dirs() {
-        let root = std::env::temp_dir().join("rlb_lint_walk_roots_test");
+    fn walker_reads_reference_dirs() {
+        let root = std::env::temp_dir().join("rlb_lint_walk_refs_test");
         let _ = std::fs::remove_dir_all(&root);
         let src = root.join("crates/rlb-core/src");
         std::fs::create_dir_all(&src).unwrap();
@@ -401,7 +363,7 @@ mod tests {
         .unwrap();
         // The crate's own tests/ keep `spare` alive, a root example
         // keeps `shown` alive, the benchmark keeps `timed` alive; `run`
-        // panics.
+        // panics in an engine-path file.
         std::fs::write(
             root.join("crates/rlb-core/tests/api.rs"),
             "fn t() { rlb_core::spare(); rlb_core::run(None); }\n",
@@ -417,28 +379,13 @@ mod tests {
             "fn main() { rlb_core::timed(); }\n",
         )
         .unwrap();
-        std::fs::write(
-            root.join("lint-roots.toml"),
-            "[[root]]\nfn = \"run\"\nreason = \"test root\"\n",
-        )
-        .unwrap();
         let report = lint_workspace(&root).unwrap();
-        assert_eq!(report.files_scanned, 1, "{report:?}");
-        assert_eq!(report.stats.root_fns, 1);
+        assert_eq!(report.files, ["crates/rlb-core/src/sim.rs"], "{report:?}");
+        assert_eq!(report.stats.scoped_fns, 4);
         let rules: Vec<&str> = report.findings.iter().map(|f| f.rule).collect();
         assert!(rules.contains(&"panic-path"), "{report:?}");
         assert!(!rules.contains(&"dead-pub"), "{report:?}");
         let _ = std::fs::remove_dir_all(&root);
-    }
-
-    #[test]
-    fn malformed_manifest_is_an_error_not_a_finding() {
-        let files = vec![(
-            "crates/rlb-core/src/sim.rs".to_string(),
-            "fn f() {}\n".to_string(),
-        )];
-        let err = lint_files(&files, Some("[[root]]\nreason = \"no target\"\n"));
-        assert!(err.is_err(), "{err:?}");
     }
 
     #[test]
@@ -447,7 +394,7 @@ mod tests {
             "crates/rlb-core/src/stats.rs".to_string(),
             "fn f(x: u64) -> u32 { x as u32 }\n".to_string(),
         )];
-        let report = lint_files(&files, None).unwrap();
+        let report = lint_files(&files);
         let json = report.to_json();
         assert!(json.contains("\"files_scanned\": 1"), "{json}");
         assert!(json.contains("\"rule\": \"lossy-cast\""), "{json}");

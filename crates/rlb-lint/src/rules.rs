@@ -9,12 +9,13 @@
 //! the line above.
 //!
 //! [`CATALOG`] is the one list of rules: what each is called, whether
-//! a `lint:allow` may name it, and — for the per-file rules — where it
-//! applies and which function checks it. The workspace passes
-//! ([`crate::passes`]) own the remaining rows and emit through the
+//! a `lint:allow` may name it, and — for the per-file rules — the list
+//! of files it covers and which function checks it. The workspace pass
+//! ([`crate::passes`]) owns the remaining rows and emits through the
 //! same [`emit`].
 
 use crate::items::ParsedFile;
+use crate::sites;
 use crate::token::TokenKind;
 
 /// One diagnostic.
@@ -24,8 +25,8 @@ pub struct Finding {
     pub file: String,
     /// 1-based line.
     pub line: usize,
-    /// 1-based column (0 when the finding has no single token, e.g.
-    /// manifest rot).
+    /// 1-based column (0 when the finding has no single token, e.g. a
+    /// dead suppression).
     pub col: usize,
     /// Rule name (one of [`all_rule_names`]).
     pub rule: &'static str,
@@ -51,8 +52,9 @@ impl std::fmt::Display for Finding {
     }
 }
 
-/// Which files a per-file rule covers.
-type Scope = fn(&ParsedFile) -> bool;
+/// Which files a per-file rule covers: workspace-relative paths, an
+/// entry ending in `/` covering every file under that directory.
+type Scope = &'static [&'static str];
 /// A per-file check: pushes its findings for one parsed file.
 type FileCheck = fn(&ParsedFile, &Suppressions, &mut Vec<Finding>);
 
@@ -60,12 +62,12 @@ type FileCheck = fn(&ParsedFile, &Suppressions, &mut Vec<Finding>);
 pub(crate) struct Rule {
     /// The name findings carry and `lint:allow(...)` / `--rule` take.
     pub(crate) name: &'static str,
-    /// Whether a `lint:allow` may suppress it. The meta rules are not:
-    /// dead excuses and manifest rot cannot be excused.
+    /// Whether a `lint:allow` may suppress it. The meta rule is not: a
+    /// dead excuse cannot be excused.
     pub(crate) suppressible: bool,
     /// For a per-file rule (appliable by [`lint_source`] on one file
     /// alone): which files it covers, and the check. `None` for the
-    /// workspace passes.
+    /// workspace pass and the meta rule.
     per_file: Option<(Scope, FileCheck)>,
 }
 
@@ -73,29 +75,57 @@ pub(crate) struct Rule {
 /// lists them.
 pub(crate) const CATALOG: &[Rule] = &[
     // Narrowing `as u8` / `as u16` / `as u32` in accounting code.
-    Rule::per_file(
-        "lossy-cast",
-        |pf| in_lossy_cast_scope(&pf.rel_path),
-        lossy_cast,
-    ),
-    // The transitive workspace passes (`passes`): cones of the
-    // `lint-roots.toml` roots and the pub surface.
-    Rule::workspace("panic-path", true),
-    Rule::workspace("unchecked-arith", true),
+    Rule::per_file("lossy-cast", ACCOUNTING, lossy_cast),
+    // Panic sites and bare integer arithmetic on the engine path
+    // (`sites`): every non-test fn of the listed files.
+    Rule::per_file("panic-path", ENGINE_PATH, sites::panic_path),
+    Rule::per_file("unchecked-arith", ENGINE_PATH, sites::unchecked_arith),
+    // The workspace pass (`passes`): the pub surface.
     Rule::workspace("dead-pub", true),
-    // The meta rules. `unused-suppression` runs after everything else:
+    // The meta rule. `unused-suppression` runs after everything else:
     // a `lint:allow` naming a suppressible rule that suppressed nothing
     // is itself a finding (stale excuses hide real ones).
     Rule::workspace("unused-suppression", false),
-    Rule::workspace("lint-roots", false),
+];
+
+/// `lossy-cast`'s scope: accounting code, where a silently truncated
+/// counter corrupts a result instead of crashing.
+const ACCOUNTING: Scope = &[
+    "crates/rlb-core/src/stats.rs",
+    "crates/rlb-metrics/src/",
+    "crates/rlb-cli/src/aggregate.rs",
+    "crates/rlb-pool/src/",
+    "crates/rlb-experiments/src/",
+    "crates/rlb-serve/src/",
+    "crates/rlb-load/src/",
+    "crates/rlb-meanfield/src/",
+];
+
+/// The scope of `panic-path` and `unchecked-arith`: the engine path of
+/// the §2 model (a simulation step, its queues, accounting, trace and
+/// placement lookups, and the pool that runs trials), where a panic
+/// aborts a multi-hour sweep, plus the wire decoder, where every byte
+/// is untrusted and a panic is a remote DoS.
+pub(crate) const ENGINE_PATH: Scope = &[
+    "crates/rlb-core/src/sim.rs",
+    "crates/rlb-core/src/queue.rs",
+    "crates/rlb-core/src/stats.rs",
+    "crates/rlb-core/src/trace.rs",
+    "crates/rlb-core/src/view.rs",
+    "crates/rlb-core/src/outage.rs",
+    "crates/rlb-serve/src/proto.rs",
+    "crates/rlb-hash/src/placement.rs",
+    "crates/rlb-metrics/src/histogram.rs",
+    "crates/rlb-metrics/src/backlog.rs",
+    "crates/rlb-pool/src/lib.rs",
 ];
 
 impl Rule {
-    const fn per_file(name: &'static str, in_scope: Scope, check: FileCheck) -> Rule {
+    const fn per_file(name: &'static str, scope: Scope, check: FileCheck) -> Rule {
         Rule {
             name,
             suppressible: true,
-            per_file: Some((in_scope, check)),
+            per_file: Some((scope, check)),
         }
     }
 
@@ -114,15 +144,21 @@ pub fn all_rule_names() -> Vec<&'static str> {
     CATALOG.iter().map(|r| r.name).collect()
 }
 
-fn in_lossy_cast_scope(rel_path: &str) -> bool {
-    rel_path == "crates/rlb-core/src/stats.rs"
-        || rel_path.starts_with("crates/rlb-metrics/src/")
-        || rel_path == "crates/rlb-cli/src/aggregate.rs"
-        || rel_path.starts_with("crates/rlb-pool/src/")
-        || rel_path.starts_with("crates/rlb-experiments/src/")
-        || rel_path.starts_with("crates/rlb-serve/src/")
-        || rel_path.starts_with("crates/rlb-load/src/")
-        || rel_path.starts_with("crates/rlb-meanfield/src/")
+/// Each per-file rule with the file list it covers, so a test can
+/// check that every entry still names a linted file.
+pub fn scopes() -> Vec<(&'static str, Scope)> {
+    CATALOG
+        .iter()
+        .filter_map(|r| r.per_file.map(|(scope, _)| (r.name, scope)))
+        .collect()
+}
+
+/// Whether `rel_path` is one of `scope`'s files or under one of its
+/// directories.
+pub fn in_scope(scope: &[&str], rel_path: &str) -> bool {
+    scope
+        .iter()
+        .any(|s| rel_path == *s || (s.ends_with('/') && rel_path.starts_with(s)))
 }
 
 /// Lints one file in isolation: the per-file rules plus the dead-
@@ -143,8 +179,8 @@ pub fn lint_source(rel_path: &str, source: &str) -> Vec<Finding> {
 /// before the dead-suppression check runs.
 pub(crate) fn file_rules(pf: &ParsedFile, allow: &Suppressions, findings: &mut Vec<Finding>) {
     for rule in CATALOG {
-        if let Some((in_scope, check)) = rule.per_file {
-            if in_scope(pf) {
+        if let Some((scope, check)) = rule.per_file {
+            if in_scope(scope, &pf.rel_path) {
                 check(pf, allow, findings);
             }
         }
@@ -325,7 +361,7 @@ mod tests {
         let same = format!("{NARROWING} // lint:allow(lossy-cast)");
         assert!(lint_stats(&same).is_empty());
         // Another rule's name does not suppress it.
-        let wrong = format!("{NARROWING} // lint:allow(panic-path)");
+        let wrong = format!("{NARROWING} // lint:allow(dead-pub)");
         let f = lint_stats(&wrong);
         assert_eq!(f.len(), 1, "{f:?}");
         assert_eq!(f[0].rule, "lossy-cast");
@@ -367,7 +403,7 @@ mod tests {
     #[test]
     fn lossy_cast_allows_widening() {
         let src = "fn f(x: u32) -> u64 { let a = x as u64; let b = x as f64; a + b as u64 }";
-        assert!(lint_source("crates/rlb-core/src/stats.rs", src).is_empty());
+        assert!(lint_source("crates/rlb-cli/src/aggregate.rs", src).is_empty());
     }
 
     #[test]
@@ -395,7 +431,7 @@ mod tests {
         let prose = "// suppress with lint:allow(some-rule)\nfn f() {}";
         assert!(lint_stats(prose).is_empty());
         // A workspace-pass rule is not judged by the per-file path.
-        let wsp = "// justified elsewhere. lint:allow(panic-path)\nfn f() {}";
+        let wsp = "// justified elsewhere. lint:allow(dead-pub)\nfn f() {}";
         assert!(lint_stats(wsp).is_empty());
     }
 

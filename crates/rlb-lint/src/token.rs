@@ -5,10 +5,9 @@
 //! punctuation (`::`, `->`, `<<=`, …), numeric literals with an
 //! int/float split, string/char literals (plain, raw, byte), lifetimes
 //! vs char literals, and comments. Every token carries exact byte
-//! spans, so the rule passes and the call-graph layer
-//! ([`crate::items`], [`crate::callgraph`]) report findings at exact
-//! positions instead of substring offsets, and never match text inside
-//! a comment or a literal.
+//! spans, so the rule passes and the item parser ([`crate::items`])
+//! report findings at exact positions instead of substring offsets, and
+//! never match text inside a comment or a literal.
 //!
 //! `tests/tokenizer.rs` pins the classification on a generated corpus
 //! of tricky syntax (raw strings, nested block comments, lifetimes,

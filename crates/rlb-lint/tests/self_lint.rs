@@ -5,6 +5,7 @@
 //! unsuppressed finding — run `rlb-sim lint` locally for the file/line
 //! list.
 
+use rlb_lint::rules::{in_scope, scopes};
 use rlb_lint::LintReport;
 use std::path::Path;
 use std::sync::OnceLock;
@@ -23,9 +24,9 @@ fn workspace_report() -> &'static LintReport {
 fn workspace_is_lint_clean() {
     let report = workspace_report();
     assert!(
-        report.files_scanned > 50,
+        report.files.len() > 50,
         "suspiciously few files scanned ({}) — walk broken?",
-        report.files_scanned
+        report.files.len()
     );
     assert!(
         report.is_clean(),
@@ -40,33 +41,36 @@ fn workspace_is_lint_clean() {
     );
 }
 
-/// The call-graph passes only mean something if `lint-roots.toml`
-/// actually resolved and the reachability cone is non-trivial. A clean
-/// report with zero roots would be vacuous — this pins the analysis as
-/// live, not silently skipped.
+/// A per-file rule only means something over files that exist: a scope
+/// entry left behind by a rename or a move covers nothing, and a clean
+/// report from it is vacuous. Every entry of every scope must name a
+/// file (or a directory of files) the workspace walk lints, and the
+/// engine-path scope must keep the fns it holds.
 #[test]
-fn call_graph_passes_are_live() {
-    let s = &workspace_report().stats;
-    assert!(s.fns > 500, "call graph too small: {} fns", s.fns);
-    assert!(s.edges > 1000, "call graph too sparse: {} edges", s.edges);
-    assert!(
-        s.root_fns >= 10,
-        "lint-roots.toml resolved only {} root fns — manifest rot?",
-        s.root_fns
+fn every_scope_names_linted_files() {
+    let report = workspace_report();
+    let scopes = scopes();
+    assert_eq!(
+        scopes.iter().map(|(rule, _)| *rule).collect::<Vec<_>>(),
+        ["lossy-cast", "panic-path", "unchecked-arith"]
     );
+    for (rule, scope) in scopes {
+        for entry in scope {
+            assert!(
+                report.files.iter().any(|f| in_scope(&[entry], f)),
+                "{rule}'s scope names {entry}, which no linted file matches"
+            );
+        }
+    }
+    // 189 at time of writing, over the 11 files that hold every fn the
+    // retired call graph reached from its roots (83). A fn the item
+    // parser drops (as it did one with an array type in its signature)
+    // goes unchecked silently; a floor makes a wholesale loss loud.
+    let s = &report.stats;
     assert!(
-        s.cone_fns > s.root_fns,
-        "reachability cone ({} fns) never left the {} roots",
-        s.cone_fns,
-        s.root_fns
-    );
-    // 71 at time of writing. A fn the item parser drops (as it did one
-    // with an array type in its signature) leaves the cone silently; a
-    // floor makes a wholesale loss loud.
-    assert!(
-        s.cone_fns >= 60,
-        "only {} fns reachable from the roots",
-        s.cone_fns
+        s.scoped_fns >= 189,
+        "only {} engine-path fns checked",
+        s.scoped_fns
     );
     assert!(
         s.pub_items > 300,

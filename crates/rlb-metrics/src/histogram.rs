@@ -84,7 +84,7 @@ impl Histogram {
     /// Creates an empty histogram with space for values up to `max_value`.
     pub fn with_capacity(max_value: usize) -> Self {
         Self {
-            counts: vec![0; max_value + 1],
+            counts: vec![0; max_value + 1], // no vec of usize::MAX + 1 counts is allocated anyway. lint:allow(unchecked-arith)
             ..Self::default()
         }
     }
@@ -188,10 +188,9 @@ impl Histogram {
     /// Number of samples with value strictly greater than `value`.
     pub fn count_above(&self, value: u64) -> u64 {
         let start = (value as usize).saturating_add(1);
-        if start >= self.counts.len() {
-            return 0;
-        }
-        self.counts[start..].iter().sum()
+        self.counts
+            .get(start..)
+            .map_or(0, |above| above.iter().sum())
     }
 
     /// Mean of the samples; `None` if empty. Censored samples count at
@@ -241,6 +240,8 @@ impl Histogram {
         if self.total == 0 {
             return None;
         }
+        // q * total is float, and seen below sums counts up to total.
+        // lint:allow(unchecked-arith)
         let rank = ((q * self.total as f64).ceil() as u64).max(1);
         let mut seen = 0u64;
         for (v, &c) in self.counts.iter().enumerate() {

@@ -116,7 +116,7 @@ impl Pool {
         let jobs = jobs.max(1);
         Self {
             jobs,
-            spare: AtomicUsize::new(jobs - 1),
+            spare: AtomicUsize::new(jobs - 1), // jobs >= 1 by the max above. lint:allow(unchecked-arith)
         }
     }
 
