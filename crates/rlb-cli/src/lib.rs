@@ -356,9 +356,11 @@ pub fn render_text(opts: &CliOptions, report: &RunReport) -> String {
 /// analysis (`rlb-lint`) over every `crates/*/src` file, with
 /// `crates/*/{tests,examples}`, the root package's
 /// `{src,tests,examples}` and `benchmark/src` as reference material.
-/// Each per-file rule covers the file list in its catalog row. Returns
-/// the rendered report and whether the workspace is clean; the binary
-/// exits nonzero on any finding.
+/// Its one per-file rule, `lossy-cast`, covers the file list in its
+/// catalog row; panics and wrapping arithmetic on the request path are
+/// clippy's (each covered file's `#![deny]`). Returns the rendered
+/// report and whether the workspace is clean; the binary exits nonzero
+/// on any finding.
 ///
 /// Arguments (after the `lint` subcommand): `--root PATH` (default
 /// `.`), the workspace root containing `crates/`; `--json [PATH]`

@@ -84,10 +84,10 @@ const USAGE: &str = "rlb-sim: simulate a load-balanced distributed KV store\n\n\
      \x20                   with --sim-clock run the same co-simulation as serve\n\
      \x20 lint [--root PATH] [--json [PATH]] [--rule NAME]...\n\
      \x20                   run the workspace's static-analysis pass (rlb-lint) over\n\
-     \x20                   crates/*/src (per-file rules: lossy-cast, panic-path,\n\
-     \x20                   unchecked-arith; dead-pub, dead-suppression detection;\n\
-     \x20                   determinism and hot-path panics are clippy's, see\n\
-     \x20                   clippy.toml);\n\
+     \x20                   crates/*/src (per-file rule: lossy-cast; dead-pub,\n\
+     \x20                   dead-suppression detection; determinism, and panics and\n\
+     \x20                   wrapping arithmetic on the request path, are clippy's,\n\
+     \x20                   see clippy.toml and each file's #![deny]);\n\
      \x20                   --json emits a machine-readable report (to stdout, or to\n\
      \x20                   PATH with the text summary kept on stdout); --rule keeps\n\
      \x20                   only findings of the named rule(s), repeatable;\n\

@@ -82,12 +82,16 @@ const CASES: &[(Parser, &str, &str)] = &[
     // lengths are capped inside proto.rs's cursor, so no pass taints
     // them; trace events are built inside `TraceSink::emit` alone, so
     // no rule checks their guards; the panic and arithmetic rules cover
-    // a list of files, so no root manifest can rot.
-    (LINT, "--rule lock-order", "unknown rule \"lock-order\"; known rules: lossy-cast, panic-path, unchecked-arith, dead-pub, unused-suppression"),
-    (LINT, "--rule determinism-flow", "unknown rule \"determinism-flow\"; known rules: lossy-cast, panic-path, unchecked-arith, dead-pub, unused-suppression"),
-    (LINT, "--rule untrusted-input", "unknown rule \"untrusted-input\"; known rules: lossy-cast, panic-path, unchecked-arith, dead-pub, unused-suppression"),
-    (LINT, "--rule trace-guard", "unknown rule \"trace-guard\"; known rules: lossy-cast, panic-path, unchecked-arith, dead-pub, unused-suppression"),
-    (LINT, "--rule lint-roots", "unknown rule \"lint-roots\"; known rules: lossy-cast, panic-path, unchecked-arith, dead-pub, unused-suppression"),
+    // a list of files, so no root manifest can rot; and those two rules
+    // are clippy's now (`indexing_slicing`, `arithmetic_side_effects`
+    // and the panic lints, denied file by file).
+    (LINT, "--rule lock-order", "unknown rule \"lock-order\"; known rules: lossy-cast, dead-pub, unused-suppression"),
+    (LINT, "--rule determinism-flow", "unknown rule \"determinism-flow\"; known rules: lossy-cast, dead-pub, unused-suppression"),
+    (LINT, "--rule untrusted-input", "unknown rule \"untrusted-input\"; known rules: lossy-cast, dead-pub, unused-suppression"),
+    (LINT, "--rule trace-guard", "unknown rule \"trace-guard\"; known rules: lossy-cast, dead-pub, unused-suppression"),
+    (LINT, "--rule lint-roots", "unknown rule \"lint-roots\"; known rules: lossy-cast, dead-pub, unused-suppression"),
+    (LINT, "--rule panic-path", "unknown rule \"panic-path\"; known rules: lossy-cast, dead-pub, unused-suppression"),
+    (LINT, "--rule unchecked-arith", "unknown rule \"unchecked-arith\"; known rules: lossy-cast, dead-pub, unused-suppression"),
     // A subcommand with nothing selected to run.
     (BENCH, "", "bench requires a mode: --meanfield"),
 ];

@@ -14,6 +14,17 @@
 //!   [`crate::ClusterView::is_up`], modelling a standard failure
 //!   detector.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::arithmetic_side_effects
+)]
+
 /// One planned outage: `server` is down for steps in `[from, until)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Outage {

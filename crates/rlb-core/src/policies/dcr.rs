@@ -31,6 +31,17 @@
 //! after each step for exactly that step's chunks. Per step of the phase
 //! only the table's failure flag is remembered.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::arithmetic_side_effects
+)]
+
 use crate::config::SimConfig;
 use crate::policy::{Decision, Policy, RejectReason, RouteCtx, StepOps};
 use crate::queue::ClassSpec;
@@ -58,6 +69,10 @@ pub struct DcrParams {
 impl DcrParams {
     /// Defaults scaled for `m` servers: phase length
     /// `2·⌈log2 log2 m⌉` (min 2) and stash bound 4.
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "loglog <= 6 for any usize m"
+    )]
     pub fn for_servers(m: usize) -> Self {
         let loglog = (m.max(4) as f64).log2().log2().ceil().max(1.0) as u64;
         Self {
@@ -169,6 +184,10 @@ impl DelayedCuckoo {
 
     /// Two-choice greedy on the Q queues (first access in a phase, or
     /// the fallback when a repeat's preplanned server is down).
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "u64 diagnostic counters never wrap"
+    )]
     fn route_first_access(&mut self, h1: u32, h2: u32, view: &ClusterView<'_>) -> Decision {
         let avail1 = view.is_available(h1, Q as usize);
         let avail2 = view.is_available(h2, Q as usize);
@@ -207,6 +226,10 @@ impl Policy for DelayedCuckoo {
         vec![spec; 4]
     }
 
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "phase_length > 0 (asserted at build); step % p <= step; u64 counters"
+    )]
     fn on_step_begin(&mut self, step: u64, ops: &mut dyn StepOps) {
         let phase_start = step - step % self.params.phase_length;
         if phase_start != self.phase_start || !self.started {
@@ -223,8 +246,14 @@ impl Policy for DelayedCuckoo {
         }
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        clippy::arithmetic_side_effects,
+        reason = "chunk < num_chunks = last_access.len(); u64 diagnostic counters never wrap"
+    )]
     fn route(&mut self, ctx: RouteCtx<'_>, view: &ClusterView<'_>) -> Decision {
         debug_assert_eq!(ctx.replicas.len(), 2, "DCR requires d = 2");
+        #[expect(clippy::indexing_slicing, reason = "d = 2, asserted at build")]
         let (h1, h2) = (ctx.replicas[0], ctx.replicas[1]);
         let chunk = ctx.chunk as usize;
         self.step_choices.push(Choices::new(h1, h2));
@@ -240,12 +269,17 @@ impl Policy for DelayedCuckoo {
             return self.route_first_access(h1, h2, view);
         }
         // Route by the table built after the previous access.
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "offset < phase_length = slots.len()"
+        )]
         let slot = self.slots[offset as usize];
         debug_assert_eq!(slot.step, prev, "table slot mismatch for repeat access");
         if slot.failed {
             self.diagnostics.table_failure_rejects += 1;
             return Decision::Reject(RejectReason::TableFailed);
         }
+        #[expect(clippy::indexing_slicing, reason = "chunk < num_chunks = plan.len()")]
         let server = self.plan[chunk];
         if !view.is_up(server) {
             // The preplanned server is down; fall back to the live Q
@@ -257,6 +291,12 @@ impl Policy for DelayedCuckoo {
         Decision::Route { server, class: P }
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        clippy::arithmetic_side_effects,
+        reason = "chunk < num_chunks = plan.len(); step - phase_start < phase_length = slots.len(); \
+                  u64 counters"
+    )]
     fn on_step_end(&mut self, step: u64, chunks: &[u32], _view: &ClusterView<'_>) {
         // Build T_step over the chunks requested this step.
         assert_eq!(
@@ -288,6 +328,7 @@ impl Policy for DelayedCuckoo {
 }
 
 #[cfg(test)]
+#[allow(clippy::arithmetic_side_effects)]
 mod tests {
     use super::*;
     use crate::config::DrainMode;

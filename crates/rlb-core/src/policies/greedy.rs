@@ -12,6 +12,17 @@
 //! expected rejection rate `O(1/m^{c−1})`, maximum latency `O(log m)`,
 //! and expected average latency `O(1)`.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::arithmetic_side_effects
+)]
+
 use crate::config::SimConfig;
 use crate::policy::{Decision, Policy, RejectReason, RouteCtx};
 use crate::queue::ClassSpec;
@@ -51,6 +62,7 @@ impl Policy for Greedy {
 }
 
 #[cfg(test)]
+#[allow(clippy::arithmetic_side_effects)]
 mod tests {
     use super::*;
     use crate::queue::QueueArray;

@@ -13,6 +13,17 @@
 //! is local server state, not routing state); the *choice among
 //! replicas* uses only in-step information.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::arithmetic_side_effects
+)]
+
 use crate::config::SimConfig;
 use crate::policy::{Decision, Policy, RejectReason, RouteCtx};
 use crate::queue::ClassSpec;
@@ -61,6 +72,7 @@ impl Policy for TimeStepIsolated {
             if !view.is_available(server, 0) {
                 continue;
             }
+            #[expect(clippy::indexing_slicing, reason = "server < m = step_arrivals.len()")]
             let count = self.step_arrivals[server as usize];
             if count < best_count {
                 best = Some(server);
@@ -68,6 +80,11 @@ impl Policy for TimeStepIsolated {
             }
         }
         match best {
+            #[expect(
+                clippy::indexing_slicing,
+                clippy::arithmetic_side_effects,
+                reason = "server < m = step_arrivals.len(); a step's arrivals fit a u32"
+            )]
             Some(server) => {
                 self.step_arrivals[server as usize] += 1;
                 Decision::Route { server, class: 0 }

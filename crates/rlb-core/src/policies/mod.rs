@@ -12,6 +12,17 @@
 //! * [`GreedyShedding`] — greedy plus the model's third knob: voluntary
 //!   rejection above a backlog threshold (latency flooring).
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::arithmetic_side_effects
+)]
+
 mod dcr;
 mod greedy;
 mod isolated;

@@ -6,6 +6,17 @@
 //! against a repeated workload: servers oversubscribed at step 1 stay
 //! oversubscribed forever. Experiment E5 exhibits that collapse.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::arithmetic_side_effects
+)]
+
 use crate::config::SimConfig;
 use crate::policy::{Decision, Policy, RejectReason, RouteCtx};
 use crate::queue::ClassSpec;
@@ -35,6 +46,10 @@ impl Policy for OneChoice {
     }
 
     fn route(&mut self, ctx: RouteCtx<'_>, view: &ClusterView<'_>) -> Decision {
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "placement gives every chunk d >= 1 replicas"
+        )]
         let server = ctx.replicas[0];
         if !view.is_up(server) {
             Decision::Reject(RejectReason::ServerDown)

@@ -6,6 +6,17 @@
 //! adversarial repetition it behaves like a fractional-split strategy —
 //! better than one-choice, worse than greedy (experiment E12).
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::arithmetic_side_effects
+)]
+
 use crate::config::SimConfig;
 use crate::policy::{Decision, Policy, RejectReason, RouteCtx};
 use crate::queue::ClassSpec;
@@ -40,12 +51,25 @@ impl Policy for RoundRobin {
     }
 
     fn route(&mut self, ctx: RouteCtx<'_>, view: &ClusterView<'_>) -> Decision {
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "chunk < num_chunks = counters.len()"
+        )]
         let counter = &mut self.counters[ctx.chunk as usize];
         let d = ctx.replicas.len();
+        #[expect(
+            clippy::arithmetic_side_effects,
+            reason = "placement gives d >= 1 replicas"
+        )]
         let start = *counter as usize % d;
         *counter = counter.wrapping_add(1);
         // Prefer the scheduled replica; fall forward to the next open one.
         for offset in 0..d {
+            #[expect(
+                clippy::indexing_slicing,
+                clippy::arithmetic_side_effects,
+                reason = "start, offset < d: the sum fits, and `% d` lands in replicas"
+            )]
             let server = ctx.replicas[(start + offset) % d];
             if view.is_available(server, 0) {
                 return Decision::Route { server, class: 0 };

@@ -12,6 +12,17 @@
 //! greedy's (`ClusterView`'s `least_loaded` fold); only the bar moves,
 //! from the capacity to `min(capacity, t)`.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::arithmetic_side_effects
+)]
+
 use crate::config::SimConfig;
 use crate::policy::{Decision, Policy, RejectReason, RouteCtx};
 use crate::queue::ClassSpec;

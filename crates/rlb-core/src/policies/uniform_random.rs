@@ -5,6 +5,17 @@
 //! `Θ(log m / log log m)` rather than `O(log log m)`, so it needs larger
 //! queues than greedy for the same rejection rate (experiments E4/E12).
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::arithmetic_side_effects
+)]
+
 use crate::config::SimConfig;
 use crate::policy::{Decision, Policy, RejectReason, RouteCtx};
 use crate::queue::ClassSpec;
@@ -45,6 +56,11 @@ impl Policy for UniformRandom {
         let mut live = [0u32; rlb_hash::placement::MAX_REPLICATION];
         let mut n = 0;
         for &s in ctx.replicas {
+            #[expect(
+                clippy::indexing_slicing,
+                clippy::arithmetic_side_effects,
+                reason = "n < replicas.len() <= MAX_REPLICATION = live.len()"
+            )]
             if view.is_up(s) {
                 live[n] = s;
                 n += 1;
@@ -53,6 +69,7 @@ impl Policy for UniformRandom {
         if n == 0 {
             return Decision::Reject(RejectReason::ServerDown);
         }
+        #[expect(clippy::indexing_slicing, reason = "gen_index(n) < n <= live.len()")]
         let server = live[self.rng.gen_index(n)];
         if view.is_full(server, 0) {
             Decision::Reject(RejectReason::Policy)

@@ -19,7 +19,9 @@
     clippy::panic,
     clippy::unreachable,
     clippy::todo,
-    clippy::unimplemented
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::arithmetic_side_effects
 )]
 
 /// Specification of one queue class.
@@ -63,8 +65,11 @@ const CTRL_ROUTE: usize = 3;
 /// stays in range even for caps near `u32::MAX`, where `head + len`
 /// would wrap.
 #[inline]
+#[expect(
+    clippy::arithmetic_side_effects,
+    reason = "head < cap and len <= cap: no value leaves 0..cap"
+)]
 fn tail(head: u32, len: u32, cap: u32) -> u32 {
-    // head < cap and len <= cap: no value leaves 0..cap. lint:allow(unchecked-arith)
     if head >= cap - len {
         head - (cap - len)
     } else {
@@ -92,11 +97,15 @@ impl Ring {
     /// never holds two never writes the arena; behind the ring's
     /// `len - 1` entries otherwise. Requires `len < cap`.
     #[inline]
+    #[expect(
+        clippy::indexing_slicing,
+        clippy::arithmetic_side_effects,
+        reason = "0 < len < cap: the ring's len - 1 entries leave its tail slot free"
+    )]
     fn push_back(&mut self, buf: &mut [u32], v: u32) {
         if self.len == 0 {
             self.first = v;
         } else {
-            // 0 < len < cap: the ring's len - 1 entries leave its tail slot free. lint:allow(panic-path, unchecked-arith)
             buf[self.base + tail(self.head, self.len - 1, self.cap) as usize] = v;
         }
         self.len += 1;
@@ -107,6 +116,11 @@ impl Ring {
     /// `first`. Each argument of `f` is its own load, so the calls do not
     /// wait on one another. Requires `n <= len`.
     #[inline]
+    #[expect(
+        clippy::indexing_slicing,
+        clippy::arithmetic_side_effects,
+        reason = "h < cap: a slot of this ring; n <= len"
+    )]
     fn pop_front_n(&mut self, buf: &[u32], n: u32, mut f: impl FnMut(u32)) {
         // `migrate_class` pops its drops, often none, from a queue it
         // may just have emptied, where `first` is stale.
@@ -116,7 +130,7 @@ impl Ring {
         f(self.first);
         let mut h = self.head;
         for _ in 1..n {
-            f(buf[self.base + h as usize]); // head < cap: a slot of this ring. lint:allow(panic-path, unchecked-arith)
+            f(buf[self.base + h as usize]);
             h += 1;
             if h == self.cap {
                 h = 0;
@@ -219,6 +233,11 @@ impl QueueArray {
     /// Panics if `classes` is empty, any capacity is zero, the summed
     /// per-server capacity reaches `u32::MAX` (the down-server routing
     /// sentinel), or the arena size overflows `usize`.
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "every product is at most the checked arena size (prefix, k <= per_server); \
+                  ctrl's 4x fits once `buf`, as many 4-byte words, is allocated"
+    )]
     pub fn new(num_servers: usize, classes: &[ClassSpec]) -> Self {
         assert!(!classes.is_empty(), "need at least one queue class");
         assert!(
@@ -235,7 +254,6 @@ impl QueueArray {
                     clippy::panic,
                     reason = "constructor-time validation, never on the per-step hot path"
                 )]
-                // Constructor-time validation, as the expect above says. lint:allow(panic-path)
                 None => panic!(
                     "QueueArray: class capacities overflow u32 ({per_server} + {c} per server)"
                 ),
@@ -263,8 +281,6 @@ impl QueueArray {
         let mut class_base = Vec::with_capacity(k);
         let mut prefix = 0usize;
         for &c in &caps {
-            // Every product is at most the checked arena size (prefix <=
-            // per_server, k <= per_server). lint:allow(unchecked-arith)
             class_base.push(num_servers * prefix);
             prefix += c as usize;
         }
@@ -283,33 +299,51 @@ impl QueueArray {
 
     /// Index of `(server, class)`'s entry into the packed `ctrl` row.
     #[inline]
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "ctrl_ix bound: class < k, server < m, checked at build"
+    )]
     fn ctrl_ix(&self, server: u32, class: usize) -> usize {
-        (class * self.num_servers + server as usize) * CTRL_WORDS // ctrl_ix bound: class < k, server < m, checked at build. lint:allow(unchecked-arith)
+        (class * self.num_servers + server as usize) * CTRL_WORDS
     }
 
     /// Index of `server`'s routing word: the last word of its class-0
     /// `ctrl` entry.
     #[inline]
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "server < m: the class-0 block spans m entries"
+    )]
     fn route_ix(server: u32) -> usize {
-        server as usize * CTRL_WORDS + CTRL_ROUTE // server < m: the class-0 block spans m entries. lint:allow(unchecked-arith)
+        server as usize * CTRL_WORDS + CTRL_ROUTE
     }
 
     /// Base index of `(server, class)`'s ring in the arena.
     #[inline]
+    #[expect(
+        clippy::indexing_slicing,
+        clippy::arithmetic_side_effects,
+        reason = "slot base: class/server/caps validated at build"
+    )]
     fn base(&self, server: u32, class: usize) -> usize {
-        self.class_base[class] + server as usize * self.caps[class] as usize // slot base: class/server/caps validated at build. lint:allow(panic-path, unchecked-arith)
+        self.class_base[class] + server as usize * self.caps[class] as usize
     }
 
     /// `(server, class)`'s queue, named by its `ctrl` index, arena base
     /// and capacity, which the bulk walks hoist out of their per-server
     /// loops.
     #[inline]
+    #[expect(
+        clippy::indexing_slicing,
+        clippy::arithmetic_side_effects,
+        reason = "idx names a built ring's entry"
+    )]
     fn ring_at(&self, idx: usize, base: usize, cap: u32) -> Ring {
         Ring {
             idx,
             base,
             cap,
-            head: self.ctrl[idx + CTRL_HEAD], // idx names a built ring's entry. lint:allow(panic-path, unchecked-arith)
+            head: self.ctrl[idx + CTRL_HEAD],
             len: self.ctrl[idx + CTRL_LEN],
             first: self.ctrl[idx + CTRL_FIRST],
         }
@@ -318,14 +352,23 @@ impl QueueArray {
     /// `(server, class)`'s queue.
     #[inline]
     fn ring(&self, server: u32, class: usize) -> Ring {
-        let cap = self.caps[class]; // class validated by the public entry points. lint:allow(panic-path)
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "class validated by the public entry points"
+        )]
+        let cap = self.caps[class];
         self.ring_at(self.ctrl_ix(server, class), self.base(server, class), cap)
     }
 
     /// Writes a queue's control words back to its `ctrl` entry.
     #[inline]
+    #[expect(
+        clippy::indexing_slicing,
+        clippy::arithmetic_side_effects,
+        reason = "idx names a built ring's entry"
+    )]
     fn store(&mut self, ring: &Ring) {
-        self.ctrl[ring.idx + CTRL_HEAD] = ring.head; // idx names a built ring's entry. lint:allow(panic-path, unchecked-arith)
+        self.ctrl[ring.idx + CTRL_HEAD] = ring.head;
         self.ctrl[ring.idx + CTRL_LEN] = ring.len;
         self.ctrl[ring.idx + CTRL_FIRST] = ring.first;
     }
@@ -344,8 +387,12 @@ impl QueueArray {
 
     /// Capacity of class `class`.
     #[inline]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "class validated by the public entry points"
+    )]
     pub fn capacity(&self, class: usize) -> u32 {
-        self.caps[class] // class validated by the public entry points. lint:allow(panic-path)
+        self.caps[class]
     }
 
     /// Total backlog (all classes) of `server`: its routing word while
@@ -365,8 +412,12 @@ impl QueueArray {
     /// liveness check into the comparison (a down server never wins), as
     /// `ClusterView`'s `least_loaded` fold does for the greedy policies.
     #[inline]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "server < m: enforced by the public API asserts"
+    )]
     pub fn route_backlog(&self, server: u32) -> u32 {
-        self.ctrl[Self::route_ix(server)] // server < m: enforced by the public API asserts. lint:allow(panic-path)
+        self.ctrl[Self::route_ix(server)]
     }
 
     /// Whether `server` is live.
@@ -379,9 +430,13 @@ impl QueueArray {
     /// work (frozen until it returns) but advertises a `u32::MAX`
     /// routing backlog and is skipped by [`QueueArray::drain_class`].
     #[inline]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "server < m: enforced by the public API asserts"
+    )]
     pub fn set_live(&mut self, server: u32, live: bool) {
         let route = if live { self.backlog(server) } else { DOWN };
-        self.ctrl[Self::route_ix(server)] = route; // server < m: enforced by the public API asserts. lint:allow(panic-path)
+        self.ctrl[Self::route_ix(server)] = route;
     }
 
     /// Sets every server's liveness from a mask (`up.len()` must equal
@@ -403,14 +458,20 @@ impl QueueArray {
 
     /// Backlog of one class of one server.
     #[inline]
+    #[expect(
+        clippy::indexing_slicing,
+        clippy::arithmetic_side_effects,
+        reason = "ctrl_ix bound: class < k, server < m, checked at build"
+    )]
     pub fn class_backlog(&self, server: u32, class: usize) -> u32 {
-        self.ctrl[self.ctrl_ix(server, class) + CTRL_LEN] // ctrl_ix bound: class < k, server < m, checked at build. lint:allow(panic-path, unchecked-arith)
+        self.ctrl[self.ctrl_ix(server, class) + CTRL_LEN]
     }
 
     /// Whether `class` at `server` is full.
     #[inline]
+    #[expect(clippy::indexing_slicing, reason = "class < k, as for class_backlog")]
     pub fn is_full(&self, server: u32, class: usize) -> bool {
-        self.class_backlog(server, class) >= self.caps[class] // class < k, as for class_backlog. lint:allow(panic-path)
+        self.class_backlog(server, class) >= self.caps[class]
     }
 
     /// Enqueues a request (by arrival step) into `(server, class)`.
@@ -419,6 +480,12 @@ impl QueueArray {
     /// Returns [`QueueFull`] if the class is at capacity; the queue is
     /// unchanged.
     #[inline]
+    #[expect(
+        clippy::indexing_slicing,
+        clippy::arithmetic_side_effects,
+        reason = "server < m: enforced by the public API asserts, and class < k as `ring` read \
+                  caps[class]; at most m * per_server entries are ever queued"
+    )]
     pub fn enqueue(
         &mut self,
         server: u32,
@@ -434,8 +501,8 @@ impl QueueArray {
         // Branchless: a down server's word saturates at DOWN, and a live
         // one cannot reach it (per_server < u32::MAX).
         let r = Self::route_ix(server);
-        self.ctrl[r] = self.ctrl[r].saturating_add(1); // server < m: enforced by the public API asserts. lint:allow(panic-path)
-        self.total += 1; // at most m * per_server entries are ever queued. lint:allow(unchecked-arith)
+        self.ctrl[r] = self.ctrl[r].saturating_add(1);
+        self.total += 1;
         if ring.len == 1 {
             self.occupied[class].push(server);
         }
@@ -456,9 +523,13 @@ impl QueueArray {
         // live value reaches), so the word itself says whether it
         // follows the backlog.
         let r = Self::route_ix(server);
-        // r names a built class-0 entry. lint:allow(panic-path)
+        #[expect(
+            clippy::indexing_slicing,
+            clippy::arithmetic_side_effects,
+            reason = "r names a built class-0 entry; a live word counts the n popped"
+        )]
         if self.ctrl[r] != DOWN {
-            self.ctrl[r] -= n; // a live word counts the n popped. lint:allow(unchecked-arith)
+            self.ctrl[r] -= n;
         }
         ring.len
     }
@@ -469,6 +540,10 @@ impl QueueArray {
     /// this: it is the per-server reference the queue tests compare
     /// [`QueueArray::sweep_class`] against.
     #[inline]
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "n <= this queue's length, counted in total"
+    )]
     pub fn dequeue_up_to(
         &mut self,
         server: u32,
@@ -482,12 +557,13 @@ impl QueueArray {
         }
         let ring = self.ring(server, class);
         if self.pop(server, ring, n, on_complete) == 0 {
-            let list = &mut self.occupied[class]; // class < k, as for the ring. lint:allow(panic-path)
+            #[expect(clippy::indexing_slicing, reason = "class < k, as for the ring")]
+            let list = &mut self.occupied[class];
             if let Some(at) = list.iter().position(|&s| s == server) {
                 list.swap_remove(at);
             }
         }
-        self.total -= n as u64; // n <= this queue's length, counted in total. lint:allow(unchecked-arith)
+        self.total -= n as u64;
         n
     }
 
@@ -506,19 +582,23 @@ impl QueueArray {
     /// visits the occupancy list. Visit order differs between the two,
     /// but per-completion statistics are order-independent
     /// accumulations, so reports are identical.
+    #[expect(
+        clippy::indexing_slicing,
+        clippy::arithmetic_side_effects,
+        reason = "occupied[] entries are live slots by invariant; list.len() <= m, and the sparse \
+                  walk reads list[..n]; drained <= total: every entry popped was counted in"
+    )]
     pub fn sweep_class(
         &mut self,
         class: usize,
         take: u32,
         on_complete: impl FnMut(u32, u32),
     ) -> u64 {
-        // occupied[] entries are live slots by invariant. lint:allow(panic-path)
         if take == 0 || self.occupied[class].is_empty() {
             return 0;
         }
         let m = self.num_servers;
         let mut list = std::mem::take(&mut self.occupied[class]);
-        // drained <= total: every entry popped was counted in. lint:allow(unchecked-arith)
         let drained = if list.len() * 2 >= m {
             self.sweep_walk(class, take, &mut list, m, |_, i| i as u32, on_complete)
         } else {
@@ -538,6 +618,12 @@ impl QueueArray {
     /// during a sweep, so `kept` never passes the sparse walk's read
     /// position, nor the list's length under the dense walk (which does
     /// not read the list at all).
+    #[expect(
+        clippy::indexing_slicing,
+        clippy::arithmetic_side_effects,
+        reason = "class validated by the sweep's entry; servers come from 0..m or the occupancy \
+                  list, so slot arithmetic is bounded by per-class capacity; kept <= i"
+    )]
     fn sweep_walk(
         &mut self,
         class: usize,
@@ -547,9 +633,9 @@ impl QueueArray {
         at: impl Fn(&[u32], usize) -> u32,
         mut on_complete: impl FnMut(u32, u32),
     ) -> u64 {
-        let cap = self.caps[class]; // class validated by the sweep's entry; servers come from 0..m or the occupancy list. lint:allow(panic-path)
+        let cap = self.caps[class];
         let cbase = self.class_base[class];
-        let lo = class * self.num_servers * CTRL_WORDS; // slot arithmetic bounded by per-class capacity. lint:allow(unchecked-arith)
+        let lo = class * self.num_servers * CTRL_WORDS;
         let mut drained = 0u64;
         let mut kept = 0usize;
         for i in 0..visits {
@@ -590,8 +676,12 @@ impl QueueArray {
     /// product code reads the index from outside; it is `pub` for the
     /// occupancy property sweep in `tests/queue_occupancy.rs`.
     #[inline]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "class validated by the caller, as for capacity"
+    )]
     pub fn occupied_servers(&self, class: usize) -> &[u32] {
-        &self.occupied[class] // class validated by the caller, as for capacity. lint:allow(panic-path)
+        &self.occupied[class]
     }
 
     /// Moves the entire contents of class `from` into class `to` for
@@ -607,13 +697,19 @@ impl QueueArray {
     ///
     /// # Panics
     /// Panics if `from == to`.
+    #[expect(
+        clippy::indexing_slicing,
+        clippy::arithmetic_side_effects,
+        reason = "from/to classes validated by the migrate entry asserts; dst.len <= dst.cap; \
+                  dropped never passes total"
+    )]
     pub fn migrate_class(&mut self, from: usize, to: usize, mut on_drop: impl FnMut(u32)) -> u64 {
         assert_ne!(from, to, "cannot migrate a class onto itself");
         let mut dropped = 0u64;
         // Visit only servers with pending `from` entries; every one of
         // them leaves the `from` occupancy list, so the list is detached
         // wholesale and its allocation reused.
-        let mut movers = std::mem::take(&mut self.occupied[from]); // from/to classes validated by the migrate entry asserts. lint:allow(panic-path)
+        let mut movers = std::mem::take(&mut self.occupied[from]);
         for &server in &movers {
             let mut src = self.ring(server, from);
             debug_assert!(src.len > 0, "occupancy lists only hold non-empty queues");
@@ -624,7 +720,6 @@ impl QueueArray {
             }
             // What fits moves oldest first, through the same front and
             // push as every drain and enqueue.
-            // dst.len <= dst.cap; dropped never passes total. lint:allow(unchecked-arith)
             for _ in 0..src.len.min(dst.cap - dst.len) {
                 let arrival = src.pop_front(&self.buf);
                 dst.push_back(&mut self.buf, arrival);
@@ -646,16 +741,21 @@ impl QueueArray {
     /// `on_drop(arrival_step)` for each dropped request. Returns the
     /// number dropped. Used for the greedy algorithm's periodic flush
     /// (requests count as rejections).
+    #[expect(
+        clippy::indexing_slicing,
+        clippy::arithmetic_side_effects,
+        reason = "flush walks only built classes; dropped never passes total"
+    )]
     pub fn flush_all(&mut self, mut on_drop: impl FnMut(u32)) -> u64 {
         let k = self.num_classes();
         let mut dropped = 0u64;
         for class in 0..k {
-            let mut servers = std::mem::take(&mut self.occupied[class]); // flush walks only built classes. lint:allow(panic-path)
+            let mut servers = std::mem::take(&mut self.occupied[class]);
             for &server in &servers {
                 let ring = self.ring(server, class);
                 let n = ring.len;
                 self.pop(server, ring, n, &mut on_drop);
-                dropped += n as u64; // dropped never passes total. lint:allow(unchecked-arith)
+                dropped += n as u64;
             }
             servers.clear();
             self.occupied[class] = servers;
@@ -695,10 +795,16 @@ impl QueueArray {
     ///
     /// # Errors
     /// A human-readable description of the first invariant violated.
+    #[expect(
+        clippy::indexing_slicing,
+        clippy::arithmetic_side_effects,
+        reason = "the sanitizer recomputes sizes it is checking and indexes the layout it just \
+                  measured"
+    )]
     pub fn sanitize_check(&self) -> Result<(), String> {
         let k = self.caps.len();
         let m = self.num_servers;
-        if self.ctrl.len() != CTRL_WORDS * m * k // sanitizer recomputes sizes it is checking. lint:allow(unchecked-arith)
+        if self.ctrl.len() != CTRL_WORDS * m * k
             || self.occupied.len() != k
             || self.class_base.len() != k
         {
@@ -709,7 +815,6 @@ impl QueueArray {
         let mut expected_base = 0usize;
         let mut expected_per_server = 0u64;
         for class in 0..k {
-            // sanitizer indexes the layout it just measured. lint:allow(panic-path)
             if self.class_base[class] != expected_base {
                 return Err(format!(
                     "sanitize: class {class} arena offset {} != expected prefix {expected_base} \

@@ -17,7 +17,9 @@
     clippy::panic,
     clippy::unreachable,
     clippy::todo,
-    clippy::unimplemented
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::arithmetic_side_effects
 )]
 
 use crate::config::{DrainMode, SimConfig};
@@ -180,7 +182,6 @@ impl<P: Policy> Simulation<P> {
         )]
         config
             .validate()
-            // Constructor precondition, as the expect above says. lint:allow(panic-path)
             .unwrap_or_else(|e| panic!("invalid config: {e}"));
         let placement = ReplicaPlacement::random(
             config.num_chunks,
@@ -203,7 +204,6 @@ impl<P: Policy> Simulation<P> {
         )]
         config
             .validate()
-            // Constructor precondition, as the expect above says. lint:allow(panic-path)
             .unwrap_or_else(|e| panic!("invalid config: {e}"));
         assert_eq!(
             placement.num_chunks(),
@@ -382,6 +382,7 @@ impl<P: Policy, S: TraceSink> Simulation<P, S> {
 }
 
 impl<P: Policy> Engine<P> {
+    #[expect(clippy::arithmetic_side_effects, reason = "a u64 step never wraps")]
     fn execute_step<S: TraceSink, W: Workload + ?Sized, O: Observer + ?Sized>(
         &mut self,
         sink: &mut S,
@@ -445,8 +446,12 @@ impl<P: Policy> Engine<P> {
                 // proportional share per sub-step (exactly its full rate
                 // over the whole step).
                 let substeps = self.config.process_rate.max(1) as usize;
+                #[expect(
+                    clippy::arithmetic_side_effects,
+                    reason = "substeps >= 1 asserted by Config::validate; n small"
+                )]
                 for s in 0..substeps {
-                    let lo = n * s / substeps; // substeps >= 1 asserted by Config::validate; n small. lint:allow(panic-path, unchecked-arith)
+                    let lo = n * s / substeps;
                     let hi = n * (s + 1) / substeps;
                     self.route_range(sink, lo, hi, step, observer);
                     self.drain(sink, s as u32, substeps as u32, step);
@@ -502,6 +507,10 @@ impl<P: Policy> Engine<P> {
     /// over `&QueueArray` (which owns liveness), so "rebuilding" it is a
     /// register move, not a scan. The engine-equivalence goldens pin the
     /// resulting routing sequence.
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "hi >= lo by the substep partition"
+    )]
     fn route_range<S: TraceSink, O: Observer + ?Sized>(
         &mut self,
         sink: &mut S,
@@ -513,7 +522,7 @@ impl<P: Policy> Engine<P> {
         // Detach the scratch list so a slice over it can coexist with
         // queue mutations; reattached (untouched) at the end.
         let chunks = std::mem::take(&mut self.chunk_scratch);
-        self.stats.arrived += (hi - lo) as u64; // hi >= lo by the substep partition. lint:allow(unchecked-arith)
+        self.stats.arrived += (hi - lo) as u64;
 
         // When the routed rows outgrow the cache (`warm_blocks`), each
         // request's replica-table row and each candidate's class-0
@@ -527,7 +536,10 @@ impl<P: Policy> Engine<P> {
         // state, so the routed sequence is untouched (pinned by the
         // engine-equivalence goldens and by
         // `warm_pass_is_selected_by_bytes_and_changes_no_report`).
-        // lo..hi within chunks: substep partition bound. lint:allow(panic-path)
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "lo..hi within chunks: substep partition bound"
+        )]
         for block in chunks[lo..hi].chunks(PREFETCH_BLOCK) {
             if self.warm_blocks {
                 let mut warm = 0u32;
@@ -573,6 +585,10 @@ impl<P: Policy> Engine<P> {
                             continue;
                         }
                         match self.queues.enqueue(server, class as usize, step as u32) {
+                            #[expect(
+                                clippy::arithmetic_side_effects,
+                                reason = "accepted <= arrived, a u64"
+                            )]
                             Ok(()) => {
                                 self.stats.accepted += 1;
                                 let backlog = self.queues.backlog(server);
@@ -621,12 +637,21 @@ impl<P: Policy> Engine<P> {
     /// reports byte-identical to recording one completion at a time.
     /// Outside this call every `lat_counts` entry is zero and
     /// `lat_touched` is empty.
+    #[expect(
+        clippy::indexing_slicing,
+        clippy::arithmetic_side_effects,
+        reason = "lat < lat_counts.len(): histogram sized to max latency; a sweep's tally fits a u64"
+    )]
     fn drain<S: TraceSink>(&mut self, sink: &mut S, s: u32, substeps: u32, step: u64) {
         for (class, spec) in self.classes.iter().enumerate() {
             let rate = spec.drain_per_step;
             // Cumulative-quota split: over `substeps` sub-steps the class
             // drains exactly `rate`.
-            let take = rate * (s + 1) / substeps - rate * s / substeps; // substeps >= 1 asserted by Config::validate. lint:allow(panic-path, unchecked-arith)
+            #[expect(
+                clippy::arithmetic_side_effects,
+                reason = "substeps >= 1 asserted by Config::validate"
+            )]
+            let take = rate * (s + 1) / substeps - rate * s / substeps;
             if take == 0 {
                 continue;
             }
@@ -635,10 +660,13 @@ impl<P: Policy> Engine<P> {
             let mut draining = 0u32;
             self.queues.sweep_class(class, take, |server, arrival| {
                 let lat = latency_steps(step, arrival) as usize;
+                #[expect(
+                    clippy::arithmetic_side_effects,
+                    reason = "lat < 2^32, a u32 difference"
+                )]
                 if lat >= self.lat_counts.len() {
                     self.lat_counts.resize(lat + 1, 0);
                 }
-                // lat < lat_counts.len(): histogram sized to max latency. lint:allow(panic-path)
                 if self.lat_counts[lat] == 0 {
                     self.lat_touched.push(lat as u64);
                 }
@@ -653,6 +681,10 @@ impl<P: Policy> Engine<P> {
             });
             emit_drain(sink, step, draining, class, &mut self.drain_scratch);
             for lat in self.lat_touched.drain(..) {
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "lat_touched holds only latencies tallied above"
+                )]
                 let n = std::mem::take(&mut self.lat_counts[lat as usize]);
                 self.stats.record_completion_in_class_n(class, lat, n);
             }
@@ -669,7 +701,7 @@ impl<P: Policy> Engine<P> {
     )]
     fn sanitize_step(&self, step: u64) {
         if let Err(e) = self.queues.sanitize_check() {
-            panic!("sanitize failed after step {step}: {e}"); // deliberate fail-fast: sanitize violations must abort. lint:allow(panic-path)
+            panic!("sanitize failed after step {step}: {e}"); // deliberate fail-fast: sanitize violations must abort.
         }
         // The queue array's liveness (what the routing sentinel, the
         // accept path and the sweep all read) must be what the outage
@@ -707,6 +739,7 @@ fn emit_drain<S: TraceSink>(
 }
 
 #[cfg(test)]
+#[allow(clippy::arithmetic_side_effects)]
 mod tests {
     use super::*;
     use crate::policies::{DelayedCuckoo, Greedy};

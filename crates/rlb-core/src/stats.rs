@@ -5,6 +5,17 @@
 //! (Definition 2.1), average/maximum latency (Definition 2.2), backlog
 //! statistics, and safe-distribution compliance (Definition 3.2).
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::arithmetic_side_effects
+)]
+
 use crate::policy::RejectReason;
 use rlb_metrics::{BacklogSnapshot, Histogram, KahanSum, RunningMean, TimeSeries};
 
@@ -153,13 +164,13 @@ impl RunStats {
     }
 
     /// Finalizes into an immutable report.
+    #[expect(clippy::indexing_slicing, reason = "one slot per RejectReason")]
     pub fn finish(self, steps: u64, in_flight: u64) -> RunReport {
         let rejected_total = self.rejected_total();
         RunReport {
             steps,
             arrived: self.arrived,
             accepted: self.accepted,
-            // One slot per RejectReason. lint:allow(panic-path)
             rejected_policy: self.rejected[RejectReason::Policy as usize],
             rejected_table: self.rejected[RejectReason::TableFailed as usize],
             rejected_overflow: self.rejected[RejectReason::Overflow as usize],
@@ -191,7 +202,7 @@ impl RunStats {
                     tail.extend(
                         self.tail_sums
                             .iter()
-                            // Float division: n is f64. lint:allow(panic-path)
+                            // Float division: n is f64.
                             .map(|s| (s.value() / n).clamp(0.0, 1.0)),
                     );
                     tail
@@ -272,9 +283,12 @@ pub struct RunReport {
 impl RunReport {
     /// Conservation check: every arrived request is accounted for.
     /// Returns an error naming the broken identity.
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "request counts: no sum passes twice the arrivals"
+    )]
     pub fn check_conservation(&self) -> Result<(), String> {
         let routing_rejections = self.rejected_policy
-            // Request counts: no sum passes twice the arrivals. lint:allow(unchecked-arith)
             + self.rejected_table
             + self.rejected_overflow
             + self.rejected_down;

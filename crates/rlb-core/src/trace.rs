@@ -21,6 +21,17 @@
 //! field (one per line = JSONL), via the workspace's `rlb-json`. The
 //! encoding round-trips exactly: `parse(write(e)) == e`.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::arithmetic_side_effects
+)]
+
 use crate::policy::RejectReason;
 use rlb_json::{field, Json, ToJson};
 
@@ -214,7 +225,8 @@ pub fn latency_steps(step: u64, arrival: u32) -> u64 {
 }
 
 fn obj(kind: &str, step: u64, rest: Vec<(String, Json)>) -> Json {
-    let mut fields = Vec::with_capacity(rest.len() + 2); // a handful of fields. lint:allow(unchecked-arith)
+    #[expect(clippy::arithmetic_side_effects, reason = "a handful of fields")]
+    let mut fields = Vec::with_capacity(rest.len() + 2);
     fields.push(("ev".to_string(), Json::Str(kind.to_string())));
     fields.push(("step".to_string(), Json::UInt(step as u128)));
     fields.extend(rest);
@@ -484,10 +496,14 @@ impl JsonlSink {
 }
 
 impl TraceSink for JsonlSink {
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "one per written event: a u64 never wraps"
+    )]
     fn on_event(&mut self, event: &TraceEvent) {
         self.out.push_str(&rlb_json::to_string(event));
         self.out.push('\n');
-        self.lines += 1; // one per written event: a u64 never wraps. lint:allow(unchecked-arith)
+        self.lines += 1;
     }
 }
 

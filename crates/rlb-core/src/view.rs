@@ -1,5 +1,16 @@
 //! Read-only view of cluster state exposed to policies and observers.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::arithmetic_side_effects
+)]
+
 use crate::queue::QueueArray;
 
 /// A read-only window onto the cluster's queues.

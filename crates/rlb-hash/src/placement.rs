@@ -10,6 +10,17 @@
 //! `chunk * d + i`), used by the simulator hot loop: one cache line
 //! fetch per request, no hashing at routing time.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::arithmetic_side_effects
+)]
+
 use crate::{Pcg64, Rng};
 
 /// Maximum supported replication degree. The paper has `d = O(1)`;
@@ -45,11 +56,17 @@ impl ReplicaPlacement {
             "cannot place {replication} distinct replicas on {num_servers} servers"
         );
         let mut rng = Pcg64::new(seed, 0x9a5e_c0de);
-        // d <= MAX_REPLICATION: overflows only past any allocatable table. lint:allow(unchecked-arith)
+        #[expect(
+            clippy::arithmetic_side_effects,
+            reason = "d <= MAX_REPLICATION: overflows only past any allocatable table"
+        )]
         let mut servers = Vec::with_capacity(num_chunks * replication);
         let mut scratch = [0u32; MAX_REPLICATION];
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "replication <= MAX_REPLICATION, asserted above"
+        )]
         for _ in 0..num_chunks {
-            // replication <= MAX_REPLICATION, asserted above. lint:allow(panic-path)
             sample_distinct(&mut rng, num_servers, &mut scratch[..replication]);
             servers.extend_from_slice(&scratch[..replication]);
         }
@@ -67,12 +84,18 @@ impl ReplicaPlacement {
     /// # Panics
     /// Panics if any row's length differs from `replication`, a server id
     /// is out of range, or a row contains duplicates.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "rows is non-empty, and row[..i] below has i < row.len()"
+    )]
     pub fn from_rows(rows: &[Vec<u32>], num_servers: usize) -> Self {
         assert!(!rows.is_empty(), "placement needs at least one chunk");
-        // rows is non-empty, and row[..i] below has i < row.len(). lint:allow(panic-path)
         let replication = rows[0].len();
         assert!(replication > 0 && replication <= MAX_REPLICATION);
-        // d <= MAX_REPLICATION: overflows only past any allocatable table. lint:allow(unchecked-arith)
+        #[expect(
+            clippy::arithmetic_side_effects,
+            reason = "d <= MAX_REPLICATION: overflows only past any allocatable table"
+        )]
         let mut servers = Vec::with_capacity(rows.len() * replication);
         for (c, row) in rows.iter().enumerate() {
             assert_eq!(row.len(), replication, "chunk {c} has wrong degree");
@@ -123,10 +146,13 @@ impl ReplicaPlacement {
     /// Per-server count of stored replicas (storage balance diagnostic).
     pub fn server_storage_counts(&self) -> Vec<u32> {
         let mut counts = vec![0u32; self.num_servers];
+        #[expect(
+            clippy::indexing_slicing,
+            clippy::arithmetic_side_effects,
+            reason = "both constructors keep every server id below num_servers, and a server holds \
+                      at most num_chunks replicas"
+        )]
         for &s in &self.servers {
-            // Both constructors keep every server id below num_servers,
-            // and a server holds at most num_chunks replicas.
-            // lint:allow(panic-path, unchecked-arith)
             counts[s as usize] += 1;
         }
         counts
@@ -140,14 +166,17 @@ impl ReplicaPlacement {
 #[inline]
 pub fn sample_distinct<R: Rng>(rng: &mut R, n: usize, out: &mut [u32]) {
     debug_assert!(out.len() <= n);
-    let mut filled = 0;
-    while filled < out.len() {
-        let candidate = rng.gen_index(n) as u32;
-        // filled < out.len(): the slots drawn so far, then the next one.
-        // lint:allow(panic-path)
-        if !out[..filled].contains(&candidate) {
-            out[filled] = candidate;
-            filled += 1; // still <= out.len(). lint:allow(unchecked-arith)
+    for filled in 0..out.len() {
+        // The slots drawn so far, then the next one (filled < out.len()).
+        let (drawn, rest) = out.split_at_mut(filled);
+        let candidate = loop {
+            let candidate = rng.gen_index(n) as u32;
+            if !drawn.contains(&candidate) {
+                break candidate;
+            }
+        };
+        if let Some(slot) = rest.first_mut() {
+            *slot = candidate;
         }
     }
 }

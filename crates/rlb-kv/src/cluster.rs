@@ -13,7 +13,9 @@
     clippy::panic,
     clippy::unreachable,
     clippy::todo,
-    clippy::unimplemented
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::arithmetic_side_effects
 )]
 
 use crate::directory::ChunkDirectory;
@@ -97,6 +99,10 @@ impl PendingIndex {
     /// unreachable) u32 wrap, fall back to an O(n) stamp reset so stale
     /// generations can never alias.
     fn clear(&mut self) {
+        #[expect(
+            clippy::arithmetic_side_effects,
+            reason = "current < u32::MAX in the else arm"
+        )]
         if self.current == u32::MAX {
             self.stamp.fill(0);
             self.current = 1;
@@ -128,6 +134,7 @@ impl Observer for StepTap<'_> {
         );
         let owner = self.owners.get(slot);
         if let Some(entry) = owner.and_then(|&tenant| self.stats.get_mut(tenant as usize)) {
+            #[expect(clippy::arithmetic_side_effects, reason = "request counts fit a u64")]
             match decision {
                 Decision::Route { .. } => entry.accepted += 1,
                 Decision::Reject(_) => entry.rejected += 1,
@@ -253,6 +260,12 @@ impl<P: Policy, S: TraceSink> KvCluster<P, S> {
     /// order, so two keys get the same slot exactly when they coalesce,
     /// and after the commit [`KvCluster::decision`] of that slot is the
     /// key's routing outcome.
+    #[expect(
+        clippy::indexing_slicing,
+        clippy::arithmetic_side_effects,
+        reason = "tenant is a u16, and tenant_stats is resized to hold it just below; request \
+                  counts fit a u64"
+    )]
     pub fn get_for(&mut self, tenant: u16, key: u64) -> u32 {
         if self.keys.tenant_stats.len() <= tenant as usize {
             self.keys
@@ -322,6 +335,7 @@ impl<P: Policy, S: TraceSink> KvCluster<P, S> {
             decisions: &mut self.keys.decisions,
         };
         self.sim.run_observed(&mut oneshot, 1, &mut tap);
+        #[expect(clippy::arithmetic_side_effects, reason = "rejected_total only grows")]
         let rejected = self.sim.stats().rejected_total() - rejected_before;
         let summary = StepSummary {
             step,

@@ -1,10 +1,9 @@
 //! A lightweight item parser over the token stream.
 //!
 //! One brace-tracking pass over a file's [`crate::token::Tokens`]
-//! recovers just enough structure for the rule passes: function items
-//! (name, enclosing `impl`/`trait` owner, visibility, body token
-//! range), `#[cfg(test)]` regions, and the module-level `pub` surface
-//! (for the dead-pub pass).
+//! recovers just enough structure for the rule passes: `#[cfg(test)]`
+//! regions, and the module-level `pub` surface with each item's
+//! enclosing `impl`/`trait` owner (for the dead-pub pass).
 //!
 //! Like the tokenizer, this is an *approximation with documented
 //! boundaries*, not a Rust parser: each `{` is classified by its
@@ -26,14 +25,13 @@ pub struct ParsedFile {
     pub source: String,
     /// Token stream with line table.
     pub tokens: Tokens,
-    /// Structural items (fns, regions, pub surface).
+    /// Structural items (test regions, pub surface).
     pub items: FileItems,
     /// Per-line comment text (0-indexed), for `lint:allow` extraction.
     pub comments: Vec<String>,
     /// The comment-free view every pass walks: `code[c]` is the token
-    /// index (into `tokens.toks`) of *code position* `c`. Statement
-    /// ranges, call sites and bracket matches are all code positions,
-    /// read through the cursor methods below.
+    /// index (into `tokens.toks`) of *code position* `c`, read through
+    /// the cursor methods below.
     pub(crate) code: Vec<usize>,
 }
 
@@ -78,60 +76,11 @@ impl ParsedFile {
     pub(crate) fn at(&self, c: usize, s: &str) -> bool {
         c < self.code.len() && self.text(c) == s
     }
-
-    /// Code position of the bracket closing the opener at `open`,
-    /// looking no further than `hi`. When the range ends before the
-    /// close (unbalanced input), clamps to the last position in range
-    /// so callers always get a position they may index.
-    pub(crate) fn matching(&self, open: usize, hi: usize) -> usize {
-        let mut depth = 0usize;
-        for c in open..hi {
-            match self.text(c) {
-                "(" | "[" | "{" => depth += 1,
-                ")" | "]" | "}" => {
-                    depth = depth.saturating_sub(1);
-                    if depth == 0 {
-                        return c;
-                    }
-                }
-                _ => {}
-            }
-        }
-        hi.saturating_sub(1).max(open)
-    }
 }
 
 /// The crate name of `crates/<name>/...` paths.
 pub(crate) fn crate_of(rel_path: &str) -> Option<&str> {
     rel_path.strip_prefix("crates/")?.split('/').next()
-}
-
-/// A function item: free fn, inherent/trait method, or trait default
-/// method. Nested `fn`s inside bodies are recorded too (ownerless).
-#[derive(Debug, Clone)]
-// element of `FileItems::fns`. lint:allow(dead-pub)
-pub struct FnItem {
-    /// The function's name.
-    pub name: String,
-    /// Enclosing `impl`/`trait` type name, if any (`QueueArray` for
-    /// `impl QueueArray { fn enqueue … }`).
-    pub owner: Option<String>,
-    /// `pub` (externally visible; `pub(crate)`/`pub(super)` are not).
-    pub is_pub: bool,
-    /// Token index range of the body (between the braces, exclusive).
-    pub body_toks: (usize, usize),
-    /// Whether the item sits inside a `#[cfg(test)]` region.
-    pub in_test: bool,
-}
-
-impl FnItem {
-    /// `Owner::name` or `name` — how findings name the fn.
-    pub fn qname(&self) -> String {
-        match &self.owner {
-            Some(o) => format!("{o}::{}", self.name),
-            None => self.name.clone(),
-        }
-    }
 }
 
 /// A module-level `pub` item (the dead-pub pass's candidate set).
@@ -153,8 +102,6 @@ pub struct PubItem {
 pub struct FileItems {
     /// `#[cfg(test)]` byte ranges (brace to matching brace).
     pub test_ranges: Vec<(usize, usize)>,
-    /// All function items, in declaration order.
-    pub fns: Vec<FnItem>,
     /// Module-level pub surface (not inside fn bodies or test regions).
     pub pub_items: Vec<PubItem>,
 }
@@ -166,31 +113,15 @@ impl FileItems {
             .iter()
             .any(|&(lo, hi)| lo <= pos && pos < hi)
     }
-
-    /// The innermost function whose body tokens contain token index
-    /// `ti`, or `None` at module level. ("Innermost" attributes closure
-    /// bodies and nested fns to the nested fn, not the outer one.)
-    pub fn fn_at(&self, ti: usize) -> Option<usize> {
-        let mut best: Option<usize> = None;
-        for (i, f) in self.fns.iter().enumerate() {
-            if f.body_toks.0 <= ti && ti < f.body_toks.1 {
-                best = match best {
-                    Some(b) if self.fns[b].body_toks.0 >= f.body_toks.0 => Some(b),
-                    _ => Some(i),
-                };
-            }
-        }
-        best
-    }
 }
 
 /// What a `{` meant, decided from its header tokens.
 struct Region {
     byte_start: usize,
     test: bool,
-    /// A pending fn item: finalized with its body range at the `}`.
-    pending_fn: Option<FnItem>,
-    /// `impl Type` / `trait Type` owner for fns declared inside.
+    /// A fn body: `pub` items declared inside it are not surface.
+    fn_body: bool,
+    /// `impl Type` / `trait Type` owner for items declared inside.
     owner: Option<String>,
 }
 
@@ -201,7 +132,6 @@ pub fn parse(source: &str, tokens: &Tokens) -> FileItems {
     // Header = code-token indices since the last `{`, `}`, or `;`.
     let mut header: Vec<usize> = Vec::new();
     let mut stack: Vec<Region> = Vec::new();
-    let mut fn_stack: Vec<usize> = Vec::new(); // indices into out.fns
 
     for i in 0..toks.len() {
         let t = &toks[i];
@@ -228,7 +158,7 @@ pub fn parse(source: &str, tokens: &Tokens) -> FileItems {
             "{" => {
                 let in_test_now =
                     stack.iter().any(|r| r.test) || header_is_cfg_test(source, toks, &header);
-                let in_fn_body = !fn_stack.is_empty();
+                let in_fn_body = stack.iter().any(|r| r.fn_body);
                 if !in_fn_body && !in_test_now {
                     scan_pub_items(
                         source,
@@ -241,23 +171,10 @@ pub fn parse(source: &str, tokens: &Tokens) -> FileItems {
                 }
                 let owner = header_impl_or_trait_owner(source, toks, &header)
                     .or_else(|| enclosing_owner(&stack).map(str::to_string));
-                let pending_fn = header_fn_item(source, toks, &header).map(|mut f| {
-                    f.owner = enclosing_owner(&stack).map(str::to_string);
-                    f.in_test = in_test_now;
-                    f
-                });
-                if pending_fn.is_some() {
-                    // Reserve the slot now so fn_at nesting works via
-                    // body ranges alone; body range set at the `}`.
-                    fn_stack.push(out.fns.len());
-                    let mut f = pending_fn.clone().expect("just checked");
-                    f.body_toks = (i + 1, usize::MAX);
-                    out.fns.push(f);
-                }
                 stack.push(Region {
                     byte_start: t.lo,
                     test: in_test_now,
-                    pending_fn,
+                    fn_body: header_is_fn(source, toks, &header),
                     owner,
                 });
                 header.clear();
@@ -267,22 +184,18 @@ pub fn parse(source: &str, tokens: &Tokens) -> FileItems {
                     if r.test && !stack.iter().any(|x| x.test) {
                         out.test_ranges.push((r.byte_start, t.lo));
                     }
-                    if r.pending_fn.is_some() {
-                        if let Some(fi) = fn_stack.pop() {
-                            out.fns[fi].body_toks.1 = i;
-                        }
-                    }
                 }
                 header.clear();
             }
             // A `;` inside `[` `]` belongs to an array type or a repeat
             // expression (`-> [usize; 3]`, `[0u8; 4]`): ending the header
-            // there dropped every `fn` with an array in its signature,
-            // and the sites in its body went unchecked.
+            // there cut a signature in two, and the `#[cfg(test)]` or
+            // `fn` before the cut was lost.
             ";" if header_has_open_square(source, toks, &header) => header.push(i),
             ";" => {
                 let in_test_now = stack.iter().any(|r| r.test);
-                if fn_stack.is_empty() && !in_test_now {
+                let in_fn_body = stack.iter().any(|r| r.fn_body);
+                if !in_fn_body && !in_test_now {
                     scan_pub_items(
                         source,
                         toks,
@@ -303,9 +216,6 @@ pub fn parse(source: &str, tokens: &Tokens) -> FileItems {
         if r.test {
             out.test_ranges.push((r.byte_start, len));
         }
-    }
-    for fi in fn_stack {
-        out.fns[fi].body_toks.1 = toks.len();
     }
     out
 }
@@ -345,51 +255,14 @@ fn header_is_cfg_test(source: &str, toks: &[Token], header: &[usize]) -> bool {
     false
 }
 
-/// If the header declares a function with a braced body, its item
-/// (owner/test flags filled in by the caller).
-fn header_fn_item(source: &str, toks: &[Token], header: &[usize]) -> Option<FnItem> {
-    let fn_at = header
-        .iter()
-        .position(|&j| toks[j].kind == TokenKind::Ident && toks[j].text(source) == "fn")?;
-    let name_i = *header.get(fn_at + 1)?;
-    if toks[name_i].kind != TokenKind::Ident {
-        return None;
-    }
-    let name = toks[name_i].text(source).to_string();
-    // Find the parameter list: skip a generic intro `<…>` after the
-    // name, then expect `(`.
-    let mut k = fn_at + 2;
-    if header.get(k).is_some_and(|&j| toks[j].text(source) == "<") {
-        let mut depth = 0i32;
-        while k < header.len() {
-            depth += angle_delta(toks[header[k]].text(source));
-            k += 1;
-            if depth <= 0 {
-                break;
-            }
-        }
-    }
-    if header.get(k).is_none_or(|&j| toks[j].text(source) != "(") {
-        return None;
-    }
-    Some(FnItem {
-        name,
-        owner: None,
-        is_pub: header_is_pub(source, toks, &header[..fn_at]),
-        body_toks: (0, 0),
-        in_test: false,
+/// Does the header declare a function (`fn name`), so the `{` opens
+/// its body?
+fn header_is_fn(source: &str, toks: &[Token], header: &[usize]) -> bool {
+    header.windows(2).any(|w| {
+        toks[w[0]].kind == TokenKind::Ident
+            && toks[w[0]].text(source) == "fn"
+            && toks[w[1]].kind == TokenKind::Ident
     })
-}
-
-/// A bare `pub` (not `pub(crate)`/`pub(super)`) among these tokens?
-fn header_is_pub(source: &str, toks: &[Token], header: &[usize]) -> bool {
-    for (k, &j) in header.iter().enumerate() {
-        if toks[j].text(source) == "pub" {
-            let next = header.get(k + 1).map(|&n| toks[n].text(source));
-            return next != Some("(");
-        }
-    }
-    false
 }
 
 /// `impl`/`trait` header → owner type name. `impl<T> Queue<T>` →
@@ -562,68 +435,66 @@ mod tests {
         parse(src, &tokenize(src))
     }
 
+    /// `(owner, name)` of each pub item.
+    fn owned(items: &FileItems) -> Vec<(Option<&str>, &str)> {
+        items
+            .pub_items
+            .iter()
+            .map(|p| (p.owner.as_deref(), p.name.as_str()))
+            .collect()
+    }
+
     #[test]
-    fn free_fns_and_methods_are_indexed() {
+    fn free_fns_and_methods_carry_their_owner() {
         let src = "pub fn free(x: u32) -> u32 { x }\n\
                    impl QueueArray {\n    pub fn enqueue(&mut self, c: u32) { self.n += 1; }\n\
                    fn helper() {}\n}\n\
-                   impl fmt::Display for Frame { fn fmt(&self, f: &mut F) -> R { todo!() } }\n";
-        let items = parse_src(src);
-        let names: Vec<String> = items.fns.iter().map(|f| f.qname()).collect();
+                   impl fmt::Display for Frame { pub fn fmt(&self, f: &mut F) -> R { todo!() } }\n";
         assert_eq!(
-            names,
+            owned(&parse_src(src)),
             [
-                "free",
-                "QueueArray::enqueue",
-                "QueueArray::helper",
-                "Frame::fmt"
+                (None, "free"),
+                (Some("QueueArray"), "enqueue"),
+                (Some("Frame"), "fmt")
             ]
         );
-        assert!(items.fns[0].is_pub && items.fns[1].is_pub);
-        assert!(!items.fns[2].is_pub && !items.fns[3].is_pub);
     }
 
     #[test]
     fn generic_impls_and_where_clauses_resolve_owner() {
-        let src = "impl<T: Clone> Stack<T> where T: Default { fn push(&mut self, t: T) {} }\n\
-                   impl<'a> Iterator for Iter<'a> { fn next(&mut self) -> Option<u32> { None } }";
-        let items = parse_src(src);
-        let names: Vec<String> = items.fns.iter().map(|f| f.qname()).collect();
-        assert_eq!(names, ["Stack::push", "Iter::next"]);
+        let src = "impl<T: Clone> Stack<T> where T: Default { pub fn push(&mut self, t: T) {} }\n\
+                   impl<'a> Iterator for Iter<'a> { pub fn next(&mut self) -> Option<u32> { None } }";
+        assert_eq!(
+            owned(&parse_src(src)),
+            [(Some("Stack"), "push"), (Some("Iter"), "next")]
+        );
     }
 
     #[test]
     fn trait_blocks_own_their_default_methods() {
-        let src = "pub trait Rng { fn gen_range(&mut self, n: u64) -> u64 { 0 } }";
+        let src = "pub trait Rng { pub fn gen_range(&mut self, n: u64) -> u64 { 0 } }";
         let items = parse_src(src);
-        assert_eq!(items.fns[0].qname(), "Rng::gen_range");
         assert_eq!(items.pub_items[0].name, "Rng");
         assert_eq!(items.pub_items[0].kind, "trait");
+        assert_eq!(owned(&items)[1], (Some("Rng"), "gen_range"));
     }
 
     #[test]
-    fn nested_fns_attribute_to_the_innermost() {
-        let src = "fn outer() { fn inner(x: u32) -> u32 { x + 1 } inner(3); }";
-        let items = parse_src(src);
-        assert_eq!(items.fns.len(), 2);
-        let t = tokenize(src);
-        // Token index of the `+` sits inside inner's body.
-        let plus = t
-            .toks
-            .iter()
-            .position(|tk| tk.text(src) == "+")
-            .expect("plus");
-        let f = items.fn_at(plus).expect("in a fn");
-        assert_eq!(items.fns[f].name, "inner");
-    }
-
-    #[test]
-    fn cfg_test_regions_and_test_fns() {
+    fn cfg_test_regions() {
         let src = "fn live() {}\n#[cfg(test)]\nmod tests {\n    fn helper() {}\n}\n";
         let items = parse_src(src);
-        assert!(!items.fns[0].in_test);
-        assert!(items.fns[1].in_test);
         assert_eq!(items.test_ranges.len(), 1);
+        assert!(!items.in_test(src.find("live").unwrap()));
+        assert!(items.in_test(src.find("helper").unwrap()));
+    }
+
+    #[test]
+    fn an_array_in_a_signature_keeps_its_test_region() {
+        let src =
+            "#[cfg(test)]\nfn lanes(p: [u32; 3]) -> [u32; 3] {\n    p\n}\npub fn after() {}\n";
+        let items = parse_src(src);
+        assert!(items.in_test(src.find("    p").unwrap()));
+        assert_eq!(owned(&items), [(None, "after")]);
     }
 
     #[test]
@@ -663,28 +534,9 @@ mod tests {
     }
 
     #[test]
-    fn bracket_matcher_nests_and_clamps() {
-        // 0 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15
-        // f ( a [ 1 ] , { ( b )  }  )  +  g  (
-        let pf = ParsedFile::new("crates/x/src/lib.rs", "f(a[1], { (b) }) + g(");
-        let n = pf.code.len();
-        assert_eq!(n, 16);
-        // Nested mixed brackets: each opener finds its own close.
-        assert_eq!(pf.matching(1, n), 12);
-        assert_eq!(pf.matching(3, n), 5);
-        assert_eq!(pf.matching(7, n), 11);
-        // The range ends before the close: clamped to its last position.
-        assert_eq!(pf.matching(1, 9), 8);
-        // An opener at `hi - 1` (here also the unclosed `g(`): itself.
-        assert_eq!(pf.matching(15, n), 15);
-        assert_eq!(pf.matching(1, 2), 1);
-    }
-
-    #[test]
     fn struct_literals_do_not_confuse_the_parser() {
-        let src = "fn f() { let s = Config { fn_count: 3, impl_kind: 4 }; s.go(); }";
-        let items = parse_src(src);
-        assert_eq!(items.fns.len(), 1);
-        assert_eq!(items.fns[0].name, "f");
+        let src = "pub fn f() { let s = Config { fn_count: 3, impl_kind: 4 }; s.go(); }\n\
+                   pub fn g() {}";
+        assert_eq!(owned(&parse_src(src)), [(None, "f"), (None, "g")]);
     }
 }

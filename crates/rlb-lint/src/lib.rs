@@ -2,33 +2,33 @@
 //!
 //! The reproduction's validation story rests on properties the
 //! compiler does not enforce: accounting never narrows a counter, and
-//! nothing reachable from a request path panics. This crate guards
-//! them statically. **Determinism per seed** (no `HashMap`, clock read
-//! or raw thread) and the hot-path panic discipline are clippy's: the
-//! root `clippy.toml` disallows the types and methods, and the hot-path
-//! files `#![deny]` the panic lints. The tracing hot path is
-//! zero-overhead when disabled by construction, not by a rule:
-//! `rlb-core`'s `TraceSink::emit` builds an event only for an enabled
-//! sink, and CI checks that every emission goes through it.
+//! nothing reachable from a request path panics or wraps. This crate
+//! guards the first, and the pub surface; the rest is clippy's.
+//! **Determinism per seed** (no `HashMap`, clock read or raw thread):
+//! the root `clippy.toml` disallows the types and methods. **No panic
+//! or silent wrap on the request path**: the engine, its policies, the
+//! daemon and the load client `#![deny]` clippy's panic lints,
+//! `indexing_slicing` and `arithmetic_side_effects` file by file, and a
+//! site that cannot fail carries an `#[expect(.., reason = "…")]` on
+//! the narrowest statement or item clippy lets it reach. The tracing
+//! hot path is zero-overhead when disabled by construction, not by a
+//! rule: `rlb-core`'s `TraceSink::emit` builds an event only for an
+//! enabled sink, and CI checks that every emission goes through it.
 //!
 //! Every file is tokenized ([`token`]) and item-parsed ([`items`])
 //! once into a [`items::ParsedFile`], which owns the comment-free code
-//! view and the one cursor (token text/kind/position, bracket
-//! matching) all passes walk it with. The rule catalog, the finding
+//! view and the one cursor (token text/kind/position) all passes walk
+//! it with. The rule catalog, the finding
 //! type and the suppression machinery live in [`rules`]. The analysis
 //! has two tiers:
 //!
-//! 1. **Per-file rules** ([`rules`]), each over a list of files:
-//!    lossy-cast in accounting code, and panic sites and unchecked
-//!    arithmetic ([`sites`]) in every fn of the engine-path files
-//!    (`rules::ENGINE_PATH`: the simulation step, its queues,
-//!    accounting and placement lookups, the pool, the wire decoder).
+//! 1. **A per-file rule** ([`rules`]) over a list of files: lossy-cast
+//!    in accounting code.
 //! 2. **A workspace pass** ([`passes`]): a dead-pub-surface sweep that
 //!    counts references from every crate, test, example, and binary in
 //!    the workspace, the root package's and `benchmark/src` included.
 //!
-//! No pass follows calls or values: the engine-path rules check every
-//! fn of their files where it is defined, wire lengths are capped by
+//! No pass follows calls or values: wire lengths are capped by
 //! construction (`rlb-serve`'s `proto.rs` reads each one through a
 //! cursor call that checks its cap first), and the workspace takes no
 //! lock, so no pass orders locks.
@@ -37,8 +37,9 @@
 //!   same line or the line above — always with a justification comment.
 //! * `#[cfg(test)]` modules are exempt.
 //! * Run it as `rlb-sim lint [--root PATH] [--json [PATH]]`; exits
-//!   nonzero on findings. `unused-suppression` findings are not
-//!   themselves suppressible.
+//!   nonzero on findings. `unused-suppression` findings (an excuse
+//!   that suppresses nothing, or names no rule) are not themselves
+//!   suppressible.
 //!
 //! No external dependencies, consistent with the workspace's in-repo
 //! serde/proptest replacements; the linter lints itself (it is part of
@@ -50,7 +51,6 @@
 pub mod items;
 mod passes;
 pub mod rules;
-mod sites;
 pub mod token;
 
 pub use rules::{lint_source, Finding};
@@ -61,11 +61,9 @@ use std::path::{Path, PathBuf};
 
 /// Counters from the analysis, for the report footer and the JSON
 /// artifact — they make a "0 findings" run auditable (a lint that
-/// checked 0 fns is vacuously green, not clean).
+/// checked 0 items is vacuously green, not clean).
 #[derive(Debug, Clone, Default)]
 pub struct LintStats {
-    /// Non-test functions `panic-path` and `unchecked-arith` checked.
-    pub scoped_fns: usize,
     /// `pub` items checked by the dead-pub-surface pass.
     pub pub_items: usize,
 }
@@ -113,11 +111,10 @@ impl LintReport {
             self.findings.len() - dead,
             dead
         );
-        let s = &self.stats;
         let _ = writeln!(
             out,
-            "rlb-lint: {} engine-path fn(s) checked; {} pub item(s) checked",
-            s.scoped_fns, s.pub_items
+            "rlb-lint: {} pub item(s) checked",
+            self.stats.pub_items
         );
         out
     }
@@ -149,14 +146,12 @@ impl LintReport {
             out.push_str("\n  ");
         }
         out.push_str("],\n");
-        let s = &self.stats;
         let _ = write!(
             out,
-            "  \"dead_suppressions\": {},\n  \"stats\": {{\"scoped_fns\": {}, \
-             \"pub_items\": {}}},\n  \"clean\": {}\n}}\n",
+            "  \"dead_suppressions\": {},\n  \"stats\": {{\"pub_items\": {}}},\n  \
+             \"clean\": {}\n}}\n",
             self.dead_suppressions(),
-            s.scoped_fns,
-            s.pub_items,
+            self.stats.pub_items,
             self.is_clean()
         );
         out
@@ -219,14 +214,7 @@ pub fn lint_files(files: &[(String, String)]) -> LintReport {
     for (pf, allow) in linted.iter().zip(&allows) {
         rules::file_rules(pf, allow, &mut findings);
     }
-    let mut stats = LintStats {
-        scoped_fns: linted
-            .iter()
-            .filter(|pf| rules::in_scope(rules::ENGINE_PATH, &pf.rel_path))
-            .map(|pf| pf.items.fns.iter().filter(|f| !f.in_test).count())
-            .sum(),
-        ..LintStats::default()
-    };
+    let mut stats = LintStats::default();
     // Phase 2: the workspace pass.
     passes::dead_pub(&linted, &reference, &allows, &mut findings, &mut stats);
     // Unused-suppression audit runs last: every rule above has marked
@@ -342,7 +330,7 @@ mod tests {
         assert_eq!(report.findings[0].file, "crates/rlb-core/src/stats.rs");
         let text = report.render();
         assert!(text.contains("2 file(s) scanned, 1 finding(s)"), "{text}");
-        assert!(text.contains("engine-path fn(s) checked"), "{text}");
+        assert!(text.contains("0 pub item(s) checked"), "{text}");
         let _ = std::fs::remove_dir_all(&root);
     }
 
@@ -361,9 +349,8 @@ mod tests {
              pub fn shown() {}\npub fn timed() {}\n",
         )
         .unwrap();
-        // The crate's own tests/ keep `spare` alive, a root example
-        // keeps `shown` alive, the benchmark keeps `timed` alive; `run`
-        // panics in an engine-path file.
+        // The crate's own tests/ keep `spare` and `run` alive, a root
+        // example keeps `shown` alive, the benchmark keeps `timed` alive.
         std::fs::write(
             root.join("crates/rlb-core/tests/api.rs"),
             "fn t() { rlb_core::spare(); rlb_core::run(None); }\n",
@@ -381,10 +368,8 @@ mod tests {
         .unwrap();
         let report = lint_workspace(&root).unwrap();
         assert_eq!(report.files, ["crates/rlb-core/src/sim.rs"], "{report:?}");
-        assert_eq!(report.stats.scoped_fns, 4);
-        let rules: Vec<&str> = report.findings.iter().map(|f| f.rule).collect();
-        assert!(rules.contains(&"panic-path"), "{report:?}");
-        assert!(!rules.contains(&"dead-pub"), "{report:?}");
+        assert_eq!(report.stats.pub_items, 4);
+        assert!(report.is_clean(), "{report:?}");
         let _ = std::fs::remove_dir_all(&root);
     }
 
@@ -398,6 +383,7 @@ mod tests {
         let json = report.to_json();
         assert!(json.contains("\"files_scanned\": 1"), "{json}");
         assert!(json.contains("\"rule\": \"lossy-cast\""), "{json}");
+        assert!(json.contains("\"stats\": {\"pub_items\": 0}"), "{json}");
         assert!(json.contains("\"clean\": false"), "{json}");
         assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
     }

@@ -15,7 +15,6 @@
 //! same [`emit`].
 
 use crate::items::ParsedFile;
-use crate::sites;
 use crate::token::TokenKind;
 
 /// One diagnostic.
@@ -76,15 +75,12 @@ pub(crate) struct Rule {
 pub(crate) const CATALOG: &[Rule] = &[
     // Narrowing `as u8` / `as u16` / `as u32` in accounting code.
     Rule::per_file("lossy-cast", ACCOUNTING, lossy_cast),
-    // Panic sites and bare integer arithmetic on the engine path
-    // (`sites`): every non-test fn of the listed files.
-    Rule::per_file("panic-path", ENGINE_PATH, sites::panic_path),
-    Rule::per_file("unchecked-arith", ENGINE_PATH, sites::unchecked_arith),
     // The workspace pass (`passes`): the pub surface.
     Rule::workspace("dead-pub", true),
     // The meta rule. `unused-suppression` runs after everything else:
-    // a `lint:allow` naming a suppressible rule that suppressed nothing
-    // is itself a finding (stale excuses hide real ones).
+    // a `lint:allow` naming a suppressible rule that suppressed nothing,
+    // or a rule-shaped name no row carries, is itself a finding (stale
+    // excuses hide real ones).
     Rule::workspace("unused-suppression", false),
 ];
 
@@ -99,25 +95,6 @@ const ACCOUNTING: Scope = &[
     "crates/rlb-serve/src/",
     "crates/rlb-load/src/",
     "crates/rlb-meanfield/src/",
-];
-
-/// The scope of `panic-path` and `unchecked-arith`: the engine path of
-/// the §2 model (a simulation step, its queues, accounting, trace and
-/// placement lookups, and the pool that runs trials), where a panic
-/// aborts a multi-hour sweep, plus the wire decoder, where every byte
-/// is untrusted and a panic is a remote DoS.
-pub(crate) const ENGINE_PATH: Scope = &[
-    "crates/rlb-core/src/sim.rs",
-    "crates/rlb-core/src/queue.rs",
-    "crates/rlb-core/src/stats.rs",
-    "crates/rlb-core/src/trace.rs",
-    "crates/rlb-core/src/view.rs",
-    "crates/rlb-core/src/outage.rs",
-    "crates/rlb-serve/src/proto.rs",
-    "crates/rlb-hash/src/placement.rs",
-    "crates/rlb-metrics/src/histogram.rs",
-    "crates/rlb-metrics/src/backlog.rs",
-    "crates/rlb-pool/src/lib.rs",
 ];
 
 impl Rule {
@@ -250,13 +227,14 @@ pub(crate) fn emit(
 }
 
 /// After every pass has run, reports `lint:allow` entries naming a
-/// `checked` rule that suppressed nothing. Dead suppressions rot
-/// fastest of all annotations — the code they excused changes and the
-/// excuse outlives it — so they are findings in their own right (and
-/// not suppressible ones); entries inside `#[cfg(test)]` regions and
-/// entries naming no checked rule (prose like `lint:allow(<rule>)` in
-/// docs, or a workspace-pass rule when only one file is linted) are
-/// skipped.
+/// `checked` rule that suppressed nothing, and entries whose rule-shaped
+/// name (lowercase and `-`) is in no catalog row: an excuse for a
+/// retired or misspelled rule. Dead suppressions rot fastest of all
+/// annotations — the code they excused changes and the excuse outlives
+/// it — so they are findings in their own right (and not suppressible
+/// ones); entries inside `#[cfg(test)]` regions, prose like
+/// `lint:allow(<rule>)` in docs, and a catalog rule left unchecked (a
+/// workspace-pass rule when only one file is linted) are skipped.
 pub(crate) fn unused_suppressions(
     pf: &ParsedFile,
     allow: &Suppressions,
@@ -265,10 +243,13 @@ pub(crate) fn unused_suppressions(
 ) {
     for (l0, entries) in allow.by_line.iter().enumerate() {
         for (rule, used) in entries {
-            if used.get() || !CATALOG.iter().any(|r| r.name == rule && checked(r)) {
-                continue;
-            }
-            if pf.items.in_test(pf.tokens.line_start(l0)) {
+            let why = match CATALOG.iter().find(|r| r.name == rule) {
+                Some(r) if checked(r) => "suppresses no finding",
+                Some(_) => continue,
+                None if is_rule_shaped(rule) => "names no rule of the catalog",
+                None => continue,
+            };
+            if used.get() || pf.items.in_test(pf.tokens.line_start(l0)) {
                 continue;
             }
             findings.push(Finding {
@@ -277,12 +258,16 @@ pub(crate) fn unused_suppressions(
                 col: 0,
                 rule: "unused-suppression",
                 message: format!(
-                    "`lint:allow({rule})` suppresses no finding; delete it (stale excuses hide \
-                     real ones)"
+                    "`lint:allow({rule})` {why}; delete it (stale excuses hide real ones)"
                 ),
             });
         }
     }
+}
+
+/// Lowercase letters and `-`: how a rule is named, as opposed to prose.
+fn is_rule_shaped(name: &str) -> bool {
+    !name.is_empty() && name.bytes().all(|b| b.is_ascii_lowercase() || b == b'-')
 }
 
 /// Per-line `lint:allow(...)` annotations with per-entry usage
@@ -318,7 +303,7 @@ impl Suppressions {
     }
 }
 
-/// Extracts `lint:allow(rule, ...)` annotations from per-line comment
+/// Extracts `lint:allow(<rule>, ...)` annotations from per-line comment
 /// text (0-indexed by line).
 pub(crate) fn allow_by_line(comments: &[String]) -> Suppressions {
     let by_line = comments
@@ -428,7 +413,7 @@ mod tests {
         let in_test = "#[cfg(test)]\nmod tests {\n    // lint:allow(lossy-cast)\n    fn g() {}\n}";
         assert!(lint_stats(in_test).is_empty());
         // Prose naming no catalog rule (docs say `lint:allow(<rule>)`).
-        let prose = "// suppress with lint:allow(some-rule)\nfn f() {}";
+        let prose = "// suppress with lint:allow(<rule>)\nfn f() {}";
         assert!(lint_stats(prose).is_empty());
         // A workspace-pass rule is not judged by the per-file path.
         let wsp = "// justified elsewhere. lint:allow(dead-pub)\nfn f() {}";

@@ -26,7 +26,9 @@
     clippy::panic,
     clippy::unreachable,
     clippy::todo,
-    clippy::unimplemented
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::arithmetic_side_effects
 )]
 
 use std::collections::VecDeque;
@@ -111,6 +113,7 @@ impl Outstanding {
     }
 
     /// Opens the next slot for a request issued at `now`; returns its id.
+    #[expect(clippy::arithmetic_side_effects, reason = "live <= slots.len()")]
     fn issue(&mut self, now: u64) -> u32 {
         if self.next == 0 {
             self.slots.push_back(None);
@@ -127,6 +130,10 @@ impl Outstanding {
     /// Retires `req_id` and returns its issue tick; `None` — and no
     /// change — for an id outside the window (never issued, or long
     /// answered), already retired, or 0.
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "the slot held a live request"
+    )]
     fn retire(&mut self, req_id: u32) -> Option<u64> {
         let slot = self
             .slots
@@ -213,6 +220,7 @@ impl Client {
     }
 
     /// Total responses received (replies + rejects).
+    #[expect(clippy::arithmetic_side_effects, reason = "frame counts fit a u64")]
     pub fn responses(&self) -> u64 {
         self.replies + self.rejects()
     }
@@ -260,6 +268,7 @@ impl Client {
         self.keys = keys;
     }
 
+    #[expect(clippy::arithmetic_side_effects, reason = "frame counts fit a u64")]
     fn issue(&mut self, now: u64, key_id: u64) -> Frame {
         use rlb_hash::Rng as _;
         let req_id = self.outstanding.issue(now);
@@ -286,6 +295,11 @@ impl Client {
 
     /// Consumes one server frame; returns whether it retired an
     /// outstanding request.
+    #[expect(
+        clippy::indexing_slicing,
+        clippy::arithmetic_side_effects,
+        reason = "one slot per RejectCause; frame counts fit a u64"
+    )]
     pub fn on_frame(&mut self, now: u64, frame: &Frame) -> bool {
         match frame {
             Frame::Reply { req_id, .. } => {
@@ -311,6 +325,7 @@ impl Client {
 }
 
 #[cfg(test)]
+#[allow(clippy::arithmetic_side_effects)]
 mod tests {
     use super::*;
     use rlb_hash::{Pcg64, Rng};

@@ -25,7 +25,9 @@
     clippy::panic,
     clippy::unreachable,
     clippy::todo,
-    clippy::unimplemented
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::arithmetic_side_effects
 )]
 
 use std::collections::BTreeMap;
@@ -67,6 +69,10 @@ pub struct SimOutput {
 const DRAIN_CAP: u64 = 1000;
 
 /// Runs the co-simulation to completion.
+#[expect(
+    clippy::arithmetic_side_effects,
+    reason = "t stops at ticks + DRAIN_CAP, saturated, so it never wraps"
+)]
 pub fn co_simulate<P: Policy>(
     mut core: ServerCore<P>,
     mut clients: Vec<Client>,
@@ -104,7 +110,7 @@ pub fn co_simulate<P: Policy>(
         if !issuing && all_done && core.drained() {
             break;
         }
-        if t >= spec.ticks + DRAIN_CAP {
+        if t >= spec.ticks.saturating_add(DRAIN_CAP) {
             text.push_str("drain cap hit: undrained work remains\n");
             break;
         }

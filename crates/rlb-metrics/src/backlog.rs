@@ -6,6 +6,17 @@
 //! shows the system stays safe at every sub-step with high probability;
 //! experiment E2 verifies this empirically via [`BacklogSnapshot::safety`].
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::arithmetic_side_effects
+)]
+
 /// A snapshot of the per-server backlog distribution at an instant.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BacklogSnapshot {
@@ -100,7 +111,7 @@ impl BacklogSnapshot {
             let above = self.servers_above(j) as f64;
             let bound = m / 2f64.powi(j as i32);
             let ratio = if bound > 0.0 {
-                // f64 division: cannot panic. lint:allow(panic-path)
+                // f64 division: cannot panic.
                 above / bound
             } else {
                 f64::INFINITY
@@ -108,7 +119,7 @@ impl BacklogSnapshot {
             if ratio > worst_ratio {
                 worst_ratio = ratio;
             }
-            // f64 multiply: no wrap semantics. lint:allow(unchecked-arith)
+            // f64 multiply: no wrap semantics.
             if above > slack * bound && first_violation.is_none() {
                 first_violation = Some(j);
             }

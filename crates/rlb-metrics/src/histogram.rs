@@ -6,6 +6,17 @@
 //! vector grows geometrically on demand; recording is O(1) amortized and
 //! allocation-free once the maximum observed value has been seen.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::arithmetic_side_effects
+)]
+
 /// A percentile read that is honest about truncation.
 ///
 /// Distributions produced under a hard cap — a queue of capacity `q`, a
@@ -82,9 +93,13 @@ impl Histogram {
     }
 
     /// Creates an empty histogram with space for values up to `max_value`.
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "no vec of usize::MAX + 1 counts is allocated anyway"
+    )]
     pub fn with_capacity(max_value: usize) -> Self {
         Self {
-            counts: vec![0; max_value + 1], // no vec of usize::MAX + 1 counts is allocated anyway. lint:allow(unchecked-arith)
+            counts: vec![0; max_value + 1],
             ..Self::default()
         }
     }
@@ -240,10 +255,12 @@ impl Histogram {
         if self.total == 0 {
             return None;
         }
-        // q * total is float, and seen below sums counts up to total.
-        // lint:allow(unchecked-arith)
         let rank = ((q * self.total as f64).ceil() as u64).max(1);
         let mut seen = 0u64;
+        #[expect(
+            clippy::arithmetic_side_effects,
+            reason = "seen sums counts up to total"
+        )]
         for (v, &c) in self.counts.iter().enumerate() {
             seen += c;
             if seen >= rank {

@@ -47,6 +47,16 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::arithmetic_side_effects
+)]
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 
@@ -112,11 +122,12 @@ impl Pool {
     /// Builds a pool of `jobs` executors: the thread that submits a
     /// top-level batch plus up to `jobs - 1` helpers at any moment.
     /// `jobs <= 1` runs every map inline.
+    #[expect(clippy::arithmetic_side_effects, reason = "jobs >= 1 by the max below")]
     pub fn new(jobs: usize) -> Self {
         let jobs = jobs.max(1);
         Self {
             jobs,
-            spare: AtomicUsize::new(jobs - 1), // jobs >= 1 by the max above. lint:allow(unchecked-arith)
+            spare: AtomicUsize::new(jobs - 1),
         }
     }
 
@@ -202,13 +213,17 @@ impl Pool {
 
     /// Maps `f` over `items`, returning results in item order. See
     /// [`Pool::map_indexed`] for the execution and determinism contract.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "i < items.len() by the map_indexed contract"
+    )]
     pub fn map<I, T, F>(&self, items: Vec<I>, f: F) -> Vec<T>
     where
         I: Sync,
         T: Send,
         F: Fn(&I) -> T + Sync,
     {
-        self.map_indexed(items.len(), |i| f(&items[i])) // i < items.len() by the map_indexed contract. lint:allow(panic-path)
+        self.map_indexed(items.len(), |i| f(&items[i]))
     }
 }
 

@@ -56,7 +56,9 @@
     clippy::panic,
     clippy::unreachable,
     clippy::todo,
-    clippy::unimplemented
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::arithmetic_side_effects
 )]
 
 use std::collections::{BTreeMap, VecDeque};
@@ -124,7 +126,9 @@ impl ServeConfig {
     /// `engine` behind the default gate: four ticks of the cluster's
     /// total service capacity (`servers × rate × 4`).
     pub fn for_engine(engine: SimConfig) -> Self {
-        let gate_limit = (engine.num_servers as u64) * u64::from(engine.process_rate) * 4;
+        let gate_limit = (engine.num_servers as u64)
+            .saturating_mul(u64::from(engine.process_rate))
+            .saturating_mul(4);
         Self { engine, gate_limit }
     }
 
@@ -208,10 +212,16 @@ impl<P: Policy> ServerCore<P> {
 
     /// Reply and reject frames produced so far, over every tenant
     /// (pings are not counted).
+    #[expect(clippy::arithmetic_side_effects, reason = "frame counts fit a u64")]
     pub fn responses(&self) -> u64 {
         self.tenants.iter().map(|t| t.replies + t.rejects()).sum()
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        clippy::arithmetic_side_effects,
+        reason = "tenant is a u16, and the vec is resized to hold it just above"
+    )]
     fn tenant_mut(&mut self, tenant: u16) -> &mut TenantServeStats {
         if self.tenants.len() <= tenant as usize {
             self.tenants
@@ -226,6 +236,11 @@ impl<P: Policy> ServerCore<P> {
     /// [`on_frame`](ServerCore::on_frame) — a request refused after
     /// shutdown, and the `req_id` 0 answer to an undecodable byte stream
     /// (tenant 0: no frame, so no tenant, was read).
+    #[expect(
+        clippy::indexing_slicing,
+        clippy::arithmetic_side_effects,
+        reason = "one slot per RejectCause; frame counts fit a u64"
+    )]
     pub fn reject(&mut self, tenant: u16, req_id: u32, cause: RejectCause) -> Frame {
         self.tenant_mut(tenant).rejects_by_cause[cause as usize] += 1;
         Frame::Reject { req_id, cause }
@@ -237,6 +252,7 @@ impl<P: Policy> ServerCore<P> {
     /// [`tick`](ServerCore::tick) and return `None`.
     pub fn on_frame(&mut self, session: SessionId, frame: Frame) -> Option<Frame> {
         match frame {
+            #[expect(clippy::arithmetic_side_effects, reason = "frame counts fit a u64")]
             Frame::Ping { nonce } => {
                 self.pings += 1;
                 Some(Frame::Ping { nonce })
@@ -293,6 +309,11 @@ impl<P: Policy> ServerCore<P> {
     /// replies behind the chosen replica's backlog, and returns every
     /// response frame due at the new tick, in deterministic
     /// (reject-then-due, FIFO) order.
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "ticks and frame counts fit a u64; a reply's admission tick is at most the \
+                  current one; the buckets and `out` hold requests under the gate"
+    )]
     pub fn tick(&mut self) -> Vec<(SessionId, Frame)> {
         // Every response is a staged request turned away or a member of
         // the front bucket (as it stands, plus staged requests routed
@@ -312,6 +333,10 @@ impl<P: Policy> ServerCore<P> {
                     // The post-step backlog: the queue the reply waits
                     // behind.
                     let backlog = self.kv.simulation().view().backlog(server);
+                    #[expect(
+                        clippy::arithmetic_side_effects,
+                        reason = "rate >= 1: the engine's config is validated"
+                    )]
                     let wait = (backlog / rate) as usize;
                     if self.scheduled.len() <= wait {
                         let spare = &mut self.spare;
@@ -406,9 +431,9 @@ impl<P: Policy> ServerCore<P> {
                 t.replies,
                 t.rejects()
             );
-            for (ci, &n) in t.rejects_by_cause.iter().enumerate() {
+            for (cause, &n) in REJECT_CAUSES.iter().zip(&t.rejects_by_cause) {
                 if n > 0 {
-                    let _ = write!(s, " {}={n}", REJECT_CAUSES[ci].name());
+                    let _ = write!(s, " {}={n}", cause.name());
                 }
             }
             let _ = writeln!(s);
@@ -423,6 +448,10 @@ impl<P: Policy> ServerCore<P> {
 /// transports.
 pub fn key_to_u64(tenant: u16, key: &[u8]) -> u64 {
     let mut h = 0x9e37_79b9_7f4a_7c15 ^ u64::from(tenant);
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`chunks(8)` yields at most 8 bytes"
+    )]
     for part in key.chunks(8) {
         let mut b = [0u8; 8];
         b[..part.len()].copy_from_slice(part);
@@ -432,6 +461,7 @@ pub fn key_to_u64(tenant: u16, key: &[u8]) -> u64 {
 }
 
 #[cfg(test)]
+#[allow(clippy::arithmetic_side_effects)]
 mod tests {
     use super::*;
     use rlb_core::policies::Greedy;

@@ -32,7 +32,9 @@
     clippy::panic,
     clippy::unreachable,
     clippy::todo,
-    clippy::unimplemented
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::arithmetic_side_effects
 )]
 
 use std::io::{ErrorKind, Read, Write};
@@ -274,6 +276,11 @@ impl<S: Read + Write> Session<S> {
     /// blocking. `Ok(true)` means fully drained; `Err` means the
     /// connection is dead.
     pub fn flush(&mut self) -> Result<bool, std::io::Error> {
+        #[expect(
+            clippy::indexing_slicing,
+            clippy::arithmetic_side_effects,
+            reason = "sent < outbox.len() in the loop; a write takes at most the bytes it is given"
+        )]
         while self.sent < self.outbox.len() {
             match self.stream.write(&self.outbox[self.sent..]) {
                 Ok(0) => {
