@@ -15,6 +15,11 @@
 //!   [`policies::OneChoice`], [`policies::UniformRandom`],
 //!   [`policies::RoundRobin`], [`policies::TimeStepIsolated`].
 //!
+//! Outage injection ([`OutageSchedule`]) is the one extension of the
+//! model kept here. Baselines outside it, such as the Wang-et-al.
+//! chunk-migration simulator of experiment E19, live beside the
+//! experiment that runs them, in `rlb-experiments`.
+//!
 //! The engine ([`Simulation`]) is deterministic given the config seed,
 //! allocation-free in the routing hot loop, and exposes an [`Observer`]
 //! hook for experiment instrumentation.
@@ -38,7 +43,6 @@
 #![warn(missing_docs)]
 
 pub mod config;
-pub mod migration;
 pub mod outage;
 pub mod policies;
 pub mod policy;

@@ -646,12 +646,19 @@ impl<P: Policy> Engine<P> {
         for (class, spec) in self.classes.iter().enumerate() {
             let rate = spec.drain_per_step;
             // Cumulative-quota split: over `substeps` sub-steps the class
-            // drains exactly `rate`.
+            // drains exactly `rate`. The products are taken in u64, since
+            // with `g` sub-steps `rate * (s + 1)` passes 2^32 once
+            // g ≥ 2^16; the difference is at most `rate`, so it narrows
+            // back to u32 exactly.
             #[expect(
                 clippy::arithmetic_side_effects,
-                reason = "substeps >= 1 asserted by Config::validate"
+                reason = "a u32 times a u32 fits a u64; substeps >= 1 asserted by \
+                          Config::validate; the cumulative quota is nondecreasing in s"
             )]
-            let take = rate * (s + 1) / substeps - rate * s / substeps;
+            let take = {
+                let (rate, s, n) = (u64::from(rate), u64::from(s), u64::from(substeps));
+                (rate * (s + 1) / n - rate * s / n) as u32
+            };
             if take == 0 {
                 continue;
             }
@@ -866,6 +873,32 @@ mod tests {
         let warm = 10;
         let delta = completed_after(warm + 1) - completed_after(warm);
         assert_eq!(delta, 8 * 2, "one saturated step must drain m * g");
+    }
+
+    #[test]
+    fn interleaved_quota_holds_past_two_to_the_sixteen() {
+        // With g sub-steps of g each, the cumulative quota's product
+        // `g * (s + 1)` passes 2^32 at g = 70 000; taken in u32 it
+        // wrapped and a saturated run completed 767 897 requests where
+        // the model allows steps * m * g = 280 000.
+        let (m, g, steps) = (2, 70_000, 2);
+        let cfg = SimConfig {
+            num_servers: m,
+            num_chunks: 1_000_000,
+            replication: 2,
+            process_rate: g,
+            queue_capacity: 1_000_000,
+            flush_interval: None,
+            drain_mode: DrainMode::Interleaved,
+            seed: 1,
+            safety_check_every: None,
+        };
+        let mut sim = Simulation::new(cfg, Greedy::new());
+        // 400 000 arrivals a step keep both queues busy at every sub-step.
+        sim.run(&mut fixed_workload(400_000), steps);
+        let report = sim.finish();
+        report.check_conservation().unwrap();
+        assert_eq!(report.completed, steps * m as u64 * u64::from(g));
     }
 
     #[test]

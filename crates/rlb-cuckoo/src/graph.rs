@@ -1,4 +1,5 @@
-//! The cuckoo graph and its exact combinatorial analysis.
+//! The cuckoo graph and its exact combinatorial analysis: the
+//! solver's optimality oracle, compiled for tests only.
 //!
 //! Positions are vertices; each item is an edge between its two candidate
 //! positions (a self-loop if both hashes coincide). A connected component
@@ -8,8 +9,9 @@
 //! in-degree ≤ 1), and if `e > v` one can keep a spanning unicyclic
 //! subgraph (exactly `v` edges, in-degree exactly 1) and stash the excess.
 //! Hence the **optimal stash size is `Σ_components max(0, e − v)`**, which
-//! is what [`CuckooGraph::optimal_stash_size`] computes and what the exact
-//! allocator in [`crate::offline`] achieves.
+//! is what [`CuckooGraph::optimal_stash_size`] computes, by union-find and
+//! independently of the solver in [`crate::offline`], whose stash the
+//! tests there compare against it.
 
 use crate::Choices;
 
@@ -69,24 +71,23 @@ impl Dsu {
 
 /// Per-component statistics of a cuckoo graph.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ComponentStats {
+pub(crate) struct ComponentStats {
     /// Vertices (positions) in the component.
-    pub vertices: u32,
+    vertices: u32,
     /// Edges (items) in the component.
-    pub edges: u32,
+    edges: u32,
 }
 
 impl ComponentStats {
     /// Items that must be stashed from this component.
-    #[inline]
-    pub(crate) fn excess(&self) -> u32 {
+    fn excess(&self) -> u32 {
         self.edges.saturating_sub(self.vertices)
     }
 }
 
 /// A cuckoo graph over `num_positions` positions.
 #[derive(Debug, Clone)]
-pub struct CuckooGraph {
+pub(crate) struct CuckooGraph {
     num_positions: usize,
     items: Vec<Choices>,
 }
@@ -96,7 +97,7 @@ impl CuckooGraph {
     ///
     /// # Panics
     /// Panics if `num_positions == 0`.
-    pub fn new(num_positions: usize) -> Self {
+    pub(crate) fn new(num_positions: usize) -> Self {
         assert!(num_positions > 0, "need at least one position");
         Self {
             num_positions,
@@ -108,7 +109,7 @@ impl CuckooGraph {
     ///
     /// # Panics
     /// Panics if any choice is out of range.
-    pub fn from_items(num_positions: usize, items: &[Choices]) -> Self {
+    pub(crate) fn from_items(num_positions: usize, items: &[Choices]) -> Self {
         let mut g = Self::new(num_positions);
         for &c in items {
             g.add_item(c);
@@ -120,7 +121,7 @@ impl CuckooGraph {
     ///
     /// # Panics
     /// Panics if a candidate position is out of range.
-    pub fn add_item(&mut self, c: Choices) {
+    pub(crate) fn add_item(&mut self, c: Choices) {
         assert!(
             (c.h1 as usize) < self.num_positions && (c.h2 as usize) < self.num_positions,
             "choice out of range"
@@ -128,13 +129,8 @@ impl CuckooGraph {
         self.items.push(c);
     }
 
-    /// The item choice list.
-    pub fn items(&self) -> &[Choices] {
-        &self.items
-    }
-
     /// Statistics for every component that contains at least one edge.
-    pub fn component_stats(&self) -> Vec<ComponentStats> {
+    pub(crate) fn component_stats(&self) -> Vec<ComponentStats> {
         let mut dsu = Dsu::new(self.num_positions);
         for c in &self.items {
             dsu.add_edge(c.h1, c.h2);
@@ -153,7 +149,7 @@ impl CuckooGraph {
 
     /// The minimum possible stash size for a one-item-per-position
     /// assignment: `Σ max(0, e − v)` over components.
-    pub fn optimal_stash_size(&self) -> usize {
+    pub(crate) fn optimal_stash_size(&self) -> usize {
         self.component_stats()
             .iter()
             .map(|s| s.excess() as usize)

@@ -11,27 +11,32 @@
 //!
 //! This crate implements that machinery from scratch:
 //!
-//! * [`graph`] — the *cuckoo graph* (positions are vertices, items are
-//!   edges) and exact component analysis: a component with `e` edges and
-//!   `v` vertices can host `min(e, v)` items, so the optimal stash size is
-//!   `Σ max(0, e − v)` over components.
-//! * [`offline`] — an exact offline allocator (peel + unicyclic
-//!   orientation) achieving the optimal stash, written once as the
-//!   reusable [`TableBuilder`] workspace, and a classical random-walk
-//!   allocator for comparison.
+//! * [`offline`] — the exact offline solver (peel + unicyclic
+//!   orientation), written once as the reusable [`TableBuilder`]
+//!   workspace. It writes each item's position, or
+//!   [`offline::STASHED`], into the caller's slot vector, and its stash
+//!   is the optimum `Σ max(0, e − v)` over the components of the
+//!   *cuckoo graph* (positions are vertices, items are edges; a
+//!   component with `e` edges and `v` vertices hosts `min(e, v)`
+//!   items).
 //! * [`tripartite`] — Lemma 4.2: the three-way split that turns the
 //!   one-item-per-position guarantee into an `O(1)`-requests-per-server
 //!   routing table.
+//!
+//! The cuckoo graph itself, which counts that optimum by union-find, is
+//! the solver's test oracle and is compiled for tests only. Theorem
+//! 4.1's measurements, with the random-walk allocator they compare the
+//! solver against, are experiment E10 in `rlb-experiments`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod graph;
+#[cfg(test)]
+mod graph;
 pub mod offline;
 pub(crate) mod tripartite;
 
-pub use graph::CuckooGraph;
-pub use offline::{OfflineAssignment, RandomWalkAllocator, TableBuilder};
+pub use offline::TableBuilder;
 pub use tripartite::{RoutingTable, TableStatus, TripartiteAssigner};
 
 /// An item to be placed: two candidate positions (the item's hashes).

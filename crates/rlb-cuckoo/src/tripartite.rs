@@ -252,12 +252,12 @@ mod tests {
         let mut stashed = [0usize; 3];
         for g in 0..3 {
             let group: Vec<Choices> = items.iter().skip(g).step_by(3).copied().collect();
-            let alone = crate::OfflineAssignment::assign_exact(n, &group);
+            let mut alone = vec![0; group.len()];
+            stashed[g] = TableBuilder::new().solve(n, &group, &mut alone);
             crate::offline::validate_assignment(n, &group, &alone).unwrap();
-            for j in 0..group.len() {
-                slots[g + 3 * j] = alone.position_of(j).unwrap_or(STASHED);
+            for (j, slot) in alone.into_iter().enumerate() {
+                slots[g + 3 * j] = slot;
             }
-            stashed[g] = alone.stash().len();
         }
         (slots, stashed)
     }

@@ -1,6 +1,6 @@
 //! Table-identity gate for the offline solver.
 //!
-//! `RoutingTable::build` and `OfflineAssignment::assign_exact` feed the
+//! `RoutingTable::build` and `TableBuilder::solve` feed the
 //! delayed-cuckoo goldens, E10 and `results/*.json`, so a rewrite of
 //! the solver must reproduce every table bit for bit: same peel order,
 //! same component scan, same stash rule. This suite sweeps PCG-generated
@@ -17,7 +17,8 @@
 //! RLB_REGEN_GOLDEN=1 cargo test -p rlb-cuckoo --test table_golden
 //! ```
 
-use rlb_cuckoo::{Choices, OfflineAssignment, RoutingTable, TripartiteAssigner};
+use rlb_cuckoo::offline::STASHED;
+use rlb_cuckoo::{Choices, RoutingTable, TableBuilder, TripartiteAssigner};
 use rlb_hash::mix::fmix64;
 use rlb_hash::{Pcg64, Rng};
 
@@ -66,15 +67,19 @@ fn table_digest(m: usize, items: &[Choices]) -> u64 {
     fold(h, t.max_per_server() as u64)
 }
 
+/// Folds what the solver's one-call form reported before it wrote a
+/// slot vector: each item's position (`u64::MAX` if stashed), the stash
+/// size, and the stashed items in ascending order.
 fn assignment_digest(m: usize, items: &[Choices]) -> u64 {
-    let a = OfflineAssignment::assign_exact(m, items);
-    let mut h = fold(m as u64, a.len() as u64);
-    for i in 0..a.len() {
-        h = fold(h, a.position_of(i).map_or(u64::MAX, u64::from));
+    let mut slots = vec![0; items.len()];
+    let stashed = TableBuilder::new().solve(m, items, &mut slots);
+    let mut h = fold(m as u64, slots.len() as u64);
+    for &s in &slots {
+        h = fold(h, if s == STASHED { u64::MAX } else { u64::from(s) });
     }
-    h = fold(h, a.stash().len() as u64);
-    for &s in a.stash() {
-        h = fold(h, s as u64);
+    h = fold(h, stashed as u64);
+    for i in (0..slots.len()).filter(|&i| slots[i] == STASHED) {
+        h = fold(h, i as u64);
     }
     h
 }

@@ -13,8 +13,8 @@
 //!   storage.
 
 use crate::common::{self, PolicyKind, Scenario};
+use crate::migration::{MigrationConfig, MigrationSim};
 use crate::{Check, Findings};
-use rlb_core::migration::{MigrationConfig, MigrationSim};
 use rlb_core::{SimConfig, Workload};
 use rlb_metrics::table::{fmt_rate, fmt_u};
 use rlb_metrics::Table;

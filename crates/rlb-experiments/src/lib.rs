@@ -63,6 +63,7 @@ pub(crate) mod e20_phase;
 pub(crate) mod e21_burst;
 pub(crate) mod e22_shedding;
 pub(crate) mod e23_threshold;
+pub(crate) mod migration;
 pub(crate) mod theory;
 
 use rlb_json::{Json, ToJson};

@@ -18,7 +18,6 @@
 pub mod backlog;
 pub mod ci;
 pub(crate) mod dist;
-pub(crate) mod ewma;
 pub(crate) mod histogram;
 pub(crate) mod kahan;
 pub mod table;
@@ -27,7 +26,6 @@ pub(crate) mod timeseries;
 pub use backlog::{BacklogSnapshot, SafeDistributionReport};
 pub use ci::{wilson95, ProportionCi};
 pub use dist::linf_distance;
-pub use ewma::Ewma;
 pub use histogram::{Histogram, TailValue};
 pub use kahan::{KahanSum, RunningMean};
 pub use table::Table;

@@ -8,9 +8,7 @@
 //! cargo run --release --example cuckoo_playground
 //! ```
 
-use reappearance_lb::cuckoo::{
-    Choices, CuckooGraph, OfflineAssignment, RoutingTable, TripartiteAssigner,
-};
+use reappearance_lb::cuckoo::{Choices, RoutingTable, TableBuilder, TripartiteAssigner};
 use reappearance_lb::hash::{Pcg64, Rng};
 
 fn random_items(m: usize, k: usize, rng: &mut Pcg64) -> Vec<Choices> {
@@ -24,13 +22,13 @@ fn main() {
     let mut rng = Pcg64::new(2024, 7);
 
     println!("== 1. Theorem 4.1: m/3 items, two random choices each ==");
+    let mut solver = TableBuilder::new();
     let items = random_items(m, m / 3, &mut rng);
-    let a = OfflineAssignment::assign_exact(m, &items);
+    let stash = solver.solve(m, &items, &mut vec![0; items.len()]);
     println!(
-        "placed {} of {} items with a stash of {} (optimal by construction)\n",
-        a.placed(),
+        "placed {} of {} items with a stash of {stash} (optimal by construction)\n",
+        items.len() - stash,
         items.len(),
-        a.stash().len()
     );
 
     println!("== 2. The 1/2 orientability threshold ==");
@@ -38,7 +36,7 @@ fn main() {
     for load in [0.30f64, 0.45, 0.50, 0.55, 0.70, 1.00] {
         let k = (m as f64 * load) as usize;
         let items = random_items(m, k, &mut rng);
-        let stash = CuckooGraph::from_items(m, &items).optimal_stash_size();
+        let stash = solver.solve(m, &items, &mut vec![0; k]);
         println!(
             "{load:>6.2}  {stash:>12}  {:>10.5}",
             stash as f64 / m as f64

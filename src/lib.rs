@@ -14,8 +14,9 @@
 //! * [`core`] — the discrete-time cluster simulator and the policies:
 //!   greedy (§3, `Θ(log m)` queues) and delayed cuckoo routing (§4,
 //!   optimal `Θ(log log m)` queues), plus baselines.
-//! * [`cuckoo`] — cuckoo hashing with a stash (Theorem 4.1) and the
-//!   tripartite request assignment (Lemma 4.2).
+//! * [`cuckoo`] — cuckoo hashing with a stash: the exact offline solver
+//!   behind Theorem 4.1 and the tripartite request assignment
+//!   (Lemma 4.2) delayed cuckoo routing builds every step.
 //! * [`workloads`] — oblivious-adversary request generators and traces.
 //! * [`kv`] — a key-value-store façade.
 //! * [`pool`] — the deterministic job executor independent trials run on.

@@ -7,8 +7,6 @@
 
 use reappearance_lb::core::policies::{Greedy, UniformRandom};
 use reappearance_lb::core::{DrainMode, SimConfig, Simulation};
-use reappearance_lb::cuckoo::offline::validate_assignment;
-use reappearance_lb::cuckoo::{Choices, CuckooGraph, OfflineAssignment};
 use reappearance_lb::hash::placement::ReplicaPlacement;
 use reappearance_lb::hash::{Pcg64, Rng};
 use reappearance_lb::metrics::{BacklogSnapshot, Histogram};
@@ -18,28 +16,6 @@ const CASES: u64 = 64;
 
 fn case_rng(property: u64, case: u64) -> Pcg64 {
     Pcg64::new(0x70726f70 ^ (property << 32) ^ case, property)
-}
-
-/// The exact cuckoo allocator is valid and optimal for arbitrary
-/// (possibly degenerate) inputs.
-#[test]
-fn cuckoo_exact_is_valid_and_optimal() {
-    for case in 0..CASES {
-        let mut rng = case_rng(1, case);
-        let n = 1 + rng.gen_index(39);
-        let num_edges = rng.gen_index(80);
-        let items: Vec<Choices> = (0..num_edges)
-            .map(|_| {
-                let a = rng.gen_range(40) as u32 % n as u32;
-                let b = rng.gen_range(40) as u32 % n as u32;
-                Choices::new(a, b)
-            })
-            .collect();
-        let a = OfflineAssignment::assign_exact(n, &items);
-        assert!(validate_assignment(n, &items, &a).is_ok(), "case {case}");
-        let optimal = CuckooGraph::from_items(n, &items).optimal_stash_size();
-        assert_eq!(a.stash().len(), optimal, "case {case}");
-    }
 }
 
 /// Engine conservation laws hold for arbitrary configurations and
