@@ -2,13 +2,14 @@
 //! transcript it produced before the name -> constructor dispatch moved
 //! into `rlb_core::policies::with_policy`. Digests, not files: the one
 //! full transcript worth reading is `rlb-load/tests/sim_golden.rs`'s.
-//! The constants were captured from commit d1c6ee9.
+//! The constants were captured from commit d1c6ee9 and re-captured once
+//! when the placement became a hash of the chunk id.
 //!
 //! Each surface has two flag sets. The first is light enough that the
 //! daemon answers every request in the tick it arrives, so all six
-//! serve transcripts are one text (and two pairs of run reports
-//! coincide); the second is overloaded, where all six differ — that is
-//! the row that fails if two names swap constructors.
+//! serve transcripts are one text (and greedy, one-choice and
+//! step-isolated report alike); the second is overloaded, where all six
+//! differ — that is the row that fails if two names swap constructors.
 
 use rlb_core::policies::POLICY_NAMES;
 use rlb_hash::mix::fmix64;
@@ -36,12 +37,12 @@ const SERVE_FLAGS: [&str; 2] = [
 /// per flag set above.
 #[rustfmt::skip]
 const GOLDEN: [(&str, [u64; 2], [u64; 2]); 6] = [
-    ("greedy", [0xb8952fb5ee13c23c, 0xfc15ce0585c4013a], [0xe6adeaa71de88976, 0x0d7338a001eac14e]),
-    ("delayed-cuckoo", [0x7e9b6646fa2259e9, 0x9cb6d429b05f8926], [0xe6adeaa71de88976, 0xb3307cc97f3134fe]),
-    ("one-choice", [0xf160a53272e56d65, 0x781f81c73d09fe9f], [0xe6adeaa71de88976, 0xf5a24472869bdd11]),
-    ("uniform-random", [0xbc275a65e3903e72, 0x11fe90815242abf2], [0xe6adeaa71de88976, 0xcb47ba33159b4fc4]),
-    ("round-robin", [0xf160a53272e56d65, 0x673115043443ed73], [0xe6adeaa71de88976, 0x7d225014acea7570]),
-    ("step-isolated", [0xb8952fb5ee13c23c, 0x2065ef1f339c528e], [0xe6adeaa71de88976, 0x6fa3920752f63361]),
+    ("greedy", [0xb8952fb5ee13c23c, 0xf01a7e0a5d231bab], [0xe6adeaa71de88976, 0x3901fc95f577c7c4]),
+    ("delayed-cuckoo", [0x7e9b6646fa2259e9, 0x2541203653c76226], [0xe6adeaa71de88976, 0x13449d5e4512bbd3]),
+    ("one-choice", [0xb8952fb5ee13c23c, 0x98d0985b0c63e0b6], [0xe6adeaa71de88976, 0x232ad0b5d65f086b]),
+    ("uniform-random", [0xbc275a65e3903e72, 0x013043c9f02ec4c6], [0xe6adeaa71de88976, 0x88c1370b43840175]),
+    ("round-robin", [0xf160a53272e56d65, 0x44ce0dc1ffcb026a], [0xe6adeaa71de88976, 0x3dc425a062e78af2]),
+    ("step-isolated", [0xb8952fb5ee13c23c, 0xb9c3d08204f60466], [0xe6adeaa71de88976, 0x8475681deb5a47b5]),
 ];
 
 #[test]

@@ -211,6 +211,20 @@ fn reference_table(placement: &ReplicaPlacement, m: usize, chunks: &[u32]) -> Ro
     RoutingTable::build(m, &items, TripartiteAssigner::default())
 }
 
+/// The first `count` chunk ids, ascending, that `keep` accepts by
+/// their replica row under `placement`.
+fn scan(placement: &ReplicaPlacement, count: usize, keep: impl Fn(&[u32]) -> bool) -> Vec<u32> {
+    (0..=u32::MAX)
+        .filter(|&c| keep(&placement.replicas(c)))
+        .take(count)
+        .collect()
+}
+
+/// Whether `row` lives on servers `{a, b}` and nowhere else.
+fn on_pair(row: &[u32], a: u32, b: u32) -> bool {
+    row == [a, b] || row == [b, a]
+}
+
 /// (a) A chunk last requested in phase `p` is a first access in phase
 /// `p + 1`, although `plan` still holds its server from phase `p`.
 #[test]
@@ -250,9 +264,9 @@ fn repeat_is_routed_by_the_table_of_its_latest_access() {
     let m = 256;
     let k = 192u32;
     let config = plan_config(m, 4 * m);
-    let placement = ReplicaPlacement::random(4 * m, m, 2, 99);
     let policy = plan_policy(&config, 6);
-    let mut sim = Simulation::with_placement(config, policy, placement.clone());
+    let mut sim = Simulation::new(config, policy);
+    let placement = *sim.placement();
     // Step 0: 0..k. Step 1: k/2..3k/2, reversed so that positions (and
     // with them the i mod 3 groups) differ from step 0. Step 2: 0..k.
     let step_chunks = |step: u64| -> Vec<u32> {
@@ -292,39 +306,33 @@ fn repeat_is_routed_by_the_table_of_its_latest_access() {
     );
 }
 
-/// 16 servers; chunks 0..30 all live on servers {0, 1} (any step that
-/// requests more than a handful of them overflows the stash), chunks
-/// 30..60 are spread along a path.
-fn concentrated_placement() -> ReplicaPlacement {
-    let rows: Vec<Vec<u32>> = (0..60u32)
-        .map(|c| {
-            if c < 30 {
-                vec![0, 1]
-            } else {
-                vec![2 + c % 13, 3 + c % 13]
-            }
-        })
-        .collect();
-    ReplicaPlacement::from_rows(&rows, 16)
+/// 16 servers: 30 chunks that all live on servers {0, 1} (any step
+/// that requests more than a handful of them overflows the stash), and
+/// 30 that avoid both, found by scanning the run's own placement.
+fn concentrated_chunks(placement: &ReplicaPlacement) -> (Vec<u32>, Vec<u32>) {
+    let pair = scan(placement, 30, |r| on_pair(r, 0, 1));
+    let spread = scan(placement, 30, |r| r.iter().all(|&s| s > 1));
+    (pair, spread)
 }
 
 /// (c) Repeats of a failed table are rejected and counted; repeats in
 /// the same step that consult a later, healthy table are routed.
 #[test]
 fn failed_table_rejects_only_the_repeats_that_consult_it() {
-    let config = plan_config(16, 60);
+    let config = plan_config(16, 1 << 16);
     let policy = plan_policy(&config, 4);
-    let mut sim = Simulation::with_placement(config, policy, concentrated_placement());
+    let mut sim = Simulation::new(config, policy);
+    let (pair, spread) = concentrated_chunks(sim.placement());
     let mut workload = |step: u64, out: &mut Vec<u32>| match step {
-        0 => out.extend(0..30u32),                // T_0 fails
-        1 => out.extend((0..5u32).chain(30..40)), // T_1 is healthy
-        2 => out.extend(0..10u32),
+        0 => out.extend(&pair),                                 // T_0 fails
+        1 => out.extend(pair[..5].iter().chain(&spread[..10])), // T_1 is healthy
+        2 => out.extend(&pair[..10]),
         _ => {}
     };
     let mut obs = Decisions::default();
     sim.run_observed(&mut workload, 3, &mut obs);
     let failed = Decision::Reject(RejectReason::TableFailed);
-    for chunk in 0..5u32 {
+    for &chunk in &pair[..5] {
         assert_eq!(obs.of(1, chunk), failed, "consults failed T_0");
         assert!(
             matches!(obs.of(2, chunk), Decision::Route { class: P_CLASS, .. }),
@@ -332,7 +340,7 @@ fn failed_table_rejects_only_the_repeats_that_consult_it() {
             obs.of(2, chunk)
         );
     }
-    for chunk in 5..10u32 {
+    for &chunk in &pair[5..10] {
         assert_eq!(obs.of(2, chunk), failed, "still consults failed T_0");
     }
     let d = sim.policy().diagnostics();
@@ -349,7 +357,9 @@ fn failed_table_rejects_only_the_repeats_that_consult_it() {
 fn planned_server_down_falls_back_to_q() {
     let m = 64;
     let config = plan_config(m, 4 * m);
-    let placement = ReplicaPlacement::random(4 * m, m, 2, 5);
+    let policy = plan_policy(&config, 4);
+    let sim = Simulation::new(config, policy);
+    let placement = *sim.placement();
     let chunks: Vec<u32> = (0..48).collect();
     let t0 = reference_table(&placement, m, &chunks);
     let victim = 17u32;
@@ -364,8 +374,7 @@ fn planned_server_down_falls_back_to_q() {
     };
     let mut outage = OutageSchedule::none();
     outage.push(planned, 1, 2);
-    let policy = plan_policy(&config, 4);
-    let mut sim = Simulation::with_placement(config, policy, placement).with_outages(outage);
+    let mut sim = sim.with_outages(outage);
     let mut workload = |_step: u64, out: &mut Vec<u32>| out.extend(chunks.iter().copied());
     let mut obs = Decisions::default();
     sim.run_observed(&mut workload, 3, &mut obs);
@@ -389,30 +398,33 @@ fn planned_server_down_falls_back_to_q() {
 /// Diagnostics of a fixed mixed scenario (sticky core, fresh filler,
 /// phase rolls, a failing concentrated burst), pinned to the values the
 /// per-step sorted-table implementation produced (commit `a214c3f`).
+/// They count the scenario's structure, so the hashed placement's own
+/// chunks reproduce them.
 #[test]
 fn diagnostics_match_the_per_step_table_implementation() {
     let m = 96;
-    let config = plan_config(m, 4 * m);
-    let random = ReplicaPlacement::random(4 * m, m, 2, 21);
-    let mut rows: Vec<Vec<u32>> = (0..4 * m as u32)
-        .map(|c| random.replicas(c).to_vec())
-        .collect();
-    for row in rows.iter_mut().take(24) {
-        *row = vec![3, 4];
-    }
-    let placement = ReplicaPlacement::from_rows(&rows, m);
+    let config = plan_config(m, 1 << 18);
     let policy = plan_policy(&config, 5);
-    let mut sim = Simulation::with_placement(config, policy, placement);
+    let mut sim = Simulation::new(config, policy);
+    // 24 chunks on servers {3, 4}, then the lowest other ids: a sticky
+    // core of 40 and a filler pool of 4m - 64.
+    let concentrated = scan(sim.placement(), 24, |r| on_pair(r, 3, 4));
+    let others: Vec<u32> = (0..)
+        .filter(|c| !concentrated.contains(c))
+        .take(4 * m - 24)
+        .collect();
+    let (core, pool) = others.split_at(40);
+    let pool = pool.to_vec();
     let mut rng = Pcg64::new(77, 1);
     let mut workload = move |step: u64, out: &mut Vec<u32>| {
-        // The concentrated chunks 0..24 every third step, a sticky core
+        // The concentrated chunks every third step, the sticky core
         // every step, and fresh filler.
         if step.is_multiple_of(3) {
-            out.extend(0..24u32);
+            out.extend(&concentrated);
         }
-        out.extend(24..64u32);
-        for c in sample::sample_k_distinct(&mut rng, (4 * m - 64) as u64, 20) {
-            out.push(64 + c as u32);
+        out.extend(core);
+        for i in sample::sample_k_distinct(&mut rng, pool.len() as u64, 20) {
+            out.push(pool[i as usize]);
         }
     };
     sim.run(&mut workload, 43);

@@ -4,7 +4,6 @@ use rlb_core::policies::{with_policy, PolicyVisitor};
 use rlb_core::{
     NullObserver, Observer, OutageSchedule, Policy, RunReport, SimConfig, Simulation, Workload,
 };
-use rlb_hash::ReplicaPlacement;
 
 /// The policies the experiments compare. Dispatch is by enum so sweeps
 /// can iterate over policies uniformly.
@@ -57,29 +56,21 @@ pub(crate) struct Scenario<'a> {
     config: SimConfig,
     policy: PolicyKind,
     workload: Box<dyn Workload + 'a>,
-    placement: Option<ReplicaPlacement>,
     outages: OutageSchedule,
     observer: Option<&'a mut dyn Observer>,
 }
 
 impl<'a> Scenario<'a> {
     /// `workload` under `policy` on the cluster `config` describes, with
-    /// the seeded random placement, no outages and no observer.
+    /// no outages and no observer.
     pub fn new(config: SimConfig, policy: PolicyKind, workload: impl Workload + 'a) -> Self {
         Self {
             config,
             policy,
             workload: Box::new(workload),
-            placement: None,
             outages: OutageSchedule::none(),
             observer: None,
         }
-    }
-
-    /// Replaces the seeded random placement (E7's planted collision).
-    pub fn placement(mut self, placement: ReplicaPlacement) -> Self {
-        self.placement = Some(placement);
-        self
     }
 
     /// Takes servers down on a schedule (E15).
@@ -101,13 +92,8 @@ impl<'a> Scenario<'a> {
             type Out = RunReport;
             fn visit<P: Policy>(self, policy: P) -> RunReport {
                 let Run(scenario, steps) = self;
-                let mut sim = match scenario.placement {
-                    Some(placement) => {
-                        Simulation::with_placement(scenario.config, policy, placement)
-                    }
-                    None => Simulation::new(scenario.config, policy),
-                }
-                .with_outages(scenario.outages);
+                let mut sim =
+                    Simulation::new(scenario.config, policy).with_outages(scenario.outages);
                 let mut workload = scenario.workload;
                 let mut silent = NullObserver;
                 let observer = scenario.observer.unwrap_or(&mut silent);

@@ -16,7 +16,8 @@
 //! * [`mix`] — stateless 64-bit mixing/finalizer functions used to derive
 //!   per-chunk hash values without materializing tables.
 //! * [`placement`] — replica placement: maps each chunk to `d` *distinct*
-//!   servers, the paper's "first algorithmic knob" (§2).
+//!   servers by a seeded hash of its id, the paper's "first algorithmic
+//!   knob" (§2).
 //! * [`sample`] — sampling utilities (partial Fisher–Yates, distinct
 //!   sampling, shuffles) shared by the workload generators.
 

@@ -31,8 +31,9 @@ fn traced_trial(index: usize) -> ((u64, u64, u64), String) {
 }
 
 /// The digest of the six-trial JSONL document, captured from commit
-/// 7c46991: it pins every `TenantOp` and engine event byte for byte.
-const BASELINE_DIGEST: u64 = 0xfff117857a2c26ac;
+/// 7c46991 and re-captured once when the placement became a hash of the
+/// chunk id: it pins every `TenantOp` and engine event byte for byte.
+const BASELINE_DIGEST: u64 = 0xb8f16f64840d4747;
 
 fn digest(text: &str) -> u64 {
     text.bytes()

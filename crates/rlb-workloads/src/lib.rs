@@ -17,8 +17,9 @@
 //!   (diurnal-style shifts).
 //! * [`ZipfDistinct`] — skewed popularity with the model's
 //!   distinct-chunks-per-step constraint enforced.
-//! * [`planted`] — *white-box* placements for the Theorem 5.2 lower
-//!   bound (documented there; not an oblivious workload).
+//! * [`planted`] — *white-box* chunk sets for the Theorem 5.2 lower
+//!   bound, found by scanning the placement (documented there; not an
+//!   oblivious workload).
 //! * [`trace`] — record/replay of arbitrary request traces (JSON).
 
 #![forbid(unsafe_code)]
