@@ -84,7 +84,7 @@ const CASES: &[(Parser, &str, &str)] = &[
     // no rule checks their guards; the panic and arithmetic rules cover
     // a list of files, so no root manifest can rot; and those two rules
     // are clippy's now (`indexing_slicing`, `arithmetic_side_effects`
-    // and the panic lints, denied file by file).
+    // and the panic lints, denied at the crate roots).
     (LINT, "--rule lock-order", "unknown rule \"lock-order\"; known rules: lossy-cast, dead-pub, unused-suppression"),
     (LINT, "--rule determinism-flow", "unknown rule \"determinism-flow\"; known rules: lossy-cast, dead-pub, unused-suppression"),
     (LINT, "--rule untrusted-input", "unknown rule \"untrusted-input\"; known rules: lossy-cast, dead-pub, unused-suppression"),

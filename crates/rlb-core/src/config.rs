@@ -46,17 +46,10 @@ impl SimConfig {
     /// A baseline configuration for `m` servers: `n = 4m` chunks,
     /// `d = 2`, `g = 8`, `q = log2(m)+1`, end-of-step drain, no flush.
     pub fn baseline(num_servers: usize) -> Self {
-        let q = (num_servers.max(2) as f64).log2().ceil() as u32 + 1;
+        let q = log_capacity(num_servers);
         Self {
-            num_servers,
-            num_chunks: 4 * num_servers,
-            replication: 2.min(num_servers),
-            process_rate: 8,
-            queue_capacity: q,
-            flush_interval: None,
-            drain_mode: DrainMode::EndOfStep,
-            seed: 0,
             safety_check_every: Some(1),
+            ..Self::explicit(num_servers, 2.min(num_servers), 8, q)
         }
     }
 
@@ -65,18 +58,12 @@ impl SimConfig {
     /// (capped to keep runs finite; the cap does not change behaviour for
     /// runs shorter than the interval).
     pub fn greedy_theorem(num_servers: usize, d: usize, g: u32, c: f64) -> Self {
-        let q = (num_servers.max(2) as f64).log2().ceil() as u32 + 1;
         let flush = (num_servers as f64).powf(c).min(1e12) as u64;
         Self {
-            num_servers,
-            num_chunks: 4 * num_servers,
-            replication: d,
-            process_rate: g,
-            queue_capacity: q,
             flush_interval: Some(flush.max(1)),
             drain_mode: DrainMode::Interleaved,
-            seed: 0,
             safety_check_every: Some(1),
+            ..Self::explicit(num_servers, d, g, log_capacity(num_servers))
         }
     }
 
@@ -86,15 +73,8 @@ impl SimConfig {
     pub fn dcr_theorem(num_servers: usize, g: u32, q_mult: u32) -> Self {
         let loglog = (num_servers.max(4) as f64).log2().log2().ceil().max(1.0) as u32;
         Self {
-            num_servers,
-            num_chunks: 4 * num_servers,
-            replication: 2,
-            process_rate: g,
-            queue_capacity: (q_mult * loglog).max(4),
-            flush_interval: None,
-            drain_mode: DrainMode::EndOfStep,
-            seed: 0,
             safety_check_every: Some(1),
+            ..Self::explicit(num_servers, 2, g, q_mult.saturating_mul(loglog).max(4))
         }
     }
 
@@ -105,7 +85,7 @@ impl SimConfig {
     pub fn explicit(num_servers: usize, d: usize, g: u32, q: u32) -> Self {
         Self {
             num_servers,
-            num_chunks: 4 * num_servers,
+            num_chunks: num_servers.saturating_mul(4),
             replication: d,
             process_rate: g,
             queue_capacity: q,
@@ -170,6 +150,11 @@ impl SimConfig {
         }
         Ok(())
     }
+}
+
+/// `q = ⌈log2 m⌉ + 1`, the queue capacity of Theorem 3.1.
+fn log_capacity(num_servers: usize) -> u32 {
+    ((num_servers.max(2) as f64).log2().ceil() as u32).saturating_add(1)
 }
 
 rlb_json::json_unit_enum!(DrainMode {

@@ -5,17 +5,6 @@
 //! `Θ(log m / log log m)` rather than `O(log log m)`, so it needs larger
 //! queues than greedy for the same rejection rate (experiments E4/E12).
 
-#![deny(
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::panic,
-    clippy::unreachable,
-    clippy::todo,
-    clippy::unimplemented,
-    clippy::indexing_slicing,
-    clippy::arithmetic_side_effects
-)]
-
 use crate::config::SimConfig;
 use crate::policy::{Decision, Policy, RejectReason, RouteCtx};
 use crate::queue::ClassSpec;

@@ -13,17 +13,6 @@
 //! server, and a queue that holds at most one request never touches the
 //! arena. See ARCHITECTURE.md "SoA arena layout".
 
-#![deny(
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::panic,
-    clippy::unreachable,
-    clippy::todo,
-    clippy::unimplemented,
-    clippy::indexing_slicing,
-    clippy::arithmetic_side_effects
-)]
-
 /// Specification of one queue class.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ClassSpec {

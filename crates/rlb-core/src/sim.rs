@@ -11,17 +11,6 @@
 //! 4. optional periodic flush (voluntary rejection, the §3 reset);
 //! 5. metrics sampling (backlog snapshot + Definition 3.2 safety check).
 
-#![deny(
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::panic,
-    clippy::unreachable,
-    clippy::todo,
-    clippy::unimplemented,
-    clippy::indexing_slicing,
-    clippy::arithmetic_side_effects
-)]
-
 use crate::config::{DrainMode, SimConfig};
 use crate::outage::OutageSchedule;
 use crate::policy::{Decision, Policy, RejectReason, RouteCtx, StepOps};
@@ -48,8 +37,10 @@ const PREFETCH_BLOCK: usize = 32;
 /// built one group at a time cost"; then with a replica table beside
 /// the control entries, 0.75 and 12 MiB): 256 KiB of control entries
 /// (m = 16 384), where the pass costs `engine-dcr` 9–11 % and is worth
-/// 2–3 % to `engine-dense`, and 4 MiB (m = 262 144), where it pays
-/// `engine-sparse` 8–14 %. Where between 1 and 4 MiB the pass starts
+/// 2–3 % to `engine-dense`, and 4 MiB (m = 262 144), where it paid
+/// `engine-sparse` 8–14 % beside the replica table and pays 2–4 % on
+/// the control entries alone (ARCHITECTURE.md "What the warm pass pays
+/// without a replica table"). Where between 1 and 4 MiB the pass starts
 /// to pay is unmeasured until the benchmark has a row there (ROADMAP
 /// 1(iii)).
 const ROUTE_CACHE_BYTES: usize = 2 << 20;

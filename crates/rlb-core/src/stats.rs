@@ -5,17 +5,6 @@
 //! (Definition 2.1), average/maximum latency (Definition 2.2), backlog
 //! statistics, and safe-distribution compliance (Definition 3.2).
 
-#![deny(
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::panic,
-    clippy::unreachable,
-    clippy::todo,
-    clippy::unimplemented,
-    clippy::indexing_slicing,
-    clippy::arithmetic_side_effects
-)]
-
 use crate::policy::RejectReason;
 use rlb_metrics::{BacklogSnapshot, Histogram, KahanSum, RunningMean, TimeSeries};
 

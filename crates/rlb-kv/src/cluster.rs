@@ -7,17 +7,6 @@
 //! serves every key inside the chunk — this is also how the model's
 //! distinct-chunks-per-step constraint manifests in a real store).
 
-#![deny(
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::panic,
-    clippy::unreachable,
-    clippy::todo,
-    clippy::unimplemented,
-    clippy::indexing_slicing,
-    clippy::arithmetic_side_effects
-)]
-
 use crate::directory::ChunkDirectory;
 use rlb_core::{
     Decision, NoopSink, Observer, Policy, RunReport, SimConfig, Simulation, TraceEvent, TraceSink,

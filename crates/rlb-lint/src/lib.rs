@@ -8,12 +8,13 @@
 //! the root `clippy.toml` disallows the types and methods. **No panic
 //! or silent wrap on the request path**: the engine, its policies, the
 //! daemon and the load client `#![deny]` clippy's panic lints,
-//! `indexing_slicing` and `arithmetic_side_effects` file by file, and a
-//! site that cannot fail carries an `#[expect(.., reason = "…")]` on
-//! the narrowest statement or item clippy lets it reach. The tracing
-//! hot path is zero-overhead when disabled by construction, not by a
-//! rule: `rlb-core`'s `TraceSink::emit` builds an event only for an
-//! enabled sink, and CI checks that every emission goes through it.
+//! `indexing_slicing` and `arithmetic_side_effects` once per crate
+//! root, and a site that cannot fail carries an
+//! `#[expect(.., reason = "…")]` on the narrowest statement or item
+//! clippy lets it reach. The tracing hot path is zero-overhead when
+//! disabled by construction, not by a rule: `rlb-core`'s
+//! `TraceSink::emit` builds an event only for an enabled sink, and
+//! `clippy.toml` disallows calling `TraceSink::on_event` anywhere else.
 //!
 //! Every file is tokenized ([`token`]) and item-parsed ([`items`])
 //! once into a [`items::ParsedFile`], which owns the comment-free code

@@ -20,17 +20,6 @@
 //! apart from the op choice and the arrivals, so the frames are the
 //! ones a key drawn per request gave (`on_tick_frames_are_pinned`).
 
-#![deny(
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::panic,
-    clippy::unreachable,
-    clippy::todo,
-    clippy::unimplemented,
-    clippy::indexing_slicing,
-    clippy::arithmetic_side_effects
-)]
-
 use std::collections::VecDeque;
 
 use rlb_metrics::Histogram;

@@ -158,7 +158,9 @@ impl KeyPicker {
                     gen.next_step(tick, current);
                     *at = Some(tick);
                 }
-                u64::from(current[self.rng.gen_index(current.len())])
+                #[expect(clippy::indexing_slicing, reason = "gen_index(len) < len, len >= 1")]
+                let key = current[self.rng.gen_index(current.len())];
+                u64::from(key)
             }
         }
     }

@@ -129,6 +129,7 @@ fn run_live_client(cfg: ClientConfig, spec: &LiveSpec) -> LiveClientResult {
         // closed loop refills its window on every pass.
         let mut frames = Vec::new();
         if open_loop {
+            #[expect(clippy::arithmetic_side_effects, reason = "micros fit a u64")]
             while next_tick_at <= now {
                 client.on_tick(clock.decimicros(), &mut frames);
                 next_tick_at += spec.tick_micros.max(1);
@@ -183,6 +184,7 @@ fn run_live_client(cfg: ClientConfig, spec: &LiveSpec) -> LiveClientResult {
                 deadline
             };
             let left = until.saturating_sub(clock.micros());
+            #[expect(clippy::arithmetic_side_effects, reason = "left % 1_000 <= left")]
             let wait = if open_loop { left - left % 1_000 } else { left };
             if wait == 0 {
                 std::thread::sleep(SUB_MS_NAP.min(Duration::from_micros(left)));

@@ -38,10 +38,10 @@ impl LoadReport {
             high_water: Vec::new(),
         };
         for c in clients {
-            rep.sent += c.sent();
-            rep.replies += c.replies;
+            rep.sent = rep.sent.saturating_add(c.sent());
+            rep.replies = rep.replies.saturating_add(c.replies);
             for (slot, n) in rep.rejects_by_cause.iter_mut().zip(c.rejects_by_cause) {
-                *slot += n;
+                *slot = slot.saturating_add(n);
             }
             rep.latency.merge(&c.latency);
             rep.high_water.push(c.high_water());
@@ -56,7 +56,7 @@ impl LoadReport {
 
     /// Fraction of responses that were rejects.
     pub fn rejection_rate(&self) -> f64 {
-        let total = self.replies + self.rejects();
+        let total = self.replies.saturating_add(self.rejects());
         if total == 0 {
             0.0
         } else {

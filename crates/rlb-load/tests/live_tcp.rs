@@ -24,7 +24,7 @@
 //! generator's open loop waits the same way and still sends each tick's
 //! arrivals when the tick falls due.
 
-#![allow(
+#![expect(
     clippy::disallowed_methods,
     reason = "a live run needs real sockets, a server thread and wall-clock deadlines"
 )]

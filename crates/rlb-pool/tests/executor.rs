@@ -8,7 +8,7 @@
 //! worker counts far above the job count and far above this machine's
 //! core count.
 
-#![allow(
+#![expect(
     clippy::disallowed_methods,
     reason = "the executor's tests bound their waits with wall-clock deadlines"
 )]

@@ -50,17 +50,6 @@
 //! by [`ServerCore::reject`], which is what makes the per-tenant,
 //! per-cause counts complete.
 
-#![deny(
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::panic,
-    clippy::unreachable,
-    clippy::todo,
-    clippy::unimplemented,
-    clippy::indexing_slicing,
-    clippy::arithmetic_side_effects
-)]
-
 use std::collections::{BTreeMap, VecDeque};
 
 use rlb_core::{Decision, Policy, SimConfig};
@@ -462,6 +451,7 @@ pub fn key_to_u64(tenant: u16, key: &[u8]) -> u64 {
 
 #[cfg(test)]
 #[allow(clippy::arithmetic_side_effects)]
+#[expect(clippy::disallowed_methods, reason = "tests drive the core directly")]
 mod tests {
     use super::*;
     use rlb_core::policies::Greedy;

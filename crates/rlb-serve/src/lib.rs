@@ -25,6 +25,16 @@
 //! call inside `wait_ready`, whose `SAFETY:` comment says why it holds.
 
 #![deny(unsafe_code)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::arithmetic_side_effects
+)]
 
 pub mod core;
 mod gate;

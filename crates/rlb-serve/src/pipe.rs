@@ -17,17 +17,6 @@
 //! back, and a take leaves an empty lane behind. There is no lock to
 //! take or poison, and a [`PipeEnd`] is not `Send`.
 
-#![deny(
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::panic,
-    clippy::unreachable,
-    clippy::todo,
-    clippy::unimplemented,
-    clippy::indexing_slicing,
-    clippy::arithmetic_side_effects
-)]
-
 use std::cell::Cell;
 use std::io::{ErrorKind, Read, Write};
 use std::rc::Rc;

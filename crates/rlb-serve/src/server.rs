@@ -49,17 +49,6 @@
 //! connect is refused), then drain every admitted request to a reply
 //! or reject, then flush, then return.
 
-#![deny(
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::panic,
-    clippy::unreachable,
-    clippy::todo,
-    clippy::unimplemented,
-    clippy::indexing_slicing,
-    clippy::arithmetic_side_effects
-)]
-
 use std::collections::BTreeMap;
 use std::io::{ErrorKind, Read, Write};
 use std::net::TcpListener;
@@ -223,6 +212,7 @@ pub fn serve<P: Policy>(
 ///    session that has gone is dropped (the core has counted it).
 /// 3. Flush every session that owes bytes or whose input ended, and
 ///    retire the ones that are over.
+#[expect(clippy::disallowed_methods, reason = "this is the one server loop")]
 pub fn pass<S: Read + Write, P: Policy>(
     sessions: &mut BTreeMap<SessionId, Session<S>>,
     core: &mut ServerCore<P>,
