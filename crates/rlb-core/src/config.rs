@@ -96,6 +96,15 @@ impl SimConfig {
         }
     }
 
+    /// Sub-steps per time step: `g` under [`DrainMode::Interleaved`],
+    /// one under [`DrainMode::EndOfStep`].
+    pub(crate) fn substeps(&self) -> usize {
+        match self.drain_mode {
+            DrainMode::EndOfStep => 1,
+            DrainMode::Interleaved => self.process_rate.max(1) as usize,
+        }
+    }
+
     /// Sets the seed (builder style).
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;

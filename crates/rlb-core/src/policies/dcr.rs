@@ -36,7 +36,7 @@ use crate::config::SimConfig;
 use crate::policy::{Decision, Policy, RejectReason, RouteCtx, StepOps};
 use crate::queue::ClassSpec;
 use crate::view::ClusterView;
-use rlb_cuckoo::{Choices, TableBuilder, TripartiteAssigner};
+use rlb_cuckoo::{Choices, TableBuilder};
 
 /// Queue class indices.
 const Q: u8 = 0;
@@ -46,31 +46,6 @@ const P_PREV: usize = 3;
 
 /// Sentinel for "never accessed".
 const NEVER: u64 = u64::MAX;
-
-/// Tunable parameters of delayed cuckoo routing.
-#[derive(Debug, Clone, Copy)]
-pub struct DcrParams {
-    /// Steps per phase (`Θ(log log m)`).
-    pub phase_length: u64,
-    /// Stash bound per cuckoo group before a table is declared failed.
-    pub max_stash_per_group: usize,
-}
-
-impl DcrParams {
-    /// Defaults scaled for `m` servers: phase length
-    /// `2·⌈log2 log2 m⌉` (min 2) and stash bound 4.
-    #[expect(
-        clippy::arithmetic_side_effects,
-        reason = "loglog <= 6 for any usize m"
-    )]
-    pub fn for_servers(m: usize) -> Self {
-        let loglog = (m.max(4) as f64).log2().log2().ceil().max(1.0) as u64;
-        Self {
-            phase_length: (2 * loglog).max(2),
-            max_stash_per_group: 4,
-        }
-    }
-}
 
 /// What is kept of `T_t` beside its `plan` entries.
 #[derive(Debug, Clone, Copy)]
@@ -103,7 +78,8 @@ pub struct DcrDiagnostics {
 /// The delayed cuckoo routing policy.
 #[derive(Debug, Clone)]
 pub struct DelayedCuckoo {
-    params: DcrParams,
+    /// Steps per phase (`Θ(log log m)`).
+    phase_length: u64,
     /// Last step each chunk was requested (`NEVER` if none).
     last_access: Vec<u64>,
     /// `plan[chunk] = T_{last_access[chunk]}(chunk)`. Entries of earlier
@@ -125,24 +101,31 @@ pub struct DelayedCuckoo {
 }
 
 impl DelayedCuckoo {
-    /// Creates the policy for the given config, deriving phase length
-    /// from `config.num_servers`.
+    /// Creates the policy for the given config, with
+    /// [`default_phase_length`](Self::default_phase_length) of
+    /// `config.num_servers`.
     pub fn new(config: &SimConfig) -> Self {
-        Self::with_params(config, DcrParams::for_servers(config.num_servers))
+        Self::with_phase_length(config, Self::default_phase_length(config.num_servers))
     }
 
-    /// Creates the policy with explicit parameters.
+    /// The phase length for `m` servers: `2·⌈log2 log2 m⌉` (min 2).
+    pub fn default_phase_length(m: usize) -> u64 {
+        let loglog = (m.max(4) as f64).log2().log2().ceil().max(1.0) as u64;
+        loglog.saturating_mul(2).max(2)
+    }
+
+    /// Creates the policy with an explicit phase length.
     ///
     /// # Panics
     /// Panics if the phase length is zero or replication is not 2.
-    pub fn with_params(config: &SimConfig, params: DcrParams) -> Self {
-        assert!(params.phase_length > 0, "phase length must be positive");
+    pub fn with_phase_length(config: &SimConfig, phase_length: u64) -> Self {
+        assert!(phase_length > 0, "phase length must be positive");
         assert_eq!(
             config.replication, 2,
             "delayed cuckoo routing requires d = 2"
         );
         Self {
-            params,
+            phase_length,
             last_access: vec![NEVER; config.num_chunks],
             plan: vec![0; config.num_chunks],
             slots: vec![
@@ -150,7 +133,7 @@ impl DelayedCuckoo {
                     failed: false,
                     step: NEVER,
                 };
-                params.phase_length as usize
+                phase_length as usize
             ],
             step_choices: Vec::with_capacity(config.num_servers),
             builder: TableBuilder::new(),
@@ -175,23 +158,19 @@ impl DelayedCuckoo {
         self.diagnostics
     }
 
-    /// The parameters in effect.
-    pub fn params(&self) -> DcrParams {
-        self.params
+    /// Steps per phase.
+    pub fn phase_length(&self) -> u64 {
+        self.phase_length
     }
 
     /// Two-choice greedy on the Q queues (first access in a phase, or
     /// the fallback when a repeat's preplanned server is down).
-    #[expect(
-        clippy::arithmetic_side_effects,
-        reason = "u64 diagnostic counters never wrap"
-    )]
     fn route_first_access(&mut self, h1: u32, h2: u32, view: &ClusterView<'_>) -> Decision {
         let avail1 = view.is_available(h1, Q as usize);
         let avail2 = view.is_available(h2, Q as usize);
         let server = match (avail1, avail2) {
             (false, false) => {
-                self.diagnostics.q_rejects += 1;
+                self.diagnostics.q_rejects = self.diagnostics.q_rejects.saturating_add(1);
                 return Decision::Reject(RejectReason::Policy);
             }
             (true, false) => h1,
@@ -204,7 +183,7 @@ impl DelayedCuckoo {
                 }
             }
         };
-        self.diagnostics.q_routed += 1;
+        self.diagnostics.q_routed = self.diagnostics.q_routed.saturating_add(1);
         Decision::Route { server, class: Q }
     }
 }
@@ -224,12 +203,12 @@ impl Policy for DelayedCuckoo {
         vec![spec; 4]
     }
 
-    #[expect(
-        clippy::arithmetic_side_effects,
-        reason = "phase_length > 0 (asserted at build); step % p <= step; u64 counters"
-    )]
     fn on_step_begin(&mut self, step: u64, ops: &mut dyn StepOps) {
-        let phase_start = step - step % self.params.phase_length;
+        #[expect(
+            clippy::arithmetic_side_effects,
+            reason = "phase_length > 0 (asserted at build); step % p <= step"
+        )]
+        let phase_start = step - step % self.phase_length;
         if phase_start != self.phase_start || !self.started {
             if self.started {
                 // Phase boundary: carry residuals to the primed queues.
@@ -239,16 +218,11 @@ impl Policy for DelayedCuckoo {
                 ops.migrate_class(P as usize, P_PREV);
             }
             self.phase_start = phase_start;
-            self.diagnostics.phases += 1;
+            self.diagnostics.phases = self.diagnostics.phases.saturating_add(1);
             self.started = true;
         }
     }
 
-    #[expect(
-        clippy::indexing_slicing,
-        clippy::arithmetic_side_effects,
-        reason = "chunk < num_chunks = last_access.len(); u64 diagnostic counters never wrap"
-    )]
     fn route(&mut self, ctx: RouteCtx<'_>, view: &ClusterView<'_>) -> Decision {
         debug_assert_eq!(ctx.replicas.len(), 2, "DCR requires d = 2");
         #[expect(clippy::indexing_slicing, reason = "d = 2, asserted at build")]
@@ -256,14 +230,17 @@ impl Policy for DelayedCuckoo {
         let chunk = ctx.chunk as usize;
         self.step_choices.push(Choices::new(h1, h2));
 
-        let prev = self.last_access[chunk];
-        self.last_access[chunk] = ctx.step;
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "chunk < num_chunks = last_access.len()"
+        )]
+        let prev = std::mem::replace(&mut self.last_access[chunk], ctx.step);
 
         // A repeat is a chunk whose last access lies in the current
         // phase; `NEVER` and earlier phases wrap far past the phase
         // length.
         let offset = prev.wrapping_sub(self.phase_start);
-        if offset >= self.params.phase_length {
+        if offset >= self.phase_length {
             return self.route_first_access(h1, h2, view);
         }
         // Route by the table built after the previous access.
@@ -274,7 +251,8 @@ impl Policy for DelayedCuckoo {
         let slot = self.slots[offset as usize];
         debug_assert_eq!(slot.step, prev, "table slot mismatch for repeat access");
         if slot.failed {
-            self.diagnostics.table_failure_rejects += 1;
+            self.diagnostics.table_failure_rejects =
+                self.diagnostics.table_failure_rejects.saturating_add(1);
             return Decision::Reject(RejectReason::TableFailed);
         }
         #[expect(clippy::indexing_slicing, reason = "chunk < num_chunks = plan.len()")]
@@ -285,16 +263,10 @@ impl Policy for DelayedCuckoo {
             // survives).
             return self.route_first_access(h1, h2, view);
         }
-        self.diagnostics.p_routed += 1;
+        self.diagnostics.p_routed = self.diagnostics.p_routed.saturating_add(1);
         Decision::Route { server, class: P }
     }
 
-    #[expect(
-        clippy::indexing_slicing,
-        clippy::arithmetic_side_effects,
-        reason = "chunk < num_chunks = plan.len(); step - phase_start < phase_length = slots.len(); \
-                  u64 counters"
-    )]
     fn on_step_end(&mut self, step: u64, chunks: &[u32], _view: &ClusterView<'_>) {
         // Build T_step over the chunks requested this step.
         assert_eq!(
@@ -302,22 +274,25 @@ impl Policy for DelayedCuckoo {
             self.step_choices.len(),
             "on_step_end must receive the chunks routed this step"
         );
-        let status = self.builder.build_table(
-            self.num_servers,
-            &self.step_choices,
-            TripartiteAssigner {
-                max_stash_per_group: self.params.max_stash_per_group,
-            },
-            &mut self.server_of,
-        );
-        self.diagnostics.tables_built += 1;
+        let status =
+            self.builder
+                .build_table(self.num_servers, &self.step_choices, &mut self.server_of);
+        let diag = &mut self.diagnostics;
+        diag.tables_built = diag.tables_built.saturating_add(1);
         if status.failed {
-            self.diagnostics.tables_failed += 1;
+            diag.tables_failed = diag.tables_failed.saturating_add(1);
         }
+        #[expect(clippy::indexing_slicing, reason = "chunk < num_chunks = plan.len()")]
         for (&chunk, &server) in chunks.iter().zip(&self.server_of) {
             self.plan[chunk as usize] = server;
         }
-        self.slots[(step - self.phase_start) as usize] = StepSlot {
+        #[expect(
+            clippy::indexing_slicing,
+            clippy::arithmetic_side_effects,
+            reason = "phase_start <= step < phase_start + phase_length = phase_start + slots.len()"
+        )]
+        let slot = &mut self.slots[(step - self.phase_start) as usize];
+        *slot = StepSlot {
             failed: status.failed,
             step,
         };
@@ -387,13 +362,7 @@ mod tests {
     #[test]
     fn phase_bookkeeping_counts_phases() {
         let cfg = dcr_config(64);
-        let policy = DelayedCuckoo::with_params(
-            &cfg,
-            DcrParams {
-                phase_length: 5,
-                max_stash_per_group: 4,
-            },
-        );
+        let policy = DelayedCuckoo::with_phase_length(&cfg, 5);
         let mut sim = Simulation::new(cfg, policy);
         sim.run(&mut repeated_workload(32), 23);
         // Steps 0..23 with phase length 5 -> phases 0..4 => 5 phases.
@@ -425,7 +394,7 @@ mod tests {
         // sized during step 0 and only reused afterwards.
         let cfg = dcr_config(256);
         let policy = DelayedCuckoo::new(&cfg);
-        let phase_length = policy.params().phase_length;
+        let phase_length = policy.phase_length();
         let mut sim = Simulation::new(cfg, policy);
         let footprint = |p: &DelayedCuckoo| {
             (

@@ -20,7 +20,7 @@ mod round_robin;
 mod shedding;
 mod uniform_random;
 
-pub use dcr::{DcrDiagnostics, DcrParams, DelayedCuckoo};
+pub use dcr::{DcrDiagnostics, DelayedCuckoo};
 pub use greedy::Greedy;
 pub use isolated::TimeStepIsolated;
 pub use one_choice::OneChoice;

@@ -11,7 +11,7 @@
 //! 4. optional periodic flush (voluntary rejection, the §3 reset);
 //! 5. metrics sampling (backlog snapshot + Definition 3.2 safety check).
 
-use crate::config::{DrainMode, SimConfig};
+use crate::config::SimConfig;
 use crate::outage::OutageSchedule;
 use crate::policy::{Decision, Policy, RejectReason, RouteCtx, StepOps};
 use crate::queue::QueueArray;
@@ -337,7 +337,6 @@ impl<P: Policy, S: TraceSink> Simulation<P, S> {
 }
 
 impl<P: Policy> Engine<P> {
-    #[expect(clippy::arithmetic_side_effects, reason = "a u64 step never wraps")]
     fn execute_step<S: TraceSink, W: Workload + ?Sized, O: Observer + ?Sized>(
         &mut self,
         sink: &mut S,
@@ -345,6 +344,8 @@ impl<P: Policy> Engine<P> {
         observer: &mut O,
     ) {
         let step = self.step;
+        #[expect(clippy::arithmetic_side_effects, reason = "a u64 step never wraps")]
+        let next_step = step + 1;
         self.chunk_scratch.clear();
         workload.next_step(step, &mut self.chunk_scratch);
         // With no scheduled outages every server stays live, as built;
@@ -386,39 +387,30 @@ impl<P: Policy> Engine<P> {
             },
         );
 
+        // Arrivals split evenly over the sub-steps; each class drains a
+        // proportional share per sub-step (exactly its full rate over
+        // the whole step). End-of-step is one sub-step: every arrival,
+        // then the single drain as sub-step 0 of 1. (Passing index 1
+        // there would yield the same quota only because the cumulative
+        // split is exact for one sub-step; see the
+        // `end_of_step_drains_exactly_rate_per_server` test.)
         let n = self.chunk_scratch.len();
-        match self.config.drain_mode {
-            DrainMode::EndOfStep => {
-                self.route_range(sink, 0, n, step, observer);
-                // The single drain is sub-step 0 of 1. (Passing index 1
-                // here happens to yield the same quota only because the
-                // cumulative split is exact for one sub-step; see the
-                // `end_of_step_drains_exactly_rate_per_server` test.)
-                self.drain(sink, 0, 1, step);
-            }
-            DrainMode::Interleaved => {
-                // g sub-steps; arrivals split evenly; each class drains a
-                // proportional share per sub-step (exactly its full rate
-                // over the whole step).
-                let substeps = self.config.process_rate.max(1) as usize;
-                #[expect(
-                    clippy::arithmetic_side_effects,
-                    reason = "substeps >= 1 asserted by Config::validate; n small"
-                )]
-                for s in 0..substeps {
-                    let lo = n * s / substeps;
-                    let hi = n * (s + 1) / substeps;
-                    self.route_range(sink, lo, hi, step, observer);
-                    self.drain(sink, s as u32, substeps as u32, step);
-                }
-            }
+        let substeps = self.config.substeps();
+        #[expect(
+            clippy::arithmetic_side_effects,
+            reason = "substeps >= 1 by SimConfig::substeps; n small"
+        )]
+        for s in 0..substeps {
+            let (lo, hi) = (n * s / substeps, n * (s + 1) / substeps);
+            self.route_range(sink, lo, hi, step, observer);
+            self.drain(sink, s as u32, substeps as u32, step);
         }
 
         let view = ClusterView::new(&self.queues);
         self.policy.on_step_end(step, &self.chunk_scratch, &view);
 
         if let Some(f) = self.config.flush_interval {
-            if (step + 1).is_multiple_of(f) {
+            if next_step.is_multiple_of(f) {
                 let stats = &mut self.stats;
                 let dropped = self.queues.flush_all(|_| {
                     stats.record_reject(RejectReason::Flush);
@@ -441,7 +433,7 @@ impl<P: Policy> Engine<P> {
         observer.on_step_end(step, &view);
         #[cfg(feature = "sanitize")]
         self.sanitize_step(step);
-        self.step += 1;
+        self.step = next_step;
     }
 
     /// Routes the requests at `chunk_scratch[lo..hi]`, in arrival order.
@@ -462,10 +454,6 @@ impl<P: Policy> Engine<P> {
     /// over `&QueueArray` (which owns liveness), so "rebuilding" it is a
     /// register move, not a scan. The engine-equivalence goldens pin the
     /// resulting routing sequence.
-    #[expect(
-        clippy::arithmetic_side_effects,
-        reason = "hi >= lo by the substep partition"
-    )]
     fn route_range<S: TraceSink, O: Observer + ?Sized>(
         &mut self,
         sink: &mut S,
@@ -477,7 +465,12 @@ impl<P: Policy> Engine<P> {
         // Detach the scratch list so a slice over it can coexist with
         // queue mutations; reattached (untouched) at the end.
         let chunks = std::mem::take(&mut self.chunk_scratch);
-        self.stats.arrived += (hi - lo) as u64;
+        #[expect(
+            clippy::arithmetic_side_effects,
+            reason = "hi >= lo by the substep partition"
+        )]
+        let arrivals = (hi - lo) as u64;
+        self.stats.arrived = self.stats.arrived.saturating_add(arrivals);
 
         // When the routed rows outgrow the cache (`warm_blocks`), each
         // candidate's class-0 control entry sits on a random cold cache
@@ -595,11 +588,6 @@ impl<P: Policy> Engine<P> {
     /// reports byte-identical to recording one completion at a time.
     /// Outside this call every `lat_counts` entry is zero and
     /// `lat_touched` is empty.
-    #[expect(
-        clippy::indexing_slicing,
-        clippy::arithmetic_side_effects,
-        reason = "lat < lat_counts.len(): histogram sized to max latency; a sweep's tally fits a u64"
-    )]
     fn drain<S: TraceSink>(&mut self, sink: &mut S, s: u32, substeps: u32, step: u64) {
         for (class, spec) in self.classes.iter().enumerate() {
             let rate = spec.drain_per_step;
@@ -632,10 +620,14 @@ impl<P: Policy> Engine<P> {
                 if lat >= self.lat_counts.len() {
                     self.lat_counts.resize(lat + 1, 0);
                 }
-                if self.lat_counts[lat] == 0 {
-                    self.lat_touched.push(lat as u64);
+                // The resize above holds `lat`, so `get_mut` always
+                // finds it; a sweep's tally fits a u64.
+                if let Some(count) = self.lat_counts.get_mut(lat) {
+                    if *count == 0 {
+                        self.lat_touched.push(lat as u64);
+                    }
+                    *count = count.saturating_add(1);
                 }
-                self.lat_counts[lat] += 1;
                 if S::ENABLED {
                     if server != draining {
                         emit_drain(sink, step, draining, class, &mut self.drain_scratch);
@@ -660,17 +652,21 @@ impl<P: Policy> Engine<P> {
     /// scratch after the step just executed and panics on any drift.
     /// Compiled out entirely without the feature.
     #[cfg(feature = "sanitize")]
-    #[expect(
-        clippy::panic,
-        reason = "aborting on invariant drift is this feature's purpose"
-    )]
     fn sanitize_step(&self, step: u64) {
+        #[expect(
+            clippy::panic,
+            reason = "aborting on invariant drift is this feature's purpose"
+        )]
         if let Err(e) = self.queues.sanitize_check() {
             panic!("sanitize failed after step {step}: {e}"); // deliberate fail-fast: sanitize violations must abort.
         }
         // The queue array's liveness (what the routing sentinel, the
         // accept path and the sweep all read) must be what the outage
         // schedule says for this step; with no schedule, all live.
+        #[expect(
+            clippy::panic,
+            reason = "aborting on invariant drift is this feature's purpose"
+        )]
         for server in 0..self.config.num_servers as u32 {
             if self.queues.is_live(server) != self.outages.is_up(server, step) {
                 panic!(
@@ -707,6 +703,7 @@ fn emit_drain<S: TraceSink>(
 #[allow(clippy::arithmetic_side_effects)]
 mod tests {
     use super::*;
+    use crate::config::DrainMode;
     use crate::policies::{DelayedCuckoo, Greedy};
 
     fn small_config() -> SimConfig {
@@ -934,10 +931,7 @@ mod tests {
             "{case}: attaching a sink perturbed the run"
         );
 
-        let substeps = match cfg.drain_mode {
-            DrainMode::EndOfStep => 1,
-            DrainMode::Interleaved => cfg.process_rate.max(1),
-        };
+        let substeps = cfg.substeps() as u32;
         let mut enqueues = 0u64;
         let mut routes = 0u64;
         let mut rejects = 0u64;
@@ -1043,7 +1037,7 @@ mod tests {
         // Delayed cuckoo routing over three phases: four classes, with
         // the carry-over classes filled by `migrate_class` at the rolls.
         let cfg = SimConfig::dcr_theorem(64, 4, 2).with_seed(9);
-        let phase = DelayedCuckoo::new(&cfg).params().phase_length;
+        let phase = DelayedCuckoo::new(&cfg).phase_length();
         let (report, events) = check_traced(
             "dcr",
             &cfg,

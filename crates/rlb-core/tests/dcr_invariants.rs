@@ -1,11 +1,11 @@
 //! Property tests of delayed cuckoo routing's structural invariants,
 //! swept over deterministic PCG-generated cases.
 
-use rlb_core::policies::{DcrParams, DelayedCuckoo};
+use rlb_core::policies::DelayedCuckoo;
 use rlb_core::{
     Decision, DrainMode, Observer, OutageSchedule, RejectReason, SimConfig, Simulation,
 };
-use rlb_cuckoo::{Choices, RoutingTable, TripartiteAssigner};
+use rlb_cuckoo::{Choices, RoutingTable};
 use rlb_hash::{sample, Pcg64, ReplicaPlacement, Rng};
 
 /// Records arrivals to class P per (server, step).
@@ -59,13 +59,7 @@ fn p_arrivals_per_phase_are_bounded() {
             seed,
             safety_check_every: None,
         };
-        let policy = DelayedCuckoo::with_params(
-            &config,
-            DcrParams {
-                phase_length,
-                max_stash_per_group: 4,
-            },
-        );
+        let policy = DelayedCuckoo::with_phase_length(&config, phase_length);
         let mut sim = Simulation::new(config, policy);
         // Workload: a sticky core (repeat_frac of m) plus fresh filler —
         // chunks distinct within each step by construction.
@@ -127,13 +121,7 @@ fn dcr_is_deterministic() {
                 seed,
                 safety_check_every: None,
             };
-            let policy = DelayedCuckoo::with_params(
-                &config,
-                DcrParams {
-                    phase_length,
-                    max_stash_per_group: 4,
-                },
-            );
+            let policy = DelayedCuckoo::with_phase_length(&config, phase_length);
             let mut sim = Simulation::new(config, policy);
             let mut workload = |_s: u64, out: &mut Vec<u32>| out.extend(0..64u32);
             sim.run(&mut workload, 30);
@@ -188,16 +176,6 @@ fn plan_config(m: usize, num_chunks: usize) -> SimConfig {
     }
 }
 
-fn plan_policy(config: &SimConfig, phase_length: u64) -> DelayedCuckoo {
-    DelayedCuckoo::with_params(
-        config,
-        DcrParams {
-            phase_length,
-            max_stash_per_group: 4,
-        },
-    )
-}
-
 /// The reference `T_t`: Lemma 4.2 over one step's request list, in
 /// arrival order, built by the cold path.
 fn reference_table(placement: &ReplicaPlacement, m: usize, chunks: &[u32]) -> RoutingTable {
@@ -208,7 +186,7 @@ fn reference_table(placement: &ReplicaPlacement, m: usize, chunks: &[u32]) -> Ro
             Choices::new(r[0], r[1])
         })
         .collect();
-    RoutingTable::build(m, &items, TripartiteAssigner::default())
+    RoutingTable::build(m, &items)
 }
 
 /// The first `count` chunk ids, ascending, that `keep` accepts by
@@ -231,7 +209,7 @@ fn on_pair(row: &[u32], a: u32, b: u32) -> bool {
 fn plan_entry_from_an_earlier_phase_is_not_consulted() {
     let m = 64;
     let config = plan_config(m, 4 * m);
-    let policy = plan_policy(&config, 4);
+    let policy = DelayedCuckoo::with_phase_length(&config, 4);
     let mut sim = Simulation::new(config, policy);
     // Chunks 0..32 at steps 2, 3 (phase 0) and 4, 5 (phase 1).
     let mut workload = |step: u64, out: &mut Vec<u32>| {
@@ -264,7 +242,7 @@ fn repeat_is_routed_by_the_table_of_its_latest_access() {
     let m = 256;
     let k = 192u32;
     let config = plan_config(m, 4 * m);
-    let policy = plan_policy(&config, 6);
+    let policy = DelayedCuckoo::with_phase_length(&config, 6);
     let mut sim = Simulation::new(config, policy);
     let placement = *sim.placement();
     // Step 0: 0..k. Step 1: k/2..3k/2, reversed so that positions (and
@@ -320,7 +298,7 @@ fn concentrated_chunks(placement: &ReplicaPlacement) -> (Vec<u32>, Vec<u32>) {
 #[test]
 fn failed_table_rejects_only_the_repeats_that_consult_it() {
     let config = plan_config(16, 1 << 16);
-    let policy = plan_policy(&config, 4);
+    let policy = DelayedCuckoo::with_phase_length(&config, 4);
     let mut sim = Simulation::new(config, policy);
     let (pair, spread) = concentrated_chunks(sim.placement());
     let mut workload = |step: u64, out: &mut Vec<u32>| match step {
@@ -357,7 +335,7 @@ fn failed_table_rejects_only_the_repeats_that_consult_it() {
 fn planned_server_down_falls_back_to_q() {
     let m = 64;
     let config = plan_config(m, 4 * m);
-    let policy = plan_policy(&config, 4);
+    let policy = DelayedCuckoo::with_phase_length(&config, 4);
     let sim = Simulation::new(config, policy);
     let placement = *sim.placement();
     let chunks: Vec<u32> = (0..48).collect();
@@ -404,7 +382,7 @@ fn planned_server_down_falls_back_to_q() {
 fn diagnostics_match_the_per_step_table_implementation() {
     let m = 96;
     let config = plan_config(m, 1 << 18);
-    let policy = plan_policy(&config, 5);
+    let policy = DelayedCuckoo::with_phase_length(&config, 5);
     let mut sim = Simulation::new(config, policy);
     // 24 chunks on servers {3, 4}, then the lowest other ids: a sticky
     // core of 40 and a filler pool of 4m - 64.

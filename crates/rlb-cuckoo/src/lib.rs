@@ -37,7 +37,7 @@ pub mod offline;
 pub(crate) mod tripartite;
 
 pub use offline::TableBuilder;
-pub use tripartite::{RoutingTable, TableStatus, TripartiteAssigner};
+pub use tripartite::{RoutingTable, TableStatus};
 
 /// An item to be placed: two candidate positions (the item's hashes).
 ///

@@ -10,30 +10,18 @@
 //! [`crate::offline`].) Each server then holds at most 3 placed items,
 //! plus the (O(1) whp) stashed items, which are assigned arbitrarily — we
 //! send a stashed item to its first hash. The **failure event** of
-//! Lemma 4.2 is any group needing a stash larger than the configured
-//! bound; delayed cuckoo routing rejects repeat requests whose table
-//! failed.
+//! Lemma 4.2 is any group needing a stash larger than
+//! `MAX_STASH_PER_GROUP`; delayed cuckoo routing rejects repeat
+//! requests whose table failed.
 
 use crate::offline::{TableBuilder, STASHED};
 use crate::Choices;
 use std::cell::Cell;
 
-/// Configuration for the tripartite assigner.
-#[derive(Debug, Clone, Copy)]
-pub struct TripartiteAssigner {
-    /// Maximum allowed stash size per group before the assignment is
-    /// declared failed (Theorem 4.1's constant `s`).
-    pub max_stash_per_group: usize,
-}
-
-impl Default for TripartiteAssigner {
-    fn default() -> Self {
-        // s = 4 gives failure probability O(1/m^{s+1}) per Kirsch et al.
-        Self {
-            max_stash_per_group: 4,
-        }
-    }
-}
+/// Theorem 4.1's constant `s`: a group that needs a larger stash fails
+/// the table. `s = 4` gives failure probability `O(1/m^{s+1})` per
+/// Kirsch et al.
+const MAX_STASH_PER_GROUP: usize = 4;
 
 /// The routing table `T_t` produced for one time step's request set.
 #[derive(Debug, Clone)]
@@ -57,7 +45,7 @@ impl RoutingTable {
     /// candidate servers of request `i`; `num_servers` is `m`.
     ///
     /// ```
-    /// use rlb_cuckoo::{Choices, RoutingTable, TripartiteAssigner};
+    /// use rlb_cuckoo::{Choices, RoutingTable};
     /// use rlb_hash::{Pcg64, Rng};
     ///
     /// let m = 500;
@@ -65,16 +53,16 @@ impl RoutingTable {
     /// let items: Vec<Choices> = (0..m)
     ///     .map(|_| Choices::new(rng.gen_index(m) as u32, rng.gen_index(m) as u32))
     ///     .collect();
-    /// let t = RoutingTable::build(m, &items, TripartiteAssigner::default());
+    /// let t = RoutingTable::build(m, &items);
     /// assert!(!t.failed());
     /// assert!(t.max_per_server() <= 4); // Lemma 4.2: O(1) per server
     /// ```
     ///
     /// # Panics
     /// Panics if `num_servers == 0` or any choice is out of range.
-    pub fn build(num_servers: usize, items: &[Choices], cfg: TripartiteAssigner) -> Self {
+    pub fn build(num_servers: usize, items: &[Choices]) -> Self {
         let mut server_of = Vec::new();
-        let status = TableBuilder::new().build_table(num_servers, items, cfg, &mut server_of);
+        let status = TableBuilder::new().build_table(num_servers, items, &mut server_of);
         let mut load = vec![0u32; num_servers];
         for &server in &server_of {
             load[server as usize] += 1;
@@ -146,7 +134,6 @@ impl TableBuilder {
         &mut self,
         num_servers: usize,
         items: &[Choices],
-        cfg: TripartiteAssigner,
         server_of: &mut Vec<u32>,
     ) -> TableStatus {
         assert!(num_servers > 0, "need at least one server");
@@ -169,7 +156,7 @@ impl TableBuilder {
             }
         }
         TableStatus {
-            failed: stashed.iter().any(|&s| s > cfg.max_stash_per_group),
+            failed: stashed.iter().any(|&s| s > MAX_STASH_PER_GROUP),
             total_stash: stashed.iter().sum(),
         }
     }
@@ -196,7 +183,7 @@ mod tests {
 
     #[test]
     fn empty_request_set() {
-        let t = RoutingTable::build(8, &[], TripartiteAssigner::default());
+        let t = RoutingTable::build(8, &[]);
         assert!(t.is_empty());
         assert!(!t.failed());
         assert_eq!(t.max_per_server(), 0);
@@ -208,7 +195,7 @@ mod tests {
         for seed in 0..5 {
             let m = 2000;
             let items = random_items(m, m, seed);
-            let t = RoutingTable::build(m, &items, TripartiteAssigner::default());
+            let t = RoutingTable::build(m, &items);
             assert!(!t.failed(), "seed {seed} failed, stash {}", t.total_stash());
             assert!(
                 t.max_per_server() <= 3 + t.total_stash() as u32,
@@ -224,7 +211,7 @@ mod tests {
     fn assignments_respect_choices_or_stash_rule() {
         let m = 300;
         let items = random_items(m, m, 9);
-        let t = RoutingTable::build(m, &items, TripartiteAssigner::default());
+        let t = RoutingTable::build(m, &items);
         for (i, c) in items.iter().enumerate() {
             let s = t.server_of(i);
             assert!(c.contains(s), "request {i} routed off its choices");
@@ -235,7 +222,7 @@ mod tests {
     fn loads_sum_to_request_count() {
         let m = 500;
         let items = random_items(m, m, 13);
-        let t = RoutingTable::build(m, &items, TripartiteAssigner::default());
+        let t = RoutingTable::build(m, &items);
         let mut load = vec![0u32; m];
         for i in 0..items.len() {
             load[t.server_of(i) as usize] += 1;
@@ -275,9 +262,8 @@ mod tests {
         );
         assert_eq!(raw, slots, "{case}: slots");
 
-        let cfg = TripartiteAssigner::default();
         let mut server_of = vec![7; 3]; // stale content must not survive
-        let status = builder.build_table(n, items, cfg, &mut server_of);
+        let status = builder.build_table(n, items, &mut server_of);
         let expected: Vec<u32> = slots
             .iter()
             .zip(items)
@@ -287,7 +273,7 @@ mod tests {
         assert_eq!(
             (status.failed, status.total_stash),
             (
-                stashed.iter().any(|&s| s > cfg.max_stash_per_group),
+                stashed.iter().any(|&s| s > MAX_STASH_PER_GROUP),
                 stashed.iter().sum(),
             ),
             "{case}: status"
@@ -322,7 +308,7 @@ mod tests {
                     n,
                     &items,
                 );
-                let status = builder.build_table(n, &items, Default::default(), &mut Vec::new());
+                let status = builder.build_table(n, &items, &mut Vec::new());
                 assert_eq!(status.total_stash, k.saturating_sub(3));
                 assert_eq!(status.failed, k.div_ceil(3) > 5, "n={n} k={k}");
                 failures += status.failed as usize;
@@ -356,7 +342,7 @@ mod tests {
         let n = len as usize + 1;
         assert_lanes_match(&mut builder, "dry lane", n, &items);
         let mut server_of = Vec::new();
-        let status = builder.build_table(n, &items, Default::default(), &mut server_of);
+        let status = builder.build_table(n, &items, &mut server_of);
         assert!(status.failed);
         assert_eq!(status.total_stash, len as usize - 1 - 2);
         // Lane 0's path is fully placed, lane 1's loops sit where they must.
@@ -371,7 +357,7 @@ mod tests {
         let mut one = TableBuilder::new();
         one.solve(m, &items[..m / 3], &mut vec![0; m / 3]);
         let mut three = TableBuilder::new();
-        three.build_table(m, &items, Default::default(), &mut Vec::new());
+        three.build_table(m, &items, &mut Vec::new());
         // Per lane: a 12-byte vertex, a flag byte and a stack word per
         // position, a flag byte per item.
         let lane = 17 * m + m / 3;
@@ -381,12 +367,7 @@ mod tests {
         assert!(three.capacity_bytes() >= one.capacity_bytes() + 2 * lane);
         // Constant from the second call on.
         let before = three.capacity_bytes();
-        three.build_table(
-            m,
-            &random_items(m, m, 6),
-            Default::default(),
-            &mut Vec::new(),
-        );
+        three.build_table(m, &random_items(m, m, 6), &mut Vec::new());
         assert_eq!(three.capacity_bytes(), before);
     }
 
@@ -394,24 +375,9 @@ mod tests {
     fn adversarial_concentration_triggers_failure() {
         // All requests share the same two servers: stash must blow up.
         let items: Vec<Choices> = (0..30).map(|_| Choices::new(0, 1)).collect();
-        let t = RoutingTable::build(16, &items, TripartiteAssigner::default());
+        let t = RoutingTable::build(16, &items);
         assert!(t.failed());
         // Stash spill-over is still routed to h1 = 0.
         assert!(t.max_per_server() > 3);
-    }
-
-    #[test]
-    fn zero_stash_bound_is_strict() {
-        let items: Vec<Choices> = (0..3).map(|_| Choices::new(0, 1)).collect();
-        // 3 parallel edges in one group? Round-robin puts one per group,
-        // each group fits -> no failure even with stash bound 0.
-        let t = RoutingTable::build(
-            4,
-            &items,
-            TripartiteAssigner {
-                max_stash_per_group: 0,
-            },
-        );
-        assert!(!t.failed());
     }
 }

@@ -3,7 +3,7 @@
 //! a unit test in `src/offline.rs`, beside the cuckoo graph it compares
 //! against.
 
-use rlb_cuckoo::{Choices, RoutingTable, TableBuilder, TripartiteAssigner};
+use rlb_cuckoo::{Choices, RoutingTable, TableBuilder};
 use rlb_hash::{Pcg64, Rng};
 
 const CASES: u64 = 128;
@@ -25,7 +25,7 @@ fn tripartite_table_is_consistent() {
         let items: Vec<Choices> = (0..k)
             .map(|_| Choices::new(rng.gen_index(m) as u32, rng.gen_index(m) as u32))
             .collect();
-        let t = RoutingTable::build(m, &items, TripartiteAssigner::default());
+        let t = RoutingTable::build(m, &items);
         assert_eq!(t.len(), k, "case {case}");
         let mut load = vec![0u32; m];
         for (i, c) in items.iter().enumerate() {
@@ -77,16 +77,15 @@ fn reused_builder_leaks_no_state_between_calls() {
         random(5, 1),
         random(1_000, 400),
     ];
-    let cfg = TripartiteAssigner::default();
     let mut reused = TableBuilder::new();
     let mut reused_out = Vec::new();
     for (i, (n, items)) in sequence.iter().enumerate() {
-        let status = reused.build_table(*n, items, cfg, &mut reused_out);
+        let status = reused.build_table(*n, items, &mut reused_out);
         let mut fresh_out = vec![7; 3]; // stale contents must not matter either
-        let fresh = TableBuilder::new().build_table(*n, items, cfg, &mut fresh_out);
+        let fresh = TableBuilder::new().build_table(*n, items, &mut fresh_out);
         assert_eq!(status, fresh, "call {i}");
         assert_eq!(reused_out, fresh_out, "call {i}");
-        let cold = RoutingTable::build(*n, items, cfg);
+        let cold = RoutingTable::build(*n, items);
         assert_eq!(status.failed, cold.failed(), "call {i}");
         assert_eq!(status.total_stash, cold.total_stash(), "call {i}");
         assert!((0..items.len()).all(|j| cold.server_of(j) == reused_out[j]));

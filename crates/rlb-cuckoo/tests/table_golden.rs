@@ -18,7 +18,7 @@
 //! ```
 
 use rlb_cuckoo::offline::STASHED;
-use rlb_cuckoo::{Choices, RoutingTable, TableBuilder, TripartiteAssigner};
+use rlb_cuckoo::{Choices, RoutingTable, TableBuilder};
 use rlb_hash::mix::fmix64;
 use rlb_hash::{Pcg64, Rng};
 
@@ -57,7 +57,7 @@ fn items_for(m: usize, k: usize, self_loops: bool) -> Vec<Choices> {
 }
 
 fn table_digest(m: usize, items: &[Choices]) -> u64 {
-    let t = RoutingTable::build(m, items, TripartiteAssigner::default());
+    let t = RoutingTable::build(m, items);
     let mut h = fold(m as u64, t.len() as u64);
     for i in 0..t.len() {
         h = fold(h, t.server_of(i) as u64);
@@ -132,7 +132,7 @@ fn sweep_covers_failed_tables_stashes_and_self_loops() {
         for k in [m / 3 + 1, 3 * m] {
             let items = items_for(m, k, true);
             loops += items.iter().filter(|c| c.h1 == c.h2).count();
-            let t = RoutingTable::build(m, &items, TripartiteAssigner::default());
+            let t = RoutingTable::build(m, &items);
             if t.failed() {
                 failed += 1;
             } else {

@@ -16,7 +16,7 @@
 use crate::common;
 use crate::{Check, Findings};
 use rlb_cuckoo::offline::{validate_assignment, STASHED};
-use rlb_cuckoo::{Choices, RoutingTable, TableBuilder, TripartiteAssigner};
+use rlb_cuckoo::{Choices, RoutingTable, TableBuilder};
 use rlb_hash::{Pcg64, Rng};
 use rlb_metrics::table::{fmt_f, fmt_rate, fmt_u};
 use rlb_metrics::Table;
@@ -138,7 +138,7 @@ pub fn run(quick: bool) -> Findings {
         let outcomes = rlb_pool::global().map_indexed(trials, move |i| {
             let mut rng = Pcg64::new(0x10e + i as u64, m as u64);
             let items = random_items(m, m, &mut rng);
-            let t = RoutingTable::build(m, &items, TripartiteAssigner::default());
+            let t = RoutingTable::build(m, &items);
             (t.max_per_server(), t.failed(), t.total_stash())
         });
         let mean_max = outcomes.iter().map(|&(x, _, _)| x as f64).sum::<f64>() / trials as f64;

@@ -9,6 +9,7 @@
 
 use crate::common::{self, PolicyKind, Scenario};
 use crate::{Check, Findings};
+use rlb_core::policies::DelayedCuckoo;
 use rlb_core::SimConfig;
 use rlb_metrics::table::{fmt_f, fmt_u};
 use rlb_metrics::Table;
@@ -23,7 +24,7 @@ pub fn run(quick: bool) -> Findings {
     // Tight-but-valid DCR: g = 16 keeps the theorem constants; the
     // repeated set routes almost everything through P after each phase's
     // first step.
-    let phase_len = rlb_core::policies::DcrParams::for_servers(m).phase_length;
+    let phase_len = DelayedCuckoo::default_phase_length(m);
     let mut table = Table::new(
         format!("DCR latency by queue class (m = {m}, repeated set, phase = {phase_len})"),
         &[

@@ -16,7 +16,7 @@
 
 use crate::common::{self, PolicyKind, Scenario};
 use crate::{Check, Findings};
-use rlb_core::policies::{DcrParams, DelayedCuckoo};
+use rlb_core::policies::DelayedCuckoo;
 use rlb_core::{SimConfig, Simulation, Workload};
 use rlb_metrics::table::{fmt_f, fmt_rate, fmt_u};
 use rlb_metrics::Table;
@@ -35,13 +35,7 @@ pub fn run(quick: bool) -> Findings {
     let mut rows = Vec::new();
     for &phase_length in &phases {
         let config = SimConfig::dcr_theorem(m, 16, 4).with_seed(0xe20 + phase_length);
-        let policy = DelayedCuckoo::with_params(
-            &config,
-            DcrParams {
-                phase_length,
-                max_stash_per_group: 4,
-            },
-        );
+        let policy = DelayedCuckoo::with_phase_length(&config, phase_length);
         let mut sim = Simulation::new(config, policy);
         let mut workload = RepeatedSet::first_k(common::m32(m), 37);
         sim.run(&mut workload as &mut dyn Workload, steps);

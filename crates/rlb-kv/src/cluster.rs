@@ -70,8 +70,8 @@ impl PendingIndex {
     /// Marks `chunk` pending in slot `next` unless it already holds a
     /// slot this step; returns the slot it holds. Total: a chunk id
     /// outside the table (none exists — `chunk_of` hashes into
-    /// `0..num_chunks` and `pin` validates) would open a slot of its
-    /// own every time rather than index out of bounds.
+    /// `0..num_chunks`) would open a slot of its own every time rather
+    /// than index out of bounds.
     fn slot_of(&mut self, chunk: u32, next: u32) -> u32 {
         let i = chunk as usize;
         let (Some(stamp), Some(slot)) = (self.stamp.get_mut(i), self.slot.get_mut(i)) else {
@@ -186,7 +186,7 @@ impl<P: Policy> KvCluster<P> {
     /// directory is salted from the config seed.
     pub fn new(config: SimConfig, policy: P) -> Self {
         let keys = KeyFront {
-            directory: ChunkDirectory::new(config.num_chunks, config.seed ^ 0x6b76, 64),
+            directory: ChunkDirectory::new(config.num_chunks, config.seed ^ 0x6b76),
             pending: Vec::new(),
             owners: Vec::new(),
             pending_index: PendingIndex::new(config.num_chunks),
@@ -212,12 +212,7 @@ impl<P: Policy, S: TraceSink> KvCluster<P, S> {
         }
     }
 
-    /// The key directory (e.g. for pinning keys).
-    pub fn directory_mut(&mut self) -> &mut ChunkDirectory {
-        &mut self.keys.directory
-    }
-
-    /// The key directory, read-only.
+    /// The key directory.
     pub fn directory(&self) -> &ChunkDirectory {
         &self.keys.directory
     }
@@ -249,29 +244,29 @@ impl<P: Policy, S: TraceSink> KvCluster<P, S> {
     /// order, so two keys get the same slot exactly when they coalesce,
     /// and after the commit [`KvCluster::decision`] of that slot is the
     /// key's routing outcome.
-    #[expect(
-        clippy::indexing_slicing,
-        clippy::arithmetic_side_effects,
-        reason = "tenant is a u16, and tenant_stats is resized to hold it just below; request \
-                  counts fit a u64"
-    )]
     pub fn get_for(&mut self, tenant: u16, key: u64) -> u32 {
-        if self.keys.tenant_stats.len() <= tenant as usize {
-            self.keys
-                .tenant_stats
-                .resize(tenant as usize + 1, TenantStats::default());
+        let keys = &mut self.keys;
+        let t = usize::from(tenant);
+        if keys.tenant_stats.len() <= t {
+            keys.tenant_stats
+                .resize(t.saturating_add(1), TenantStats::default());
         }
-        self.keys.tenant_stats[tenant as usize].key_requests += 1;
-        let chunk = self.keys.directory.chunk_of(key);
-        let next = self.keys.pending.len() as u32;
-        let slot = self.keys.pending_index.slot_of(chunk, next);
+        let chunk = keys.directory.chunk_of(key);
+        let next = keys.pending.len() as u32;
+        let slot = keys.pending_index.slot_of(chunk, next);
         let created = slot == next;
         if created {
-            self.keys.pending.push(chunk);
-            self.keys.owners.push(tenant);
+            keys.pending.push(chunk);
+            keys.owners.push(tenant);
         } else {
-            self.keys.coalesced_this_step += 1;
-            self.keys.tenant_stats[tenant as usize].coalesced += 1;
+            keys.coalesced_this_step = keys.coalesced_this_step.saturating_add(1);
+        }
+        // The resize above holds `t`, so `get_mut` always finds it.
+        if let Some(stats) = keys.tenant_stats.get_mut(t) {
+            stats.key_requests = stats.key_requests.saturating_add(1);
+            if !created {
+                stats.coalesced = stats.coalesced.saturating_add(1);
+            }
         }
         let step = self.sim.step_count();
         self.sim.sink_mut().emit(|| TraceEvent::TenantOp {
@@ -394,10 +389,13 @@ mod tests {
     #[test]
     fn same_chunk_keys_coalesce() {
         let mut kv = cluster();
-        // Pin two keys to the same chunk to force coalescing.
-        kv.directory_mut().pin(1, 3).unwrap();
-        kv.directory_mut().pin(2, 3).unwrap();
-        assert_eq!(kv.get(1), kv.get(2));
+        // Two keys the directory hashes to one chunk must coalesce.
+        let dir = *kv.directory();
+        let a = 1u64;
+        let b = (2..)
+            .find(|&key| dir.chunk_of(key) == dir.chunk_of(a))
+            .unwrap();
+        assert_eq!(kv.get(a), kv.get(b));
         let summary = kv.commit_step();
         assert_eq!(summary.chunk_requests, 1);
         assert_eq!(summary.coalesced_keys, 1);

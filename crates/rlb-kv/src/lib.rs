@@ -5,8 +5,7 @@
 //! servers; a load balancer routes each request. This crate provides the
 //! downstream-facing façade over [`rlb_core`]:
 //!
-//! * [`directory`] — the key → chunk mapping (hash-partitioned, with a
-//!   bounded explicit-override table).
+//! * [`directory`] — the key → chunk mapping (a seeded hash).
 //! * [`cluster`] — [`cluster::KvCluster`]: issue `get`s, advance time,
 //!   read the paper's metrics off the live system.
 

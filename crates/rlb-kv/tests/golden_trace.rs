@@ -86,10 +86,11 @@ fn golden_trace_is_byte_identical_across_thread_counts() {
 fn tenant_ops_carry_coalescing_and_interleave_with_engine_events() {
     let config = SimConfig::baseline(16).with_seed(5);
     let mut kv = KvCluster::new(config, Greedy::new()).with_sink(JsonlSink::new());
-    // Pin two keys to one chunk so the second `get` coalesces.
-    kv.directory_mut().pin(1, 3).unwrap();
-    kv.directory_mut().pin(2, 3).unwrap();
-    assert_eq!(kv.get_for(7, 1), kv.get_for(8, 2));
+    // Two keys of one chunk, so the second `get` coalesces.
+    let dir = *kv.directory();
+    let (first, chunk) = (1u64, dir.chunk_of(1));
+    let second = (2..).find(|&key| dir.chunk_of(key) == chunk).unwrap();
+    assert_eq!(kv.get_for(7, first), kv.get_for(8, second));
     kv.commit_step();
 
     let events = parse_jsonl(kv.sink().as_str()).unwrap();
@@ -103,8 +104,8 @@ fn tenant_ops_carry_coalescing_and_interleave_with_engine_events() {
         TraceEvent::TenantOp {
             step: 0,
             tenant: 7,
-            key: 1,
-            chunk: 3,
+            key: first,
+            chunk,
             coalesced: false,
         }
     );
@@ -113,8 +114,8 @@ fn tenant_ops_carry_coalescing_and_interleave_with_engine_events() {
         TraceEvent::TenantOp {
             step: 0,
             tenant: 8,
-            key: 2,
-            chunk: 3,
+            key: second,
+            chunk,
             coalesced: true,
         }
     );

@@ -2,25 +2,38 @@
 
 use rlb_core::policies::{DelayedCuckoo, Greedy};
 use rlb_core::SimConfig;
-use rlb_kv::KvCluster;
+use rlb_kv::{ChunkDirectory, KvCluster};
 use rlb_pool::Pool;
 
+/// The first `count` keys from `from` on that `dir` hashes to the chunk
+/// of `from` itself.
+fn colocated_keys(dir: ChunkDirectory, from: u64, count: usize) -> Vec<u64> {
+    let chunk = dir.chunk_of(from);
+    (from..)
+        .filter(|&key| dir.chunk_of(key) == chunk)
+        .take(count)
+        .collect()
+}
+
 #[test]
-fn mixed_tenants_with_pinned_keys() {
+fn mixed_tenants_with_colocated_keys() {
     let config = SimConfig::baseline(64).with_seed(3);
     let mut kv = KvCluster::new(config, Greedy::new());
-    // Tenant A is pinned to chunk 0 (colocation); tenant B hashes freely.
-    for key in 1000..1010u64 {
-        kv.directory_mut().pin(key, 0).unwrap();
-    }
+    // Tenant A's ten keys share one chunk; tenant B hashes freely.
+    let tenant_a = colocated_keys(*kv.directory(), 1000, 10);
     for step in 0..40 {
-        for key in 1000..1010u64 {
+        for &key in &tenant_a {
             kv.get(key);
         }
         for key in 0..50u64 {
             kv.get(key * 31 + step);
         }
-        kv.commit_step();
+        let summary = kv.commit_step();
+        assert!(
+            summary.coalesced_keys >= 9,
+            "step {step}: {} coalesced",
+            summary.coalesced_keys
+        );
     }
     kv.idle(8);
     let report = kv.finish();
@@ -33,13 +46,10 @@ fn mixed_tenants_with_pinned_keys() {
 }
 
 #[test]
-fn pinned_keys_coalesce_to_one_chunk_request() {
+fn colocated_keys_coalesce_to_one_chunk_request() {
     let config = SimConfig::baseline(32).with_seed(4);
     let mut kv = KvCluster::new(config, Greedy::new());
-    for key in 0..20u64 {
-        kv.directory_mut().pin(key, 5).unwrap();
-    }
-    for key in 0..20u64 {
+    for key in colocated_keys(*kv.directory(), 0, 20) {
         kv.get(key);
     }
     assert_eq!(kv.pending_requests(), 1);
@@ -85,17 +95,4 @@ fn pooled_trials_are_thread_count_invariant() {
     let [t1, t4, t16] = [1, 4, 16].map(|threads| Pool::new(threads).map_indexed(8, job));
     assert_eq!(t1, t4);
     assert_eq!(t4, t16);
-}
-
-#[test]
-fn unpinned_keys_return_to_hash_placement() {
-    let config = SimConfig::baseline(16).with_seed(6);
-    let mut kv = KvCluster::new(config, Greedy::new());
-    let key = 42u64;
-    let natural = kv.directory().chunk_of(key);
-    let target = (natural + 1) % 16;
-    kv.directory_mut().pin(key, target).unwrap();
-    assert_eq!(kv.directory().chunk_of(key), target);
-    assert!(kv.directory_mut().unpin(key));
-    assert_eq!(kv.directory().chunk_of(key), natural);
 }

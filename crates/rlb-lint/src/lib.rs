@@ -42,8 +42,8 @@
 //!   that suppresses nothing, or names no rule) are not themselves
 //!   suppressible.
 //!
-//! No external dependencies, consistent with the workspace's in-repo
-//! serde/proptest replacements; the linter lints itself (it is part of
+//! No external dependencies: the JSON artifact is written through the
+//! workspace's own `rlb-json`; the linter lints itself (it is part of
 //! the workspace it scans).
 
 #![forbid(unsafe_code)]
@@ -57,6 +57,7 @@ pub mod token;
 pub use rules::{lint_source, Finding};
 
 use items::ParsedFile;
+use rlb_json::{Json, ToJson};
 use rules::Suppressions;
 use std::path::{Path, PathBuf};
 
@@ -120,62 +121,39 @@ impl LintReport {
         out
     }
 
-    /// Renders the report as a single JSON object (hand-rolled — the
-    /// workspace takes no external dependencies) for the CI artifact.
+    /// Renders the report as a single JSON object for the CI artifact.
     pub fn to_json(&self) -> String {
-        use std::fmt::Write as _;
+        fn entry(key: &str, value: impl ToJson) -> (String, Json) {
+            (key.to_string(), value.to_json())
+        }
+        let findings = self
+            .findings
+            .iter()
+            .map(|f| {
+                Json::Obj(vec![
+                    entry("file", &f.file),
+                    entry("line", f.line),
+                    entry("col", f.col),
+                    entry("rule", f.rule),
+                    entry("message", &f.message),
+                ])
+            })
+            .collect();
+        let report = Json::Obj(vec![
+            entry("files_scanned", self.files.len()),
+            entry("findings", Json::Arr(findings)),
+            entry("dead_suppressions", self.dead_suppressions()),
+            entry(
+                "stats",
+                Json::Obj(vec![entry("pub_items", self.stats.pub_items)]),
+            ),
+            entry("clean", self.is_clean()),
+        ]);
         let mut out = String::new();
-        out.push_str("{\n  \"files_scanned\": ");
-        let _ = write!(out, "{}", self.files.len());
-        out.push_str(",\n  \"findings\": [");
-        for (i, f) in self.findings.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "\n    {{\"file\": \"{}\", \"line\": {}, \"col\": {}, \"rule\": \"{}\", \
-                 \"message\": \"{}\"}}",
-                json_escape(&f.file),
-                f.line,
-                f.col,
-                json_escape(f.rule),
-                json_escape(&f.message)
-            );
-        }
-        if !self.findings.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("],\n");
-        let _ = write!(
-            out,
-            "  \"dead_suppressions\": {},\n  \"stats\": {{\"pub_items\": {}}},\n  \
-             \"clean\": {}\n}}\n",
-            self.dead_suppressions(),
-            self.stats.pub_items,
-            self.is_clean()
-        );
+        report.write_pretty(&mut out, 0);
+        out.push('\n');
         out
     }
-}
-
-/// Escapes a string for embedding in a JSON string literal.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Whether a workspace-relative path is *linted* (subject to rules and
@@ -380,12 +358,22 @@ mod tests {
             "crates/rlb-core/src/stats.rs".to_string(),
             "fn f(x: u64) -> u32 { x as u32 }\n".to_string(),
         )];
-        let report = lint_files(&files);
-        let json = report.to_json();
-        assert!(json.contains("\"files_scanned\": 1"), "{json}");
-        assert!(json.contains("\"rule\": \"lossy-cast\""), "{json}");
-        assert!(json.contains("\"stats\": {\"pub_items\": 0}"), "{json}");
-        assert!(json.contains("\"clean\": false"), "{json}");
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+        let mut report = lint_files(&files);
+        let nasty = "a \"quoted\" \\path\nand a second line";
+        report.findings[0].message = nasty.to_string();
+        let json = Json::parse(&report.to_json()).unwrap();
+        let num = |v: &Json, key: &str| v.get(key).and_then(Json::as_u64);
+        assert_eq!(num(&json, "files_scanned"), Some(1));
+        assert_eq!(num(&json, "dead_suppressions"), Some(0));
+        assert_eq!(json.get("stats").and_then(|s| num(s, "pub_items")), Some(0));
+        assert_eq!(json.get("clean"), Some(&Json::Bool(false)));
+        let findings = json.get("findings").and_then(Json::as_arr).unwrap();
+        assert_eq!(findings.len(), 1);
+        let text = |key: &str| findings[0].get(key).and_then(Json::as_str);
+        assert_eq!(text("file"), Some("crates/rlb-core/src/stats.rs"));
+        assert_eq!(text("rule"), Some("lossy-cast"));
+        assert_eq!(text("message"), Some(nasty));
+        assert_eq!(num(&findings[0], "line"), Some(1));
+        assert!(num(&findings[0], "col").is_some());
     }
 }

@@ -8,7 +8,7 @@
 //! cargo run --release --example cuckoo_playground
 //! ```
 
-use reappearance_lb::cuckoo::{Choices, RoutingTable, TableBuilder, TripartiteAssigner};
+use reappearance_lb::cuckoo::{Choices, RoutingTable, TableBuilder};
 use reappearance_lb::hash::{Pcg64, Rng};
 
 fn random_items(m: usize, k: usize, rng: &mut Pcg64) -> Vec<Choices> {
@@ -46,7 +46,7 @@ fn main() {
 
     println!("== 3. Lemma 4.2: a full step of m requests to m servers ==");
     let items = random_items(m, m, &mut rng);
-    let table = RoutingTable::build(m, &items, TripartiteAssigner::default());
+    let table = RoutingTable::build(m, &items);
     let mut load = vec![0u32; m];
     for i in 0..items.len() {
         load[table.server_of(i) as usize] += 1;
