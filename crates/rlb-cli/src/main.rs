@@ -18,6 +18,12 @@ fn gated(result: Result<(String, bool), String>) -> Outcome {
         .map_err(|e| (e, 2))
 }
 
+/// A subcommand whose failure names its own exit code (a usage error
+/// or a run that could not go on).
+fn coded(result: Result<String, (String, i32)>) -> Outcome {
+    result.map(|text| (text, 0))
+}
+
 /// Runs one subcommand on the arguments after its name.
 type Runner = fn(&[String]) -> Outcome;
 
@@ -26,8 +32,8 @@ const SUBCOMMANDS: [(&str, Runner); 6] = [
     ("lint", |args| gated(rlb_cli::run_lint(args))),
     ("fastforward", |args| gated(rlb_cli::run_fastforward(args))),
     ("trace", |args| plain(rlb_cli::run_trace(args))),
-    ("serve", |args| plain(rlb_cli::run_serve(args))),
-    ("load", |args| rlb_cli::run_load(args).map(|text| (text, 0))),
+    ("serve", |args| coded(rlb_cli::run_serve(args))),
+    ("load", |args| coded(rlb_cli::run_load(args))),
 ];
 
 /// No subcommand: run the simulation the flags describe.

@@ -296,10 +296,10 @@ fn run_sim_clock(opts: &ServeLoadOptions) -> Result<String, String> {
         spec: SimSpec,
     }
     impl PolicyVisitor for CoSim {
-        type Out = String;
-        fn visit<P: Policy>(self, policy: P) -> String {
-            let core = ServerCore::new(self.cfg, policy);
-            co_simulate(core, self.clients, &self.spec).text
+        type Out = Result<String, String>;
+        fn visit<P: Policy>(self, policy: P) -> Self::Out {
+            let core = ServerCore::try_new(self.cfg, policy)?;
+            Ok(co_simulate(core, self.clients, &self.spec).text)
         }
     }
     let co_sim = CoSim {
@@ -310,7 +310,7 @@ fn run_sim_clock(opts: &ServeLoadOptions) -> Result<String, String> {
             transcript: opts.transcript,
         },
     };
-    with_policy(&opts.policy, &opts.engine, crate::RNG_SALT, co_sim)
+    with_policy(&opts.policy, &opts.engine, crate::RNG_SALT, co_sim)?
 }
 
 /// Runs the `serve` subcommand. Live mode binds `--listen` and serves
@@ -319,18 +319,19 @@ fn run_sim_clock(opts: &ServeLoadOptions) -> Result<String, String> {
 /// prints its deterministic transcript/report instead.
 ///
 /// # Errors
-/// Returns a message on malformed arguments, an unbindable listen
-/// address, or a policy/config mismatch.
-pub fn run_serve(args: &[String]) -> Result<String, String> {
-    let opts = parse_serve_load_args(Side::Serve, args)?;
+/// Returns a message and the exit code that goes with it: 2 on
+/// malformed arguments; 1 on an unbindable listen address, a
+/// policy/config mismatch, or per-chunk state the allocator refuses.
+pub fn run_serve(args: &[String]) -> Result<String, (String, i32)> {
+    let opts = parse_serve_load_args(Side::Serve, args).map_err(|e| (e, 2))?;
     if opts.sim_clock {
-        return run_sim_clock(&opts);
+        return run_sim_clock(&opts).map_err(|e| (e, 1));
     }
     let listener = std::net::TcpListener::bind(&opts.listen)
-        .map_err(|e| format!("cannot bind {}: {e}", opts.listen))?;
+        .map_err(|e| (format!("cannot bind {}: {e}", opts.listen), 1))?;
     let addr = listener
         .local_addr()
-        .map_err(|e| format!("local_addr: {e}"))?;
+        .map_err(|e| (format!("local_addr: {e}"), 1))?;
     eprintln!("rlb-serve: listening on {addr} (policy {})", opts.policy);
     let serve_opts = ServeOptions {
         max_requests: opts.max_requests,
@@ -342,10 +343,10 @@ pub fn run_serve(args: &[String]) -> Result<String, String> {
         opts: &'a ServeOptions,
     }
     impl PolicyVisitor for Live<'_> {
-        type Out = std::io::Result<ServeOutcome>;
+        type Out = Result<ServeOutcome, String>;
         fn visit<P: Policy>(self, policy: P) -> Self::Out {
-            let core = ServerCore::new(self.cfg, policy);
-            serve(self.listener, core, self.opts)
+            let core = ServerCore::try_new(self.cfg, policy)?;
+            serve(self.listener, core, self.opts).map_err(|e| format!("serve: {e}"))
         }
     }
     let live = Live {
@@ -353,8 +354,9 @@ pub fn run_serve(args: &[String]) -> Result<String, String> {
         listener,
         opts: &serve_opts,
     };
-    let outcome = with_policy(&opts.policy, &opts.engine, crate::RNG_SALT, live)?
-        .map_err(|e| format!("serve: {e}"))?;
+    let outcome = with_policy(&opts.policy, &opts.engine, crate::RNG_SALT, live)
+        .and_then(|served| served)
+        .map_err(|e| (e, 1))?;
     use std::fmt::Write as _;
     let mut out = String::new();
     let _ = writeln!(
@@ -502,8 +504,8 @@ mod tests {
                 "--sim-clock --policy {policy} --servers 16 --clients 2 \
                  --requests 20 --ticks 16"
             ));
-            let a = run_serve(&line).unwrap_or_else(|e| panic!("{policy}: {e}"));
-            let b = run_serve(&line).unwrap_or_else(|e| panic!("{policy}: {e}"));
+            let a = run_serve(&line).unwrap_or_else(|e| panic!("{policy}: {e:?}"));
+            let b = run_serve(&line).unwrap_or_else(|e| panic!("{policy}: {e:?}"));
             assert_eq!(a, b, "{policy}: sim-clock output differs run to run");
             assert!(a.contains("clients: sent="), "{policy}:\n{a}");
             assert!(a.contains("server: replies="), "{policy}:\n{a}");
@@ -532,7 +534,8 @@ mod tests {
 
     #[test]
     fn dcr_requires_d2() {
-        let err = run_serve(&args("--sim-clock --policy dcr --replication 3")).unwrap_err();
+        let (err, code) = run_serve(&args("--sim-clock --policy dcr --replication 3")).unwrap_err();
         assert!(err.contains("replication 2"), "{err}");
+        assert_eq!(code, 1);
     }
 }

@@ -91,8 +91,12 @@ pub fn with_policy<V: PolicyVisitor>(
 /// Checks that the allocator grants `len` values of `T`, returning an
 /// error naming the bytes where `vec!` would abort the process. The
 /// reservation is dropped unwritten, so the caller's `vec!` still gets
-/// lazily zeroed pages.
-pub(crate) fn probe<T>(len: usize) -> Result<(), String> {
+/// lazily zeroed pages. The KV façade probes its per-chunk index with
+/// it too, so every refusal reads alike.
+///
+/// # Errors
+/// Returns the message when the reservation fails.
+pub fn probe<T>(len: usize) -> Result<(), String> {
     if Vec::<T>::new().try_reserve_exact(len).is_err() {
         let bytes = len.saturating_mul(std::mem::size_of::<T>());
         return Err(format!(

@@ -6,7 +6,7 @@
 //! statistics, and safe-distribution compliance (Definition 3.2).
 
 use crate::policy::RejectReason;
-use rlb_metrics::{BacklogSnapshot, Histogram, KahanSum, RunningMean, TimeSeries};
+use rlb_metrics::{BacklogSnapshot, Histogram, KahanSum, RunningMean};
 
 /// Mutable statistics accumulated during a run.
 #[derive(Debug, Clone)]
@@ -24,8 +24,6 @@ pub struct RunStats {
     /// Latency histograms split by the queue class the request was
     /// served from (e.g. DCR's Q/P/Q'/P'). Sized lazily on first use.
     pub latency_by_class: Vec<Histogram>,
-    /// Mean backlog per sampled step.
-    pub backlog_series: TimeSeries,
     /// Number of safety checks performed.
     pub safety_samples: u64,
     /// Number of safety checks that violated Definition 3.2 (slack 1).
@@ -65,7 +63,6 @@ impl RunStats {
             completed: 0,
             latency: Histogram::new(),
             latency_by_class: Vec::new(),
-            backlog_series: TimeSeries::new(512),
             safety_samples: 0,
             safety_violations: 0,
             worst_safety_ratio: 0.0,
@@ -131,9 +128,7 @@ impl RunStats {
             self.worst_safety_ratio = report.worst_ratio;
         }
         self.max_backlog = self.max_backlog.max(snapshot.max_backlog());
-        let mean = snapshot.mean_backlog();
-        self.backlog_mean.add(mean);
-        self.backlog_series.push(mean);
+        self.backlog_mean.add(snapshot.mean_backlog());
         // Accumulate the tail-occupancy fractions: level j covers
         // servers with backlog >= j + 1. Levels this snapshot does not
         // reach contribute an exact zero via `servers_above`.
@@ -153,18 +148,20 @@ impl RunStats {
     }
 
     /// Finalizes into an immutable report.
-    #[expect(clippy::indexing_slicing, reason = "one slot per RejectReason")]
     pub fn finish(self, steps: u64, in_flight: u64) -> RunReport {
         let rejected_total = self.rejected_total();
+        // One slot per RejectReason, so `get` always finds it.
+        let rejected = self.rejected;
+        let count = |reason: RejectReason| rejected.get(reason as usize).copied().unwrap_or(0);
         RunReport {
             steps,
             arrived: self.arrived,
             accepted: self.accepted,
-            rejected_policy: self.rejected[RejectReason::Policy as usize],
-            rejected_table: self.rejected[RejectReason::TableFailed as usize],
-            rejected_overflow: self.rejected[RejectReason::Overflow as usize],
-            rejected_flush: self.rejected[RejectReason::Flush as usize],
-            rejected_down: self.rejected[RejectReason::ServerDown as usize],
+            rejected_policy: count(RejectReason::Policy),
+            rejected_table: count(RejectReason::TableFailed),
+            rejected_overflow: count(RejectReason::Overflow),
+            rejected_flush: count(RejectReason::Flush),
+            rejected_down: count(RejectReason::ServerDown),
             rejected_total,
             completed: self.completed,
             in_flight,
@@ -202,7 +199,6 @@ impl RunStats {
             safety_samples: self.safety_samples,
             safety_violations: self.safety_violations,
             worst_safety_ratio: self.worst_safety_ratio,
-            backlog_series: self.backlog_series,
         }
     }
 }
@@ -265,30 +261,29 @@ pub struct RunReport {
     pub safety_violations: u64,
     /// Minimal slack at which all sampled snapshots are safe.
     pub worst_safety_ratio: f64,
-    /// Mean-backlog time series (downsampled).
-    pub backlog_series: TimeSeries,
 }
 
 impl RunReport {
     /// Conservation check: every arrived request is accounted for.
     /// Returns an error naming the broken identity.
-    #[expect(
-        clippy::arithmetic_side_effects,
-        reason = "request counts: no sum passes twice the arrivals"
-    )]
     pub fn check_conservation(&self) -> Result<(), String> {
-        let routing_rejections = self.rejected_policy
-            + self.rejected_table
-            + self.rejected_overflow
-            + self.rejected_down;
-        if self.accepted + routing_rejections != self.arrived {
+        let routing_rejections = self
+            .rejected_policy
+            .saturating_add(self.rejected_table)
+            .saturating_add(self.rejected_overflow)
+            .saturating_add(self.rejected_down);
+        if self.accepted.saturating_add(routing_rejections) != self.arrived {
             return Err(format!(
                 "arrived {} != accepted {} + routing rejections {}",
                 self.arrived, self.accepted, routing_rejections
             ));
         }
         // Flushed requests were accepted first, then dropped.
-        if self.completed + self.in_flight + self.rejected_flush != self.accepted {
+        let retired = self
+            .completed
+            .saturating_add(self.in_flight)
+            .saturating_add(self.rejected_flush);
+        if retired != self.accepted {
             return Err(format!(
                 "accepted {} != completed {} + in_flight {} + flushed {}",
                 self.accepted, self.completed, self.in_flight, self.rejected_flush
@@ -323,7 +318,6 @@ rlb_json::json_struct!(RunReport {
     safety_samples,
     safety_violations,
     worst_safety_ratio,
-    backlog_series,
 });
 
 #[cfg(test)]

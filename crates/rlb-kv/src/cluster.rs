@@ -8,6 +8,7 @@
 //! distinct-chunks-per-step constraint manifests in a real store).
 
 use crate::directory::ChunkDirectory;
+use rlb_core::policies::probe;
 use rlb_core::{
     Decision, NoopSink, Observer, Policy, RunReport, SimConfig, Simulation, TraceEvent, TraceSink,
     Workload,
@@ -24,19 +25,6 @@ pub struct StepSummary {
     /// Key requests coalesced into an already-pending chunk request.
     pub coalesced_keys: u64,
     /// Chunk requests rejected this step (all causes).
-    pub rejected: u64,
-}
-
-/// Cumulative per-tenant accounting (see [`KvCluster::get_for`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TenantStats {
-    /// Key-level `get`s issued by this tenant.
-    pub key_requests: u64,
-    /// Key requests that coalesced into an already-pending chunk.
-    pub coalesced: u64,
-    /// Chunk requests owned by this tenant that the cluster accepted.
-    pub accepted: u64,
-    /// Chunk requests owned by this tenant that the cluster rejected.
     pub rejected: u64,
 }
 
@@ -103,13 +91,10 @@ impl PendingIndex {
 
 /// The one observer of a committed step. The engine routes the pending
 /// chunks in the order they were handed over, so the decisions made so
-/// far count the slot being decided: the outcome is attributed to the
-/// tenant whose key opened that slot, then kept for
+/// far count the slot being decided: the outcome is kept for
 /// [`KvCluster::decision`].
 struct StepTap<'a> {
     pending: &'a [u32],
-    owners: &'a [u16],
-    stats: &'a mut [TenantStats],
     decisions: &'a mut Vec<Decision>,
 }
 
@@ -121,14 +106,6 @@ impl Observer for StepTap<'_> {
             Some(&chunk),
             "the engine left pending order"
         );
-        let owner = self.owners.get(slot);
-        if let Some(entry) = owner.and_then(|&tenant| self.stats.get_mut(tenant as usize)) {
-            #[expect(clippy::arithmetic_side_effects, reason = "request counts fit a u64")]
-            match decision {
-                Decision::Route { .. } => entry.accepted += 1,
-                Decision::Reject(_) => entry.rejected += 1,
-            }
-        }
         self.decisions.push(decision);
     }
 }
@@ -170,15 +147,12 @@ pub struct KvCluster<P: Policy, S: TraceSink = NoopSink> {
 struct KeyFront {
     directory: ChunkDirectory,
     /// This step's distinct chunks, in first-seen order: slot `i` is
-    /// `pending[i]`, opened by a key of tenant `owners[i]`.
+    /// `pending[i]`.
     pending: Vec<u32>,
-    owners: Vec<u16>,
     pending_index: PendingIndex,
     /// The last committed step's routing decisions, one per slot.
     decisions: Vec<Decision>,
     coalesced_this_step: u64,
-    /// Cumulative per-tenant accounting, indexed by tenant id.
-    tenant_stats: Vec<TenantStats>,
 }
 
 impl<P: Policy> KvCluster<P> {
@@ -188,16 +162,25 @@ impl<P: Policy> KvCluster<P> {
         let keys = KeyFront {
             directory: ChunkDirectory::new(config.num_chunks, config.seed ^ 0x6b76),
             pending: Vec::new(),
-            owners: Vec::new(),
             pending_index: PendingIndex::new(config.num_chunks),
             decisions: Vec::new(),
             coalesced_this_step: 0,
-            tenant_stats: Vec::new(),
         };
         Self {
             sim: Simulation::new(config, policy),
             keys,
         }
+    }
+
+    /// [`new`](Self::new), or an error naming the bytes when the
+    /// allocator refuses the per-chunk pending index.
+    ///
+    /// # Errors
+    /// Returns the allocator's refusal as a message.
+    pub fn try_new(config: SimConfig, policy: P) -> Result<Self, String> {
+        // `PendingIndex`'s stamp and slot: two `u32`s a chunk id.
+        probe::<[u32; 2]>(config.num_chunks)?;
+        Ok(Self::new(config, policy))
     }
 }
 
@@ -233,11 +216,10 @@ impl<P: Policy, S: TraceSink> KvCluster<P, S> {
         self.get_for(0, key)
     }
 
-    /// Issues a `get` on behalf of `tenant` (multi-tenant accounting:
-    /// per-tenant accepted/rejected/coalesced counters, readable via
-    /// [`KvCluster::tenant_stats`]). A chunk request is attributed to the
-    /// tenant whose key created it; coalesced followers are counted per
-    /// their own tenant.
+    /// Issues a `get` on behalf of `tenant`. The tenant is not counted
+    /// here: it goes into the key's [`TraceEvent::TenantOp`], and a
+    /// caller that keeps per-tenant counts reads each key's outcome by
+    /// its slot.
     ///
     /// Returns the **slot** of the chunk request the key rides on this
     /// step. Slots count a step's distinct chunks from 0 in first-seen
@@ -246,27 +228,14 @@ impl<P: Policy, S: TraceSink> KvCluster<P, S> {
     /// key's routing outcome.
     pub fn get_for(&mut self, tenant: u16, key: u64) -> u32 {
         let keys = &mut self.keys;
-        let t = usize::from(tenant);
-        if keys.tenant_stats.len() <= t {
-            keys.tenant_stats
-                .resize(t.saturating_add(1), TenantStats::default());
-        }
         let chunk = keys.directory.chunk_of(key);
         let next = keys.pending.len() as u32;
         let slot = keys.pending_index.slot_of(chunk, next);
         let created = slot == next;
         if created {
             keys.pending.push(chunk);
-            keys.owners.push(tenant);
         } else {
             keys.coalesced_this_step = keys.coalesced_this_step.saturating_add(1);
-        }
-        // The resize above holds `t`, so `get_mut` always finds it.
-        if let Some(stats) = keys.tenant_stats.get_mut(t) {
-            stats.key_requests = stats.key_requests.saturating_add(1);
-            if !created {
-                stats.coalesced = stats.coalesced.saturating_add(1);
-            }
         }
         let step = self.sim.step_count();
         self.sim.sink_mut().emit(|| TraceEvent::TenantOp {
@@ -277,16 +246,6 @@ impl<P: Policy, S: TraceSink> KvCluster<P, S> {
             coalesced: !created,
         });
         slot
-    }
-
-    /// Accounting for `tenant` so far (zeros if the tenant never issued
-    /// a request).
-    pub fn tenant_stats(&self, tenant: u16) -> TenantStats {
-        self.keys
-            .tenant_stats
-            .get(tenant as usize)
-            .copied()
-            .unwrap_or_default()
     }
 
     /// Chunk requests currently queued for the next commit.
@@ -314,8 +273,6 @@ impl<P: Policy, S: TraceSink> KvCluster<P, S> {
         self.keys.decisions.clear();
         let mut tap = StepTap {
             pending: &self.keys.pending,
-            owners: &self.keys.owners,
-            stats: &mut self.keys.tenant_stats,
             decisions: &mut self.keys.decisions,
         };
         self.sim.run_observed(&mut oneshot, 1, &mut tap);
@@ -328,7 +285,6 @@ impl<P: Policy, S: TraceSink> KvCluster<P, S> {
             rejected,
         };
         self.keys.pending.clear();
-        self.keys.owners.clear();
         self.keys.pending_index.clear();
         self.keys.coalesced_this_step = 0;
         summary
@@ -438,43 +394,6 @@ mod tests {
     }
 
     #[test]
-    fn tenant_accounting_splits_traffic() {
-        let mut kv = cluster();
-        for step in 0..20u64 {
-            // Tenant 1: fixed hot keys; tenant 2: churning keys.
-            for key in 0..20u64 {
-                kv.get_for(1, key);
-            }
-            for key in 0..20u64 {
-                kv.get_for(2, 1000 + key * 7 + step * 131);
-            }
-            kv.commit_step();
-        }
-        let t1 = kv.tenant_stats(1);
-        let t2 = kv.tenant_stats(2);
-        assert_eq!(t1.key_requests, 20 * 20);
-        assert_eq!(t2.key_requests, 20 * 20);
-        // Every key request is accounted as a new chunk, a coalesce, or
-        // (after commit) an accepted/rejected chunk request.
-        assert_eq!(t1.accepted + t1.rejected + t1.coalesced, t1.key_requests);
-        assert_eq!(t2.accepted + t2.rejected + t2.coalesced, t2.key_requests);
-        // Unknown tenants read as zeros.
-        assert_eq!(kv.tenant_stats(9), TenantStats::default());
-        let report = kv.finish();
-        report.check_conservation().unwrap();
-    }
-
-    #[test]
-    fn default_get_is_tenant_zero() {
-        let mut kv = cluster();
-        kv.get(7);
-        kv.commit_step();
-        let t0 = kv.tenant_stats(0);
-        assert_eq!(t0.key_requests, 1);
-        assert_eq!(t0.accepted + t0.rejected, 1);
-    }
-
-    #[test]
     fn every_slot_of_a_committed_step_has_its_decision() {
         let mut kv = cluster();
         let slots: Vec<u32> = (0..50u64).map(|key| kv.get(key)).collect();
@@ -487,10 +406,6 @@ mod tests {
             .filter(|d| matches!(d, Decision::Reject(_)))
             .count() as u64;
         assert_eq!(rejects, summary.rejected);
-        // Keeping the decisions and attributing tenants are one observer
-        // pass, so tenant attribution still balances.
-        let t0 = kv.tenant_stats(0);
-        assert_eq!(t0.accepted + t0.rejected + t0.coalesced, t0.key_requests);
         // Readable until the next commit, which replaces them.
         kv.idle(1);
         assert_eq!(kv.decision(0), decisions.first().copied());
@@ -545,8 +460,6 @@ mod tests {
             let mut seen = Vec::new();
             let mut tap = StepTap {
                 pending: &chunks,
-                owners: &[],
-                stats: &mut [],
                 decisions: &mut seen,
             };
             twin.run_observed(&mut OneShot { chunks: &chunks }, 1, &mut tap);
@@ -557,6 +470,19 @@ mod tests {
             overflows += seen.iter().filter(|&&d| d == overflow).count();
         }
         assert!(overflows > 0, "no step had an overflow rewrite");
+    }
+
+    #[test]
+    fn a_wrapped_generation_forgets_every_stamp() {
+        let mut index = PendingIndex::new(8);
+        assert_eq!(index.slot_of(3, 5), 5);
+        // The next generation would be 1 again, the one chunk 3 was
+        // stamped in: the wrap must reset the stamps.
+        index.current = u32::MAX;
+        index.clear();
+        assert_eq!(index.slot_of(3, 0), 0, "chunk 3 kept its stale slot");
+        assert_eq!(index.slot_of(6, 1), 1, "an unseen chunk read as pending");
+        assert_eq!(index.slot_of(3, 2), 0);
     }
 
     #[test]

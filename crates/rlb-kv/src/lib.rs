@@ -25,5 +25,5 @@
 pub mod cluster;
 pub mod directory;
 
-pub use cluster::{KvCluster, StepSummary, TenantStats};
+pub use cluster::{KvCluster, StepSummary};
 pub use directory::ChunkDirectory;

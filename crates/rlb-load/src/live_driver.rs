@@ -186,6 +186,10 @@ fn run_live_client(cfg: ClientConfig, spec: &LiveSpec) -> LiveClientResult {
             let left = until.saturating_sub(clock.micros());
             #[expect(clippy::arithmetic_side_effects, reason = "left % 1_000 <= left")]
             let wait = if open_loop { left - left % 1_000 } else { left };
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "poll counts whole milliseconds: a sub-millisecond wait for an open loop's tick is a nap"
+            )]
             if wait == 0 {
                 std::thread::sleep(SUB_MS_NAP.min(Duration::from_micros(left)));
             } else if let Err(e) = session.wait(Duration::from_micros(wait)) {

@@ -26,7 +26,7 @@
 
 #![expect(
     clippy::disallowed_methods,
-    reason = "a live run needs real sockets, a server thread and wall-clock deadlines"
+    reason = "a live run needs real sockets, a server thread, wall-clock deadlines and naps"
 )]
 
 use std::io::{Read, Write};

@@ -21,7 +21,6 @@ pub(crate) mod dist;
 pub(crate) mod histogram;
 pub(crate) mod kahan;
 pub mod table;
-pub(crate) mod timeseries;
 
 pub use backlog::{BacklogSnapshot, SafeDistributionReport};
 pub use ci::{wilson95, ProportionCi};
@@ -29,4 +28,3 @@ pub use dist::linf_distance;
 pub use histogram::{Histogram, TailValue};
 pub use kahan::{KahanSum, RunningMean};
 pub use table::Table;
-pub use timeseries::TimeSeries;

@@ -3,7 +3,7 @@
 //! reproducible from the printed case number).
 
 use rlb_hash::{Pcg64, Rng};
-use rlb_metrics::{wilson95, Histogram, TimeSeries};
+use rlb_metrics::{wilson95, Histogram};
 
 const CASES: u64 = 96;
 
@@ -62,26 +62,5 @@ fn wilson_is_well_formed() {
         assert!(ci.low <= ci.estimate + 1e-12, "case {case}");
         assert!(ci.high >= ci.estimate - 1e-12, "case {case}");
         assert!(ci.contains(ci.estimate), "case {case}");
-    }
-}
-
-/// The time series keeps an evenly strided subsample with correct
-/// values.
-#[test]
-fn timeseries_subsample_is_faithful() {
-    for case in 0..CASES {
-        let mut rng = case_rng(6, case);
-        let n = 1 + rng.gen_index(4999);
-        let cap = 1 + rng.gen_index(63);
-        let mut ts = TimeSeries::new(cap);
-        for i in 0..n {
-            ts.push(i as f64 * 2.0);
-        }
-        assert!(ts.points().len() <= 2 * cap, "case {case}");
-        assert_eq!(ts.pushed(), n as u64, "case {case}");
-        for &(i, v) in ts.points() {
-            assert_eq!(v, i as f64 * 2.0, "case {case}");
-            assert_eq!(i % ts.stride(), 0, "case {case}");
-        }
     }
 }

@@ -10,7 +10,7 @@
 
 #![expect(
     clippy::disallowed_methods,
-    reason = "the executor's tests bound their waits with wall-clock deadlines"
+    reason = "the executor's tests bound their waits with wall-clock deadlines and hold leaves in flight with naps"
 )]
 
 use std::sync::atomic::{AtomicUsize, Ordering};

@@ -82,8 +82,8 @@ struct Request {
     value: Option<Vec<u8>>,
 }
 
-/// Per-tenant serving-layer accounting (frame-level, unlike the
-/// chunk-level [`TenantStats`] inside the cluster).
+/// Per-tenant serving-layer accounting, one count per frame: a key
+/// coalesced onto another's chunk request is counted on its own.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 // return type of `ServerCore::tenant_serve_stats`. lint:allow(dead-pub)
 pub struct TenantServeStats {
@@ -163,18 +163,39 @@ pub struct ServerCore<P: Policy> {
     pings: u64,
 }
 
+/// The daemon's engine config. The snapshot is O(servers) a step and
+/// feeds a report the daemon never finishes; a request's path does not
+/// include it.
+fn unsampled(engine: SimConfig) -> SimConfig {
+    SimConfig {
+        safety_check_every: None,
+        ..engine
+    }
+}
+
 impl<P: Policy> ServerCore<P> {
     /// Builds the core from a config and a routing policy.
     pub fn new(config: ServeConfig, policy: P) -> Self {
-        // The snapshot is O(servers) a step and feeds a report the
-        // daemon never finishes; a request's path does not include it.
-        let engine = SimConfig {
-            safety_check_every: None,
-            ..config.engine
-        };
+        Self::around(
+            KvCluster::new(unsampled(config.engine), policy),
+            config.gate_limit,
+        )
+    }
+
+    /// [`new`](Self::new), or an error naming the bytes when the
+    /// allocator refuses the cluster's per-chunk state.
+    ///
+    /// # Errors
+    /// Returns [`KvCluster::try_new`]'s refusal.
+    pub fn try_new(config: ServeConfig, policy: P) -> Result<Self, String> {
+        let kv = KvCluster::try_new(unsampled(config.engine), policy)?;
+        Ok(Self::around(kv, config.gate_limit))
+    }
+
+    fn around(kv: KvCluster<P>, gate_limit: u64) -> Self {
         Self {
-            kv: KvCluster::new(engine, policy),
-            gate: BacklogGate::new(config.gate_limit),
+            kv,
+            gate: BacklogGate::new(gate_limit),
             store: BTreeMap::new(),
             staged: Vec::new(),
             scheduled: VecDeque::new(),
@@ -201,22 +222,22 @@ impl<P: Policy> ServerCore<P> {
 
     /// Reply and reject frames produced so far, over every tenant
     /// (pings are not counted).
-    #[expect(clippy::arithmetic_side_effects, reason = "frame counts fit a u64")]
     pub fn responses(&self) -> u64 {
-        self.tenants.iter().map(|t| t.replies + t.rejects()).sum()
+        self.tenants
+            .iter()
+            .map(|t| t.replies.saturating_add(t.rejects()))
+            .sum()
     }
 
-    #[expect(
-        clippy::indexing_slicing,
-        clippy::arithmetic_side_effects,
-        reason = "tenant is a u16, and the vec is resized to hold it just above"
-    )]
-    fn tenant_mut(&mut self, tenant: u16) -> &mut TenantServeStats {
-        if self.tenants.len() <= tenant as usize {
+    /// `tenant`'s counts, grown to hold it first, so a caller always
+    /// gets `Some`.
+    fn tenant_mut(&mut self, tenant: u16) -> Option<&mut TenantServeStats> {
+        let t = usize::from(tenant);
+        if self.tenants.len() <= t {
             self.tenants
-                .resize(tenant as usize + 1, TenantServeStats::default());
+                .resize(t.saturating_add(1), TenantServeStats::default());
         }
-        &mut self.tenants[tenant as usize]
+        self.tenants.get_mut(t)
     }
 
     /// Counts one reject against `tenant` and builds its frame. Every
@@ -225,13 +246,14 @@ impl<P: Policy> ServerCore<P> {
     /// [`on_frame`](ServerCore::on_frame) — a request refused after
     /// shutdown, and the `req_id` 0 answer to an undecodable byte stream
     /// (tenant 0: no frame, so no tenant, was read).
-    #[expect(
-        clippy::indexing_slicing,
-        clippy::arithmetic_side_effects,
-        reason = "one slot per RejectCause; frame counts fit a u64"
-    )]
     pub fn reject(&mut self, tenant: u16, req_id: u32, cause: RejectCause) -> Frame {
-        self.tenant_mut(tenant).rejects_by_cause[cause as usize] += 1;
+        // One slot per RejectCause.
+        let slot = self
+            .tenant_mut(tenant)
+            .and_then(|t| t.rejects_by_cause.get_mut(cause as usize));
+        if let Some(n) = slot {
+            *n = n.saturating_add(1);
+        }
         Frame::Reject { req_id, cause }
     }
 
@@ -298,17 +320,12 @@ impl<P: Policy> ServerCore<P> {
     /// replies behind the chosen replica's backlog, and returns every
     /// response frame due at the new tick, in deterministic
     /// (reject-then-due, FIFO) order.
-    #[expect(
-        clippy::arithmetic_side_effects,
-        reason = "ticks and frame counts fit a u64; a reply's admission tick is at most the \
-                  current one; the buckets and `out` hold requests under the gate"
-    )]
     pub fn tick(&mut self) -> Vec<(SessionId, Frame)> {
         // Every response is a staged request turned away or a member of
         // the front bucket (as it stands, plus staged requests routed
         // behind an empty queue).
         let due = self.scheduled.front().map_or(0, Vec::len);
-        let mut out = Vec::with_capacity(due + self.staged.len());
+        let mut out = Vec::with_capacity(due.saturating_add(self.staged.len()));
 
         // 1. Commit the step; the cluster keeps one decision per slot.
         self.kv.commit_step();
@@ -329,8 +346,9 @@ impl<P: Policy> ServerCore<P> {
                     let wait = (backlog / rate) as usize;
                     if self.scheduled.len() <= wait {
                         let spare = &mut self.spare;
-                        self.scheduled
-                            .resize_with(wait + 1, || spare.pop().unwrap_or_default());
+                        self.scheduled.resize_with(wait.saturating_add(1), || {
+                            spare.pop().unwrap_or_default()
+                        });
                     }
                     if let Some(bucket) = self.scheduled.get_mut(wait) {
                         bucket.push(req);
@@ -352,7 +370,7 @@ impl<P: Policy> ServerCore<P> {
         //    completion: puts apply to the store here, gets read here).
         //    Only a bucket that came off the ring is kept as a spare: an
         //    idle tick pops nothing and banks nothing.
-        self.tick += 1;
+        self.tick = self.tick.saturating_add(1);
         let Some(mut bucket) = self.scheduled.pop_front() else {
             return out;
         };
@@ -375,13 +393,17 @@ impl<P: Policy> ServerCore<P> {
                     Vec::new()
                 }
             };
-            self.tenant_mut(req.tenant).replies += 1;
+            if let Some(t) = self.tenant_mut(req.tenant) {
+                t.replies = t.replies.saturating_add(1);
+            }
             self.gate.release(1);
+            // A reply's admission tick is at most the current one.
+            let latency = self.tick.saturating_sub(req.admitted);
             out.push((
                 req.session,
                 Frame::Reply {
                     req_id: req.req_id,
-                    latency: u32::try_from(self.tick - req.admitted).unwrap_or(u32::MAX),
+                    latency: u32::try_from(latency).unwrap_or(u32::MAX),
                     value,
                 },
             ));
@@ -437,13 +459,11 @@ impl<P: Policy> ServerCore<P> {
 /// transports.
 pub fn key_to_u64(tenant: u16, key: &[u8]) -> u64 {
     let mut h = 0x9e37_79b9_7f4a_7c15 ^ u64::from(tenant);
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "`chunks(8)` yields at most 8 bytes"
-    )]
     for part in key.chunks(8) {
         let mut b = [0u8; 8];
-        b[..part.len()].copy_from_slice(part);
+        for (byte, &k) in b.iter_mut().zip(part) {
+            *byte = k;
+        }
         h = rlb_hash::mix::mix2(h, u64::from_le_bytes(b));
     }
     rlb_hash::mix::fmix64(h ^ key.len() as u64)
@@ -1145,9 +1165,9 @@ mod tests {
             value: Vec::new(),
         };
         assert_eq!(c.tick(), vec![(0, reply(1)), (1, reply(2))]);
-        let stats = c.kv.tenant_stats(0);
-        assert_eq!((stats.key_requests, stats.coalesced), (2, 1));
-        assert_eq!((stats.accepted, stats.rejected), (1, 0));
+        // One chunk request carried both keys.
+        let stats = c.kv.simulation().stats();
+        assert_eq!((stats.arrived, stats.accepted), (1, 1));
     }
 
     #[test]
@@ -1174,7 +1194,8 @@ mod tests {
             "{rejects:?}"
         );
         // The pair is one refused chunk request and two counted frames.
-        assert_eq!(c.kv.tenant_stats(0).rejected + 1, rejects.len() as u64);
+        let refused_chunks = c.kv.simulation().stats().rejected_total();
+        assert_eq!(refused_chunks + 1, rejects.len() as u64);
         assert_eq!(c.tenant_serve_stats(0).rejects(), rejects.len() as u64);
     }
 

@@ -212,7 +212,6 @@ pub fn serve<P: Policy>(
 ///    session that has gone is dropped (the core has counted it).
 /// 3. Flush every session that owes bytes or whose input ended, and
 ///    retire the ones that are over.
-#[expect(clippy::disallowed_methods, reason = "this is the one server loop")]
 pub fn pass<S: Read + Write, P: Policy>(
     sessions: &mut BTreeMap<SessionId, Session<S>>,
     core: &mut ServerCore<P>,
@@ -229,6 +228,7 @@ pub fn pass<S: Read + Write, P: Policy>(
         for frame in frames {
             worked = true;
             if !draining {
+                #[expect(clippy::disallowed_methods, reason = "this is the one server loop")]
                 if let Some(response) = core.on_frame(sid, frame) {
                     session.queue(&response);
                 }
@@ -246,6 +246,7 @@ pub fn pass<S: Read + Write, P: Policy>(
 
     if tick_drained || !core.drained() {
         worked = true;
+        #[expect(clippy::disallowed_methods, reason = "this is the one server loop")]
         for (sid, frame) in core.tick() {
             if let Some(session) = sessions.get_mut(&sid) {
                 session.queue(&frame);

@@ -133,6 +133,10 @@ pub(crate) fn wait_ready(entries: &mut [Readiness], timeout: Duration) -> std::i
     for entry in entries.iter_mut() {
         entry.revents = entry.events;
     }
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "no poll off unix: the reactor's idle wait is a nap"
+    )]
     if !timeout.is_zero() {
         std::thread::sleep(timeout.min(Duration::from_millis(1)));
     }
