@@ -1,17 +1,19 @@
 //! Bounded multi-class FIFO queues, stored flat for the whole cluster.
 //!
 //! Each server owns `K` queue *classes* (greedy uses one; delayed cuckoo
-//! routing uses four: `Q`, `P`, `Q'`, `P'`), each a bounded ring buffer of
+//! routing uses four: `Q`, `P`, `Q'`, `P'`), each a bounded FIFO of
 //! request arrival steps. The structure is data-oriented: the scalar
 //! state lives in one packed ring-control row `ctrl` (head, length and
 //! the queue's oldest arrival step per `(class, server)`), whose class-0
 //! entries carry each server's routing word as well: its total backlog
 //! while live, `DOWN` while not. The rest of a queue — every entry but
-//! the oldest — sits in a ring carved out of one arena (`buf`) laid out
-//! **class-major**: class `c`'s rings for servers `0..m` are adjacent. A
-//! routing decision and the enqueue behind it read one 16-byte entry per
-//! server, and a queue that holds at most one request never touches the
-//! arena. See ARCHITECTURE.md "SoA arena layout".
+//! the oldest — sits in a ring block of one pool that grows on demand:
+//! a queue is given its block the first time it holds two requests and
+//! keeps it. A routing decision and the enqueue behind it read one
+//! 16-byte entry per server, and a queue that never holds two requests
+//! never owns a block, so memory follows the queues that have held two,
+//! not the capacity of every queue. See ARCHITECTURE.md "SoA arena
+//! layout".
 
 /// Specification of one queue class.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -36,7 +38,8 @@ const DOWN: u32 = u32::MAX;
 /// in every control word an enqueue or dequeue touches — with separate
 /// parallel arrays the same operation missed three distinct lines.
 const CTRL_WORDS: usize = 4;
-/// Offset of the ring head within a `ctrl` entry.
+/// Offset of the ring head within a `ctrl` entry: the pool index of the
+/// ring's oldest entry once the queue holds a block, 0 until then.
 const CTRL_HEAD: usize = 0;
 /// Offset of the ring length within a `ctrl` entry.
 const CTRL_LEN: usize = 1;
@@ -48,34 +51,44 @@ const CTRL_FIRST: usize = 2;
 /// while it is not. The word is 0 in every other class's entry.
 const CTRL_ROUTE: usize = 3;
 
-/// The slot `len` entries past `head` in a ring of `cap` slots: where
-/// the next entry goes. Requires `head < cap` and `len <= cap`; since
-/// `head >= cap - len` iff `head + len >= cap`, every intermediate value
-/// stays in range even for caps near `u32::MAX`, where `head + len`
-/// would wrap.
+/// Slots the ring pool may span: its indices, held in the head word,
+/// are `u32`.
+const POOL_SLOTS_MAX: u64 = 1 << 32;
+
+/// The pool index `i` slots past `at`, wrapped within `at`'s ring block
+/// of `mask + 1` slots. Blocks are aligned to their size, so the block
+/// is `at & !mask` and the offset within it wraps by the mask.
 #[inline]
-#[expect(
-    clippy::arithmetic_side_effects,
-    reason = "head < cap and len <= cap: no value leaves 0..cap"
-)]
-fn tail(head: u32, len: u32, cap: u32) -> u32 {
-    if head >= cap - len {
-        head - (cap - len)
-    } else {
-        head + len
-    }
+fn wrap(at: u32, i: u32, mask: u32) -> u32 {
+    (at & !mask) | (at.wrapping_add(i) & mask)
+}
+
+/// Hands a queue a new ring block of `mask + 1` slots at the end of the
+/// pool and returns the block's first index. Block 0 is never handed
+/// out, so that a head of 0 can mean "no block yet": the first grant
+/// lays it down as well. Blocks are never released, so the pool holds
+/// at most 1 + (queues that have ever held two) blocks, which the
+/// constructor bounds by [`POOL_SLOTS_MAX`] slots: every index fits the
+/// `u32` it is returned in.
+#[cold]
+#[inline(never)]
+fn grant(pool: &mut Vec<u32>, mask: u32) -> u32 {
+    let block = (mask as usize).saturating_add(1);
+    let at = pool.len().max(block);
+    pool.resize(at.saturating_add(block), 0);
+    at as u32
 }
 
 /// One queue's control words, copied out of its `ctrl` entry so that a
-/// walk keeps them in registers, with the arena ring they name. The
-/// oldest entry is `first`; the other `len - 1` sit in the ring from
-/// `head` on. [`Ring::push_back`] and [`Ring::pop_front_n`] are the only
-/// ring arithmetic: enqueues, drains, flushes and migrations all move
-/// entries through them.
+/// walk keeps them in registers. The oldest entry is `first`; the other
+/// `len - 1` sit in the queue's ring block from pool index `head` on,
+/// wrapping within the block. [`Ring::push_back`] and
+/// [`Ring::pop_front_n`] are the only ring arithmetic: enqueues, drains,
+/// flushes and migrations all move entries through them.
 struct Ring {
     idx: usize,
-    base: usize,
     cap: u32,
+    mask: u32,
     head: u32,
     len: u32,
     first: u32,
@@ -83,34 +96,37 @@ struct Ring {
 
 impl Ring {
     /// Appends `v`: into `first` when the queue is empty, so a queue that
-    /// never holds two never writes the arena; behind the ring's
-    /// `len - 1` entries otherwise. Requires `len < cap`.
+    /// never holds two never takes a block; behind the ring's `len - 1`
+    /// entries otherwise, in the block the queue is granted the first
+    /// time it holds two. Requires `len < cap`.
     #[inline]
-    #[expect(
-        clippy::indexing_slicing,
-        clippy::arithmetic_side_effects,
-        reason = "0 < len < cap: the ring's len - 1 entries leave its tail slot free"
-    )]
-    fn push_back(&mut self, buf: &mut [u32], v: u32) {
+    fn push_back(&mut self, pool: &mut Vec<u32>, v: u32) {
         if self.len == 0 {
             self.first = v;
         } else {
-            buf[self.base + tail(self.head, self.len - 1, self.cap) as usize] = v;
+            if self.head == 0 {
+                self.head = grant(pool, self.mask);
+            }
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "a held block lies inside the pool, and the slot wraps within it"
+            )]
+            let slot = &mut pool[wrap(self.head, self.len.wrapping_sub(1), self.mask) as usize];
+            *slot = v;
         }
-        self.len += 1;
+        #[expect(clippy::arithmetic_side_effects, reason = "len < cap")]
+        {
+            self.len += 1;
+        }
     }
 
     /// Pops the `n` oldest entries into `f`, oldest first: `first`, then
     /// `n - 1` ring entries; the next ring entry, if any remain, refills
     /// `first`. Each argument of `f` is its own load, so the calls do not
-    /// wait on one another. Requires `n <= len`.
+    /// wait on one another. A queue keeps its block when it empties.
+    /// Requires `n <= len`.
     #[inline]
-    #[expect(
-        clippy::indexing_slicing,
-        clippy::arithmetic_side_effects,
-        reason = "h < cap: a slot of this ring; n <= len"
-    )]
-    fn pop_front_n(&mut self, buf: &[u32], n: u32, mut f: impl FnMut(u32)) {
+    fn pop_front_n(&mut self, pool: &[u32], n: u32, mut f: impl FnMut(u32)) {
         // `migrate_class` pops its drops, often none, from a queue it
         // may just have emptied, where `first` is stale.
         if n == 0 {
@@ -119,28 +135,35 @@ impl Ring {
         f(self.first);
         let mut h = self.head;
         for _ in 1..n {
-            f(buf[self.base + h as usize]);
-            h += 1;
-            if h == self.cap {
-                h = 0;
-            }
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "h is a slot of this queue's block, which lies inside the pool"
+            )]
+            let v = pool[h as usize];
+            f(v);
+            h = wrap(h, 1, self.mask);
         }
-        self.len -= n;
+        #[expect(clippy::arithmetic_side_effects, reason = "n <= len")]
+        {
+            self.len -= n;
+        }
         if self.len > 0 {
-            self.first = buf[self.base + h as usize];
-            h += 1;
-            if h == self.cap {
-                h = 0;
-            }
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "an entry remains in the ring, so h is a slot of its block"
+            )]
+            let v = pool[h as usize];
+            self.first = v;
+            h = wrap(h, 1, self.mask);
         }
         self.head = h;
     }
 
     /// Pops the oldest entry. Requires `len > 0`.
     #[inline]
-    fn pop_front(&mut self, buf: &[u32]) -> u32 {
+    fn pop_front(&mut self, pool: &[u32]) -> u32 {
         let mut oldest = 0;
-        self.pop_front_n(buf, 1, |v| oldest = v);
+        self.pop_front_n(pool, 1, |v| oldest = v);
         oldest
     }
 }
@@ -155,15 +178,17 @@ impl Ring {
 ///   random-server enqueue costs one cache line of control state
 ///   instead of three. `first` is the queue's oldest arrival step while
 ///   `len > 0`; `route` is used in class 0's entries only.
-/// * `buf` is one arena holding every ring payload: the queue's other
-///   `len - 1` entries, oldest first from `head`. A drain refills
-///   `first` from the ring while entries remain. Class `c`'s block
-///   starts at `class_base[c] = m * (caps[0] + … + caps[c-1])`; inside
-///   it, server `s`'s ring occupies `[class_base[c] + s*caps[c] ..)[..caps[c]]`
-///   (one slot more than a full queue's ring needs, so a 16-slot ring
-///   stays one aligned 64-byte line). All offsets are computed with
-///   checked arithmetic at construction, so blocks can neither alias
-///   nor overrun.
+/// * `pool` holds ring blocks of `B = (max capacity − 1)
+///   .next_power_of_two()` slots (at least 1), each aligned to its size:
+///   room for the `len − 1 ≤ capacity − 1` entries behind `first`,
+///   oldest first from `head`, wrapping by mask within the block. A
+///   queue's `head` is the absolute pool index of its ring's oldest
+///   entry; block 0 is reserved, so `head == 0` means the queue holds
+///   no block. A queue is granted one at the end of the pool the first
+///   time it holds two requests and keeps it until the array is
+///   dropped, so the pool holds at most 1 + (queues that have ever held
+///   two) blocks. The constructor refuses a configuration whose pool
+///   could pass 2³² slots, so every index fits the `u32` head word.
 ///
 /// # Liveness
 ///
@@ -189,15 +214,16 @@ impl Ring {
 /// work rather than with cluster size.
 #[derive(Debug, Clone)]
 pub struct QueueArray {
-    /// Arena of ring payloads (arrival steps), class-major.
-    buf: Vec<u32>,
+    /// Ring blocks (arrival steps), `mask + 1` slots each; block 0 is
+    /// reserved and laid down with the first grant.
+    pool: Vec<u32>,
     /// Packed ring control (head, len, oldest entry, routing word),
     /// indexed by `(class * num_servers + server) * CTRL_WORDS`.
     ctrl: Vec<u32>,
     /// Per-class capacity.
     caps: Vec<u32>,
-    /// Arena offset of class `c`'s block (`m * prefix_sum(caps[..c])`).
-    class_base: Vec<usize>,
+    /// Ring block size minus one.
+    mask: u32,
     /// Per class: servers with a non-empty queue in that class
     /// (unordered).
     occupied: Vec<Vec<u32>>,
@@ -216,17 +242,14 @@ impl QueueArray {
     pub(crate) const ROUTE_ROW_BYTES: usize = CTRL_WORDS * std::mem::size_of::<u32>();
 
     /// Creates queues for `num_servers` servers with the given classes.
-    /// Every server starts live.
+    /// Every server starts live. Nothing is allocated for the rings until
+    /// a queue first holds two requests.
     ///
     /// # Panics
     /// Panics if `classes` is empty, any capacity is zero, the summed
     /// per-server capacity reaches `u32::MAX` (the down-server routing
-    /// sentinel), or the arena size overflows `usize`.
-    #[expect(
-        clippy::arithmetic_side_effects,
-        reason = "every product is at most the checked arena size (prefix, k <= per_server); \
-                  ctrl's 4x fits once `buf`, as many 4-byte words, is allocated"
-    )]
+    /// sentinel), or the ring pool could pass 2³² slots (one block per
+    /// queue plus the reserved one).
     pub fn new(num_servers: usize, classes: &[ClassSpec]) -> Self {
         assert!(!classes.is_empty(), "need at least one queue class");
         assert!(
@@ -252,33 +275,35 @@ impl QueueArray {
             per_server < u32::MAX,
             "QueueArray: per-server capacity {per_server} must stay below u32::MAX (the down-server routing sentinel)"
         );
-        // Class-major arena: class c's block of rings starts at
-        // m * prefix_sum(caps[..c]). A capacity sum that fits u32 can
-        // still overflow the arena when multiplied by m, so the full
-        // product is checked once; every class offset below is
-        // m * prefix with prefix <= per_server, hence in range.
-        let arena = match num_servers.checked_mul(per_server as usize) {
-            Some(v) => v,
-            #[expect(
-                clippy::panic,
-                reason = "constructor-time validation, never on the per-step hot path"
-            )]
-            None => panic!(
-                "QueueArray: arena size overflows usize ({num_servers} servers x {per_server} capacity per server)"
-            ),
+        // B = (max capacity − 1).next_power_of_two(), at least 1; a
+        // capacity above 2³¹ + 1 needs B = 2³², whose mask is u32::MAX.
+        let max_cap = caps.iter().copied().max().unwrap_or(1);
+        let mask = max_cap
+            .saturating_sub(1)
+            .checked_next_power_of_two()
+            .map_or(u32::MAX, |b| b.wrapping_sub(1));
+        let block = u64::from(mask).saturating_add(1);
+        // The pool's bound, (m·k + 1)·B slots, and the control row's
+        // 4·m·k words, both with checked arithmetic.
+        let queues = num_servers.checked_mul(k);
+        let slots = queues
+            .and_then(|q| u64::try_from(q).ok()?.checked_add(1)?.checked_mul(block))
+            .filter(|&s| s <= POOL_SLOTS_MAX);
+        #[expect(
+            clippy::panic,
+            reason = "constructor-time validation, never on the per-step hot path"
+        )]
+        let (Some(ctrl_len), Some(_)) = (queues.and_then(|q| q.checked_mul(CTRL_WORDS)), slots) else {
+            panic!(
+                "QueueArray: the ring pool could pass 2^32 slots ({num_servers} servers x {k} \
+                 classes + 1 reserved block, {block} slots a block)"
+            )
         };
-        let mut class_base = Vec::with_capacity(k);
-        let mut prefix = 0usize;
-        for &c in &caps {
-            class_base.push(num_servers * prefix);
-            prefix += c as usize;
-        }
-        debug_assert_eq!(num_servers * prefix, arena);
         Self {
-            buf: vec![0; arena],
-            ctrl: vec![0; CTRL_WORDS * k * num_servers],
+            pool: Vec::new(),
+            ctrl: vec![0; ctrl_len],
             caps,
-            class_base,
+            mask,
             occupied: vec![Vec::new(); k],
             total: 0,
             per_server,
@@ -307,31 +332,19 @@ impl QueueArray {
         server as usize * CTRL_WORDS + CTRL_ROUTE
     }
 
-    /// Base index of `(server, class)`'s ring in the arena.
-    #[inline]
-    #[expect(
-        clippy::indexing_slicing,
-        clippy::arithmetic_side_effects,
-        reason = "slot base: class/server/caps validated at build"
-    )]
-    fn base(&self, server: u32, class: usize) -> usize {
-        self.class_base[class] + server as usize * self.caps[class] as usize
-    }
-
-    /// `(server, class)`'s queue, named by its `ctrl` index, arena base
-    /// and capacity, which the bulk walks hoist out of their per-server
-    /// loops.
+    /// The queue whose `ctrl` entry starts at `idx`, of capacity `cap`,
+    /// which the bulk walks hoist out of their per-server loops.
     #[inline]
     #[expect(
         clippy::indexing_slicing,
         clippy::arithmetic_side_effects,
         reason = "idx names a built ring's entry"
     )]
-    fn ring_at(&self, idx: usize, base: usize, cap: u32) -> Ring {
+    fn ring_at(&self, idx: usize, cap: u32) -> Ring {
         Ring {
             idx,
-            base,
             cap,
+            mask: self.mask,
             head: self.ctrl[idx + CTRL_HEAD],
             len: self.ctrl[idx + CTRL_LEN],
             first: self.ctrl[idx + CTRL_FIRST],
@@ -341,12 +354,7 @@ impl QueueArray {
     /// `(server, class)`'s queue.
     #[inline]
     fn ring(&self, server: u32, class: usize) -> Ring {
-        #[expect(
-            clippy::indexing_slicing,
-            reason = "class validated by the public entry points"
-        )]
-        let cap = self.caps[class];
-        self.ring_at(self.ctrl_ix(server, class), self.base(server, class), cap)
+        self.ring_at(self.ctrl_ix(server, class), self.capacity(class))
     }
 
     /// Writes a queue's control words back to its `ctrl` entry.
@@ -357,9 +365,18 @@ impl QueueArray {
         reason = "idx names a built ring's entry"
     )]
     fn store(&mut self, ring: &Ring) {
-        self.ctrl[ring.idx + CTRL_HEAD] = ring.head;
-        self.ctrl[ring.idx + CTRL_LEN] = ring.len;
-        self.ctrl[ring.idx + CTRL_FIRST] = ring.first;
+        self.ctrl[ring.idx + CTRL_HEAD..ring.idx + CTRL_ROUTE]
+            .copy_from_slice(&[ring.head, ring.len, ring.first]);
+    }
+
+    /// `class`'s occupancy list.
+    #[inline]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "class validated by the caller, as for capacity"
+    )]
+    fn occupied_mut(&mut self, class: usize) -> &mut Vec<u32> {
+        &mut self.occupied[class]
     }
 
     /// Number of queue classes per server.
@@ -458,9 +475,8 @@ impl QueueArray {
 
     /// Whether `class` at `server` is full.
     #[inline]
-    #[expect(clippy::indexing_slicing, reason = "class < k, as for class_backlog")]
     pub fn is_full(&self, server: u32, class: usize) -> bool {
-        self.class_backlog(server, class) >= self.caps[class]
+        self.class_backlog(server, class) >= self.capacity(class)
     }
 
     /// Enqueues a request (by arrival step) into `(server, class)`.
@@ -469,12 +485,6 @@ impl QueueArray {
     /// Returns [`QueueFull`] if the class is at capacity; the queue is
     /// unchanged.
     #[inline]
-    #[expect(
-        clippy::indexing_slicing,
-        clippy::arithmetic_side_effects,
-        reason = "server < m: enforced by the public API asserts, and class < k as `ring` read \
-                  caps[class]; at most m * per_server entries are ever queued"
-    )]
     pub fn enqueue(
         &mut self,
         server: u32,
@@ -485,15 +495,25 @@ impl QueueArray {
         if ring.len >= ring.cap {
             return Err(QueueFull);
         }
-        ring.push_back(&mut self.buf, arrival_step);
+        ring.push_back(&mut self.pool, arrival_step);
         self.store(&ring);
         // Branchless: a down server's word saturates at DOWN, and a live
         // one cannot reach it (per_server < u32::MAX).
-        let r = Self::route_ix(server);
-        self.ctrl[r] = self.ctrl[r].saturating_add(1);
-        self.total += 1;
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "server < m: enforced by the public API asserts"
+        )]
+        let route = &mut self.ctrl[Self::route_ix(server)];
+        *route = route.saturating_add(1);
+        #[expect(
+            clippy::arithmetic_side_effects,
+            reason = "at most m * per_server entries are ever queued"
+        )]
+        {
+            self.total += 1;
+        }
         if ring.len == 1 {
-            self.occupied[class].push(server);
+            self.occupied_mut(class).push(server);
         }
         Ok(())
     }
@@ -506,7 +526,7 @@ impl QueueArray {
     /// Requires `n <= len`.
     #[inline]
     fn pop(&mut self, server: u32, mut ring: Ring, n: u32, f: impl FnMut(u32)) -> u32 {
-        ring.pop_front_n(&self.buf, n, f);
+        ring.pop_front_n(&self.pool, n, f);
         self.store(&ring);
         // A down server's routing word stays pinned at DOWN (which no
         // live value reaches), so the word itself says whether it
@@ -529,10 +549,6 @@ impl QueueArray {
     /// this: it is the per-server reference the queue tests compare
     /// [`QueueArray::sweep_class`] against.
     #[inline]
-    #[expect(
-        clippy::arithmetic_side_effects,
-        reason = "n <= this queue's length, counted in total"
-    )]
     pub fn dequeue_up_to(
         &mut self,
         server: u32,
@@ -546,13 +562,18 @@ impl QueueArray {
         }
         let ring = self.ring(server, class);
         if self.pop(server, ring, n, on_complete) == 0 {
-            #[expect(clippy::indexing_slicing, reason = "class < k, as for the ring")]
-            let list = &mut self.occupied[class];
+            let list = self.occupied_mut(class);
             if let Some(at) = list.iter().position(|&s| s == server) {
                 list.swap_remove(at);
             }
         }
-        self.total -= n as u64;
+        #[expect(
+            clippy::arithmetic_side_effects,
+            reason = "n <= this queue's length, counted in total"
+        )]
+        {
+            self.total -= u64::from(n);
+        }
         n
     }
 
@@ -566,36 +587,43 @@ impl QueueArray {
     ///
     /// This is the engine's only drain. When occupancy is dense (at
     /// least half the servers hold work) it visits every server in id
-    /// order — sequential over the class-major `ctrl` row and arena
-    /// block, an empty queue costing one length check; when sparse it
-    /// visits the occupancy list. Visit order differs between the two,
-    /// but per-completion statistics are order-independent
-    /// accumulations, so reports are identical.
-    #[expect(
-        clippy::indexing_slicing,
-        clippy::arithmetic_side_effects,
-        reason = "occupied[] entries are live slots by invariant; list.len() <= m, and the sparse \
-                  walk reads list[..n]; drained <= total: every entry popped was counted in"
-    )]
+    /// order — sequential over the class-major `ctrl` row, an empty
+    /// queue costing one length check; when sparse it visits the
+    /// occupancy list. Visit order differs between the two, but
+    /// per-completion statistics are order-independent accumulations,
+    /// so reports are identical.
     pub fn sweep_class(
         &mut self,
         class: usize,
         take: u32,
         on_complete: impl FnMut(u32, u32),
     ) -> u64 {
-        if take == 0 || self.occupied[class].is_empty() {
+        if take == 0 || self.occupied_servers(class).is_empty() {
             return 0;
         }
         let m = self.num_servers;
-        let mut list = std::mem::take(&mut self.occupied[class]);
-        let drained = if list.len() * 2 >= m {
+        let mut list = std::mem::take(self.occupied_mut(class));
+        // list.len() <= m, so the doubling cannot saturate.
+        let drained = if list.len().saturating_mul(2) >= m {
             self.sweep_walk(class, take, &mut list, m, |_, i| i as u32, on_complete)
         } else {
             let n = list.len();
-            self.sweep_walk(class, take, &mut list, n, |list, i| list[i], on_complete)
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "the sparse walk reads list[..n], and the list keeps its length \
+                          until the walk ends"
+            )]
+            let at = |list: &[u32], i: usize| list[i];
+            self.sweep_walk(class, take, &mut list, n, at, on_complete)
         };
-        self.total -= drained;
-        self.occupied[class] = list;
+        #[expect(
+            clippy::arithmetic_side_effects,
+            reason = "drained <= total: every entry popped was counted in"
+        )]
+        {
+            self.total -= drained;
+        }
+        *self.occupied_mut(class) = list;
         drained
     }
 
@@ -607,12 +635,6 @@ impl QueueArray {
     /// during a sweep, so `kept` never passes the sparse walk's read
     /// position, nor the list's length under the dense walk (which does
     /// not read the list at all).
-    #[expect(
-        clippy::indexing_slicing,
-        clippy::arithmetic_side_effects,
-        reason = "class validated by the sweep's entry; servers come from 0..m or the occupancy \
-                  list, so slot arithmetic is bounded by per-class capacity; kept <= i"
-    )]
     fn sweep_walk(
         &mut self,
         class: usize,
@@ -622,24 +644,42 @@ impl QueueArray {
         at: impl Fn(&[u32], usize) -> u32,
         mut on_complete: impl FnMut(u32, u32),
     ) -> u64 {
-        let cap = self.caps[class];
-        let cbase = self.class_base[class];
-        let lo = class * self.num_servers * CTRL_WORDS;
+        let cap = self.capacity(class);
+        let lo = self.ctrl_ix(0, class);
         let mut drained = 0u64;
         let mut kept = 0usize;
         for i in 0..visits {
             let server = at(list, i);
+            #[expect(
+                clippy::arithmetic_side_effects,
+                reason = "servers come from 0..m or the occupancy list: the entry lies in \
+                          class's block of ctrl"
+            )]
             let idx = lo + server as usize * CTRL_WORDS;
+            #[expect(
+                clippy::indexing_slicing,
+                clippy::arithmetic_side_effects,
+                reason = "idx names a built ring's entry"
+            )]
             let mut rem = self.ctrl[idx + CTRL_LEN];
             if rem == 0 {
                 continue;
             }
+            #[expect(
+                clippy::arithmetic_side_effects,
+                reason = "drained <= total: every entry popped was counted in"
+            )]
             if self.is_live(server) {
                 let n = take.min(rem);
-                let ring = self.ring_at(idx, cbase + server as usize * cap as usize, cap);
+                let ring = self.ring_at(idx, cap);
                 rem = self.pop(server, ring, n, |arrival| on_complete(server, arrival));
-                drained += n as u64;
+                drained += u64::from(n);
             }
+            #[expect(
+                clippy::indexing_slicing,
+                clippy::arithmetic_side_effects,
+                reason = "kept <= i < the list's length, which the walk does not change"
+            )]
             if rem > 0 {
                 list[kept] = server;
                 kept += 1;
@@ -686,71 +726,66 @@ impl QueueArray {
     ///
     /// # Panics
     /// Panics if `from == to`.
-    #[expect(
-        clippy::indexing_slicing,
-        clippy::arithmetic_side_effects,
-        reason = "from/to classes validated by the migrate entry asserts; dst.len <= dst.cap; \
-                  dropped never passes total"
-    )]
     pub fn migrate_class(&mut self, from: usize, to: usize, mut on_drop: impl FnMut(u32)) -> u64 {
         assert_ne!(from, to, "cannot migrate a class onto itself");
         let mut dropped = 0u64;
         // Visit only servers with pending `from` entries; every one of
         // them leaves the `from` occupancy list, so the list is detached
         // wholesale and its allocation reused.
-        let mut movers = std::mem::take(&mut self.occupied[from]);
+        let mut movers = std::mem::take(self.occupied_mut(from));
         for &server in &movers {
             let mut src = self.ring(server, from);
             debug_assert!(src.len > 0, "occupancy lists only hold non-empty queues");
             let mut dst = self.ring(server, to);
             if dst.len == 0 {
                 // src holds work and dst has room for all of cap: something moves.
-                self.occupied[to].push(server);
+                self.occupied_mut(to).push(server);
             }
             // What fits moves oldest first, through the same front and
-            // push as every drain and enqueue.
-            for _ in 0..src.len.min(dst.cap - dst.len) {
-                let arrival = src.pop_front(&self.buf);
-                dst.push_back(&mut self.buf, arrival);
+            // push as every drain and enqueue; the destination takes a
+            // block the first time it holds two.
+            #[expect(clippy::arithmetic_side_effects, reason = "dst.len <= dst.cap")]
+            let room = dst.cap - dst.len;
+            for _ in 0..src.len.min(room) {
+                let arrival = src.pop_front(&self.pool);
+                dst.push_back(&mut self.pool, arrival);
             }
             self.store(&dst);
             // What found no room leaves the server: the only entries
             // whose departure changes its backlog.
             let lost = src.len;
             self.pop(server, src, lost, &mut on_drop);
-            dropped += lost as u64;
+            #[expect(clippy::arithmetic_side_effects, reason = "dropped never passes total")]
+            {
+                dropped += u64::from(lost);
+            }
         }
-        self.total -= dropped;
+        #[expect(clippy::arithmetic_side_effects, reason = "dropped never passes total")]
+        {
+            self.total -= dropped;
+        }
         movers.clear();
-        self.occupied[from] = movers;
+        *self.occupied_mut(from) = movers;
         dropped
     }
 
     /// Empties every queue (live or not), invoking
     /// `on_drop(arrival_step)` for each dropped request. Returns the
-    /// number dropped. Used for the greedy algorithm's periodic flush
-    /// (requests count as rejections).
-    #[expect(
-        clippy::indexing_slicing,
-        clippy::arithmetic_side_effects,
-        reason = "flush walks only built classes; dropped never passes total"
-    )]
+    /// number dropped: the whole queued total. Used for the greedy
+    /// algorithm's periodic flush (requests count as rejections).
+    /// Queues keep their ring blocks.
     pub fn flush_all(&mut self, mut on_drop: impl FnMut(u32)) -> u64 {
-        let k = self.num_classes();
-        let mut dropped = 0u64;
-        for class in 0..k {
-            let mut servers = std::mem::take(&mut self.occupied[class]);
+        for class in 0..self.num_classes() {
+            let mut servers = std::mem::take(self.occupied_mut(class));
             for &server in &servers {
                 let ring = self.ring(server, class);
                 let n = ring.len;
                 self.pop(server, ring, n, &mut on_drop);
-                dropped += n as u64;
             }
             servers.clear();
-            self.occupied[class] = servers;
+            *self.occupied_mut(class) = servers;
         }
-        self.total = 0;
-        dropped
+        std::mem::take(&mut self.total)
     }
 
     /// Per-server total backlogs, in server-id order (length
@@ -774,13 +809,17 @@ impl QueueArray {
 #[cfg(feature = "sanitize")]
 impl QueueArray {
     /// Re-derives every structural invariant from scratch and reports
-    /// the first violation: arena geometry (offset monotonicity, block
-    /// sizes that tile `buf` exactly — hence no ring aliasing), ring
-    /// `head`/`len` bounds, the routing word (class 0's equals the sum
-    /// of the server's class lengths or is `DOWN`; every other class's
-    /// is 0), the incremental `total` vs. a full recount, and the
-    /// occupancy index against actual queue membership: each class's
-    /// list files every non-empty queue exactly once and nothing else.
+    /// the first violation: the ring pool (its length a multiple of the
+    /// block size; every queue holding two or more entries holds a
+    /// block; every held block — named by its head, so aligned to the
+    /// block size — is non-zero and inside the pool; no two queues hold
+    /// the same block; and, blocks never being released, the pool holds
+    /// exactly the reserved block plus the held ones), ring lengths
+    /// within capacity, the routing word (class 0's equals the sum of
+    /// the server's class lengths or is `DOWN`; every other class's is
+    /// 0), the incremental `total` vs. a full recount, and the occupancy
+    /// index against actual queue membership: each class's list files
+    /// every non-empty queue exactly once and nothing else.
     ///
     /// # Errors
     /// A human-readable description of the first invariant violated.
@@ -793,33 +832,10 @@ impl QueueArray {
     pub fn sanitize_check(&self) -> Result<(), String> {
         let k = self.caps.len();
         let m = self.num_servers;
-        if self.ctrl.len() != CTRL_WORDS * m * k
-            || self.occupied.len() != k
-            || self.class_base.len() != k
-        {
+        if self.ctrl.len() != CTRL_WORDS * m * k || self.occupied.len() != k {
             return Err("sanitize: packed row length drifted from m * K".into());
         }
-        // Arena geometry: class offsets must be exactly the class-major
-        // prefix sums (monotone, non-aliasing) and tile `buf` exactly.
-        let mut expected_base = 0usize;
-        let mut expected_per_server = 0u64;
-        for class in 0..k {
-            if self.class_base[class] != expected_base {
-                return Err(format!(
-                    "sanitize: class {class} arena offset {} != expected prefix {expected_base} \
-                     (blocks alias or leave gaps)",
-                    self.class_base[class]
-                ));
-            }
-            expected_base += self.caps[class] as usize * m;
-            expected_per_server += self.caps[class] as u64;
-        }
-        if expected_base != self.buf.len() {
-            return Err(format!(
-                "sanitize: arena length {} != sum of class blocks {expected_base}",
-                self.buf.len()
-            ));
-        }
+        let expected_per_server: u64 = self.caps.iter().map(|&c| c as u64).sum();
         if expected_per_server != self.per_server as u64 || self.per_server == u32::MAX {
             return Err(format!(
                 "sanitize: per-server capacity {} != class capacity sum {expected_per_server} \
@@ -827,25 +843,54 @@ impl QueueArray {
                 self.per_server
             ));
         }
+        let block = self.mask as usize + 1;
+        if !self.pool.len().is_multiple_of(block) {
+            return Err(format!(
+                "sanitize: ring pool length {} is not a multiple of the block size {block}",
+                self.pool.len()
+            ));
+        }
+        // Which queue holds each block, by `ctrl` entry index.
+        let mut holder: Vec<Option<usize>> = vec![None; self.pool.len() / block];
+        let mut held = 0usize;
         let mut total: u64 = 0;
         for server in 0..m {
             let mut server_sum: u64 = 0;
             for class in 0..k {
                 let idx = (class * m + server) * CTRL_WORDS;
                 let cap = self.caps[class];
-                if self.ctrl[idx + CTRL_HEAD] >= cap {
+                let (head, len) = (self.ctrl[idx + CTRL_HEAD], self.ctrl[idx + CTRL_LEN]);
+                if len > cap {
                     return Err(format!(
-                        "sanitize: ring head {} out of bounds (cap {cap}) at server {server} class {class}",
-                        self.ctrl[idx + CTRL_HEAD]
+                        "sanitize: ring len {len} exceeds cap {cap} at server {server} class {class}"
                     ));
                 }
-                if self.ctrl[idx + CTRL_LEN] > cap {
+                if len >= 2 && head == 0 {
                     return Err(format!(
-                        "sanitize: ring len {} exceeds cap {cap} at server {server} class {class}",
-                        self.ctrl[idx + CTRL_LEN]
+                        "sanitize: queue at server {server} class {class} holds {len} entries \
+                         but no ring block"
                     ));
                 }
-                server_sum += self.ctrl[idx + CTRL_LEN] as u64;
+                if head != 0 {
+                    let b = head as usize / block;
+                    if b == 0 || b >= holder.len() {
+                        return Err(format!(
+                            "sanitize: ring head {head} at server {server} class {class} names \
+                             block {b}, which is reserved or outside the pool of {} blocks",
+                            holder.len()
+                        ));
+                    }
+                    if let Some(other) = holder[b].replace(idx) {
+                        return Err(format!(
+                            "sanitize: ring block {b} is held by two queues (ctrl entries {} \
+                             and {}: server {server} class {class})",
+                            other / CTRL_WORDS,
+                            idx / CTRL_WORDS
+                        ));
+                    }
+                    held += 1;
+                }
+                server_sum += len as u64;
                 if class > 0 && self.ctrl[idx + CTRL_ROUTE] != 0 {
                     return Err(format!(
                         "sanitize: pad word {} of class {class}'s entry is not 0 at server {server}",
@@ -861,6 +906,14 @@ impl QueueArray {
                 ));
             }
             total += server_sum;
+        }
+        // Blocks are never released: every block but the reserved one is
+        // held, and the reserved one is laid down with the first grant.
+        if holder.len() != if held == 0 { 0 } else { held + 1 } {
+            return Err(format!(
+                "sanitize: ring pool holds {} blocks, {held} queues hold one",
+                holder.len()
+            ));
         }
         if total != self.total {
             return Err(format!(
@@ -944,8 +997,26 @@ impl QueueArray {
             *pad = 1;
         }
     }
-}
 
+    /// Test hook: gives a second queue the ring block of the first
+    /// queue that holds one: the queue of `ctrl` entry 0, or of entry 1
+    /// when entry 0's is the holder.
+    #[doc(hidden)]
+    pub fn sanitize_share_block(&mut self) {
+        let held = self
+            .ctrl
+            .iter()
+            .step_by(CTRL_WORDS)
+            .enumerate()
+            .find(|&(_, &head)| head != 0);
+        if let Some((holder, &head)) = held {
+            let other = usize::from(holder == 0);
+            if let Some(slot) = self.ctrl.get_mut(other.saturating_mul(CTRL_WORDS)) {
+                *slot = head;
+            }
+        }
+    }
+}
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1252,9 +1323,10 @@ mod tests {
     fn queues_that_never_hold_two_never_touch_the_arena() {
         // Every queue here holds at most one request at a time, so each
         // entry lives in its control entry's `first` word: whatever
-        // enqueue, sweep, migration, flush or dequeue traffic runs, the
-        // arena stays all zeros and no ring head moves. Arrival steps
-        // start at 1, so any entry written to the arena shows.
+        // enqueue, sweep, migration, flush or dequeue traffic runs, no
+        // queue is granted a ring block, so the pool never grows (not
+        // even by the reserved block 0, laid down with the first grant)
+        // and every ring head stays 0.
         let spec = |capacity| ClassSpec {
             capacity,
             drain_per_step: 1,
@@ -1283,16 +1355,126 @@ mod tests {
                 }
             }
             assert_eq!(q.total_backlog(), 0, "round {round}");
-            assert!(
-                q.buf.iter().all(|&w| w == 0),
-                "round {round}: arena written"
-            );
+            assert!(q.pool.is_empty(), "round {round}: a block was granted");
             assert!(
                 q.ctrl.chunks_exact(CTRL_WORDS).all(|e| e[CTRL_HEAD] == 0),
                 "round {round}: a ring head moved"
             );
         }
         assert_eq!(completed, arrival - 1);
+    }
+
+    /// Blocks in the pool, counting the reserved block 0.
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "a block is at least one slot"
+    )]
+    fn pool_blocks(q: &QueueArray) -> usize {
+        q.pool.len() / (q.mask as usize + 1)
+    }
+
+    #[test]
+    fn a_queue_swinging_between_one_and_two_owns_one_block() {
+        // Capacity 5 gives blocks of 4 slots. The queue is granted its
+        // block the first time it holds two and keeps it through every
+        // 2 -> 1 and 1 -> 0: the pool is block 0 plus that one block.
+        let mut q = QueueArray::new(
+            2,
+            &[ClassSpec {
+                capacity: 5,
+                drain_per_step: 1,
+            }],
+        );
+        assert_eq!(q.mask, 3);
+        let mut seen = Vec::new();
+        for round in 0..1000u32 {
+            q.enqueue(1, 0, 2 * round).unwrap();
+            q.enqueue(1, 0, 2 * round + 1).unwrap();
+            q.dequeue_up_to(1, 0, 1, |a| seen.push(a));
+            assert_eq!(pool_blocks(&q), 2, "round {round}");
+            q.dequeue_up_to(1, 0, 1, |a| seen.push(a));
+            if round % 2 == 0 {
+                // ...and through a flush from one entry.
+                q.enqueue(1, 0, 0).unwrap();
+                assert_eq!(q.flush_all(|_| {}), 1);
+            }
+        }
+        assert_eq!(seen, (0..2000).collect::<Vec<_>>());
+        assert_eq!(pool_blocks(&q), 2);
+        assert_eq!(q.ctrl[CTRL_HEAD], 0, "server 0 never held two");
+    }
+
+    #[test]
+    fn the_pool_holds_one_block_per_queue_that_held_two_plus_the_reserved_one() {
+        // Eight servers x two classes; queues become two-deep one at a
+        // time, in both classes and through migrations, and are emptied
+        // again in between.
+        let spec = |capacity| ClassSpec {
+            capacity,
+            drain_per_step: 1,
+        };
+        let mut q = QueueArray::new(8, &[spec(3), spec(9)]);
+        assert_eq!(q.mask, 7);
+        assert_eq!(pool_blocks(&q), 0);
+        let mut held = 0;
+        for s in 0..8u32 {
+            for class in 0..2 {
+                q.enqueue(s, class, 1).unwrap();
+                q.enqueue(s, class, 2).unwrap();
+                held += 1;
+                assert_eq!(pool_blocks(&q), held + 1, "server {s} class {class}");
+                q.flush_all(|_| {});
+                // Holding two again takes no new block.
+                q.enqueue(s, class, 3).unwrap();
+                q.enqueue(s, class, 4).unwrap();
+                q.drain_class(class, 2, |_| {});
+                assert_eq!(pool_blocks(&q), held + 1, "server {s} class {class}");
+            }
+        }
+        // A migration into a queue that already holds a block takes none.
+        q.enqueue(0, 0, 5).unwrap();
+        q.enqueue(0, 0, 6).unwrap();
+        assert_eq!(q.migrate_class(0, 1, |_| panic!("dropped")), 0);
+        assert_eq!(pool_blocks(&q), 17);
+        let mut seen = Vec::new();
+        q.dequeue_up_to(0, 1, 9, |a| seen.push(a));
+        assert_eq!(seen, vec![5, 6]);
+        // Every queue holds its own block: heads are distinct blocks.
+        let mut blocks: Vec<u32> = q
+            .ctrl
+            .chunks_exact(CTRL_WORDS)
+            .map(|e| e[CTRL_HEAD] / 8)
+            .collect();
+        blocks.sort_unstable();
+        assert_eq!(blocks, (1..=16).collect::<Vec<_>>());
+    }
+
+    #[test]
+    #[should_panic(expected = "the ring pool could pass 2^32 slots")]
+    fn a_pool_that_could_pass_two_to_the_32_slots_is_rejected() {
+        // Blocks of 2^12 slots (capacity 4097), 2^20 queues and the
+        // reserved block: 2^32 + 2^12 slots. Rejected before anything
+        // is allocated.
+        let _ = QueueArray::new(
+            1 << 20,
+            &[ClassSpec {
+                capacity: 4097,
+                drain_per_step: 1,
+            }],
+        );
+    }
+
+    #[test]
+    fn a_pool_of_exactly_two_to_the_32_slots_is_accepted() {
+        // One queue fewer than above: (2^20 - 1 + 1) blocks of 2^12.
+        let q = QueueArray::new(
+            (1 << 20) - 1,
+            &[ClassSpec {
+                capacity: 4097,
+                drain_per_step: 1,
+            }],
+        );
+        assert_eq!(q.mask, 4095);
     }
 
     #[test]

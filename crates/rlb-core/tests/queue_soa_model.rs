@@ -11,7 +11,7 @@
 //! pressure, and post-flush reuse. Its generator draws k <= 3 classes;
 //! `queue_down_server.rs` covers a down server with all four of delayed
 //! cuckoo routing's classes queued. A queue keeps its oldest entry in
-//! its control entry and the rest in an arena ring, so the last sweep
+//! its control entry and the rest in its ring block, so the last sweep
 //! reads every queue back whole, in order, on rings of 1 to 3 slots.
 
 use std::collections::VecDeque;
@@ -148,7 +148,7 @@ fn check_against_model(q: &QueueArray, model: &Model, caps: &[ClassSpec], contex
 /// drains, liveness flips (single and mask), migrations, and flushes —
 /// leave the array in exact agreement with the naive model. Flushes are
 /// followed by continued traffic, so post-flush re-occupancy of the
-/// same arena is exercised in nearly every case.
+/// same ring blocks is exercised in nearly every case.
 #[test]
 fn soa_engine_matches_naive_model_under_liveness_churn() {
     for case in 0..CASES {
@@ -360,7 +360,7 @@ fn check_contents(q: &QueueArray, model: &Model, context: &str) {
 }
 
 /// Rings of one to three slots, where a queue's oldest entry in its
-/// control entry and the rest in the arena ring meet at every boundary:
+/// control entry and the rest in its ring block meet at every boundary:
 /// heads wrap every few operations, migrations land in empty and
 /// non-empty destinations and drop on full ones, sweeps take part of a
 /// queue and refill its front from the ring, and flushes empty

@@ -165,10 +165,26 @@ fn corrupted_class_pad_word_is_caught() {
 }
 
 #[test]
+fn ring_block_held_by_two_queues_is_caught() {
+    // Capacity 8 and 48 requests a step over 16 servers: queues hold
+    // two or more within a few steps, so some queue holds a ring block
+    // to hand to a second one.
+    let mut sim = Simulation::new(config(), Greedy::new());
+    sim.run(&mut workload(), 5);
+    sim.sanitize_queues_mut().sanitize_check().unwrap();
+    sim.sanitize_queues_mut().sanitize_share_block();
+    let msg = step_panic_message(&mut sim).expect("sanitizer must panic");
+    assert!(
+        msg.contains("ring block") && msg.contains("two queues"),
+        "panic should name the broken invariant: {msg}"
+    );
+}
+
+#[test]
 fn heavy_saturating_run_passes_every_step() {
     // A scaled-down cut of the benchmark's `engine-dense` workload: one
     // request per server per step over a repeated chunk set, far above
-    // the drain rate, so the arena sits at capacity with the dense
+    // the drain rate, so the queues sit at capacity with the dense
     // drain sweep active — re-deriving every invariant after each step.
     for mode in [DrainMode::EndOfStep, DrainMode::Interleaved] {
         let m = 512usize;
