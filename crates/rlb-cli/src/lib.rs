@@ -175,8 +175,9 @@ pub fn parse_args(args: &[String]) -> Result<CliOptions, String> {
 /// Runs the described simulation.
 ///
 /// # Errors
-/// Returns a message for an unknown policy name or a policy/config
-/// mismatch caught before the run.
+/// Returns a message for an unknown policy name, a policy/config
+/// mismatch, per-chunk state the allocator refuses, or queues whose
+/// ring pool could pass 2³² slots, all caught before the run.
 pub fn run(opts: &CliOptions) -> Result<RunReport, String> {
     run_with_sink(opts, NoopSink).map(|(report, _)| report)
 }
@@ -186,8 +187,7 @@ pub fn run(opts: &CliOptions) -> Result<RunReport, String> {
 /// compiles the emission sites out entirely).
 ///
 /// # Errors
-/// Returns a message for an unknown policy name or a policy/config
-/// mismatch caught before the run.
+/// As [`run`].
 pub fn run_with_sink<S: TraceSink>(opts: &CliOptions, sink: S) -> Result<(RunReport, S), String> {
     let config = &opts.config;
     let steps = opts.steps;
@@ -233,11 +233,11 @@ pub fn run_with_sink<S: TraceSink>(opts: &CliOptions, sink: S) -> Result<(RunRep
         steps: u64,
     }
     impl<S: TraceSink> PolicyVisitor for Drive<'_, S> {
-        type Out = (RunReport, S);
-        fn visit<P: Policy>(self, policy: P) -> (RunReport, S) {
-            let mut sim = Simulation::new(self.config, policy).with_sink(self.sink);
+        type Out = Result<(RunReport, S), String>;
+        fn visit<P: Policy>(self, policy: P) -> Self::Out {
+            let mut sim = Simulation::try_new(self.config, policy)?.with_sink(self.sink);
             sim.run(self.workload, self.steps);
-            sim.finish_traced()
+            Ok(sim.finish_traced())
         }
     }
     let drive = Drive {
@@ -246,7 +246,7 @@ pub fn run_with_sink<S: TraceSink>(opts: &CliOptions, sink: S) -> Result<(RunRep
         workload: workload.as_mut(),
         steps,
     };
-    with_policy(&opts.policy, config, RNG_SALT, drive)
+    with_policy(&opts.policy, config, RNG_SALT, drive)?
 }
 
 /// Runs the `trace` subcommand: the scenario described by the usual run

@@ -25,11 +25,25 @@
 //! rejected.
 //!
 //! The tables of a phase are not kept one by one. A repeat always
-//! consults the table of the chunk's *latest* access, and chunks are
-//! distinct within a step, so one word per chunk holds everything a
-//! repeat can ask for: `plan[x] = T_{last_access[x]}(x)`, overwritten
-//! after each step for exactly that step's chunks. Per step of the phase
-//! only the table's failure flag is remembered.
+//! consults the table of the chunk's *latest* access, chunks are
+//! distinct within a step, and `T_t` puts every chunk on one of its own
+//! two replicas (a stashed one on `h1`). So one 4-byte word per chunk
+//! holds everything a repeat can ask for: the step of its latest access
+//! and one bit naming the replica `T_t` chose. The placement is a pure
+//! function of the chunk, so the repeat finds the same two servers in
+//! its own route context. Per step of the phase only the table's
+//! failure flag is remembered. The table of a phase's last step is not
+//! built at all: the next access of any of its chunks opens a new phase
+//! as a first access, so no repeat could read it.
+//!
+//! The word counts steps from `base`, a phase start, and 0 means "not
+//! accessed since `base`", so the vector starts as lazily zeroed pages
+//! and only the chunks actually requested become resident. Once the
+//! phase start is [`REBASE_AFTER`] steps past `base`, every word is
+//! cleared and `base` moves to the phase start. That is exact: an
+//! access before the phase start is a first access either way. It also
+//! keeps the step field below 2³¹, so no access ever aliases into a
+//! later phase.
 
 use super::probe;
 use crate::config::SimConfig;
@@ -44,10 +58,15 @@ const P: u8 = 1;
 const Q_PREV: usize = 2;
 const P_PREV: usize = 3;
 
-/// Sentinel for "never accessed".
-const NEVER: u64 = u64::MAX;
+/// Phase lengths stay below 2²⁹, so a word's step field
+/// (`step − base + 1 < REBASE_AFTER + MAX_PHASE_LENGTH`) fits in 31 bits.
+const MAX_PHASE_LENGTH: u64 = 1 << 29;
 
-/// What is kept of `T_t` beside its `plan` entries.
+/// `seen` is cleared and re-based at the first phase start this many
+/// steps past `base`.
+const REBASE_AFTER: u64 = 1 << 30;
+
+/// What is kept of `T_t` beside the chunks' replica bits.
 #[derive(Debug, Clone, Copy)]
 struct StepSlot {
     failed: bool,
@@ -57,7 +76,6 @@ struct StepSlot {
 
 /// Counters exposed for experiments and debugging.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-// return type of `DelayedCuckoo::diagnostics`. lint:allow(dead-pub)
 pub struct DcrDiagnostics {
     /// Repeat requests rejected because their table had failed.
     pub table_failure_rejects: u64,
@@ -67,9 +85,10 @@ pub struct DcrDiagnostics {
     pub p_routed: u64,
     /// First accesses routed to `Q`.
     pub q_routed: u64,
-    /// Tables built.
+    /// Tables built: one after every step but the last of each phase,
+    /// whose table no repeat can read.
     pub tables_built: u64,
-    /// Tables that experienced the Lemma 4.2 failure event.
+    /// Tables built that experienced the Lemma 4.2 failure event.
     pub tables_failed: u64,
     /// Phases started.
     pub phases: u64,
@@ -80,12 +99,16 @@ pub struct DcrDiagnostics {
 pub struct DelayedCuckoo {
     /// Steps per phase (`Θ(log log m)`).
     phase_length: u64,
-    /// Last step each chunk was requested (`NEVER` if none).
-    last_access: Vec<u64>,
-    /// `plan[chunk] = T_{last_access[chunk]}(chunk)`. Entries of earlier
-    /// phases are never cleared: `route` reads an entry only behind the
-    /// `last_access` phase guard, and then it was written this phase.
-    plan: Vec<u32>,
+    /// Per chunk, `((t − base + 1) << 1) | bit` for its latest access
+    /// `t`, where `bit` is 0 if `T_t` put it on its first replica and 1
+    /// on its second; 0 if it was not requested since `base`. The bit
+    /// is written by `on_step_end`, and only read for a `t` in the
+    /// current phase.
+    seen: Vec<u32>,
+    /// The step the `seen` words count from: a phase start.
+    base: u64,
+    /// `phase_start − base + 1`: the step field of the phase's first step.
+    phase_word: u32,
     /// Per step of the current phase, indexed by `step - phase_start`.
     slots: Vec<StepSlot>,
     /// The candidate servers of this step's requests, in arrival order.
@@ -117,21 +140,27 @@ impl DelayedCuckoo {
     /// Creates the policy with an explicit phase length.
     ///
     /// # Panics
-    /// Panics if the phase length is zero or replication is not 2.
+    /// Panics if the phase length is zero or not below 2²⁹, or
+    /// replication is not 2.
     pub fn with_phase_length(config: &SimConfig, phase_length: u64) -> Self {
         assert!(phase_length > 0, "phase length must be positive");
+        assert!(
+            phase_length < MAX_PHASE_LENGTH,
+            "phase length must be below 2^29, got {phase_length}"
+        );
         assert_eq!(
             config.replication, 2,
             "delayed cuckoo routing requires d = 2"
         );
         Self {
             phase_length,
-            last_access: vec![NEVER; config.num_chunks],
-            plan: vec![0; config.num_chunks],
+            seen: vec![0; config.num_chunks],
+            base: 0,
+            phase_word: 1,
             slots: vec![
                 StepSlot {
                     failed: false,
-                    step: NEVER,
+                    step: u64::MAX,
                 };
                 phase_length as usize
             ],
@@ -146,9 +175,9 @@ impl DelayedCuckoo {
     }
 
     /// [`new`](Self::new), or an error naming the bytes when the
-    /// allocator refuses the per-chunk tables.
+    /// allocator refuses the per-chunk words (4 bytes a chunk: over 2³²
+    /// chunk ids, 17 179 869 184 bytes).
     pub(crate) fn try_new(config: &SimConfig) -> Result<Self, String> {
-        probe::<u64>(config.num_chunks)?;
         probe::<u32>(config.num_chunks)?;
         Ok(Self::new(config))
     }
@@ -217,6 +246,13 @@ impl Policy for DelayedCuckoo {
                 ops.migrate_class(Q as usize, Q_PREV);
                 ops.migrate_class(P as usize, P_PREV);
             }
+            // Wrapping: a phase start before `base` re-bases too.
+            if phase_start.wrapping_sub(self.base) >= REBASE_AFTER {
+                self.seen.fill(0);
+                self.base = phase_start;
+            }
+            // phase_start − base < 2³⁰ here, so the cast keeps every bit.
+            self.phase_word = (phase_start.wrapping_sub(self.base) as u32).wrapping_add(1);
             self.phase_start = phase_start;
             self.diagnostics.phases = self.diagnostics.phases.saturating_add(1);
             self.started = true;
@@ -230,17 +266,16 @@ impl Policy for DelayedCuckoo {
         let chunk = ctx.chunk as usize;
         self.step_choices.push(Choices::new(h1, h2));
 
-        #[expect(
-            clippy::indexing_slicing,
-            reason = "chunk < num_chunks = last_access.len()"
-        )]
-        let prev = std::mem::replace(&mut self.last_access[chunk], ctx.step);
+        // step − base + 1 < 2³¹ (ctx.step lies in the current phase), so
+        // the shift keeps every bit; the replica bit starts at 0.
+        let word = (ctx.step.wrapping_sub(self.base) as u32).wrapping_add(1) << 1;
+        #[expect(clippy::indexing_slicing, reason = "chunk < num_chunks = seen.len()")]
+        let prev = std::mem::replace(&mut self.seen[chunk], word);
 
         // A repeat is a chunk whose last access lies in the current
-        // phase; `NEVER` and earlier phases wrap far past the phase
-        // length.
-        let offset = prev.wrapping_sub(self.phase_start);
-        if offset >= self.phase_length {
+        // phase; 0 and earlier steps wrap far past the phase length.
+        let offset = (prev >> 1).wrapping_sub(self.phase_word);
+        if u64::from(offset) >= self.phase_length {
             return self.route_first_access(h1, h2, view);
         }
         // Route by the table built after the previous access.
@@ -249,14 +284,17 @@ impl Policy for DelayedCuckoo {
             reason = "offset < phase_length = slots.len()"
         )]
         let slot = self.slots[offset as usize];
-        debug_assert_eq!(slot.step, prev, "table slot mismatch for repeat access");
+        debug_assert_eq!(
+            slot.step,
+            self.phase_start.wrapping_add(u64::from(offset)),
+            "table slot mismatch for repeat access"
+        );
         if slot.failed {
             self.diagnostics.table_failure_rejects =
                 self.diagnostics.table_failure_rejects.saturating_add(1);
             return Decision::Reject(RejectReason::TableFailed);
         }
-        #[expect(clippy::indexing_slicing, reason = "chunk < num_chunks = plan.len()")]
-        let server = self.plan[chunk];
+        let server = if prev & 1 == 0 { h1 } else { h2 };
         if !view.is_up(server) {
             // The preplanned server is down; fall back to the live Q
             // path (the repeat loses its table guarantee but the request
@@ -268,12 +306,19 @@ impl Policy for DelayedCuckoo {
     }
 
     fn on_step_end(&mut self, step: u64, chunks: &[u32], _view: &ClusterView<'_>) {
-        // Build T_step over the chunks requested this step.
         assert_eq!(
             chunks.len(),
             self.step_choices.len(),
             "on_step_end must receive the chunks routed this step"
         );
+        let offset = step.wrapping_sub(self.phase_start);
+        // The phase's last step: its chunks' next accesses are first
+        // accesses of a later phase, so no repeat reads T_step.
+        if offset.wrapping_add(1) == self.phase_length {
+            self.step_choices.clear();
+            return;
+        }
+        // Build T_step over the chunks requested this step.
         let status =
             self.builder
                 .build_table(self.num_servers, &self.step_choices, &mut self.server_of);
@@ -282,16 +327,20 @@ impl Policy for DelayedCuckoo {
         if status.failed {
             diag.tables_failed = diag.tables_failed.saturating_add(1);
         }
-        #[expect(clippy::indexing_slicing, reason = "chunk < num_chunks = plan.len()")]
-        for (&chunk, &server) in chunks.iter().zip(&self.server_of) {
-            self.plan[chunk as usize] = server;
+        // `route` wrote each chunk's word this step with the bit clear.
+        // Which replica the table chose is a coin flip, so the bit is
+        // or-ed in without a branch.
+        #[expect(clippy::indexing_slicing, reason = "chunk < num_chunks = seen.len()")]
+        for ((&chunk, &server), choices) in
+            chunks.iter().zip(&self.server_of).zip(&self.step_choices)
+        {
+            self.seen[chunk as usize] |= u32::from(server != choices.h1);
         }
         #[expect(
             clippy::indexing_slicing,
-            clippy::arithmetic_side_effects,
             reason = "phase_start <= step < phase_start + phase_length = phase_start + slots.len()"
         )]
-        let slot = &mut self.slots[(step - self.phase_start) as usize];
+        let slot = &mut self.slots[offset as usize];
         *slot = StepSlot {
             failed: status.failed,
             step,
@@ -305,7 +354,9 @@ impl Policy for DelayedCuckoo {
 mod tests {
     use super::*;
     use crate::config::DrainMode;
+    use crate::queue::QueueArray;
     use crate::sim::{Simulation, Workload};
+    use rlb_cuckoo::RoutingTable;
 
     fn dcr_config(m: usize) -> SimConfig {
         SimConfig {
@@ -334,7 +385,9 @@ mod tests {
         let diag = sim.policy().diagnostics();
         // Only the first access of each phase is a Q access.
         assert!(diag.p_routed > diag.q_routed, "{diag:?}");
-        assert!(diag.tables_built >= 40);
+        // Phase length 6: 40 steps hold 6 phase-final steps (5, 11, ..,
+        // 35), which build no table.
+        assert_eq!(diag.tables_built, 34);
         let report = sim.finish();
         report.check_conservation().unwrap();
         assert_eq!(report.rejected_total, 0, "no rejections expected");
@@ -401,7 +454,7 @@ mod tests {
                 p.builder.capacity_bytes(),
                 p.server_of.capacity(),
                 p.step_choices.capacity(),
-                p.plan.capacity(),
+                p.seen.capacity(),
                 p.slots.capacity(),
             )
         };
@@ -415,10 +468,175 @@ mod tests {
         assert!(after_first.0 > 0);
         sim.run(&mut workload, 3 * phase_length);
         assert_eq!(footprint(sim.policy()), after_first);
+        // Steps 0..=3L: every step but the three phase-final ones
+        // (L - 1, 2L - 1, 3L - 1) builds a table.
         assert_eq!(
             sim.policy().diagnostics().tables_built,
-            1 + 3 * phase_length
+            1 + 3 * (phase_length - 1)
         );
+    }
+
+    // --- The 4-byte word, driven by hand ----------------------------
+
+    /// A `StepOps` that ignores migrations: the hand-driven tests below
+    /// look only at routing decisions.
+    struct NoOps;
+
+    impl StepOps for NoOps {
+        fn migrate_class(&mut self, _from: usize, _to: usize) {}
+    }
+
+    /// One request: the chunk and its two replicas.
+    type Request = (u32, [u32; 2]);
+
+    /// Runs `step` the way the engine does: `on_step_begin`, `route` for
+    /// each request in arrival order, `on_step_end`.
+    fn drive(
+        dcr: &mut DelayedCuckoo,
+        view: &ClusterView<'_>,
+        step: u64,
+        requests: &[Request],
+    ) -> Vec<Decision> {
+        dcr.on_step_begin(step, &mut NoOps);
+        let decisions = requests
+            .iter()
+            .map(|(chunk, replicas)| {
+                let ctx = RouteCtx {
+                    step,
+                    chunk: *chunk,
+                    replicas,
+                };
+                dcr.route(ctx, view)
+            })
+            .collect();
+        let chunks: Vec<u32> = requests.iter().map(|r| r.0).collect();
+        dcr.on_step_end(step, &chunks, view);
+        decisions
+    }
+
+    /// `count` requests for chunks `first..`, all on servers 0..4: a
+    /// crowded table, so it puts some chunks on their second replica.
+    fn crowded(first: u32, count: u32) -> Vec<Request> {
+        (first..first + count)
+            .map(|c| (c, [c % 4, (c + 1 + c / 4) % 4]))
+            .collect()
+    }
+
+    /// Steps 2³¹ and 2³² apart alias in 31 and 32 bits. Phase length 4
+    /// divides both, so a far access sits at the same phase offset as a
+    /// step of the current phase whose table is healthy: a word that was
+    /// never re-based reads it as a repeat and routes it to `P`. And a
+    /// step field of `step as u32` loses its top bit from step 2³¹ on,
+    /// so repeats in the phase that starts there miss their table.
+    #[test]
+    fn far_accesses_are_first_accesses_across_rebases() {
+        let cfg = SimConfig {
+            num_chunks: 64,
+            ..dcr_config(8)
+        };
+        let queues = QueueArray::new(8, &DelayedCuckoo::new(&cfg).queue_classes(&cfg));
+        let view = ClusterView::new(&queues);
+        let mut dcr = DelayedCuckoo::with_phase_length(&cfg, 4);
+        let (a, b): (Request, Request) = ((1, [2, 5]), (2, [6, 3]));
+        let filler = crowded(40, 8);
+        let repeats = crowded(16, 16);
+        let table = RoutingTable::build(
+            8,
+            &repeats
+                .iter()
+                .map(|(_, r)| Choices::new(r[0], r[1]))
+                .collect::<Vec<_>>(),
+        );
+        assert!(!table.failed());
+        // `repeats`, requested at a phase's first step, go where that
+        // step's table put them, on both sides.
+        let check_repeats = |late: &[Decision]| {
+            let mut second = 0;
+            for (i, (d, (chunk, [h1, h2]))) in late.iter().zip(&repeats).enumerate() {
+                let want = table.server_of(i);
+                second += usize::from(want != *h1);
+                assert!(want == *h1 || want == *h2);
+                assert_eq!(
+                    *d,
+                    Decision::Route {
+                        server: want,
+                        class: P
+                    },
+                    "chunk {chunk}"
+                );
+            }
+            assert!(
+                second > 0 && second < repeats.len(),
+                "the table used only one side: the bit is untested"
+            );
+        };
+        let two31 = 1u64 << 31;
+        let two32 = 1u64 << 32;
+
+        drive(&mut dcr, &view, 0, &filler);
+        let first = drive(&mut dcr, &view, 1, &[&[a], &filler[..]].concat());
+        assert!(matches!(first[0], Decision::Route { class: Q, .. }));
+        // Phase start 2³¹ re-bases; `b` lands at offset 1.
+        drive(&mut dcr, &view, two31, &repeats);
+        drive(&mut dcr, &view, two31 + 1, &[&[b], &filler[..]].concat());
+        check_repeats(&drive(&mut dcr, &view, two31 + 2, &repeats));
+        // Phase start 2³² re-bases again, and offset 1's table is healthy.
+        drive(&mut dcr, &view, two32, &repeats);
+        drive(&mut dcr, &view, two32 + 1, &filler);
+        let late = drive(
+            &mut dcr,
+            &view,
+            two32 + 2,
+            &[&[a, b], &repeats[..]].concat(),
+        );
+        // `a` was last requested 2³² steps before step 2³² + 1, `b`
+        // 2³¹ steps before it: both are first accesses.
+        for (d, (chunk, [h1, h2])) in late.iter().zip([a, b]) {
+            assert!(
+                matches!(*d, Decision::Route { class: Q, server } if server == h1 || server == h2),
+                "chunk {chunk}: {d:?}"
+            );
+        }
+        check_repeats(&late[2..]);
+        // P: the filler's 8 at step 1 and the 16 repeats twice.
+        let diag = dcr.diagnostics();
+        assert_eq!((diag.p_routed, diag.table_failure_rejects), (40, 0));
+    }
+
+    /// The word keeps no step of an earlier phase: a chunk requested at
+    /// the last step of a phase (whose table is never built) and again
+    /// at the next step is a first access.
+    #[test]
+    fn phase_final_step_builds_no_table() {
+        let cfg = dcr_config(8);
+        let queues = QueueArray::new(8, &DelayedCuckoo::new(&cfg).queue_classes(&cfg));
+        let view = ClusterView::new(&queues);
+        let mut dcr = DelayedCuckoo::with_phase_length(&cfg, 3);
+        let requests = crowded(0, 6);
+        let classes: Vec<Vec<u8>> = (0..7)
+            .map(|step| {
+                drive(&mut dcr, &view, step, &requests)
+                    .iter()
+                    .map(|d| match d {
+                        Decision::Route { class, .. } => *class,
+                        Decision::Reject(r) => panic!("step {step}: {r:?}"),
+                    })
+                    .collect()
+            })
+            .collect();
+        for (step, row) in classes.iter().enumerate() {
+            let want = if step % 3 == 0 { Q } else { P };
+            assert!(row.iter().all(|&c| c == want), "step {step}: {row:?}");
+        }
+        // Steps 0..7 at phase length 3: steps 2 and 5 are phase-final.
+        assert_eq!(dcr.diagnostics().tables_built, 5);
+    }
+
+    #[test]
+    fn phase_length_stays_below_two_to_the_29() {
+        let cfg = dcr_config(16);
+        let too_long = std::panic::catch_unwind(|| DelayedCuckoo::with_phase_length(&cfg, 1 << 29));
+        assert!(too_long.is_err());
     }
 
     #[test]

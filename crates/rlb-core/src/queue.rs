@@ -246,35 +246,44 @@ impl QueueArray {
     /// a queue first holds two requests.
     ///
     /// # Panics
-    /// Panics if `classes` is empty, any capacity is zero, the summed
-    /// per-server capacity reaches `u32::MAX` (the down-server routing
-    /// sentinel), or the ring pool could pass 2³² slots (one block per
-    /// queue plus the reserved one).
+    /// Panics with [`try_new`](Self::try_new)'s message where that
+    /// returns an error.
     pub fn new(num_servers: usize, classes: &[ClassSpec]) -> Self {
-        assert!(!classes.is_empty(), "need at least one queue class");
-        assert!(
-            classes.iter().all(|c| c.capacity > 0),
-            "class capacities must be positive"
-        );
+        #[expect(
+            clippy::panic,
+            reason = "constructor-time validation, documented above; never on the per-step hot path"
+        )]
+        Self::try_new(num_servers, classes).unwrap_or_else(|e| panic!("QueueArray: {e}"))
+    }
+
+    /// [`new`](Self::new), or an error naming the sizes when `classes`
+    /// is empty, a capacity is zero, the summed per-server capacity
+    /// reaches `u32::MAX` (the down-server routing sentinel), or the
+    /// ring pool could pass 2³² slots (one block per queue plus the
+    /// reserved one). Every check runs before anything is allocated.
+    ///
+    /// # Errors
+    /// Returns the first violated bound as a message.
+    pub(crate) fn try_new(num_servers: usize, classes: &[ClassSpec]) -> Result<Self, String> {
+        if classes.is_empty() {
+            return Err("need at least one queue class".into());
+        }
+        if classes.iter().any(|c| c.capacity == 0) {
+            return Err("class capacities must be positive".into());
+        }
         let caps: Vec<u32> = classes.iter().map(|c| c.capacity).collect();
         let k = caps.len();
         let mut per_server = 0u32;
         for &c in &caps {
-            per_server = match per_server.checked_add(c) {
-                Some(v) => v,
-                #[expect(
-                    clippy::panic,
-                    reason = "constructor-time validation, never on the per-step hot path"
-                )]
-                None => panic!(
-                    "QueueArray: class capacities overflow u32 ({per_server} + {c} per server)"
-                ),
-            };
+            per_server = per_server.checked_add(c).ok_or_else(|| {
+                format!("class capacities overflow u32 ({per_server} + {c} per server)")
+            })?;
         }
-        assert!(
-            per_server < u32::MAX,
-            "QueueArray: per-server capacity {per_server} must stay below u32::MAX (the down-server routing sentinel)"
-        );
+        if per_server == u32::MAX {
+            return Err(format!(
+                "per-server capacity {per_server} must stay below u32::MAX (the down-server routing sentinel)"
+            ));
+        }
         // B = (max capacity − 1).next_power_of_two(), at least 1; a
         // capacity above 2³¹ + 1 needs B = 2³², whose mask is u32::MAX.
         let max_cap = caps.iter().copied().max().unwrap_or(1);
@@ -289,17 +298,14 @@ impl QueueArray {
         let slots = queues
             .and_then(|q| u64::try_from(q).ok()?.checked_add(1)?.checked_mul(block))
             .filter(|&s| s <= POOL_SLOTS_MAX);
-        #[expect(
-            clippy::panic,
-            reason = "constructor-time validation, never on the per-step hot path"
-        )]
-        let (Some(ctrl_len), Some(_)) = (queues.and_then(|q| q.checked_mul(CTRL_WORDS)), slots) else {
-            panic!(
-                "QueueArray: the ring pool could pass 2^32 slots ({num_servers} servers x {k} \
-                 classes + 1 reserved block, {block} slots a block)"
-            )
+        let (Some(ctrl_len), Some(_)) = (queues.and_then(|q| q.checked_mul(CTRL_WORDS)), slots)
+        else {
+            return Err(format!(
+                "the ring pool could pass 2^32 slots ({num_servers} servers x {k} classes + 1 \
+                 reserved block, {block} slots a block for capacity {max_cap})"
+            ));
         };
-        Self {
+        Ok(Self {
             pool: Vec::new(),
             ctrl: vec![0; ctrl_len],
             caps,
@@ -308,7 +314,7 @@ impl QueueArray {
             total: 0,
             per_server,
             num_servers,
-        }
+        })
     }
 
     /// Index of `(server, class)`'s entry into the packed `ctrl` row.

@@ -159,16 +159,28 @@ impl<P: Policy> Simulation<P> {
     /// `config.seed`.
     ///
     /// # Panics
-    /// Panics if the config is invalid or the policy's queue classes are
-    /// inconsistent with it.
+    /// Panics with [`try_new`](Self::try_new)'s message where that
+    /// returns an error.
     pub fn new(config: SimConfig, policy: P) -> Self {
         #[expect(
             clippy::panic,
             reason = "constructor precondition, documented above; never on the per-step hot path"
         )]
+        Self::try_new(config, policy).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`new`](Self::new), or an error when the config is invalid or the
+    /// policy's queue classes do not fit the cluster: no class, a zero
+    /// capacity, a per-server capacity of `u32::MAX` or more, or a ring
+    /// pool that could pass 2³² slots. Nothing is allocated before the
+    /// checks pass.
+    ///
+    /// # Errors
+    /// Returns the first violated constraint as a message.
+    pub fn try_new(config: SimConfig, policy: P) -> Result<Self, String> {
         config
             .validate()
-            .unwrap_or_else(|e| panic!("invalid config: {e}"));
+            .map_err(|e| format!("invalid config: {e}"))?;
         let placement = ReplicaPlacement::random(
             config.num_chunks,
             config.num_servers,
@@ -176,8 +188,7 @@ impl<P: Policy> Simulation<P> {
             config.seed,
         );
         let classes = policy.queue_classes(&config);
-        assert!(!classes.is_empty(), "policy declared no queue classes");
-        let queues = QueueArray::new(config.num_servers, &classes);
+        let queues = QueueArray::try_new(config.num_servers, &classes)?;
         let engine = Engine {
             placement,
             queues,
@@ -195,10 +206,10 @@ impl<P: Policy> Simulation<P> {
             warm_blocks: routed_row_bytes(&config) > ROUTE_CACHE_BYTES,
             config,
         };
-        Self {
+        Ok(Self {
             engine,
             sink: NoopSink,
-        }
+        })
     }
 }
 

@@ -1,11 +1,13 @@
 //! Property tests of delayed cuckoo routing's structural invariants,
 //! swept over deterministic PCG-generated cases.
 
-use rlb_core::policies::DelayedCuckoo;
+use rlb_core::policies::{DcrDiagnostics, DelayedCuckoo};
+use rlb_core::policy::StepOps;
 use rlb_core::{
-    Decision, DrainMode, Observer, OutageSchedule, RejectReason, SimConfig, Simulation,
+    ClassSpec, ClusterView, Decision, DrainMode, Observer, OutageSchedule, Policy, RejectReason,
+    RouteCtx, SimConfig, Simulation,
 };
-use rlb_cuckoo::{Choices, RoutingTable};
+use rlb_cuckoo::{Choices, RoutingTable, TableBuilder};
 use rlb_hash::{sample, Pcg64, ReplicaPlacement, Rng};
 
 /// Records arrivals to class P per (server, step).
@@ -21,7 +23,7 @@ impl Observer for PArrivals {
             self.current[server as usize] += 1;
         }
     }
-    fn on_step_end(&mut self, _step: u64, _view: &rlb_core::ClusterView<'_>) {
+    fn on_step_end(&mut self, _step: u64, _view: &ClusterView<'_>) {
         self.per_step
             .push(std::mem::replace(&mut self.current, vec![0; self.m]));
     }
@@ -133,12 +135,13 @@ fn dcr_is_deterministic() {
     }
 }
 
-// --- The chunk-indexed plan ---------------------------------------
+// --- The chunk-indexed word ---------------------------------------
 //
-// `DelayedCuckoo` keeps one `plan[chunk]` word instead of one table per
-// step of the phase. The tests below pin the cases where a plan entry
-// is older than the newest table: it must be read exactly when the
-// paper's `T_{last access}` says so, and never across a phase boundary.
+// `DelayedCuckoo` keeps one word a chunk (its latest access and the
+// replica that access's table chose) instead of one table per step of
+// the phase. The tests below pin the cases where a word is older than
+// the newest table: it must be read exactly when the paper's
+// `T_{last access}` says so, and never across a phase boundary.
 
 const Q_CLASS: u8 = 0;
 const P_CLASS: u8 = 1;
@@ -204,7 +207,7 @@ fn on_pair(row: &[u32], a: u32, b: u32) -> bool {
 }
 
 /// (a) A chunk last requested in phase `p` is a first access in phase
-/// `p + 1`, although `plan` still holds its server from phase `p`.
+/// `p + 1`, although its word still holds its access in phase `p`.
 #[test]
 fn plan_entry_from_an_earlier_phase_is_not_consulted() {
     let m = 64;
@@ -377,7 +380,11 @@ fn planned_server_down_falls_back_to_q() {
 /// phase rolls, a failing concentrated burst), pinned to the values the
 /// per-step sorted-table implementation produced (commit `a214c3f`).
 /// They count the scenario's structure, so the hashed placement's own
-/// chunks reproduce them.
+/// chunks reproduce them. The table counts leave out the 8 phase-final
+/// steps of 43 (4, 9, .., 39), whose tables no repeat can read: that
+/// implementation built 43 tables, 15 of them failed, and 3 of the
+/// failed ones (steps 9, 24 and 39, where the concentrated chunks
+/// arrive) were phase-final.
 #[test]
 fn diagnostics_match_the_per_step_table_implementation() {
     let m = 96;
@@ -419,7 +426,228 @@ fn diagnostics_match_the_per_step_table_implementation() {
             d.q_rejects,
             d.phases,
         ),
-        (993, 1334, 43, 15, 613, 0, 9),
+        (993, 1334, 35, 12, 613, 0, 9),
         "{d:?}"
+    );
+}
+
+// --- The two-vector layout as a reference --------------------------
+//
+// `DelayedCuckoo` keeps one 4-byte word a chunk and builds no table on
+// a phase's last step. `RefDcr` keeps the layout it replaced, a `u64`
+// last-access step and a `u32` planned server a chunk, and builds a
+// table after every step. Run side by side, every decision must agree.
+
+/// Delayed cuckoo routing with `last_access` + `plan` and a table
+/// every step.
+struct RefDcr {
+    phase_length: u64,
+    last_access: Vec<u64>,
+    plan: Vec<u32>,
+    /// Per step of the phase: (table failed, step it was built for).
+    slots: Vec<(bool, u64)>,
+    step_choices: Vec<Choices>,
+    builder: TableBuilder,
+    server_of: Vec<u32>,
+    phase_start: u64,
+    started: bool,
+    num_servers: usize,
+    diag: DcrDiagnostics,
+}
+
+impl RefDcr {
+    fn new(config: &SimConfig, phase_length: u64) -> Self {
+        Self {
+            phase_length,
+            last_access: vec![u64::MAX; config.num_chunks],
+            plan: vec![0; config.num_chunks],
+            slots: vec![(false, u64::MAX); phase_length as usize],
+            step_choices: Vec::new(),
+            builder: TableBuilder::new(),
+            server_of: Vec::new(),
+            phase_start: 0,
+            started: false,
+            num_servers: config.num_servers,
+            diag: DcrDiagnostics::default(),
+        }
+    }
+
+    fn route_first_access(&mut self, h1: u32, h2: u32, view: &ClusterView<'_>) -> Decision {
+        let server = match (view.is_available(h1, 0), view.is_available(h2, 0)) {
+            (false, false) => {
+                self.diag.q_rejects += 1;
+                return Decision::Reject(RejectReason::Policy);
+            }
+            (true, false) => h1,
+            (false, true) => h2,
+            (true, true) if view.class_backlog(h2, 0) < view.class_backlog(h1, 0) => h2,
+            (true, true) => h1,
+        };
+        self.diag.q_routed += 1;
+        Decision::Route {
+            server,
+            class: Q_CLASS,
+        }
+    }
+}
+
+impl Policy for RefDcr {
+    fn name(&self) -> &'static str {
+        "reference-dcr"
+    }
+
+    fn queue_classes(&self, config: &SimConfig) -> Vec<ClassSpec> {
+        let spec = ClassSpec {
+            capacity: config.queue_capacity,
+            drain_per_step: (config.process_rate / 4).max(1),
+        };
+        vec![spec; 4]
+    }
+
+    fn on_step_begin(&mut self, step: u64, ops: &mut dyn StepOps) {
+        let phase_start = step - step % self.phase_length;
+        if phase_start != self.phase_start || !self.started {
+            if self.started {
+                ops.migrate_class(0, 2);
+                ops.migrate_class(1, 3);
+            }
+            self.phase_start = phase_start;
+            self.diag.phases += 1;
+            self.started = true;
+        }
+    }
+
+    fn route(&mut self, ctx: RouteCtx<'_>, view: &ClusterView<'_>) -> Decision {
+        let (h1, h2) = (ctx.replicas[0], ctx.replicas[1]);
+        let chunk = ctx.chunk as usize;
+        self.step_choices.push(Choices::new(h1, h2));
+        let prev = std::mem::replace(&mut self.last_access[chunk], ctx.step);
+        let offset = prev.wrapping_sub(self.phase_start);
+        if offset >= self.phase_length {
+            return self.route_first_access(h1, h2, view);
+        }
+        let (failed, built_for) = self.slots[offset as usize];
+        assert_eq!(built_for, prev, "stale table slot");
+        if failed {
+            self.diag.table_failure_rejects += 1;
+            return Decision::Reject(RejectReason::TableFailed);
+        }
+        let server = self.plan[chunk];
+        if !view.is_up(server) {
+            return self.route_first_access(h1, h2, view);
+        }
+        self.diag.p_routed += 1;
+        Decision::Route {
+            server,
+            class: P_CLASS,
+        }
+    }
+
+    fn on_step_end(&mut self, step: u64, chunks: &[u32], _view: &ClusterView<'_>) {
+        let status =
+            self.builder
+                .build_table(self.num_servers, &self.step_choices, &mut self.server_of);
+        self.diag.tables_built += 1;
+        self.diag.tables_failed += u64::from(status.failed);
+        for (&chunk, &server) in chunks.iter().zip(&self.server_of) {
+            self.plan[chunk as usize] = server;
+        }
+        self.slots[(step - self.phase_start) as usize] = (status.failed, step);
+        self.step_choices.clear();
+    }
+}
+
+/// PCG-drawn scenarios at phase lengths 1..=6: a sticky core, fresh
+/// filler, a burst of chunks on servers {0, 1} that makes its tables
+/// fail, and outages of server 0 and of a drawn server. The word and
+/// the reference route every request alike and count alike; only the
+/// tables of phase-final steps are missing from `tables_built`.
+#[test]
+fn word_routes_exactly_as_the_two_vector_reference() {
+    let mut failed_tables = 0;
+    let mut failure_rejects = 0;
+    for case in 0..CASES {
+        let mut case_r = case_rng(3, case);
+        let phase_length = 1 + case % 6;
+        let m = 16usize << case_r.gen_index(3); // 16, 32 or 64
+        let seed = case_r.next_u64();
+        let steps = 5 * phase_length + case_r.gen_range(2 * phase_length);
+        let config = SimConfig {
+            num_servers: m,
+            num_chunks: 1 << 18,
+            replication: 2,
+            process_rate: 16,
+            queue_capacity: 4 + case_r.gen_range(12) as u32,
+            flush_interval: None,
+            drain_mode: DrainMode::EndOfStep,
+            seed,
+            safety_check_every: None,
+        };
+        let placement = ReplicaPlacement::random(config.num_chunks, m, 2, seed);
+        let burst = scan(&placement, 24, |r| on_pair(r, 0, 1));
+        assert!(burst.iter().all(|&c| (c as usize) < config.num_chunks));
+        let others: Vec<u32> = (0..).filter(|c| !burst.contains(c)).take(4 * m).collect();
+        let core_len = m / 4 + case_r.gen_index(m / 2);
+        let (core, pool) = others.split_at(core_len);
+        let burst_every = 2 + case_r.gen_range(3);
+        let workload_seed = case_r.next_u64();
+        let workload = || {
+            let (core, pool, burst) = (core.to_vec(), pool.to_vec(), burst.clone());
+            let mut rng = Pcg64::new(workload_seed, 5);
+            move |step: u64, out: &mut Vec<u32>| {
+                if step % burst_every == 1 {
+                    let k = 8 + rng.gen_index(burst.len() - 8);
+                    out.extend(&burst[..k]);
+                }
+                out.extend(&core);
+                for i in sample::sample_k_distinct(&mut rng, pool.len() as u64, m / 4) {
+                    out.push(pool[i as usize]);
+                }
+            }
+        };
+        let mut outages = OutageSchedule::none();
+        let down_at = case_r.gen_range(steps - 1);
+        outages.push(0, down_at, down_at + 2);
+        let other = 2 + case_r.gen_index(m - 2) as u32;
+        let other_at = case_r.gen_range(steps - 1);
+        outages.push(other, other_at, other_at + 1 + case_r.gen_range(3));
+
+        let mut word = Simulation::new(
+            config.clone(),
+            DelayedCuckoo::with_phase_length(&config, phase_length),
+        )
+        .with_outages(outages.clone());
+        let mut reference = Simulation::new(config.clone(), RefDcr::new(&config, phase_length))
+            .with_outages(outages);
+        let (mut word_obs, mut ref_obs) = (Decisions::default(), Decisions::default());
+        word.run_observed(&mut workload(), steps, &mut word_obs);
+        reference.run_observed(&mut workload(), steps, &mut ref_obs);
+        assert_eq!(word_obs.0.len(), ref_obs.0.len(), "case {case}");
+        for (w, r) in word_obs.0.iter().zip(&ref_obs.0) {
+            assert_eq!(w, r, "case {case}: (step, chunk, decision)");
+        }
+
+        let (w, r) = (word.policy().diagnostics(), reference.policy().diag);
+        let routing = |d: DcrDiagnostics| DcrDiagnostics {
+            tables_built: 0,
+            tables_failed: 0,
+            ..d
+        };
+        assert_eq!(routing(w), routing(r), "case {case}");
+        let phase_final_steps = steps / phase_length;
+        assert_eq!(r.tables_built, steps, "case {case}");
+        assert_eq!(
+            r.tables_built - w.tables_built,
+            phase_final_steps,
+            "case {case}"
+        );
+        assert!(w.tables_failed <= r.tables_failed, "case {case}");
+        failed_tables += w.tables_failed;
+        failure_rejects += w.table_failure_rejects;
+    }
+    // The bursts must reach the failed-table path.
+    assert!(
+        failed_tables > 0 && failure_rejects > 0,
+        "the burst is too small"
     );
 }

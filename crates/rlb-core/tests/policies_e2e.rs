@@ -157,6 +157,8 @@ fn dcr_diagnostics_are_consistent() {
         report.accepted + report.rejected_overflow,
         "every routed decision is a Q or P route"
     );
-    assert_eq!(diag.tables_built, 60);
+    // Phase length 6 at m = 128: the 10 phase-final steps of 60 build
+    // no table.
+    assert_eq!(diag.tables_built, 50);
     assert!(diag.phases >= 1);
 }

@@ -155,32 +155,43 @@ struct KeyFront {
     coalesced_this_step: u64,
 }
 
-impl<P: Policy> KvCluster<P> {
-    /// Builds a cluster from a simulation config and a policy. The key
-    /// directory is salted from the config seed.
-    pub fn new(config: SimConfig, policy: P) -> Self {
-        let keys = KeyFront {
+impl KeyFront {
+    /// Empty, over `config`'s chunk universe.
+    fn new(config: &SimConfig) -> Self {
+        Self {
             directory: ChunkDirectory::new(config.num_chunks, config.seed ^ 0x6b76),
             pending: Vec::new(),
             pending_index: PendingIndex::new(config.num_chunks),
             decisions: Vec::new(),
             coalesced_this_step: 0,
-        };
+        }
+    }
+}
+
+impl<P: Policy> KvCluster<P> {
+    /// Builds a cluster from a simulation config and a policy. The key
+    /// directory is salted from the config seed.
+    pub fn new(config: SimConfig, policy: P) -> Self {
         Self {
+            keys: KeyFront::new(&config),
             sim: Simulation::new(config, policy),
-            keys,
         }
     }
 
     /// [`new`](Self::new), or an error naming the bytes when the
-    /// allocator refuses the per-chunk pending index.
+    /// allocator refuses the per-chunk pending index, or naming the
+    /// sizes when the engine refuses the config or the policy's queues
+    /// ([`Simulation::try_new`]).
     ///
     /// # Errors
-    /// Returns the allocator's refusal as a message.
+    /// Returns the refusal as a message.
     pub fn try_new(config: SimConfig, policy: P) -> Result<Self, String> {
         // `PendingIndex`'s stamp and slot: two `u32`s a chunk id.
         probe::<[u32; 2]>(config.num_chunks)?;
-        Ok(Self::new(config, policy))
+        Ok(Self {
+            keys: KeyFront::new(&config),
+            sim: Simulation::try_new(config, policy)?,
+        })
     }
 }
 

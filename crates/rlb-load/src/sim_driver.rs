@@ -58,10 +58,6 @@ pub struct SimOutput {
 const DRAIN_CAP: u64 = 1000;
 
 /// Runs the co-simulation to completion.
-#[expect(
-    clippy::arithmetic_side_effects,
-    reason = "t stops at ticks + DRAIN_CAP, saturated, so it never wraps"
-)]
 pub fn co_simulate<P: Policy>(
     mut core: ServerCore<P>,
     mut clients: Vec<Client>,
@@ -126,7 +122,7 @@ pub fn co_simulate<P: Policy>(
         // never drains, and ticks whether or not the core is drained.
         pass(&mut sessions, &mut core, || true, false, true);
 
-        t += 1;
+        t = t.saturating_add(1);
     }
 
     let report = LoadReport::from_clients(&clients);

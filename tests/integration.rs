@@ -110,7 +110,9 @@ fn dcr_handles_full_load_repeated_traffic_at_scale() {
     let mut workload = RepeatedSet::first_k(m as u32, 21);
     sim.run(&mut workload, 120);
     let diag = sim.policy().diagnostics();
-    assert!(diag.tables_built >= 120);
+    // Phase length 8 at m = 512: the 15 phase-final steps of 120 build
+    // no table.
+    assert_eq!(diag.tables_built, 105);
     assert_eq!(diag.table_failure_rejects, 0);
     let report = sim.finish();
     report.check_conservation().unwrap();
